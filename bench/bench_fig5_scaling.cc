@@ -141,10 +141,10 @@ simulatorThroughputPanel()
 {
     // Not a paper panel, but the knob that sets how large a sweep
     // every other panel can afford: cells simulated per second on the
-    // behavioral backend, bucket wavefront kernel vs the heap event
+    // behavioral backend, the grid sweep kernel vs the heap event
     // queue it replaced.
     util::printBanner(std::cout,
-                      "Simulator throughput: bucket wavefront kernel "
+                      "Simulator throughput: grid sweep kernel "
                       "vs heap event queue (cells/s)");
     util::Rng rng(4242);
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();

@@ -69,9 +69,9 @@ void
 BM_GraphAlignRace(benchmark::State &state)
 {
     // The GraphAlign hot path: one read against a cached plan via
-    // the default align() -- the fused kernel since PR 5, on the
-    // wrapper's per-thread scratch, plus score recovery (headline
-    // bench; BM_GraphAlignFused isolates the raw kernel sweep).
+    // the default align() -- the fused kernel, on the wrapper's
+    // per-thread scratch, plus score recovery (headline bench;
+    // BM_GraphAlignFused isolates the raw kernel sweep).
     Workload w(size_t(state.range(0)));
     pangraph::GraphAligner aligner(w.graph,
                                    ScoreMatrix::dnaShortestPath());
@@ -86,9 +86,11 @@ BENCHMARK(BM_GraphAlignRace)->Arg(16)->Arg(64);
 void
 BM_GraphAlignFused(benchmark::State &state)
 {
-    // Steady-state fused sweep: calendar arena and weight rows
-    // reused across reads, the per-thread shape of the engine's
-    // read-mapping batch body (headline bench).
+    // Steady-state fused sweep: working rows and weight rows reused
+    // across reads, the per-thread shape of the engine's read-mapping
+    // batch body (headline bench).  Same workload as
+    // BM_GraphAlignOracle, so the pair compares the race kernel with
+    // the graph DP it models (CI gates the ratio).
     Workload w(size_t(state.range(0)));
     pangraph::GraphAligner aligner(w.graph,
                                    ScoreMatrix::dnaShortestPath());

@@ -110,6 +110,7 @@ RaceEngine::Plan::residentBytes() const
                  (cg.firstChar.capacity() + cg.lastChar.capacity() +
                   cg.succ.capacity() + cg.pred.capacity()) *
                      sizeof(pangraph::CharPos) +
+                 cg.segmentOrder.capacity() * sizeof(pangraph::SegmentId) +
                  (cg.succOffsets.capacity() + cg.predOffsets.capacity()) *
                      sizeof(uint32_t) +
                  cg.terminal.capacity() +
@@ -443,9 +444,9 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
     const bool bounded = screening && cfg.earlyTerminate &&
                          threshold != bio::kScoreInfinity;
     // One kernel scratch per thread: the batch screening loop (and
-    // every serial solve) reuses the bucket-calendar arena instead of
+    // every serial solve) reuses the sweep's working row instead of
     // allocating it per comparison.  The registry entry publishes the
-    // arena's resident bytes so the serving layer's memory budget can
+    // scratch's resident bytes so the serving layer's memory budget can
     // see -- and, via shrinkIdle(), reclaim -- capacity pinned inside
     // worker threads; the lease keeps shrinkers off a live solve.
     static thread_local core::RaceGridScratch scratch;

@@ -91,8 +91,8 @@ struct RaceProblem {
 
     /**
      * Optional cooperative-cancellation token, polled by the
-     * Behavioral bucket-sweep kernels (grid family and GraphAlign)
-     * once per simulated clock cycle.  Non-owning: the caller keeps
+     * Behavioral sweep kernels (grid family and GraphAlign) once per
+     * swept row.  Non-owning: the caller keeps
      * the token alive across the solve.  A cancelled race returns a
      * typed abort -- completed = false, cancelled = true, score
      * kScoreInfinity -- instead of a wasted full solve.  Kinds that

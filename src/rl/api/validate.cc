@@ -36,22 +36,6 @@ gridFamilyKind(ProblemKind kind)
            kind == ProblemKind::ThresholdScreen;
 }
 
-/**
- * Upper bound on the compiled successor-CSR size of the graph: one
- * edge per source segment from position 0, label-internal chains,
- * and one edge per link.  Exact (mirrors compileValidated's emitter),
- * but computable without compiling.
- */
-uint64_t
-succEdgeCount(const pangraph::VariationGraph &graph)
-{
-    uint64_t chain = graph.totalLabelLength() >= graph.segmentCount()
-                         ? graph.totalLabelLength() - graph.segmentCount()
-                         : 0;
-    return satAdd(satAdd(graph.sources().size(), chain),
-                  graph.linkCount());
-}
-
 Status
 checkSequenceAlphabet(const bio::Sequence &sequence,
                       const bio::ScoreMatrix &matrix, const char *which)
@@ -160,23 +144,18 @@ checkBudgets(const RaceProblem &problem, const ProblemLimits &limits)
 
     if (problem.kind == ProblemKind::GraphAlign) {
         const uint64_t states = productStates(problem);
-        // Hard kernel bounds, enforced even when the caller set no
-        // budget: product states and scheduled arrivals are 32-bit
-        // in both the fused kernel and the materialized product DAG.
+        // Hard kernel bound, enforced even when the caller set no
+        // budget: product node ids are 32-bit in both the fused kernel
+        // and the materialized product DAG.
         const uint64_t m = problem.a->size();
         const uint64_t positions =
             problem.vgraph->totalLabelLength() + 1;
-        const uint64_t arrivals =
-            satAdd(satMul(m, positions),
-                   satMul(2 * m + 1, succEdgeCount(*problem.vgraph)));
-        if (states >= static_cast<uint64_t>(graph::kNoNode) ||
-            arrivals >= static_cast<uint64_t>(~uint32_t(0)))
+        if (states >= static_cast<uint64_t>(graph::kNoNode))
             return Status::error(
                 ErrorCode::ResourceExhausted, "product of a ", m,
                 " bp read x ", positions, " graph positions has ",
-                states, " states and up to ", arrivals,
-                " scheduled arrivals, exceeding the kernel's 32-bit "
-                "id space; split the pangenome or map shorter reads");
+                states, " states, exceeding the kernel's 32-bit id "
+                "space; split the pangenome or map shorter reads");
         if (limits.maxProductStates != 0 &&
             states > limits.maxProductStates)
             return Status::error(

@@ -1,15 +1,14 @@
 /**
  * @file
- * CancelToken: cooperative cancellation for the bucket-sweep kernels.
+ * CancelToken: cooperative cancellation for the race kernels.
  *
  * The paper's Section 6 early-termination horizon already gives the
  * race kernels a bounded-abort shape: the sweep stops, the sink never
  * fires, and the caller gets a typed incomplete result instead of a
  * wasted full solve.  A CancelToken reuses exactly that plumbing for
  * *runtime* aborts -- a serving deadline expiring mid-race, a caller
- * giving up -- by letting the kernel poll one cheap predicate at
- * bucket-drain granularity (once per simulated clock cycle, i.e. per
- * calendar bucket, never per event).
+ * giving up -- by letting the kernel poll one cheap predicate once
+ * per swept row (never per cell).
  *
  * A token cancels for two reasons, checked in order:
  *
@@ -18,7 +17,7 @@
  *
  * Deadline expiry latches the flag, so after the first positive check
  * every subsequent cancelled() is a single relaxed load -- the clock
- * is read at most once per tick until expiry and never after.
+ * is read at most once per poll until expiry and never after.
  *
  * Tokens are passed by non-owning const pointer (nullptr = never
  * cancels) so the hot paths stay free of shared_ptr traffic and the

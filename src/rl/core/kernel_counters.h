@@ -27,13 +27,26 @@
 namespace racelogic::core {
 
 struct KernelCounters {
-    /** Calendar events drained (one per scheduled arrival swept). */
+    /**
+     * Scheduled arrivals: in-edges from a fired cell or state whose
+     * arrival is within the horizon (behavioral kernels), or net
+     * toggles (gate level).
+     */
     uint64_t events = 0;
 
-    /** Calendar buckets swept: simulated clock cycles the race ran. */
+    /**
+     * Simulated clock cycles the race spans: the latest scheduled
+     * arrival + 1 (behavioral kernels), or the clock edges simulated
+     * (gate level).
+     */
     uint64_t bucketsDrained = 0;
 
-    /** Peak calendar arena nodes allocated in any single race. */
+    /**
+     * Largest working set of any single race, in elements, not bytes:
+     * the sweep's working-row size -- grid cells per row, or graph
+     * positions per read row -- for the behavioral kernels, and the
+     * net count for the gate-level simulator.
+     */
     uint64_t scratchHighWater = 0;
 
     /**

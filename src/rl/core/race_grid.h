@@ -3,10 +3,9 @@
  * The N x M unit-cell Race Logic sequence aligner (paper Fig. 4).
  *
  * Behavioral model: the edit graph of the two strings is raced
- * (OR-type) on the bucketed wavefront kernel (rl/core/wavefront.h),
- * which sweeps the grid one clock cycle at a time without ever
- * materializing the graph; each grid node's firing cycle is
- * recorded.  The firing-time table *is* the
+ * (OR-type) by the dense sweep kernel (rl/core/wavefront.h), which
+ * computes each grid node's firing cycle row by row without ever
+ * materializing the graph.  The firing-time table *is* the
  * paper's Fig. 4c ("the number inside each cell represents ... [the]
  * clock cycle at which signal '1' reached the output of an OR gate
  * of a particular unit cell"), and thresholding it by cycle yields
@@ -126,10 +125,10 @@ class RaceGridAligner
 
     /**
      * Scratch-reuse overload for tight screening loops: the kernel's
-     * bucket calendar lives in the caller's RaceGridScratch (one per
-     * thread), so repeated aligns stop allocating calendar storage.
-     * `cancel` (nullptr = never) aborts the sweep cooperatively at
-     * clock-cycle granularity (see raceEditGrid).  `counters`
+     * working row lives in the caller's RaceGridScratch (one per
+     * thread), so repeated aligns stop allocating sweep storage.
+     * `cancel` (nullptr = never) aborts the sweep cooperatively,
+     * polled once per row (see raceEditGrid).  `counters`
      * (nullptr = off) accumulates the kernel's profiling counts
      * without changing the raced result.
      */

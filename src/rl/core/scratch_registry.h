@@ -4,7 +4,7 @@
  * budget can *see* and *reclaim* capacity that is otherwise pinned
  * inside worker threads.
  *
- * The race kernels keep their bucket calendars in `static
+ * The race kernels keep their working rows in `static
  * thread_local` scratch so steady-state batches allocate nothing per
  * comparison.  The flip side: one oversized solve grows a worker's
  * arena to its high-water and nothing ever gives those bytes back --

@@ -118,119 +118,118 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
     rl_assert(a.alphabet() == costs.alphabet() &&
               b.alphabet() == costs.alphabet(),
               "sequences and matrix use different alphabets");
-    // The chain-detaching drain below relies on every weight being
-    // >= 1 (a fire at tick t never schedules back into bucket t);
-    // zero-weight graphs must race on the general DAG kernel.
+    // Delays >= 1 are what make every cell fire at exactly its
+    // min-plus DP value; zero-weight graphs race on the DAG kernel.
     rl_assert(costs.minFinite() >= 1,
               "raceEditGrid requires all finite weights >= 1 (got ",
               costs.minFinite(), ")");
 
     const size_t rows = a.size();
     const size_t cols = b.size();
-    const size_t width = cols + 1;
+    const size_t alpha = costs.alphabet().size();
+    const std::vector<bio::Symbol> &symA = a.symbols();
+    const std::vector<bio::Symbol> &symB = b.symbols();
 
-    // Per-symbol gap weights, hoisted out of the sweep.
-    std::vector<bio::Score> &gapA = scratch.gapA;
-    std::vector<bio::Score> &gapB = scratch.gapB;
-    gapA.resize(rows);
-    gapB.resize(cols);
+    // Weights hoisted out of the sweep.  Row 0 is swept like any other
+    // row, against a virtual unfired row above it whose vertical and
+    // diagonal weights are unfired too, so no candidate from it counts.
+    std::vector<sim::Tick> &gapA = scratch.gapA;
+    gapA.resize(rows + 1);
+    gapA[0] = kSweepUnfired;
     for (size_t i = 0; i < rows; ++i)
-        gapA[i] = costs.gap(a[i]);
-    for (size_t j = 0; j < cols; ++j)
-        gapB[j] = costs.gap(b[j]);
-
-    // The calendar cells and arena offsets are 32-bit; bound the
-    // grid so neither can wrap (each cell fires at most once and
-    // pushes at most three arrivals).  Checked before the arrival
-    // grid is allocated, so the diagnostic fires instead of an OOM.
-    if ((rows + 1) * (cols + 1) >=
-        static_cast<size_t>(BucketCalendar::kNil) / 3)
-        rl_fatal("edit grid of ", rows, " x ", cols,
-                 " exceeds the calendar's 32-bit arena; split the "
-                 "comparison");
+        gapA[i + 1] = sweepWeight(costs.gap(symA[i]));
+    std::vector<RaceGridScratch::ColumnWeights> &columns = scratch.columns;
+    columns.resize((alpha + 1) * cols);
+    for (size_t s = 0; s <= alpha; ++s) {
+        for (size_t j = 0; j < cols; ++j) {
+            const bio::Score pair =
+                s < alpha
+                    ? costs.pair(static_cast<bio::Symbol>(s), symB[j])
+                    : bio::kScoreInfinity;
+            columns[s * cols + j] = {sweepWeight(pair),
+                                     sweepWeight(costs.gap(symB[j]))};
+        }
+    }
+    scratch.row.assign(cols + 1, kSweepUnfired);
 
     RaceGridResult result;
     result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
                                            sim::kTickInfinity);
-
-    // The calendar: ring of maxWeight+1 chain heads over one flat
-    // node arena.  Weights are >= 1, so a drain of tick t never
-    // pushes back into bucket t, and nothing scheduled can alias a
-    // slot still holding older entries (Dial's invariant).
-    const size_t ring = static_cast<size_t>(costs.maxFinite()) + 1;
-    BucketCalendar &calendar = scratch.calendar;
-    calendar.reset(ring);
-
-    // fire() generates the cell's out-edges straight from the cost
-    // matrix -- the edit graph is never materialized.  `slot` is
-    // t % ring, tracked by the calendar's drain; pushAhead addresses
-    // the ring as slot + w with one conditional wrap (w <= maxFinite
-    // < ring), so the sweep divides nothing per scheduled arrival.
-    auto fire = [&](size_t cell, sim::Tick t, size_t slot) {
-        const size_t i = cell / width;
-        const size_t j = cell % width;
-        result.arrival.at(i, j) = t;
-        ++result.cellsFired;
-        auto push = [&](size_t to, bio::Score w) {
-            if (t + static_cast<sim::Tick>(w) > horizon)
-                return; // Section 6: the abort counter trips first.
-            calendar.pushAhead(static_cast<uint32_t>(to), slot,
-                               static_cast<size_t>(w), ring);
-        };
-        if (i < rows) // vertical: delete a[i]
-            push(cell + width, gapA[i]);
-        if (j < cols) // horizontal: insert b[j]
-            push(cell + 1, gapB[j]);
-        if (i < rows && j < cols) {
-            bio::Score w = costs.pair(a[i], b[j]);
-            if (w != bio::kScoreInfinity) // forbidden pair: no edge
-                push(cell + width + 1, w);
+    SweepTally tally(horizon);
+    bool cancelled = false;
+    for (size_t i = 0; i <= rows; ++i) {
+        if (cancel && cancel->cancelled()) {
+            cancelled = true;
+            break;
         }
-    };
+        const sim::Tick down = gapA[i];
+        const RaceGridScratch::ColumnWeights *weights =
+            columns.data() + (i == 0 ? alpha : symA[i - 1]) * cols;
+        sim::Tick *row = scratch.row.data();
 
-    fire(0, 0, 0); // root injected at tick 0 (always <= horizon)
+        // Column 0 has only the vertical in-edge; (0, 0) is the root,
+        // injected at tick 0.
+        sim::Tick diag = row[0];
+        const sim::Tick vertical0 = diag + down;
+        tally.count(vertical0);
+        sim::Tick left = i == 0 ? 0 : std::min(vertical0, kSweepUnfired);
+        row[0] = left;
+        for (size_t j = 1; j <= cols; ++j) {
+            const sim::Tick up = row[j];
+            const sim::Tick vertical = up + down;
+            const sim::Tick diagonal = diag + weights[j - 1].diagonal;
+            const sim::Tick horizontal = left + weights[j - 1].horizontal;
+            tally.count(vertical, diagonal, horizontal);
+            diag = up;
+            // Clamping to kSweepUnfired keeps every working value at
+            // most 2^62, which is what makes the additions above safe;
+            // the left neighbour is folded in last, as it alone
+            // depends on the previous cell.
+            left = std::min(std::min(std::min(vertical, diagonal),
+                                     kSweepUnfired),
+                            horizontal);
+            row[j] = left;
+        }
 
-    sim::Tick lastSwept = 0;
-    const bool drained = calendar.drain(
-        ring,
-        [&](uint32_t cell, sim::Tick t, size_t slot) {
-            ++result.events;
-            lastSwept = t;
-            const size_t r = cell / width;
-            const size_t c = cell % width;
-            if (result.arrival.at(r, c) == sim::kTickInfinity)
-                fire(cell, t, slot); // else: OR cell already high
-        },
-        cancel);
+        // Publish the row; unfired cells read back as kTickInfinity.
+        sim::Tick *out = &result.arrival.at(i, 0);
+        size_t fired = 0;
+        for (size_t j = 0; j <= cols; ++j) {
+            const bool hit = tally.fired(row[j]);
+            out[j] = hit ? row[j] : sim::kTickInfinity;
+            fired += hit;
+        }
+        result.cellsFired += fired;
+        if (fired == 0)
+            break; // Section 6: no later row can fire either.
+    }
+    result.events = tally.events;
 
     // Profiling export: everything below was tracked by the sweep
     // anyway (or is a container size), so a null `counters` costs
     // nothing and a non-null one cannot change the result.
     if (counters) {
         counters->events += result.events;
-        counters->bucketsDrained += static_cast<uint64_t>(lastSwept) + 1;
-        counters->scratchHighWater =
-            std::max(counters->scratchHighWater,
-                     static_cast<uint64_t>(calendar.arena.size()));
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater = std::max(
+            counters->scratchHighWater, static_cast<uint64_t>(cols + 1));
         counters->lanesOccupied += result.cellsFired;
     }
 
     const sim::Tick sink = result.arrival.at(rows, cols);
-    if (!drained && sink == sim::kTickInfinity) {
-        // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the last cycle swept.
-        result.completed = false;
-        result.cancelled = true;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = lastSwept;
-        if (counters)
-            ++counters->cancels;
-        return result;
-    }
     if (sink != sim::kTickInfinity) {
         result.completed = true;
         result.score = static_cast<bio::Score>(sink);
         result.latencyCycles = sink;
+    } else if (cancelled) {
+        // Cancelled before the sink fired: the same typed-abort shape
+        // as a horizon trip, stamped with the latest arrival scheduled.
+        result.completed = false;
+        result.cancelled = true;
+        result.score = bio::kScoreInfinity;
+        result.latencyCycles = tally.latest;
+        if (counters)
+            ++counters->cancels;
     } else {
         rl_assert(horizon != sim::kTickInfinity,
                   "sink never fired; gap weights should guarantee a "

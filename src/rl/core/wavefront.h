@@ -1,48 +1,44 @@
 /**
  * @file
- * Bucketed wavefront race kernel (Dial's algorithm on the DAG).
+ * Wavefront race kernels: a bucketed one for any DAG and a dense
+ * sweep for the edit grid.
  *
  * The paper's OR-type race *is* a shortest-path wavefront sweeping the
  * edit graph one clock cycle at a time; the generic discrete-event
  * simulator (sim::EventQueue) models that with a binary heap of
  * std::function closures -- one heap allocation plus O(log E) ordering
- * work per edge arrival.  But Race Logic delays are small bounded
- * integers (cost-matrix weights), so a calendar of W+1 circular
- * buckets (Dial's algorithm, W = the largest edge weight) schedules
- * the same arrivals in O(1) each: an arrival at tick t+w goes into
- * bucket (t+w) mod (W+1), and the simulation simply drains bucket t,
- * t+1, t+2, ... -- exactly the clock the hardware would tick.  Total
- * cost O(E + T) with flat arrays, no per-event allocation, and no
- * comparator.
- *
- * Two kernels are provided:
+ * work per edge arrival.  Two cheaper kernels are provided:
  *
  *  - WavefrontRaceKernel: races any graph::Dag via its packed CSR
- *    view.  Supports Or (first-arrival, min) and And (last-arrival
- *    via in-degree countdown, max) races, and an early-termination
- *    horizon: arrivals past the horizon are never scheduled, which is
- *    the Section 6 abort counter -- a threshold screen stops racing
- *    at `threshold` cycles instead of draining the whole grid.
+ *    view.  Race Logic delays are small bounded integers, so a
+ *    calendar of W+1 circular buckets (Dial's algorithm, W = the
+ *    largest edge weight) schedules each arrival in O(1): an arrival
+ *    at tick t+w goes into bucket (t+w) mod (W+1), and the simulation
+ *    drains bucket t, t+1, t+2, ... -- exactly the clock the hardware
+ *    would tick.  Supports Or (first-arrival, min) and And
+ *    (last-arrival via in-degree countdown, max) races, and an
+ *    early-termination horizon: arrivals past the horizon are never
+ *    scheduled, which is the Section 6 abort counter.
  *
- *  - raceEditGrid(): the same bucket sweep specialized to the
- *    (|a|+1) x (|b|+1) edit graph of two sequences, with the three
- *    out-edges of each cell (delete / insert / align) generated on
- *    the fly from the cost matrix.  No graph is materialized at all,
- *    which is what makes the behavioral race-grid aligner fast enough
- *    for database screening sweeps.
+ *  - raceEditGrid(): the OR race of the (|a|+1) x (|b|+1) edit graph
+ *    of two sequences, without materializing it.  With every delay
+ *    >= 1, each cell fires at exactly its min-plus DP value (the
+ *    paper's Fig. 4c arrival table), and each row depends only on the
+ *    row above and on its own left neighbour -- so one in-order row
+ *    sweep of the recurrence computes the arrival table directly,
+ *    with no event scheduling at all.
  *
- * Both kernels fire events in the same order as the event-driven
- * reference (rl/core/race_network.h raceDagEventDriven), so outcomes
- * -- firing times *and* event counts -- are bit-identical; the
- * equivalence suite in tests/core_wavefront_test.cc checks them
- * against each other and against the DP oracle.  sim::EventQueue
- * remains the substrate of the gate-level synchronous simulator,
- * which genuinely needs timestamped callbacks.
+ * The event-driven reference (rl/core/race_network.h
+ * raceDagEventDriven), the bucketed kernel and the sweep agree on
+ * firing times *and* event counts; the equivalence suite in
+ * tests/core_wavefront_test.cc checks them against each other and
+ * against the DP oracle.
  */
 
 #ifndef RACELOGIC_CORE_WAVEFRONT_H
 #define RACELOGIC_CORE_WAVEFRONT_H
 
+#include <algorithm>
 #include <vector>
 
 #include "rl/bio/score_matrix.h"
@@ -104,174 +100,110 @@ class WavefrontRaceKernel
 };
 
 /**
- * The Dial's-algorithm bucket calendar as a single flat arena, shared
- * by the fused sweep kernels (raceEditGrid here and
- * pangraph::raceAlignmentGrid).
- *
- * Instead of a vector-of-vectors calendar (one heap allocation per
- * ring slot, re-allocated every call), the pending arrivals live in
- * one backing vector of {cell, next} nodes and the ring holds only
- * head offsets into it -- push is an O(1) append plus a head swap,
- * and a drain walks a detached chain.  A calendar kept across calls
- * retains the arena's capacity, so steady-state screening and read
- * mapping (the per-thread batch loops) allocate no calendar storage
- * per comparison.
- *
- * The chain-detach drain relies on Dial's w >= 1 invariant: a fire at
- * tick t must never schedule back into bucket t (zero-weight edges
- * need kernel-level special-casing, as the super-sink wires of the
- * graph-align kernel do).
+ * Working value of a cell that has not fired, in the dense sweeps of
+ * raceEditGrid() and pangraph::raceAlignmentGrid(); forbidden pairs
+ * (kScoreInfinity, a missing edge) are hoisted to it as well.  Every
+ * working value and every hoisted weight is at most 2^62, so adding a
+ * weight to any cell -- fired or not -- stays below 2^63 and cannot
+ * overflow.
  */
-struct BucketCalendar {
-    /** One pending arrival, chained per bucket. */
-    struct Node {
-        uint32_t cell;
-        uint32_t next; ///< arena offset of the next node, or kNil
-    };
+constexpr sim::Tick kSweepUnfired = sim::Tick(1) << 62;
 
-    static constexpr uint32_t kNil = ~uint32_t(0);
+/** A weight hoisted for a dense sweep: forbidden becomes unfired. */
+inline sim::Tick
+sweepWeight(bio::Score weight)
+{
+    return weight == bio::kScoreInfinity ? kSweepUnfired
+                                         : static_cast<sim::Tick>(weight);
+}
 
-    std::vector<uint32_t> heads; ///< per ring slot: chain head offset
-    std::vector<Node> arena;     ///< the one backing vector
-    size_t pending = 0;          ///< scheduled-but-undrained arrivals
-
-    /** Empty the ring to `ring` buckets, keeping arena capacity. */
-    void
-    reset(size_t ring)
-    {
-        heads.assign(ring, kNil);
-        arena.clear();
-        pending = 0;
-    }
-
-    /**
-     * Release retained capacity.  reset() deliberately keeps the
-     * arena's high-water allocation so steady-state batch loops
-     * allocate nothing per comparison -- but one oversized solve then
-     * pins that high-water for the thread's lifetime.  Brownout and
-     * the idle-worker timer call this to give the memory back; the
-     * next race simply regrows.
-     */
-    void
-    shrinkToFit()
-    {
-        heads.clear();
-        heads.shrink_to_fit();
-        arena.clear();
-        arena.shrink_to_fit();
-        pending = 0;
-    }
-
-    /** Heap bytes currently retained by the ring and arena. */
-    size_t
-    residentBytes() const
-    {
-        return heads.capacity() * sizeof(uint32_t) +
-               arena.capacity() * sizeof(Node);
-    }
-
-    /** O(1) append of `cell` to the bucket at ring slot `slot`. */
-    void
-    push(uint32_t cell, size_t slot)
-    {
-        uint32_t &head = heads[slot];
-        arena.push_back({cell, head});
-        head = static_cast<uint32_t>(arena.size() - 1);
-        ++pending;
-    }
+/**
+ * The arrivals a dense sweep schedules.  An in-edge from a fired cell
+ * whose candidate arrival is within the horizon is one event -- the
+ * arrival the calendar kernel (WavefrontRaceKernel) would schedule and
+ * drain on the materialized graph -- whether or not it is the first to
+ * reach its cell.  A candidate from an unfired cell is at least
+ * kSweepUnfired, past `limit`, so it never counts.
+ */
+struct SweepTally {
+    explicit SweepTally(sim::Tick horizon)
+        : limit(std::min(horizon, kSweepUnfired - 1))
+    {}
 
     /**
-     * Append `cell` to the bucket `w` ticks ahead of the slot being
-     * drained, with one conditional wrap instead of a division
-     * (requires w < ring, i.e. ring sized to maxWeight + 1).
+     * Count the scheduled ones among candidate arrivals `t...`.  The
+     * candidates are folded first and the running totals touched
+     * once, which keeps the totals' dependency chains short; masking
+     * an unscheduled candidate to 0 keeps the fold free of branches.
      */
+    template <typename... Ticks>
     void
-    pushAhead(uint32_t cell, size_t slot, size_t w, size_t ring)
+    count(Ticks... t)
     {
-        size_t at = slot + w;
-        if (at >= ring)
-            at -= ring;
-        push(cell, at);
+        events += (uint64_t(t <= limit) + ...);
+        latest = std::max(latest,
+                          std::max({(t & -sim::Tick(t <= limit))...}));
     }
 
-    /** Detach and return slot's chain head (kNil when empty). */
-    uint32_t
-    detach(size_t slot)
-    {
-        uint32_t head = heads[slot];
-        heads[slot] = kNil;
-        return head;
-    }
+    /** True iff a cell settled at working value `v` fired. */
+    bool fired(sim::Tick v) const { return v <= limit; }
 
-    /**
-     * Drain bucket after bucket from tick 0 until the calendar is
-     * empty, invoking visit(cell, t, slot) for every scheduled
-     * arrival.  Each chain is detached before its nodes are visited:
-     * visit may push -- into *other* buckets only (the w >= 1
-     * invariant) -- and may grow the arena, so nodes are copied out
-     * first.  The current slot (t % ring) is tracked incrementally
-     * and handed to visit so pushes divide nothing.
-     *
-     * `cancel` (nullptr = never) is polled once per bucket -- the
-     * simulated clock edge, the same granularity as the Section 6
-     * abort counter -- so cooperative cancellation costs nothing per
-     * event.  Returns false iff the sweep stopped early on a
-     * cancelled token; arrivals still pending are simply abandoned
-     * (the next reset() clears them).
-     */
-    template <typename Visit>
-    bool
-    drain(size_t ring, Visit &&visit, const CancelToken *cancel = nullptr)
-    {
-        size_t slot = 0;
-        for (sim::Tick t = 0; pending > 0; ++t) {
-            if (cancel && cancel->cancelled())
-                return false;
-            uint32_t node = detach(slot);
-            while (node != kNil) {
-                const Node entry = arena[node];
-                node = entry.next;
-                --pending;
-                visit(entry.cell, t, slot);
-            }
-            if (++slot == ring)
-                slot = 0;
-        }
-        return true;
-    }
+    const sim::Tick limit; ///< min(horizon, kSweepUnfired - 1)
+    uint64_t events = 0;   ///< arrivals scheduled so far
+    sim::Tick latest = 0;  ///< latest arrival scheduled so far
 };
 
 /**
- * Reusable scratch state for raceEditGrid: the bucket calendar plus
- * the hoisted per-symbol gap weights.
+ * Reusable scratch state for raceEditGrid: the sweep's working row
+ * plus the weights hoisted out of it.
  */
 struct RaceGridScratch {
-    BucketCalendar calendar;
-    std::vector<bio::Score> gapA, gapB; ///< hoisted gap weights
+    /** Vertical (gap) weight into row i: gap(a[i-1]); row 0 unfired. */
+    std::vector<sim::Tick> gapA;
 
-    /** Release all retained capacity (see BucketCalendar). */
+    /** The weights of the two in-edges of a cell that come from the
+     *  left: the diagonal and the horizontal. */
+    struct ColumnWeights {
+        sim::Tick diagonal;   ///< pair(s, b[j])
+        sim::Tick horizontal; ///< gap(b[j])
+    };
+
+    /**
+     * In-edge weights into column j + 1, one row of |b| per symbol s
+     * of the alphabet consumed by the row: columns[s * |b| + j].  A
+     * last row with unfired diagonals serves row 0, whose diagonal
+     * in-edges do not exist.  One array, so the sweep streams one
+     * pointer per row.
+     */
+    std::vector<ColumnWeights> columns;
+
+    /** The working row: the row being swept, over the row above. */
+    std::vector<sim::Tick> row;
+
+    /** Release all retained capacity. */
     void
     shrinkToFit()
     {
-        calendar.shrinkToFit();
-        gapA.clear();
-        gapA.shrink_to_fit();
-        gapB.clear();
-        gapB.shrink_to_fit();
+        for (std::vector<sim::Tick> *v : {&gapA, &row}) {
+            v->clear();
+            v->shrink_to_fit();
+        }
+        columns.clear();
+        columns.shrink_to_fit();
     }
 
-    /** Heap bytes currently retained across calendar and rows. */
+    /** Heap bytes currently retained across the rows. */
     size_t
     residentBytes() const
     {
-        return calendar.residentBytes() +
-               (gapA.capacity() + gapB.capacity()) * sizeof(bio::Score);
+        return (gapA.capacity() + row.capacity()) * sizeof(sim::Tick) +
+               columns.capacity() * sizeof(ColumnWeights);
     }
 };
 
 /**
- * Bucket-wavefront OR-type race of the edit graph of (a, b) under a
- * race-ready cost matrix, without materializing the graph.
+ * OR-type race of the edit graph of (a, b) under a race-ready cost
+ * matrix, swept row by row without materializing the graph.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with
  * raceDag(..., RaceType::Or, horizon): same arrival grid (filled for
@@ -279,6 +211,8 @@ struct RaceGridScratch {
  * sink score.  `completed` is false iff the sink had not fired by the
  * horizon, in which case score is bio::kScoreInfinity and
  * latencyCycles is the horizon (the cycle the abort counter tripped).
+ * A bounded sweep stops at the first row in which no cell fired: no
+ * later cell can fire either.
  *
  * fatal() on alphabet mismatch; requires a Cost-kind matrix with all
  * finite weights >= 1 (checked by RaceGridAligner's constructor).
@@ -289,19 +223,21 @@ RaceGridResult raceEditGrid(const bio::Sequence &a,
                             sim::Tick horizon = sim::kTickInfinity);
 
 /**
- * Scratch-reuse overload: identical outcome, but the bucket calendar
- * lives in (and keeps the capacity of) the caller's scratch.
+ * Scratch-reuse overload: identical outcome, but the working row and
+ * hoisted weights live in (and keep the capacity of) the caller's
+ * scratch.
  *
- * `cancel` (nullptr = never) is polled once per simulated clock
- * cycle; a cancelled race comes back completed = false with
- * cancelled = true, score kScoreInfinity, and latencyCycles the last
- * cycle swept -- the same typed-abort shape as a horizon trip, so
- * callers built around Section 6 aborts handle it unchanged.
+ * `cancel` (nullptr = never) is polled once per row; a cancelled race
+ * comes back completed = false with cancelled = true, score
+ * kScoreInfinity, and latencyCycles the latest arrival scheduled
+ * before the sweep stopped -- the same typed-abort shape as a horizon
+ * trip, so callers built around Section 6 aborts handle it unchanged.
  *
  * `counters` (nullptr = off) accumulates per-race profiling counts
- * the sweep tracks anyway -- events drained, buckets swept, arena
- * high-water, cells fired, cancel/horizon aborts.  It is touched only
- * after the drain, so the raced result is bit-identical either way.
+ * the sweep tracks anyway -- events, the latest arrival + 1, the
+ * working-row size, cells fired, cancel/horizon aborts.  It is touched
+ * only after the sweep, so the raced result is bit-identical either
+ * way.
  */
 RaceGridResult raceEditGrid(const bio::Sequence &a,
                             const bio::Sequence &b,

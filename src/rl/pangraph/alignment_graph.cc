@@ -32,12 +32,11 @@ checkCompilable(const VariationGraph &graph, const bio::ScoreMatrix &race)
                              ", race matrix uses ",
                              race.alphabet().letters());
     // Plan-time weight validation the fused kernel relies on (its
-    // per-read check is the cheap fingerprint equality): the
-    // chain-detaching calendar drain needs every finite weight >= 1,
-    // gap weights must be finite (every character insertable or no
-    // walk connects the corners -- and an infinite gap would size
-    // the kernel's ring from kScoreInfinity), and no weight may
-    // exceed the bucket-calendar cap.
+    // per-read check is the cheap fingerprint equality): the race
+    // needs every finite weight >= 1, gap weights must be finite
+    // (every character insertable or no walk connects the corners),
+    // and no weight may exceed the cap the materialized reference's
+    // bucket calendar sizes itself for.
     return race.validateRaceReady(core::kMaxWavefrontWeight,
                                   /*allowForbiddenPairs=*/true);
 }
@@ -119,6 +118,8 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
              ++e)
             out.pred[cursor[out.succ[e]]++] =
                 static_cast<CharPos>(p);
+
+    out.segmentOrder = graph.topologicalOrder();
 
     return out;
 }

@@ -11,16 +11,17 @@
  * shortest source-to-sink path is exactly the graph alignment
  * distance -- so it races on the same OR-gate/delay-chain fabric as
  * the pairwise edit graph (Section 3), and the bucketed wavefront
- * kernel (rl/core/wavefront.h) sweeps it through graph::Dag's CSR
+ * kernel (rl/core/wavefront.h) races it through graph::Dag's CSR
  * view.
  *
  * Two layers are split deliberately:
  *
  *  - CompiledGraph is the read-independent half: character symbols,
- *    the successor/predecessor CSR over positions, terminal flags,
- *    and the per-position gap weights of the race-ready cost matrix,
- *    all as flat arrays.  One compile serves every read, which is
- *    what the api plan cache stores per pangenome.
+ *    the successor/predecessor CSR over positions, the segments'
+ *    topological order, terminal flags, and the per-position gap
+ *    weights of the race-ready cost matrix, all as flat arrays.  One
+ *    compile serves every read, which is what the api plan cache
+ *    stores per pangenome.
  *  - buildAlignmentGraph() stamps a read onto the compiled graph,
  *    producing the product graph::Dag plus its node layout.  The
  *    fused kernel (rl/pangraph/graph_align_kernel.h) races the same
@@ -67,6 +68,16 @@ struct CompiledGraph {
     std::vector<CharPos> pred;
 
     /**
+     * Segments in topological order.  Spelling their labels in turn
+     * visits positions 1..K in a topological order of the successor
+     * CSR (position 0 precedes them all), the order the fused kernel
+     * sweeps each read row in.  Position numbers follow segment ids,
+     * which need not be topological: a bubble segment appended after
+     * the backbone links back to lower positions.
+     */
+    std::vector<SegmentId> segmentOrder;
+
+    /**
      * 1 iff the position ends a sink segment (alignment may end).
      * Deliberately uint8_t, not vector<bool>: the fused kernel reads
      * this flag per fired (m, p) state, and a packed bit-walk in that
@@ -86,8 +97,7 @@ struct CompiledGraph {
      * bio::ScoreMatrix::fingerprint() of the matrix the hoisted
      * weights were bound to.  Both product builders assert the
      * matrix they are handed matches: mixing a compiled view with a
-     * different matrix would blend weight tables -- and could hand
-     * the fused kernel a weight beyond its calendar ring.
+     * different matrix would blend weight tables.
      */
     uint64_t matrixFingerprint = 0;
 
@@ -101,8 +111,8 @@ struct CompiledGraph {
  * Compilability verdict for a (graph, race matrix) pair: the graph
  * must be raceable (VariationGraph::checkValid), the alphabets must
  * match, and the matrix must be race-ready under the wavefront
- * kernel's calendar cap (Cost kind, finite weights in [1, cap],
- * finite gaps).  The single rule book shared by compileGraph(),
+ * kernels' weight cap (Cost kind, finite weights in [1, cap], finite
+ * gaps).  The single rule book shared by compileGraph(),
  * GraphAligner construction, and api::RaceEngine plan validation.
  */
 Status checkCompilable(const VariationGraph &graph,

@@ -25,15 +25,11 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
     rl_assert(costs.isCost(), "graph alignment races a Cost-kind matrix");
     rl_assert(read.alphabet() == costs.alphabet(),
               "read and matrix use different alphabets");
-    // The hoisted gapWeight array and the ring sizing below must come
-    // from the same matrix: a foreign `costs` could size the ring
-    // smaller than a hoisted weight, breaking pushAhead's w < ring
-    // precondition (an out-of-bounds write, not just a wrong score).
-    // The equality also carries compileGraph's plan-time weight
-    // validation over: all finite weights >= 1, which is what lets
-    // the chain-detaching drain run (zero-weight super-sink wires
-    // are folded into the sink arrival instead of entering the
-    // calendar); the debug build re-derives that directly.
+    // The hoisted gapWeight array and the per-read rows below must come
+    // from the same matrix.  The equality also carries compileGraph's
+    // plan-time weight validation over: all finite weights >= 1, which
+    // is what makes every state fire at its min-plus DP value; the
+    // debug build re-derives that directly.
     rl_assert(costs.fingerprint() == compiled.matrixFingerprint,
               "matrix does not match the one the graph was compiled "
               "with; the hoisted gap weights would mix tables");
@@ -43,121 +39,135 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
     const size_t m = read.size();
     const size_t positions = compiled.positionCount();
 
-    // Same guard as buildAlignmentGraph() -- plus one for the
-    // calendar: cells *and* arena offsets are 32-bit, and a full
-    // drain schedules up to one arrival per product edge (each state
-    // fires at most once and pushes one insertion plus two arrivals
-    // per compiled successor), so both bounds must fit or the sweep
-    // fails here with a diagnostic instead of wrapping indices.
+    // Same guard as buildAlignmentGraph(): the product's node ids are
+    // 32-bit, so the sweep fails here with a diagnostic instead of
+    // producing a layout the reference could not index.
     const size_t states = (m + 1) * positions + 1;
-    const size_t arrivalBound =
-        m * positions + (2 * m + 1) * compiled.succ.size();
-    if (states >= static_cast<size_t>(graph::kNoNode) ||
-        arrivalBound >= static_cast<size_t>(core::BucketCalendar::kNil))
+    if (states >= static_cast<size_t>(graph::kNoNode))
         rl_fatal("product of a ", m, " bp read x ", positions,
-                 " graph positions has ", states, " states and up to ",
-                 arrivalBound,
-                 " scheduled arrivals, exceeding the 32-bit id space; "
-                 "split the pangenome or map shorter reads");
+                 " graph positions has ", states,
+                 " states, exceeding the 32-bit node-id space; split "
+                 "the pangenome or map shorter reads");
 
     // Per-read weight rows, hoisted out of the sweep: the insertion
-    // weight per read offset and one flat substitution row per read
-    // offset indexed by graph symbol.
+    // weight and one flat substitution row (indexed by graph symbol)
+    // per read row.  Row 0 is swept like any other row, against a
+    // virtual unfired row above it whose weights are unfired too.
     const size_t alpha = costs.alphabet().size();
-    scratch.gapRead.resize(m);
-    scratch.pairRow.resize(m * alpha);
-    for (size_t j = 0; j < m; ++j) {
-        scratch.gapRead[j] = costs.gap(read[j]);
-        bio::Score *row = scratch.pairRow.data() + j * alpha;
+    const std::vector<bio::Symbol> &symRead = read.symbols();
+    scratch.gapRead.resize(m + 1);
+    scratch.pairRow.resize((m + 1) * alpha);
+    scratch.gapRead[0] = core::kSweepUnfired;
+    std::fill_n(scratch.pairRow.begin(), alpha, core::kSweepUnfired);
+    for (size_t j = 1; j <= m; ++j) {
+        scratch.gapRead[j] = core::sweepWeight(costs.gap(symRead[j - 1]));
+        sim::Tick *row = scratch.pairRow.data() + j * alpha;
         for (size_t s = 0; s < alpha; ++s)
-            row[s] = costs.pair(read[j], static_cast<bio::Symbol>(s));
+            row[s] = core::sweepWeight(
+                costs.pair(symRead[j - 1], static_cast<bio::Symbol>(s)));
     }
+    scratch.above.assign(positions, core::kSweepUnfired);
+    scratch.here.resize(positions);
 
     GraphRaceResult result;
     result.nodes = states;
     result.arrival.assign(states, core::TemporalValue::never());
 
-    const size_t ring = static_cast<size_t>(costs.maxFinite()) + 1;
-    core::BucketCalendar &calendar = scratch.calendar;
-    calendar.reset(ring);
+    const bio::Score *gapWeight = compiled.gapWeight.data();
+    const bio::Symbol *symbol = compiled.symbol.data();
+    core::SweepTally tally(horizon);
+    bool cancelled = false;
+    for (size_t j = 0; j <= m; ++j) {
+        if (cancel && cancel->cancelled()) {
+            cancelled = true;
+            break;
+        }
+        const sim::Tick insert = scratch.gapRead[j];
+        const sim::Tick *pair = scratch.pairRow.data() + j * alpha;
+        const sim::Tick *above = scratch.above.data();
+        sim::Tick *here = scratch.here.data();
 
-    const uint32_t sink = static_cast<uint32_t>((m + 1) * positions);
-    const uint32_t stride = static_cast<uint32_t>(positions);
-
-    // fire() generates the state's edge families straight from the
-    // compiled CSR and the hoisted weight rows -- the product DAG is
-    // never materialized.  `slot` is t % ring, tracked by the
-    // calendar's drain; pushAhead addresses the ring as slot + w
-    // with one conditional wrap (w <= maxFinite < ring), so the
-    // sweep performs no division per scheduled arrival.
-    auto fire = [&](uint32_t cell, sim::Tick t, size_t slot) {
-        result.arrival[cell] = core::TemporalValue::at(t);
-        ++result.cellsFired;
-        const size_t j = cell / positions;
-        const CharPos p = static_cast<CharPos>(cell % positions);
-        auto push = [&](uint32_t to, bio::Score w) {
-            if (t + static_cast<sim::Tick>(w) > horizon)
-                return; // Section 6: the abort counter trips first.
-            calendar.pushAhead(to, slot, static_cast<size_t>(w), ring);
-        };
-        const uint32_t begin = compiled.succOffsets[p];
-        const uint32_t end = compiled.succOffsets[p + 1];
-        if (j < m) {
-            // Consume read[j] against a gap (insertion).
-            push(cell + stride, scratch.gapRead[j]);
-            const bio::Score *row = scratch.pairRow.data() + j * alpha;
-            for (uint32_t e = begin; e < end; ++e) {
-                const CharPos q = compiled.succ[e];
-                // State (j, q) is cell - p + q; (j+1, q) one row on.
-                const uint32_t across = cell - p + q;
-                // Consume graph char q against a gap (deletion).
-                push(across, compiled.gapWeight[q]);
-                const bio::Score w = row[compiled.symbol[q]];
-                if (w != bio::kScoreInfinity) // forbidden: no edge
-                    push(across + stride, w); // substitute/match
+        // Position 0 has only the insertion in-edge; (0, 0) is the
+        // source, injected at tick 0.
+        const sim::Tick start = above[0] + insert;
+        tally.count(start);
+        here[0] = j == 0 ? 0 : std::min(start, core::kSweepUnfired);
+        for (SegmentId s : compiled.segmentOrder) {
+            // A label's first character follows every predecessor
+            // segment (or position 0)...
+            CharPos q = compiled.firstChar[s];
+            sim::Tick best = above[q] + insert;
+            tally.count(best);
+            const sim::Tick gap = static_cast<sim::Tick>(gapWeight[q]);
+            const sim::Tick sub = pair[symbol[q]];
+            for (uint32_t e = compiled.predOffsets[q];
+                 e < compiled.predOffsets[q + 1]; ++e) {
+                const CharPos p = compiled.pred[e];
+                const sim::Tick deletion = here[p] + gap;
+                const sim::Tick substitution = above[p] + sub;
+                tally.count(deletion, substitution);
+                best = std::min(best, std::min(deletion, substitution));
             }
-        } else {
-            for (uint32_t e = begin; e < end; ++e) {
-                const CharPos q = compiled.succ[e];
-                push(cell - p + q, compiled.gapWeight[q]);
-            }
-            if (p > 0 && compiled.terminal[p]) {
-                // The zero-weight super-sink wire.  The DAG kernel
-                // would schedule it into the bucket being drained and
-                // count it on the same tick; fold that in directly --
-                // one event per wire, first terminal firing fires the
-                // sink OR.
-                ++result.events;
-                if (!result.arrival[sink].fired()) {
-                    result.arrival[sink] = core::TemporalValue::at(t);
-                    ++result.cellsFired;
-                }
+            // Clamping to kSweepUnfired keeps every working value at
+            // most 2^62, which is what makes the additions safe.
+            sim::Tick left = std::min(best, core::kSweepUnfired);
+            here[q] = left;
+            // ...and every other character follows only the one before
+            // it, whose value the sweep still holds.
+            for (const CharPos last = compiled.lastChar[s]; q < last;) {
+                ++q;
+                const sim::Tick insertion = above[q] + insert;
+                const sim::Tick substitution = above[q - 1] + pair[symbol[q]];
+                const sim::Tick deletion =
+                    left + static_cast<sim::Tick>(gapWeight[q]);
+                tally.count(insertion, substitution, deletion);
+                left = std::min(std::min(std::min(insertion, substitution),
+                                         core::kSweepUnfired),
+                                deletion);
+                here[q] = left;
             }
         }
-    };
 
-    fire(0, 0, 0); // source (0, 0) injected at tick 0 (<= horizon)
+        // Publish the row; unfired states read back as never().
+        core::TemporalValue *out = result.arrival.data() + j * positions;
+        size_t fired = 0;
+        for (size_t p = 0; p < positions; ++p) {
+            const bool hit = tally.fired(here[p]);
+            out[p] = hit ? core::TemporalValue::at(here[p])
+                         : core::TemporalValue::never();
+            fired += hit;
+        }
+        std::swap(scratch.above, scratch.here);
+        result.cellsFired += fired;
+        if (fired == 0)
+            break; // Section 6: no later row can fire either.
+    }
 
-    sim::Tick lastSwept = 0;
-    const bool drained = calendar.drain(
-        ring,
-        [&](uint32_t cell, sim::Tick t, size_t slot) {
-            ++result.events;
-            lastSwept = t;
-            if (!result.arrival[cell].fired())
-                fire(cell, t, slot); // else: OR state already high
-        },
-        cancel);
+    // The zero-weight super-sink wires: one event per fired terminal
+    // state (m, p), and the first terminal arrival fires the sink OR.
+    // A row never swept reads back as never(), so an aborted race
+    // fires no wire.
+    const size_t sink = (m + 1) * positions;
+    const core::TemporalValue *last = result.arrival.data() + m * positions;
+    for (size_t p = 1; p < positions; ++p) {
+        if (compiled.terminal[p] && last[p].fired()) {
+            ++tally.events;
+            result.arrival[sink] =
+                core::firstArrival(result.arrival[sink], last[p]);
+        }
+    }
+    result.events = tally.events;
+    if (result.arrival[sink].fired())
+        ++result.cellsFired;
 
     // Profiling export: everything below was tracked by the sweep
     // anyway (or is a container size), so a null `counters` costs
     // nothing and a non-null one cannot change the result.
     if (counters) {
         counters->events += result.events;
-        counters->bucketsDrained += static_cast<uint64_t>(lastSwept) + 1;
-        counters->scratchHighWater =
-            std::max(counters->scratchHighWater,
-                     static_cast<uint64_t>(calendar.arena.size()));
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater = std::max(
+            counters->scratchHighWater, static_cast<uint64_t>(positions));
         counters->lanesOccupied += result.cellsFired;
     }
 
@@ -167,13 +177,13 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
         result.racedCost = static_cast<bio::Score>(sinkArrival.time());
         result.score = result.racedCost;
         result.latencyCycles = sinkArrival.time();
-    } else if (!drained) {
+    } else if (cancelled) {
         // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the last cycle swept.
+        // as a horizon trip, stamped with the latest arrival scheduled.
         result.cancelled = true;
         result.racedCost = bio::kScoreInfinity;
         result.score = bio::kScoreInfinity;
-        result.latencyCycles = lastSwept;
+        result.latencyCycles = tally.latest;
         if (counters)
             ++counters->cancels;
     } else {

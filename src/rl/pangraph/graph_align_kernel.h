@@ -1,27 +1,29 @@
 /**
  * @file
- * Fused sequence-to-graph wavefront kernel: race a read against the
+ * Fused sequence-to-graph race kernel: race a read against the
  * pangenome without materializing the (read x graph) product DAG.
  *
  * The paper's whole point is that the edit recurrence races as a
  * wavefront whose cost is the work actually done -- yet the
  * materialized path spends more time *building* the product
  * graph::Dag per read than racing it.  This kernel is the graph
- * analogue of core::raceEditGrid(): a Dial's-algorithm bucket sweep
- * over product states (j, p) -- j read characters consumed, graph
- * character p consumed last -- that generates each state's three
- * edge families on the fly from CompiledGraph's successor CSR and
- * the cost matrix:
+ * analogue of core::raceEditGrid(): a dense sweep of the OR race over
+ * product states (j, p) -- j read characters consumed, graph
+ * character p consumed last -- whose three edge families come on the
+ * fly from CompiledGraph's CSR and the cost matrix:
  *
  *  - graph gap (deletion):      (j, p) -> (j, q)    gapWeight[q]
  *  - substitute / match:        (j, p) -> (j+1, q)  pair(read[j], sym(q))
  *  - read gap (insertion):      (j, p) -> (j+1, p)  gap(read[j])
  *
- * for each compiled successor q of p.  Terminal states (m, p) feed
- * the super-sink OR through zero-weight wires; the kernel folds those
- * into the sink arrival directly (a zero-weight push would violate
- * the calendar's chain-detach w >= 1 invariant), counting one event
- * per wire exactly as the DAG kernel drains them.
+ * for each compiled successor q of p.  With every delay >= 1 each
+ * state fires at exactly its min-plus DP value, and read row j
+ * depends only on row j - 1 and on its own graph predecessors, so the
+ * kernel sweeps read row by read row, each row in the compiled
+ * topological position order, taking the minimum over each state's
+ * in-edges.  Terminal states (m, p) feed the super-sink OR through
+ * zero-weight wires, one event per fired terminal state exactly as
+ * the DAG kernel drains them.
  *
  * The outcome is bit-identical -- arrival vector (AlignmentGraph::
  * node() layout, super-sink included), event count, sink score, and
@@ -31,11 +33,11 @@
  * graphs.  The materialized path stays as the tested reference and as
  * the gate-level synthesis input.
  *
- * Work is O(states) flat arrays plus the reusable GraphAlignScratch
- * arena (the twin of core::RaceGridScratch), so steady-state read
- * mapping -- one scratch per thread in the api batch body --
- * allocates nothing per comparison beyond the arrival vector it
- * returns.
+ * Work is O(states) over two working rows in the reusable
+ * GraphAlignScratch (the twin of core::RaceGridScratch), so
+ * steady-state read mapping -- one scratch per thread in the api
+ * batch body -- allocates nothing per comparison beyond the arrival
+ * vector it returns.
  */
 
 #ifndef RACELOGIC_PANGRAPH_GRAPH_ALIGN_KERNEL_H
@@ -83,54 +85,60 @@ struct GraphRaceResult {
 };
 
 /**
- * Reusable scratch state for raceAlignmentGrid: the shared bucket
- * calendar plus the per-read weight rows hoisted out of the sweep.
+ * Reusable scratch state for raceAlignmentGrid: the sweep's two
+ * working rows plus the per-read weight rows hoisted out of it.
  */
 struct GraphAlignScratch {
-    core::BucketCalendar calendar;
-
-    /** Insertion-edge weight per read offset: gap(read[j]). */
-    std::vector<bio::Score> gapRead;
+    /**
+     * Insertion-edge weight into read row j: gap(read[j-1]).  Row 0
+     * sweeps against a virtual unfired row above it, so its entry is
+     * core::kSweepUnfired.
+     */
+    std::vector<sim::Tick> gapRead;
 
     /**
-     * Substitution-edge weights as one flat row per read offset,
-     * indexed by graph symbol: pairRow[j * |alphabet| + sym] =
-     * pair(read[j], sym).  kScoreInfinity marks a forbidden pair
-     * (missing edge).
+     * Substitution-edge weights into read row j as one flat row per
+     * read row, indexed by graph symbol: pairRow[j * |alphabet| + sym]
+     * = pair(read[j-1], sym); row 0 all core::kSweepUnfired, as are
+     * forbidden pairs (missing edges).
      */
-    std::vector<bio::Score> pairRow;
+    std::vector<sim::Tick> pairRow;
 
-    /** Release all retained capacity (see core::BucketCalendar). */
+    /** Working values of read rows j - 1 and j, by graph position. */
+    std::vector<sim::Tick> above, here;
+
+    /** Release all retained capacity. */
     void
     shrinkToFit()
     {
-        calendar.shrinkToFit();
-        gapRead.clear();
-        gapRead.shrink_to_fit();
-        pairRow.clear();
-        pairRow.shrink_to_fit();
+        for (std::vector<sim::Tick> *v :
+             {&gapRead, &pairRow, &above, &here}) {
+            v->clear();
+            v->shrink_to_fit();
+        }
     }
 
-    /** Heap bytes currently retained across calendar and rows. */
+    /** Heap bytes currently retained across the rows. */
     size_t
     residentBytes() const
     {
-        return calendar.residentBytes() +
-               (gapRead.capacity() + pairRow.capacity()) *
-                   sizeof(bio::Score);
+        return (gapRead.capacity() + pairRow.capacity() +
+                above.capacity() + here.capacity()) *
+               sizeof(sim::Tick);
     }
 };
 
 /**
- * Bucket-wavefront OR-type race of `read` against a compiled graph
- * under the race-ready cost matrix it was compiled with, without
+ * OR-type race of `read` against a compiled graph under the race-ready
+ * cost matrix it was compiled with, swept read row by read row without
  * materializing the product DAG.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
  * read, costs) on core::WavefrontRaceKernel with the same horizon:
  * same arrival vector, same event count, same sink score.  Section 6
  * horizon aborts behave identically too (completed = false, score
- * kScoreInfinity, latencyCycles = horizon).
+ * kScoreInfinity, latencyCycles = horizon); a bounded sweep stops at
+ * the first read row in which no state fired.
  *
  * `costs` must be the matrix `compiled` was bound to (GraphAligner
  * guarantees this); requires Cost kind with all finite weights >= 1
@@ -143,19 +151,20 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   sim::Tick horizon = sim::kTickInfinity);
 
 /**
- * Scratch-reuse overload: identical outcome, but the calendar and
- * hoisted weight rows live in (and keep the capacity of) the
- * caller's scratch.
+ * Scratch-reuse overload: identical outcome, but the working rows and
+ * hoisted weight rows live in (and keep the capacity of) the caller's
+ * scratch.
  *
- * `cancel` (nullptr = never) is polled once per simulated clock
- * cycle; a cancelled race comes back completed = false with
- * cancelled = true, score kScoreInfinity, and latencyCycles the last
- * cycle swept -- the same typed-abort shape as a horizon trip.
+ * `cancel` (nullptr = never) is polled once per read row; a cancelled
+ * race comes back completed = false with cancelled = true, score
+ * kScoreInfinity, and latencyCycles the latest arrival scheduled
+ * before the sweep stopped -- the same typed-abort shape as a horizon
+ * trip.
  *
  * `counters` (nullptr = off) accumulates the kernel's profiling
- * counts -- events drained, buckets swept, arena high-water, states
- * fired, cancel/horizon aborts.  It is touched only after the drain,
- * so the raced result is bit-identical either way.
+ * counts -- events, the latest arrival + 1, the working-row size,
+ * states fired, cancel/horizon aborts.  It is touched only after the
+ * sweep, so the raced result is bit-identical either way.
  */
 GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   const bio::Sequence &read,

@@ -57,7 +57,7 @@ GraphAligner::tryMake(std::shared_ptr<const VariationGraph> graph,
     }
 
     // Plan-time validation of the race-ready weights -- finite gaps,
-    // everything >= 1 and under the kernel's bucket-calendar cap --
+    // everything >= 1 and under the kernels' weight cap --
     // lives in checkCompilable(), the one place every racing path
     // passes through, so bad matrices fail here with a diagnostic
     // instead of deep inside the wavefront kernel.  (For similarity
@@ -95,9 +95,9 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
 {
     // One kernel scratch per thread: align() stays const and
     // thread-safe (the scratch is live only within this call), and
-    // repeated aligns stop re-allocating the calendar arena.  The
+    // repeated aligns stop re-allocating the working rows.  The
     // registry entry publishes resident bytes for the serving memory
-    // budget and lets its janitor shrink an idle worker's arena; the
+    // budget and lets its janitor shrink an idle worker's scratch; the
     // lease keeps shrinkers off a live solve.
     static thread_local GraphAlignScratch scratch;
     static thread_local core::ScratchRegistration scratchReg(

@@ -87,10 +87,10 @@ class GraphAligner
 
     /**
      * Scratch-reuse overload for tight read-mapping loops: the fused
-     * kernel's calendar and hoisted weight rows live in the caller's
-     * scratch (one per thread), so repeated aligns stop allocating
-     * kernel storage.  `cancel` (nullptr = never) aborts the sweep
-     * cooperatively at clock-cycle granularity (see
+     * kernel's working rows and hoisted weight rows live in the
+     * caller's scratch (one per thread), so repeated aligns stop
+     * allocating kernel storage.  `cancel` (nullptr = never) aborts
+     * the sweep cooperatively, polled once per read row (see
      * raceAlignmentGrid).  `counters` (nullptr = off) accumulates the
      * kernel's profiling counts without changing the raced result.
      */

@@ -689,7 +689,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         trace.dispatchStart = telemetry::RequestTrace::Clock::now();
 
         // A live deadline becomes a cooperative cancel token: the
-        // bucket-sweep kernels poll it once per simulated cycle and
+        // sweep kernels poll it once per swept row and
         // abort with a typed result instead of finishing a race
         // nobody is waiting for.  No deadline, no token -- the solve
         // path stays bit-identical to a direct engine call.

@@ -4,7 +4,7 @@
  * registry that makes their bytes visible to the serving memory
  * budget.
  *
- * The kernels' thread_local scratch (BucketCalendar rings and gap
+ * The kernels' thread_local scratch (working rows and hoisted weight
  * rows) grows to each solve's high-water mark and, before
  * shrinkToFit() existed, never gave a byte back: one oversized solve
  * pinned megabytes in an idle worker forever.  These tests nail the
@@ -53,7 +53,7 @@ TEST(ScratchShrink, RaceGridScratchReleasesItsHighWater)
     core::RaceGridScratch scratch;
     EXPECT_EQ(scratch.residentBytes(), 0u);
 
-    // One oversized solve grows the calendar arena and gap rows...
+    // One oversized solve grows the working row and weight rows...
     (void)aligner.align(dna(longDna(600)), dna(longDna(600)),
                         sim::kTickInfinity, scratch);
     const size_t grown = scratch.residentBytes();
@@ -76,17 +76,6 @@ TEST(ScratchShrink, RaceGridScratchReleasesItsHighWater)
                       sim::kTickInfinity, scratch);
     EXPECT_TRUE(after.completed);
     EXPECT_GT(scratch.residentBytes(), 0u);
-}
-
-TEST(ScratchShrink, CalendarShrinkDropsResidentBytes)
-{
-    core::BucketCalendar calendar;
-    calendar.reset(/*ring=*/4096);
-    for (uint32_t cell = 0; cell < 512; ++cell)
-        calendar.push(cell, cell % 4096);
-    EXPECT_GT(calendar.residentBytes(), 0u);
-    calendar.shrinkToFit();
-    EXPECT_EQ(calendar.residentBytes(), 0u);
 }
 
 TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)

@@ -13,6 +13,7 @@
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
 #include "rl/core/batch.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
@@ -186,40 +187,76 @@ TEST(Wavefront, OversizedWeightsFallBackToEventKernel)
 
 class GridKernel : public ::testing::TestWithParam<int> {};
 
-TEST_P(GridKernel, MatchesMaterializedEditGraphRaceExactly)
+/**
+ * Race (a, b) on the grid kernel and on WavefrontRaceKernel over the
+ * materialized edit graph under `horizon`, and assert the outcomes are
+ * identical: arrival grid, events, cells fired, completion, latency --
+ * and the kernel counters the sweep exports.
+ */
+void
+expectGridMatchesMaterialized(const Sequence &a, const Sequence &b,
+                              const ScoreMatrix &m, sim::Tick horizon)
 {
-    util::Rng rng(4300 + GetParam());
-    ScoreMatrix m = GetParam() % 2 == 0
-                        ? ScoreMatrix::dnaShortestPathInfMismatch()
-                        : ScoreMatrix::dnaShortestPath();
-    Sequence a = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(12));
-    Sequence b = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(12));
-
-    core::RaceGridResult grid = core::raceEditGrid(a, b, m);
+    SCOPED_TRACE(testing::Message() << "a=" << a.str() << " b=" << b.str()
+                                    << " horizon=" << horizon);
+    core::RaceGridScratch scratch;
+    core::KernelCounters counters;
+    core::RaceGridResult grid = core::raceEditGrid(
+        a, b, m, horizon, scratch, nullptr, &counters);
 
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-    RaceOutcome reference = core::raceDagEventDriven(
-        eg.dag, {eg.source}, RaceType::Or);
+    RaceOutcome reference = WavefrontRaceKernel(eg.dag).race(
+        {eg.source}, RaceType::Or, horizon);
 
     EXPECT_EQ(grid.events, reference.events);
     size_t fired = 0;
     for (size_t i = 0; i <= eg.rows; ++i) {
         for (size_t j = 0; j <= eg.cols; ++j) {
             core::TemporalValue v = reference.at(eg.node(i, j));
-            if (v.fired()) {
-                ++fired;
-                EXPECT_EQ(grid.arrival.at(i, j), v.time())
-                    << "(" << i << "," << j << ")";
-            } else {
-                EXPECT_EQ(grid.arrival.at(i, j), sim::kTickInfinity);
-            }
+            fired += v.fired();
+            EXPECT_EQ(grid.arrival.at(i, j), v.rawTime())
+                << "(" << i << "," << j << ")";
         }
     }
     EXPECT_EQ(grid.cellsFired, fired);
-    EXPECT_TRUE(grid.completed);
-    EXPECT_EQ(grid.score, bio::globalScore(a, b, m));
+    const core::TemporalValue sink = reference.at(eg.sink);
+    EXPECT_EQ(grid.completed, sink.fired());
+    EXPECT_EQ(grid.latencyCycles, sink.fired() ? sink.time() : horizon);
+    EXPECT_FALSE(grid.cancelled);
+
+    EXPECT_EQ(counters.events, grid.events);
+    EXPECT_EQ(counters.lanesOccupied, grid.cellsFired);
+    EXPECT_EQ(counters.horizonAborts, grid.completed ? 0u : 1u);
+    EXPECT_EQ(counters.cancels, 0u);
+}
+
+TEST_P(GridKernel, MatchesMaterializedEditGraphRaceExactly)
+{
+    util::Rng rng(4300 + GetParam());
+    for (const ScoreMatrix &m : {ScoreMatrix::dnaShortestPathInfMismatch(),
+                                 ScoreMatrix::dnaShortestPath()}) {
+        // Lengths from 0: an empty a and/or b races a single row or
+        // column of gap edges.
+        Sequence a = Sequence::random(rng, Alphabet::dna(),
+                                      rng.index(13));
+        Sequence b = Sequence::random(rng, Alphabet::dna(),
+                                      rng.index(13));
+        const Sequence empty(Alphabet::dna(), "");
+        const bio::Score score = bio::globalScore(a, b, m);
+        EXPECT_EQ(core::raceEditGrid(a, b, m).score, score);
+
+        // Unbounded, the Section 6 edge cases around the exact score,
+        // and a random horizon.
+        for (sim::Tick horizon :
+             {sim::kTickInfinity, sim::Tick(0), sim::Tick(1),
+              sim::Tick(score), sim::Tick(score > 0 ? score - 1 : 0),
+              sim::Tick(rng.index(2 * score + 2))}) {
+            expectGridMatchesMaterialized(a, b, m, horizon);
+            expectGridMatchesMaterialized(empty, b, m, horizon);
+            expectGridMatchesMaterialized(a, empty, m, horizon);
+        }
+        expectGridMatchesMaterialized(empty, empty, m, sim::kTickInfinity);
+    }
 }
 
 TEST_P(GridKernel, HorizonMatchesFullRacePrefix)

@@ -502,7 +502,9 @@ expectFusedMatchesMaterialized(const GraphAligner &aligner,
         pangraph::buildAlignmentGraph(aligner.compiled(), read,
                                       aligner.costs()),
         horizon);
-    pangraph::GraphRaceResult fused = aligner.align(read, horizon);
+    core::KernelCounters counters;
+    pangraph::GraphRaceResult fused =
+        aligner.align(read, horizon, nullptr, &counters);
 
     EXPECT_EQ(fused.completed, reference.completed);
     EXPECT_EQ(fused.racedCost, reference.racedCost);
@@ -517,6 +519,10 @@ expectFusedMatchesMaterialized(const GraphAligner &aligner,
                   reference.arrival[n].rawTime())
             << "arrival diverges at product node " << n << " (read "
             << read.str() << ", horizon " << horizon << ")";
+
+    EXPECT_EQ(counters.events, fused.events);
+    EXPECT_EQ(counters.lanesOccupied, fused.cellsFired);
+    EXPECT_EQ(counters.horizonAborts, fused.completed ? 0u : 1u);
 }
 
 TEST(GraphAlignFused, BitIdenticalToMaterializedDagOnRandomGraphs)

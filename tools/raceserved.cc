@@ -22,8 +22,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
-#include <unistd.h>
+#include <pthread.h>
 
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/server.h"
@@ -52,6 +53,41 @@ void
 onReloadSignal(int)
 {
     gReloadRequested = 1;
+}
+
+/**
+ * Install the signal handlers with their signals blocked, and return
+ * the mask to wait in.  Called before any thread starts: the workers
+ * inherit the blocked mask, so every signal waits, pending, for the
+ * main thread's sigsuspend() -- one that arrives before the wait, even
+ * before the daemon answers its first Health probe, is delivered there
+ * instead of killing the process by the default action or landing
+ * unnoticed between a flag check and the wait.
+ */
+sigset_t
+installSignalHandlers()
+{
+    const std::pair<int, void (*)(int)> handlers[] = {
+        {SIGTERM, onSignal},
+        {SIGINT, onSignal},
+        {SIGUSR1, onDumpSignal},
+        {SIGHUP, onReloadSignal},
+    };
+    sigset_t blocked;
+    sigemptyset(&blocked);
+    for (const auto &[sig, handler] : handlers)
+        sigaddset(&blocked, sig);
+    sigset_t waitMask;
+    pthread_sigmask(SIG_BLOCK, &blocked, &waitMask);
+    for (const auto &[sig, handler] : handlers) {
+        struct sigaction action = {};
+        action.sa_handler = handler;
+        sigemptyset(&action.sa_mask);
+        sigaction(sig, &action, nullptr);
+        // Open even if the parent started the daemon with it blocked.
+        sigdelset(&waitMask, sig);
+    }
+    return waitMask;
 }
 
 void
@@ -202,6 +238,7 @@ main(int argc, char **argv)
     // does not want to price on every request.
     cfg.engine.withEstimates = false;
 
+    const sigset_t waitMask = installSignalHandlers();
     serve::AlignServer server(std::move(cfg));
     if (!server.start()) {
         std::perror("raceserved: failed to bind listener");
@@ -212,12 +249,10 @@ main(int argc, char **argv)
         std::fflush(stdout);
     }
 
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGUSR1, onDumpSignal);
-    std::signal(SIGHUP, onReloadSignal);
     while (!gStopRequested) {
-        ::pause(); // signals are the only way out
+        // Signals are the only way out.  sigsuspend() unblocks them and
+        // waits in one step, and blocks them again before returning.
+        sigsuspend(&waitMask);
         if (gDumpRequested) {
             gDumpRequested = 0;
             const std::string text =
