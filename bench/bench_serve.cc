@@ -2,13 +2,13 @@
  * @file
  * Saturation benchmark for the racelogic::serve daemon: a real
  * AlignServer on a Unix socket, a real pipelined client, end-to-end
- * through decode, admission, shard dispatch, the race, and the
+ * through decode, admission, dispatch, the race, and the
  * response path.  On the 1-CPU dev host the absolute req/s is mostly
  * a context-switch measurement; the regression-gated story is that
  * the serve overhead stays bounded relative to the raw solve
  * (BM_ApiEngineSolveCached) and the counters stay clean -- the
- * shard-hit rate is exported as a benchmark counter and must pin to
- * ~1.0 once the plan is warm.
+ * plan-cache hit rate is exported as a benchmark counter and must pin
+ * to ~1.0 once the plan is warm.
  */
 
 #include <benchmark/benchmark.h>
@@ -51,7 +51,7 @@ benchSocketPath()
  * End-to-end serve throughput at a saturating pipeline depth: every
  * iteration keeps `window` same-shape pairwise requests outstanding,
  * so the daemon runs decode/admit/solve/reply back to back with a
- * never-empty queue and a warm shard-local plan.
+ * never-empty queue and a warm cached plan.
  */
 void
 serveSaturation(benchmark::State &state, bool telemetry)
@@ -76,7 +76,7 @@ serveSaturation(benchmark::State &state, bool telemetry)
     const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
     const std::string a = randomDna(1, n), b = randomDna(2, n);
 
-    // Warm the shard's plan cache so the timed loop measures the
+    // Warm the engine's plan cache so the timed loop measures the
     // steady state, not the one-off synthesis.
     uint32_t id = 1;
     client.submitPairwise(id++, costs, a, b);
@@ -98,16 +98,11 @@ serveSaturation(benchmark::State &state, bool telemetry)
     state.SetItemsProcessed(served);
 
     // The queueing-metrics story (docs/performance.md): a warm
-    // same-shape workload must be all shard hits, no build locks.
-    uint64_t hits = 0, locks = 0, solves = 0;
-    for (const serve::ShardStatsWire &s : server.shardStats()) {
-        hits += s.shardHits;
-        locks += s.buildLocks;
-        solves += s.solves;
-    }
-    state.counters["shard_hit_rate"] =
-        solves ? double(hits) / double(solves) : 0.0;
-    state.counters["build_locks"] = double(locks);
+    // same-shape workload must be all plan-cache hits.
+    const api::EngineStats stats = server.engineStats();
+    state.counters["plan_hit_rate"] =
+        stats.solves ? double(stats.planCacheHits) / double(stats.solves)
+                     : 0.0;
     state.counters["queue_high_water"] =
         double(server.queueStats().highWater);
 
@@ -277,7 +272,7 @@ BM_ServeQueueCycle(benchmark::State &state)
     for (auto _ : state) {
         for (int i = 0; i < 32; ++i)
             benchmark::DoNotOptimize(
-                queue.tryPush(serve::QueuedJob{0, [] {}}));
+                queue.tryPush(serve::QueuedJob{[] {}}));
         auto batch = queue.drain(32);
         queue.markDone(batch.size());
     }

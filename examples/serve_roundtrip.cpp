@@ -5,8 +5,8 @@
  * length-prefixed wire protocol through a ServeClient, and shows the
  * three behaviors the serving layer adds on top of api::RaceEngine:
  * served solves identical to direct ones, typed admission rejections,
- * and the shard-hit/build-lock counters that prove warm traffic never
- * touches shared state.
+ * and the shared engine's plan-cache counters, which show warm
+ * traffic reusing one planned fabric.
  *
  * Run: ./serve_roundtrip
  */
@@ -68,18 +68,17 @@ main()
                 serve::statusName(response.status),
                 response.message.c_str(), response.id);
 
-    // --- 3. warm traffic is shard-local ---------------------------
+    // --- 3. warm traffic reuses one plan ---------------------------
     for (uint32_t id = 10; id < 30; ++id) {
         client.submitPairwise(id, costs, a, b);
         client.receive(response);
     }
-    for (const serve::ShardStatsWire &s : server.shardStats())
-        if (s.solves > 0)
-            std::printf("shard served %llu solves: %llu shard-local "
-                        "hits, %llu build-lock acquisitions\n",
-                        static_cast<unsigned long long>(s.solves),
-                        static_cast<unsigned long long>(s.shardHits),
-                        static_cast<unsigned long long>(s.buildLocks));
+    const api::EngineStats stats = server.engineStats();
+    std::printf("engine served %llu solves: %llu plans built, %llu "
+                "plan-cache hits\n",
+                static_cast<unsigned long long>(stats.solves),
+                static_cast<unsigned long long>(stats.plansBuilt),
+                static_cast<unsigned long long>(stats.planCacheHits));
 
     server.stop();
     std::printf("\ndaemon drained and stopped cleanly\n");

@@ -101,14 +101,15 @@ struct EngineConfig {
      * Behavioral backend: grid-family batches are raced in parallel
      * on a util::ThreadPool, with results in input order and
      * bit-identical to a serial run (each comparison is independent
-     * and the kernel is deterministic).  0 = one per hardware
-     * thread; 1 = serial.  Other backends and problem kinds always
-     * solve serially.
+     * and the kernel is deterministic).  0 = one per CPU the process
+     * may run on (util::ThreadPool::defaultThreadCount()); 1 =
+     * serial.  Other backends and problem kinds always solve
+     * serially.
      */
     size_t workerThreads = 0;
 
     /**
-     * Plans retained in the shape-keyed cache before the least
+     * Plans retained in the shared plan cache before the least
      * recently used one is evicted.  0 disables caching entirely.
      */
     size_t planCacheCapacity = 64;
@@ -119,7 +120,7 @@ struct EngineConfig {
      * trySolve() reject larger problems with a typed
      * ResourceExhausted instead of attempting an allocation that
      * scales as read x pangenome -- the serve daemon's defense
-     * against one request OOM-killing a shard.  The kernels' hard
+     * against one request OOM-killing the daemon.  The kernels' hard
      * 32-bit id-space bounds are enforced even when unlimited.
      */
     uint64_t maxProductStates = 0;

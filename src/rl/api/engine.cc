@@ -16,20 +16,21 @@
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/tech/area_model.h"
 #include "rl/tech/energy_model.h"
+#include "rl/util/fnv.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::api {
 
 /**
- * A planned fabric for one grid shape: the converted matrix, the
+ * A planned fabric for one matrix: the converted matrix, the
  * behavioral racer, and (backend-dependent) the synthesized gate-level
  * fabric or systolic array.  Strings are runtime inputs, so one plan
- * serves every same-shape query.
+ * serves every query over the matrix (of one grid size, on the sized
+ * GateLevel fabric).  Immutable once built and shared by every
+ * calling thread: the members are pointers-to-const, so racing on a
+ * plan's state cannot compile.
  */
 struct RaceEngine::Plan {
-    size_t rows = 0;
-    size_t cols = 0;
-
     /** The matrix the problem supplied (cache-hit exact check). */
     std::optional<bio::ScoreMatrix> input;
 
@@ -39,19 +40,20 @@ struct RaceEngine::Plan {
     /** Behavioral OR-type racer over the race-ready costs. */
     std::optional<core::RaceGridAligner> behavioral;
 
-    /** Synthesized fabric (GateLevel backend). */
-    std::unique_ptr<core::GeneralizedGridCircuit> fabric;
+    /** Synthesized fabric (GateLevel backend); races run through the
+     *  const alignLanes() on a private simulator. */
+    std::unique_ptr<const core::GeneralizedGridCircuit> fabric;
 
     /** Lipton-Lopresti array (Systolic backend). */
-    std::unique_ptr<systolic::LiptonLoprestiArray> array;
+    std::unique_ptr<const systolic::LiptonLoprestiArray> array;
 
     /**
      * Planned pangenome (GraphAlign only): the compiled
      * character-level graph plus the converted matrix.  Reads are
      * runtime inputs, so one aligner serves every read -- and its
-     * align() is const, so parallel batches share it safely.
+     * align() is const, so concurrent solves share it safely.
      */
-    std::shared_ptr<pangraph::GraphAligner> graphAligner;
+    std::shared_ptr<const pangraph::GraphAligner> graphAligner;
 
     /** Per-cell gate inventory (estimates; measured once per plan). */
     std::array<size_t, circuit::kGateTypeCount> cellInventory{};
@@ -82,6 +84,26 @@ scoreMatrixBytes(const bio::ScoreMatrix &matrix)
     return (n * n + n) * sizeof(bio::Score) + sizeof(bio::ScoreMatrix);
 }
 
+/** Kinds the parallel batch path can race (plan + const align). */
+bool
+gridFamilyKind(ProblemKind kind)
+{
+    return kind == ProblemKind::PairwiseAlignment ||
+           kind == ProblemKind::GeneralizedAlignment ||
+           kind == ProblemKind::ThresholdScreen;
+}
+
+/**
+ * Kinds with a reusable cached plan.  Dtw, DagPath and affine
+ * lattices bake their instance into the raced graph, so they build
+ * it per solve and never touch the cache.
+ */
+bool
+planFamilyKind(ProblemKind kind)
+{
+    return gridFamilyKind(kind) || kind == ProblemKind::GraphAlign;
+}
+
 } // namespace
 
 size_t
@@ -99,10 +121,9 @@ RaceEngine::Plan::residentBytes() const
         // gate covers the Gate record plus its input vector.
         bytes += fabric->netlist().gateCount() * 64;
     }
-    if (array) {
-        // One PE row per diagonal; storage scales with the perimeter.
-        bytes += (rows + cols + 2) * 128;
-    }
+    if (array)
+        bytes += sizeof(systolic::LiptonLoprestiArray) +
+                 scoreMatrixBytes(array->matrix());
     if (graphAligner) {
         const pangraph::CompiledGraph &cg = graphAligner->compiled();
         bytes += cg.symbol.capacity() * sizeof(bio::Symbol) +
@@ -212,35 +233,49 @@ RaceEngine::~RaceEngine() = default;
 void
 RaceEngine::clearPlanCache()
 {
+    std::lock_guard<std::mutex> lock(mutex);
     lru.clear();
     index.clear();
-    std::lock_guard<std::mutex> lock(statsMutex);
     cacheBytes = 0;
+}
+
+size_t
+RaceEngine::planCacheSize() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    return lru.size();
 }
 
 size_t
 RaceEngine::planCacheBytes() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex);
+    std::lock_guard<std::mutex> lock(mutex);
     return cacheBytes;
 }
 
 size_t
-RaceEngine::evictLruPlan()
+RaceEngine::evictLruLocked()
 {
     if (lru.empty())
         return 0;
     const size_t freed = lru.back().second->residentBytes();
     index.erase(lru.back().first);
     lru.pop_back();
-    std::lock_guard<std::mutex> lock(statsMutex);
     cacheBytes -= std::min(cacheBytes, freed);
     return freed;
 }
 
 size_t
+RaceEngine::evictLruPlan()
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    return evictLruLocked();
+}
+
+size_t
 RaceEngine::evictGraphPlans()
 {
+    std::lock_guard<std::mutex> lock(mutex);
     size_t freed = 0;
     for (auto it = lru.begin(); it != lru.end();) {
         if (it->second->graphAligner == nullptr) {
@@ -251,32 +286,20 @@ RaceEngine::evictGraphPlans()
         index.erase(it->first);
         it = lru.erase(it);
     }
-    if (freed > 0) {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        cacheBytes -= std::min(cacheBytes, freed);
-    }
+    cacheBytes -= std::min(cacheBytes, freed);
     return freed;
 }
 
-std::shared_ptr<RaceEngine::Plan>
-RaceEngine::buildPlan(const RaceProblem &problem)
+RaceEngine::PlanPtr
+RaceEngine::buildPlan(const RaceProblem &problem) const
 {
+    auto plan = std::make_shared<Plan>();
+    plan->input = *problem.matrix;
     if (problem.kind == ProblemKind::GraphAlign) {
-        auto plan = std::make_shared<Plan>();
-        plan->input = *problem.matrix;
-        plan->graphAligner = std::make_shared<pangraph::GraphAligner>(
+        plan->graphAligner = std::make_shared<const pangraph::GraphAligner>(
             problem.vgraph, *problem.matrix, problem.lambda);
-        {
-            std::lock_guard<std::mutex> lock(statsMutex);
-            ++statistics.plansBuilt;
-        }
         return plan;
     }
-
-    auto plan = std::make_shared<Plan>();
-    plan->rows = problem.a->size();
-    plan->cols = problem.b->size();
-    plan->input = *problem.matrix;
 
     const bio::ScoreMatrix &input = *plan->input;
     if (input.isCost()) {
@@ -288,76 +311,122 @@ RaceEngine::buildPlan(const RaceProblem &problem)
     }
 
     if (cfg.backend == BackendKind::GateLevel)
-        plan->fabric = std::make_unique<core::GeneralizedGridCircuit>(
-            plan->costs(), plan->rows, plan->cols, cfg.encoding);
+        plan->fabric = std::make_unique<const core::GeneralizedGridCircuit>(
+            plan->costs(), problem.a->size(), problem.b->size(),
+            cfg.encoding);
     if (cfg.backend == BackendKind::Systolic)
-        plan->array = std::make_unique<systolic::LiptonLoprestiArray>(
+        plan->array = std::make_unique<const systolic::LiptonLoprestiArray>(
             plan->costs());
     if (cfg.withEstimates && cfg.backend != BackendKind::Systolic) {
         plan->cellInventory = core::GeneralizedGridCircuit::cellInventory(
             plan->costs(), cfg.encoding);
         plan->hasInventory = true;
     }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        ++statistics.plansBuilt;
-    }
     return plan;
 }
 
-std::shared_ptr<RaceEngine::Plan>
-RaceEngine::planFor(const RaceProblem &problem, bool recordHit)
+size_t
+RaceEngine::PlanKeyHash::operator()(const PlanKey &key) const
 {
-    if (cfg.planCacheCapacity == 0)
-        return buildPlan(problem);
+    util::Fnv f;
+    f.mix(static_cast<uint64_t>(key.kind));
+    f.mix(key.matrix);
+    f.mix(static_cast<uint64_t>(key.lambda));
+    f.mix(key.rows);
+    f.mix(key.cols);
+    f.mix(key.graph);
+    return static_cast<size_t>(f.h);
+}
 
-    std::string key = problem.shapeKey();
-    auto found = index.find(key);
-    if (found != index.end()) {
-        // The key carries 64-bit content fingerprints; confirm the
-        // match exactly so a hash collision can never hand back the
-        // wrong fabric.  A collision falls through to an uncached
-        // fresh plan (the slot keeps its original owner).  GraphAlign
-        // keys additionally embed the graph topology, re-verified
-        // structurally here.
-        const Plan &cached = *found->second->second;
-        const bool graphKind = problem.kind == ProblemKind::GraphAlign;
-        bool match = graphKind == (cached.graphAligner != nullptr) &&
-                     sameMatrix(*problem.matrix, *cached.input);
-        if (match && graphKind)
-            match = problem.vgraph == cached.graphAligner->graphPtr() ||
-                    pangraph::sameTopology(*problem.vgraph,
-                                           cached.graphAligner->graph());
-        if (match) {
-            lru.splice(lru.begin(), lru, found->second);
-            if (recordHit) {
-                std::lock_guard<std::mutex> lock(statsMutex);
-                ++statistics.planCacheHits;
-            }
-            return lru.front().second;
-        }
-        return buildPlan(problem);
+RaceEngine::PlanKey
+RaceEngine::planKey(const RaceProblem &problem) const
+{
+    PlanKey key;
+    key.kind = problem.kind;
+    key.matrix = problem.matrix->fingerprint();
+    key.lambda = problem.lambda;
+    if (problem.kind == ProblemKind::GraphAlign) {
+        // The read is a runtime input and the threshold a cycle
+        // budget: one loaded graph serves every read.
+        key.graph = problem.vgraph->fingerprint();
+    } else if (cfg.backend == BackendKind::GateLevel) {
+        // Only the synthesized fabric is sized; the behavioral racer
+        // and the systolic array take strings of any length.
+        key.rows = problem.a->size();
+        key.cols = problem.b->size();
     }
+    return key;
+}
 
-    auto plan = buildPlan(problem);
-    lru.emplace_front(key, plan);
-    index[key] = lru.begin();
+RaceEngine::PlanSlot
+RaceEngine::lookup(const RaceProblem &problem, bool touch) const
+{
+    PlanSlot slot;
+    if (cfg.planCacheCapacity == 0 || !planFamilyKind(problem.kind))
+        return slot;
+    slot.key = planKey(problem);
+    PlanPtr cached;
     {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        cacheBytes += plan->residentBytes();
+        std::lock_guard<std::mutex> lock(mutex);
+        auto found = index.find(*slot.key);
+        if (found == index.end())
+            return slot;
+        if (touch)
+            lru.splice(lru.begin(), lru, found->second);
+        cached = found->second->second;
     }
-    while (lru.size() > cfg.planCacheCapacity)
-        evictLruPlan();
+    // The key carries 64-bit content fingerprints; confirm the match
+    // exactly (outside the lock -- the plan is immutable) so a
+    // collision can never hand back the wrong fabric.  A collision
+    // counts as a miss: deep validation, then an uncached fresh plan
+    // (the slot keeps its original owner).  GraphAlign plans also
+    // re-verify the graph topology structurally.
+    const bool graphKind = problem.kind == ProblemKind::GraphAlign;
+    bool match = graphKind == (cached->graphAligner != nullptr) &&
+                 sameMatrix(*problem.matrix, *cached->input);
+    if (match && graphKind)
+        match = problem.vgraph == cached->graphAligner->graphPtr() ||
+                pangraph::sameTopology(*problem.vgraph,
+                                       cached->graphAligner->graph());
+    if (match)
+        slot.plan = std::move(cached);
+    return slot;
+}
+
+RaceEngine::PlanPtr
+RaceEngine::planFor(const RaceProblem &problem, PlanSlot slot,
+                    bool recordHit)
+{
+    if (slot.plan) {
+        if (recordHit) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++statistics.planCacheHits;
+        }
+        return std::move(slot.plan);
+    }
+    // Build outside the lock: synthesis can take milliseconds, and no
+    // other solve should wait for it.  Threads that miss on one key
+    // at once each build; the first insert wins and the rest race on
+    // their own copy once.
+    PlanPtr plan = buildPlan(problem);
+    const size_t bytes = plan->residentBytes();
+    std::lock_guard<std::mutex> lock(mutex);
+    ++statistics.plansBuilt;
+    if (slot.key && index.find(*slot.key) == index.end()) {
+        lru.emplace_front(*slot.key, plan);
+        index.emplace(*slot.key, lru.begin());
+        cacheBytes += bytes;
+        while (lru.size() > cfg.planCacheCapacity)
+            evictLruLocked();
+    }
     return plan;
 }
 
 Status
-RaceEngine::validate(const RaceProblem &problem) const
+RaceEngine::checkSolvable(const RaceProblem &problem) const
 {
-    ProblemLimits limits;
-    limits.maxProductStates = cfg.maxProductStates;
-    // checkShape() must pass before shapeKey() (hasPlanFor) is safe
-    // to call: the key builder dereferences the kind's optionals.
+    // checkShape() must pass before the plan key is computed: the key
+    // builder dereferences the kind's optionals.
     if (Status shape = checkShape(problem); !shape.ok())
         return shape;
     // Backend compatibility is this engine's concern, not the
@@ -369,7 +438,16 @@ RaceEngine::validate(const RaceProblem &problem) const
         return Status::error(ErrorCode::Unsupported,
                              "the systolic baseline races pairwise "
                              "grids and threshold screens only");
-    if (hasPlanFor(problem)) {
+    return Status();
+}
+
+Status
+RaceEngine::validate(const RaceProblem &problem,
+                     const PlanSlot &slot) const
+{
+    ProblemLimits limits;
+    limits.maxProductStates = cfg.maxProductStates;
+    if (slot.plan) {
         // The cached plan's build already vetted the expensive
         // matrix/graph half; only the budgets and the per-request
         // runtime inputs (sequences, thresholds) need checking.
@@ -380,33 +458,50 @@ RaceEngine::validate(const RaceProblem &problem) const
     return validateProblem(problem, limits);
 }
 
+Status
+RaceEngine::validate(const RaceProblem &problem) const
+{
+    if (Status s = checkSolvable(problem); !s.ok())
+        return s;
+    return validate(problem, lookup(problem, /*touch=*/false));
+}
+
 Expected<RaceResult>
 RaceEngine::trySolve(const RaceProblem &problem)
 {
-    if (Status s = validate(problem); !s.ok())
+    if (Status s = checkSolvable(problem); !s.ok())
         return s;
-    return solve(problem);
+    PlanSlot slot = lookup(problem, /*touch=*/true);
+    if (Status s = validate(problem, slot); !s.ok())
+        return s;
+    return solve(problem, std::move(slot));
 }
 
 EngineStats
 RaceEngine::stats() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex);
+    std::lock_guard<std::mutex> lock(mutex);
     return statistics;
 }
 
 RaceResult
 RaceEngine::solve(const RaceProblem &problem)
 {
+    return solve(problem, lookup(problem, /*touch=*/true));
+}
+
+RaceResult
+RaceEngine::solve(const RaceProblem &problem, PlanSlot slot)
+{
     {
-        std::lock_guard<std::mutex> lock(statsMutex);
+        std::lock_guard<std::mutex> lock(mutex);
         ++statistics.solves;
     }
     switch (problem.kind) {
     case ProblemKind::PairwiseAlignment:
     case ProblemKind::GeneralizedAlignment:
     case ProblemKind::ThresholdScreen:
-        return solveGridFamily(problem);
+        return solveGridFamily(problem, std::move(slot));
     case ProblemKind::Dtw:
         return solveDtw(problem);
     case ProblemKind::DagPath:
@@ -414,7 +509,7 @@ RaceEngine::solve(const RaceProblem &problem)
     case ProblemKind::AffineAlignment:
         return solveAffine(problem);
     case ProblemKind::GraphAlign:
-        return solveGraphAlign(problem);
+        return solveGraphAlign(problem, std::move(slot));
     }
     rl_assert(false, "unknown problem kind");
     return RaceResult{};
@@ -434,7 +529,7 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
     RaceResult result;
     result.kind = problem.kind;
     result.backend = cfg.backend;
-    result.nodes = (plan.rows + 1) * (plan.cols + 1);
+    result.nodes = (a.size() + 1) * (b.size() + 1);
 
     // Screens race with the threshold as the kernel horizon (the
     // Section 6 abort counter) unless the config asks for full-race
@@ -500,14 +595,13 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
             // of every fabric DFF per cycle, plus the per-comparison
             // data term.
             const double cells =
-                static_cast<double>(plan.rows * plan.cols);
+                static_cast<double>(a.size() * b.size());
             const double dffPerCell = static_cast<double>(
                 plan.cellInventory[static_cast<size_t>(
                     circuit::GateType::Dff)]);
             est.areaUm2 =
-                tech::generalizedGridArea(lib, plan.costs(), plan.rows,
-                                          plan.cols,
-                                          plan.cellInventory)
+                tech::generalizedGridArea(lib, plan.costs(), a.size(),
+                                          b.size(), plan.cellInventory)
                     .totalUm2;
             est.energyJ =
                 lib.switchEnergyJ(lib.dffClockCapF) * cells * dffPerCell *
@@ -521,7 +615,7 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
 }
 
 RaceResult
-RaceEngine::solveGridFamily(const RaceProblem &problem)
+RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
 {
     const bio::Sequence &a = *problem.a;
     const bio::Sequence &b = *problem.b;
@@ -534,7 +628,7 @@ RaceEngine::solveGridFamily(const RaceProblem &problem)
               "the systolic baseline cannot run generalized matrices "
               "(mod-4 score encoding needs the Fig. 2b cost family)");
 
-    std::shared_ptr<Plan> plan = planFor(problem);
+    const PlanPtr plan = planFor(problem, std::move(slot));
     const tech::CellLibrary &lib = *cfg.library;
 
     if (cfg.backend == BackendKind::Systolic) {
@@ -573,20 +667,23 @@ RaceEngine::solveGridFamily(const RaceProblem &problem)
     RaceResult result = raceGridBehavioral(problem, *plan);
 
     if (cfg.backend == BackendKind::GateLevel) {
-        // Run the same race on the synthesized fabric.  Any finite
-        // threshold becomes the cycle budget -- the hardware
-        // realization of Section 6's abort -- so the priced switching
-        // activity covers exactly the cycles the fabric is busy.
-        // Floor at 1: the fabric treats budget 0 as "unlimited",
-        // while threshold 0 must reject after a single cycle (all
-        // weights are >= 1).
+        // Run the same race on the synthesized fabric, as a one-lane
+        // alignLanes(): a private simulator over the plan's shared
+        // compile, so concurrent solves never share simulation state.
+        // Any finite threshold becomes the cycle budget -- the
+        // hardware realization of Section 6's abort -- so the priced
+        // switching activity covers exactly the cycles the fabric is
+        // busy.  Floor at 1: the fabric treats budget 0 as
+        // "unlimited", while threshold 0 must reject after a single
+        // cycle (all weights are >= 1).
         const bool bounded = threshold < bio::kScoreInfinity;
         uint64_t budget =
             bounded ? std::max<uint64_t>(
                           static_cast<uint64_t>(threshold), 1)
                     : 0;
-        plan->fabric->sim().clearActivity();
-        core::CircuitRunResult run = plan->fabric->align(a, b, budget);
+        const core::LaneBatchResult raced =
+            plan->fabric->alignLanes({{&a, &b}}, budget);
+        const core::CircuitRunResult &run = raced.lanes.front();
         if (run.completed && result.completed) {
             rl_assert(run.score == result.racedCost,
                       "gate-level race disagrees with behavioral "
@@ -608,8 +705,8 @@ RaceEngine::solveGridFamily(const RaceProblem &problem)
             // switching activity (the ModelSim -> PrimeTime stand-in).
             auto counts = plan->fabric->netlist().typeCounts();
             result.estimate->areaUm2 = lib.areaOfInventory(counts);
-            result.estimate->energyJ = tech::energyFromActivityJ(
-                lib, plan->fabric->sim().activity());
+            result.estimate->energyJ =
+                tech::energyFromActivityJ(lib, raced.activity);
             result.estimate->gateCount =
                 plan->fabric->netlist().gateCount();
             result.estimate->dffCount =
@@ -827,14 +924,14 @@ RaceEngine::raceGraphBehavioral(
 }
 
 RaceResult
-RaceEngine::solveGraphAlign(const RaceProblem &problem)
+RaceEngine::solveGraphAlign(const RaceProblem &problem, PlanSlot slot)
 {
     rl_assert(cfg.backend != BackendKind::Systolic,
               "the systolic baseline only aligns linear strings; race "
               "graph alignments on the behavioral or gate-level "
               "backend");
 
-    std::shared_ptr<Plan> plan = planFor(problem);
+    const PlanPtr plan = planFor(problem, std::move(slot));
 
     if (cfg.backend != BackendKind::GateLevel)
         return raceGraphBehavioral(problem, *plan);
@@ -928,28 +1025,12 @@ screeningShaped(const std::vector<RaceProblem> &problems)
     return true;
 }
 
-/** Kinds the parallel batch path can race (plan + const align). */
-bool
-gridFamilyKind(ProblemKind kind)
-{
-    return kind == ProblemKind::PairwiseAlignment ||
-           kind == ProblemKind::GeneralizedAlignment ||
-           kind == ProblemKind::ThresholdScreen;
-}
-
-/** Kinds whose plan supports the acquire-then-race batch pattern. */
-bool
-planFamilyKind(ProblemKind kind)
-{
-    return gridFamilyKind(kind) || kind == ProblemKind::GraphAlign;
-}
-
 } // namespace
 
 void
 RaceEngine::raceBatchGateLevel(
     const std::vector<RaceProblem> &problems,
-    const std::vector<std::shared_ptr<Plan>> &plans,
+    const std::vector<PlanPtr> &plans,
     std::vector<RaceResult> &results)
 {
     // Group problem indices by plan (one synthesized fabric per grid
@@ -1079,63 +1160,17 @@ RaceEngine::batchWorkerCount() const
 util::ThreadPool &
 RaceEngine::threadPool()
 {
-    if (!pool)
+    std::call_once(poolOnce, [this] {
         pool = std::make_unique<util::ThreadPool>(batchWorkerCount());
+    });
     return *pool;
-}
-
-bool
-RaceEngine::hasPlanFor(const RaceProblem &problem) const
-{
-    if (cfg.planCacheCapacity == 0)
-        return false;
-    return index.find(problem.shapeKey()) != index.end();
-}
-
-void
-RaceEngine::prepare(const RaceProblem &problem)
-{
-    rl_assert(planFamilyKind(problem.kind),
-              "prepare() plans grid-family and GraphAlign problems; ",
-              problemKindName(problem.kind),
-              " bakes its instance into the lattice and has no "
-              "reusable plan");
-    planFor(problem, /*recordHit=*/false);
-}
-
-void
-RaceEngine::adoptGraphPlan(const RaceProblem &problem,
-                           std::shared_ptr<pangraph::GraphAligner> aligner)
-{
-    rl_assert(problem.kind == ProblemKind::GraphAlign,
-              "adoptGraphPlan() seeds GraphAlign shapes only");
-    rl_assert(aligner != nullptr, "adoptGraphPlan() needs a plan");
-    rl_assert(aligner->graphPtr() == problem.vgraph,
-              "the adopted aligner must be planned for the problem's "
-              "graph");
-    if (cfg.planCacheCapacity == 0)
-        return;
-    std::string key = problem.shapeKey();
-    if (index.find(key) != index.end())
-        return;
-    auto plan = std::make_shared<Plan>();
-    plan->input = *problem.matrix;
-    plan->graphAligner = std::move(aligner);
-    lru.emplace_front(std::move(key), plan);
-    index[lru.front().first] = lru.begin();
-    {
-        std::lock_guard<std::mutex> lock(statsMutex);
-        cacheBytes += plan->residentBytes();
-    }
-    while (lru.size() > cfg.planCacheCapacity)
-        evictLruPlan();
 }
 
 BatchOutcome
 RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
 {
     {
-        std::lock_guard<std::mutex> lock(statsMutex);
+        std::lock_guard<std::mutex> lock(mutex);
         ++statistics.batches;
     }
     BatchOutcome outcome;
@@ -1146,9 +1181,8 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
                     [](const RaceProblem &p) {
                         return gridFamilyKind(p.kind);
                     });
-    // Grid and graph batches share the acquire-then-race pattern;
-    // each problem's plan is cached main-thread state, the race body
-    // is const.
+    // Grid and graph batches share the acquire-then-race pattern:
+    // plans come from the shared cache, the race body is const.
     const bool planFamily =
         !problems.empty() &&
         std::all_of(problems.begin(), problems.end(),
@@ -1166,17 +1200,17 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
         (cfg.backend == BackendKind::Behavioral || lanePacked);
 
     if (parallel || lanePacked) {
-        // Acquire every plan serially first -- the plan cache and
-        // statistics are main-thread state -- then race on the pool.
-        // The race bodies are const and each writes only its own
-        // slot, so the results are bit-identical to a serial run
-        // regardless of the thread schedule.
-        std::vector<std::shared_ptr<Plan>> plans;
+        // Acquire every plan first, then race on the pool.  The race
+        // bodies are const and each writes only its own slot, so the
+        // results are bit-identical to a serial run regardless of the
+        // thread schedule.
+        std::vector<PlanPtr> plans;
         plans.reserve(problems.size());
         for (const RaceProblem &problem : problems)
-            plans.push_back(planFor(problem));
+            plans.push_back(
+                planFor(problem, lookup(problem, /*touch=*/true)));
         {
-            std::lock_guard<std::mutex> lock(statsMutex);
+            std::lock_guard<std::mutex> lock(mutex);
             statistics.solves += problems.size();
         }
         outcome.results.resize(problems.size());
@@ -1188,7 +1222,7 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
         };
         if (parallel) {
             {
-                std::lock_guard<std::mutex> lock(statsMutex);
+                std::lock_guard<std::mutex> lock(mutex);
                 ++statistics.parallelBatches;
             }
             threadPool().parallelFor(problems.size(), raceOne);
@@ -1248,7 +1282,8 @@ RaceEngine::graphMapping(const RaceProblem &problem,
     // An auxiliary lookup, not a solve: cache hits are not counted,
     // and if the plan was evicted (or caching is off) it is rebuilt
     // transparently -- plansBuilt then reports that honestly.
-    std::shared_ptr<Plan> plan = planFor(problem, /*recordHit=*/false);
+    const PlanPtr plan = planFor(problem, lookup(problem, /*touch=*/true),
+                                 /*recordHit=*/false);
     const pangraph::GraphAligner &aligner = *plan->graphAligner;
     return pangraph::mappingFromArrival(aligner.compiled(), *problem.a,
                                         aligner.costs(),

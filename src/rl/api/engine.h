@@ -14,11 +14,11 @@
  *
  * Planning is the expensive part of a race -- converting a similarity
  * matrix (Section 5) and, on the gate-level backend, synthesizing a
- * fabric netlist for the problem's grid shape.  The engine keeps a
- * shape-keyed LRU cache of plans: repeated same-shape queries (the
- * database-screening workload of Section 6) skip synthesis entirely,
- * exactly as deployed hardware would reuse its fabric with new
- * strings on the primary inputs.
+ * fabric netlist for the problem's grid size.  The engine keeps one
+ * LRU cache of immutable plans shared by every calling thread:
+ * repeated queries over one matrix (the database-screening workload
+ * of Section 6) skip synthesis entirely, exactly as deployed hardware
+ * would reuse its fabric with new strings on the primary inputs.
  *
  * solveBatch() additionally dispatches screening-shaped batches onto
  * the core::batch fabric pool, reporting makespan and utilization of
@@ -28,11 +28,11 @@
 #ifndef RACELOGIC_API_ENGINE_H
 #define RACELOGIC_API_ENGINE_H
 
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -57,8 +57,8 @@ namespace racelogic::api {
  * RaceEngine::stats() returns a copy taken under the same mutex the
  * solve paths increment under, so a metrics reader on another thread
  * (the serve daemon's Stats endpoint) always sees a coherent
- * snapshot -- never a torn view where solves has advanced but
- * planCacheHits has not.
+ * snapshot.  Every plan-family solve (grid family, GraphAlign) counts
+ * exactly one of plansBuilt or planCacheHits.
  */
 struct EngineStats {
     uint64_t solves = 0;        ///< problems solved
@@ -105,8 +105,15 @@ struct BatchOutcome {
 /**
  * The unified engine over every race-logic workload.
  *
- * One engine instance owns its plan cache and statistics; it is not
- * thread-safe (shard engines per thread, they share nothing).
+ * Thread-safe: any number of threads may call any member at once.
+ * One mutex guards the plan cache and the statistics, and it is never
+ * held across a plan build or a race.  Plans are immutable once built
+ * (shared_ptr<const Plan>), so a hit is a lookup plus a refcount bump
+ * and every race runs on caller-local state: a GateLevel solve
+ * simulates on a private CompiledSim over the plan's shared compile.
+ * A miss builds outside the lock and inserts if the key is still
+ * absent, so threads racing on one cold key build it at most once
+ * each.
  */
 class RaceEngine
 {
@@ -125,17 +132,18 @@ class RaceEngine
      * (EngineConfig::maxProductStates plus the kernels' hard id-space
      * bounds), and runtime-input checks always run; the deep
      * matrix/graph validation (api/validate.h validateProblem()) is
-     * skipped when a cached plan for the problem's shape already
-     * exists -- that plan's build vetted it.  const and read-only:
-     * neither the cache nor the statistics are touched.
+     * skipped when a cached plan exactly matching the problem already
+     * exists -- that plan's build vetted it.  Read-only: neither the
+     * cache nor the statistics are touched.
      */
     Status validate(const RaceProblem &problem) const;
 
     /**
      * Fallible solve for untrusted problems: validate(), then
-     * solve().  A problem this rejects would have tripped an
-     * input-facing rl_fatal/rl_assert inside solve(); the serve
-     * layer's one entry point.
+     * solve(), on one plan lookup -- the lookup that picks the
+     * validation depth also supplies the plan raced.  A problem this
+     * rejects would have tripped an input-facing rl_fatal/rl_assert
+     * inside solve(); the serve layer's one entry point.
      */
     Expected<RaceResult> trySolve(const RaceProblem &problem);
 
@@ -147,7 +155,8 @@ class RaceEngine
      * batches (reads against cached pangenome plans) are raced in
      * parallel on the engine's util::ThreadPool
      * (EngineConfig::workerThreads); results come back in input
-     * order, bit-identical to a serial run.  Screening-shaped
+     * order, bit-identical to a serial run, and concurrent batches on
+     * one engine take turns on the pool.  Screening-shaped
      * batches are additionally dispatched onto the core::batch
      * fabric pool (fabricCount, resetCycles, threshold from the
      * config) to model a multi-fabric deployment.
@@ -198,59 +207,24 @@ class RaceEngine
 
     const EngineConfig &config() const { return cfg; }
 
-    /**
-     * Coherent snapshot of the counters: copied under the solve-path
-     * mutex, so it is safe to call from a thread that does not own
-     * the engine (every other member is owner-thread-only).
-     */
+    /** Coherent snapshot of the counters (see EngineStats). */
     EngineStats stats() const;
 
-    /**
-     * True iff a plan for this problem's shape key is currently
-     * cached.  Never mutates the cache or the statistics -- the
-     * serve layer uses it to decide whether a solve will hit
-     * shard-locally or must fall back to the shared build lock.
-     */
-    bool hasPlanFor(const RaceProblem &problem) const;
-
-    /**
-     * Build (or touch) the cached plan for a plan-family problem
-     * (grid family or GraphAlign) without solving it.  A miss counts
-     * plansBuilt; a hit counts nothing.  The serve layer calls this
-     * under its shared build lock so concurrent shards never
-     * synthesize expensive plans at the same time.
-     */
-    void prepare(const RaceProblem &problem);
-
-    /**
-     * Seed the cache with an externally compiled GraphAlign plan for
-     * `problem`'s shape, so the first post-reload solve hits instead
-     * of re-synthesizing what the reload's validation compile already
-     * built.  `aligner` must be the planned form of (problem.vgraph,
-     * problem.matrix) -- the serve reload path's tryMake() output.
-     * A no-op when the shape is already cached (the resident plan and
-     * its LRU position win) or when plan caching is disabled.
-     * Counts neither plansBuilt (this engine synthesized nothing) nor
-     * planCacheHits; cacheBytes grows as on any insert.
-     */
-    void adoptGraphPlan(const RaceProblem &problem,
-                        std::shared_ptr<pangraph::GraphAligner> aligner);
-
     /** Plans currently held in the cache. */
-    size_t planCacheSize() const { return lru.size(); }
+    size_t planCacheSize() const;
 
     /**
      * Approximate resident heap bytes of the cached plans, maintained
-     * on every insert and evict.  Like stats(), readable from a
-     * thread that does not own the engine (same mutex) -- the serve
-     * layer's memory budget sums this across shards.
+     * on every insert and evict -- the serve layer's memory budget
+     * reads it.
      */
     size_t planCacheBytes() const;
 
     /**
      * Evict the least-recently-used plan; returns approximate bytes
      * freed (0 when the cache is empty).  The serve layer's brownout
-     * reclaim calls this until back under its low watermark.
+     * reclaim calls this until back under its low watermark.  A
+     * solve already racing on the evicted plan keeps it alive.
      */
     size_t evictLruPlan();
 
@@ -268,22 +242,80 @@ class RaceEngine
 
   private:
     struct Plan;
+    using PlanPtr = std::shared_ptr<const Plan>;
 
     /**
-     * Fetch or build the plan for a grid-family or graph problem.
-     * `recordHit` = false skips the planCacheHits counter: auxiliary
-     * lookups (graphMapping traceback) must not inflate the solve
-     * statistics.
+     * A plan's cache identity.  Strings, reads and thresholds are
+     * runtime inputs, so the key holds only what the planned hardware
+     * bakes in: the kind, the matrix and lambda, the grid size of a
+     * GateLevel fabric (the only sized plan), and the pangenome of a
+     * GraphAlign plan.  Fingerprints may collide; every hit is
+     * confirmed exactly against the cached plan.
      */
-    std::shared_ptr<Plan> planFor(const RaceProblem &problem,
-                                  bool recordHit = true);
-    std::shared_ptr<Plan> buildPlan(const RaceProblem &problem);
+    struct PlanKey {
+        ProblemKind kind = ProblemKind::PairwiseAlignment;
+        uint64_t matrix = 0; ///< bio::ScoreMatrix::fingerprint()
+        bio::Score lambda = 1;
+        size_t rows = 0; ///< GateLevel grids only
+        size_t cols = 0; ///< GateLevel grids only
+        uint64_t graph = 0; ///< GraphAlign: VariationGraph::fingerprint()
 
-    RaceResult solveGridFamily(const RaceProblem &problem);
+        bool operator==(const PlanKey &) const = default;
+    };
+
+    struct PlanKeyHash {
+        size_t operator()(const PlanKey &key) const;
+    };
+
+    /** What one solve's plan lookup found. */
+    struct PlanSlot {
+        /** The cache key; empty for kinds without a reusable plan and
+         *  when caching is disabled. */
+        std::optional<PlanKey> key;
+        /** The cached plan on an exact hit; null on a miss or a key
+         *  collision (both take the deep validation and a build). */
+        PlanPtr plan;
+    };
+
+    /** The key of a grid-family or GraphAlign problem. */
+    PlanKey planKey(const RaceProblem &problem) const;
+
+    /**
+     * Look `problem`'s plan up, computing its key once.  `touch`
+     * moves a hit to the LRU front.  Precondition: checkShape().
+     */
+    PlanSlot lookup(const RaceProblem &problem, bool touch) const;
+
+    /**
+     * The plan to race: the slot's cached hit (counted in
+     * planCacheHits when `recordHit`), else a fresh build (counted in
+     * plansBuilt) inserted under the slot's key if still absent.
+     * `recordHit` = false keeps auxiliary lookups (graphMapping
+     * traceback) out of the solve statistics.
+     */
+    PlanPtr planFor(const RaceProblem &problem, PlanSlot slot,
+                    bool recordHit = true);
+    PlanPtr buildPlan(const RaceProblem &problem) const;
+
+    /** validate() on an already looked-up slot. */
+    Status validate(const RaceProblem &problem,
+                    const PlanSlot &slot) const;
+
+    /** Backend compatibility plus checkShape(): the checks that must
+     *  pass before the plan key may be computed. */
+    Status checkSolvable(const RaceProblem &problem) const;
+
+    /** solve() on an already looked-up slot. */
+    RaceResult solve(const RaceProblem &problem, PlanSlot slot);
+
+    /** Drop the least-recently-used plan; `mutex` must be held. */
+    size_t evictLruLocked();
+
+    RaceResult solveGridFamily(const RaceProblem &problem, PlanSlot slot);
     RaceResult solveDtw(const RaceProblem &problem);
     RaceResult solveDagPath(const RaceProblem &problem);
     RaceResult solveAffine(const RaceProblem &problem);
-    RaceResult solveGraphAlign(const RaceProblem &problem);
+    RaceResult solveGraphAlign(const RaceProblem &problem, PlanSlot slot);
 
     /**
      * The Behavioral race of one grid-family problem on an acquired
@@ -314,7 +346,7 @@ class RaceEngine
      */
     void raceBatchGateLevel(
         const std::vector<RaceProblem> &problems,
-        const std::vector<std::shared_ptr<Plan>> &plans,
+        const std::vector<PlanPtr> &plans,
         std::vector<RaceResult> &results);
 
     /** Worker threads solveBatch may use (resolves the 0 default). */
@@ -323,21 +355,26 @@ class RaceEngine
     /** The lazily created batch pool (never on the serial path). */
     util::ThreadPool &threadPool();
 
-    EngineConfig cfg;
+    const EngineConfig cfg;
 
-    /** Counters + their snapshot mutex (see stats()).  cacheBytes
-     *  rides under the same mutex so planCacheBytes() is readable
-     *  cross-thread like stats(). */
-    EngineStats statistics;
-    size_t cacheBytes = 0;
-    mutable std::mutex statsMutex;
-
+    std::once_flag poolOnce;
     std::unique_ptr<util::ThreadPool> pool;
 
-    /** LRU plan cache: most recently used at the front. */
-    using LruEntry = std::pair<std::string, std::shared_ptr<Plan>>;
-    std::list<LruEntry> lru;
-    std::unordered_map<std::string, std::list<LruEntry>::iterator> index;
+    /**
+     * The one engine mutex: guards the statistics, the cache's byte
+     * count, and the LRU.  Held only for bookkeeping -- never across
+     * a plan build or a race -- so no lock-order cycle can form.
+     */
+    mutable std::mutex mutex;
+    EngineStats statistics;
+    size_t cacheBytes = 0;
+
+    /** LRU plan cache: most recently used at the front.  mutable so a
+     *  const lookup can refresh recency. */
+    using LruEntry = std::pair<PlanKey, PlanPtr>;
+    mutable std::list<LruEntry> lru;
+    std::unordered_map<PlanKey, std::list<LruEntry>::iterator, PlanKeyHash>
+        index;
 };
 
 } // namespace racelogic::api

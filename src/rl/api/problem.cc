@@ -1,8 +1,5 @@
 #include "rl/api/problem.h"
 
-#include <sstream>
-
-#include "rl/util/fnv.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::api {
@@ -21,61 +18,6 @@ problemKindName(ProblemKind kind)
     }
     return "unknown";
 }
-
-namespace {
-
-using util::Fnv;
-
-/** The hardware identity of a score matrix (two fabrics are
- *  interchangeable iff this matches) -- the shared
- *  bio::ScoreMatrix::fingerprint(), kept under its old local name so
- *  the key builders below read unchanged. */
-uint64_t
-matrixFingerprint(const bio::ScoreMatrix &matrix)
-{
-    return matrix.fingerprint();
-}
-
-/** Content hash of a sequence (symbols are baked into affine plans). */
-uint64_t
-sequenceFingerprint(const bio::Sequence &sequence)
-{
-    Fnv f;
-    f.mix(sequence.size());
-    for (bio::Symbol s : sequence.symbols())
-        f.mix(s);
-    return f.h;
-}
-
-/** Content hash of a signal. */
-uint64_t
-signalFingerprint(const std::vector<apps::Sample> &signal)
-{
-    Fnv f;
-    f.mix(signal.size());
-    for (apps::Sample s : signal)
-        f.mix(static_cast<uint64_t>(s));
-    return f.h;
-}
-
-/** Content hash of a DAG: its full edge list (weights included). */
-uint64_t
-dagFingerprint(const graph::Dag &dag,
-               const std::vector<graph::NodeId> &sources)
-{
-    Fnv f;
-    f.mix(dag.nodeCount());
-    for (const graph::Edge &e : dag.edges()) {
-        f.mix(e.from);
-        f.mix(e.to);
-        f.mix(static_cast<uint64_t>(e.weight));
-    }
-    for (graph::NodeId s : sources)
-        f.mix(s);
-    return f.h;
-}
-
-} // namespace
 
 RaceProblem
 RaceProblem::pairwiseAlignment(bio::ScoreMatrix matrix, bio::Sequence a,
@@ -185,58 +127,6 @@ RaceProblem::graphAlign(bio::ScoreMatrix matrix, bio::Sequence read,
     p.threshold = threshold;
     p.lambda = lambda;
     return p;
-}
-
-std::string
-RaceProblem::shapeKey() const
-{
-    std::ostringstream key;
-    key << problemKindName(kind);
-    switch (kind) {
-    case ProblemKind::PairwiseAlignment:
-    case ProblemKind::GeneralizedAlignment:
-    case ProblemKind::ThresholdScreen:
-        // The fabric is determined by the matrix and the grid size;
-        // the strings are primary inputs and the threshold is a cycle
-        // budget, so neither is part of the hardware shape.
-        key << '/' << a->size() << 'x' << b->size() << '/'
-            << std::hex << matrixFingerprint(*matrix) << std::dec << '/'
-            << lambda;
-        break;
-    case ProblemKind::AffineAlignment:
-        // The 3-layer lattice bakes the pair weights of the actual
-        // symbols into its edges, so the key covers the symbols too
-        // and plans are per-instance.
-        key << '/' << a->size() << 'x' << b->size() << '/'
-            << std::hex << matrixFingerprint(*matrix) << ':'
-            << sequenceFingerprint(*a) << ':' << sequenceFingerprint(*b)
-            << std::dec << '/' << gaps.open << ':' << gaps.extend;
-        break;
-    case ProblemKind::Dtw:
-        // Sample values weight the lattice edges: per-instance key.
-        key << '/' << x.size() << 'x' << y.size() << '/' << std::hex
-            << signalFingerprint(x) << ':' << signalFingerprint(y)
-            << std::dec;
-        break;
-    case ProblemKind::DagPath:
-        // Edge weights become the delay chains: per-instance key.
-        key << '/' << dag->nodeCount() << 'n' << dag->edgeCount() << 'e'
-            << '/' << std::hex << dagFingerprint(*dag, sources)
-            << std::dec << '/' << sink << '/'
-            << (objective == graph::Objective::Shortest ? "min" : "max");
-        break;
-    case ProblemKind::GraphAlign:
-        // The plan compiles the pangenome's character-level view and
-        // the converted matrix; the read is a runtime input and the
-        // threshold a cycle budget, so neither is part of the key --
-        // one loaded graph serves every read.
-        key << '/' << vgraph->segmentCount() << 's'
-            << vgraph->linkCount() << 'l' << '/' << std::hex
-            << vgraph->fingerprint() << ':' << matrixFingerprint(*matrix)
-            << std::dec << '/' << lambda;
-        break;
-    }
-    return key.str();
 }
 
 } // namespace racelogic::api

@@ -11,7 +11,7 @@
  * sequence-to-graph (pangenome) alignment -- is expressed
  * as one RaceProblem value and handed to api::RaceEngine.  Problem
  * construction performs no work; planning and execution happen inside
- * the engine, where same-shape problems share a synthesized fabric.
+ * the engine, where problems over one matrix share a planned fabric.
  */
 
 #ifndef RACELOGIC_API_PROBLEM_H
@@ -19,7 +19,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "rl/apps/dtw.h"
@@ -97,9 +96,8 @@ struct RaceProblem {
      * typed abort -- completed = false, cancelled = true, score
      * kScoreInfinity -- instead of a wasted full solve.  Kinds that
      * race on other substrates (DagPath, Dtw, Affine lattices) and
-     * the GateLevel cross-check path ignore it.  Not part of
-     * shapeKey(): cancellation is a run-time property, not a fabric
-     * shape.
+     * the GateLevel cross-check path ignore it.  Not part of the
+     * plan key: cancellation is a run-time property, not hardware.
      */
     const core::CancelToken *cancel = nullptr;
 
@@ -107,7 +105,7 @@ struct RaceProblem {
      * Optional kernel profiling sink, filled by the racing kernels
      * after each sweep (rl/core/kernel_counters.h).  Non-owning: the
      * caller keeps it alive across the solve, and -- like `cancel` --
-     * it is a run-time property, not part of shapeKey().  A null
+     * it is a run-time property, not part of the plan key.  A null
      * pointer costs nothing, and a non-null one cannot change the
      * raced result (counters are exported only after the drain).
      */
@@ -178,15 +176,6 @@ struct RaceProblem {
         std::shared_ptr<const pangraph::VariationGraph> graph,
         bio::Score threshold = bio::kScoreInfinity,
         bio::Score lambda = 1);
-
-    /**
-     * The fabric-shape cache key of this problem: problems with equal
-     * keys can share one planned fabric (strings/signals are runtime
-     * inputs, not part of the hardware).  Kinds whose hardware bakes
-     * in the instance data (Dtw, DagPath, AffineAlignment) get a
-     * per-instance key and are never shared.
-     */
-    std::string shapeKey() const;
 };
 
 } // namespace racelogic::api

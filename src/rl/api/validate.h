@@ -7,8 +7,8 @@
  *
  *  - checkShape():   O(1) field presence -- is every field the
  *                    problem's kind dereferences actually populated?
- *                    Nothing else (not even shapeKey()) is safe to
- *                    call before this passes.
+ *                    Nothing else (not even the engine's plan key)
+ *                    is safe to compute before this passes.
  *  - checkBudgets(): O(1) resource admission -- the grid-cell /
  *                    product-state size of the race the problem asks
  *                    for, against caller-supplied ceilings plus the
@@ -79,8 +79,8 @@ uint64_t productStates(const RaceProblem &problem);
 
 /**
  * O(1) field-presence check: every optional the kind's solve path
- * (and shapeKey()) dereferences must be populated.  InvalidArgument
- * with the missing field's name otherwise.
+ * (and the engine's plan key) dereferences must be populated.
+ * InvalidArgument with the missing field's name otherwise.
  */
 Status checkShape(const RaceProblem &problem);
 

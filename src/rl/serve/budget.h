@@ -3,10 +3,10 @@
  * MemoryBudget: the daemon's latching brownout watermark.
  *
  * The serving stack's resident memory is dominated by two pools the
- * kernels grow on demand and never give back on their own: shard plan
- * caches (api::RaceEngine) and the per-thread kernel scratch arenas
- * (core::ScratchRegistry).  The budget turns their combined byte
- * count into a deterministic circuit breaker:
+ * kernels grow on demand and never give back on their own: the
+ * engine's plan cache (api::RaceEngine) and the per-thread kernel
+ * scratch arenas (core::ScratchRegistry).  The budget turns their
+ * combined byte count into a deterministic circuit breaker:
  *
  *     usage >= high  ->  brownout ENTERED  (latched)
  *     usage <= low   ->  brownout EXITED

@@ -51,11 +51,8 @@
 
 namespace racelogic::serve {
 
-/** One admitted request, bound to its shard and ready to run. */
+/** One admitted request, ready to run on any worker. */
 struct QueuedJob {
-    /** Engine shard that must execute this job (plan locality). */
-    size_t shard = 0;
-
     /** Solve + respond closure; runs on a worker-pool thread. */
     std::function<void()> run;
 

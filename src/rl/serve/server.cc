@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -47,11 +48,24 @@ toSolveReply(const api::RaceResult &result)
     return s;
 }
 
+/**
+ * The calling thread's telemetry writer lane.  Each pool worker takes
+ * its own lane on first use, cycling over lanes 1..kMetricLanes-1;
+ * lane 0 stays with the connection threads.
+ */
+size_t
+workerLane()
+{
+    static std::atomic<size_t> next{0};
+    thread_local const size_t lane =
+        1 + next.fetch_add(1) % (telemetry::kMetricLanes - 1);
+    return lane;
+}
+
 } // namespace
 
 AlignServer::AlignServer(ServerConfig config)
-    : cfg(std::move(config)),
-      shards(cfg.workers == 0 ? 1 : cfg.workers, cfg.engine),
+    : cfg(std::move(config)), engine(cfg.engine),
       queue(cfg.queueDepth, cfg.brownoutDepth),
       pool(cfg.workers == 0 ? 1 : cfg.workers),
       budget(cfg.memBudgetBytes),
@@ -61,11 +75,27 @@ AlignServer::AlignServer(ServerConfig config)
     if (cfg.graph) {
         rl_assert(cfg.graphMatrix.has_value(),
                   "a preloaded pangenome needs its score matrix");
-        shards.setGraph(cfg.graph, std::make_shared<bio::ScoreMatrix>(
-                                       *cfg.graphMatrix));
+        graphs.graph = cfg.graph;
+        graphs.matrix =
+            std::make_shared<const bio::ScoreMatrix>(*cfg.graphMatrix);
+        graphs.version = 1;
     }
     if (cfg.telemetry)
         registerMetrics();
+}
+
+GraphSnapshot
+AlignServer::graphSnapshot() const
+{
+    std::lock_guard<std::mutex> lock(graphMutex);
+    return graphs;
+}
+
+uint64_t
+AlignServer::graphVersion() const
+{
+    std::lock_guard<std::mutex> lock(graphMutex);
+    return graphs.version;
 }
 
 racelogic::Status
@@ -83,28 +113,35 @@ AlignServer::reloadGraph(
         return racelogic::Status::error(
             racelogic::ErrorCode::InvalidArgument,
             "reloaded graph changes the serving alphabet; rejected");
-    GraphSnapshot current = shards.graphSnapshot();
-    if (!matrix.has_value() && current.matrix)
-        matrix = *current.matrix;
+    std::shared_ptr<const bio::ScoreMatrix> current =
+        graphSnapshot().matrix;
+    if (!matrix.has_value() && current)
+        matrix = *current;
     if (!matrix.has_value())
         return racelogic::Status::error(
             racelogic::ErrorCode::InvalidArgument,
             "reload needs a score matrix (none currently loaded)");
     // Compile-check on the calling thread -- the same validation a
     // GraphAlign plan build runs -- so an uncompilable graph/matrix
-    // pair is a typed failure here, never a worker fatal later.  The
-    // validation compile IS the plan: hand it to the shards so the
-    // first post-swap GraphAlign hits a warm cache instead of paying
-    // a second synthesis under the daemon-wide build lock.
+    // pair is a typed failure here, never a worker fatal later.
     Expected<pangraph::GraphAligner> compiled =
         pangraph::GraphAligner::tryMake(graph, *matrix);
     if (!compiled.ok())
         return compiled.status();
-    const uint64_t version = shards.setGraph(
-        std::move(graph),
-        std::make_shared<bio::ScoreMatrix>(std::move(*matrix)),
-        std::make_shared<pangraph::GraphAligner>(
-            std::move(compiled.value())));
+    uint64_t version;
+    {
+        std::lock_guard<std::mutex> lock(graphMutex);
+        graphs.graph = std::move(graph);
+        graphs.matrix =
+            std::make_shared<const bio::ScoreMatrix>(std::move(*matrix));
+        version = ++graphs.version;
+    }
+    // The old graph's plans are unreachable now (their keys embed the
+    // old fingerprint); drop them instead of waiting for LRU churn.
+    // A solve admitted under the old graph may still insert one old
+    // plan after this; no new request can hit it, and LRU or brownout
+    // churn reclaims it.
+    engine.evictGraphPlans();
     rl_inform("serve: graph reloaded, version=", version);
     return racelogic::Status{};
 }
@@ -193,33 +230,16 @@ AlignServer::metricsSnapshot() const
     // janitor feeds into the budget latch.
     gauge("rl_serve_brownout", budget.browned() ? 1 : 0);
     gauge("rl_mem_plan_cache_bytes",
-          static_cast<int64_t>(shards.planCacheBytesTotal()));
+          static_cast<int64_t>(engine.planCacheBytes()));
     gauge("rl_mem_scratch_bytes",
           static_cast<int64_t>(
               core::ScratchRegistry::instance().totalResidentBytes()));
     gauge("rl_mem_budget_bytes", static_cast<int64_t>(budget.high()));
 
-    uint64_t solves = 0, built = 0, hits = 0, shardHits = 0, locks = 0;
-    const std::vector<ShardStatsWire> perShard = shards.statsSnapshot();
-    for (size_t i = 0; i < perShard.size(); ++i) {
-        const ShardStatsWire &s = perShard[i];
-        const std::string prefix = "rl_shard" + std::to_string(i) + "_";
-        counter(prefix + "solves_total", s.solves);
-        counter(prefix + "plans_built_total", s.plansBuilt);
-        counter(prefix + "plan_cache_hits_total", s.planCacheHits);
-        counter(prefix + "shard_hits_total", s.shardHits);
-        counter(prefix + "build_locks_total", s.buildLocks);
-        solves += s.solves;
-        built += s.plansBuilt;
-        hits += s.planCacheHits;
-        shardHits += s.shardHits;
-        locks += s.buildLocks;
-    }
-    counter("rl_solves_total", solves);
-    counter("rl_plans_built_total", built);
-    counter("rl_plan_cache_hits_total", hits);
-    counter("rl_shard_hits_total", shardHits);
-    counter("rl_build_locks_total", locks);
+    const api::EngineStats e = engine.stats();
+    counter("rl_solves_total", e.solves);
+    counter("rl_plans_built_total", e.plansBuilt);
+    counter("rl_plan_cache_hits_total", e.planCacheHits);
     return snap;
 }
 
@@ -529,7 +549,15 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         r.tag = tag;
         if (tag == RequestTag::Stats) {
             r.queueStats = queue.stats().wire();
-            r.shardStats = shards.statsSnapshot();
+            // One row, the shared engine's.  shardHits and buildLocks
+            // stay 0: they keep the frame layout until the wire
+            // protocol carries a version byte.
+            const api::EngineStats e = engine.stats();
+            ShardStatsWire row;
+            row.solves = e.solves;
+            row.plansBuilt = e.plansBuilt;
+            row.planCacheHits = e.planCacheHits;
+            r.shardStats = {row};
         } else if (tag == RequestTag::Metrics) {
             r.metrics = metricsSnapshot();
         } else if (tag == RequestTag::Health) {
@@ -544,7 +572,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     std::chrono::steady_clock::now() - startTime)
                     .count());
-            h.graphVersion = shards.graphVersion();
+            h.graphVersion = graphVersion();
             r.health = h;
         }
         trace.admitDone = telemetry::RequestTrace::Clock::now();
@@ -580,7 +608,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     // the shared_ptr pins that graph version for this request's whole
     // lifetime, so a reload can swap the registry underneath without
     // perturbing a single queued or in-flight solve.
-    const GraphSnapshot graphSnap = shards.graphSnapshot();
+    const GraphSnapshot graphSnap = graphSnapshot();
     std::vector<api::RaceProblem> problems;
     switch (tag) {
     case RequestTag::Pairwise:
@@ -659,14 +687,11 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     if (request.deadlineMs > 0)
         deadline = arrival + std::chrono::milliseconds(request.deadlineMs);
 
-    // All of a batch's problems share one shape (same graph, same
-    // matrix), so the whole batch runs on one shard as one job.
-    // admitDone is stamped here so queue-wait (admitDone ->
-    // dispatchStart) starts the moment the job is ready to push.
+    // A MapReads batch runs as one job.  admitDone is stamped here so
+    // queue-wait (admitDone -> dispatchStart) starts the moment the
+    // job is ready to push.
     trace.admitDone = telemetry::RequestTrace::Clock::now();
-    const size_t shard = shards.shardFor(problems.front());
     QueuedJob job;
-    job.shard = shard;
     job.deadline = deadline;
     job.priority = request.priority;
     job.onShed = [this, conn, id, tag, trace](Status status) mutable {
@@ -684,7 +709,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         reply(*conn, errorResponse(id, tag, status, message), &trace);
         recordTrace(trace, 0, false);
     };
-    job.run = [this, conn, id, tag, shard, deadline, trace,
+    job.run = [this, conn, id, tag, deadline, trace,
                problems = std::move(problems)]() mutable {
         trace.dispatchStart = telemetry::RequestTrace::Clock::now();
 
@@ -709,7 +734,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         r.id = id;
         r.tag = tag;
         trace.solveStart = telemetry::RequestTrace::Clock::now();
-        // trySolveOn re-validates before any plan build, so even a
+        // trySolve re-validates before any plan build, so even a
         // problem that slipped past admission earns a typed reply
         // here instead of tripping a library fatal on a worker.
         // Every exit assigns `r` and falls through: the job must
@@ -721,7 +746,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
                 problem.cancel = cancel;
                 problem.counters = counters;
                 Expected<api::RaceResult> result =
-                    shards.trySolveOn(shard, problem);
+                    engine.trySolve(problem);
                 if (!result.ok()) {
                     r = errorResponse(id, tag,
                                       statusForCode(
@@ -746,7 +771,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             problems.front().cancel = cancel;
             problems.front().counters = counters;
             Expected<api::RaceResult> result =
-                shards.trySolveOn(shard, problems.front());
+                engine.trySolve(problems.front());
             if (!result.ok()) {
                 r = errorResponse(id, tag,
                                   statusForCode(result.status().code()),
@@ -759,10 +784,11 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             }
         }
         trace.solveDone = telemetry::RequestTrace::Clock::now();
-        drainKernelCounters(kernel, shard + 1);
+        const size_t lane = workerLane();
+        drainKernelCounters(kernel, lane);
         trace.status = static_cast<uint8_t>(r.status);
         reply(*conn, r, &trace);
-        recordTrace(trace, shard + 1, true);
+        recordTrace(trace, lane, true);
     };
 
     QueuedJob evicted;
@@ -797,36 +823,20 @@ AlignServer::dispatchLoop()
         if (batch.empty() && shed.empty())
             return; // shutdown with nothing left
 
-        // Group by shard: jobs for different shards run concurrently
-        // on the pool, jobs for the same shard run serially within
-        // their group (the engines are owner-thread-only).
-        std::vector<std::vector<QueuedJob *>> groups;
-        std::vector<size_t> groupShard;
-        for (QueuedJob &job : batch) {
-            size_t g = 0;
-            for (; g < groupShard.size(); ++g)
-                if (groupShard[g] == job.shard)
-                    break;
-            if (g == groupShard.size()) {
-                groupShard.push_back(job.shard);
-                groups.emplace_back();
-            }
-            groups[g].push_back(&job);
-        }
-
-        // Shed replies ride the pool as one extra group: the write
-        // (bounded by ioTimeoutMs) must not stall the dispatcher.
-        const size_t shedGroup = shed.empty() ? 0 : 1;
+        // Any worker takes any job: the engine is shared and
+        // thread-safe.  Shed replies ride the pool as one extra index:
+        // the write (bounded by ioTimeoutMs) must not stall the
+        // dispatcher.
+        const size_t shedIndex = shed.empty() ? 0 : 1;
         try {
-            pool.parallelFor(groups.size() + shedGroup, [&](size_t g) {
-                if (g == groups.size()) {
+            pool.parallelFor(batch.size() + shedIndex, [&](size_t i) {
+                if (i == batch.size()) {
                     for (QueuedJob &job : shed)
                         if (job.onShed)
                             job.onShed(Status::DeadlineExceeded);
                     return;
                 }
-                for (QueuedJob *job : groups[g])
-                    job->run();
+                batch[i].run();
             });
         } catch (const std::exception &e) {
             // A throwing job must not take the dispatcher down with
@@ -849,7 +859,7 @@ AlignServer::dispatchLoop()
 void
 AlignServer::evaluateBudget()
 {
-    const size_t planBytes = shards.planCacheBytesTotal();
+    const size_t planBytes = engine.planCacheBytes();
     const size_t scratchBytes =
         core::ScratchRegistry::instance().totalResidentBytes();
     const size_t usage = planBytes + scratchBytes;
@@ -878,8 +888,12 @@ AlignServer::evaluateBudget()
         const size_t afterScratch =
             planBytes +
             core::ScratchRegistry::instance().totalResidentBytes();
-        if (afterScratch > budget.low())
-            shards.evictPlans(afterScratch - budget.low());
+        for (size_t freed = 0; afterScratch > budget.low() + freed;) {
+            const size_t got = engine.evictLruPlan();
+            if (got == 0)
+                break;
+            freed += got;
+        }
     } else if (cfg.scratchIdleMs > 0) {
         core::ScratchRegistry::instance().shrinkIdle(
             std::chrono::milliseconds(cfg.scratchIdleMs));

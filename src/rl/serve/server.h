@@ -6,8 +6,9 @@
  * threads decode length-prefixed frames (rl/serve/wire.h), admission
  * control bounces anything oversized, undecodable, or beyond the
  * bounded queue's depth with a typed status, and a dispatcher drains
- * admitted jobs onto a util::ThreadPool, grouped by engine shard so
- * every plan-cache hit stays shard-local (rl/serve/shard.h).
+ * admitted jobs onto a util::ThreadPool.  Every worker solves on one
+ * shared, thread-safe api::RaceEngine, so any worker takes any job and
+ * all of them hit the same plan cache.
  *
  * Stats and Ping requests are answered inline on the connection
  * thread -- the metrics endpoint must work *because* the daemon is
@@ -38,7 +39,6 @@
 #include "rl/pangraph/variation_graph.h"
 #include "rl/serve/budget.h"
 #include "rl/serve/queue.h"
-#include "rl/serve/shard.h"
 #include "rl/serve/socket.h"
 #include "rl/serve/wire.h"
 #include "rl/telemetry/registry.h"
@@ -46,6 +46,22 @@
 #include "rl/util/thread_pool.h"
 
 namespace racelogic::serve {
+
+/**
+ * One coherent view of the daemon's preloaded pangenome.
+ *
+ * Requests copy a snapshot at admission; the shared_ptr pins the
+ * graph for as long as any queued or in-flight solve still references
+ * it, so a hot reload can swap the registry without ever yanking a
+ * graph out from under a race.  `version` increments on every
+ * successful swap (Health reports it, so an operator can confirm a
+ * reload actually landed).
+ */
+struct GraphSnapshot {
+    std::shared_ptr<const pangraph::VariationGraph> graph;
+    std::shared_ptr<const bio::ScoreMatrix> matrix;
+    uint64_t version = 0;
+};
 
 /** Everything an AlignServer needs to start. */
 struct ServerConfig {
@@ -59,7 +75,7 @@ struct ServerConfig {
      */
     int tcpPort = -1;
 
-    /** Worker threads == engine shards. */
+    /** Worker threads; all of them solve on the one shared engine. */
     size_t workers = 4;
 
     /** Admission bound on outstanding (queued + inflight) requests. */
@@ -132,7 +148,7 @@ struct ServerConfig {
     std::shared_ptr<const pangraph::VariationGraph> graph;
     std::optional<bio::ScoreMatrix> graphMatrix;
 
-    /** Engine configuration cloned into every shard. */
+    /** Configuration of the shared engine. */
     api::EngineConfig engine;
 
     /**
@@ -141,7 +157,7 @@ struct ServerConfig {
      * registration entirely -- every record site is a null-pointer
      * check -- which is what the BM_ServeSaturation telemetry-overhead
      * comparison measures.  The Metrics request still answers (with
-     * only the synthetic queue/shard series) so scrapes never 404.
+     * only the synthetic queue/engine series) so scrapes never 404.
      */
     bool telemetry = true;
 
@@ -190,20 +206,20 @@ class AlignServer
     bool brownedOut() const { return budget.browned(); }
 
     /** The graph registry's current version (0 = none loaded). */
-    uint64_t graphVersion() const { return shards.graphVersion(); }
+    uint64_t graphVersion() const;
 
     /**
      * Hot-swap the preloaded pangenome without dropping a request --
      * the SIGHUP reload path (tools/raceserved.cc re-parses its --gfa
      * file and calls this; tests call it directly).
      *
-     * The new graph is validated and compiled on the *calling*
-     * thread (never the dispatcher), then swapped into the versioned
-     * registry under the build mutex.  In-flight and queued solves
-     * keep racing the snapshot they admitted with -- pinned by
+     * Validate, swap, evict: the new graph is compile-checked on the
+     * *calling* thread (never the dispatcher), then swapped into the
+     * versioned registry, then the engine's graph-keyed plans are
+     * evicted (grid-family plans survive).  In-flight and queued
+     * solves keep racing the snapshot they admitted with -- pinned by
      * shared_ptr, bit-identical results -- while new admissions see
-     * the new version.  Graph-keyed plans of the old graph are
-     * evicted; grid-family plans survive.
+     * the new version and plan it on their first solve.
      *
      * Any failure (null graph, alphabet mismatch with the serving
      * alphabet, uncompilable graph/matrix) leaves the old graph
@@ -213,16 +229,13 @@ class AlignServer
     reloadGraph(std::shared_ptr<const pangraph::VariationGraph> graph,
                 std::optional<bio::ScoreMatrix> matrix = std::nullopt);
 
-    /** Coherent per-shard counters (safe from any thread). */
-    std::vector<ShardStatsWire> shardStats() const
-    {
-        return shards.statsSnapshot();
-    }
+    /** The shared engine's counters (safe from any thread). */
+    api::EngineStats engineStats() const { return engine.stats(); }
 
     /**
      * Full telemetry snapshot: every registered series plus synthetic
-     * rl_queue_* / rl_shard<i>_* series derived from the same
-     * QueueStats and shard counters Stats reports, so the two
+     * rl_queue_* / rl_solves_total / rl_plan* series derived from the
+     * same QueueStats and engine counters Stats reports, so the two
      * endpoints can never disagree.  This is the Metrics request's
      * body and the --metrics-dump exposition source.
      */
@@ -312,15 +325,22 @@ class AlignServer
     void drainKernelCounters(const core::KernelCounters &kernel,
                              size_t lane);
 
+    /** Copy the current graph snapshot (safe from any thread). */
+    GraphSnapshot graphSnapshot() const;
+
     const ServerConfig cfg;
 
-    EngineShards shards;
+    api::RaceEngine engine;
     RequestQueue queue;
     util::ThreadPool pool;
     MemoryBudget budget;
 
     /** Alphabet requests decode against; fixed across reloads. */
     const bio::Alphabet serveAlphabet;
+
+    /** The versioned graph registry (hot reload swaps it). */
+    GraphSnapshot graphs;
+    mutable std::mutex graphMutex;
 
     std::chrono::steady_clock::time_point startTime{};
 

@@ -135,7 +135,7 @@ enum class RequestTag : uint8_t {
     Screen = 4,     ///< Section 6 threshold screen, inline matrix
     GraphAlign = 5, ///< one read vs. the preloaded pangenome
     MapReads = 6,   ///< FASTA batch vs. the preloaded pangenome
-    Stats = 7,      ///< admission/shard counter snapshot
+    Stats = 7,      ///< admission/engine counter snapshot
     Ping = 8,       ///< liveness probe
     Metrics = 9,    ///< full telemetry snapshot (named series)
     Health = 10,    ///< ready/draining/brownout probe (load balancers)
@@ -191,13 +191,18 @@ struct Request {
     std::vector<bio::Sequence> reads;
 };
 
-/** Per-shard counters carried by a Stats response. */
+/**
+ * Engine counters carried by a Stats response.  The daemon sends one
+ * row, its shared engine's; the name and the two zero columns keep
+ * the Stats frame layout stable until the protocol carries a version
+ * byte.
+ */
 struct ShardStatsWire {
-    uint64_t solves = 0;        ///< engine solves on this shard
+    uint64_t solves = 0;        ///< engine solves
     uint64_t plansBuilt = 0;    ///< engine plan-cache misses
     uint64_t planCacheHits = 0; ///< engine plan-cache hits
-    uint64_t shardHits = 0;     ///< serve-level shard-local plan hits
-    uint64_t buildLocks = 0;    ///< shared build-lock acquisitions
+    uint64_t shardHits = 0;     ///< always 0 (layout placeholder)
+    uint64_t buildLocks = 0;    ///< always 0 (layout placeholder)
 };
 
 /** One traffic class's slice of the admission ledger. */

@@ -10,9 +10,9 @@
  *     registry mutex is taken only to *register* a metric (startup)
  *     and to *snapshot* (scrape time).
  *  2. Writers never contend: counters and histograms are sharded
- *     into cache-line-padded lanes; the dispatcher and each shard
- *     worker record into their own lane and the lanes are summed at
- *     snapshot time.
+ *     into cache-line-padded lanes; the connection threads and each
+ *     pool worker record into their own lane and the lanes are summed
+ *     at snapshot time.
  *  3. Handles are stable: metrics live in deques owned by the
  *     registry, so a `Counter *` captured at startup stays valid for
  *     the registry's lifetime and can be used lock-free forever.
@@ -87,8 +87,9 @@ histogramBucketUpper(size_t i)
 
 /**
  * A monotonically increasing counter, sharded into padded lanes so
- * concurrent writers (dispatcher vs. shard workers) never share a
- * cache line.  add() is wait-free; total() is a scrape-time sum.
+ * concurrent writers (connection threads vs. pool workers) never
+ * share a cache line.  add() is wait-free; total() is a scrape-time
+ * sum.
  */
 class Counter
 {

@@ -10,7 +10,7 @@
  *            ── decode ──────▶ decodeDone
  *            ── admit ───────▶ admitDone        (budgets + tryPush)
  *            ── queue wait ──▶ dispatchStart    (drained by dispatcher)
- *            ── dispatch ────▶ solveStart       (grouped, pool handoff)
+ *            ── dispatch ────▶ solveStart       (pool handoff)
  *            ── solve ───────▶ solveDone        (the race)
  *            ── encode ──────▶ encodeDone       (response bytes built)
  *            ── write ───────▶ writeDone        (response flushed)
@@ -53,7 +53,7 @@ struct RequestTrace {
     TimePoint decodeDone;    ///< decodeRequest returned
     TimePoint admitDone;     ///< budgets checked, job pushed (or bounced)
     TimePoint dispatchStart; ///< dispatcher drained the job
-    TimePoint solveStart;    ///< shard group reached the worker
+    TimePoint solveStart;    ///< job reached a worker
     TimePoint solveDone;     ///< engine returned
     TimePoint encodeDone;    ///< response frame built
     TimePoint writeDone;     ///< response flushed to the socket

@@ -1,14 +1,63 @@
 #include "rl/util/thread_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <charconv>
+#include <fstream>
+#include <sstream>
+
 #include "rl/util/logging.h"
 
 namespace racelogic::util {
 
+namespace {
+
+/** This process's cgroup v2 directory (the "0::" line of
+ *  /proc/self/cgroup), or the cgroup root when there is none. */
+std::string
+cgroupDir()
+{
+    std::ifstream in("/proc/self/cgroup");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("0::", 0) == 0)
+            return "/sys/fs/cgroup" + line.substr(3);
+    return "/sys/fs/cgroup";
+}
+
+} // namespace
+
+std::optional<size_t>
+ThreadPool::cpuMaxLimit(const std::string &line)
+{
+    std::istringstream in(line);
+    std::string quotaText, rest;
+    uint64_t period = 0;
+    if (!(in >> quotaText >> period) || period == 0 || (in >> rest))
+        return std::nullopt;
+    uint64_t quota = 0;
+    const char *end = quotaText.data() + quotaText.size();
+    auto [parsed, error] = std::from_chars(quotaText.data(), end, quota);
+    if (error != std::errc() || parsed != end || quota == 0)
+        return std::nullopt; // "max" (unlimited) or garbage
+    return static_cast<size_t>((quota + period - 1) / period);
+}
+
 size_t
 ThreadPool::defaultThreadCount()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
+    size_t cpus = std::thread::hardware_concurrency();
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        cpus = static_cast<size_t>(CPU_COUNT(&set));
+    std::ifstream cpuMax(cgroupDir() + "/cpu.max");
+    std::string line;
+    if (std::getline(cpuMax, line))
+        if (std::optional<size_t> limit = cpuMaxLimit(line))
+            cpus = std::min(cpus, *limit);
+    return std::max<size_t>(cpus, 1);
 }
 
 ThreadPool::ThreadPool(size_t threads)
@@ -103,6 +152,9 @@ ThreadPool::parallelFor(size_t n,
         return;
     }
 
+    // One batch in flight at a time: a second caller waits its turn
+    // here rather than clobbering the published batch state.
+    std::lock_guard<std::mutex> turn(callerMutex);
     std::unique_lock<std::mutex> lock(mutex);
     rl_assert(!shutdown,
               "parallelFor() on a ThreadPool that was shut down");

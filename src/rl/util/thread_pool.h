@@ -23,6 +23,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,8 +35,9 @@ namespace racelogic::util {
  *
  * The pool is cheap to keep around (idle workers block on a condition
  * variable) and is meant to be constructed once per engine, not per
- * batch.  parallelFor() may be called repeatedly; calls do not nest
- * and the pool expects one caller at a time.
+ * batch.  parallelFor() may be called repeatedly and from several
+ * threads at once -- concurrent calls take turns -- but calls do not
+ * nest.
  */
 class ThreadPool
 {
@@ -77,8 +80,20 @@ class ThreadPool
      */
     void shutdownAndJoin();
 
-    /** hardware_concurrency with a floor of 1. */
+    /**
+     * Threads the process can actually run at once: the CPUs in its
+     * sched_getaffinity() mask, capped by its cgroup v2 cpu.max
+     * quota, floor 1.  hardware_concurrency() counts the host's CPUs
+     * and so oversubscribes a container pinned or throttled to fewer.
+     */
     static size_t defaultThreadCount();
+
+    /**
+     * The CPU count a cgroup v2 cpu.max line ("QUOTA PERIOD") allows:
+     * ceil(QUOTA / PERIOD), or nullopt when the quota is "max"
+     * (unlimited) or the line is malformed.
+     */
+    static std::optional<size_t> cpuMaxLimit(const std::string &line);
 
   private:
     void workerLoop();
@@ -87,6 +102,9 @@ class ThreadPool
     // `workers` vector itself (it is still growing as they spawn).
     size_t workerCount = 0;
     std::vector<std::thread> workers;
+
+    /** Serializes concurrent parallelFor() callers. */
+    std::mutex callerMutex;
 
     std::mutex mutex;
     std::condition_variable wakeWorkers; ///< new batch / shutdown

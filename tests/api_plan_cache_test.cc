@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the RaceEngine shape-keyed plan cache: repeated same-shape
- * queries reuse one planned fabric (observable through the plansBuilt
- * stat), different shapes get distinct plans, the LRU capacity evicts,
+ * Tests for the RaceEngine plan cache: repeated queries over one
+ * matrix reuse one planned fabric (observable through the plansBuilt
+ * stat) -- at any string length, except on the sized GateLevel fabric
+ * -- different matrices get distinct plans, the LRU capacity evicts,
  * and caching never changes results.
  */
 
@@ -47,27 +48,63 @@ TEST(ApiPlanCache, SameShapeQueriesHitTheCache)
     EXPECT_EQ(engine.planCacheSize(), 1u);
 }
 
-TEST(ApiPlanCache, DifferentShapesDoNotCollide)
+TEST(ApiPlanCache, BehavioralPlansAreSharedAcrossLengths)
+{
+    // The behavioral racer takes strings of any length, so pairs of
+    // different sizes over one matrix share one plan -- and each
+    // still scores exactly.
+    ScoreMatrix fig2b = ScoreMatrix::dnaShortestPath();
+    RaceEngine engine;
+    util::Rng rng(8);
+    for (size_t n = 3; n < 9; ++n) {
+        Sequence a = Sequence::random(rng, Alphabet::dna(), n);
+        Sequence b = Sequence::random(rng, Alphabet::dna(), 2 * n - 1);
+        auto r = engine.solve(RaceProblem::pairwiseAlignment(fig2b, a, b));
+        EXPECT_EQ(r.score, bio::globalScore(a, b, fig2b)) << n;
+        EXPECT_EQ(r.nodes, (a.size() + 1) * (b.size() + 1)) << n;
+    }
+    EXPECT_EQ(engine.stats().plansBuilt, 1u);
+    EXPECT_EQ(engine.stats().planCacheHits, 5u);
+    EXPECT_EQ(engine.planCacheSize(), 1u);
+}
+
+TEST(ApiPlanCache, GateLevelFabricsAreSizedPerGrid)
+{
+    // The synthesized fabric is sized: different grid sizes get
+    // different plans, and a repeated size reuses its fabric.
+    ScoreMatrix fig2b = ScoreMatrix::dnaShortestPath();
+    EngineConfig config;
+    config.backend = BackendKind::GateLevel;
+    RaceEngine engine(config);
+
+    engine.solve(RaceProblem::pairwiseAlignment(fig2b, dna("ACTG"),
+                                                dna("ACTG")));
+    engine.solve(RaceProblem::pairwiseAlignment(fig2b, dna("ACTGA"),
+                                                dna("ACTG")));
+    EXPECT_EQ(engine.stats().plansBuilt, 2u);
+    auto again = engine.solve(RaceProblem::pairwiseAlignment(
+        fig2b, dna("TTTTA"), dna("ACTG")));
+    EXPECT_EQ(again.score, bio::globalScore(dna("TTTTA"), dna("ACTG"),
+                                            fig2b));
+    EXPECT_EQ(engine.stats().plansBuilt, 2u);
+    EXPECT_EQ(engine.stats().planCacheHits, 1u);
+    EXPECT_EQ(engine.planCacheSize(), 2u);
+}
+
+TEST(ApiPlanCache, DifferentMatricesDoNotCollide)
 {
     ScoreMatrix uniform2 =
         ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 2);
     ScoreMatrix fig2b = ScoreMatrix::dnaShortestPath();
     RaceEngine engine;
 
-    // Different grid sizes -> different plans.
-    engine.solve(RaceProblem::pairwiseAlignment(fig2b, dna("ACTG"),
-                                                dna("ACTG")));
-    engine.solve(RaceProblem::pairwiseAlignment(fig2b, dna("ACTGA"),
-                                                dna("ACTG")));
-    EXPECT_EQ(engine.stats().plansBuilt, 2u);
-
-    // Same size, different matrix contents -> a third plan, and each
-    // matrix's own semantics are preserved (no cross-contamination).
+    // Different matrix contents -> different plans, and each matrix's
+    // own semantics are preserved (no cross-contamination).
     auto uniformResult = engine.solve(RaceProblem::pairwiseAlignment(
         uniform2, dna("ACTG"), dna("TTTT")));
     auto fig2bResult = engine.solve(RaceProblem::pairwiseAlignment(
         fig2b, dna("ACTG"), dna("TTTT")));
-    EXPECT_EQ(engine.stats().plansBuilt, 3u);
+    EXPECT_EQ(engine.stats().plansBuilt, 2u);
     // All-diagonal costs 4 * 2 = 8 under the uniform matrix; Fig. 2b
     // prefers one T-T match plus six unit indels = 7.  Both must
     // survive caching side by side.
@@ -77,8 +114,28 @@ TEST(ApiPlanCache, DifferentShapesDoNotCollide)
 
 TEST(ApiPlanCache, LruCapacityEvicts)
 {
+    EngineConfig config;
+    config.planCacheCapacity = 1;
+    RaceEngine engine(config);
+
+    RaceProblem first = RaceProblem::pairwiseAlignment(
+        ScoreMatrix::dnaShortestPathInfMismatch(), dna("ACT"), dna("ACT"));
+    RaceProblem second = RaceProblem::pairwiseAlignment(
+        ScoreMatrix::dnaShortestPath(), dna("ACTGACT"), dna("ACTGACT"));
+
+    engine.solve(first);  // build first
+    engine.solve(second); // build second, evict first
+    engine.solve(first);  // rebuild first
+    EXPECT_EQ(engine.stats().plansBuilt, 3u);
+    EXPECT_EQ(engine.stats().planCacheHits, 0u);
+    EXPECT_EQ(engine.planCacheSize(), 1u);
+}
+
+TEST(ApiPlanCache, GateLevelLruCapacityEvictsBySize)
+{
     ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
     EngineConfig config;
+    config.backend = BackendKind::GateLevel;
     config.planCacheCapacity = 1;
     RaceEngine engine(config);
 

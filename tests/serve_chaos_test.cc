@@ -49,7 +49,6 @@
 #include "rl/serve/client.h"
 #include "rl/serve/fault.h"
 #include "rl/serve/server.h"
-#include "rl/serve/shard.h"
 
 namespace {
 
@@ -284,22 +283,6 @@ forkGraph()
 /** A structurally fine graph over the wrong alphabet: the "broken
  *  GFA" reload candidate -- it parses, but can never serve alongside
  *  the daemon's ACGT score matrix. */
-/** Two-segment chains spelled from the seed: a cheap family of
- * distinct graph fingerprints for shard-routing searches. */
-std::shared_ptr<const pangraph::VariationGraph>
-chainGraph(uint32_t seed)
-{
-    const std::string a = dnaString(4, seed * 7 + 1);
-    const std::string b = dnaString(4, seed * 13 + 5);
-    const std::string gfa = "H\tVN:Z:1.0\n"
-                            "S\ts1\t" + a + "\n"
-                            "S\ts2\t" + b + "\n"
-                            "L\ts1\t+\ts2\t+\t0M\n";
-    std::istringstream in(gfa);
-    return std::make_shared<pangraph::VariationGraph>(
-        pangraph::readGfa(in, bio::Alphabet("ACGT")));
-}
-
 std::shared_ptr<const pangraph::VariationGraph>
 foreignAlphabetGraph()
 {
@@ -452,85 +435,5 @@ TEST_P(ReloadChaosTest, HotSwapMidTrafficDropsNothing)
 
 INSTANTIATE_TEST_SUITE_P(ReloadSchedules, ReloadChaosTest,
                          ::testing::Range(1u, 6u));
-
-// Regression: setGraph() used to take the daemon-wide build mutex and
-// then each shard's engine mutex, while a plan-miss solve holds its
-// shard's engine mutex and then takes the build mutex -- a textbook
-// ABBA deadlock whenever a reload landed during a miss.  Two solver
-// threads make the wedge near-certain on the old order: while the
-// reloader (holding the build mutex) waits out one solver's engine
-// mutex, the other solver misses, takes its own engine mutex, and
-// parks on the build mutex -- exactly the shard the reloader's
-// eviction sweep visits next.  The suite-level no-hang bound is the
-// assertion.
-TEST(EngineShards, ReloadNeverDeadlocksAgainstPlanMissSolves)
-{
-    auto vOne = bubbleGraph();
-    auto matrix = std::make_shared<bio::ScoreMatrix>(fig2b());
-
-    api::EngineConfig config;
-    EngineShards shards(2, config);
-    shards.setGraph(vOne, matrix);
-
-    // The wedge needs the two shapes on *different* shards (the
-    // reloader's sweep must reach a shard whose solver is already
-    // parked on the build mutex).  Routing hashes the graph
-    // fingerprint, so search a small generated family for a shape
-    // that lands opposite vOne.
-    const bio::Sequence probeRead(bio::Alphabet("ACGT"), "ACGTGA");
-    const size_t shardOne = shards.shardFor(
-        api::RaceProblem::graphAlign(fig2b(), probeRead, vOne));
-    std::shared_ptr<const pangraph::VariationGraph> vTwo = forkGraph();
-    for (uint32_t i = 0;
-         shards.shardFor(api::RaceProblem::graphAlign(fig2b(), probeRead,
-                                                      vTwo)) == shardOne &&
-         i < 32;
-         ++i)
-        vTwo = chainGraph(i);
-    ASSERT_NE(shards.shardFor(
-                  api::RaceProblem::graphAlign(fig2b(), probeRead, vTwo)),
-              shardOne);
-
-    // Each solver hammers one graph's shape, so its shard misses
-    // afresh after every swap's eviction.  Concurrent solves on the
-    // same shard are outside the dispatcher's normal schedule but
-    // explicitly safe (engineMutex serializes them), so the test
-    // holds regardless of which shard each shape hashes to.
-    std::atomic<bool> done{false};
-    std::atomic<uint32_t> solvedOne{0};
-    std::atomic<uint32_t> solvedTwo{0};
-    auto solverLoop = [&](std::shared_ptr<const pangraph::VariationGraph>
-                              graph,
-                          std::atomic<uint32_t> &solved) {
-        const bio::Sequence read(bio::Alphabet("ACGT"), "ACGTGA");
-        while (!done.load(std::memory_order_acquire)) {
-            api::RaceProblem problem =
-                api::RaceProblem::graphAlign(fig2b(), read, graph);
-            Expected<api::RaceResult> result = shards.trySolveOn(
-                shards.shardFor(problem), problem);
-            EXPECT_TRUE(result.ok());
-            solved.fetch_add(1, std::memory_order_relaxed);
-        }
-    };
-    std::thread solverOne([&] { solverLoop(vOne, solvedOne); });
-    std::thread solverTwo([&] { solverLoop(vTwo, solvedTwo); });
-
-    // Don't start swapping until both solvers are demonstrably
-    // racing: 200 back-to-back reloads finish in microseconds, so an
-    // unsynced start could complete every swap before the first miss
-    // and never interleave the two lock paths at all.
-    while (solvedOne.load(std::memory_order_relaxed) == 0 ||
-           solvedTwo.load(std::memory_order_relaxed) == 0)
-        std::this_thread::yield();
-    for (uint32_t round = 0; round < 200; ++round)
-        shards.setGraph((round % 2) ? vTwo : vOne, matrix);
-    done.store(true, std::memory_order_release);
-    solverOne.join();
-    solverTwo.join();
-
-    EXPECT_EQ(shards.graphVersion(), 201u);
-    EXPECT_GT(solvedOne.load(), 0u);
-    EXPECT_GT(solvedTwo.load(), 0u);
-}
 
 } // namespace

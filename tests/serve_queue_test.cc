@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 
 #include "rl/serve/queue.h"
@@ -17,18 +18,42 @@ namespace {
 
 using namespace racelogic::serve;
 
+/** A job body that carries a tag the tests can read back without
+ *  running it, and optionally counts its runs. */
+struct Tagged {
+    size_t tag = 0;
+    int *runs = nullptr;
+
+    void
+    operator()() const
+    {
+        if (runs)
+            ++*runs;
+    }
+};
+
 QueuedJob
-noopJob(size_t shard = 0)
+noopJob(size_t tag = 0)
 {
-    return QueuedJob{shard, [] {}};
+    QueuedJob job;
+    job.run = Tagged{tag};
+    return job;
 }
 
 QueuedJob
-classedJob(Priority priority, size_t shard = 0)
+classedJob(Priority priority, size_t tag = 0)
 {
-    QueuedJob job = noopJob(shard);
+    QueuedJob job = noopJob(tag);
     job.priority = priority;
     return job;
+}
+
+/** The tag a job was built with. */
+size_t
+tagOf(const QueuedJob &job)
+{
+    const Tagged *body = job.run.target<Tagged>();
+    return body ? body->tag : SIZE_MAX;
 }
 
 // The class ledgers partition the global one.  completed only
@@ -102,13 +127,13 @@ TEST(ServeQueue, DrainPreservesFifoOrderAndCapsBatch)
 
     auto first = queue.drain(3);
     ASSERT_EQ(first.size(), 3u);
-    EXPECT_EQ(first[0].shard, 0u);
-    EXPECT_EQ(first[2].shard, 2u);
+    EXPECT_EQ(tagOf(first[0]), 0u);
+    EXPECT_EQ(tagOf(first[2]), 2u);
 
     auto rest = queue.drain(8);
     ASSERT_EQ(rest.size(), 2u);
-    EXPECT_EQ(rest[0].shard, 3u);
-    EXPECT_EQ(rest[1].shard, 4u);
+    EXPECT_EQ(tagOf(rest[0]), 3u);
+    EXPECT_EQ(tagOf(rest[1]), 4u);
 }
 
 TEST(ServeQueue, LedgerStaysCoherent)
@@ -156,7 +181,7 @@ TEST(ServeQueue, ShutdownRejectsNewWorkButDrainsOld)
 
     auto batch = queue.drain(4);
     ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].shard, 7u);
+    EXPECT_EQ(tagOf(batch[0]), 7u);
     queue.markDone(1);
 
     // Nothing left: drain must return empty instead of blocking.
@@ -169,8 +194,8 @@ TEST(ServeQueue, DrainShedsExpiredJobs)
     RequestQueue queue(8);
     int ran = 0, shedRan = 0;
 
-    QueuedJob live = noopJob(1);
-    live.run = [&] { ++ran; };
+    QueuedJob live;
+    live.run = Tagged{1, &ran};
 
     QueuedJob expired = noopJob(2);
     expired.deadline = std::chrono::steady_clock::now() -
@@ -185,9 +210,9 @@ TEST(ServeQueue, DrainShedsExpiredJobs)
     std::vector<QueuedJob> shed;
     auto batch = queue.drain(8, &shed);
     ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].shard, 1u);
+    EXPECT_EQ(tagOf(batch[0]), 1u);
     ASSERT_EQ(shed.size(), 1u);
-    EXPECT_EQ(shed[0].shard, 2u);
+    EXPECT_EQ(tagOf(shed[0]), 2u);
 
     // Shed jobs are never inflight; only the raced job is.
     QueueStats stats = queue.stats();
@@ -223,7 +248,7 @@ TEST(ServeQueue, NullShedDrainsExpiredJobsNormally)
 
     auto batch = queue.drain(4);
     ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].shard, 3u);
+    EXPECT_EQ(tagOf(batch[0]), 3u);
     EXPECT_EQ(queue.stats().shedDeadline, 0u);
     queue.markDone(1);
 }
@@ -280,7 +305,7 @@ TEST(ServeQueue, DrainBlocksUntilAJobArrives)
     auto batch = queue.drain(1); // blocks until the producer pushes
     producer.join();
     ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].shard, 3u);
+    EXPECT_EQ(tagOf(batch[0]), 3u);
     queue.markDone(1);
 }
 
@@ -302,15 +327,15 @@ TEST(ServeQueue, WeightedDrainFavorsHigherClassesWithoutStarvation)
     auto batch = queue.drain(7); // one full weighted round
     ASSERT_EQ(batch.size(), 7u);
     // Interactive quota 4, FIFO within the class...
-    EXPECT_EQ(batch[0].shard, 300u);
-    EXPECT_EQ(batch[1].shard, 301u);
-    EXPECT_EQ(batch[2].shard, 302u);
-    EXPECT_EQ(batch[3].shard, 303u);
+    EXPECT_EQ(tagOf(batch[0]), 300u);
+    EXPECT_EQ(tagOf(batch[1]), 301u);
+    EXPECT_EQ(tagOf(batch[2]), 302u);
+    EXPECT_EQ(tagOf(batch[3]), 303u);
     // ...then normal quota 2...
-    EXPECT_EQ(batch[4].shard, 200u);
-    EXPECT_EQ(batch[5].shard, 201u);
+    EXPECT_EQ(tagOf(batch[4]), 200u);
+    EXPECT_EQ(tagOf(batch[5]), 201u);
     // ...then batch's guaranteed slot.
-    EXPECT_EQ(batch[6].shard, 100u);
+    EXPECT_EQ(tagOf(batch[6]), 100u);
 
     queue.markDone(batch.size());
     auto rest = queue.drain(16);
@@ -335,7 +360,7 @@ TEST(ServeQueue, EvictionShedsLowestClassFirst)
                             &evicted),
               RequestQueue::Admit::Accepted);
     ASSERT_TRUE(evicted.run != nullptr);
-    EXPECT_EQ(evicted.shard, 2u); // newest batch job, not the oldest
+    EXPECT_EQ(tagOf(evicted), 2u); // newest batch job, not the oldest
 
     QueueStats stats = queue.stats();
     EXPECT_EQ(stats.shedEvicted, 1u);
@@ -356,7 +381,7 @@ TEST(ServeQueue, EvictionShedsLowestClassFirst)
     ASSERT_EQ(queue.tryPush(classedJob(Priority::Interactive, 10),
                             &second),
               RequestQueue::Admit::Accepted);
-    EXPECT_EQ(second.shard, 1u); // the remaining batch job
+    EXPECT_EQ(tagOf(second), 1u); // the remaining batch job
     EXPECT_EQ(queue.tryPush(classedJob(Priority::Interactive, 11), &none),
               RequestQueue::Admit::QueueFull);
     EXPECT_EQ(queue.stats().rejectedQueueFull, 2u);

@@ -7,8 +7,9 @@
  *     solve of the same problem;
  *  2. admission control bounds outstanding work and rejects the
  *     excess with typed QueueFull statuses, visibly in the counters;
- *  3. warm same-shape traffic advances shard-local hit counters only
- *     -- the shared build lock is untouched after the first miss.
+ *  3. every worker solves on one shared engine: warm same-shape
+ *     traffic plans once and hits the cache after, and same-shape
+ *     requests race on several workers at once.
  *
  * Plus the protocol abuse the daemon must shrug off: oversized
  * length prefixes, unknown tags, and mid-frame disconnects.
@@ -386,18 +387,18 @@ TEST(ServeServer, MetricsOverWireStaysCoherentWithStats)
     ASSERT_TRUE(client.receive(statsResponse));
     ASSERT_TRUE(statsResponse.queueStats.has_value());
 
-    uint64_t solves = 0, built = 0, hits = 0;
-    for (const ShardStatsWire &s : statsResponse.shardStats) {
-        solves += s.solves;
-        built += s.plansBuilt;
-        hits += s.planCacheHits;
-    }
+    ASSERT_EQ(statsResponse.shardStats.size(), 1u);
+    const ShardStatsWire &engineRow = statsResponse.shardStats.front();
+    const uint64_t solves = engineRow.solves;
+    const uint64_t built = engineRow.plansBuilt;
+    const uint64_t hits = engineRow.planCacheHits;
     EXPECT_EQ(solves, 3u);
-    // The serve path prepares a plan under the build lock before it
-    // solves, so every solve rides a cached plan (hits == solves) and
-    // the one shape cost exactly one synthesis.
-    EXPECT_EQ(hits, solves);
+    // Every solve either built its plan or hit the cache, and the one
+    // shape cost exactly one synthesis.
+    EXPECT_EQ(hits + built, solves);
     EXPECT_EQ(built, 1u);
+    EXPECT_EQ(engineRow.shardHits, 0u);
+    EXPECT_EQ(engineRow.buildLocks, 0u);
 
     const telemetry::CounterSnapshot *solvesSeries =
         snap.counter("rl_solves_total");
@@ -411,15 +412,8 @@ TEST(ServeServer, MetricsOverWireStaysCoherentWithStats)
     EXPECT_EQ(solvesSeries->value, solves);
     EXPECT_EQ(builtSeries->value, built);
     EXPECT_EQ(hitsSeries->value, hits);
-    for (size_t i = 0; i < statsResponse.shardStats.size(); ++i) {
-        const std::string prefix = "rl_shard" + std::to_string(i) + "_";
-        const telemetry::CounterSnapshot *shardSolves =
-            snap.counter(prefix + "solves_total");
-        ASSERT_NE(shardSolves, nullptr) << prefix;
-        EXPECT_EQ(shardSolves->value,
-                  statsResponse.shardStats[i].solves)
-            << prefix;
-    }
+    EXPECT_EQ(snap.counter("rl_shard0_solves_total"), nullptr);
+    EXPECT_EQ(snap.counter("rl_build_locks_total"), nullptr);
 
     // Queue ledger, one source of truth: the synthetic series carry
     // the same numbers the Stats response does.
@@ -445,7 +439,7 @@ TEST(ServeServer, MetricsStillAnswersWithTelemetryOff)
     ASSERT_TRUE(client.receive(r));
     ASSERT_EQ(r.status, Status::Ok);
 
-    // No registered series -- but the synthetic queue/shard series
+    // No registered series -- but the synthetic queue/engine series
     // still answer, so scrapes degrade instead of 404ing.
     ASSERT_TRUE(client.submitMetrics(61));
     ASSERT_TRUE(client.receive(r));
@@ -511,7 +505,7 @@ TEST(ServeServer, QueueWaitInflatesUnderSaturation)
         << "saturation must surface as queue-wait";
 }
 
-// ------------------------------------------------- sharded plan caches
+// ------------------------------------------------ the shared plan cache
 
 TEST(ServeServer, WarmShapeTrafficNeverTakesTheBuildLock)
 {
@@ -519,8 +513,8 @@ TEST(ServeServer, WarmShapeTrafficNeverTakesTheBuildLock)
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
-    // Same shape every time (one matrix, one length pair): after the
-    // first request plans it, every later one is a shard-local hit.
+    // Same plan every time (one matrix): after the first request
+    // plans it, every later one hits the shared cache.
     const size_t total = 12;
     for (size_t i = 0; i < total; ++i) {
         ASSERT_TRUE(client.submitPairwise(
@@ -531,21 +525,63 @@ TEST(ServeServer, WarmShapeTrafficNeverTakesTheBuildLock)
         ASSERT_EQ(response.status, Status::Ok);
     }
 
-    uint64_t hits = 0, locks = 0, solves = 0;
-    size_t activeShards = 0;
-    for (const ShardStatsWire &shard : server.shardStats()) {
-        hits += shard.shardHits;
-        locks += shard.buildLocks;
-        solves += shard.solves;
-        activeShards += shard.solves > 0;
-    }
-    EXPECT_EQ(solves, total);
-    EXPECT_EQ(locks, 1u) << "only the cold miss may take the build lock";
-    EXPECT_EQ(hits, total - 1);
-    EXPECT_EQ(activeShards, 1u)
-        << "one shape must route to exactly one shard";
+    const api::EngineStats stats = server.engineStats();
+    EXPECT_EQ(stats.solves, total);
+    EXPECT_EQ(stats.plansBuilt, 1u) << "only the cold miss may build";
+    EXPECT_EQ(stats.planCacheHits, total - 1);
 
     server.stop();
+}
+
+TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
+{
+    // One matrix, one length pair, so one plan key.  Any worker takes
+    // any job on the shared engine, so with 16 pipelined requests and
+    // two workers at least two solve intervals must overlap.
+    std::mutex mutex;
+    std::vector<telemetry::RequestTrace> traces;
+    ServerConfig cfg = tcpConfig();
+    cfg.workers = 2;
+    cfg.traceHook = [&](const telemetry::RequestTrace &t) {
+        std::lock_guard<std::mutex> lock(mutex);
+        traces.push_back(t);
+    };
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+
+    const size_t total = 16;
+    for (size_t i = 0; i < total; ++i)
+        ASSERT_TRUE(client.submitPairwise(
+            static_cast<uint32_t>(700 + i), fig2b(),
+            dnaString(500, 70 + i), dnaString(500, 90 + i)));
+    for (size_t i = 0; i < total; ++i) {
+        Response response;
+        ASSERT_TRUE(client.receive(response));
+        ASSERT_EQ(response.status, Status::Ok);
+    }
+    server.stop();
+
+    std::lock_guard<std::mutex> lock(mutex);
+    size_t overlaps = 0, raced = 0;
+    for (size_t i = 0; i < traces.size(); ++i) {
+        const telemetry::RequestTrace &x = traces[i];
+        if (x.tag != static_cast<uint8_t>(RequestTag::Pairwise))
+            continue;
+        ++raced;
+        for (size_t j = i + 1; j < traces.size(); ++j) {
+            const telemetry::RequestTrace &y = traces[j];
+            if (y.tag == static_cast<uint8_t>(RequestTag::Pairwise) &&
+                x.solveStart < y.solveDone && y.solveStart < x.solveDone)
+                ++overlaps;
+        }
+    }
+    EXPECT_EQ(raced, total);
+    EXPECT_GE(overlaps, 1u)
+        << "no two same-shape solves ever ran at the same time";
+    EXPECT_EQ(server.engineStats().plansBuilt +
+                  server.engineStats().planCacheHits,
+              total);
 }
 
 // ------------------------------------------------------- protocol abuse
@@ -775,7 +811,8 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
 
     // The blocker holds the single worker well past the doomed
     // request's 1 ms deadline; the doomed job is still queued when the
-    // dispatcher next drains, so it is shed without touching a shard.
+    // dispatcher next drains, so it is shed without touching the
+    // engine.
     ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(500, 41),
                                       dnaString(500, 42)));
     ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(500, 43),
@@ -800,10 +837,7 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
 
     // The shed request never reached the engine: one solve, and the
     // ledger accounts the shed explicitly.
-    uint64_t solves = 0;
-    for (const ShardStatsWire &s : server.shardStats())
-        solves += s.solves;
-    EXPECT_EQ(solves, 1u);
+    EXPECT_EQ(server.engineStats().solves, 1u);
     const QueueStats stats = server.queueStats();
     EXPECT_EQ(stats.shedDeadline, 1u);
     EXPECT_EQ(stats.enqueued, stats.completed + stats.queued +
@@ -832,10 +866,7 @@ TEST(ServeServer, DeadlineTrippingMidRaceCancelsCooperatively)
 
     // Not shed: the race started and was cancelled from inside.
     EXPECT_EQ(server.queueStats().shedDeadline, 0u);
-    uint64_t solves = 0;
-    for (const ShardStatsWire &s : server.shardStats())
-        solves += s.solves;
-    EXPECT_EQ(solves, 1u);
+    EXPECT_EQ(server.engineStats().solves, 1u);
 }
 
 // ---------------------------------------------- health, brownout, reload

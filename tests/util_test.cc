@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "rl/util/bitops.h"
@@ -375,6 +377,48 @@ TEST(ThreadPoolDeath, DoubleExplicitShutdownPanics)
             pool.shutdownAndJoin();
         },
         "already shut down");
+}
+
+TEST(ThreadPool, ConcurrentCallersTakeTurns)
+{
+    // Several threads sharing one pool (a shared engine's batches)
+    // each get every index of their own batch exactly once.
+    util::ThreadPool pool(2);
+    std::vector<std::thread> callers;
+    std::atomic<size_t> total{0};
+    for (int c = 0; c < 4; ++c)
+        callers.emplace_back([&] {
+            for (int round = 0; round < 20; ++round) {
+                std::vector<std::atomic<int>> hits(17);
+                pool.parallelFor(hits.size(),
+                                 [&](size_t i) { hits[i].fetch_add(1); });
+                for (const std::atomic<int> &h : hits)
+                    EXPECT_EQ(h.load(), 1);
+                total += hits.size();
+            }
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    EXPECT_EQ(total.load(), 4u * 20u * 17u);
+}
+
+TEST(ThreadPool, CpuMaxLimitParsesCgroupQuotas)
+{
+    // ceil(quota / period); "max" is unlimited; garbage is ignored.
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("max 100000"), std::nullopt);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("150000 100000"), 2u);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("50000 100000"), 1u);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("200000 100000\n"), 2u);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("lots of cpus"), std::nullopt);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("100000"), std::nullopt);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("12x 100000"), std::nullopt);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit("100000 0"), std::nullopt);
+    EXPECT_EQ(util::ThreadPool::cpuMaxLimit(""), std::nullopt);
+}
+
+TEST(ThreadPool, DefaultThreadCountIsAtLeastOne)
+{
+    EXPECT_GE(util::ThreadPool::defaultThreadCount(), 1u);
 }
 
 TEST(ThreadPoolDeath, ParallelForAfterShutdownPanics)

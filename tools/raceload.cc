@@ -5,7 +5,7 @@
  * outstanding, and reports client-side latency percentiles,
  * throughput, and the admission-control verdict mix.  On a 1-CPU
  * host the interesting output is the daemon-side counters fetched at
- * the end (queue high-water, shard hits vs. build locks) -- see
+ * the end (queue high-water, plans built vs. plan-cache hits) -- see
  * docs/performance.md.
  *
  * Connect and reconnect time is measured apart from serve latency:
@@ -421,8 +421,8 @@ main(int argc, char **argv)
         }
     }
 
-    // The daemon-side ledger: admission counters and the shard
-    // hit/build-lock split (the 1-CPU scaling evidence).
+    // The daemon-side ledger: admission counters and the shared
+    // engine's plan-cache split.
     if (!client.ok())
         timedReconnect();
     if (client.submitStats(0)) {
@@ -456,14 +456,13 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(cw.shedDeadline),
                     static_cast<unsigned long long>(cw.shedEvicted));
             }
-            size_t shard = 0;
             for (const serve::ShardStatsWire &s : stats.shardStats)
-                std::printf("raceload: shard %zu solves=%llu "
-                            "shard-hits=%llu build-locks=%llu\n",
-                            shard++,
-                            static_cast<unsigned long long>(s.solves),
-                            static_cast<unsigned long long>(s.shardHits),
-                            static_cast<unsigned long long>(s.buildLocks));
+                std::printf(
+                    "raceload: daemon engine solves=%llu "
+                    "plans-built=%llu plan-hits=%llu\n",
+                    static_cast<unsigned long long>(s.solves),
+                    static_cast<unsigned long long>(s.plansBuilt),
+                    static_cast<unsigned long long>(s.planCacheHits));
         }
     }
 

@@ -108,7 +108,7 @@ usage(const char *argv0)
         "                    the bound port is printed on stdout)\n"
         "  --gfa FILE        preload a pangenome for GraphAlign/MapReads\n"
         "  --alphabet L      graph alphabet letters (default ACGT)\n"
-        "  --workers N       engine shards / worker threads (default 4)\n"
+        "  --workers N       worker threads sharing one engine (default 4)\n"
         "  --depth N         admission bound on outstanding requests\n"
         "                    (default 64)\n"
         "  --brownout-depth N\n"
@@ -137,7 +137,7 @@ usage(const char *argv0)
         "                    (default 0 = off)\n"
         "  --no-telemetry    skip metric registration entirely (the\n"
         "                    Metrics request still answers with the\n"
-        "                    queue/shard series)\n"
+        "                    queue/engine series)\n"
         "  --metrics-dump    print the Prometheus-text telemetry\n"
         "                    snapshot to stderr after the final drain;\n"
         "                    SIGUSR1 prints one at any time while\n"
@@ -325,16 +325,13 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(q.shedDeadline),
                      static_cast<unsigned long long>(q.shedEvicted),
                      static_cast<unsigned long long>(q.highWater));
-        size_t shard = 0;
-        for (const serve::ShardStatsWire &s : server.shardStats()) {
-            std::fprintf(stderr,
-                         "raceserved: shard %zu solves=%llu "
-                         "shard-hits=%llu build-locks=%llu\n",
-                         shard++,
-                         static_cast<unsigned long long>(s.solves),
-                         static_cast<unsigned long long>(s.shardHits),
-                         static_cast<unsigned long long>(s.buildLocks));
-        }
+        const api::EngineStats e = server.engineStats();
+        std::fprintf(stderr,
+                     "raceserved: engine solves=%llu plans-built=%llu "
+                     "plan-hits=%llu\n",
+                     static_cast<unsigned long long>(e.solves),
+                     static_cast<unsigned long long>(e.plansBuilt),
+                     static_cast<unsigned long long>(e.planCacheHits));
     }
     return 0;
 }
