@@ -136,6 +136,7 @@ RaceEngine::Plan::residentBytes() const
                      sizeof(uint32_t) +
                  cg.terminal.capacity() +
                  cg.gapWeight.capacity() * sizeof(bio::Score) +
+                 cg.outEdges.capacity() * sizeof(core::SweepOutEdges) +
                  scoreMatrixBytes(graphAligner->costs());
     }
     return bytes;
@@ -556,7 +557,7 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
         a, b,
         bounded ? static_cast<sim::Tick>(threshold)
                 : sim::kTickInfinity,
-        scratch, problem.cancel, problem.counters);
+        scratch, problem.cancel, problem.counters, problem.arrivals);
     rl_assert(bounded || raced.cancelled || raced.completed,
               "sink never fired; gap weights should guarantee a path");
     result.completed = raced.completed;
@@ -878,7 +879,7 @@ RaceEngine::raceGraphBehavioral(
     pangraph::GraphRaceResult raced =
         product ? aligner.align(*product, horizon)
                 : aligner.align(*problem.a, horizon, problem.cancel,
-                                problem.counters);
+                                problem.counters, problem.arrivals);
 
     RaceResult result;
     result.kind = ProblemKind::GraphAlign;
@@ -893,13 +894,15 @@ RaceEngine::raceGraphBehavioral(
     result.nodeArrival = std::move(raced.arrival);
 
     applyThresholdVerdict(threshold, result);
+    // The materialized product (GateLevel) always fills its arrivals;
+    // a score-only solve drops them like an aborted one.
+    bool keepDetail = problem.arrivals;
     if (result.cancelled) {
         // A cancelled race reveals nothing -- not even the screening
         // verdict -- and carries no mapping detail.
         result.accepted = false;
         result.score = bio::kScoreInfinity;
-        result.nodeArrival.clear();
-        result.nodeArrival.shrink_to_fit();
+        keepDetail = false;
     } else if (screening && !result.accepted) {
         // The Section 6 screening contract: an aborted race reveals
         // only that the distance exceeds the threshold.  Rejected
@@ -909,10 +912,13 @@ RaceEngine::raceGraphBehavioral(
         // size.
         result.completed = false;
         result.score = bio::kScoreInfinity;
-        result.nodeArrival.clear();
-        result.nodeArrival.shrink_to_fit();
+        keepDetail = false;
     } else {
         result.score = raced.score;
+    }
+    if (!keepDetail) {
+        result.nodeArrival.clear();
+        result.nodeArrival.shrink_to_fit();
     }
 
     if (cfg.withEstimates) {

@@ -112,6 +112,19 @@ struct RaceProblem {
     core::KernelCounters *counters = nullptr;
 
     /**
+     * Whether the solve returns its arrival detail: RaceResult::arrival
+     * (grid kinds) or RaceResult::nodeArrival (GraphAlign).  False asks
+     * for a score-only solve -- what race-logic hardware reports: the
+     * sink's cycle and whether the abort counter tripped -- and the
+     * Behavioral grid-family and GraphAlign kernels then neither
+     * allocate nor fill the detail, which comes back empty; every
+     * other result field is unchanged.  graphMapping(), traceback,
+     * clock-gating analysis and arrivalTable() need it true.  Like
+     * `cancel`, a run-time property, not part of the plan key.
+     */
+    bool arrivals = true;
+
+    /**
      * Global alignment of (a, b) over `matrix`.  Cost matrices race
      * directly; similarity matrices (BLOSUM62, ...) are converted via
      * Section 5 and the score mapped back automatically.

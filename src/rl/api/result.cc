@@ -22,6 +22,8 @@ RaceResult::gridDetail() const
 {
     core::RaceGridResult view;
     view.score = racedCost;
+    view.completed = completed;
+    view.cancelled = cancelled;
     view.latencyCycles = latencyCycles;
     view.arrival = arrival;
     view.cellsFired = cellsFired;

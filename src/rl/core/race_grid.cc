@@ -117,10 +117,10 @@ RaceGridResult
 RaceGridAligner::align(const bio::Sequence &a, const bio::Sequence &b,
                        sim::Tick horizon, RaceGridScratch &scratch,
                        const CancelToken *cancel,
-                       KernelCounters *counters) const
+                       KernelCounters *counters, bool arrivals) const
 {
     return raceEditGrid(a, b, costMatrix, horizon, scratch, cancel,
-                        counters);
+                        counters, arrivals);
 }
 
 } // namespace racelogic::core

@@ -69,7 +69,8 @@ struct RaceGridResult {
 
     /**
      * Firing cycle of every edit-graph node (rows+1 x cols+1);
-     * kTickInfinity where the signal never arrives.
+     * kTickInfinity where the signal never arrives.  Empty (0 x 0)
+     * for a score-only race.
      */
     util::Grid<sim::Tick> arrival;
 
@@ -130,12 +131,14 @@ class RaceGridAligner
      * `cancel` (nullptr = never) aborts the sweep cooperatively,
      * polled once per row (see raceEditGrid).  `counters`
      * (nullptr = off) accumulates the kernel's profiling counts
-     * without changing the raced result.
+     * without changing the raced result.  `arrivals = false` leaves
+     * the arrival grid empty (a score-only race).
      */
     RaceGridResult align(const bio::Sequence &a, const bio::Sequence &b,
                          sim::Tick horizon, RaceGridScratch &scratch,
                          const CancelToken *cancel = nullptr,
-                         KernelCounters *counters = nullptr) const;
+                         KernelCounters *counters = nullptr,
+                         bool arrivals = true) const;
 
     const bio::ScoreMatrix &matrix() const { return costMatrix; }
 

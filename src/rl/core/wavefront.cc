@@ -113,7 +113,7 @@ RaceGridResult
 raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              const bio::ScoreMatrix &costs, sim::Tick horizon,
              RaceGridScratch &scratch, const CancelToken *cancel,
-             KernelCounters *counters)
+             KernelCounters *counters, bool arrivals)
 {
     rl_assert(a.alphabet() == costs.alphabet() &&
               b.alphabet() == costs.alphabet(),
@@ -132,7 +132,7 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
 
     // Weights hoisted out of the sweep.  Row 0 is swept like any other
     // row, against a virtual unfired row above it whose vertical and
-    // diagonal weights are unfired too, so no candidate from it counts.
+    // diagonal weights are unfired too, so it schedules nothing.
     std::vector<sim::Tick> &gapA = scratch.gapA;
     gapA.resize(rows + 1);
     gapA[0] = kSweepUnfired;
@@ -140,46 +140,55 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
         gapA[i + 1] = sweepWeight(costs.gap(symA[i]));
     std::vector<RaceGridScratch::ColumnWeights> &columns = scratch.columns;
     columns.resize((alpha + 1) * cols);
+    std::vector<SweepOutEdges> &outEdges = scratch.outEdges;
+    outEdges.assign((alpha + 1) * (cols + 1), SweepOutEdges());
     for (size_t s = 0; s <= alpha; ++s) {
+        // Symbol row s of the profile: the out-edges of a cell whose
+        // next row consumes s -- the in-edges of that row's cells, as
+        // `columns` holds them -- or, for s = alpha, in-row ones only.
+        const sim::Tick down =
+            s < alpha ? sweepWeight(costs.gap(static_cast<bio::Symbol>(s)))
+                      : kSweepUnfired;
+        SweepOutEdges *out = outEdges.data() + s * (cols + 1);
         for (size_t j = 0; j < cols; ++j) {
             const bio::Score pair =
                 s < alpha
                     ? costs.pair(static_cast<bio::Symbol>(s), symB[j])
                     : bio::kScoreInfinity;
-            columns[s * cols + j] = {sweepWeight(pair),
-                                     sweepWeight(costs.gap(symB[j]))};
+            const RaceGridScratch::ColumnWeights w = {
+                sweepWeight(pair), sweepWeight(costs.gap(symB[j]))};
+            columns[s * cols + j] = w;
+            out[j].add(down);
+            out[j].add(w.diagonal);
+            out[j].add(w.horizontal);
         }
+        out[cols].add(down);
     }
     scratch.row.assign(cols + 1, kSweepUnfired);
 
     RaceGridResult result;
-    result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
-                                           sim::kTickInfinity);
+    if (arrivals)
+        result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
+                                               sim::kTickInfinity);
     SweepTally tally(horizon);
-    bool cancelled = false;
-    for (size_t i = 0; i <= rows; ++i) {
-        if (cancel && cancel->cancelled()) {
-            cancelled = true;
-            break;
-        }
+    sim::Tick sink = sim::kTickInfinity;
+    bool cancelled = cancel && cancel->cancelled();
+    for (size_t i = 0; i <= rows && !cancelled; ++i) {
         const sim::Tick down = gapA[i];
         const RaceGridScratch::ColumnWeights *weights =
             columns.data() + (i == 0 ? alpha : symA[i - 1]) * cols;
         sim::Tick *row = scratch.row.data();
 
-        // Column 0 has only the vertical in-edge; (0, 0) is the root,
-        // injected at tick 0.
+        // The recurrence alone.  Column 0 has only the vertical
+        // in-edge; (0, 0) is the root, injected at tick 0.
         sim::Tick diag = row[0];
-        const sim::Tick vertical0 = diag + down;
-        tally.count(vertical0);
-        sim::Tick left = i == 0 ? 0 : std::min(vertical0, kSweepUnfired);
+        sim::Tick left = i == 0 ? 0 : std::min(diag + down, kSweepUnfired);
         row[0] = left;
         for (size_t j = 1; j <= cols; ++j) {
             const sim::Tick up = row[j];
             const sim::Tick vertical = up + down;
             const sim::Tick diagonal = diag + weights[j - 1].diagonal;
             const sim::Tick horizontal = left + weights[j - 1].horizontal;
-            tally.count(vertical, diagonal, horizontal);
             diag = up;
             // Clamping to kSweepUnfired keeps every working value at
             // most 2^62, which is what makes the additions above safe;
@@ -191,17 +200,42 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
             row[j] = left;
         }
 
-        // Publish the row; unfired cells read back as kTickInfinity.
-        sim::Tick *out = &result.arrival.at(i, 0);
+        // The next row is certain to be swept only once its cancel
+        // poll passes; until then this row's edges into it stay
+        // uncounted, and a cancelled race stops with in-row ones only.
+        cancelled = i < rows && cancel && cancel->cancelled();
+        const size_t s = i < rows && !cancelled ? symA[i] : alpha;
+        const SweepOutEdges *profile = outEdges.data() + s * (cols + 1);
+        const RaceGridScratch::ColumnWeights *next = columns.data() + s * cols;
+        const sim::Tick nextDown = s < alpha ? gapA[i + 1] : kSweepUnfired;
+
+        // Count, and publish, each settled cell; unfired cells read
+        // back as kTickInfinity.
+        sim::Tick *out = arrivals ? &result.arrival.at(i, 0) : nullptr;
         size_t fired = 0;
         for (size_t j = 0; j <= cols; ++j) {
-            const bool hit = tally.fired(row[j]);
-            out[j] = hit ? row[j] : sim::kTickInfinity;
+            const sim::Tick v = row[j];
+            const bool hit = tally.fired(v);
             fired += hit;
+            if (out)
+                out[j] = hit ? v : sim::kTickInfinity;
+            if (!tally.settle(v, profile[j])) {
+                tally.arrive(v + nextDown);
+                if (j < cols) {
+                    tally.arrive(v + next[j].diagonal);
+                    tally.arrive(v + next[j].horizontal);
+                }
+            }
         }
         result.cellsFired += fired;
-        if (fired == 0)
-            break; // Section 6: no later row can fire either.
+        if (i == rows && tally.fired(row[cols]))
+            sink = row[cols];
+        if (fired == 0) {
+            // Section 6: no later row can fire either.  A cancel
+            // polled here changes nothing: there is no row to stop.
+            cancelled = false;
+            break;
+        }
     }
     result.events = tally.events;
 
@@ -216,7 +250,6 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
         counters->lanesOccupied += result.cellsFired;
     }
 
-    const sim::Tick sink = result.arrival.at(rows, cols);
     if (sink != sim::kTickInfinity) {
         result.completed = true;
         result.score = static_cast<bio::Score>(sink);

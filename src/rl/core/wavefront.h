@@ -26,7 +26,9 @@
  *    paper's Fig. 4c arrival table), and each row depends only on the
  *    row above and on its own left neighbour -- so one in-order row
  *    sweep of the recurrence computes the arrival table directly,
- *    with no event scheduling at all.
+ *    with no event scheduling at all.  The events the calendar would
+ *    drain are counted per settled cell in a pass over each finished
+ *    row (SweepTally), off the recurrence's serial chain.
  *
  * The event-driven reference (rl/core/race_network.h
  * raceDagEventDriven), the bucketed kernel and the sweep agree on
@@ -39,6 +41,7 @@
 #define RACELOGIC_CORE_WAVEFRONT_H
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "rl/bio/score_matrix.h"
@@ -118,35 +121,74 @@ sweepWeight(bio::Score weight)
 }
 
 /**
- * The arrivals a dense sweep schedules.  An in-edge from a fired cell
- * whose candidate arrival is within the horizon is one event -- the
- * arrival the calendar kernel (WavefrontRaceKernel) would schedule and
- * drain on the materialized graph -- whether or not it is the first to
- * reach its cell.  A candidate from an unfired cell is at least
- * kSweepUnfired, past `limit`, so it never counts.
+ * The finite out-edges of one swept state, hoisted out of a dense
+ * sweep so its event count costs O(1) per state: the largest weight
+ * and how many there are.
+ */
+struct SweepOutEdges {
+    sim::Tick maxOut = 0; ///< largest finite out-edge weight (0: none)
+    uint32_t degree = 0;  ///< finite out-edges
+
+    /** Add an out-edge of hoisted weight `w`; a missing one is skipped. */
+    void
+    add(sim::Tick w)
+    {
+        if (w < kSweepUnfired) {
+            ++degree;
+            maxOut = std::max(maxOut, w);
+        }
+    }
+};
+
+/**
+ * The arrivals a dense sweep schedules.  An edge out of a fired state
+ * whose arrival is within the horizon is one event -- the arrival the
+ * calendar kernel (WavefrontRaceKernel) would schedule and drain on
+ * the materialized graph -- whether or not it is the first to reach
+ * its target.
+ *
+ * The sweeps count per settled source, in a pass over each finished
+ * row, so the serial min-plus loop carries no bookkeeping.  A source
+ * whose farthest out-edge lands within the horizon counts all of them
+ * at once; only sources within that distance of the horizon walk their
+ * edges one by one.  Edges into the next row count only once that row
+ * is certain to be swept (after its cancel poll), so a cancelled race
+ * counts exactly the arrivals into the rows it swept.
  */
 struct SweepTally {
     explicit SweepTally(sim::Tick horizon)
         : limit(std::min(horizon, kSweepUnfired - 1))
     {}
 
+    /** True iff a state settled at working value `v` fired. */
+    bool fired(sim::Tick v) const { return v <= limit; }
+
     /**
-     * Count the scheduled ones among candidate arrivals `t...`.  The
-     * candidates are folded first and the running totals touched
-     * once, which keeps the totals' dependency chains short; masking
-     * an unscheduled candidate to 0 keeps the fold free of branches.
+     * Count the out-edges `out` of a source settled at `v`.  Returns
+     * false iff only some of them land within the horizon: the caller
+     * then walks them through arrive().
      */
-    template <typename... Ticks>
-    void
-    count(Ticks... t)
+    bool
+    settle(sim::Tick v, const SweepOutEdges &out)
     {
-        events += (uint64_t(t <= limit) + ...);
-        latest = std::max(latest,
-                          std::max({(t & -sim::Tick(t <= limit))...}));
+        const sim::Tick farthest = v + out.maxOut;
+        if (farthest <= limit) {
+            events += out.degree;
+            latest = std::max(latest, farthest);
+            return true;
+        }
+        return v > limit; // an unfired source schedules nothing
     }
 
-    /** True iff a cell settled at working value `v` fired. */
-    bool fired(sim::Tick v) const { return v <= limit; }
+    /** Count one out-edge arrival at `t` if it is within the horizon. */
+    void
+    arrive(sim::Tick t)
+    {
+        if (t <= limit) {
+            ++events;
+            latest = std::max(latest, t);
+        }
+    }
 
     const sim::Tick limit; ///< min(horizon, kSweepUnfired - 1)
     uint64_t events = 0;   ///< arrivals scheduled so far
@@ -177,6 +219,15 @@ struct RaceGridScratch {
      */
     std::vector<ColumnWeights> columns;
 
+    /**
+     * Out-edges of cell (i, j), one row of |b| + 1 per symbol s that
+     * the next row consumes: outEdges[s * (|b| + 1) + j].  The last
+     * row of the profile holds the in-row (horizontal) edges alone,
+     * for the grid's last row and for a row whose successor a cancel
+     * left unswept.
+     */
+    std::vector<SweepOutEdges> outEdges;
+
     /** The working row: the row being swept, over the row above. */
     std::vector<sim::Tick> row;
 
@@ -190,6 +241,8 @@ struct RaceGridScratch {
         }
         columns.clear();
         columns.shrink_to_fit();
+        outEdges.clear();
+        outEdges.shrink_to_fit();
     }
 
     /** Heap bytes currently retained across the rows. */
@@ -197,7 +250,8 @@ struct RaceGridScratch {
     residentBytes() const
     {
         return (gapA.capacity() + row.capacity()) * sizeof(sim::Tick) +
-               columns.capacity() * sizeof(ColumnWeights);
+               columns.capacity() * sizeof(ColumnWeights) +
+               outEdges.capacity() * sizeof(SweepOutEdges);
     }
 };
 
@@ -238,6 +292,10 @@ RaceGridResult raceEditGrid(const bio::Sequence &a,
  * working-row size, cells fired, cancel/horizon aborts.  It is touched
  * only after the sweep, so the raced result is bit-identical either
  * way.
+ *
+ * `arrivals = false` races score-only, as the hardware reports: the
+ * arrival grid is neither allocated nor filled (it comes back empty)
+ * and every other field is unchanged.
  */
 RaceGridResult raceEditGrid(const bio::Sequence &a,
                             const bio::Sequence &b,
@@ -245,7 +303,8 @@ RaceGridResult raceEditGrid(const bio::Sequence &a,
                             sim::Tick horizon,
                             RaceGridScratch &scratch,
                             const CancelToken *cancel = nullptr,
-                            KernelCounters *counters = nullptr);
+                            KernelCounters *counters = nullptr,
+                            bool arrivals = true);
 
 } // namespace racelogic::core
 

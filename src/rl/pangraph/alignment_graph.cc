@@ -121,6 +121,26 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
 
     out.segmentOrder = graph.topologicalOrder();
 
+    // The out-edge profile of every (next read symbol, position).
+    const size_t alpha = race.alphabet().size();
+    out.outEdges.assign((alpha + 1) * positions, core::SweepOutEdges());
+    for (size_t s = 0; s <= alpha; ++s) {
+        const auto sym = static_cast<bio::Symbol>(s);
+        core::SweepOutEdges *row = out.outEdges.data() + s * positions;
+        for (size_t p = 0; p < positions; ++p) {
+            if (s < alpha)
+                row[p].add(core::sweepWeight(race.gap(sym)));
+            for (uint32_t e = out.succOffsets[p];
+                 e < out.succOffsets[p + 1]; ++e) {
+                const CharPos q = out.succ[e];
+                row[p].add(core::sweepWeight(out.gapWeight[q]));
+                if (s < alpha)
+                    row[p].add(
+                        core::sweepWeight(race.pair(sym, out.symbol[q])));
+            }
+        }
+    }
+
     return out;
 }
 

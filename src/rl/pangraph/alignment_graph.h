@@ -35,6 +35,7 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
+#include "rl/core/wavefront.h"
 #include "rl/graph/dag.h"
 #include "rl/pangraph/variation_graph.h"
 
@@ -92,6 +93,17 @@ struct CompiledGraph {
      * instead of re-deriving symbol -> matrix lookups per edge.
      */
     std::vector<bio::Score> gapWeight;
+
+    /**
+     * Out-edges of product state (j, p), for the fused kernel's event
+     * count: outEdges[s * positionCount() + p] when read row j + 1
+     * consumes symbol s -- the insertion, and a deletion and a
+     * substitution per successor -- and, for s = |alphabet|, the
+     * deletions alone (the read's last row, or a row whose successor
+     * a cancel left unswept).  Read-independent, so built once per
+     * compile.
+     */
+    std::vector<core::SweepOutEdges> outEdges;
 
     /**
      * bio::ScoreMatrix::fingerprint() of the matrix the hoisted

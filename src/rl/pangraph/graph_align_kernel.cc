@@ -20,7 +20,7 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                   const bio::ScoreMatrix &costs, sim::Tick horizon,
                   GraphAlignScratch &scratch,
                   const core::CancelToken *cancel,
-                  core::KernelCounters *counters)
+                  core::KernelCounters *counters, bool arrivals)
 {
     rl_assert(costs.isCost(), "graph alignment races a Cost-kind matrix");
     rl_assert(read.alphabet() == costs.alphabet(),
@@ -71,42 +71,36 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
 
     GraphRaceResult result;
     result.nodes = states;
-    result.arrival.assign(states, core::TemporalValue::never());
+    if (arrivals)
+        result.arrival.assign(states, core::TemporalValue::never());
 
     const bio::Score *gapWeight = compiled.gapWeight.data();
     const bio::Symbol *symbol = compiled.symbol.data();
     core::SweepTally tally(horizon);
-    bool cancelled = false;
-    for (size_t j = 0; j <= m; ++j) {
-        if (cancel && cancel->cancelled()) {
-            cancelled = true;
-            break;
-        }
+    sim::Tick sinkTime = sim::kTickInfinity;
+    bool cancelled = cancel && cancel->cancelled();
+    for (size_t j = 0; j <= m && !cancelled; ++j) {
         const sim::Tick insert = scratch.gapRead[j];
         const sim::Tick *pair = scratch.pairRow.data() + j * alpha;
         const sim::Tick *above = scratch.above.data();
         sim::Tick *here = scratch.here.data();
 
-        // Position 0 has only the insertion in-edge; (0, 0) is the
-        // source, injected at tick 0.
-        const sim::Tick start = above[0] + insert;
-        tally.count(start);
-        here[0] = j == 0 ? 0 : std::min(start, core::kSweepUnfired);
+        // The recurrence alone.  Position 0 has only the insertion
+        // in-edge; (0, 0) is the source, injected at tick 0.
+        here[0] = j == 0 ? 0 : std::min(above[0] + insert,
+                                        core::kSweepUnfired);
         for (SegmentId s : compiled.segmentOrder) {
             // A label's first character follows every predecessor
             // segment (or position 0)...
             CharPos q = compiled.firstChar[s];
             sim::Tick best = above[q] + insert;
-            tally.count(best);
             const sim::Tick gap = static_cast<sim::Tick>(gapWeight[q]);
             const sim::Tick sub = pair[symbol[q]];
             for (uint32_t e = compiled.predOffsets[q];
                  e < compiled.predOffsets[q + 1]; ++e) {
                 const CharPos p = compiled.pred[e];
-                const sim::Tick deletion = here[p] + gap;
-                const sim::Tick substitution = above[p] + sub;
-                tally.count(deletion, substitution);
-                best = std::min(best, std::min(deletion, substitution));
+                best = std::min(best, std::min(here[p] + gap,
+                                               above[p] + sub));
             }
             // Clamping to kSweepUnfired keeps every working value at
             // most 2^62, which is what makes the additions safe.
@@ -120,7 +114,6 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                 const sim::Tick substitution = above[q - 1] + pair[symbol[q]];
                 const sim::Tick deletion =
                     left + static_cast<sim::Tick>(gapWeight[q]);
-                tally.count(insertion, substitution, deletion);
                 left = std::min(std::min(std::min(insertion, substitution),
                                          core::kSweepUnfired),
                                 deletion);
@@ -128,37 +121,66 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
             }
         }
 
-        // Publish the row; unfired states read back as never().
-        core::TemporalValue *out = result.arrival.data() + j * positions;
+        // The next row is certain to be swept only once its cancel
+        // poll passes; until then this row's edges into it stay
+        // uncounted, and a cancelled race stops with deletions only.
+        cancelled = j < m && cancel && cancel->cancelled();
+        const size_t next = j < m && !cancelled ? symRead[j] : alpha;
+        const core::SweepOutEdges *profile =
+            compiled.outEdges.data() + next * positions;
+        const sim::Tick nextInsert =
+            next < alpha ? scratch.gapRead[j + 1] : core::kSweepUnfired;
+        const sim::Tick *nextPair =
+            scratch.pairRow.data() + (next < alpha ? j + 1 : 0) * alpha;
+
+        // Count, and publish, each settled state; unfired states read
+        // back as never().
+        core::TemporalValue *out =
+            arrivals ? result.arrival.data() + j * positions : nullptr;
         size_t fired = 0;
         for (size_t p = 0; p < positions; ++p) {
-            const bool hit = tally.fired(here[p]);
-            out[p] = hit ? core::TemporalValue::at(here[p])
-                         : core::TemporalValue::never();
+            const sim::Tick v = here[p];
+            const bool hit = tally.fired(v);
             fired += hit;
+            if (out)
+                out[p] = hit ? core::TemporalValue::at(v)
+                             : core::TemporalValue::never();
+            if (!tally.settle(v, profile[p])) {
+                tally.arrive(v + nextInsert);
+                for (uint32_t e = compiled.succOffsets[p];
+                     e < compiled.succOffsets[p + 1]; ++e) {
+                    const CharPos q = compiled.succ[e];
+                    tally.arrive(v + static_cast<sim::Tick>(gapWeight[q]));
+                    tally.arrive(v + nextPair[symbol[q]]);
+                }
+            }
+        }
+        result.cellsFired += fired;
+        if (fired == 0) {
+            // Section 6: no later row can fire either.  A cancel
+            // polled here changes nothing: there is no row to stop.
+            cancelled = false;
+            break;
+        }
+        if (j == m) {
+            // The zero-weight super-sink wires: one event per fired
+            // terminal state (m, p), and the first terminal arrival
+            // fires the sink OR.
+            for (size_t p = 1; p < positions; ++p) {
+                if (compiled.terminal[p] && tally.fired(here[p])) {
+                    ++tally.events;
+                    sinkTime = std::min(sinkTime, here[p]);
+                }
+            }
         }
         std::swap(scratch.above, scratch.here);
-        result.cellsFired += fired;
-        if (fired == 0)
-            break; // Section 6: no later row can fire either.
-    }
-
-    // The zero-weight super-sink wires: one event per fired terminal
-    // state (m, p), and the first terminal arrival fires the sink OR.
-    // A row never swept reads back as never(), so an aborted race
-    // fires no wire.
-    const size_t sink = (m + 1) * positions;
-    const core::TemporalValue *last = result.arrival.data() + m * positions;
-    for (size_t p = 1; p < positions; ++p) {
-        if (compiled.terminal[p] && last[p].fired()) {
-            ++tally.events;
-            result.arrival[sink] =
-                core::firstArrival(result.arrival[sink], last[p]);
-        }
     }
     result.events = tally.events;
-    if (result.arrival[sink].fired())
+    if (sinkTime != sim::kTickInfinity) {
         ++result.cellsFired;
+        if (arrivals)
+            result.arrival[states - 1] = core::TemporalValue::at(sinkTime);
+    }
 
     // Profiling export: everything below was tracked by the sweep
     // anyway (or is a container size), so a null `counters` costs
@@ -171,12 +193,11 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
         counters->lanesOccupied += result.cellsFired;
     }
 
-    const core::TemporalValue sinkArrival = result.arrival[sink];
-    result.completed = sinkArrival.fired();
+    result.completed = sinkTime != sim::kTickInfinity;
     if (result.completed) {
-        result.racedCost = static_cast<bio::Score>(sinkArrival.time());
+        result.racedCost = static_cast<bio::Score>(sinkTime);
         result.score = result.racedCost;
-        result.latencyCycles = sinkArrival.time();
+        result.latencyCycles = sinkTime;
     } else if (cancelled) {
         // Cancelled before the sink fired: the same typed-abort shape
         // as a horizon trip, stamped with the latest arrival scheduled.

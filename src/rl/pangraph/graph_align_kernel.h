@@ -37,7 +37,9 @@
  * GraphAlignScratch (the twin of core::RaceGridScratch), so
  * steady-state read mapping -- one scratch per thread in the api
  * batch body -- allocates nothing per comparison beyond the arrival
- * vector it returns.
+ * vector it returns, and nothing at all when raced score-only.
+ * Events are counted per settled state from CompiledGraph::outEdges
+ * (see core::SweepTally), outside the serial min-plus loop.
  */
 
 #ifndef RACELOGIC_PANGRAPH_GRAPH_ALIGN_KERNEL_H
@@ -80,7 +82,8 @@ struct GraphRaceResult {
     size_t nodes = 0;
     size_t cellsFired = 0;
 
-    /** Per-node firing times, AlignmentGraph::node() layout. */
+    /** Per-node firing times, AlignmentGraph::node() layout; empty
+     *  for a score-only race. */
     std::vector<core::TemporalValue> arrival;
 };
 
@@ -165,6 +168,10 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  * counts -- events, the latest arrival + 1, the working-row size,
  * states fired, cancel/horizon aborts.  It is touched only after the
  * sweep, so the raced result is bit-identical either way.
+ *
+ * `arrivals = false` races score-only: the arrival vector is neither
+ * allocated nor filled (it comes back empty) and every other field is
+ * unchanged.
  */
 GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   const bio::Sequence &read,
@@ -172,7 +179,8 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   sim::Tick horizon,
                                   GraphAlignScratch &scratch,
                                   const core::CancelToken *cancel = nullptr,
-                                  core::KernelCounters *counters = nullptr);
+                                  core::KernelCounters *counters = nullptr,
+                                  bool arrivals = true);
 
 } // namespace racelogic::pangraph
 

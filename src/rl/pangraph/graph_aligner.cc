@@ -91,7 +91,7 @@ GraphAligner::recoverScore(bio::Score racedCost, size_t readLength) const
 GraphRaceResult
 GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
                     const core::CancelToken *cancel,
-                    core::KernelCounters *counters) const
+                    core::KernelCounters *counters, bool arrivals) const
 {
     // One kernel scratch per thread: align() stays const and
     // thread-safe (the scratch is live only within this call), and
@@ -107,20 +107,20 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
             return s->residentBytes();
         });
     core::ScratchLease lease(scratchReg.entry());
-    return align(read, horizon, scratch, cancel, counters);
+    return align(read, horizon, scratch, cancel, counters, arrivals);
 }
 
 GraphRaceResult
 GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
                     GraphAlignScratch &scratch,
                     const core::CancelToken *cancel,
-                    core::KernelCounters *counters) const
+                    core::KernelCounters *counters, bool arrivals) const
 {
     rl_assert(read.alphabet() == source->alphabet(),
               "read and graph use different alphabets");
-    GraphRaceResult result = raceAlignmentGrid(compiledGraph, read,
-                                               costs(), horizon, scratch,
-                                               cancel, counters);
+    GraphRaceResult result =
+        raceAlignmentGrid(compiledGraph, read, costs(), horizon, scratch,
+                          cancel, counters, arrivals);
     if (result.completed)
         result.score = recoverScore(result.racedCost, read.size());
     return result;

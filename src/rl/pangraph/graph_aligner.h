@@ -83,7 +83,8 @@ class GraphAligner
     GraphRaceResult align(const bio::Sequence &read,
                           sim::Tick horizon = sim::kTickInfinity,
                           const core::CancelToken *cancel = nullptr,
-                          core::KernelCounters *counters = nullptr) const;
+                          core::KernelCounters *counters = nullptr,
+                          bool arrivals = true) const;
 
     /**
      * Scratch-reuse overload for tight read-mapping loops: the fused
@@ -93,11 +94,14 @@ class GraphAligner
      * the sweep cooperatively, polled once per read row (see
      * raceAlignmentGrid).  `counters` (nullptr = off) accumulates the
      * kernel's profiling counts without changing the raced result.
+     * `arrivals = false` leaves the arrival vector empty (a
+     * score-only race).
      */
     GraphRaceResult align(const bio::Sequence &read, sim::Tick horizon,
                           GraphAlignScratch &scratch,
                           const core::CancelToken *cancel = nullptr,
-                          core::KernelCounters *counters = nullptr) const;
+                          core::KernelCounters *counters = nullptr,
+                          bool arrivals = true) const;
 
     /**
      * Race an already-built product DAG (from buildAlignmentGraph

@@ -730,6 +730,13 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         core::KernelCounters *counters =
             cfg.telemetry ? &kernel : nullptr;
 
+        // A reply carries no arrival detail, so every solve is
+        // score-only: the grid and graph kernels then allocate no
+        // arrival grid, a per-request allocation the memory budget
+        // cannot see.
+        for (api::RaceProblem &problem : problems)
+            problem.arrivals = false;
+
         Response r;
         r.id = id;
         r.tag = tag;

@@ -2,8 +2,8 @@
  * @file
  * Tests for the unified racelogic::api facade: every problem kind
  * solved through one RaceEngine matches the legacy entry points and
- * the DP oracles, and the Behavioral / GateLevel backends agree
- * through the one API.
+ * the DP oracles, the Behavioral / GateLevel backends agree through
+ * the one API, and score-only solves equal full ones.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "rl/core/threshold.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
+#include "rl/pangraph/generate.h"
 #include "rl/util/random.h"
 
 namespace {
@@ -458,6 +459,141 @@ TEST(ApiEngine, UncancelledTokenLeavesTheSolveBitIdentical)
     EXPECT_EQ(r.events, expected.events);
     EXPECT_EQ(r.cellsFired, expected.cellsFired);
     EXPECT_EQ(r.nodeArrival, expected.nodeArrival);
+}
+
+TEST(ApiEngine, GridDetailCarriesCompletionAndCancellation)
+{
+    RaceEngine engine;
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
+
+    // An aborted screen: the grid view must not read completed.
+    const RaceResult aborted = engine.solve(RaceProblem::thresholdScreen(
+        costs, 4, dna("ACTGAGA"), dna("TTTTTTT")));
+    ASSERT_FALSE(aborted.completed);
+    const core::RaceGridResult abortedView = aborted.gridDetail();
+    EXPECT_FALSE(abortedView.completed);
+    EXPECT_FALSE(abortedView.cancelled);
+    EXPECT_EQ(abortedView.latencyCycles, aborted.latencyCycles);
+    EXPECT_EQ(abortedView.events, aborted.events);
+
+    // A pre-cancelled solve.
+    core::CancelToken token;
+    token.cancel();
+    RaceProblem problem =
+        RaceProblem::pairwiseAlignment(costs, dna("GATTACA"), dna("GCATGCT"));
+    problem.cancel = &token;
+    const RaceResult cancelled = engine.solve(problem);
+    ASSERT_TRUE(cancelled.cancelled);
+    const core::RaceGridResult cancelledView = cancelled.gridDetail();
+    EXPECT_FALSE(cancelledView.completed);
+    EXPECT_TRUE(cancelledView.cancelled);
+
+    // And a completed one still reads completed.
+    problem.cancel = nullptr;
+    const core::RaceGridResult view = engine.solve(problem).gridDetail();
+    EXPECT_TRUE(view.completed);
+    EXPECT_FALSE(view.cancelled);
+}
+
+// ------------------------------------------------- score-only solves
+
+/**
+ * Solve `problem` with and without arrival detail and assert the two
+ * results are identical but for the detail, which the score-only
+ * solve leaves empty; the kernel counters must match too.
+ */
+void
+expectScoreOnlyMatchesFull(RaceEngine &engine, RaceProblem problem)
+{
+    core::KernelCounters fullCounters, bareCounters;
+    problem.counters = &fullCounters;
+    const RaceResult full = engine.solve(problem);
+    problem.arrivals = false;
+    problem.counters = &bareCounters;
+    const RaceResult bare = engine.solve(problem);
+
+    EXPECT_EQ(bare.arrival.rows(), 0u);
+    EXPECT_TRUE(bare.nodeArrival.empty());
+    EXPECT_EQ(bare.kind, full.kind);
+    EXPECT_EQ(bare.backend, full.backend);
+    EXPECT_EQ(bare.score, full.score);
+    EXPECT_EQ(bare.racedCost, full.racedCost);
+    EXPECT_EQ(bare.latencyCycles, full.latencyCycles);
+    EXPECT_EQ(bare.events, full.events);
+    EXPECT_EQ(bare.completed, full.completed);
+    EXPECT_EQ(bare.cancelled, full.cancelled);
+    EXPECT_EQ(bare.accepted, full.accepted);
+    EXPECT_EQ(bare.cyclesUsed, full.cyclesUsed);
+    EXPECT_EQ(bare.nodes, full.nodes);
+    EXPECT_EQ(bare.cellsFired, full.cellsFired);
+    ASSERT_EQ(bare.estimate.has_value(), full.estimate.has_value());
+    if (full.estimate) {
+        EXPECT_EQ(bare.estimate->wallTimeNs, full.estimate->wallTimeNs);
+        EXPECT_EQ(bare.estimate->areaUm2, full.estimate->areaUm2);
+        EXPECT_EQ(bare.estimate->energyJ, full.estimate->energyJ);
+        EXPECT_EQ(bare.estimate->gateCount, full.estimate->gateCount);
+        EXPECT_EQ(bare.estimate->dffCount, full.estimate->dffCount);
+    }
+    EXPECT_EQ(bareCounters.events, fullCounters.events);
+    EXPECT_EQ(bareCounters.bucketsDrained, fullCounters.bucketsDrained);
+    EXPECT_EQ(bareCounters.scratchHighWater, fullCounters.scratchHighWater);
+    EXPECT_EQ(bareCounters.lanesOccupied, fullCounters.lanesOccupied);
+    EXPECT_EQ(bareCounters.cancels, fullCounters.cancels);
+    EXPECT_EQ(bareCounters.horizonAborts, fullCounters.horizonAborts);
+}
+
+TEST(ApiEngine, ScoreOnlySolvesEqualFullSolvesOnBothBackends)
+{
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
+    util::Rng rng(1404);
+    core::CancelToken cancelled;
+    cancelled.cancel();
+    for (BackendKind backend :
+         {BackendKind::Behavioral, BackendKind::GateLevel}) {
+        SCOPED_TRACE(api::backendKindName(backend));
+        EngineConfig config = configFor(backend);
+        config.withEstimates = true;
+        RaceEngine engine(config);
+        for (int round = 0; round < 3; ++round) {
+            const Sequence a = Sequence::random(rng, Alphabet::dna(), 6);
+            const Sequence b = Sequence::random(rng, Alphabet::dna(), 7);
+            expectScoreOnlyMatchesFull(
+                engine, RaceProblem::pairwiseAlignment(costs, a, b));
+            expectScoreOnlyMatchesFull(
+                engine, RaceProblem::generalizedAlignment(
+                            ScoreMatrix::dnaLongestPath(), a, b));
+
+            // Screens under, at and over the score: accepted, exact,
+            // and aborted by the Section 6 horizon.
+            const bio::Score score = bio::globalScore(a, b, costs);
+            for (bio::Score threshold :
+                 {bio::Score(0), score - 1, score, score + 3})
+                expectScoreOnlyMatchesFull(
+                    engine,
+                    RaceProblem::thresholdScreen(costs, threshold, a, b));
+        }
+
+        // GraphAlign: unbounded, screened under and over its distance,
+        // and pre-cancelled.
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = 3;
+        params.maxLabel = 4;
+        auto graph = std::make_shared<pangraph::VariationGraph>(
+            pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+        const Sequence read = pangraph::sampleRead(
+            rng, *graph, bio::MutationModel::uniform(0.25));
+        const RaceResult full =
+            engine.solve(RaceProblem::graphAlign(costs, read, graph));
+        ASSERT_TRUE(full.completed);
+        for (bio::Score threshold :
+             {bio::kScoreInfinity, full.racedCost, full.racedCost - 1})
+            expectScoreOnlyMatchesFull(
+                engine,
+                RaceProblem::graphAlign(costs, read, graph, threshold));
+        RaceProblem stopped = RaceProblem::graphAlign(costs, read, graph);
+        stopped.cancel = &cancelled;
+        expectScoreOnlyMatchesFull(engine, stopped);
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/wavefront.h"
 #include "rl/util/random.h"
@@ -295,6 +296,66 @@ TEST(RaceGrid, UncancelledTokenIsBitIdenticalToPlainRace)
             for (size_t j = 0; j < r.arrival.cols(); ++j)
                 EXPECT_EQ(r.arrival.at(i, j), plain.arrival.at(i, j));
     }
+}
+
+TEST(RaceGrid, MidRaceCancelCountsOnlyTheRowsItSwept)
+{
+    // A deadline a few ms out stops a long race mid-sweep, after row
+    // k - 1.  The swept rows are exactly the grid of the prefix
+    // a[0..k-1) against b, and a cancelled race counts only the
+    // arrivals into rows it swept -- the last of which, like the
+    // prefix race's last row, schedules in-row arrivals alone.  So
+    // events and the latest arrival must equal the uncancelled prefix
+    // race's; a kernel that also counted row k-1's edges into row k
+    // would overshoot both.
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    util::Rng rng(1402);
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 2000);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 2000);
+    core::RaceGridScratch scratch;
+
+    // Retry until the cancel lands mid-sweep (1 < k <= rows): double
+    // the deadline when it fired before row 2, halve it when the race
+    // finished first.
+    auto deadline = std::chrono::microseconds(1000);
+    for (int attempt = 0; attempt < 40; ++attempt) {
+        const core::CancelToken token(core::CancelToken::Clock::now() +
+                                      deadline);
+        core::KernelCounters counters;
+        const RaceGridResult cut = core::raceEditGrid(
+            a, b, costs, sim::kTickInfinity, scratch, &token, &counters);
+        size_t k = 0; // rows published; column 0 fires in every one
+        while (k < cut.arrival.rows() &&
+               cut.arrival.at(k, 0) != sim::kTickInfinity)
+            ++k;
+        if (!cut.cancelled) {
+            deadline /= 2;
+            continue;
+        }
+        if (k <= 1) {
+            deadline *= 2;
+            continue;
+        }
+        ASSERT_LE(k, a.size());
+        SCOPED_TRACE(testing::Message() << "cancelled after row " << k - 1);
+        EXPECT_FALSE(cut.completed);
+        EXPECT_EQ(counters.cancels, 1u);
+
+        core::KernelCounters prefixCounters;
+        const RaceGridResult prefix = core::raceEditGrid(
+            a.slice(0, k - 1), b, costs, sim::kTickInfinity, scratch,
+            nullptr, &prefixCounters);
+        ASSERT_TRUE(prefix.completed);
+        EXPECT_EQ(cut.events, prefix.events);
+        EXPECT_EQ(cut.latencyCycles, prefixCounters.bucketsDrained - 1);
+        EXPECT_EQ(counters.bucketsDrained, prefixCounters.bucketsDrained);
+        EXPECT_EQ(cut.cellsFired, prefix.cellsFired);
+        for (size_t i = 0; i < k; ++i)
+            for (size_t j = 0; j <= b.size(); ++j)
+                ASSERT_EQ(cut.arrival.at(i, j), prefix.arrival.at(i, j));
+        return;
+    }
+    FAIL() << "no deadline cancelled the race mid-sweep";
 }
 
 TEST(RaceGridDeath, SimilarityMatrixRejected)

@@ -191,7 +191,8 @@ class GridKernel : public ::testing::TestWithParam<int> {};
  * Race (a, b) on the grid kernel and on WavefrontRaceKernel over the
  * materialized edit graph under `horizon`, and assert the outcomes are
  * identical: arrival grid, events, cells fired, completion, latency --
- * and the kernel counters the sweep exports.
+ * and the kernel counters the sweep exports.  A score-only race of the
+ * same case must match in everything but the (empty) arrival grid.
  */
 void
 expectGridMatchesMaterialized(const Sequence &a, const Sequence &b,
@@ -228,6 +229,26 @@ expectGridMatchesMaterialized(const Sequence &a, const Sequence &b,
     EXPECT_EQ(counters.lanesOccupied, grid.cellsFired);
     EXPECT_EQ(counters.horizonAborts, grid.completed ? 0u : 1u);
     EXPECT_EQ(counters.cancels, 0u);
+
+    // Score-only: no arrival grid, every other field and counter equal.
+    core::KernelCounters bareCounters;
+    core::RaceGridResult bare = core::raceEditGrid(
+        a, b, m, horizon, scratch, nullptr, &bareCounters,
+        /*arrivals=*/false);
+    EXPECT_EQ(bare.arrival.rows(), 0u);
+    EXPECT_EQ(bare.arrival.cols(), 0u);
+    EXPECT_EQ(bare.score, grid.score);
+    EXPECT_EQ(bare.completed, grid.completed);
+    EXPECT_EQ(bare.cancelled, grid.cancelled);
+    EXPECT_EQ(bare.latencyCycles, grid.latencyCycles);
+    EXPECT_EQ(bare.cellsFired, grid.cellsFired);
+    EXPECT_EQ(bare.events, grid.events);
+    EXPECT_EQ(bareCounters.events, counters.events);
+    EXPECT_EQ(bareCounters.bucketsDrained, counters.bucketsDrained);
+    EXPECT_EQ(bareCounters.scratchHighWater, counters.scratchHighWater);
+    EXPECT_EQ(bareCounters.lanesOccupied, counters.lanesOccupied);
+    EXPECT_EQ(bareCounters.cancels, counters.cancels);
+    EXPECT_EQ(bareCounters.horizonAborts, counters.horizonAborts);
 }
 
 TEST_P(GridKernel, MatchesMaterializedEditGraphRaceExactly)

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <sstream>
 
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
+#include "rl/core/kernel_counters.h"
 #include "rl/core/wavefront.h"
 #include "rl/pangraph/generate.h"
 #include "rl/pangraph/gfa.h"
@@ -492,7 +494,8 @@ TEST(GraphAlignDeath, RejectsMatrixMismatchedWithCompiledView)
  * Race `read` on the materialized product DAG (the reference path)
  * and on the fused kernel, and assert the outcomes are bit-identical:
  * every result field including the event count, and the arrival
- * vector element by element (super-sink included).
+ * vector element by element (super-sink included).  A score-only
+ * fused race must match in everything but the (empty) arrivals.
  */
 void
 expectFusedMatchesMaterialized(const GraphAligner &aligner,
@@ -523,6 +526,27 @@ expectFusedMatchesMaterialized(const GraphAligner &aligner,
     EXPECT_EQ(counters.events, fused.events);
     EXPECT_EQ(counters.lanesOccupied, fused.cellsFired);
     EXPECT_EQ(counters.horizonAborts, fused.completed ? 0u : 1u);
+
+    // Score-only: no arrival vector, every other field and counter
+    // equal.
+    core::KernelCounters bareCounters;
+    pangraph::GraphRaceResult bare = aligner.align(
+        read, horizon, nullptr, &bareCounters, /*arrivals=*/false);
+    EXPECT_TRUE(bare.arrival.empty());
+    EXPECT_EQ(bare.completed, fused.completed);
+    EXPECT_EQ(bare.cancelled, fused.cancelled);
+    EXPECT_EQ(bare.racedCost, fused.racedCost);
+    EXPECT_EQ(bare.score, fused.score);
+    EXPECT_EQ(bare.latencyCycles, fused.latencyCycles);
+    EXPECT_EQ(bare.events, fused.events);
+    EXPECT_EQ(bare.nodes, fused.nodes);
+    EXPECT_EQ(bare.cellsFired, fused.cellsFired);
+    EXPECT_EQ(bareCounters.events, counters.events);
+    EXPECT_EQ(bareCounters.bucketsDrained, counters.bucketsDrained);
+    EXPECT_EQ(bareCounters.scratchHighWater, counters.scratchHighWater);
+    EXPECT_EQ(bareCounters.lanesOccupied, counters.lanesOccupied);
+    EXPECT_EQ(bareCounters.cancels, counters.cancels);
+    EXPECT_EQ(bareCounters.horizonAborts, counters.horizonAborts);
 }
 
 TEST(GraphAlignFused, BitIdenticalToMaterializedDagOnRandomGraphs)
@@ -642,6 +666,76 @@ TEST(GraphAlignFused, UncancelledTokenIsBitIdenticalToPlainAlign)
     ASSERT_EQ(r.arrival.size(), plain.arrival.size());
     for (size_t n = 0; n < r.arrival.size(); ++n)
         EXPECT_EQ(r.arrival[n].rawTime(), plain.arrival[n].rawTime());
+}
+
+TEST(GraphAlignFused, MidRaceCancelCountsOnlyTheRowsItSwept)
+{
+    // A deadline a few ms out stops a long read mid-sweep, after read
+    // row k - 1.  The swept rows are exactly the product of the read
+    // prefix read[0..k-1) with the graph, and a cancelled race counts
+    // only the arrivals into rows it swept -- the last of which
+    // schedules deletions alone, like the prefix race's last row.  The
+    // prefix race also drains its terminal states into the sink, which
+    // the cancelled one never reaches; with those wires taken off,
+    // events and the latest arrival must match.
+    util::Rng rng(1403);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 160;
+    params.minLabel = 4;
+    params.maxLabel = 24;
+    auto graph = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+    const size_t positions = compiled.positionCount();
+    const Sequence read =
+        pangraph::sampleRead(rng, *graph, bio::MutationModel::uniform(0.1));
+    pangraph::GraphAlignScratch scratch;
+
+    // Retry until the cancel lands mid-sweep (1 < k <= |read|): double
+    // the deadline when it fired before row 2, halve it when the race
+    // finished first.
+    auto deadline = std::chrono::microseconds(1000);
+    for (int attempt = 0; attempt < 40; ++attempt) {
+        const core::CancelToken token(core::CancelToken::Clock::now() +
+                                      deadline);
+        core::KernelCounters counters;
+        const pangraph::GraphRaceResult cut = aligner.align(
+            read, sim::kTickInfinity, scratch, &token, &counters);
+        size_t k = 0; // rows published; position 0 fires in every one
+        while (k <= read.size() && cut.arrival[k * positions].fired())
+            ++k;
+        if (!cut.cancelled) {
+            deadline /= 2;
+            continue;
+        }
+        if (k <= 1) {
+            deadline *= 2;
+            continue;
+        }
+        ASSERT_LE(k, read.size());
+        SCOPED_TRACE(testing::Message() << "cancelled after row " << k - 1);
+        EXPECT_FALSE(cut.completed);
+        EXPECT_EQ(counters.cancels, 1u);
+
+        core::KernelCounters prefixCounters;
+        const pangraph::GraphRaceResult prefix =
+            aligner.align(read.slice(0, k - 1), sim::kTickInfinity, scratch,
+                          nullptr, &prefixCounters);
+        ASSERT_TRUE(prefix.completed);
+        uint64_t wires = 0;
+        for (size_t p = 1; p < positions; ++p)
+            wires += compiled.terminal[p] &&
+                     prefix.arrival[(k - 1) * positions + p].fired();
+        EXPECT_EQ(cut.events, prefix.events - wires);
+        EXPECT_EQ(cut.latencyCycles, prefixCounters.bucketsDrained - 1);
+        EXPECT_EQ(counters.bucketsDrained, prefixCounters.bucketsDrained);
+        EXPECT_EQ(cut.cellsFired, prefix.cellsFired - 1); // no sink
+        for (size_t n = 0; n < k * positions; ++n)
+            ASSERT_EQ(cut.arrival[n].rawTime(), prefix.arrival[n].rawTime());
+        return;
+    }
+    FAIL() << "no deadline cancelled the race mid-sweep";
 }
 
 TEST(GraphAlignFused, ScratchReuseIsBitIdenticalAndBuildsNoProduct)

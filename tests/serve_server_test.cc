@@ -95,28 +95,21 @@ dnaString(size_t length, uint32_t seed)
 
 // ----------------------------------------------------------- fidelity
 
-TEST(ServeServer, ServedSolveIsBitIdenticalToDirectEngine)
+bio::Sequence
+dnaSeq(const std::string &text)
 {
-    AlignServer server(tcpConfig());
-    ASSERT_TRUE(server.start());
-    ServeClient client = ServeClient::overTcp(server.port());
-    ASSERT_TRUE(client.ok());
+    return bio::Sequence(bio::Alphabet("ACGT"), text);
+}
 
-    const std::string a = dnaString(40, 1), b = dnaString(40, 2);
-    ASSERT_TRUE(client.submitPairwise(31, fig2b(), a, b));
-    Response response;
-    ASSERT_TRUE(client.receive(response));
+/**
+ * The daemon solves score-only; every field its reply carries must
+ * still equal a full-detail solve on a direct engine.
+ */
+void
+expectReplyMatches(const Response &response, const api::RaceResult &expected)
+{
     ASSERT_EQ(response.status, Status::Ok);
     ASSERT_TRUE(response.solve.has_value());
-
-    api::EngineConfig direct;
-    direct.workerThreads = 1;
-    api::RaceEngine engine(direct);
-    const api::RaceResult expected =
-        engine.solve(api::RaceProblem::pairwiseAlignment(
-            fig2b(), bio::Sequence(bio::Alphabet("ACGT"), a),
-            bio::Sequence(bio::Alphabet("ACGT"), b)));
-
     EXPECT_EQ(response.solve->score, expected.score);
     EXPECT_EQ(response.solve->racedCost, expected.racedCost);
     EXPECT_EQ(response.solve->latencyCycles,
@@ -128,6 +121,36 @@ TEST(ServeServer, ServedSolveIsBitIdenticalToDirectEngine)
     EXPECT_EQ(response.solve->cellsFired, expected.cellsFired);
     EXPECT_EQ(response.solve->completed, expected.completed);
     EXPECT_EQ(response.solve->accepted, expected.accepted);
+}
+
+TEST(ServeServer, ServedSolveIsBitIdenticalToDirectEngine)
+{
+    AlignServer server(tcpConfig());
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+    ASSERT_TRUE(client.ok());
+
+    api::EngineConfig direct;
+    direct.workerThreads = 1;
+    api::RaceEngine engine(direct);
+
+    const std::string a = dnaString(40, 1), b = dnaString(40, 2);
+    ASSERT_TRUE(client.submitPairwise(31, fig2b(), a, b));
+    Response response;
+    ASSERT_TRUE(client.receive(response));
+    expectReplyMatches(response,
+                       engine.solve(api::RaceProblem::pairwiseAlignment(
+                           fig2b(), dnaSeq(a), dnaSeq(b))));
+
+    // A screen the Section 6 horizon rejects: every cell costs at
+    // least 1 on Fig. 2b, so a 40 x 40 race cannot finish by cycle 30.
+    ASSERT_TRUE(client.submitScreen(32, fig2b(), 30, a, b));
+    ASSERT_TRUE(client.receive(response));
+    const api::RaceResult rejected =
+        engine.solve(api::RaceProblem::thresholdScreen(fig2b(), 30,
+                                                       dnaSeq(a), dnaSeq(b)));
+    ASSERT_FALSE(rejected.accepted);
+    expectReplyMatches(response, rejected);
 
     server.stop();
 }
@@ -149,20 +172,34 @@ TEST(ServeServer, GraphAlignMatchesDirectEngineOverUnixSocket)
     ASSERT_TRUE(client.submitGraphAlign(5, "ACGTGA", bio::kScoreInfinity));
     Response response;
     ASSERT_TRUE(client.receive(response));
-    ASSERT_EQ(response.status, Status::Ok);
 
     api::EngineConfig direct;
     direct.workerThreads = 1;
     api::RaceEngine engine(direct);
-    const api::RaceResult expected =
-        engine.solve(api::RaceProblem::graphAlign(
-            fig2b(),
-            bio::Sequence(bio::Alphabet("ACGT"), std::string("ACGTGA")),
-            graph));
-    EXPECT_EQ(response.solve->score, expected.score);
-    EXPECT_EQ(response.solve->racedCost, expected.racedCost);
-    EXPECT_EQ(response.solve->latencyCycles,
-              static_cast<uint64_t>(expected.latencyCycles));
+    expectReplyMatches(response, engine.solve(api::RaceProblem::graphAlign(
+                                     fig2b(), dnaSeq("ACGTGA"), graph)));
+
+    // A MapReads batch, one verdict per read: near, far (aborted at
+    // the threshold) and off by a substitution.
+    const std::vector<std::string> reads = {"ACGTGA", "TTTTTTTTTTTT",
+                                            "ACGCGA"};
+    std::string fasta;
+    for (size_t r = 0; r < reads.size(); ++r)
+        fasta += ">r" + std::to_string(r) + "\n" + reads[r] + "\n";
+    ASSERT_TRUE(client.submitMapReads(6, fasta, 10));
+    ASSERT_TRUE(client.receive(response));
+    ASSERT_EQ(response.status, Status::Ok);
+    ASSERT_EQ(response.reads.size(), reads.size());
+    for (size_t r = 0; r < reads.size(); ++r) {
+        const api::RaceResult expected =
+            engine.solve(api::RaceProblem::graphAlign(
+                fig2b(), dnaSeq(reads[r]), graph, 10));
+        EXPECT_EQ(response.reads[r].score, expected.score);
+        EXPECT_EQ(response.reads[r].cyclesUsed,
+                  static_cast<uint64_t>(expected.cyclesUsed));
+        EXPECT_EQ(response.reads[r].accepted, expected.accepted);
+    }
+    EXPECT_FALSE(response.reads[1].accepted);
 
     server.stop();
     EXPECT_NE(::access(path.c_str(), F_OK), 0)
