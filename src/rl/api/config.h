@@ -3,7 +3,7 @@
  * EngineConfig: how the engine realizes and prices a race.
  *
  * One configuration object selects the execution backend (behavioral
- * event simulation, synthesized gate-level fabric, or the systolic
+ * race simulation, synthesized gate-level fabric, or the systolic
  * baseline), the Section 6 early-termination threshold, the Section 5
  * delay-element encoding, the technology model used for energy/area
  * estimates, and the batch fabric pool.
@@ -23,7 +23,12 @@ namespace racelogic::api {
 
 /** Execution strategy for RaceEngine. */
 enum class BackendKind {
-    /** Event-driven temporal simulation (fast, exact, default). */
+    /**
+     * Behavioral race simulation (fast, exact, default): a dense
+     * min-plus sweep of the arrival times for the grid family and
+     * GraphAlign, the bucketed DAG kernel (core::raceDag) for Dtw,
+     * DagPath and affine lattices.
+     */
     Behavioral,
 
     /**

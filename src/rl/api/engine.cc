@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "rl/api/validate.h"
-
+#include "rl/bio/score_convert.h"
 #include "rl/circuit/compiled_sim.h"
-#include "rl/circuit/sim_sync.h"
 #include "rl/core/generalized.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
@@ -439,6 +438,16 @@ RaceEngine::checkSolvable(const RaceProblem &problem) const
         return Status::error(ErrorCode::Unsupported,
                              "the systolic baseline races pairwise "
                              "grids and threshold screens only");
+    // Both hardware backends realize a grid of at least one cell; only
+    // the behavioral race has an answer for an empty string.
+    if (cfg.backend != BackendKind::Behavioral &&
+        gridFamilyKind(problem.kind) &&
+        (problem.a->empty() || problem.b->empty()))
+        return Status::error(ErrorCode::Unsupported, "the ",
+                             backendKindName(cfg.backend),
+                             " backend races grids of at least one "
+                             "cell; race an empty string on the "
+                             "behavioral backend");
     return Status();
 }
 
@@ -456,7 +465,17 @@ RaceEngine::validate(const RaceProblem &problem,
             return s;
         return checkRuntimeInputs(problem);
     }
-    return validateProblem(problem, limits);
+    if (Status s = validateProblem(problem, limits); !s.ok())
+        return s;
+    // The systolic plan build asserts the one cost family the array
+    // encodes; check the matrix it would race.
+    if (cfg.backend == BackendKind::Systolic)
+        return systolic::LiptonLoprestiArray::checkMatrix(
+            problem.matrix->isCost()
+                ? *problem.matrix
+                : bio::toShortestPathForm(*problem.matrix, problem.lambda)
+                      .costs);
+    return Status();
 }
 
 Status
@@ -589,9 +608,11 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
         HardwareEstimate est;
         est.wallTimeNs = raceWallNs(lib, result.cyclesUsed);
         // On GateLevel the caller overwrites area/energy with figures
-        // from the synthesized netlist; skip the analytic model then.
+        // from the synthesized netlist; skip the analytic model then,
+        // and for an empty string, whose grid has no cells to price.
         if (plan.hasInventory &&
-            cfg.backend != BackendKind::GateLevel) {
+            cfg.backend != BackendKind::GateLevel && !a.empty() &&
+            !b.empty()) {
             // Eq. 3 with the actual race duration: clock-pin charging
             // of every fabric DFF per cycle, plus the per-comparison
             // data term.
@@ -664,10 +685,11 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
     }
 
     // Behavioral race (also the reference the gate level is checked
-    // against).
+    // against).  A cancelled race has no result to cross-check, so
+    // the fabric is not raced either.
     RaceResult result = raceGridBehavioral(problem, *plan);
 
-    if (cfg.backend == BackendKind::GateLevel) {
+    if (cfg.backend == BackendKind::GateLevel && !result.cancelled) {
         // Run the same race on the synthesized fabric, as a one-lane
         // alignLanes(): a private simulator over the plan's shared
         // compile, so concurrent solves never share simulation state.
@@ -1040,7 +1062,8 @@ RaceEngine::raceBatchGateLevel(
     std::vector<RaceResult> &results)
 {
     // Group problem indices by plan (one synthesized fabric per grid
-    // shape) and fill each fabric's 64 bit-parallel lanes.
+    // shape) and fill each fabric's 64 bit-parallel lanes.  Cancelled
+    // races have nothing to replay.
     struct Chunk {
         const Plan *plan;
         std::vector<size_t> indices;
@@ -1048,6 +1071,8 @@ RaceEngine::raceBatchGateLevel(
     std::vector<Chunk> chunks;
     std::unordered_map<const Plan *, size_t> open;
     for (size_t i = 0; i < problems.size(); ++i) {
+        if (results[i].cancelled)
+            continue;
         const Plan *plan = plans[i].get();
         auto found = open.find(plan);
         if (found != open.end() &&

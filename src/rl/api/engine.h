@@ -158,8 +158,9 @@ class RaceEngine
      * order, bit-identical to a serial run, and concurrent batches on
      * one engine take turns on the pool.  Screening-shaped
      * batches are additionally dispatched onto the core::batch
-     * fabric pool (fabricCount, resetCycles, threshold from the
-     * config) to model a multi-fabric deployment.
+     * fabric pool (fabricCount and resetCycles from the config; each
+     * comparison busy for its threshold-clamped cyclesUsed) to model
+     * a multi-fabric deployment.
      *
      * On the GateLevel backend, grid-family batches are raced
      * behaviorally the same way and then replayed on the synthesized

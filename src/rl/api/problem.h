@@ -94,9 +94,10 @@ struct RaceProblem {
      * swept row.  Non-owning: the caller keeps
      * the token alive across the solve.  A cancelled race returns a
      * typed abort -- completed = false, cancelled = true, score
-     * kScoreInfinity -- instead of a wasted full solve.  Kinds that
-     * race on other substrates (DagPath, Dtw, Affine lattices) and
-     * the GateLevel cross-check path ignore it.  Not part of the
+     * kScoreInfinity -- instead of a wasted full solve; a GateLevel
+     * grid solve then skips its fabric replay.  Kinds that race on
+     * other substrates (DagPath, Dtw, Affine lattices) and the
+     * GateLevel GraphAlign product race ignore it.  Not part of the
      * plan key: cancellation is a run-time property, not hardware.
      */
     const core::CancelToken *cancel = nullptr;

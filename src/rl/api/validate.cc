@@ -1,5 +1,6 @@
 #include "rl/api/validate.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "rl/bio/score_convert.h"
@@ -50,7 +51,7 @@ checkSequenceAlphabet(const bio::Sequence &sequence,
 }
 
 /** Race-readiness of the matrix actually raced (converted when the
- *  input is a similarity matrix), under the wavefront calendar cap. */
+ *  input is a similarity matrix), under the kMaxWavefrontWeight cap. */
 Status
 checkRaceMatrix(const bio::ScoreMatrix &matrix, bio::Score lambda)
 {
@@ -59,11 +60,46 @@ checkRaceMatrix(const bio::ScoreMatrix &matrix, bio::Score lambda)
                                         /*allowForbiddenPairs=*/true);
     // Section 5 conversion is total for any similarity matrix with
     // lambda >= 1 (the bias lifts every weight to >= 1); only the
-    // calendar cap of the *converted* costs can still fail.
+    // delay cap of the *converted* costs can still fail.
     bio::ShortestPathForm converted =
         bio::toShortestPathForm(matrix, lambda);
     return converted.costs.validateRaceReady(
         core::kMaxWavefrontWeight, /*allowForbiddenPairs=*/true);
+}
+
+/**
+ * The typed error for a delay outside [low, kMaxWavefrontWeight],
+ * worded like an over-cap matrix weight's: `what` names the delay.
+ */
+template <typename... What>
+Status
+delayOutOfRange(int64_t w, int64_t low, const What &...what)
+{
+    return Status::error(ErrorCode::InvalidArgument, what..., " weight ",
+                         w, " outside the race-ready range [", low, ", ",
+                         core::kMaxWavefrontWeight, "]");
+}
+
+/** |a - b| exactly, for any two samples (no signed overflow). */
+uint64_t
+sampleDistance(apps::Sample a, apps::Sample b)
+{
+    return a > b ? static_cast<uint64_t>(a) - static_cast<uint64_t>(b)
+                 : static_cast<uint64_t>(b) - static_cast<uint64_t>(a);
+}
+
+/**
+ * The largest DTW lattice weight |x_i - y_j|: the wider of the two
+ * cross spreads, each an exact unsigned distance.
+ */
+uint64_t
+dtwSpread(const std::vector<apps::Sample> &x,
+          const std::vector<apps::Sample> &y)
+{
+    const auto [xLow, xHigh] = std::minmax_element(x.begin(), x.end());
+    const auto [yLow, yHigh] = std::minmax_element(y.begin(), y.end());
+    return std::max(sampleDistance(*xHigh, *yLow),
+                    sampleDistance(*yHigh, *xLow));
 }
 
 } // namespace
@@ -299,44 +335,47 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
     case ProblemKind::GeneralizedAlignment:
     case ProblemKind::ThresholdScreen:
         // The plan's RaceGridAligner races the (possibly converted)
-        // matrix on the bucketed wavefront kernel; enforce its weight
-        // discipline here instead of asserting inside.
+        // matrix on the dense sweep, and a GateLevel plan synthesizes
+        // it; enforce their weight discipline here instead of
+        // asserting inside.
         return checkRaceMatrix(*problem.matrix, problem.lambda);
     case ProblemKind::AffineAlignment: {
-        // The 3-layer lattice feeds raceDag(), which tolerates any
-        // non-negative weight (oversized graphs fall back to the
-        // event kernel) -- but pair weights must be costs: finite
-        // entries >= 0, kScoreInfinity meaning "no edge".
+        // The 3-layer lattice feeds raceDag(): every delay must sit in
+        // the race-ready range.  Pair weights are costs -- finite
+        // entries >= 1, kScoreInfinity meaning "no edge" -- and the
+        // gap weights are open >= extend >= 1 (checked above).
         const bio::ScoreMatrix &costs = *problem.matrix;
-        const size_t n = costs.alphabet().size();
-        for (size_t i = 0; i < n; ++i)
-            for (size_t j = 0; j < n; ++j) {
-                const bio::Score w =
-                    costs.pair(static_cast<bio::Symbol>(i),
-                               static_cast<bio::Symbol>(j));
-                if (w < 0)
-                    return Status::error(
-                        ErrorCode::InvalidArgument,
-                        "affine pair weight '",
-                        costs.alphabet().letter(
-                            static_cast<bio::Symbol>(i)),
-                        "' x '",
-                        costs.alphabet().letter(
-                            static_cast<bio::Symbol>(j)),
-                        "' is negative (", w,
-                        "); race costs are delays");
+        const bio::Alphabet &alphabet = costs.alphabet();
+        for (bio::Symbol i = 0; i < alphabet.size(); ++i)
+            for (bio::Symbol j = 0; j < alphabet.size(); ++j) {
+                const bio::Score w = costs.pair(i, j);
+                if (w != bio::kScoreInfinity &&
+                    (w < 1 || w > core::kMaxWavefrontWeight))
+                    return delayOutOfRange(w, 1, "affine pair '",
+                                           alphabet.letter(i), "' x '",
+                                           alphabet.letter(j), "'");
             }
+        if (problem.gaps.open > core::kMaxWavefrontWeight)
+            return delayOutOfRange(problem.gaps.open, 1,
+                                   "affine gap open");
         return Status();
     }
-    case ProblemKind::Dtw:
+    case ProblemKind::Dtw: {
+        // Each lattice edge weighs a sample distance |x_i - y_j|.
+        const uint64_t spread = dtwSpread(problem.x, problem.y);
+        if (spread > static_cast<uint64_t>(core::kMaxWavefrontWeight))
+            return Status::error(
+                ErrorCode::InvalidArgument, "DTW samples differ by up "
+                "to ", spread, ", a lattice weight outside the "
+                "race-ready range [0, ", core::kMaxWavefrontWeight,
+                "]");
         return Status();
+    }
     case ProblemKind::DagPath: {
         for (const graph::Edge &e : problem.dag->edges())
-            if (e.weight < 0)
-                return Status::error(ErrorCode::InvalidArgument,
-                                     "DAG edge ", e.from, "->", e.to,
-                                     " has negative weight ", e.weight,
-                                     "; race delays are non-negative");
+            if (e.weight < 0 || e.weight > core::kMaxWavefrontWeight)
+                return delayOutOfRange(e.weight, 0, "DAG edge ", e.from,
+                                       "->", e.to);
         if (!problem.dag->isAcyclic())
             return Status::error(ErrorCode::Unsupported,
                                  "DAG path graph contains a cycle; "

@@ -17,12 +17,14 @@
  *                    report ResourceExhausted.
  *  - validateProblem(): the full deep check -- everything the fatal
  *                    solve path asserts, returned as a typed Status
- *                    instead.  Matrix race-readiness under the
- *                    wavefront calendar cap, Section 5 conversion
+ *                    instead.  Every delay the race would carry
+ *                    (matrix and gap weights, DTW sample distances,
+ *                    DAG edge weights) within [0 or 1,
+ *                    core::kMaxWavefrontWeight], Section 5 conversion
  *                    preconditions, graph validity and rank balance,
- *                    DAG id ranges and weight signs.  A problem this
- *                    accepts cannot trip an input-facing rl_fatal /
- *                    rl_assert anywhere down the solve path.
+ *                    DAG id ranges.  A problem this accepts cannot
+ *                    trip an input-facing rl_fatal / rl_assert
+ *                    anywhere down the solve path.
  *
  * The serve daemon calls checkBudgets() per decoded problem before
  * queueing (admission control) and RaceEngine::validate() before

@@ -9,8 +9,9 @@
  * OR-type construction races it unchanged: the node cost |x_i - y_j|
  * becomes the weight of every edge *entering* cell (i, j), and
  * equal samples yield zero-weight edges, which are plain wires in
- * hardware.  This module gives the reference DP, the DAG builder,
- * and the raced version, plus a small signal workload generator.
+ * hardware.  This module gives the reference DP and the DAG builder
+ * (api::RaceEngine races it as ProblemKind::Dtw), plus a small
+ * signal workload generator.
  */
 
 #ifndef RACELOGIC_APPS_DTW_H
@@ -50,23 +51,6 @@ struct DtwGraph {
 
 /** Build the DTW lattice of (x, y); both must be non-empty. */
 DtwGraph makeDtwGraph(const std::vector<Sample> &x,
-                      const std::vector<Sample> &y);
-
-/** Result of racing a DTW lattice. */
-struct DtwRaceResult {
-    int64_t distance = 0;
-    sim::Tick latencyCycles = 0;
-    uint64_t events = 0;
-};
-
-/**
- * Race the DTW of (x, y) and read the distance off the clock.
- *
- * @deprecated Shim over the unified facade; new code should use
- * api::RaceEngine::solve(api::RaceProblem::dtw(x, y)) (rl/api/api.h),
- * which also offers the gate-level backend and technology pricing.
- */
-DtwRaceResult raceDtw(const std::vector<Sample> &x,
                       const std::vector<Sample> &y);
 
 /**

@@ -7,14 +7,6 @@
 
 namespace racelogic::core {
 
-BatchScreeningEngine::BatchScreeningEngine(bio::ScoreMatrix costs,
-                                           BatchConfig config)
-    : racer(std::move(costs)), cfg(config)
-{
-    rl_assert(cfg.fabricCount >= 1, "pool needs at least one fabric");
-    rl_assert(cfg.threshold >= 0, "negative threshold");
-}
-
 BatchReport
 scheduleBatch(const BatchConfig &config,
               const std::vector<ScreenedComparison> &runs)
@@ -55,33 +47,6 @@ scheduleBatch(const BatchConfig &config,
             (static_cast<double>(config.fabricCount) *
              static_cast<double>(report.makespanCycles));
     return report;
-}
-
-BatchReport
-BatchScreeningEngine::run(const bio::Sequence &query,
-                          const std::vector<bio::Sequence> &database) const
-{
-    // Each comparison races with the threshold as its kernel horizon:
-    // the fabric-busy time comes straight out of the simulation (a
-    // rejected race stops at the threshold cycle) instead of racing
-    // to completion and clamping afterwards.  The two accountings
-    // agree by arrival-time monotonicity; tests assert it.
-    const bool bounded = cfg.threshold != bio::kScoreInfinity;
-    std::vector<ScreenedComparison> runs;
-    runs.reserve(database.size());
-    for (const bio::Sequence &candidate : database) {
-        RaceGridResult raced =
-            bounded ? racer.align(query, candidate,
-                                  static_cast<sim::Tick>(cfg.threshold))
-                    : racer.align(query, candidate);
-        ScreenedComparison run;
-        run.accepted = raced.completed && raced.score <= cfg.threshold;
-        run.cyclesUsed = raced.completed
-                             ? static_cast<uint64_t>(raced.score)
-                             : static_cast<uint64_t>(cfg.threshold);
-        runs.push_back(run);
-    }
-    return scheduleBatch(cfg, runs);
 }
 
 } // namespace racelogic::core

@@ -10,16 +10,17 @@
  * (bounded by the Section 6 threshold when one is set) plus a reset
  * cycle.  The report carries makespan, utilization, and accept
  * verdicts, and prices wall time against a technology model.
+ * api::RaceEngine::solveBatch() races the comparisons and schedules
+ * them here.
  */
 
 #ifndef RACELOGIC_CORE_BATCH_H
 #define RACELOGIC_CORE_BATCH_H
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "rl/bio/score_matrix.h"
-#include "rl/bio/sequence.h"
-#include "rl/core/race_grid.h"
 #include "rl/tech/cell_library.h"
 
 namespace racelogic::core {
@@ -28,9 +29,6 @@ namespace racelogic::core {
 struct BatchConfig {
     /** Parallel fabrics instantiated. */
     size_t fabricCount = 4;
-
-    /** Early-termination threshold; kScoreInfinity disables it. */
-    bio::Score threshold = bio::kScoreInfinity;
 
     /** Cycles to reset a fabric between comparisons. */
     uint64_t resetCycles = 1;
@@ -76,31 +74,11 @@ struct ScreenedComparison {
 };
 
 /**
- * Greedy list scheduling of precomputed comparisons onto the fabric
- * pool (each goes to the fabric that frees up first).  This is the
- * dispatcher BatchScreeningEngine uses after racing; callers that
- * have already raced their comparisons (api::RaceEngine::solveBatch)
- * schedule here directly without racing twice.
+ * Greedy list scheduling of already-raced comparisons onto the fabric
+ * pool (each goes to the fabric that frees up first).
  */
 BatchReport scheduleBatch(const BatchConfig &config,
                           const std::vector<ScreenedComparison> &runs);
-
-/** A pool of behavioral race fabrics with a greedy dispatcher. */
-class BatchScreeningEngine
-{
-  public:
-    BatchScreeningEngine(bio::ScoreMatrix costs, BatchConfig config);
-
-    /** Screen every candidate against `query`. */
-    BatchReport run(const bio::Sequence &query,
-                    const std::vector<bio::Sequence> &database) const;
-
-    const BatchConfig &config() const { return cfg; }
-
-  private:
-    RaceGridAligner racer;
-    BatchConfig cfg;
-};
 
 } // namespace racelogic::core
 

@@ -94,26 +94,6 @@ buildWeightApplicator(circuit::Netlist &netlist, circuit::NetId pred,
     return circuit::buildSetOnArrival(netlist, selected);
 }
 
-GeneralizedAligner::GeneralizedAligner(const bio::ScoreMatrix &similarity,
-                                       bio::Score lambda)
-    : converted(bio::toShortestPathForm(similarity, lambda)),
-      cellSpec(GeneralizedCellSpec::fromMatrix(converted.costs)),
-      racer(converted.costs)
-{}
-
-GeneralizedAligner::Result
-GeneralizedAligner::align(const bio::Sequence &a,
-                          const bio::Sequence &b) const
-{
-    RaceGridResult raced = racer.align(a, b);
-    Result result;
-    result.racedCost = raced.score;
-    result.latencyCycles = raced.latencyCycles;
-    result.similarityScore =
-        converted.recoverScore(raced.score, a.size(), b.size());
-    return result;
-}
-
 GeneralizedGridCircuit::GeneralizedGridCircuit(bio::ScoreMatrix costs_in,
                                                size_t rows, size_t cols,
                                                DelayEncoding encoding_in)

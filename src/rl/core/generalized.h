@@ -13,9 +13,10 @@
  * flip-flops plus comparators -- the Section 5 area trade-off
  * reproduced by bench_ablation_encoding.
  *
- * The behavioral GeneralizedAligner first rewrites a similarity
- * matrix into race-ready costs (rl/bio/score_convert.h), races the
- * edit graph, and maps the winning delay back to the original score.
+ * The behavioral race of a similarity matrix (api::RaceEngine,
+ * ProblemKind::GeneralizedAlignment) first rewrites it into
+ * race-ready costs (rl/bio/score_convert.h), races the edit graph,
+ * and maps the winning delay back to the original score.
  */
 
 #ifndef RACELOGIC_CORE_GENERALIZED_H
@@ -24,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "rl/bio/score_convert.h"
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
 #include "rl/circuit/builders.h"
@@ -73,36 +73,6 @@ circuit::NetId buildWeightApplicator(
     const circuit::Bus &select,
     const std::vector<bio::Score> &weight_by_index,
     const GeneralizedCellSpec &spec, DelayEncoding encoding);
-
-/**
- * Behavioral generalized aligner: similarity matrix in, original
- * similarity score out, with the race cost and latency reported.
- */
-class GeneralizedAligner
-{
-  public:
-    /** Convert `similarity` (Section 5) and build the race model. */
-    explicit GeneralizedAligner(const bio::ScoreMatrix &similarity,
-                                bio::Score lambda = 1);
-
-    struct Result {
-        /** Score in the original similarity semantics. */
-        bio::Score similarityScore = 0;
-        /** The raced (converted) cost = race latency in cycles. */
-        bio::Score racedCost = 0;
-        sim::Tick latencyCycles = 0;
-    };
-
-    Result align(const bio::Sequence &a, const bio::Sequence &b) const;
-
-    const bio::ShortestPathForm &form() const { return converted; }
-    const GeneralizedCellSpec &spec() const { return cellSpec; }
-
-  private:
-    bio::ShortestPathForm converted;
-    GeneralizedCellSpec cellSpec;
-    RaceGridAligner racer;
-};
 
 /**
  * Gate-level grid of generalized cells over an arbitrary race-ready

@@ -22,12 +22,24 @@ checkRaceable(const graph::Dag &dag)
                      "delays (convert the matrix first, Section 5)");
 }
 
-/** The heap-scheduled race body; callers have validated the graph. */
+} // namespace
+
 RaceOutcome
-raceEventDrivenImpl(const graph::Dag &dag,
-                    const std::vector<graph::NodeId> &sources,
-                    RaceType type, sim::Tick horizon)
+raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
+        RaceType type, sim::Tick horizon)
 {
+    checkRaceable(dag);
+    rl_assert(!sources.empty(), "race needs at least one source");
+    return WavefrontRaceKernel(dag).race(sources, type, horizon);
+}
+
+RaceOutcome
+raceDagEventDriven(const graph::Dag &dag,
+                   const std::vector<graph::NodeId> &sources,
+                   RaceType type, sim::Tick horizon)
+{
+    checkRaceable(dag);
+    rl_assert(!sources.empty(), "race needs at least one source");
     const size_t n = dag.nodeCount();
     RaceOutcome outcome;
     outcome.firing.assign(n, TemporalValue::never());
@@ -78,29 +90,6 @@ raceEventDrivenImpl(const graph::Dag &dag,
                          ? queue.run()
                          : queue.runUntil(horizon);
     return outcome;
-}
-
-} // namespace
-
-RaceOutcome
-raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
-        RaceType type, sim::Tick horizon)
-{
-    checkRaceable(dag);
-    rl_assert(!sources.empty(), "race needs at least one source");
-    if (WavefrontRaceKernel::suitableFor(dag))
-        return WavefrontRaceKernel(dag).race(sources, type, horizon);
-    return raceEventDrivenImpl(dag, sources, type, horizon);
-}
-
-RaceOutcome
-raceDagEventDriven(const graph::Dag &dag,
-                   const std::vector<graph::NodeId> &sources,
-                   RaceType type, sim::Tick horizon)
-{
-    checkRaceable(dag);
-    rl_assert(!sources.empty(), "race needs at least one source");
-    return raceEventDrivenImpl(dag, sources, type, horizon);
 }
 
 bool

@@ -12,12 +12,12 @@
  *  - raceDag(): a temporal simulation on the DAG itself.  Arrival
  *    events propagate in time order exactly as edges would in
  *    hardware; per-node firing times come out as a by-product (the
- *    "wavefront").  Graphs with bounded delays (all of them, in
- *    practice) run on the bucketed wavefront kernel
+ *    "wavefront").  It runs on the bucketed wavefront kernel
  *    (rl/core/wavefront.h -- Dial's algorithm, O(E + T), no heap and
- *    no per-event allocation); raceDagEventDriven() is the original
- *    heap-scheduled reference kernel, kept for equivalence testing
- *    and as the fallback for out-of-range delays.
+ *    no per-event allocation), which takes delays up to
+ *    kMaxWavefrontWeight; raceDagEventDriven() is the original
+ *    heap-scheduled kernel, kept as the reference the wavefront
+ *    kernel is tested and benchmarked against.
  *
  *  - compileRaceCircuit(): an actual gate-level netlist (OR/AND
  *    gates + DFF delay chains) runnable on circuit::SyncSim.  This
@@ -65,13 +65,12 @@ struct RaceOutcome {
  * Race over `dag` injecting a rising edge at every node in `sources`
  * at tick 0.
  *
- * Dispatches to the bucketed wavefront kernel (rl/core/wavefront.h)
- * when the graph's delays fit its calendar, falling back to the
- * heap-scheduled event kernel otherwise; both produce identical
- * outcomes.
+ * Runs on the bucketed wavefront kernel (rl/core/wavefront.h).
  *
- * Requirements checked: the graph is acyclic and every edge weight
- * is >= 0 (Race Logic cannot realize negative delays; Section 5).
+ * Requirements checked: the graph is acyclic, every edge weight is
+ * >= 0 (Race Logic cannot realize negative delays; Section 5) and at
+ * most kMaxWavefrontWeight (api::RaceEngine::validate() rejects
+ * larger delays with a typed error; here they abort).
  * For RaceType::And the hardware fires a node only after *all*
  * in-edges have fired, so any node with an in-edge that cannot fire
  * stays at never(); callers comparing against a longest-path DP
@@ -89,11 +88,10 @@ RaceOutcome raceDag(const graph::Dag &dag,
                     sim::Tick horizon = sim::kTickInfinity);
 
 /**
- * The original heap-scheduled reference kernel: one sim::EventQueue
- * callback per edge arrival.  Same semantics (and same outcome,
- * event counts included) as raceDag(); kept as the equivalence
- * reference for the wavefront kernel and as raceDag()'s fallback for
- * graphs whose delays exceed kMaxWavefrontWeight.
+ * The original heap-scheduled kernel: one sim::EventQueue callback
+ * per edge arrival.  Same semantics (and same outcome, event counts
+ * included) as raceDag() for any delay; kept only as the reference
+ * the wavefront kernel is tested and benchmarked against.
  */
 RaceOutcome raceDagEventDriven(const graph::Dag &dag,
                                const std::vector<graph::NodeId> &sources,

@@ -15,18 +15,10 @@ WavefrontRaceKernel::WavefrontRaceKernel(const graph::Dag &dag)
     for (graph::Weight w : csr.weight) {
         rl_assert(w >= 0 && w <= kMaxWavefrontWeight,
                   "wavefront kernel weight ", w, " outside [0, ",
-                  kMaxWavefrontWeight, "]; use raceDag(), which "
-                  "dispatches oversized graphs to the event kernel");
+                  kMaxWavefrontWeight, "]; validate the problem "
+                  "(api::RaceEngine::validate()) before racing it");
         maxWeight = std::max(maxWeight, w);
     }
-}
-
-bool
-WavefrontRaceKernel::suitableFor(const graph::Dag &dag)
-{
-    if (dag.edgeCount() == 0)
-        return true;
-    return dag.maxWeight() <= kMaxWavefrontWeight;
 }
 
 RaceOutcome

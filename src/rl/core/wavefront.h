@@ -55,11 +55,13 @@
 namespace racelogic::core {
 
 /**
- * Largest edge weight the bucket calendar will size itself for.  The
- * ring needs maxWeight+1 buckets, so a pathological graph with one
- * enormous delay would explode memory; raceDag() falls back to the
- * heap-based event kernel above this bound.  Every workload in the
- * paper (cost matrices, DTW sample distances) sits far below it.
+ * Largest delay a race may carry.  The bucket calendar needs
+ * maxWeight+1 buckets (and a gate-level fabric a maxWeight-deep DFF
+ * chain), so WavefrontRaceKernel asserts every edge weight is at most
+ * this, and api::RaceEngine::validate() rejects any problem raising
+ * one above it -- matrix and affine gap weights, DTW sample spreads,
+ * DAG edge weights -- with a typed InvalidArgument.  Every workload
+ * in the paper sits far below it.
  */
 constexpr graph::Weight kMaxWavefrontWeight = 1 << 16;
 
@@ -70,17 +72,14 @@ constexpr graph::Weight kMaxWavefrontWeight = 1 << 16;
  * and allocates only its own per-race state, so one kernel can race
  * many source sets -- including concurrently from several threads.
  *
- * The caller is responsible for validity (acyclic, weights in
- * [0, kMaxWavefrontWeight]); raceDag() performs those checks before
- * constructing a kernel.
+ * The caller is responsible for acyclicity and non-negative weights
+ * (raceDag() checks both before constructing a kernel); the
+ * constructor asserts the kMaxWavefrontWeight cap.
  */
 class WavefrontRaceKernel
 {
   public:
     explicit WavefrontRaceKernel(const graph::Dag &dag);
-
-    /** True iff the bucket calendar can represent this graph. */
-    static bool suitableFor(const graph::Dag &dag);
 
     /**
      * Race from `sources` (all injected at tick 0).

@@ -3,8 +3,19 @@
 #include <cstring>
 
 #include "rl/bio/fasta.h"
+#include "rl/core/wavefront.h"
 
 namespace racelogic::serve {
+
+// Every request the decoder accepts must pass library validation (the
+// fuzz harness's "decode accepts => validate accepts" invariant), so
+// the wire caps stay inside the race's delay cap: a DTW lattice weight
+// is the distance of two samples, and a matrix or affine gap weight is
+// at most kMaxWireWeight.
+static_assert(2 * kMaxWireSample <= core::kMaxWavefrontWeight,
+              "wire DTW samples may differ by more than a race delay");
+static_assert(kMaxWireWeight <= core::kMaxWavefrontWeight,
+              "wire weights may exceed a race delay");
 
 namespace {
 

@@ -3,10 +3,11 @@
  * Tick-based discrete-event simulation kernel.
  *
  * Race Logic is fundamentally about *when* signals arrive, so the
- * natural simulation substrate is discrete-event: the event-driven
- * race-network solver and the asynchronous variants schedule arrival
- * events on this queue, while the synchronous gate-level simulator
- * uses it for clock-edge sequencing.
+ * natural simulation substrate is discrete-event.  One race schedules
+ * its arrivals here: core::raceDagEventDriven(), the heap-scheduled
+ * reference the bucketed and dense race kernels are tested and
+ * benchmarked against.  The production kernels and the gate-level
+ * simulators keep their own clocks.
  *
  * Ticks are dimensionless; in synchronous Race Logic one tick is one
  * clock cycle, and the technology model (rl/tech) converts cycles to

@@ -37,36 +37,51 @@ constexpr unsigned kScoreBits = 2; // mod-4 residue
 
 } // namespace
 
+Status
+LiptonLoprestiArray::checkMatrix(const bio::ScoreMatrix &costs)
+{
+    auto outside = [](const char *why) {
+        return Status::error(ErrorCode::Unsupported,
+                             "the systolic baseline races the Fig. 2b "
+                             "cost family only: ", why);
+    };
+    if (!costs.isCost())
+        return outside("it minimizes an edit cost");
+    const bio::Alphabet &alphabet = costs.alphabet();
+    bio::Score mismatch = 0; // the first off-diagonal weight seen
+    for (bio::Symbol s = 0; s < alphabet.size(); ++s) {
+        if (costs.gap(s) != 1)
+            return outside("the encoding needs unit indel weights");
+        for (bio::Symbol t = 0; t < alphabet.size(); ++t) {
+            const bio::Score w = costs.pair(s, t);
+            if (s == t) {
+                if (w != 1)
+                    return outside("match weights must be 1");
+                continue;
+            }
+            if (w != 2 && w != bio::kScoreInfinity)
+                return outside("mismatch weights must be 2 or "
+                               "infinity; the mod-4 encoding relies on "
+                               "the bounded cell-to-cell differences "
+                               "this family has");
+            if (mismatch == 0)
+                mismatch = w;
+            else if (w != mismatch)
+                return outside("the PE distinguishes only "
+                               "match/mismatch, so the mismatch "
+                               "weight must be uniform");
+        }
+    }
+    return Status();
+}
+
 LiptonLoprestiArray::LiptonLoprestiArray(bio::ScoreMatrix costs_in)
     : costs(std::move(costs_in))
 {
-    rl_assert(costs.isCost(),
-              "the systolic baseline minimizes an edit cost");
-    const bio::Alphabet &alphabet = costs.alphabet();
-    bool saw_mismatch = false;
-    for (bio::Symbol s = 0; s < alphabet.size(); ++s) {
-        rl_assert(costs.gap(s) == 1,
-                  "Lipton-Lopresti encoding needs unit indel weights");
-        for (bio::Symbol t = 0; t < alphabet.size(); ++t) {
-            bio::Score w = costs.pair(s, t);
-            if (s == t) {
-                rl_assert(w == 1, "match weight must be 1 (Fig. 2b)");
-                continue;
-            }
-            rl_assert(w == 2 || w == bio::kScoreInfinity,
-                      "mismatch weight must be 2 or infinity; the "
-                      "mod-4 encoding relies on the bounded "
-                      "cell-to-cell differences this family has");
-            if (!saw_mismatch) {
-                mismatchWeight = w;
-                saw_mismatch = true;
-            } else {
-                rl_assert(w == mismatchWeight,
-                          "the PE distinguishes only match/mismatch, "
-                          "so the mismatch weight must be uniform");
-            }
-        }
-    }
+    const Status family = checkMatrix(costs);
+    rl_assert(family.ok(), family.message());
+    if (costs.alphabet().size() > 1)
+        mismatchWeight = costs.pair(0, 1);
 }
 
 uint64_t

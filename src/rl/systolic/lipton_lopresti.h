@@ -35,6 +35,7 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
+#include "rl/util/status.h"
 
 namespace racelogic::systolic {
 
@@ -73,7 +74,15 @@ struct SystolicResult {
 class LiptonLoprestiArray
 {
   public:
+    /** fatal() unless checkMatrix(costs) passes. */
     explicit LiptonLoprestiArray(bio::ScoreMatrix costs);
+
+    /**
+     * Ok iff `costs` is in the Fig. 2b family the mod-4 encoding
+     * represents -- Cost kind, unit indels and matches, one uniform
+     * mismatch weight of 2 or kScoreInfinity; Unsupported otherwise.
+     */
+    static Status checkMatrix(const bio::ScoreMatrix &costs);
 
     /** Compare two strings; fatal() on alphabet mismatch. */
     SystolicResult align(const bio::Sequence &a,

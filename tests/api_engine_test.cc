@@ -1,20 +1,16 @@
 /**
  * @file
- * Tests for the unified racelogic::api facade: every problem kind
- * solved through one RaceEngine matches the legacy entry points and
- * the DP oracles, the Behavioral / GateLevel backends agree through
- * the one API, and score-only solves equal full ones.
+ * Tests for the unified racelogic::api facade: DTW and DAG paths
+ * match their DP oracles, the Behavioral / GateLevel backends agree
+ * through the one API, batches carry a fabric-pool schedule, and
+ * score-only solves equal full ones.  The randomized kind x backend
+ * oracle sweep lives in api_differential_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "rl/api/api.h"
-#include "rl/bio/affine.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/affine_race.h"
-#include "rl/core/generalized.h"
-#include "rl/core/race_aligner.h"
-#include "rl/core/threshold.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
 #include "rl/pangraph/generate.h"
@@ -53,47 +49,7 @@ configFor(BackendKind backend)
     return config;
 }
 
-// ------------------------------------------------ legacy equivalence
-
-TEST(ApiEngine, PairwiseMatchesLegacyRaceAlignerOnCosts)
-{
-    ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
-    core::RaceAligner legacy(costs);
-    RaceEngine engine;
-
-    util::Rng rng(11);
-    for (int round = 0; round < 6; ++round) {
-        Sequence a = Sequence::random(rng, Alphabet::dna(), 9);
-        Sequence b = Sequence::random(rng, Alphabet::dna(), 12);
-        core::AlignOutcome want = legacy.align(a, b);
-        RaceResult got = engine.solve(
-            RaceProblem::pairwiseAlignment(costs, a, b));
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.racedCost, want.racedCost);
-        EXPECT_EQ(got.latencyCycles, want.latencyCycles);
-        EXPECT_EQ(got.cellsFired, want.detail.cellsFired);
-        EXPECT_EQ(got.arrival.flat(), want.detail.arrival.flat());
-    }
-}
-
-TEST(ApiEngine, PairwiseSimilarityAutoConvertsLikeLegacy)
-{
-    ScoreMatrix blosum = ScoreMatrix::blosum62();
-    core::RaceAligner legacy(blosum);
-    RaceEngine engine;
-
-    Sequence a = protein("HEAGAWGHEE");
-    Sequence b = protein("PAWHEAE");
-    core::AlignOutcome want = legacy.align(a, b);
-    RaceResult got =
-        engine.solve(RaceProblem::pairwiseAlignment(blosum, a, b));
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.racedCost, want.racedCost);
-
-    // And the DP oracle agrees in the original similarity semantics.
-    bio::Alignment dp = bio::globalAlign(a, b, blosum);
-    EXPECT_EQ(got.score, dp.score);
-}
+// ------------------------------------------------------ DP oracles
 
 TEST(ApiEngine, DtwMatchesReferenceDp)
 {
@@ -109,7 +65,7 @@ TEST(ApiEngine, DtwMatchesReferenceDp)
     EXPECT_FALSE(got.nodeArrival.empty());
 }
 
-TEST(ApiEngine, DagPathMatchesLegacySolveDag)
+TEST(ApiEngine, DagPathMatchesSolveDag)
 {
     util::Rng rng(7);
     graph::Dag dag = graph::randomDag(rng, 40, 0.15, {1, 6});
@@ -123,62 +79,6 @@ TEST(ApiEngine, DagPathMatchesLegacySolveDag)
             RaceProblem::dagPath(dag, {source}, sink, objective));
         ASSERT_TRUE(got.completed);
         EXPECT_EQ(got.score, dp.distance[sink]);
-    }
-}
-
-TEST(ApiEngine, AffineMatchesLegacyRaceAffineAndGotohDp)
-{
-    ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
-    bio::AffineGapCosts gaps{3, 1};
-    Sequence a = dna("ACTGAGA");
-    Sequence b = dna("AGA");
-
-    core::AffineRaceResult legacy = core::raceAffine(a, b, costs, gaps);
-    RaceEngine engine;
-    RaceResult got = engine.solve(
-        RaceProblem::affineAlignment(costs, gaps, a, b));
-    EXPECT_EQ(got.score, legacy.score);
-    EXPECT_EQ(got.latencyCycles, legacy.latencyCycles);
-    EXPECT_EQ(got.nodes, legacy.nodes);
-    EXPECT_EQ(got.score, bio::affineGlobalScore(a, b, costs, gaps));
-}
-
-TEST(ApiEngine, GeneralizedMatchesLegacyGeneralizedAligner)
-{
-    ScoreMatrix pam = ScoreMatrix::pam250();
-    core::GeneralizedAligner legacy(pam, 2);
-    RaceEngine engine;
-
-    Sequence a = protein("MKVLA");
-    Sequence b = protein("MKPLA");
-    auto want = legacy.align(a, b);
-    RaceResult got = engine.solve(
-        RaceProblem::generalizedAlignment(pam, a, b, 2));
-    EXPECT_EQ(got.score, want.similarityScore);
-    EXPECT_EQ(got.racedCost, want.racedCost);
-    EXPECT_EQ(got.latencyCycles, want.latencyCycles);
-}
-
-TEST(ApiEngine, ThresholdScreenMatchesLegacyScreener)
-{
-    ScoreMatrix costs = ScoreMatrix::dnaShortestPathInfMismatch();
-    util::Rng rng(2014);
-    auto workload = bio::makeScreeningWorkload(
-        rng, Alphabet::dna(), 24, 40, 0.25,
-        bio::MutationModel{0.05, 0.02, 0.02});
-    bio::Score threshold = 32;
-
-    core::ThresholdScreener screener(costs, threshold);
-    RaceEngine engine;
-    for (const Sequence &candidate : workload.database) {
-        core::ScreenOutcome want =
-            screener.screen(workload.query, candidate);
-        RaceResult got = engine.solve(RaceProblem::thresholdScreen(
-            costs, threshold, workload.query, candidate));
-        EXPECT_EQ(got.accepted, want.similar);
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.cyclesUsed, want.cyclesUsed);
-        EXPECT_EQ(got.completed, want.similar);
     }
 }
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for affine-gap alignment: the Gotoh reference DP, the
- * 3-layer race lattice, and the equivalence between them -- Race
- * Logic generalizing past the paper's linear-gap case study.
+ * Tests for affine-gap alignment: the Gotoh reference DP and the
+ * 3-layer race lattice -- Race Logic generalizing past the paper's
+ * linear-gap case study.  The raced lattice is checked against
+ * affineGlobalScore() in api_differential_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "rl/bio/affine.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/affine_race.h"
 #include "rl/graph/paths.h"
 #include "rl/util/random.h"
 
@@ -102,34 +102,7 @@ TEST(AffineDp, CostMonotoneInGapParameters)
     EXPECT_LE(cheap, pricey);
 }
 
-// --------------------------------------------------------- the race
-
-class AffineRaceVsDp : public ::testing::TestWithParam<int> {};
-
-TEST_P(AffineRaceVsDp, RaceEqualsGotohEverywhere)
-{
-    util::Rng rng(20000 + GetParam());
-    Score mismatch =
-        rng.bernoulli(0.3) ? bio::kScoreInfinity : rng.uniformInt(1, 4);
-    ScoreMatrix m = pairCosts(rng.uniformInt(1, 2), mismatch);
-    AffineGapCosts gaps{rng.uniformInt(2, 6), rng.uniformInt(1, 2)};
-    if (gaps.extend > gaps.open)
-        std::swap(gaps.open, gaps.extend);
-    Sequence a = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(14));
-    Sequence b = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(14));
-    auto raced = core::raceAffine(a, b, m, gaps);
-    EXPECT_EQ(raced.score, bio::affineGlobalScore(a, b, m, gaps))
-        << a.str() << " vs " << b.str() << " open " << gaps.open
-        << " extend " << gaps.extend;
-    EXPECT_EQ(raced.latencyCycles,
-              static_cast<sim::Tick>(raced.score))
-        << "score is read off the clock";
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AffineRaceVsDp,
-                         ::testing::Range(0, 20));
+// ------------------------------------------------------ the lattice
 
 TEST(AffineRace, LatticeShape)
 {

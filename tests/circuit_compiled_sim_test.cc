@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rl/bio/score_convert.h"
 #include "rl/circuit/compiled_sim.h"
 #include "rl/circuit/sim_sync.h"
 #include "rl/core/clock_gating.h"
@@ -271,14 +272,13 @@ TEST(CompiledSim, GatedFabricMatchesReferencePathAndSplitsClocks)
 
 TEST(CompiledSim, GeneralizedFabricMatchesReferenceBothEncodings)
 {
-    ScoreMatrix blosum = ScoreMatrix::blosum62();
-    core::GeneralizedAligner model(blosum);
+    const ScoreMatrix costs =
+        bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
     Sequence a(Alphabet::protein(), "HEAG");
     Sequence b(Alphabet::protein(), "PAW");
     for (core::DelayEncoding encoding :
          {core::DelayEncoding::Binary, core::DelayEncoding::OneHot}) {
-        core::GeneralizedGridCircuit fabric(model.form().costs, 4, 3,
-                                            encoding);
+        core::GeneralizedGridCircuit fabric(costs, 4, 3, encoding);
         auto fast = fabric.align(a, b);
         auto ref = fabric.alignReference(a, b);
         ASSERT_TRUE(fast.completed && ref.completed);

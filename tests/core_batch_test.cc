@@ -1,155 +1,148 @@
 /**
  * @file
- * Tests for the batch screening engine: scheduling invariants,
- * verdict agreement with the single-fabric screener, and scaling
- * behaviour of the fabric pool.
+ * Tests for the fabric pool behind RaceEngine::screen(): the
+ * list-scheduling invariants of core::scheduleBatch on raced screens,
+ * busy time as the threshold-clamped oracle cost, throughput pricing,
+ * and the empty database.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "rl/api/api.h"
+#include "rl/bio/align_dp.h"
 #include "rl/core/batch.h"
-#include "rl/core/threshold.h"
 #include "rl/util/random.h"
 
 namespace {
 
 using namespace racelogic;
+using api::EngineConfig;
+using api::RaceEngine;
 using bio::Alphabet;
+using bio::Score;
 using bio::ScoreMatrix;
 using bio::Sequence;
-using core::BatchConfig;
-using core::BatchReport;
-using core::BatchScreeningEngine;
 
-struct Workload {
-    Sequence query;
-    std::vector<Sequence> database;
-};
-
-Workload
-makeWorkload(uint64_t seed, size_t n, size_t entries)
+bio::ScreeningWorkload
+screeningWorkload(uint64_t seed, size_t length, size_t entries)
 {
     util::Rng rng(seed);
-    auto wl = bio::makeScreeningWorkload(
-        rng, Alphabet::dna(), n, entries, 0.25,
-        bio::MutationModel::uniform(0.1));
-    return {wl.query, wl.database};
+    return bio::makeScreeningWorkload(rng, Alphabet::dna(), length,
+                                      entries, 0.25,
+                                      bio::MutationModel::uniform(0.1));
 }
 
-TEST(Batch, SingleFabricMakespanEqualsBusyTime)
+/** RaceEngine::screen() on `fabrics` fabrics over Fig. 2b costs. */
+api::BatchOutcome
+screenOnPool(const bio::ScreeningWorkload &wl, size_t fabrics,
+             Score threshold, bool earlyTerminate = true)
 {
-    Workload wl = makeWorkload(1, 16, 40);
-    BatchConfig cfg;
-    cfg.fabricCount = 1;
-    cfg.threshold = 20;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    BatchReport report = engine.run(wl.query, wl.database);
-    EXPECT_EQ(report.makespanCycles, report.busyCycles);
-    EXPECT_DOUBLE_EQ(report.utilization, 1.0);
+    EngineConfig config;
+    config.fabricCount = fabrics;
+    config.earlyTerminate = earlyTerminate;
+    config.withEstimates = false;
+    RaceEngine engine(config);
+    return engine.screen(ScoreMatrix::dnaShortestPathInfMismatch(),
+                         threshold, wl.query, wl.database);
 }
 
-TEST(Batch, MakespanBoundedByListSchedulingInvariants)
+TEST(FabricPool, SingleFabricMakespanIsBusyTime)
 {
-    Workload wl = makeWorkload(2, 16, 60);
+    const api::BatchOutcome out =
+        screenOnPool(screeningWorkload(1, 16, 40), 1, 20);
+    ASSERT_TRUE(out.schedule.has_value());
+    EXPECT_EQ(out.schedule->makespanCycles, out.schedule->busyCycles);
+    EXPECT_DOUBLE_EQ(out.schedule->utilization, 1.0);
+}
+
+TEST(FabricPool, MakespanObeysListSchedulingBounds)
+{
+    const bio::ScreeningWorkload wl = screeningWorkload(2, 16, 60);
     for (size_t fabrics : {2u, 4u, 8u}) {
-        BatchConfig cfg;
-        cfg.fabricCount = fabrics;
-        cfg.threshold = 24;
-        BatchScreeningEngine engine(
-            ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-        BatchReport report = engine.run(wl.query, wl.database);
-        // Lower bound: perfect division of work.
-        EXPECT_GE(report.makespanCycles * fabrics, report.busyCycles);
-        // Utilization is a proper fraction.
-        EXPECT_GT(report.utilization, 0.0);
-        EXPECT_LE(report.utilization, 1.0);
+        const api::BatchOutcome out = screenOnPool(wl, fabrics, 24);
+        ASSERT_TRUE(out.schedule.has_value());
+        // No pool beats a perfect division of the work.
+        EXPECT_GE(out.schedule->makespanCycles * fabrics,
+                  out.schedule->busyCycles);
+        EXPECT_GT(out.schedule->utilization, 0.0);
+        EXPECT_LE(out.schedule->utilization, 1.0);
     }
 }
 
-TEST(Batch, MoreFabricsNeverSlowTheBatch)
+TEST(FabricPool, MoreFabricsNeverSlowTheBatch)
 {
-    Workload wl = makeWorkload(3, 20, 80);
+    const bio::ScreeningWorkload wl = screeningWorkload(3, 20, 80);
     uint64_t previous = ~0ull;
     for (size_t fabrics : {1u, 2u, 4u, 8u, 16u}) {
-        BatchConfig cfg;
-        cfg.fabricCount = fabrics;
-        cfg.threshold = 26;
-        BatchScreeningEngine engine(
-            ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-        uint64_t makespan =
-            engine.run(wl.query, wl.database).makespanCycles;
+        const uint64_t makespan =
+            screenOnPool(wl, fabrics, 26).schedule->makespanCycles;
         EXPECT_LE(makespan, previous) << fabrics << " fabrics";
         previous = makespan;
     }
 }
 
-TEST(Batch, VerdictsMatchSingleScreener)
+TEST(FabricPool, BusyTimeIsTheThresholdClampedOracleCost)
 {
-    Workload wl = makeWorkload(4, 16, 50);
-    bio::Score threshold = 22;
-    BatchConfig cfg;
-    cfg.fabricCount = 4;
-    cfg.threshold = threshold;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    core::ThresholdScreener screener(
-        ScoreMatrix::dnaShortestPathInfMismatch(), threshold);
-    BatchReport report = engine.run(wl.query, wl.database);
-    auto stats = screener.screenDatabase(wl.query, wl.database);
-    ASSERT_EQ(report.accepted.size(), stats.accepted.size());
-    for (size_t i = 0; i < report.accepted.size(); ++i)
-        EXPECT_EQ(report.accepted[i], stats.accepted[i]) << i;
-    EXPECT_EQ(report.acceptedCount, stats.acceptedCount);
+    // A comparison holds its fabric until its sink fires or the
+    // threshold cycle aborts it -- min(DP cost, threshold) -- plus the
+    // reset cycle, whether the kernel stops at the threshold (early
+    // termination) or races on and clamps afterwards.
+    const bio::ScreeningWorkload wl = screeningWorkload(51, 18, 40);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    const Score threshold = 22;
+    const EngineConfig defaults;
+    uint64_t clamped = 0;
+    for (const Sequence &candidate : wl.database)
+        clamped += static_cast<uint64_t>(
+                       std::min(bio::globalScore(wl.query, candidate, m),
+                                threshold)) +
+                   defaults.resetCycles;
+    for (bool early : {true, false}) {
+        const api::BatchOutcome out = screenOnPool(wl, 1, threshold, early);
+        ASSERT_TRUE(out.schedule.has_value());
+        EXPECT_EQ(out.schedule->busyCycles, clamped) << "early " << early;
+        for (size_t i = 0; i < wl.database.size(); ++i) {
+            const bool similar =
+                bio::globalScore(wl.query, wl.database[i], m) <= threshold;
+            EXPECT_EQ(out.results[i].accepted, similar) << i;
+            EXPECT_EQ(out.schedule->accepted[i], similar) << i;
+        }
+        EXPECT_EQ(out.schedule->acceptedCount, out.acceptedCount());
+    }
 }
 
-TEST(Batch, ThresholdShortensBusyTime)
+TEST(FabricPool, ThroughputPricing)
 {
-    Workload wl = makeWorkload(5, 24, 40);
-    BatchConfig no_threshold;
-    no_threshold.fabricCount = 2;
-    BatchConfig tight = no_threshold;
-    tight.threshold = 28;
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    uint64_t full =
-        BatchScreeningEngine(m, no_threshold)
-            .run(wl.query, wl.database)
-            .busyCycles;
-    uint64_t capped = BatchScreeningEngine(m, tight)
-                          .run(wl.query, wl.database)
-                          .busyCycles;
-    EXPECT_LT(capped, full);
-}
-
-TEST(Batch, ThroughputPricing)
-{
-    Workload wl = makeWorkload(6, 16, 30);
-    BatchConfig cfg;
-    cfg.fabricCount = 4;
-    cfg.threshold = 20;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    BatchReport report = engine.run(wl.query, wl.database);
-    const auto &lib = tech::CellLibrary::amis();
-    EXPECT_GT(report.wallTimeNs(lib), 0.0);
-    EXPECT_GT(report.comparisonsPerSecond(lib), 0.0);
-    // 30 comparisons in makespan cycles at 3 ns each.
-    EXPECT_NEAR(report.comparisonsPerSecond(lib),
+    const api::BatchOutcome out =
+        screenOnPool(screeningWorkload(6, 16, 30), 4, 20);
+    ASSERT_TRUE(out.schedule.has_value());
+    const tech::CellLibrary &lib = tech::CellLibrary::amis();
+    EXPECT_GT(out.schedule->wallTimeNs(lib), 0.0);
+    // 30 comparisons in makespan cycles of the race clock.
+    EXPECT_NEAR(out.schedule->comparisonsPerSecond(lib),
                 30.0 * 1e9 /
-                    (double(report.makespanCycles) * lib.racePeriodNs),
+                    (double(out.schedule->makespanCycles) *
+                     lib.racePeriodNs),
                 1.0);
 }
 
-TEST(Batch, EmptyDatabase)
+TEST(FabricPool, EmptyDatabase)
 {
-    BatchConfig cfg;
-    BatchScreeningEngine engine(
-        ScoreMatrix::dnaShortestPathInfMismatch(), cfg);
-    Sequence q(Alphabet::dna(), "ACGT");
-    BatchReport report = engine.run(q, {});
-    EXPECT_EQ(report.comparisons, 0u);
-    EXPECT_EQ(report.makespanCycles, 0u);
-    EXPECT_EQ(report.utilization, 0.0);
+    const api::BatchOutcome out =
+        screenOnPool(screeningWorkload(7, 8, 0), 4, 20);
+    EXPECT_TRUE(out.results.empty());
+    EXPECT_EQ(out.busyCycles(), 0u);
+    EXPECT_DOUBLE_EQ(out.speedup(), 1.0);
+    // Nothing to schedule; the pool scheduler reports an idle pool.
+    EXPECT_FALSE(out.schedule.has_value());
+    const core::BatchReport idle = core::scheduleBatch({}, {});
+    EXPECT_EQ(idle.comparisons, 0u);
+    EXPECT_EQ(idle.makespanCycles, 0u);
+    EXPECT_EQ(idle.utilization, 0.0);
 }
 
 } // namespace

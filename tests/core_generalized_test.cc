@@ -2,12 +2,16 @@
  * @file
  * Tests for the generalized architecture (Section 5 / Fig. 8):
  * weight applicators under both delay encodings, the gate-level
- * generalized grid, and end-to-end BLOSUM62 score recovery.
+ * generalized grid, and race latency tracking similarity.  End-to-end
+ * BLOSUM62/PAM250 score recovery through api::RaceEngine is checked
+ * against the DP in api_differential_test.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
+#include "rl/bio/score_convert.h"
 #include "rl/core/generalized.h"
 #include "rl/util/random.h"
 
@@ -18,7 +22,6 @@ using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
 using core::DelayEncoding;
-using core::GeneralizedAligner;
 using core::GeneralizedCellSpec;
 using core::GeneralizedGridCircuit;
 
@@ -192,53 +195,25 @@ TEST(GeneralizedFabric, CellInventoryTradeoff)
     EXPECT_GT(onehot[dff], binary[dff] * 3);
 }
 
-// ------------------------------------------------ behavioral aligner
+// ------------------------------------------------- behavioral race
 
-class GeneralizedVsDp : public ::testing::TestWithParam<int> {};
-
-TEST_P(GeneralizedVsDp, Blosum62ScoreRecoveredExactly)
-{
-    util::Rng rng(5000 + GetParam());
-    GeneralizedAligner aligner(ScoreMatrix::blosum62());
-    size_t n = 1 + rng.index(20);
-    size_t m = 1 + rng.index(20);
-    Sequence a = Sequence::random(rng, Alphabet::protein(), n);
-    Sequence b = Sequence::random(rng, Alphabet::protein(), m);
-    auto result = aligner.align(a, b);
-    EXPECT_EQ(result.similarityScore,
-              bio::globalScore(a, b, ScoreMatrix::blosum62()));
-    EXPECT_EQ(result.latencyCycles,
-              static_cast<sim::Tick>(result.racedCost));
-}
-
-TEST_P(GeneralizedVsDp, Pam250ScoreRecoveredExactly)
-{
-    util::Rng rng(6000 + GetParam());
-    GeneralizedAligner aligner(ScoreMatrix::pam250());
-    size_t n = 1 + rng.index(14);
-    size_t m = 1 + rng.index(14);
-    Sequence a = Sequence::random(rng, Alphabet::protein(), n);
-    Sequence b = Sequence::random(rng, Alphabet::protein(), m);
-    EXPECT_EQ(aligner.align(a, b).similarityScore,
-              bio::globalScore(a, b, ScoreMatrix::pam250()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GeneralizedVsDp,
-                         ::testing::Range(0, 15));
-
-TEST(GeneralizedAligner, LatencyTracksSimilarity)
+TEST(GeneralizedRace, LatencyTracksSimilarity)
 {
     // Higher similarity -> smaller converted cost -> lower latency:
     // "we must ensure that the highest similarity corresponds to the
     // smallest score and hence the lowest latency".
     util::Rng rng(31);
-    GeneralizedAligner aligner(ScoreMatrix::blosum62());
+    api::RaceEngine engine;
+    auto align = [&](const Sequence &a, const Sequence &b) {
+        return engine.solve(api::RaceProblem::generalizedAlignment(
+            ScoreMatrix::blosum62(), a, b));
+    };
     Sequence a = Sequence::random(rng, Alphabet::protein(), 12);
-    auto same = aligner.align(a, a);
+    auto same = align(a, a);
     Sequence noisy = mutate(rng, a, bio::MutationModel{0.3, 0.0, 0.0});
-    auto near_result = aligner.align(a, noisy);
+    auto near_result = align(a, noisy);
     Sequence other = Sequence::random(rng, Alphabet::protein(), 12);
-    auto far = aligner.align(a, other);
+    auto far = align(a, other);
     EXPECT_LE(same.latencyCycles, near_result.latencyCycles);
     EXPECT_LE(same.latencyCycles, far.latencyCycles);
 }

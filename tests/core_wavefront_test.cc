@@ -12,7 +12,6 @@
 
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
-#include "rl/core/batch.h"
 #include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
@@ -170,17 +169,16 @@ TEST(Wavefront, RaceDagDispatchesAndAgreesOnFig3)
     EXPECT_EQ(longest.at(4).time(), 4u);
 }
 
-TEST(Wavefront, OversizedWeightsFallBackToEventKernel)
+TEST(WavefrontDeath, RaceDagAssertsOnOverCapWeight)
 {
-    // One delay above the calendar bound: raceDag must still answer
-    // (via the heap kernel) and agree with the DP.
+    // One delay above the cap: raceDag asserts it, so an unvalidated
+    // over-cap graph aborts (the engine rejects such problems with a
+    // typed error before this point).
     Dag d(3);
     d.addEdge(0, 1, core::kMaxWavefrontWeight + 5);
     d.addEdge(1, 2, 2);
-    EXPECT_FALSE(WavefrontRaceKernel::suitableFor(d));
-    RaceOutcome out = core::raceDag(d, {0}, RaceType::Or);
-    EXPECT_EQ(out.at(2).time(),
-              static_cast<sim::Tick>(core::kMaxWavefrontWeight + 7));
+    EXPECT_DEATH(core::raceDag(d, {0}, RaceType::Or),
+                 "wavefront kernel weight");
 }
 
 // --------------------------------------------- grid-direct kernel
@@ -313,39 +311,6 @@ TEST_P(GridKernel, HorizonMatchesFullRacePrefix)
 INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
 
 // ------------------------------- horizon-true screening accounting
-
-TEST(ScreeningHorizon, BatchBusyCyclesAgreeWithClampAfterFullRace)
-{
-    // Satellite of the kernel rework: BatchScreeningEngine races each
-    // comparison with the threshold as the kernel horizon.  The
-    // resulting busy cycles must equal the old accounting (race to
-    // completion, clamp to the threshold afterwards), comparison by
-    // comparison.
-    util::Rng rng(51);
-    auto wl = bio::makeScreeningWorkload(
-        rng, Alphabet::dna(), 18, 40, 0.3,
-        bio::MutationModel::uniform(0.1));
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    const bio::Score threshold = 22;
-
-    core::BatchConfig cfg;
-    cfg.fabricCount = 1; // makespan == busy time: exact accounting
-    cfg.threshold = threshold;
-    core::BatchScreeningEngine engine(m, cfg);
-    core::BatchReport report = engine.run(wl.query, wl.database);
-
-    core::RaceGridAligner full(m);
-    uint64_t clampedTotal = 0;
-    for (size_t i = 0; i < wl.database.size(); ++i) {
-        bio::Score score = full.align(wl.query, wl.database[i]).score;
-        EXPECT_EQ(report.accepted[i], score <= threshold) << i;
-        clampedTotal +=
-            std::min<uint64_t>(static_cast<uint64_t>(score),
-                               static_cast<uint64_t>(threshold)) +
-            cfg.resetCycles;
-    }
-    EXPECT_EQ(report.busyCycles, clampedTotal);
-}
 
 TEST(ScreeningHorizon, ScreenerStopsRacingAtThreshold)
 {

@@ -1,136 +1,164 @@
 /**
  * @file
- * End-to-end integration tests: the public RaceAligner API, triple
- * agreement between Race Logic / systolic baseline / DP oracle, and
- * a full screening pipeline.
+ * End-to-end integration tests through api::RaceEngine: cost and
+ * similarity matrices at the front door, agreement between the
+ * temporal race, the systolic baseline and the DP oracle, gate-level
+ * round trips, a full screening pipeline, and determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
-#include "rl/core/race_aligner.h"
-#include "rl/core/threshold.h"
+#include "rl/bio/score_convert.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/util/random.h"
 
 namespace {
 
 using namespace racelogic;
+using api::BackendKind;
+using api::EngineConfig;
+using api::RaceEngine;
+using api::RaceProblem;
+using api::RaceResult;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
-using core::Backend;
-using core::RaceAligner;
 
-TEST(RaceAligner, CostMatrixPassthrough)
+RaceEngine
+engineOn(BackendKind backend)
 {
-    RaceAligner aligner(ScoreMatrix::dnaShortestPathInfMismatch());
-    Sequence p(Alphabet::dna(), "ACTGAGA");
-    Sequence q(Alphabet::dna(), "GATTCGA");
-    auto out = aligner.align(q, p);
-    EXPECT_EQ(out.score, 10);
-    EXPECT_EQ(out.racedCost, 10);
-    EXPECT_EQ(out.latencyCycles, 10u);
-    EXPECT_FALSE(aligner.conversion().has_value());
+    EngineConfig config;
+    config.backend = backend;
+    return RaceEngine(config);
 }
 
-TEST(RaceAligner, SimilarityMatrixAutoConverts)
+TEST(FrontDoor, CostMatrixPassthrough)
 {
-    RaceAligner aligner(ScoreMatrix::blosum62());
-    ASSERT_TRUE(aligner.conversion().has_value());
-    EXPECT_EQ(aligner.conversion()->bias, 6);
-    Sequence a(Alphabet::protein(), "HEAGAWGHEE");
-    Sequence b(Alphabet::protein(), "PAWHEAE");
-    auto out = aligner.align(a, b);
-    EXPECT_EQ(out.score,
-              bio::globalScore(a, b, ScoreMatrix::blosum62()));
-    EXPECT_GT(out.latencyCycles, 0u);
+    RaceEngine engine;
+    const Sequence p(Alphabet::dna(), "ACTGAGA");
+    const Sequence q(Alphabet::dna(), "GATTCGA");
+    const RaceResult r = engine.solve(RaceProblem::pairwiseAlignment(
+        ScoreMatrix::dnaShortestPathInfMismatch(), q, p));
+    EXPECT_EQ(r.score, 10);
+    EXPECT_EQ(r.racedCost, 10);
+    EXPECT_EQ(r.latencyCycles, 10u);
 }
 
-class AlignerVsOracles : public ::testing::TestWithParam<int> {};
+TEST(FrontDoor, SimilarityMatrixAutoConverts)
+{
+    const ScoreMatrix blosum = ScoreMatrix::blosum62();
+    const bio::ShortestPathForm form = bio::toShortestPathForm(blosum);
+    EXPECT_EQ(form.bias, 6);
+    const Sequence a(Alphabet::protein(), "HEAGAWGHEE");
+    const Sequence b(Alphabet::protein(), "PAWHEAE");
+    RaceEngine engine;
+    const RaceResult r =
+        engine.solve(RaceProblem::pairwiseAlignment(blosum, a, b));
+    EXPECT_EQ(r.score, bio::globalScore(a, b, blosum));
+    // The race ran on the Section 5 costs; the score is recovered.
+    EXPECT_EQ(r.racedCost, bio::globalScore(a, b, form.costs));
+    EXPECT_EQ(form.recoverScore(r.racedCost, a.size(), b.size()),
+              r.score);
+    EXPECT_GT(r.latencyCycles, 0u);
+}
 
-TEST_P(AlignerVsOracles, TripleAgreementRaceSystolicDp)
+class EngineVsOracles : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineVsOracles, TripleAgreementRaceSystolicDp)
 {
     // The load-bearing claim of the whole reproduction: three
     // completely independent engines -- the temporal race, the
     // mod-4 systolic array, and the textbook DP -- produce the same
     // score on random inputs.
     util::Rng rng(11000 + GetParam());
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    RaceAligner race(m);
-    systolic::LiptonLoprestiArray sys(m);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    RaceEngine race = engineOn(BackendKind::Behavioral);
+    RaceEngine array = engineOn(BackendKind::Systolic);
+    const systolic::LiptonLoprestiArray sys(m);
     for (int trial = 0; trial < 5; ++trial) {
-        size_t n = 1 + rng.index(28);
-        size_t k = 1 + rng.index(28);
-        Sequence a = Sequence::random(rng, Alphabet::dna(), n);
-        Sequence b = Sequence::random(rng, Alphabet::dna(), k);
-        bio::Score dp = bio::globalScore(a, b, m);
-        EXPECT_EQ(race.align(a, b).score, dp);
+        const size_t n = 1 + rng.index(28);
+        const size_t k = 1 + rng.index(28);
+        const Sequence a = Sequence::random(rng, Alphabet::dna(), n);
+        const Sequence b = Sequence::random(rng, Alphabet::dna(), k);
+        const bio::Score dp = bio::globalScore(a, b, m);
+        const RaceProblem problem = RaceProblem::pairwiseAlignment(m, a, b);
+        EXPECT_EQ(race.solve(problem).score, dp);
+        EXPECT_EQ(array.solve(problem).score, dp);
         EXPECT_EQ(sys.align(a, b).score, dp);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AlignerVsOracles,
-                         ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineVsOracles, ::testing::Range(0, 10));
 
 class GateLevelBackend : public ::testing::TestWithParam<int> {};
 
 TEST_P(GateLevelBackend, CrossChecksBehavioralModel)
 {
-    // Backend::GateLevel synthesizes a real netlist per comparison
-    // and asserts agreement internally; any divergence aborts.
+    // The synthesized netlist races to the cycle the behavioral
+    // model and the DP predict.
     util::Rng rng(12000 + GetParam());
-    RaceAligner aligner(ScoreMatrix::dnaShortestPathInfMismatch(),
-                        Backend::GateLevel);
-    size_t n = 1 + rng.index(6);
-    size_t k = 1 + rng.index(6);
-    Sequence a = Sequence::random(rng, Alphabet::dna(), n);
-    Sequence b = Sequence::random(rng, Alphabet::dna(), k);
-    auto out = aligner.align(a, b);
-    EXPECT_EQ(out.score,
-              bio::globalScore(
-                  a, b, ScoreMatrix::dnaShortestPathInfMismatch()));
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    const Sequence a =
+        Sequence::random(rng, Alphabet::dna(), 1 + rng.index(6));
+    const Sequence b =
+        Sequence::random(rng, Alphabet::dna(), 1 + rng.index(6));
+    const RaceProblem problem = RaceProblem::pairwiseAlignment(m, a, b);
+    const RaceResult gates = engineOn(BackendKind::GateLevel).solve(problem);
+    const RaceResult model = engineOn(BackendKind::Behavioral).solve(problem);
+    EXPECT_EQ(gates.score, bio::globalScore(a, b, m));
+    EXPECT_EQ(gates.racedCost, model.racedCost);
+    EXPECT_EQ(gates.latencyCycles, model.latencyCycles);
 }
 
 TEST_P(GateLevelBackend, Blosum62GateLevelRoundTrip)
 {
     util::Rng rng(13000 + GetParam());
-    RaceAligner aligner(ScoreMatrix::blosum62(), Backend::GateLevel);
     // Tiny strings: each generalized protein cell is ~10^3 gates.
-    Sequence a = Sequence::random(rng, Alphabet::protein(), 2);
-    Sequence b = Sequence::random(rng, Alphabet::protein(), 2);
-    auto out = aligner.align(a, b);
-    EXPECT_EQ(out.score,
-              bio::globalScore(a, b, ScoreMatrix::blosum62()));
+    const Sequence a = Sequence::random(rng, Alphabet::protein(), 2);
+    const Sequence b = Sequence::random(rng, Alphabet::protein(), 2);
+    const RaceResult r = engineOn(BackendKind::GateLevel)
+                             .solve(RaceProblem::pairwiseAlignment(
+                                 ScoreMatrix::blosum62(), a, b));
+    EXPECT_EQ(r.score, bio::globalScore(a, b, ScoreMatrix::blosum62()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GateLevelBackend,
-                         ::testing::Range(0, 5));
+INSTANTIATE_TEST_SUITE_P(Seeds, GateLevelBackend, ::testing::Range(0, 5));
 
 TEST(ScreeningPipeline, EndToEndRecallAndPrecisionProxy)
 {
     // Section 6 workload: screen a database where a minority of
     // entries are genuine relatives of the query.  With a sane
-    // threshold the screener keeps relatives and rejects chance
+    // threshold the screen keeps relatives and rejects chance
     // similarities -- checked against the exact DP filter rather
     // than the generator's ground truth (mutation can occasionally
     // produce a distant relative; the hardware is exact either way).
     util::Rng rng(99);
-    auto wl = bio::makeScreeningWorkload(
+    const bio::ScreeningWorkload wl = bio::makeScreeningWorkload(
         rng, Alphabet::dna(), 32, 80, 0.3,
         bio::MutationModel{0.04, 0.02, 0.02});
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    bio::Score threshold = 44;
-    core::ThresholdScreener screener(m, threshold);
-    auto stats = screener.screenDatabase(wl.query, wl.database);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    const bio::Score threshold = 44;
+    // Measurement mode: every race runs to completion, so the outcome
+    // knows the full-race cycles early termination saves.
+    EngineConfig config;
+    config.earlyTerminate = false;
+    config.workerThreads = 2;
+    RaceEngine engine(config);
+    const api::BatchOutcome out =
+        engine.screen(m, threshold, wl.query, wl.database);
+    ASSERT_EQ(out.results.size(), wl.database.size());
     for (size_t i = 0; i < wl.database.size(); ++i) {
-        bool dp_similar =
+        const bool dpSimilar =
             bio::globalScore(wl.query, wl.database[i], m) <= threshold;
-        EXPECT_EQ(stats.accepted[i], dp_similar) << "entry " << i;
+        EXPECT_EQ(out.results[i].accepted, dpSimilar) << "entry " << i;
     }
-    EXPECT_GT(stats.acceptedCount, 0u);
-    EXPECT_LT(stats.acceptedCount, wl.database.size());
-    EXPECT_GT(stats.speedup(), 1.0);
+    EXPECT_GT(out.acceptedCount(), 0u);
+    EXPECT_LT(out.acceptedCount(), wl.database.size());
+    EXPECT_GT(out.speedup(), 1.0);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalResults)
@@ -139,11 +167,12 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
     // required for reproducible experiments.
     auto run = [] {
         util::Rng rng(555);
-        RaceAligner aligner(ScoreMatrix::blosum62());
-        Sequence a = Sequence::random(rng, Alphabet::protein(), 24);
-        Sequence b = Sequence::random(rng, Alphabet::protein(), 20);
-        auto out = aligner.align(a, b);
-        return std::make_pair(out.score, out.latencyCycles);
+        const Sequence a = Sequence::random(rng, Alphabet::protein(), 24);
+        const Sequence b = Sequence::random(rng, Alphabet::protein(), 20);
+        RaceEngine engine;
+        const RaceResult r = engine.solve(RaceProblem::pairwiseAlignment(
+            ScoreMatrix::blosum62(), a, b));
+        return std::make_pair(r.score, r.latencyCycles);
     };
     EXPECT_EQ(run(), run());
 }

@@ -451,8 +451,8 @@ TEST(GraphAlign, CompileGraphValidatesWeightsForDirectCallersTyped)
 {
     // tryCompileGraph() is public; its own plan-time validation must
     // catch matrices GraphAligner would reject, so a direct caller
-    // gets a typed diagnostic instead of the fused kernel sizing its
-    // ring from kScoreInfinity.
+    // gets a typed diagnostic instead of a compiled view whose hoisted
+    // gap weights no race can realize.
     auto graph = sampleGraph();
     ScoreMatrix infGap = ScoreMatrix::dnaShortestPath();
     infGap.setGap(Alphabet::dna().encode('A'), bio::kScoreInfinity);
@@ -475,9 +475,9 @@ TEST(GraphAlign, CompileGraphValidatesWeightsForDirectCallersTyped)
 TEST(GraphAlignDeath, RejectsMatrixMismatchedWithCompiledView)
 {
     // The compiled view hoists gap weights from one matrix; handing
-    // either product builder a different matrix must die (a foreign
-    // matrix could even size the fused kernel's calendar ring below
-    // a hoisted weight).
+    // either product builder a different matrix must die (the race
+    // would mix the view's gap weights with the foreign matrix's pair
+    // weights).
     auto graph = sampleGraph();
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
     ScoreMatrix other = ScoreMatrix::uniform(
