@@ -16,6 +16,7 @@
 #include "rl/core/race_grid.h"
 #include "rl/core/race_grid_circuit.h"
 #include "rl/core/wavefront.h"
+#include "rl/core/wavefront_band.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/util/random.h"
 
@@ -25,6 +26,15 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 
 namespace {
+
+// Which edit-grid sweep produced the BM_EventDrivenRace and
+// BM_RaceEditGridServed numbers: 8 lanes (the AVX-512F band) or 1
+// (the row sweep).  Printed in the run's context.
+const bool kSweepContext = [] {
+    benchmark::AddCustomContext(
+        "edit_grid_sweep_lanes", std::to_string(core::editGridSweepLanes()));
+    return true;
+}();
 
 std::pair<Sequence, Sequence>
 randomPair(uint64_t seed, size_t n)
@@ -66,6 +76,50 @@ BM_EventDrivenRace(benchmark::State &state)
                             int64_t(n) * int64_t(n));
 }
 BENCHMARK(BM_EventDrivenRace)->Arg(16)->Arg(64)->Arg(256);
+
+void
+BM_EventDrivenRaceScalar(benchmark::State &state)
+{
+    // BM_EventDrivenRace on the row sweep, called directly: the sweep
+    // raceEditGrid runs on hosts without AVX-512F.  CI gates it against
+    // BM_ReferenceDp as well, so the fallback stays gated on runners
+    // whose raceEditGrid takes the band.
+    size_t n = size_t(state.range(0));
+    auto [a, b] = randomPair(1, n);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    for (auto _ : state) {
+        core::RaceGridScratch scratch;
+        benchmark::DoNotOptimize(
+            core::detail::raceEditGridRows(a, b, m, sim::kTickInfinity,
+                                           scratch)
+                .score);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_EventDrivenRaceScalar)->Arg(64)->Arg(256);
+
+void
+BM_RaceEditGridServed(benchmark::State &state)
+{
+    // The race a serve worker runs per pairwise request: score-only,
+    // counters on, scratch reused across requests.  BM_EventDrivenRace
+    // builds the full arrival grid instead.
+    size_t n = size_t(state.range(0));
+    auto [a, b] = randomPair(1, n);
+    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    core::RaceGridScratch scratch;
+    core::KernelCounters counters;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            core::raceEditGrid(a, b, m, sim::kTickInfinity, scratch,
+                               nullptr, &counters, /*arrivals=*/false)
+                .score);
+    benchmark::DoNotOptimize(counters.events);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_RaceEditGridServed)->Arg(32)->Arg(128);
 
 void
 BM_HeapEventQueueRace(benchmark::State &state)

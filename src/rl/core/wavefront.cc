@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rl/core/wavefront_band.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::core {
@@ -93,19 +94,12 @@ WavefrontRaceKernel::race(const std::vector<graph::NodeId> &sources,
     return outcome;
 }
 
-RaceGridResult
-raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
-             const bio::ScoreMatrix &costs, sim::Tick horizon)
-{
-    RaceGridScratch scratch;
-    return raceEditGrid(a, b, costs, horizon, scratch);
-}
+namespace {
 
-RaceGridResult
-raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
-             const bio::ScoreMatrix &costs, sim::Tick horizon,
-             RaceGridScratch &scratch, const CancelToken *cancel,
-             KernelCounters *counters, bool arrivals)
+/** What both edit-grid sweeps require of their inputs. */
+void
+checkEditGridInputs(const bio::Sequence &a, const bio::Sequence &b,
+                    const bio::ScoreMatrix &costs)
 {
     rl_assert(a.alphabet() == costs.alphabet() &&
               b.alphabet() == costs.alphabet(),
@@ -115,6 +109,104 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
     rl_assert(costs.minFinite() >= 1,
               "raceEditGrid requires all finite weights >= 1 (got ",
               costs.minFinite(), ")");
+}
+
+/**
+ * Close a stopped edit-grid sweep: events, the profiling export, and
+ * the verdict -- the sink fired, a cancel stopped the sweep first, or
+ * the horizon did.
+ */
+void
+finishEditGrid(RaceGridResult &result, const SweepTally &tally,
+               sim::Tick sink, bool cancelled, sim::Tick horizon,
+               size_t cols, KernelCounters *counters)
+{
+    result.events = tally.events;
+
+    // Profiling export: everything below was tracked by the sweep
+    // anyway (or is a container size), so a null `counters` costs
+    // nothing and a non-null one cannot change the result.
+    if (counters) {
+        counters->events += result.events;
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater = std::max(
+            counters->scratchHighWater, static_cast<uint64_t>(cols + 1));
+        counters->lanesOccupied += result.cellsFired;
+    }
+
+    if (sink != sim::kTickInfinity) {
+        result.completed = true;
+        result.score = static_cast<bio::Score>(sink);
+        result.latencyCycles = sink;
+    } else if (cancelled) {
+        // Cancelled before the sink fired: the same typed-abort shape
+        // as a horizon trip, stamped with the latest arrival scheduled.
+        result.completed = false;
+        result.cancelled = true;
+        result.score = bio::kScoreInfinity;
+        result.latencyCycles = tally.latest;
+        if (counters)
+            ++counters->cancels;
+    } else {
+        rl_assert(horizon != sim::kTickInfinity,
+                  "sink never fired; gap weights should guarantee a "
+                  "path");
+        result.completed = false;
+        result.score = bio::kScoreInfinity;
+        result.latencyCycles = horizon;
+        if (counters)
+            ++counters->horizonAborts;
+    }
+}
+
+} // namespace
+
+RaceGridResult
+raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
+             const bio::ScoreMatrix &costs, sim::Tick horizon)
+{
+    RaceGridScratch scratch;
+    return raceEditGrid(a, b, costs, horizon, scratch);
+}
+
+unsigned
+editGridSweepLanes()
+{
+#if defined(__x86_64__)
+    static const unsigned lanes = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f")
+                   ? static_cast<unsigned>(detail::kBandLanes)
+                   : 1u;
+    }();
+    return lanes;
+#else
+    return 1;
+#endif
+}
+
+RaceGridResult
+raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
+             const bio::ScoreMatrix &costs, sim::Tick horizon,
+             RaceGridScratch &scratch, const CancelToken *cancel,
+             KernelCounters *counters, bool arrivals)
+{
+    return editGridSweepLanes() == detail::kBandLanes
+               ? detail::raceEditGridBand(a, b, costs, horizon, scratch,
+                                          cancel, counters, arrivals)
+               : detail::raceEditGridRows(a, b, costs, horizon, scratch,
+                                          cancel, counters, arrivals);
+}
+
+namespace detail {
+
+RaceGridResult
+raceEditGridRows(const bio::Sequence &a, const bio::Sequence &b,
+                 const bio::ScoreMatrix &costs, sim::Tick horizon,
+                 RaceGridScratch &scratch, const CancelToken *cancel,
+                 KernelCounters *counters, bool arrivals)
+{
+    checkEditGridInputs(a, b, costs);
 
     const size_t rows = a.size();
     const size_t cols = b.size();
@@ -229,43 +321,137 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
             break;
         }
     }
-    result.events = tally.events;
-
-    // Profiling export: everything below was tracked by the sweep
-    // anyway (or is a container size), so a null `counters` costs
-    // nothing and a non-null one cannot change the result.
-    if (counters) {
-        counters->events += result.events;
-        counters->bucketsDrained += tally.latest + 1;
-        counters->scratchHighWater = std::max(
-            counters->scratchHighWater, static_cast<uint64_t>(cols + 1));
-        counters->lanesOccupied += result.cellsFired;
-    }
-
-    if (sink != sim::kTickInfinity) {
-        result.completed = true;
-        result.score = static_cast<bio::Score>(sink);
-        result.latencyCycles = sink;
-    } else if (cancelled) {
-        // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the latest arrival scheduled.
-        result.completed = false;
-        result.cancelled = true;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = tally.latest;
-        if (counters)
-            ++counters->cancels;
-    } else {
-        rl_assert(horizon != sim::kTickInfinity,
-                  "sink never fired; gap weights should guarantee a "
-                  "path");
-        result.completed = false;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = horizon;
-        if (counters)
-            ++counters->horizonAborts;
-    }
+    finishEditGrid(result, tally, sink, cancelled, horizon, cols, counters);
     return result;
 }
+
+RaceGridResult
+raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
+                 const bio::ScoreMatrix &costs, sim::Tick horizon,
+                 RaceGridScratch &scratch, const CancelToken *cancel,
+                 KernelCounters *counters, bool arrivals)
+{
+    checkEditGridInputs(a, b, costs);
+    rl_assert(editGridSweepLanes() == kBandLanes,
+              "the skewed band needs a host with AVX-512F");
+
+    const size_t rows = a.size();
+    const size_t cols = b.size();
+    const size_t alpha = costs.alphabet().size();
+    const std::vector<bio::Symbol> &symA = a.symbols();
+    const std::vector<bio::Symbol> &symB = b.symbols();
+
+    // The profile, column-reversed: the weight into column j of profile
+    // row s sits at kBandPad + cols - j, and everything outside columns
+    // 1..cols is unfired.  Rows 0..alpha-1 hold each symbol's diagonal
+    // weights, row alpha none (the lanes past a band's last row), row
+    // alpha + 1 the horizontal ones.
+    const size_t stride = cols + 2 * kBandPad;
+    std::vector<sim::Tick> &profile = scratch.profile;
+    profile.assign((alpha + 2) * stride, kSweepUnfired);
+    for (size_t j = 1; j <= cols; ++j) {
+        const size_t at = kBandPad + cols - j;
+        for (size_t s = 0; s < alpha; ++s)
+            profile[s * stride + at] = sweepWeight(
+                costs.pair(static_cast<bio::Symbol>(s), symB[j - 1]));
+        profile[(alpha + 1) * stride + at] =
+            sweepWeight(costs.gap(symB[j - 1]));
+    }
+    const sim::Tick *horizontal =
+        profile.data() + (alpha + 1) * stride + kBandPad + cols;
+    scratch.row.assign(cols + 1 + 2 * kBandPad, kSweepUnfired);
+    sim::Tick *above = scratch.row.data() + kBandPad;
+    if (arrivals)
+        scratch.skew.resize(kBandLanes * (cols + kBandLanes));
+
+    RaceGridResult result;
+    if (arrivals)
+        result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
+                                               sim::kTickInfinity);
+    SweepTally tally(horizon);
+    sim::Tick sink = sim::kTickInfinity;
+    bool cancelled = cancel && cancel->cancelled();
+    if (!cancelled) {
+        // Row 0 -- the root, injected at tick 0, then a chain of
+        // horizontal edges -- is the row above the first band.
+        above[0] = 0;
+        for (size_t j = 1; j <= cols; ++j) {
+            const sim::Tick t = above[j - 1] + *(horizontal - j);
+            tally.arrive(t);
+            above[j] = std::min(t, kSweepUnfired);
+        }
+        sim::Tick *out = arrivals ? &result.arrival.at(0, 0) : nullptr;
+        for (size_t j = 0; j <= cols; ++j) {
+            const bool hit = tally.fired(above[j]);
+            result.cellsFired += hit;
+            if (out)
+                out[j] = hit ? above[j] : sim::kTickInfinity;
+        }
+        if (rows == 0 && tally.fired(above[cols]))
+            sink = above[cols];
+    }
+
+    for (size_t i0 = 1; i0 <= rows && !cancelled; i0 += kBandLanes) {
+        // Poll each row ahead of the band; the first cancelled poll
+        // cuts the band there, so the rows swept are the rows polled.
+        size_t lanes = std::min(kBandLanes, rows + 1 - i0);
+        for (size_t r = 0; r < lanes; ++r) {
+            if (cancel && cancel->cancelled()) {
+                lanes = r;
+                cancelled = true;
+                break;
+            }
+        }
+        if (lanes == 0)
+            break;
+
+        EditGridBand band;
+        band.above = above;
+        band.profile = profile.data();
+        band.horizontal = horizontal;
+        band.cols = cols;
+        band.lanes = lanes;
+        band.skew = arrivals ? scratch.skew.data() : nullptr;
+        for (size_t r = 0; r < kBandLanes; ++r) {
+            const bool live = r < lanes;
+            const size_t s = live ? symA[i0 + r - 1] : alpha;
+            band.gather[r] = s * stride + kBandPad + cols + r;
+            band.down[r] = live ? sweepWeight(costs.gap(symA[i0 + r - 1]))
+                                : kSweepUnfired;
+        }
+        uint64_t fired[kBandLanes];
+        sweepEditGridBand(band, tally, fired);
+
+        // Section 6, row by row: the first row with no fired cell stops
+        // the sweep.  The rows after it in the band fired nothing and
+        // scheduled nothing either, so the band's tally stands.
+        size_t swept = 0;
+        while (swept < lanes && fired[swept] > 0)
+            result.cellsFired += fired[swept++];
+        for (size_t r = 0; arrivals && r < swept; ++r) {
+            // Lane r's cell in column j is at step j + r.
+            const sim::Tick *lane =
+                scratch.skew.data() + r * (kBandLanes + 1);
+            sim::Tick *out = &result.arrival.at(i0 + r, 0);
+            for (size_t j = 0; j <= cols; ++j) {
+                const sim::Tick v = lane[j * kBandLanes];
+                out[j] = tally.fired(v) ? v : sim::kTickInfinity;
+            }
+        }
+        if (swept < lanes) {
+            // A cancel polled past this row changes nothing: there is
+            // no row to stop.
+            cancelled = false;
+            break;
+        }
+        if (i0 + lanes - 1 == rows && tally.fired(above[cols]))
+            sink = above[cols];
+    }
+
+    finishEditGrid(result, tally, sink, cancelled, horizon, cols, counters);
+    return result;
+}
+
+} // namespace detail
 
 } // namespace racelogic::core

@@ -24,14 +24,26 @@
  *    of two sequences, without materializing it.  With every delay
  *    >= 1, each cell fires at exactly its min-plus DP value (the
  *    paper's Fig. 4c arrival table), and each row depends only on the
- *    row above and on its own left neighbour -- so one in-order row
- *    sweep of the recurrence computes the arrival table directly,
- *    with no event scheduling at all.  The events the calendar would
- *    drain are counted per settled cell in a pass over each finished
- *    row (SweepTally), off the recurrence's serial chain.
+ *    row above and on its own left neighbour -- so a sweep of the
+ *    recurrence computes the arrival table directly, with no event
+ *    scheduling at all.  Two sweeps compute it, bit-identically:
+ *
+ *     - the row sweep, one cell at a time, counting the events the
+ *       calendar would drain per settled cell in a pass over each
+ *       finished row (SweepTally), off the recurrence's serial chain.
+ *       It runs on every host and is the reference;
+ *     - the skewed band, on hosts with AVX-512F: rows i..i+7 race in
+ *       the eight 64-bit lanes of one register, lane r one column
+ *       behind lane r-1, like a short linear systolic array riding
+ *       the paper's diagonal wavefront.  Each step fires one cell of
+ *       every row in the band and tallies the arrivals into them in
+ *       lanes (rl/core/wavefront_band.h).
+ *
+ *    The CPU alone picks the sweep, once per process
+ *    (editGridSweepLanes()); nothing else selects it.
  *
  * The event-driven reference (rl/core/race_network.h
- * raceDagEventDriven), the bucketed kernel and the sweep agree on
+ * raceDagEventDriven), the bucketed kernel and both sweeps agree on
  * firing times *and* event counts; the equivalence suite in
  * tests/core_wavefront_test.cc checks them against each other and
  * against the DP oracle.
@@ -196,7 +208,9 @@ struct SweepTally {
 
 /**
  * Reusable scratch state for raceEditGrid: the sweep's working row
- * plus the weights hoisted out of it.
+ * plus the weights hoisted out of it.  The row sweep uses gapA,
+ * columns, outEdges and row; the skewed band row, profile and, when
+ * it fills the arrival grid, skew.
  */
 struct RaceGridScratch {
     /** Vertical (gap) weight into row i: gap(a[i-1]); row 0 unfired. */
@@ -227,14 +241,31 @@ struct RaceGridScratch {
      */
     std::vector<SweepOutEdges> outEdges;
 
-    /** The working row: the row being swept, over the row above. */
+    /**
+     * The working row: the row being swept, over the row above.  The
+     * band keeps the row above its next band here, padded with
+     * unfired cells on both sides.
+     */
     std::vector<sim::Tick> row;
+
+    /**
+     * The band's in-edge weights, column-reversed and padded with
+     * unfired weights so that one step reads eight lanes at one
+     * offset: a diagonal row per symbol, an all-unfired row for the
+     * lanes past the band's last row, then the horizontal gap(b) row
+     * (layout in rl/core/wavefront_band.h).
+     */
+    std::vector<sim::Tick> profile;
+
+    /** The band's lanes, step by step (8 x (|b| + 8)), from which an
+     *  arrival grid is filled row by row. */
+    std::vector<sim::Tick> skew;
 
     /** Release all retained capacity. */
     void
     shrinkToFit()
     {
-        for (std::vector<sim::Tick> *v : {&gapA, &row}) {
+        for (std::vector<sim::Tick> *v : {&gapA, &row, &profile, &skew}) {
             v->clear();
             v->shrink_to_fit();
         }
@@ -248,15 +279,27 @@ struct RaceGridScratch {
     size_t
     residentBytes() const
     {
-        return (gapA.capacity() + row.capacity()) * sizeof(sim::Tick) +
+        return (gapA.capacity() + row.capacity() + profile.capacity() +
+                skew.capacity()) *
+                   sizeof(sim::Tick) +
                columns.capacity() * sizeof(ColumnWeights) +
                outEdges.capacity() * sizeof(SweepOutEdges);
     }
 };
 
 /**
+ * Rows of the edit grid one step of raceEditGrid's sweep fires on
+ * this host: 8 where the CPU supports AVX-512F (the skewed band), 1
+ * elsewhere (the row sweep).  Decided once per process, from the CPU
+ * alone.
+ */
+unsigned editGridSweepLanes();
+
+/**
  * OR-type race of the edit graph of (a, b) under a race-ready cost
- * matrix, swept row by row without materializing the graph.
+ * matrix, swept without materializing the graph -- in skewed bands of
+ * eight rows where the CPU has AVX-512F, row by row elsewhere, with
+ * the same result either way.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with
  * raceDag(..., RaceType::Or, horizon): same arrival grid (filled for
@@ -280,8 +323,9 @@ RaceGridResult raceEditGrid(const bio::Sequence &a,
  * hoisted weights live in (and keep the capacity of) the caller's
  * scratch.
  *
- * `cancel` (nullptr = never) is polled once per row; a cancelled race
- * comes back completed = false with cancelled = true, score
+ * `cancel` (nullptr = never) is polled once per row (the band polls
+ * its rows ahead of sweeping them); a cancelled race comes back
+ * completed = false with cancelled = true, score
  * kScoreInfinity, and latencyCycles the latest arrival scheduled
  * before the sweep stopped -- the same typed-abort shape as a horizon
  * trip, so callers built around Section 6 aborts handle it unchanged.

@@ -1,0 +1,131 @@
+/**
+ * @file
+ * The two sweeps behind core::raceEditGrid, and the AVX-512F step of
+ * the skewed band.  Internal to rl/core: raceEditGrid() picks the
+ * sweep from the CPU; tests and benches call one directly to hold the
+ * two against each other.
+ *
+ * The skewed band races rows i0 .. i0+7 in the eight 64-bit lanes of
+ * one register.  At step t, lane r fires cell (i0 + r, t - r):
+ *
+ *  - `up` is the previous step's value of lane r - 1 -- the cell
+ *    above, fired one step earlier -- and, for lane 0, the stored row
+ *    above the band;
+ *  - `diag` is the previous step's `up`;
+ *  - `left` is the lane's own previous value.
+ *
+ * The weights of the three in-edges come in one load each.  The
+ * vertical one is constant per lane.  The horizontal one, gap(b[j-1])
+ * for lane r at column j = t - r, sits at offset pad + |b| - t + r of
+ * the column-reversed profile row, so one unaligned load at pad + |b|
+ * - t serves all eight lanes.  The diagonal one, pair(a[i-1], b[j-1]),
+ * needs a different symbol row per lane: one 64-bit gather, whose
+ * per-lane indices fall by one each step.  Columns outside 1..|b|
+ * read unfired padding, so a lane that has not reached column 0 yet,
+ * or has passed column |b|, computes an unfired cell; lanes past the
+ * band's last row read the all-unfired symbol row and an unfired
+ * vertical weight, and stay unfired too.
+ *
+ * Every value is the row sweep's own working value (unsigned, clamped
+ * to kSweepUnfired = 2^62, with unfired weights 2^62), so each
+ * addition stays below 2^64 and each lane does the row sweep's exact
+ * arithmetic.
+ *
+ * Events are tallied per *target* cell: the three in-edge arrivals
+ * the recurrence has just formed are compared with the limit, and the
+ * ones within it are counted and folded into the latest arrival.
+ * Each counted arrival is one edge out of a fired cell landing within
+ * the horizon -- the row sweep's per-source tally of the same edges
+ * -- and an edge into a row counts exactly when that row is swept, so
+ * a cancelled race counts the arrivals into the rows it swept.
+ */
+
+#ifndef RACELOGIC_CORE_WAVEFRONT_BAND_H
+#define RACELOGIC_CORE_WAVEFRONT_BAND_H
+
+#include <cstddef>
+#include <cstdint>
+
+#include "rl/core/wavefront.h"
+
+namespace racelogic::core::detail {
+
+/** Rows one band races: the 64-bit lanes of a 512-bit register. */
+constexpr size_t kBandLanes = 8;
+
+/**
+ * Unfired padding on each side of a band profile row and of the row
+ * above: a lane runs up to seven steps before its column 0 and after
+ * its column |b|, and the last lane's store trails lane 0 by up to
+ * 2 x 7 elements.
+ */
+constexpr size_t kBandPad = 2 * kBandLanes;
+
+/**
+ * One band, as sweepEditGridBand() reads it.  The profile rows have
+ * stride |b| + 2 kBandPad and hold the weight into column j at
+ * kBandPad + |b| - j.
+ */
+struct EditGridBand {
+    /** The row above the band, columns 0..|b|, with kBandPad unfired
+     *  cells on each side.  On return it holds the band's last row. */
+    sim::Tick *above = nullptr;
+
+    /** Base of the profile; `gather` indexes into it. */
+    const sim::Tick *profile = nullptr;
+
+    /** The horizontal profile row, at offset kBandPad + |b|. */
+    const sim::Tick *horizontal = nullptr;
+
+    /** Per lane, the profile index of its diagonal weight at step 0:
+     *  symbol row * stride + kBandPad + |b| + lane. */
+    uint64_t gather[kBandLanes] = {};
+
+    /** Per lane, the vertical in-edge weight (unfired past the band). */
+    sim::Tick down[kBandLanes] = {};
+
+    size_t cols = 0;  ///< |b|
+    size_t lanes = 0; ///< rows in this band, 1..kBandLanes
+
+    /** nullptr: score-only.  Otherwise the band's values, step by
+     *  step: lane r at step t in skew[t * kBandLanes + r]. */
+    sim::Tick *skew = nullptr;
+};
+
+/**
+ * Race one band: every step from lane 0's column 0 to the last lane's
+ * column |b|.  Adds the band's arrivals within tally.limit to
+ * tally.events and tally.latest, and stores each lane's fired-cell
+ * count in fired[lane].  Requires editGridSweepLanes() == kBandLanes.
+ */
+void sweepEditGridBand(const EditGridBand &band, SweepTally &tally,
+                       uint64_t fired[kBandLanes]);
+
+/**
+ * raceEditGrid()'s two sweeps, with its scratch overload's contract.
+ * raceEditGridRows() runs on every host and is the reference;
+ * raceEditGridBand() requires editGridSweepLanes() == kBandLanes.
+ * @{
+ */
+RaceGridResult raceEditGridRows(const bio::Sequence &a,
+                                const bio::Sequence &b,
+                                const bio::ScoreMatrix &costs,
+                                sim::Tick horizon,
+                                RaceGridScratch &scratch,
+                                const CancelToken *cancel = nullptr,
+                                KernelCounters *counters = nullptr,
+                                bool arrivals = true);
+
+RaceGridResult raceEditGridBand(const bio::Sequence &a,
+                                const bio::Sequence &b,
+                                const bio::ScoreMatrix &costs,
+                                sim::Tick horizon,
+                                RaceGridScratch &scratch,
+                                const CancelToken *cancel = nullptr,
+                                KernelCounters *counters = nullptr,
+                                bool arrivals = true);
+/** @} */
+
+} // namespace racelogic::core::detail
+
+#endif // RACELOGIC_CORE_WAVEFRONT_BAND_H

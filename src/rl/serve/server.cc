@@ -13,6 +13,7 @@
 
 #include "rl/core/cancel.h"
 #include "rl/core/scratch_registry.h"
+#include "rl/core/wavefront.h"
 #include "rl/pangraph/graph_aligner.h"
 #include "rl/util/logging.h"
 
@@ -224,6 +225,11 @@ AlignServer::metricsSnapshot() const
         counter(prefix + "shed_evicted_total", cls.shedEvicted);
         gauge(prefix + "queued", static_cast<int64_t>(cls.queued));
     }
+
+    // Which edit-grid sweep produced the kernel series: 8 lanes for
+    // the AVX-512F band, 1 for the row sweep.
+    gauge("rl_kernel_sweep_lanes",
+          static_cast<int64_t>(core::editGridSweepLanes()));
 
     // Brownout observability: the gauge mirrors exactly what Health
     // reports, and the rl_mem_* gauges expose the same usage the

@@ -22,6 +22,7 @@
 #include "rl/core/race_grid.h"
 #include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
+#include "rl/core/wavefront_band.h"
 
 namespace {
 
@@ -102,6 +103,46 @@ TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
 
     // The janitor's hammer: reclaim everything idle, immediately.
     EXPECT_GE(registry.shrinkAll(), grown);
+    EXPECT_EQ(scratch.residentBytes(), 0u);
+    EXPECT_LE(registry.totalResidentBytes(), baseline);
+}
+
+TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
+{
+    if (core::editGridSweepLanes() != core::detail::kBandLanes)
+        GTEST_SKIP() << "host has no AVX-512F: raceEditGrid runs the row "
+                        "sweep alone";
+    core::ScratchRegistry &registry = core::ScratchRegistry::instance();
+    const size_t baseline = registry.totalResidentBytes();
+
+    core::RaceGridScratch scratch;
+    core::ScratchRegistration reg([&scratch](bool shrink) {
+        if (shrink)
+            scratch.shrinkToFit();
+        return scratch.residentBytes();
+    });
+    {
+        // With the arrival grid on, the band fills all of its buffers:
+        // the padded row above, the reversed profiles and the skew
+        // buffer.
+        core::ScratchLease lease(reg.entry());
+        (void)core::raceEditGrid(dna(longDna(300)), dna(longDna(300)),
+                                 bio::ScoreMatrix::dnaShortestPath(),
+                                 sim::kTickInfinity, scratch);
+    }
+    EXPECT_GT(scratch.profile.capacity(), 0u);
+    EXPECT_GT(scratch.skew.capacity(), 0u);
+    const size_t band = (scratch.row.capacity() +
+                         scratch.profile.capacity() +
+                         scratch.skew.capacity()) *
+                        sizeof(sim::Tick);
+    EXPECT_GE(scratch.residentBytes(), band);
+    EXPECT_GE(registry.totalResidentBytes(), baseline + band);
+
+    EXPECT_GE(registry.shrinkAll(), band);
+    EXPECT_EQ(scratch.row.capacity(), 0u);
+    EXPECT_EQ(scratch.profile.capacity(), 0u);
+    EXPECT_EQ(scratch.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
     EXPECT_LE(registry.totalResidentBytes(), baseline);
 }

@@ -5,17 +5,24 @@
  * must agree node-for-node on randomized DAGs and sequences -- Or and
  * And races, with and without an early-termination horizon -- and the
  * grid-direct kernel must reproduce the materialized edit-graph race
- * exactly (arrival grids and event counts included).
+ * exactly (arrival grids and event counts included).  The grid
+ * kernel's skewed AVX-512F band must reproduce its row sweep field for
+ * field and counter for counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
+#include "rl/bio/score_convert.h"
+#include "rl/core/cancel.h"
 #include "rl/core/kernel_counters.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
+#include "rl/core/wavefront_band.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
 #include "rl/util/random.h"
@@ -309,6 +316,182 @@ TEST_P(GridKernel, HorizonMatchesFullRacePrefix)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
+
+// ------------------------------------------ skewed band vs row sweep
+
+bool
+hostHasBand()
+{
+    return core::editGridSweepLanes() == core::detail::kBandLanes;
+}
+
+constexpr const char *kNoBand =
+    "host has no AVX-512F: raceEditGrid runs the row sweep alone";
+
+/**
+ * Race (a, b) on the row sweep and on the skewed band and assert the
+ * outcomes are identical: every RaceGridResult field, the arrival grid
+ * included, and every KernelCounters field.
+ */
+void
+expectBandMatchesRows(const Sequence &a, const Sequence &b,
+                      const ScoreMatrix &m, sim::Tick horizon,
+                      bool arrivals, const core::CancelToken *cancel)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "|a|=" << a.size() << " |b|=" << b.size()
+                 << " horizon=" << horizon << " arrivals=" << arrivals
+                 << " cancel=" << (cancel ? cancel->cancelled() : -1));
+    core::RaceGridScratch rowScratch, bandScratch;
+    core::KernelCounters rowCounters, bandCounters;
+    const core::RaceGridResult rows = core::detail::raceEditGridRows(
+        a, b, m, horizon, rowScratch, cancel, &rowCounters, arrivals);
+    const core::RaceGridResult band = core::detail::raceEditGridBand(
+        a, b, m, horizon, bandScratch, cancel, &bandCounters, arrivals);
+
+    EXPECT_EQ(band.score, rows.score);
+    EXPECT_EQ(band.completed, rows.completed);
+    EXPECT_EQ(band.cancelled, rows.cancelled);
+    EXPECT_EQ(band.latencyCycles, rows.latencyCycles);
+    EXPECT_EQ(band.cellsFired, rows.cellsFired);
+    EXPECT_EQ(band.events, rows.events);
+    EXPECT_EQ(band.arrival.rows(), rows.arrival.rows());
+    EXPECT_EQ(band.arrival.cols(), rows.arrival.cols());
+    EXPECT_TRUE(band.arrival == rows.arrival);
+
+    EXPECT_EQ(bandCounters.events, rowCounters.events);
+    EXPECT_EQ(bandCounters.bucketsDrained, rowCounters.bucketsDrained);
+    EXPECT_EQ(bandCounters.scratchHighWater, rowCounters.scratchHighWater);
+    EXPECT_EQ(bandCounters.lanesOccupied, rowCounters.lanesOccupied);
+    EXPECT_EQ(bandCounters.cancels, rowCounters.cancels);
+    EXPECT_EQ(bandCounters.horizonAborts, rowCounters.horizonAborts);
+}
+
+class BandSweep : public ::testing::TestWithParam<int>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!hostHasBand())
+            GTEST_SKIP() << kNoBand;
+    }
+};
+
+TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
+{
+    util::Rng rng(5100 + GetParam());
+    const ScoreMatrix protein =
+        bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
+    const core::CancelToken never;
+    core::CancelToken already;
+    already.cancel();
+    for (const ScoreMatrix &m : {ScoreMatrix::dnaShortestPath(),
+                                 ScoreMatrix::dnaShortestPathInfMismatch(),
+                                 protein}) {
+        for (int trial = 0; trial < 3; ++trial) {
+            // Empty sequences on the first two trials; otherwise any
+            // length up to 200, so the last band is mostly partial.
+            const size_t rows = trial == 0 ? 0 : rng.index(201);
+            const size_t cols = trial == 1 ? 0 : rng.index(201);
+            const Sequence a = Sequence::random(rng, m.alphabet(), rows);
+            const Sequence b = Sequence::random(rng, m.alphabet(), cols);
+            const sim::Tick opt =
+                static_cast<sim::Tick>(bio::globalScore(a, b, m));
+            for (sim::Tick horizon :
+                 {sim::kTickInfinity, sim::Tick(0), opt > 0 ? opt - 1 : 0,
+                  opt, sim::Tick(rng.index(2 * opt + 2))}) {
+                for (bool arrivals : {true, false}) {
+                    expectBandMatchesRows(a, b, m, horizon, arrivals,
+                                          nullptr);
+                    expectBandMatchesRows(a, b, m, horizon, arrivals,
+                                          &never);
+                    expectBandMatchesRows(a, b, m, horizon, arrivals,
+                                          &already);
+                }
+            }
+        }
+    }
+}
+
+TEST_P(BandSweep, EveryBandShapeAroundTheLaneCount)
+{
+    // Row and column counts on both sides of each band boundary, with
+    // horizons that stop the sweep inside a band.
+    util::Rng rng(5300 + GetParam());
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
+    const size_t rows = static_cast<size_t>(GetParam()) + 1; // 1..24
+    for (size_t cols : {size_t(0), size_t(1), size_t(7), size_t(8),
+                        size_t(9), size_t(33)}) {
+        const Sequence a = Sequence::random(rng, Alphabet::dna(), rows);
+        const Sequence b = Sequence::random(rng, Alphabet::dna(), cols);
+        for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(rows / 2),
+                                  sim::Tick(rows + 3)})
+            expectBandMatchesRows(a, b, m, horizon, true, nullptr);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BandSweep, ::testing::Range(0, 24));
+
+/**
+ * Cancel 2047 x 2047 races from a second thread: the sweep must come
+ * back with the typed abort, having counted exactly the arrivals into
+ * the rows it swept.  dnaShortestPath has no forbidden pair, so an
+ * unbounded race fires every cell of each swept row and counts every
+ * edge into it: |b| horizontal ones into row 0, then 3|b| + 1 into
+ * each later row.
+ */
+void
+expectCancelledFromAnotherThread(
+    decltype(&core::detail::raceEditGridRows) sweep)
+{
+    util::Rng rng(5700);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    const size_t n = 2047;
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), n);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), n);
+
+    // The cancel lands whenever the scheduler runs the canceller: at
+    // once on an idle multi-core host, after a time slice on a busy or
+    // single-core one.  Race until it has landed; the race in flight
+    // then stops mid-sweep, or the next one before its first row.
+    core::CancelToken token;
+    std::thread canceller([&token] { token.cancel(); });
+    core::RaceGridResult r;
+    core::KernelCounters counters;
+    for (int race = 0; race < 2000; ++race) {
+        core::RaceGridScratch scratch;
+        counters = core::KernelCounters();
+        r = sweep(a, b, m, sim::kTickInfinity, scratch, &token, &counters,
+                  false);
+        if (!r.completed)
+            break;
+    }
+    canceller.join();
+
+    EXPECT_FALSE(r.completed);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.score, bio::kScoreInfinity);
+    EXPECT_EQ(counters.cancels, 1u);
+    EXPECT_EQ(counters.horizonAborts, 0u);
+    ASSERT_EQ(r.cellsFired % (n + 1), 0u);
+    const uint64_t swept = r.cellsFired / (n + 1);
+    EXPECT_LE(swept, n) << "the last row was swept: the sink fired";
+    EXPECT_EQ(r.events, swept == 0 ? 0 : n + (swept - 1) * (3 * n + 1));
+    EXPECT_EQ(counters.events, r.events);
+}
+
+TEST(BandSweepCancel, RowSweepStopsWithTheTypedAbort)
+{
+    expectCancelledFromAnotherThread(&core::detail::raceEditGridRows);
+}
+
+TEST(BandSweepCancel, BandStopsWithTheTypedAbort)
+{
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
+    expectCancelledFromAnotherThread(&core::detail::raceEditGridBand);
+}
 
 // ------------------------------- horizon-true screening accounting
 

@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "rl/api/api.h"
+#include "rl/core/wavefront.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/client.h"
 #include "rl/serve/server.h"
@@ -416,6 +417,13 @@ TEST(ServeServer, MetricsOverWireStaysCoherentWithStats)
     ASSERT_NE(events, nullptr);
     EXPECT_GT(events->value, 0u);
 
+    // ...and the snapshot names the sweep that raced them.
+    const telemetry::GaugeSnapshot *lanes =
+        snap.gauge("rl_kernel_sweep_lanes");
+    ASSERT_NE(lanes, nullptr);
+    EXPECT_EQ(lanes->value,
+              static_cast<int64_t>(core::editGridSweepLanes()));
+
     // Plan-cache coherence (the satellite claim): the synthetic
     // shard series aggregate to the same ledger Stats reports --
     // every solve was either a plan build or a cache hit.
@@ -587,11 +595,14 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
+    // 2000 x 2000 grids: each solve outlasts the arrival of the rest
+    // even on the skewed AVX-512F band, so the queue holds several
+    // jobs whenever a worker frees up.
     const size_t total = 16;
     for (size_t i = 0; i < total; ++i)
         ASSERT_TRUE(client.submitPairwise(
             static_cast<uint32_t>(700 + i), fig2b(),
-            dnaString(500, 70 + i), dnaString(500, 90 + i)));
+            dnaString(2000, 70 + i), dnaString(2000, 90 + i)));
     for (size_t i = 0; i < total; ++i) {
         Response response;
         ASSERT_TRUE(client.receive(response));
@@ -842,16 +853,19 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     cfg.workers = 1;
     cfg.queueDepth = 8;
     cfg.drainBatchMax = 1; // one job per drain: the second waits
+    cfg.maxGridCells = 1ull << 25; // room for the blocker below
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
     // The blocker holds the single worker well past the doomed
-    // request's 1 ms deadline; the doomed job is still queued when the
-    // dispatcher next drains, so it is shed without touching the
+    // request's 1 ms deadline -- 4500 x 4500 cells race for over 10 ms
+    // even on the fastest sweep, the skewed AVX-512F band at under
+    // 1 ns per cell -- so the doomed job is still queued when the
+    // dispatcher next drains, and it is shed without touching the
     // engine.
-    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(500, 41),
-                                      dnaString(500, 42)));
+    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(4500, 41),
+                                      dnaString(4500, 42)));
     ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(500, 43),
                                       dnaString(500, 44), 1));
 
@@ -885,15 +899,20 @@ TEST(ServeServer, DeadlineTrippingMidRaceCancelsCooperatively)
 {
     ServerConfig cfg = tcpConfig();
     cfg.workers = 1;
+    cfg.maxGridCells = 1ull << 32; // room for the race below
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
-    // A 2001x2001 grid races for far longer than 10 ms; the queue is
-    // otherwise empty, so the job drains (and starts) well before the
-    // deadline, then the token trips mid-sweep.
-    ASSERT_TRUE(client.submitPairwise(3, fig2b(), dnaString(2000, 51),
-                                      dnaString(2000, 52), 10));
+    // A 48001x48001 grid races for about 2 s even on the skewed
+    // AVX-512F band (under 1 ns per cell), over ten times the 150 ms
+    // deadline.  The deadline counts from frame arrival, so it also
+    // leaves room to decode the 96 KB request in an instrumented
+    // build (about 60 ms under TSan).  The queue is otherwise empty,
+    // so the job drains (and starts) well before the deadline, then
+    // the token trips mid-sweep.
+    ASSERT_TRUE(client.submitPairwise(3, fig2b(), dnaString(48000, 51),
+                                      dnaString(48000, 52), 150));
     Response response;
     ASSERT_TRUE(client.receive(response));
     EXPECT_EQ(response.status, Status::DeadlineExceeded);

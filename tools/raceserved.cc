@@ -26,6 +26,7 @@
 
 #include <pthread.h>
 
+#include "rl/core/wavefront.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/server.h"
 
@@ -248,6 +249,15 @@ main(int argc, char **argv)
         std::printf("%u\n", static_cast<unsigned>(server.port()));
         std::fflush(stdout);
     }
+    // Name the kernel behind every number this daemon reports.  fputs,
+    // not fprintf: the daemon formats nothing else before it serves,
+    // and printf's machinery would add its pages to the resident set.
+    const unsigned lanes = core::editGridSweepLanes();
+    std::fputs(("raceserved: rl_kernel_sweep_lanes=" +
+                std::to_string(lanes) +
+                (lanes > 1 ? " (AVX-512F skewed band)\n" : " (row sweep)\n"))
+                   .c_str(),
+               stderr);
 
     while (!gStopRequested) {
         // Signals are the only way out.  sigsuspend() unblocks them and
