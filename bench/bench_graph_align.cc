@@ -17,7 +17,9 @@
 #include <benchmark/benchmark.h>
 
 #include "rl/api/api.h"
+#include "rl/core/wavefront.h"
 #include "rl/pangraph/generate.h"
+#include "rl/pangraph/graph_align_band.h"
 #include "rl/pangraph/graph_align_dp.h"
 #include "rl/pangraph/graph_aligner.h"
 #include "rl/util/random.h"
@@ -28,6 +30,16 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 
 namespace {
+
+// Which sweep produced the fused-kernel numbers: 8 lanes (the AVX-512F
+// graph band) or 1 (the row sweep).  Printed in the run's context,
+// where tools/bench_compare.py reads it to pick each headline row's
+// baseline.
+const bool kSweepContext = [] {
+    benchmark::AddCustomContext("sweep_lanes",
+                                std::to_string(core::sweepLanes()));
+    return true;
+}();
 
 struct Workload {
     std::shared_ptr<const pangraph::VariationGraph> graph;
@@ -104,6 +116,52 @@ BM_GraphAlignFused(benchmark::State &state)
         int64_t(w.graph->totalLabelLength()));
 }
 BENCHMARK(BM_GraphAlignFused)->Arg(16)->Arg(64);
+
+void
+BM_GraphAlignFusedScalar(benchmark::State &state)
+{
+    // BM_GraphAlignFused on the row sweep, called directly: the sweep
+    // raceAlignmentGrid runs on hosts without AVX-512F.  CI gates it
+    // against BM_GraphAlignOracle as well, so the fallback stays gated
+    // on runners whose raceAlignmentGrid takes the band.
+    Workload w(size_t(state.range(0)));
+    pangraph::GraphAligner aligner(w.graph,
+                                   ScoreMatrix::dnaShortestPath());
+    pangraph::GraphAlignScratch scratch;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pangraph::detail::raceAlignmentGridRows(
+            aligner.compiled(), w.read, aligner.costs(),
+            sim::kTickInfinity, scratch));
+    state.SetItemsProcessed(
+        int64_t(state.iterations()) * int64_t(w.read.size()) *
+        int64_t(w.graph->totalLabelLength()));
+}
+BENCHMARK(BM_GraphAlignFusedScalar)->Arg(16)->Arg(64);
+
+void
+BM_GraphAlignServed(benchmark::State &state)
+{
+    // The race a serve worker runs per GraphAlign request: score-only,
+    // counters on, scratch reused across requests.  BM_GraphAlignFused
+    // fills the arrival vector instead.
+    Workload w(size_t(state.range(0)));
+    pangraph::GraphAligner aligner(w.graph,
+                                   ScoreMatrix::dnaShortestPath());
+    pangraph::GraphAlignScratch scratch;
+    core::KernelCounters counters;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            pangraph::raceAlignmentGrid(aligner.compiled(), w.read,
+                                        aligner.costs(), sim::kTickInfinity,
+                                        scratch, nullptr, &counters,
+                                        /*arrivals=*/false)
+                .racedCost);
+    benchmark::DoNotOptimize(counters.events);
+    state.SetItemsProcessed(
+        int64_t(state.iterations()) * int64_t(w.read.size()) *
+        int64_t(w.graph->totalLabelLength()));
+}
+BENCHMARK(BM_GraphAlignServed)->Arg(64);
 
 void
 BM_GraphAlignReference(benchmark::State &state)

@@ -27,12 +27,14 @@ using bio::Sequence;
 
 namespace {
 
-// Which edit-grid sweep produced the BM_EventDrivenRace and
+// Which sweep produced the BM_EventDrivenRace and
 // BM_RaceEditGridServed numbers: 8 lanes (the AVX-512F band) or 1
-// (the row sweep).  Printed in the run's context.
+// (the row sweep).  Printed in the run's context, where
+// tools/bench_compare.py reads it to pick each headline row's
+// baseline.
 const bool kSweepContext = [] {
-    benchmark::AddCustomContext(
-        "edit_grid_sweep_lanes", std::to_string(core::editGridSweepLanes()));
+    benchmark::AddCustomContext("sweep_lanes",
+                                std::to_string(core::sweepLanes()));
     return true;
 }();
 

@@ -136,6 +136,7 @@ RaceEngine::Plan::residentBytes() const
                  cg.terminal.capacity() +
                  cg.gapWeight.capacity() * sizeof(bio::Score) +
                  cg.outEdges.capacity() * sizeof(core::SweepOutEdges) +
+                 cg.band.residentBytes() +
                  scoreMatrixBytes(graphAligner->costs());
     }
     return bytes;

@@ -170,7 +170,7 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
 }
 
 unsigned
-editGridSweepLanes()
+sweepLanes()
 {
 #if defined(__x86_64__)
     static const unsigned lanes = [] {
@@ -191,7 +191,7 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              RaceGridScratch &scratch, const CancelToken *cancel,
              KernelCounters *counters, bool arrivals)
 {
-    return editGridSweepLanes() == detail::kBandLanes
+    return sweepLanes() == detail::kBandLanes
                ? detail::raceEditGridBand(a, b, costs, horizon, scratch,
                                           cancel, counters, arrivals)
                : detail::raceEditGridRows(a, b, costs, horizon, scratch,
@@ -332,7 +332,7 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
                  KernelCounters *counters, bool arrivals)
 {
     checkEditGridInputs(a, b, costs);
-    rl_assert(editGridSweepLanes() == kBandLanes,
+    rl_assert(sweepLanes() == kBandLanes,
               "the skewed band needs a host with AVX-512F");
 
     const size_t rows = a.size();

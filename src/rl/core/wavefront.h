@@ -40,7 +40,7 @@
  *       lanes (rl/core/wavefront_band.h).
  *
  *    The CPU alone picks the sweep, once per process
- *    (editGridSweepLanes()); nothing else selects it.
+ *    (sweepLanes()); nothing else selects it.
  *
  * The event-driven reference (rl/core/race_network.h
  * raceDagEventDriven), the bucketed kernel and both sweeps agree on
@@ -288,12 +288,13 @@ struct RaceGridScratch {
 };
 
 /**
- * Rows of the edit grid one step of raceEditGrid's sweep fires on
- * this host: 8 where the CPU supports AVX-512F (the skewed band), 1
- * elsewhere (the row sweep).  Decided once per process, from the CPU
- * alone.
+ * Rows one step of the dense sweeps fires on this host -- edit-grid
+ * rows in raceEditGrid(), read rows in pangraph::raceAlignmentGrid():
+ * 8 where the CPU supports AVX-512F (the skewed bands), 1 elsewhere
+ * (the row sweeps).  Decided once per process, from the CPU alone;
+ * both kernels dispatch on it and nothing else.
  */
-unsigned editGridSweepLanes();
+unsigned sweepLanes();
 
 /**
  * OR-type race of the edit graph of (a, b) under a race-ready cost

@@ -1,16 +1,3 @@
-#if defined(__x86_64__)
-// GCC 12's AVX-512 intrinsics pass a self-initialised "undefined"
-// vector to their masked builtins, which -Wuninitialized reports at
-// every inlined call; the pragmas cover the header's lines alone.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#ifndef __clang__
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
-
 #include "rl/core/wavefront_band.h"
 #include "rl/util/logging.h"
 
@@ -20,19 +7,10 @@ namespace racelogic::core::detail {
 
 namespace {
 
-/** Count the in-edge arrivals `t` within `limit`, as SweepTally does. */
-__attribute__((target("avx512f"), always_inline)) inline void
-arrive(__m512i t, __m512i limit, __m512i &events, __m512i &latest)
-{
-    const __mmask8 in = _mm512_cmple_epu64_mask(t, limit);
-    events = _mm512_mask_add_epi64(events, in, events, _mm512_set1_epi64(1));
-    latest = _mm512_mask_max_epu64(latest, in, latest, t);
-}
-
 // Compiled for AVX-512F by function attribute -- the per-function form
 // of `#pragma GCC target("avx512f")`, which GCC and Clang both accept
 // -- so the rest of the library keeps the baseline ISA and this code
-// runs only where editGridSweepLanes() found the instructions.
+// runs only where sweepLanes() found the instructions.
 template <bool kArrivals>
 __attribute__((target("avx512f"))) void
 sweep(const EditGridBand &band, SweepTally &tally,

@@ -2,8 +2,8 @@
  * @file
  * The two sweeps behind core::raceEditGrid, and the AVX-512F step of
  * the skewed band.  Internal to rl/core: raceEditGrid() picks the
- * sweep from the CPU; tests and benches call one directly to hold the
- * two against each other.
+ * sweep from the CPU (sweepLanes()); tests and benches call one
+ * directly to hold the two against each other.
  *
  * The skewed band races rows i0 .. i0+7 in the eight 64-bit lanes of
  * one register.  At step t, lane r fires cell (i0 + r, t - r):
@@ -46,20 +46,10 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "rl/core/band_lanes.h"
 #include "rl/core/wavefront.h"
 
 namespace racelogic::core::detail {
-
-/** Rows one band races: the 64-bit lanes of a 512-bit register. */
-constexpr size_t kBandLanes = 8;
-
-/**
- * Unfired padding on each side of a band profile row and of the row
- * above: a lane runs up to seven steps before its column 0 and after
- * its column |b|, and the last lane's store trails lane 0 by up to
- * 2 x 7 elements.
- */
-constexpr size_t kBandPad = 2 * kBandLanes;
 
 /**
  * One band, as sweepEditGridBand() reads it.  The profile rows have
@@ -96,7 +86,7 @@ struct EditGridBand {
  * Race one band: every step from lane 0's column 0 to the last lane's
  * column |b|.  Adds the band's arrivals within tally.limit to
  * tally.events and tally.latest, and stores each lane's fired-cell
- * count in fired[lane].  Requires editGridSweepLanes() == kBandLanes.
+ * count in fired[lane].  Requires sweepLanes() == kBandLanes.
  */
 void sweepEditGridBand(const EditGridBand &band, SweepTally &tally,
                        uint64_t fired[kBandLanes]);
@@ -104,7 +94,7 @@ void sweepEditGridBand(const EditGridBand &band, SweepTally &tally,
 /**
  * raceEditGrid()'s two sweeps, with its scratch overload's contract.
  * raceEditGridRows() runs on every host and is the reference;
- * raceEditGridBand() requires editGridSweepLanes() == kBandLanes.
+ * raceEditGridBand() requires sweepLanes() == kBandLanes.
  * @{
  */
 RaceGridResult raceEditGridRows(const bio::Sequence &a,

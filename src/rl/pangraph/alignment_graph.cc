@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "rl/core/wavefront.h"
+#include "rl/pangraph/graph_align_band.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::pangraph {
@@ -140,6 +141,10 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
             }
         }
     }
+
+    // The graph band's tables, where raceAlignmentGrid will take it.
+    if (core::sweepLanes() == detail::kBandLanes)
+        out.band = detail::compileBandTables(out, race);
 
     return out;
 }

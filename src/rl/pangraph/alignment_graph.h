@@ -18,10 +18,11 @@
  *
  *  - CompiledGraph is the read-independent half: character symbols,
  *    the successor/predecessor CSR over positions, the segments'
- *    topological order, terminal flags, and the per-position gap
- *    weights of the race-ready cost matrix, all as flat arrays.  One
- *    compile serves every read, which is what the api plan cache
- *    stores per pangenome.
+ *    topological order, terminal flags, the per-position gap weights
+ *    of the race-ready cost matrix and, where the fused kernel races
+ *    in bands, the band's tables, all as flat arrays.  One compile
+ *    serves every read, which is what the api plan cache stores per
+ *    pangenome.
  *  - buildAlignmentGraph() stamps a read onto the compiled graph,
  *    producing the product graph::Dag plus its node layout.  The
  *    fused kernel (rl/pangraph/graph_align_kernel.h) races the same
@@ -40,6 +41,60 @@
 #include "rl/pangraph/variation_graph.h"
 
 namespace racelogic::pangraph {
+
+/**
+ * The graph band's read-independent tables: the sweep order, and the
+ * weights and predecessors of every sweep index laid out so that one
+ * load serves the band's eight lanes.  The layout is documented with
+ * the band in rl/pangraph/graph_align_band.h.
+ */
+struct GraphBandTables {
+    /** Sweep index k -> position: position 0, then each segment's
+     *  label in CompiledGraph::segmentOrder. */
+    std::vector<CharPos> order;
+
+    /** Position -> sweep index (the inverse of order). */
+    std::vector<uint32_t> rank;
+
+    /**
+     * Weight rows of `stride` ticks, column-reversed and padded: entry
+     * k of a row sits at core::detail::kBandPad + K - k, and every
+     * entry outside 0..K is core::kSweepUnfired.  Rows 0..|alphabet|-1
+     * hold the substitution weight pair(s, symbol) into k for read
+     * symbol s, row |alphabet| is all unfired (lanes past a band's last
+     * row), then come the deletion weight into k, the same where k - 1
+     * precedes k (unfired elsewhere), and the chain gate (0 where k - 1
+     * precedes k, unfired elsewhere).  Position 0 has no deletion or
+     * substitution in-edge: unfired in every row.
+     */
+    std::vector<sim::Tick> weights;
+    size_t stride = 0;
+
+    /**
+     * The far predecessors -- every predecessor of k but k - 1 -- by
+     * band step: step t races far[farBegin[t]] .. far[farBegin[t+1]],
+     * eight history indices each (one per lane, lane r at k = t - r).
+     * A lane with fewer far predecessors than the step's largest reads
+     * the history's never-written sentinel slot, which stays unfired.
+     */
+    std::vector<size_t> farBegin;
+    std::vector<uint64_t> far;
+
+    /** Steps of history the band keeps: a power of two above the
+     *  longest far-predecessor distance in sweep order. */
+    size_t window = 0;
+
+    /** Heap bytes held by the tables. */
+    size_t
+    residentBytes() const
+    {
+        return order.capacity() * sizeof(CharPos) +
+               rank.capacity() * sizeof(uint32_t) +
+               weights.capacity() * sizeof(sim::Tick) +
+               farBegin.capacity() * sizeof(size_t) +
+               far.capacity() * sizeof(uint64_t);
+    }
+};
 
 /** The read-independent character-level view of a variation graph. */
 struct CompiledGraph {
@@ -104,6 +159,12 @@ struct CompiledGraph {
      * compile.
      */
     std::vector<core::SweepOutEdges> outEdges;
+
+    /**
+     * The graph band's tables, built only where raceAlignmentGrid
+     * takes the band (core::sweepLanes() == 8) and empty elsewhere.
+     */
+    GraphBandTables band;
 
     /**
      * bio::ScoreMatrix::fingerprint() of the matrix the hoisted

@@ -1,0 +1,218 @@
+#include "rl/pangraph/graph_align_band.h"
+
+#include <algorithm>
+#include <bit>
+
+#include "rl/util/logging.h"
+
+namespace racelogic::pangraph::detail {
+
+GraphBandTables
+compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
+{
+    const size_t positions = compiled.positionCount();
+    const size_t chars = compiled.charCount;
+    GraphBandTables band;
+
+    // The sweep order: position 0, then each segment's label in turn.
+    band.order.reserve(positions);
+    band.order.push_back(0);
+    for (SegmentId s : compiled.segmentOrder)
+        for (CharPos q = compiled.firstChar[s]; q <= compiled.lastChar[s];
+             ++q)
+            band.order.push_back(q);
+    rl_assert(band.order.size() == positions,
+              "the sweep order must visit every position once");
+    band.rank.resize(positions);
+    for (size_t k = 0; k < positions; ++k)
+        band.rank[band.order[k]] = static_cast<uint32_t>(k);
+
+    // The weight rows, and each sweep index's far predecessors.
+    const size_t alpha = race.alphabet().size();
+    const size_t deletionRow = alpha + 1;
+    band.stride = positions + 2 * kBandPad;
+    band.weights.assign((alpha + 4) * band.stride, core::kSweepUnfired);
+    auto entry = [&](size_t row, size_t k) -> sim::Tick & {
+        return band.weights[row * band.stride + kBandPad + chars - k];
+    };
+    std::vector<uint32_t> farOffsets(positions + 1, 0);
+    std::vector<uint32_t> farPreds;
+    size_t longest = 0;
+    for (size_t k = 1; k < positions; ++k) {
+        const CharPos q = band.order[k];
+        for (size_t s = 0; s < alpha; ++s)
+            entry(s, k) = core::sweepWeight(
+                race.pair(static_cast<bio::Symbol>(s), compiled.symbol[q]));
+        const sim::Tick deletion = core::sweepWeight(compiled.gapWeight[q]);
+        entry(deletionRow, k) = deletion;
+        bool chain = false;
+        for (uint32_t e = compiled.predOffsets[q];
+             e < compiled.predOffsets[q + 1]; ++e) {
+            const uint32_t from = band.rank[compiled.pred[e]];
+            rl_assert(from < k, "the sweep order must be topological");
+            if (!chain && from + 1 == k) {
+                chain = true;
+                entry(deletionRow + 1, k) = deletion;
+                entry(deletionRow + 2, k) = 0;
+            } else {
+                farPreds.push_back(from);
+                longest = std::max(longest, k - from);
+            }
+        }
+        farOffsets[k + 1] = static_cast<uint32_t>(farPreds.size());
+    }
+
+    // The history indices, step by step: lane r at step t is at sweep
+    // index k = t - r, and fired its far predecessor k' at step k' + r.
+    // A window above the longest distance keeps every slot a step
+    // reads apart from the one it writes.
+    band.window = std::bit_ceil(longest + 1);
+    const uint64_t ring = band.window - 1;
+    const uint64_t sentinel = band.window * kHistoryStride;
+    const size_t steps = positions + kBandLanes - 1;
+    auto farCount = [&](size_t t, size_t r) -> size_t {
+        if (t < r || t - r >= positions)
+            return 0;
+        return farOffsets[t - r + 1] - farOffsets[t - r];
+    };
+    band.farBegin.assign(steps + 1, 0);
+    for (size_t t = 0; t < steps; ++t) {
+        size_t slots = 0;
+        for (size_t r = 0; r < kBandLanes; ++r)
+            slots = std::max(slots, farCount(t, r));
+        for (size_t d = 0; d < slots; ++d) {
+            for (size_t r = 0; r < kBandLanes; ++r) {
+                uint64_t at = sentinel + r;
+                if (d < farCount(t, r)) {
+                    const uint64_t from = farPreds[farOffsets[t - r] + d];
+                    at = ((from + r) & ring) * kHistoryStride + r;
+                }
+                band.far.push_back(at);
+            }
+        }
+        band.farBegin[t + 1] = band.far.size() / kBandLanes;
+    }
+    return band;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+using core::detail::arrive;
+
+// Compiled for AVX-512F by function attribute, as the edit-grid band
+// is (rl/core/wavefront_band.cc), so the rest of the library keeps the
+// baseline ISA and this code runs only where sweepLanes() found the
+// instructions.
+template <bool kArrivals>
+__attribute__((target("avx512f"))) void
+sweep(const GraphBand &band, core::SweepTally &tally,
+      uint64_t fired[kBandLanes])
+{
+    const __m512i unfired =
+        _mm512_set1_epi64(static_cast<long long>(core::kSweepUnfired));
+    const __m512i limit =
+        _mm512_set1_epi64(static_cast<long long>(tally.limit));
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i down = _mm512_loadu_si512(band.down);
+    __m512i gather = _mm512_loadu_si512(band.gather);
+
+    // The last lane writes its row over the row above as lane 0 reads
+    // it: lane r's state at step t is sweep index t - r, so a masked
+    // store of lane r at above + t - 2r puts it in above[t - r], an
+    // index lane 0 has already passed.
+    const size_t last = band.lanes - 1;
+    const __mmask8 lastLane = static_cast<__mmask8>(1u << last);
+    sim::Tick *const lastRow = band.above - 2 * last;
+    const size_t ring = band.window - 1;
+    const sim::Tick *const history = band.history;
+
+    __m512i prev = unfired; // each lane's chain predecessor
+    __m512i diag = unfired;
+    __m512i events = _mm512_setzero_si512();
+    __m512i latest = _mm512_setzero_si512();
+    __m512i firedCells = _mm512_setzero_si512();
+
+    const size_t steps = band.positions + band.lanes - 1;
+    for (size_t t = 0; t < steps; ++t) {
+        const __m512i up = _mm512_alignr_epi64(
+            prev, _mm512_set1_epi64(static_cast<long long>(band.above[t])),
+            7);
+        const __m512i deletion = _mm512_loadu_si512(band.deletion - t);
+        const __m512i chainDeletion =
+            _mm512_loadu_si512(band.chainDeletion - t);
+        const __m512i chainGate = _mm512_loadu_si512(band.chainGate - t);
+        const __m512i substitution =
+            _mm512_i64gather_epi64(gather, band.weights, 8);
+        gather = _mm512_sub_epi64(gather, one);
+
+        const __m512i fromUp = _mm512_add_epi64(up, down);
+        const __m512i fromDiag =
+            _mm512_add_epi64(_mm512_max_epu64(diag, chainGate), substitution);
+        const __m512i fromLeft = _mm512_add_epi64(prev, chainDeletion);
+        arrive(fromUp, limit, events, latest);
+        arrive(fromDiag, limit, events, latest);
+        arrive(fromLeft, limit, events, latest);
+
+        // Far predecessors: their value and `up`, from the history.
+        __m512i best = _mm512_min_epu64(fromDiag, unfired);
+        for (size_t e = band.farBegin[t]; e < band.farBegin[t + 1]; ++e) {
+            const __m512i at = _mm512_loadu_si512(band.far + e * kBandLanes);
+            const __m512i farLeft = _mm512_add_epi64(
+                _mm512_i64gather_epi64(at, history, 8), deletion);
+            const __m512i farDiag = _mm512_add_epi64(
+                _mm512_i64gather_epi64(at, history + kBandLanes, 8),
+                substitution);
+            arrive(farLeft, limit, events, latest);
+            arrive(farDiag, limit, events, latest);
+            best = _mm512_min_epu64(best, _mm512_min_epu64(farLeft, farDiag));
+        }
+        // The row sweep's clamp, with the chain predecessor folded in
+        // last: it alone depends on the previous step.
+        const __m512i v =
+            _mm512_min_epu64(_mm512_min_epu64(fromUp, best), fromLeft);
+        firedCells = _mm512_mask_add_epi64(
+            firedCells, _mm512_cmple_epu64_mask(v, limit), firedCells, one);
+
+        _mm512_mask_storeu_epi64(lastRow + t, lastLane, v);
+        sim::Tick *const slot = band.history + (t & ring) * kHistoryStride;
+        _mm512_storeu_si512(slot, v);
+        _mm512_storeu_si512(slot + kBandLanes, up);
+        if constexpr (kArrivals)
+            _mm512_storeu_si512(band.skew + t * kBandLanes, v);
+        diag = up;
+        prev = v;
+    }
+
+    tally.events += static_cast<uint64_t>(_mm512_reduce_add_epi64(events));
+    const sim::Tick bandLatest =
+        static_cast<sim::Tick>(_mm512_reduce_max_epu64(latest));
+    if (bandLatest > tally.latest)
+        tally.latest = bandLatest;
+    _mm512_storeu_si512(fired, firedCells);
+}
+
+} // namespace
+
+void
+sweepGraphBand(const GraphBand &band, core::SweepTally &tally,
+               uint64_t fired[kBandLanes])
+{
+    if (band.skew)
+        sweep<true>(band, tally, fired);
+    else
+        sweep<false>(band, tally, fired);
+}
+
+#else
+
+void
+sweepGraphBand(const GraphBand &, core::SweepTally &, uint64_t *)
+{
+    rl_panic("the graph band needs an x86-64 host with AVX-512F");
+}
+
+#endif
+
+} // namespace racelogic::pangraph::detail

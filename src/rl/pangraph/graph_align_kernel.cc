@@ -3,24 +3,17 @@
 #include <algorithm>
 
 #include "rl/graph/dag.h"
+#include "rl/pangraph/graph_align_band.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::pangraph {
 
-GraphRaceResult
-raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
-                  const bio::ScoreMatrix &costs, sim::Tick horizon)
-{
-    GraphAlignScratch scratch;
-    return raceAlignmentGrid(compiled, read, costs, horizon, scratch);
-}
+namespace {
 
-GraphRaceResult
-raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
-                  const bio::ScoreMatrix &costs, sim::Tick horizon,
-                  GraphAlignScratch &scratch,
-                  const core::CancelToken *cancel,
-                  core::KernelCounters *counters, bool arrivals)
+/** Both sweeps' input checks; returns the product's state count. */
+size_t
+checkGraphRaceInputs(const CompiledGraph &compiled, const bio::Sequence &read,
+                     const bio::ScoreMatrix &costs)
 {
     rl_assert(costs.isCost(), "graph alignment races a Cost-kind matrix");
     rl_assert(read.alphabet() == costs.alphabet(),
@@ -48,6 +41,101 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                  " graph positions has ", states,
                  " states, exceeding the 32-bit node-id space; split "
                  "the pangenome or map shorter reads");
+    return states;
+}
+
+/**
+ * Both sweeps' verdict: the sink's arrival, the profiling counters
+ * and the typed abort of a horizon trip or a cancel.
+ */
+void
+finishGraphRace(GraphRaceResult &result, const core::SweepTally &tally,
+                sim::Tick sinkTime, bool cancelled, sim::Tick horizon,
+                size_t positions, core::KernelCounters *counters)
+{
+    result.events = tally.events;
+    if (sinkTime != sim::kTickInfinity) {
+        ++result.cellsFired;
+        if (!result.arrival.empty())
+            result.arrival.back() = core::TemporalValue::at(sinkTime);
+    }
+
+    // Profiling export: everything below was tracked by the sweep
+    // anyway (or is a container size), so a null `counters` costs
+    // nothing and a non-null one cannot change the result.
+    if (counters) {
+        counters->events += result.events;
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater = std::max(
+            counters->scratchHighWater, static_cast<uint64_t>(positions));
+        counters->lanesOccupied += result.cellsFired;
+    }
+
+    result.completed = sinkTime != sim::kTickInfinity;
+    if (result.completed) {
+        result.racedCost = static_cast<bio::Score>(sinkTime);
+        result.score = result.racedCost;
+        result.latencyCycles = sinkTime;
+    } else if (cancelled) {
+        // Cancelled before the sink fired: the same typed-abort shape
+        // as a horizon trip, stamped with the latest arrival scheduled.
+        result.cancelled = true;
+        result.racedCost = bio::kScoreInfinity;
+        result.score = bio::kScoreInfinity;
+        result.latencyCycles = tally.latest;
+        if (counters)
+            ++counters->cancels;
+    } else {
+        rl_assert(horizon != sim::kTickInfinity,
+                  "sink never fired; gap weights should guarantee a "
+                  "walk");
+        result.racedCost = bio::kScoreInfinity;
+        result.score = bio::kScoreInfinity;
+        result.latencyCycles = horizon;
+        if (counters)
+            ++counters->horizonAborts;
+    }
+}
+
+} // namespace
+
+GraphRaceResult
+raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
+                  const bio::ScoreMatrix &costs, sim::Tick horizon)
+{
+    GraphAlignScratch scratch;
+    return raceAlignmentGrid(compiled, read, costs, horizon, scratch);
+}
+
+GraphRaceResult
+raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
+                  const bio::ScoreMatrix &costs, sim::Tick horizon,
+                  GraphAlignScratch &scratch,
+                  const core::CancelToken *cancel,
+                  core::KernelCounters *counters, bool arrivals)
+{
+    return core::sweepLanes() == detail::kBandLanes
+               ? detail::raceAlignmentGridBand(compiled, read, costs,
+                                               horizon, scratch, cancel,
+                                               counters, arrivals)
+               : detail::raceAlignmentGridRows(compiled, read, costs,
+                                               horizon, scratch, cancel,
+                                               counters, arrivals);
+}
+
+namespace detail {
+
+GraphRaceResult
+raceAlignmentGridRows(const CompiledGraph &compiled,
+                      const bio::Sequence &read,
+                      const bio::ScoreMatrix &costs, sim::Tick horizon,
+                      GraphAlignScratch &scratch,
+                      const core::CancelToken *cancel,
+                      core::KernelCounters *counters, bool arrivals)
+{
+    const size_t states = checkGraphRaceInputs(compiled, read, costs);
+    const size_t m = read.size();
+    const size_t positions = compiled.positionCount();
 
     // Per-read weight rows, hoisted out of the sweep: the insertion
     // weight and one flat substitution row (indexed by graph symbol)
@@ -175,49 +263,170 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
         }
         std::swap(scratch.above, scratch.here);
     }
-    result.events = tally.events;
-    if (sinkTime != sim::kTickInfinity) {
-        ++result.cellsFired;
-        if (arrivals)
-            result.arrival[states - 1] = core::TemporalValue::at(sinkTime);
-    }
-
-    // Profiling export: everything below was tracked by the sweep
-    // anyway (or is a container size), so a null `counters` costs
-    // nothing and a non-null one cannot change the result.
-    if (counters) {
-        counters->events += result.events;
-        counters->bucketsDrained += tally.latest + 1;
-        counters->scratchHighWater = std::max(
-            counters->scratchHighWater, static_cast<uint64_t>(positions));
-        counters->lanesOccupied += result.cellsFired;
-    }
-
-    result.completed = sinkTime != sim::kTickInfinity;
-    if (result.completed) {
-        result.racedCost = static_cast<bio::Score>(sinkTime);
-        result.score = result.racedCost;
-        result.latencyCycles = sinkTime;
-    } else if (cancelled) {
-        // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the latest arrival scheduled.
-        result.cancelled = true;
-        result.racedCost = bio::kScoreInfinity;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = tally.latest;
-        if (counters)
-            ++counters->cancels;
-    } else {
-        rl_assert(horizon != sim::kTickInfinity,
-                  "sink never fired; gap weights should guarantee a "
-                  "walk");
-        result.racedCost = bio::kScoreInfinity;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = horizon;
-        if (counters)
-            ++counters->horizonAborts;
-    }
+    finishGraphRace(result, tally, sinkTime, cancelled, horizon, positions,
+                    counters);
     return result;
 }
+
+GraphRaceResult
+raceAlignmentGridBand(const CompiledGraph &compiled,
+                      const bio::Sequence &read,
+                      const bio::ScoreMatrix &costs, sim::Tick horizon,
+                      GraphAlignScratch &scratch,
+                      const core::CancelToken *cancel,
+                      core::KernelCounters *counters, bool arrivals)
+{
+    const size_t states = checkGraphRaceInputs(compiled, read, costs);
+    rl_assert(core::sweepLanes() == kBandLanes,
+              "the graph band needs a host with AVX-512F");
+    const GraphBandTables &tables = compiled.band;
+    rl_assert(tables.order.size() == compiled.positionCount(),
+              "the graph was compiled without the band's tables");
+
+    const size_t m = read.size();
+    const size_t positions = compiled.positionCount();
+    const size_t alpha = costs.alphabet().size();
+    const std::vector<bio::Symbol> &symRead = read.symbols();
+    const std::vector<CharPos> &order = tables.order;
+
+    // The row above, by sweep index, padded with unfired ticks; the
+    // history's last slot is the sentinel, never written.
+    scratch.above.assign(positions + 2 * kBandPad, core::kSweepUnfired);
+    sim::Tick *above = scratch.above.data() + kBandPad;
+    scratch.history.resize((tables.window + 1) * kHistoryStride);
+    std::fill_n(scratch.history.end() - kHistoryStride, kHistoryStride,
+                core::kSweepUnfired);
+    if (arrivals)
+        scratch.skew.resize(kBandLanes * (positions + kBandLanes));
+
+    GraphRaceResult result;
+    result.nodes = states;
+    if (arrivals)
+        result.arrival.assign(states, core::TemporalValue::never());
+    core::SweepTally tally(horizon);
+    sim::Tick sinkTime = sim::kTickInfinity;
+
+    // Publish `rows` swept read rows from j on, whose values at sweep
+    // index k are value(k, r) for r < rows; unfired states read back
+    // as never().
+    auto publish = [&](size_t j, size_t rows, auto value) {
+        core::TemporalValue *out = result.arrival.data() + j * positions;
+        for (size_t k = 0; k < positions; ++k) {
+            const CharPos p = order[k];
+            for (size_t r = 0; r < rows; ++r) {
+                const sim::Tick v = value(k, r);
+                out[r * positions + p] = tally.fired(v)
+                                             ? core::TemporalValue::at(v)
+                                             : core::TemporalValue::never();
+            }
+        }
+    };
+    // The zero-weight super-sink wires out of the read's last row, held
+    // in `above`: one event per fired terminal state, and the first
+    // terminal arrival fires the sink OR.
+    auto drainSink = [&] {
+        for (size_t p = 1; p < positions; ++p) {
+            const sim::Tick v = above[tables.rank[p]];
+            if (compiled.terminal[p] && tally.fired(v)) {
+                ++tally.events;
+                sinkTime = std::min(sinkTime, v);
+            }
+        }
+    };
+
+    bool cancelled = cancel && cancel->cancelled();
+    if (!cancelled) {
+        // Read row 0 -- the source, injected at tick 0, then deletions
+        // alone -- is the row above the first band.
+        above[0] = 0;
+        for (size_t k = 1; k < positions; ++k) {
+            const CharPos q = order[k];
+            const sim::Tick gap = static_cast<sim::Tick>(compiled.gapWeight[q]);
+            sim::Tick best = core::kSweepUnfired;
+            for (uint32_t e = compiled.predOffsets[q];
+                 e < compiled.predOffsets[q + 1]; ++e) {
+                const sim::Tick t = above[tables.rank[compiled.pred[e]]] + gap;
+                tally.arrive(t);
+                best = std::min(best, t);
+            }
+            above[k] = best;
+        }
+        for (size_t k = 0; k < positions; ++k)
+            result.cellsFired += tally.fired(above[k]);
+        if (arrivals)
+            publish(0, 1, [&](size_t k, size_t) { return above[k]; });
+        if (m == 0)
+            drainSink();
+    }
+
+    // Sweep index 0 sits at kBandPad + K in each weight row.
+    const size_t origin = kBandPad + compiled.charCount;
+    GraphBand band;
+    band.above = above;
+    band.weights = tables.weights.data();
+    band.deletion = band.weights + (alpha + 1) * tables.stride + origin;
+    band.chainDeletion = band.deletion + tables.stride;
+    band.chainGate = band.chainDeletion + tables.stride;
+    band.farBegin = tables.farBegin.data();
+    band.far = tables.far.data();
+    band.history = scratch.history.data();
+    band.window = tables.window;
+    band.positions = positions;
+    band.skew = arrivals ? scratch.skew.data() : nullptr;
+    for (size_t i0 = 1; i0 <= m && !cancelled; i0 += kBandLanes) {
+        // Poll each row ahead of the band; the first cancelled poll
+        // cuts the band there, so the rows swept are the rows polled.
+        size_t lanes = std::min(kBandLanes, m + 1 - i0);
+        for (size_t r = 0; r < lanes; ++r) {
+            if (cancel && cancel->cancelled()) {
+                lanes = r;
+                cancelled = true;
+                break;
+            }
+        }
+        if (lanes == 0)
+            break;
+
+        band.lanes = lanes;
+        for (size_t r = 0; r < kBandLanes; ++r) {
+            const bool live = r < lanes;
+            const size_t s = live ? symRead[i0 + r - 1] : alpha;
+            band.gather[r] = s * tables.stride + origin + r;
+            band.down[r] = live ? core::sweepWeight(
+                                      costs.gap(symRead[i0 + r - 1]))
+                                : core::kSweepUnfired;
+        }
+        uint64_t fired[kBandLanes];
+        sweepGraphBand(band, tally, fired);
+
+        // Section 6, row by row: the first row with no fired state
+        // stops the sweep.  The rows after it in the band fired nothing
+        // and scheduled nothing either, so the band's tally stands.
+        size_t swept = 0;
+        while (swept < lanes && fired[swept] > 0)
+            result.cellsFired += fired[swept++];
+        if (arrivals) {
+            // Lane r's state at sweep index k is at step k + r.
+            const sim::Tick *skew = scratch.skew.data();
+            publish(i0, swept, [&](size_t k, size_t r) {
+                return skew[(k + r) * kBandLanes + r];
+            });
+        }
+        if (swept < lanes) {
+            // A cancel polled past this row changes nothing: there is
+            // no row to stop.
+            cancelled = false;
+            break;
+        }
+        if (i0 + lanes - 1 == m)
+            drainSink();
+    }
+
+    finishGraphRace(result, tally, sinkTime, cancelled, horizon, positions,
+                    counters);
+    return result;
+}
+
+} // namespace detail
 
 } // namespace racelogic::pangraph

@@ -19,11 +19,27 @@
  * for each compiled successor q of p.  With every delay >= 1 each
  * state fires at exactly its min-plus DP value, and read row j
  * depends only on row j - 1 and on its own graph predecessors, so the
- * kernel sweeps read row by read row, each row in the compiled
- * topological position order, taking the minimum over each state's
- * in-edges.  Terminal states (m, p) feed the super-sink OR through
+ * kernel computes every state as the minimum over its in-edges, read
+ * row after read row, each row in the compiled topological position
+ * order.  Terminal states (m, p) feed the super-sink OR through
  * zero-weight wires, one event per fired terminal state exactly as
- * the DAG kernel drains them.
+ * the DAG kernel drains them.  Two sweeps compute it, bit-identically:
+ *
+ *  - the row sweep, one state at a time, counting events per settled
+ *    state from CompiledGraph::outEdges (see core::SweepTally),
+ *    outside the serial min-plus loop.  It runs on every host and is
+ *    the reference;
+ *  - the skewed graph band, on hosts with AVX-512F: read rows
+ *    i..i+7 race in the eight 64-bit lanes of one register, lane r one
+ *    position behind lane r-1 in the sweep order, with the in-edges
+ *    from predecessors other than the previous position gathered from
+ *    a small history of the band's past steps.  Its tables are
+ *    read-independent and built once per compile
+ *    (CompiledGraph::band); it tallies events per target state, in
+ *    lanes (rl/pangraph/graph_align_band.h).
+ *
+ * The CPU alone picks the sweep, once per process (core::sweepLanes(),
+ * shared with core::raceEditGrid); nothing else selects it.
  *
  * The outcome is bit-identical -- arrival vector (AlignmentGraph::
  * node() layout, super-sink included), event count, sink score, and
@@ -33,13 +49,12 @@
  * graphs.  The materialized path stays as the tested reference and as
  * the gate-level synthesis input.
  *
- * Work is O(states) over two working rows in the reusable
+ * Work is O(states) over two working rows (the band: one row and a
+ * history whose length follows the graph's shape) in the reusable
  * GraphAlignScratch (the twin of core::RaceGridScratch), so
  * steady-state read mapping -- one scratch per thread in the api
  * batch body -- allocates nothing per comparison beyond the arrival
  * vector it returns, and nothing at all when raced score-only.
- * Events are counted per settled state from CompiledGraph::outEdges
- * (see core::SweepTally), outside the serial min-plus loop.
  */
 
 #ifndef RACELOGIC_PANGRAPH_GRAPH_ALIGN_KERNEL_H
@@ -88,8 +103,11 @@ struct GraphRaceResult {
 };
 
 /**
- * Reusable scratch state for raceAlignmentGrid: the sweep's two
- * working rows plus the per-read weight rows hoisted out of it.
+ * Reusable scratch state for raceAlignmentGrid.  The row sweep uses
+ * its two working rows (above, here) and the per-read weight rows
+ * hoisted out of it (gapRead, pairRow); the graph band uses above, as
+ * the padded row above its next band, history and, when it fills the
+ * arrival vector, skew.
  */
 struct GraphAlignScratch {
     /**
@@ -107,15 +125,26 @@ struct GraphAlignScratch {
      */
     std::vector<sim::Tick> pairRow;
 
-    /** Working values of read rows j - 1 and j, by graph position. */
+    /** Working values of read rows j - 1 and j, by graph position.
+     *  The band keeps the row above its next band in `above`, by sweep
+     *  index and padded with unfired ticks on both sides. */
     std::vector<sim::Tick> above, here;
+
+    /** The band's ring of past steps, whose far predecessors it
+     *  gathers: (window + 1) x 16 ticks, the last slot unfired (layout
+     *  in rl/pangraph/graph_align_band.h). */
+    std::vector<sim::Tick> history;
+
+    /** The band's lanes, step by step (8 x (K + 8)), from which the
+     *  arrival vector is filled row by row. */
+    std::vector<sim::Tick> skew;
 
     /** Release all retained capacity. */
     void
     shrinkToFit()
     {
         for (std::vector<sim::Tick> *v :
-             {&gapRead, &pairRow, &above, &here}) {
+             {&gapRead, &pairRow, &above, &here, &history, &skew}) {
             v->clear();
             v->shrink_to_fit();
         }
@@ -126,15 +155,18 @@ struct GraphAlignScratch {
     residentBytes() const
     {
         return (gapRead.capacity() + pairRow.capacity() +
-                above.capacity() + here.capacity()) *
+                above.capacity() + here.capacity() + history.capacity() +
+                skew.capacity()) *
                sizeof(sim::Tick);
     }
 };
 
 /**
  * OR-type race of `read` against a compiled graph under the race-ready
- * cost matrix it was compiled with, swept read row by read row without
- * materializing the product DAG.
+ * cost matrix it was compiled with, swept without materializing the
+ * product DAG -- in skewed bands of eight read rows where the CPU has
+ * AVX-512F, read row by read row elsewhere, with the same result
+ * either way.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
  * read, costs) on core::WavefrontRaceKernel with the same horizon:
@@ -158,8 +190,10 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  * hoisted weight rows live in (and keep the capacity of) the caller's
  * scratch.
  *
- * `cancel` (nullptr = never) is polled once per read row; a cancelled
- * race comes back completed = false with cancelled = true, score
+ * `cancel` (nullptr = never) is polled once per read row (the band
+ * polls a band's rows just before sweeping it, so a cancel is seen
+ * within eight read rows); a cancelled race comes back completed =
+ * false with cancelled = true, score
  * kScoreInfinity, and latencyCycles the latest arrival scheduled
  * before the sweep stopped -- the same typed-abort shape as a horizon
  * trip.

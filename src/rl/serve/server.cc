@@ -226,10 +226,11 @@ AlignServer::metricsSnapshot() const
         gauge(prefix + "queued", static_cast<int64_t>(cls.queued));
     }
 
-    // Which edit-grid sweep produced the kernel series: 8 lanes for
-    // the AVX-512F band, 1 for the row sweep.
+    // Which sweeps produced the kernel series, in both dense kernels
+    // (raceEditGrid and raceAlignmentGrid): 8 lanes for the AVX-512F
+    // bands, 1 for the row sweeps.
     gauge("rl_kernel_sweep_lanes",
-          static_cast<int64_t>(core::editGridSweepLanes()));
+          static_cast<int64_t>(core::sweepLanes()));
 
     // Brownout observability: the gauge mirrors exactly what Health
     // reports, and the rl_mem_* gauges expose the same usage the

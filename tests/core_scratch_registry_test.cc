@@ -23,6 +23,9 @@
 #include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
 #include "rl/core/wavefront_band.h"
+#include "rl/pangraph/generate.h"
+#include "rl/pangraph/graph_aligner.h"
+#include "rl/util/random.h"
 
 namespace {
 
@@ -79,6 +82,93 @@ TEST(ScratchShrink, RaceGridScratchReleasesItsHighWater)
     EXPECT_GT(scratch.residentBytes(), 0u);
 }
 
+/** A graph of a few hundred positions, and a read sampled from it. */
+struct GraphWorkload {
+    std::shared_ptr<pangraph::VariationGraph> graph;
+    bio::Sequence read{bio::Alphabet::dna()};
+
+    GraphWorkload()
+    {
+        util::Rng rng(31);
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = 48;
+        graph = std::make_shared<pangraph::VariationGraph>(
+            pangraph::randomVariationGraph(rng, bio::Alphabet::dna(),
+                                           params));
+        read = pangraph::sampleRead(rng, *graph,
+                                    bio::MutationModel::uniform(0.1));
+    }
+};
+
+TEST(ScratchShrink, GraphAlignScratchReleasesItsHighWater)
+{
+    GraphWorkload w;
+    pangraph::GraphAligner aligner(w.graph,
+                                   bio::ScoreMatrix::dnaShortestPath());
+    pangraph::GraphAlignScratch scratch;
+    EXPECT_EQ(scratch.residentBytes(), 0u);
+
+    // A long read grows the working rows (and, where the band runs,
+    // its history and skew buffer)...
+    (void)aligner.align(w.read, sim::kTickInfinity, scratch);
+    const size_t grown = scratch.residentBytes();
+    EXPECT_GT(grown, 0u);
+
+    // ...a short one keeps all of it resident...
+    (void)aligner.align(dna("GATTACA"), sim::kTickInfinity, scratch);
+    EXPECT_EQ(scratch.residentBytes(), grown);
+
+    // ...and shrinkToFit() gives it back.
+    scratch.shrinkToFit();
+    EXPECT_EQ(scratch.residentBytes(), 0u);
+
+    const pangraph::GraphRaceResult after =
+        aligner.align(dna("GATTACA"), sim::kTickInfinity, scratch);
+    EXPECT_TRUE(after.completed);
+    EXPECT_GT(scratch.residentBytes(), 0u);
+}
+
+TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
+{
+    if (core::sweepLanes() != core::detail::kBandLanes)
+        GTEST_SKIP() << "host has no AVX-512F: raceAlignmentGrid runs the "
+                        "row sweep alone";
+    core::ScratchRegistry &registry = core::ScratchRegistry::instance();
+    const size_t baseline = registry.totalResidentBytes();
+
+    GraphWorkload w;
+    pangraph::GraphAligner aligner(w.graph,
+                                   bio::ScoreMatrix::dnaShortestPath());
+    pangraph::GraphAlignScratch scratch;
+    core::ScratchRegistration reg([&scratch](bool shrink) {
+        if (shrink)
+            scratch.shrinkToFit();
+        return scratch.residentBytes();
+    });
+    {
+        // With the arrival vector on, the band fills all of its
+        // buffers: the padded row above, the history and the skew
+        // buffer.
+        core::ScratchLease lease(reg.entry());
+        (void)aligner.align(w.read, sim::kTickInfinity, scratch);
+    }
+    EXPECT_GT(scratch.history.capacity(), 0u);
+    EXPECT_GT(scratch.skew.capacity(), 0u);
+    const size_t band = (scratch.above.capacity() +
+                         scratch.history.capacity() +
+                         scratch.skew.capacity()) *
+                        sizeof(sim::Tick);
+    EXPECT_GE(scratch.residentBytes(), band);
+    EXPECT_GE(registry.totalResidentBytes(), baseline + band);
+
+    EXPECT_GE(registry.shrinkAll(), band);
+    EXPECT_EQ(scratch.above.capacity(), 0u);
+    EXPECT_EQ(scratch.history.capacity(), 0u);
+    EXPECT_EQ(scratch.skew.capacity(), 0u);
+    EXPECT_EQ(scratch.residentBytes(), 0u);
+    EXPECT_LE(registry.totalResidentBytes(), baseline);
+}
+
 TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
 {
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
@@ -109,7 +199,7 @@ TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
 
 TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
 {
-    if (core::editGridSweepLanes() != core::detail::kBandLanes)
+    if (core::sweepLanes() != core::detail::kBandLanes)
         GTEST_SKIP() << "host has no AVX-512F: raceEditGrid runs the row "
                         "sweep alone";
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();

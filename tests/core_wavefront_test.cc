@@ -322,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
 bool
 hostHasBand()
 {
-    return core::editGridSweepLanes() == core::detail::kBandLanes;
+    return core::sweepLanes() == core::detail::kBandLanes;
 }
 
 constexpr const char *kNoBand =

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <sstream>
+#include <thread>
 
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
@@ -20,6 +21,7 @@
 #include "rl/core/wavefront.h"
 #include "rl/pangraph/generate.h"
 #include "rl/pangraph/gfa.h"
+#include "rl/pangraph/graph_align_band.h"
 #include "rl/pangraph/graph_align_dp.h"
 #include "rl/pangraph/graph_aligner.h"
 #include "rl/util/random.h"
@@ -776,6 +778,327 @@ TEST(GraphAlignFused, ScratchReuseIsBitIdenticalAndBuildsNoProduct)
                                      mapping),
             mapping.distance);
     }
+}
+
+// ---------------------------------------- graph band vs row sweep
+
+bool
+hostHasBand()
+{
+    return core::sweepLanes() == core::detail::kBandLanes;
+}
+
+constexpr const char *kNoBand =
+    "host has no AVX-512F: raceAlignmentGrid runs the row sweep alone";
+
+/**
+ * Race `read` on the row sweep and on the graph band and assert the
+ * outcomes are identical: every GraphRaceResult field, the arrival
+ * vector (AlignmentGraph::node() layout) included, and every
+ * KernelCounters field.  The band races on `bandScratch`, which the
+ * caller reuses across graphs, so a ring left by a graph of another
+ * shape is raced over too.
+ */
+void
+expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
+                           sim::Tick horizon, bool arrivals,
+                           const core::CancelToken *cancel,
+                           pangraph::GraphAlignScratch &bandScratch)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "positions=" << aligner.compiled().positionCount()
+                 << " |read|=" << read.size() << " horizon=" << horizon
+                 << " arrivals=" << arrivals
+                 << " cancel=" << (cancel ? cancel->cancelled() : -1));
+    pangraph::GraphAlignScratch rowScratch;
+    core::KernelCounters rowCounters, bandCounters;
+    const pangraph::GraphRaceResult rows =
+        pangraph::detail::raceAlignmentGridRows(
+            aligner.compiled(), read, aligner.costs(), horizon, rowScratch,
+            cancel, &rowCounters, arrivals);
+    const pangraph::GraphRaceResult band =
+        pangraph::detail::raceAlignmentGridBand(
+            aligner.compiled(), read, aligner.costs(), horizon, bandScratch,
+            cancel, &bandCounters, arrivals);
+
+    EXPECT_EQ(band.score, rows.score);
+    EXPECT_EQ(band.racedCost, rows.racedCost);
+    EXPECT_EQ(band.completed, rows.completed);
+    EXPECT_EQ(band.cancelled, rows.cancelled);
+    EXPECT_EQ(band.latencyCycles, rows.latencyCycles);
+    EXPECT_EQ(band.events, rows.events);
+    EXPECT_EQ(band.nodes, rows.nodes);
+    EXPECT_EQ(band.cellsFired, rows.cellsFired);
+    ASSERT_EQ(band.arrival.size(), rows.arrival.size());
+    for (size_t n = 0; n < band.arrival.size(); ++n)
+        ASSERT_EQ(band.arrival[n].rawTime(), rows.arrival[n].rawTime())
+            << "arrival diverges at product node " << n;
+
+    EXPECT_EQ(bandCounters.events, rowCounters.events);
+    EXPECT_EQ(bandCounters.bucketsDrained, rowCounters.bucketsDrained);
+    EXPECT_EQ(bandCounters.scratchHighWater, rowCounters.scratchHighWater);
+    EXPECT_EQ(bandCounters.lanesOccupied, rowCounters.lanesOccupied);
+    EXPECT_EQ(bandCounters.cancels, rowCounters.cancels);
+    EXPECT_EQ(bandCounters.horizonAborts, rowCounters.horizonAborts);
+}
+
+/**
+ * Every horizon, arrival mode and token of the suite, for one read:
+ * horizons {inf, 0, opt - 1, opt, random}, arrivals on and off, and no
+ * token, a never-cancelled one and a pre-cancelled one.
+ */
+void
+expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
+                                     const Sequence &read, util::Rng &rng,
+                                     pangraph::GraphAlignScratch &bandScratch)
+{
+    pangraph::GraphAlignScratch scratch;
+    const pangraph::GraphRaceResult full =
+        pangraph::detail::raceAlignmentGridRows(
+            aligner.compiled(), read, aligner.costs(), sim::kTickInfinity,
+            scratch, nullptr, nullptr, /*arrivals=*/false);
+    ASSERT_TRUE(full.completed);
+    const auto opt = static_cast<sim::Tick>(full.racedCost);
+    const core::CancelToken never;
+    core::CancelToken already;
+    already.cancel();
+    for (sim::Tick horizon :
+         {sim::kTickInfinity, sim::Tick(0), opt > 0 ? opt - 1 : 0, opt,
+          sim::Tick(rng.index(2 * opt + 2))}) {
+        for (bool arrivals : {true, false}) {
+            expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
+                                       nullptr, bandScratch);
+            expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
+                                       &never, bandScratch);
+            expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
+                                       &already, bandScratch);
+        }
+    }
+}
+
+/** Reads of 0, 1-9, 15-17 and up to 200 nt, and a noisy walk. */
+std::vector<Sequence>
+bandReads(util::Rng &rng, const VariationGraph &graph)
+{
+    std::vector<Sequence> reads;
+    for (size_t n : {size_t(0), size_t(1), size_t(rng.uniformInt(2, 9)),
+                     size_t(15), size_t(16), size_t(17),
+                     size_t(rng.uniformInt(18, 200))})
+        reads.push_back(Sequence::random(rng, graph.alphabet(), n));
+    reads.push_back(pangraph::sampleRead(rng, graph,
+                                         bio::MutationModel::uniform(0.2)));
+    return reads;
+}
+
+/**
+ * Several sources and segments of in-degree three and more, in a
+ * random id order: a random DAG over `segments` segments whose links
+ * run forward in a shuffled order, so position order is not
+ * topological and joins need several far slots.
+ */
+std::shared_ptr<VariationGraph>
+fanGraph(util::Rng &rng, size_t segments)
+{
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    std::vector<SegmentId> rank(segments);
+    for (size_t i = 0; i < segments; ++i) {
+        graph->addSegment("f" + std::to_string(i),
+                          Sequence::random(rng, Alphabet::dna(),
+                                           size_t(rng.uniformInt(1, 4))));
+        rank[i] = static_cast<SegmentId>(i);
+    }
+    for (size_t i = segments; i > 1; --i)
+        std::swap(rank[i - 1], rank[rng.index(i)]);
+    for (size_t i = 0; i < segments; ++i)
+        for (size_t j = i + 1; j < segments; ++j)
+            if (rng.bernoulli(0.35))
+                graph->addLink(rank[i], rank[j]);
+    return graph;
+}
+
+class GraphBandSweep : public ::testing::TestWithParam<int>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!hostHasBand())
+            GTEST_SKIP() << kNoBand;
+    }
+};
+
+TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
+{
+    util::Rng rng(6100 + GetParam());
+    pangraph::GraphAlignScratch bandScratch;
+    const ScoreMatrix matrices[] = {
+        ScoreMatrix::dnaShortestPath(),
+        ScoreMatrix::dnaShortestPathInfMismatch(),
+    };
+
+    // Random variation graphs: bubble segments are numbered after the
+    // backbone, so position order is not the sweep order.
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = static_cast<size_t>(rng.uniformInt(1, 10));
+    params.maxLabel = GetParam() % 4 == 0 ? 24 : 8;
+    params.snpDensity = 0.4;
+    params.insertDensity = 0.25;
+    params.deleteDensity = 0.25;
+    auto variation = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner onVariation(variation, matrices[GetParam() % 2]);
+    for (const Sequence &read : bandReads(rng, *variation))
+        expectGraphBandMatchesRowsEverywhere(onVariation, read, rng,
+                                             bandScratch);
+
+    // Several sources and joins of in-degree >= 3.
+    auto fan = fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12)));
+    GraphAligner onFan(fan, matrices[(GetParam() + 1) % 2]);
+    for (const Sequence &read : bandReads(rng, *fan))
+        expectGraphBandMatchesRowsEverywhere(onFan, read, rng, bandScratch);
+
+    // A converted (Section 5) similarity plan on a rank-balanced graph.
+    auto balanced = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(
+            rng, Alphabet::dna(),
+            pangraph::VariationGraphParams::balanced(
+                static_cast<size_t>(rng.uniformInt(1, 6)))));
+    GraphAligner similarity(balanced, ScoreMatrix::dnaLongestPath());
+    for (const Sequence &read : bandReads(rng, *balanced))
+        expectGraphBandMatchesRowsEverywhere(similarity, read, rng,
+                                             bandScratch);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GraphBandSweep, ::testing::Range(0, 24));
+
+TEST(GraphBandTables, FanJoinsNeedSeveralFarSlots)
+{
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
+    // Four sources into one join, which then has one chain predecessor
+    // at most and three far ones; every step within seven of the join
+    // races three far slots.
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    const SegmentId join = graph->addSegment("join", dna("GATTACA"));
+    for (const char *name : {"a", "b", "c", "d"})
+        graph->addLink(graph->addSegment(name, dna("ACG")), join);
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    const pangraph::GraphBandTables &band = aligner.compiled().band;
+    size_t widest = 0;
+    for (size_t t = 0; t + 1 < band.farBegin.size(); ++t)
+        widest = std::max(widest, band.farBegin[t + 1] - band.farBegin[t]);
+    EXPECT_EQ(widest, 3u);
+    pangraph::GraphAlignScratch scratch;
+    util::Rng rng(6201);
+    for (const Sequence &read : bandReads(rng, *graph))
+        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
+}
+
+TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
+{
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
+    // An optional 40-nt insertion: the segment after it has a far
+    // predecessor 41 sweep steps back, past the 16-step window of the
+    // graph-map shapes, so the ring grows to 64 steps.
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    util::Rng rng(6202);
+    const SegmentId from = graph->addSegment("from", dna("ACGTACGT"));
+    const SegmentId to = graph->addSegment("to", dna("TTGACA"));
+    const SegmentId insert = graph->addSegment(
+        "insert", Sequence::random(rng, Alphabet::dna(), 40));
+    graph->addLink(from, insert);
+    graph->addLink(insert, to);
+    graph->addLink(from, to);
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPathInfMismatch());
+    EXPECT_EQ(aligner.compiled().band.window, 64u);
+    pangraph::GraphAlignScratch scratch;
+    for (const Sequence &read : bandReads(rng, *graph))
+        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
+}
+
+/**
+ * Cancel a long (read x graph) product from a second thread: the sweep
+ * must come back with the typed abort, having swept whole read rows
+ * and counted exactly the arrivals into them.  dnaShortestPath has no
+ * forbidden pair, so an unbounded race fires every state of each swept
+ * row; the rows swept are then a read prefix, whose own race counts
+ * the same arrivals plus the sink wires out of its last row.
+ */
+void
+expectGraphCancelledFromAnotherThread(
+    decltype(&pangraph::detail::raceAlignmentGridRows) sweep)
+{
+    util::Rng rng(6300);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 160;
+    params.minLabel = 4;
+    params.maxLabel = 24;
+    auto graph = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+    const size_t positions = compiled.positionCount();
+    const Sequence read =
+        pangraph::sampleRead(rng, *graph, bio::MutationModel::uniform(0.1));
+
+    // The cancel lands whenever the scheduler runs the canceller; race
+    // until it has landed.  The race in flight then stops mid-sweep, or
+    // the next one before its first row.
+    core::CancelToken token;
+    std::thread canceller([&token] { token.cancel(); });
+    pangraph::GraphRaceResult cut;
+    core::KernelCounters counters;
+    pangraph::GraphAlignScratch scratch;
+    for (int race = 0; race < 2000; ++race) {
+        counters = core::KernelCounters();
+        cut = sweep(compiled, read, aligner.costs(), sim::kTickInfinity,
+                    scratch, &token, &counters, false);
+        if (!cut.completed)
+            break;
+    }
+    canceller.join();
+
+    EXPECT_FALSE(cut.completed);
+    EXPECT_TRUE(cut.cancelled);
+    EXPECT_EQ(cut.score, bio::kScoreInfinity);
+    EXPECT_EQ(counters.cancels, 1u);
+    EXPECT_EQ(counters.horizonAborts, 0u);
+    ASSERT_EQ(cut.cellsFired % positions, 0u);
+    const size_t swept = cut.cellsFired / positions;
+    ASSERT_LE(swept, read.size()) << "the last row was swept";
+    SCOPED_TRACE(testing::Message() << "rows swept: " << swept);
+    if (swept == 0) {
+        EXPECT_EQ(cut.events, 0u);
+        return;
+    }
+    core::KernelCounters prefixCounters;
+    const pangraph::GraphRaceResult prefix =
+        sweep(compiled, read.slice(0, swept - 1), aligner.costs(),
+              sim::kTickInfinity, scratch, nullptr, &prefixCounters, true);
+    ASSERT_TRUE(prefix.completed);
+    uint64_t wires = 0;
+    for (size_t p = 1; p < positions; ++p)
+        wires += compiled.terminal[p] &&
+                 prefix.arrival[(swept - 1) * positions + p].fired();
+    EXPECT_EQ(cut.events, prefix.events - wires);
+    EXPECT_EQ(counters.events, cut.events);
+    EXPECT_EQ(cut.latencyCycles, prefixCounters.bucketsDrained - 1);
+    EXPECT_EQ(counters.bucketsDrained, prefixCounters.bucketsDrained);
+}
+
+TEST(GraphBandSweepCancel, RowSweepStopsWithTheTypedAbort)
+{
+    expectGraphCancelledFromAnotherThread(
+        &pangraph::detail::raceAlignmentGridRows);
+}
+
+TEST(GraphBandSweepCancel, BandStopsWithTheTypedAbort)
+{
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
+    expectGraphCancelledFromAnotherThread(
+        &pangraph::detail::raceAlignmentGridBand);
 }
 
 } // namespace

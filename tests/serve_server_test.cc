@@ -422,7 +422,7 @@ TEST(ServeServer, MetricsOverWireStaysCoherentWithStats)
         snap.gauge("rl_kernel_sweep_lanes");
     ASSERT_NE(lanes, nullptr);
     EXPECT_EQ(lanes->value,
-              static_cast<int64_t>(core::editGridSweepLanes()));
+              static_cast<int64_t>(core::sweepLanes()));
 
     // Plan-cache coherence (the satellite claim): the synthetic
     // shard series aggregate to the same ledger Stats reports --

@@ -25,6 +25,15 @@ than the tolerance relative to the baseline, i.e. when
 
     fresh_metric > baseline_metric * (1 + tolerance)
 
+Each headline row is compared with the baseline of the sweep the
+runner took.  The race kernels pick their sweep from the CPU, and the
+benches print it as `sweep_lanes` in their run context: 8 for the
+AVX-512F skewed bands, 1 for the row sweeps.  When the fresh run's
+context says 8 and the baseline stores a `NAME@sweep_lanes=8` row, the
+row is compared with it; otherwise with the plain `NAME` row, which
+holds row-sweep values.  A runner that took the band then cannot lose
+the band's speed-up unseen, and no runner's gate loosens.
+
 Headline benches are the single-threaded kernel benchmarks whose
 cpu_time is comparatively stable across machines; thread-scaling rows
 (BM_SolveBatchThreads) are deliberately excluded because they measure
@@ -55,7 +64,7 @@ HEADLINE_BENCHES = [
     # rest of the headline set; real_time because pool workers race).
     "BM_GraphMapReadsBatch/1/real_time",
     # End-to-end serve daemon under a saturating pipelined client:
-    # wire decode + admission + shard dispatch + solve + reply.
+    # wire decode + admission + queue + solve + reply.
     # real_time because the work crosses daemon threads.
     "BM_ServeSaturation/64/real_time",
     # The same daemon at 2x overload with a mixed-priority client:
@@ -65,10 +74,23 @@ HEADLINE_BENCHES = [
 ]
 
 
-def load_benchmarks(path):
+def load_run(path):
+    """The rows of one google-benchmark JSON file, and its context."""
     with open(path) as handle:
         data = json.load(handle)
-    return {bench["name"]: bench for bench in data.get("benchmarks", [])}
+    rows = {bench["name"]: bench for bench in data.get("benchmarks", [])}
+    return rows, data.get("context", {})
+
+
+def load_benchmarks(path):
+    return load_run(path)[0]
+
+
+def baseline_name(name, lanes, baseline):
+    """The stored row a headline bench is gated against: the one for
+    the sweep the runner took where the baseline has it."""
+    swept = f"{name}@sweep_lanes={lanes}"
+    return swept if lanes is not None and swept in baseline else name
 
 
 def main():
@@ -100,8 +122,11 @@ def main():
     args = parser.parse_args()
 
     fresh = {}
+    lanes = None
     for path in args.fresh:
-        fresh.update(load_benchmarks(path))
+        rows, context = load_run(path)
+        fresh.update(rows)
+        lanes = context.get("sweep_lanes", lanes)
 
     if args.pair:
         try:
@@ -135,33 +160,35 @@ def main():
              else HEADLINE_BENCHES)
     baseline = load_benchmarks(args.baseline)
 
-    width = max(len(name) for name in names)
+    width = max(len(baseline_name(name, lanes, baseline)) for name in names)
     regressions = []
     missing = []
     unbaselined = []
+    print(f"sweep_lanes in the fresh run: {lanes or 'not printed'}")
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  "
           f"{'ratio':>7}  verdict")
     for name in names:
-        base = baseline.get(name)
+        stored = baseline_name(name, lanes, baseline)
+        base = baseline.get(stored)
         got = fresh.get(name)
         if base is None:
-            print(f"{name:<{width}}  {'-':>12}  "
+            print(f"{stored:<{width}}  {'-':>12}  "
                   f"{got[args.metric] if got else '-':>12}  {'-':>7}  "
                   "MISSING from baseline")
-            unbaselined.append(name)
+            unbaselined.append(stored)
             continue
         if got is None:
-            print(f"{name:<{width}}  {base[args.metric]:>12.0f}  "
+            print(f"{stored:<{width}}  {base[args.metric]:>12.0f}  "
                   f"{'-':>12}  {'-':>7}  MISSING from fresh run")
             missing.append(name)
             continue
         ratio = got[args.metric] / base[args.metric]
         regressed = ratio > 1.0 + args.tolerance
         verdict = "REGRESSED" if regressed else "ok"
-        print(f"{name:<{width}}  {base[args.metric]:>12.0f}  "
+        print(f"{stored:<{width}}  {base[args.metric]:>12.0f}  "
               f"{got[args.metric]:>12.0f}  {ratio:>7.2f}  {verdict}")
         if regressed:
-            regressions.append((name, ratio))
+            regressions.append((stored, ratio))
 
     if unbaselined:
         print(f"\n{len(unbaselined)} headline bench(es) missing from "

@@ -252,10 +252,11 @@ main(int argc, char **argv)
     // Name the kernel behind every number this daemon reports.  fputs,
     // not fprintf: the daemon formats nothing else before it serves,
     // and printf's machinery would add its pages to the resident set.
-    const unsigned lanes = core::editGridSweepLanes();
+    const unsigned lanes = core::sweepLanes();
     std::fputs(("raceserved: rl_kernel_sweep_lanes=" +
                 std::to_string(lanes) +
-                (lanes > 1 ? " (AVX-512F skewed band)\n" : " (row sweep)\n"))
+                (lanes > 1 ? " (AVX-512F skewed bands: edit grid and graph)\n"
+                           : " (row sweeps: edit grid and graph)\n"))
                    .c_str(),
                stderr);
 
