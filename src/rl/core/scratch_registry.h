@@ -74,7 +74,7 @@ struct ScratchEntry {
  * entry's mutex so shrinkers keep their hands off, and on destruction
  * probes the arena for its *actual* resident bytes and publishes them
  * with a last-use stamp.  Destructor-driven on purpose: a solve that
- * throws (the dispatcher tolerates throwing jobs) still publishes its
+ * throws (serve workers tolerate throwing jobs) still publishes its
  * true high-water, not zero -- those bytes must stay visible to the
  * brownout budget.
  */

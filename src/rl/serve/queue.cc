@@ -72,7 +72,7 @@ RequestQueue::effectiveDepth() const
 RequestQueue::Admit
 RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
 {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(mutex);
     if (shuttingDown) {
         ++counters.rejectedShutdown;
         return Admit::ShuttingDown;
@@ -117,6 +117,9 @@ RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
     ++counters.classes[cls].queued;
     counters.highWater =
         std::max(counters.highWater, counters.queued + counters.inflight);
+    // Notify off the lock: a woken worker would otherwise block at
+    // once on the mutex this thread still holds.
+    lock.unlock();
     readable.notify_one();
     return Admit::Accepted;
 }
@@ -155,38 +158,37 @@ RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
         return counters.queued > 0 || shuttingDown;
     });
 
-    // Shed-at-drain, not shed-at-push: expiry is checked exactly once
-    // per job, by the one dispatcher thread, so a shed job can never
-    // race its own execution.
+    // Shed-at-drain, not shed-at-push: the one worker that pops a job
+    // checks its expiry under this lock, so a shed job can never race
+    // its own execution.
     const auto now = std::chrono::steady_clock::now();
 
     std::vector<QueuedJob> batch;
     batch.reserve(std::min<uint64_t>(max, counters.queued));
-    // Weighted round-robin, highest class first.  Deadline sheds do
-    // not consume quota or batch slots; within a class jobs leave in
-    // FIFO order.
+    // Weighted round-robin, highest class first, resumed across drains
+    // so one-job drains keep the weights.  Deadline sheds consume no
+    // quota or batch slot; within a class jobs leave in FIFO order.
     while (counters.queued > 0 && batch.size() < max) {
-        for (size_t c = kPriorityClasses; c-- > 0;) {
-            size_t quota = kDrainWeight[c];
-            while (quota > 0 && !jobs[c].empty() && batch.size() < max) {
-                QueuedJob &front = jobs[c].front();
-                if (shed != nullptr && front.deadline <= now) {
-                    shed->push_back(std::move(front));
-                    jobs[c].pop_front();
-                    --counters.queued;
-                    --counters.classes[c].queued;
-                    ++counters.shedDeadline;
-                    ++counters.classes[c].shedDeadline;
-                    continue;
-                }
-                batch.push_back(std::move(front));
-                jobs[c].pop_front();
-                --counters.queued;
-                --counters.classes[c].queued;
-                ++counters.inflight;
-                --quota;
-            }
+        if (roundQuota == 0 || jobs[roundClass].empty()) {
+            roundClass = (roundClass + kPriorityClasses - 1) %
+                         kPriorityClasses;
+            roundQuota = kDrainWeight[roundClass];
+            continue;
         }
+        std::deque<QueuedJob> &fifo = jobs[roundClass];
+        ClassStats &slice = counters.classes[roundClass];
+        --counters.queued;
+        --slice.queued;
+        if (shed != nullptr && fifo.front().deadline <= now) {
+            shed->push_back(std::move(fifo.front()));
+            ++counters.shedDeadline;
+            ++slice.shedDeadline;
+        } else {
+            batch.push_back(std::move(fifo.front()));
+            ++counters.inflight;
+            --roundQuota;
+        }
+        fifo.pop_front();
     }
     // Shedding the whole backlog can finish the drain: wake
     // waitDrained() just as markDone() would have.

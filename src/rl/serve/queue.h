@@ -2,8 +2,8 @@
  * @file
  * The daemon's bounded request queue with priority-aware admission.
  *
- * Connection threads push decoded requests; the dispatcher drains
- * them onto the worker pool.  Admission is bounded on *outstanding*
+ * Connection threads push decoded requests; serve workers pop them
+ * one at a time.  Admission is bounded on *outstanding*
  * work -- queued plus inflight -- so a saturated daemon rejects new
  * requests with a typed QueueFull verdict instead of buffering
  * without limit (the client can back off or resubmit elsewhere).
@@ -12,8 +12,8 @@
  * interactive) and the queue keeps one ledger slice per class:
  *
  *  - **drain order** is a weighted round-robin (interactive 4 :
- *    normal 2 : batch 1) -- interactive work drains first but every
- *    non-empty class advances each round, so batch is starvation-free;
+ *    normal 2 : batch 1) carried over between drains: every non-empty
+ *    class advances each round, so batch is starvation-free;
  *  - **at the bound**, a higher-class arrival evicts the newest
  *    queued job of the lowest class below it (shed-lowest-first); the
  *    victim is handed back to the caller, who sends it a typed
@@ -53,12 +53,12 @@ namespace racelogic::serve {
 
 /** One admitted request, ready to run on any worker. */
 struct QueuedJob {
-    /** Solve + respond closure; runs on a worker-pool thread. */
+    /** Solve + respond closure; runs on the worker that pops it. */
     std::function<void()> run;
 
     /**
      * Absolute expiry instant (max() = none).  A job whose deadline
-     * has passed when the dispatcher drains it is shed -- onShed runs
+     * has passed when a worker pops it is shed -- onShed runs
      * instead of run -- so a backed-up queue never wastes a worker on
      * an answer nobody is waiting for.
      */
@@ -118,10 +118,10 @@ struct QueueStats {
 };
 
 /**
- * Bounded MPSC-ish job queue (any number of producers, one
- * dispatcher draining).  Depth bounds queued + inflight: a request
- * is outstanding until markDone(), so admission reflects work the
- * daemon has actually committed to, not just buffer occupancy.
+ * Bounded multi-producer, multi-consumer job queue: connection
+ * threads push, serve workers drain.  Depth bounds queued + inflight:
+ * a request is outstanding until markDone(), so admission reflects
+ * work the daemon has committed to, not just buffer occupancy.
  */
 class RequestQueue
 {
@@ -164,14 +164,15 @@ class RequestQueue
     /**
      * Block until at least one job is queued (or shutdown), then
      * move out up to `max` jobs in weighted round-robin order
-     * (interactive 4 : normal 2 : batch 1; FIFO within a class).
+     * (interactive 4 : normal 2 : batch 1, resuming the previous
+     * drain's round; FIFO within a class).
      * The moved jobs are accounted inflight until markDone().
      * Returns an empty vector only when shutting down with nothing
      * left.
      *
      * When `shed` is non-null, jobs whose deadline has already passed
      * are moved into it instead of the batch (counted shedDeadline,
-     * never inflight); the dispatcher runs their onShed closures off
+     * never inflight); the caller runs their onShed closures off
      * the queue lock.  Shed jobs do not count against `max`.  With
      * `shed` null (the default) expired jobs drain normally.
      */
@@ -179,7 +180,7 @@ class RequestQueue
                                  std::vector<QueuedJob> *shed = nullptr);
 
     /**
-     * Retire `n` drained jobs (dispatcher, after the pool returns).
+     * Retire `n` drained jobs once they have run.
      * The overload with per-class counts also advances the class
      * ledgers' completed columns.
      */
@@ -221,6 +222,10 @@ class RequestQueue
     QueueStats counters;
     bool shuttingDown = false;
     bool brownoutActive = false;
+    /** The drain round's class and unspent quota; the first advance
+     *  from (batch, 0) lands on interactive. */
+    size_t roundClass = 0;
+    size_t roundQuota = 0;
 };
 
 } // namespace racelogic::serve

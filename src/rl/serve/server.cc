@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -50,7 +51,7 @@ toSolveReply(const api::RaceResult &result)
 }
 
 /**
- * The calling thread's telemetry writer lane.  Each pool worker takes
+ * The calling thread's telemetry writer lane.  Each serve worker takes
  * its own lane on first use, cycling over lanes 1..kMetricLanes-1;
  * lane 0 stays with the connection threads.
  */
@@ -68,7 +69,6 @@ workerLane()
 AlignServer::AlignServer(ServerConfig config)
     : cfg(std::move(config)), engine(cfg.engine),
       queue(cfg.queueDepth, cfg.brownoutDepth),
-      pool(cfg.workers == 0 ? 1 : cfg.workers),
       budget(cfg.memBudgetBytes),
       serveAlphabet(cfg.graph ? cfg.graph->alphabet()
                               : bio::Alphabet("ACGT"))
@@ -332,7 +332,8 @@ AlignServer::start()
         return false;
 
     startTime = std::chrono::steady_clock::now();
-    dispatcher = std::thread([this] { dispatchLoop(); });
+    for (size_t i = 0; i < std::max<size_t>(cfg.workers, 1); ++i)
+        workers.emplace_back([this] { workerLoop(); });
     janitor = std::thread([this] { janitorLoop(); });
     if (unixListener.valid())
         acceptThreads.emplace_back(
@@ -381,14 +382,14 @@ AlignServer::stop()
         connectionThreads.clear();
     }
 
-    // 2. Drain: every admitted job runs and flushes its response.
+    // 2. Drain: workers exit only once the shut queue is empty, so
+    //    every admitted job has run and flushed its response.
     queue.beginShutdown();
-    if (dispatcher.joinable())
-        dispatcher.join();
-    queue.waitDrained();
+    for (std::thread &t : workers)
+        t.join();
+    workers.clear();
 
-    // 3. Only now is it safe to retire the pool and the sockets.
-    pool.shutdownAndJoin();
+    // 3. Only now is it safe to retire the sockets.
     {
         std::lock_guard<std::mutex> lock(connectionsMutex);
         connections.clear();
@@ -828,45 +829,32 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
 }
 
 void
-AlignServer::dispatchLoop()
+AlignServer::workerLoop()
 {
     for (;;) {
         std::vector<QueuedJob> shed;
-        std::vector<QueuedJob> batch = queue.drain(
-            cfg.drainBatchMax == 0 ? 1 : cfg.drainBatchMax, &shed);
-        if (batch.empty() && shed.empty())
-            return; // shutdown with nothing left
-
-        // Any worker takes any job: the engine is shared and
-        // thread-safe.  Shed replies ride the pool as one extra index:
-        // the write (bounded by ioTimeoutMs) must not stall the
-        // dispatcher.
-        const size_t shedIndex = shed.empty() ? 0 : 1;
+        std::vector<QueuedJob> popped = queue.drain(1, &shed);
+        if (popped.empty() && shed.empty())
+            return; // shut down with nothing left
         try {
-            pool.parallelFor(batch.size() + shedIndex, [&](size_t i) {
-                if (i == batch.size()) {
-                    for (QueuedJob &job : shed)
-                        if (job.onShed)
-                            job.onShed(Status::DeadlineExceeded);
-                    return;
-                }
-                batch[i].run();
-            });
+            for (QueuedJob &job : shed)
+                if (job.onShed)
+                    job.onShed(Status::DeadlineExceeded);
+            for (QueuedJob &job : popped)
+                job.run();
         } catch (const std::exception &e) {
-            // A throwing job must not take the dispatcher down with
-            // it; the affected request simply never gets a reply.
+            // A throwing job must not take its worker down with it;
+            // the affected request simply never gets a reply.
             rl_warn("serve: job raised '", e.what(),
-                    "'; dispatcher continues");
+                    "'; worker continues");
         }
-        // Shed jobs were never inflight; only the raced batch retires
-        // -- per class, so the class ledgers' completed columns stay
-        // coherent with the global one.
-        if (!batch.empty()) {
-            std::array<uint64_t, kPriorityClasses> byClass{};
-            for (const QueuedJob &job : batch)
-                ++byClass[static_cast<size_t>(job.priority)];
-            queue.markDone(byClass);
-        }
+        // Shed jobs were never inflight; only the raced job retires,
+        // in its class, so the class ledgers stay coherent with the
+        // global one.
+        std::array<uint64_t, kPriorityClasses> byClass{};
+        for (const QueuedJob &job : popped)
+            ++byClass[static_cast<size_t>(job.priority)];
+        queue.markDone(byClass);
     }
 }
 
@@ -946,7 +934,7 @@ AlignServer::reply(Connection &conn, const Response &response,
     // A peer that stopped *reading* is worse: once the write deadline
     // trips the connection is severed, so a stalled receive window
     // costs at most ioTimeoutMs of one worker's time -- it can never
-    // wedge the pool behind one slow socket.
+    // wedge the workers behind one slow socket.
     const IoStatus wrote =
         writeAll(conn.fd.get(), framed.data(), framed.size(), deadline);
     if (wrote == IoStatus::Timeout)

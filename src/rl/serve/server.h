@@ -5,10 +5,10 @@
  * A long-lived alignment service around api::RaceEngine: connection
  * threads decode length-prefixed frames (rl/serve/wire.h), admission
  * control bounces anything oversized, undecodable, or beyond the
- * bounded queue's depth with a typed status, and a dispatcher drains
- * admitted jobs onto a util::ThreadPool.  Every worker solves on one
- * shared, thread-safe api::RaceEngine, so any worker takes any job and
- * all of them hit the same plan cache.
+ * bounded queue's depth with a typed status, and each worker thread
+ * pops its own next job, so a long solve holds only its worker.
+ * Every worker solves on one shared, thread-safe api::RaceEngine, so
+ * any worker takes any job and all of them hit the same plan cache.
  *
  * Stats and Ping requests are answered inline on the connection
  * thread -- the metrics endpoint must work *because* the daemon is
@@ -16,7 +16,7 @@
  *
  * Shutdown is a drain, not an abort: stop() parts with the listeners,
  * lets every admitted request finish, flushes its response, and only
- * then joins the pool.  tools/raceserved.cc wires this to SIGTERM.
+ * then joins the workers.  tools/raceserved.cc wires this to SIGTERM.
  */
 
 #ifndef RACELOGIC_SERVE_SERVER_H
@@ -43,7 +43,6 @@
 #include "rl/serve/wire.h"
 #include "rl/telemetry/registry.h"
 #include "rl/telemetry/trace.h"
-#include "rl/util/thread_pool.h"
 
 namespace racelogic::serve {
 
@@ -104,9 +103,6 @@ struct ServerConfig {
      */
     int64_t scratchIdleMs = 2000;
 
-    /** Max jobs the dispatcher moves onto the pool per drain. */
-    size_t drainBatchMax = 16;
-
     /** Frame payload ceiling (wire-level admission). */
     uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
 
@@ -129,7 +125,7 @@ struct ServerConfig {
      * writing a response to a peer that stopped reading (stalled
      * receive window).  Tripping it severs the connection -- framing
      * is gone either way -- so one bad peer costs at most ioTimeoutMs
-     * of one thread's time, never a pinned reader or dispatcher.
+     * of one thread's time, never a pinned reader or worker.
      */
     int64_t ioTimeoutMs = 10000;
 
@@ -177,7 +173,7 @@ struct ServerConfig {
 };
 
 /**
- * The serving daemon.  start() spawns the accept/dispatch machinery
+ * The serving daemon.  start() spawns the accept and worker threads
  * and returns; stop() drains and joins everything.  One start/stop
  * cycle per instance.
  */
@@ -214,7 +210,7 @@ class AlignServer
      * file and calls this; tests call it directly).
      *
      * Validate, swap, evict: the new graph is compile-checked on the
-     * *calling* thread (never the dispatcher), then swapped into the
+     * *calling* thread (never a worker), then swapped into the
      * versioned registry, then the engine's graph-keyed plans are
      * evicted (grid-family plans survive).  In-flight and queued
      * solves keep racing the snapshot they admitted with -- pinned by
@@ -243,7 +239,7 @@ class AlignServer
 
   private:
     /** One accepted connection: fd plus a reply-serializing mutex
-     *  shared between its reader thread and the worker pool. */
+     *  shared between its reader thread and the workers. */
     struct Connection {
         ScopedFd fd;
         std::mutex writeMutex;
@@ -279,10 +275,12 @@ class AlignServer
 
     void acceptLoop(int listenFd);
     void connectionLoop(std::shared_ptr<Connection> conn);
-    void dispatchLoop();
+    /** Pop, run and retire one job at a time until shutdown empties
+     *  the queue. */
+    void workerLoop();
 
     /**
-     * Periodic housekeeping off the dispatcher thread: samples plan
+     * Periodic housekeeping on its own thread: samples plan
      * cache + scratch arena bytes into the memory budget, drives the
      * brownout latch (admission depth, batch shedding, reclaim), and
      * shrinks idle workers' scratch arenas.
@@ -332,7 +330,6 @@ class AlignServer
 
     api::RaceEngine engine;
     RequestQueue queue;
-    util::ThreadPool pool;
     MemoryBudget budget;
 
     /** Alphabet requests decode against; fixed across reloads. */
@@ -353,7 +350,7 @@ class AlignServer
 
     std::atomic<bool> stopping{false};
     std::vector<std::thread> acceptThreads;
-    std::thread dispatcher;
+    std::vector<std::thread> workers;
 
     std::thread janitor;
     std::mutex janitorMutex;

@@ -9,8 +9,8 @@
  *   readStart ── body read ──▶ readDone (arrival)
  *            ── decode ──────▶ decodeDone
  *            ── admit ───────▶ admitDone        (budgets + tryPush)
- *            ── queue wait ──▶ dispatchStart    (drained by dispatcher)
- *            ── dispatch ────▶ solveStart       (pool handoff)
+ *            ── queue wait ──▶ dispatchStart    (a worker popped it)
+ *            ── dispatch ────▶ solveStart       (job setup on the worker)
  *            ── solve ───────▶ solveDone        (the race)
  *            ── encode ──────▶ encodeDone       (response bytes built)
  *            ── write ───────▶ writeDone        (response flushed)
@@ -52,8 +52,8 @@ struct RequestTrace {
     TimePoint readDone;      ///< body fully read (the arrival stamp)
     TimePoint decodeDone;    ///< decodeRequest returned
     TimePoint admitDone;     ///< budgets checked, job pushed (or bounced)
-    TimePoint dispatchStart; ///< dispatcher drained the job
-    TimePoint solveStart;    ///< job reached a worker
+    TimePoint dispatchStart; ///< a worker popped the job
+    TimePoint solveStart;    ///< the engine solve begins
     TimePoint solveDone;     ///< engine returned
     TimePoint encodeDone;    ///< response frame built
     TimePoint writeDone;     ///< response flushed to the socket

@@ -7,8 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "rl/util/logging.h"
-
 namespace racelogic::util {
 
 namespace {
@@ -72,26 +70,13 @@ ThreadPool::ThreadPool(size_t threads)
 
 ThreadPool::~ThreadPool()
 {
-    // Explicit shutdownAndJoin() already emptied `workers`; joining
-    // here again would be a no-op loop over nothing.
-    if (!workers.empty())
-        shutdownAndJoin();
-}
-
-void
-ThreadPool::shutdownAndJoin()
-{
     {
         std::lock_guard<std::mutex> lock(mutex);
-        rl_assert(!shutdown,
-                  "ThreadPool already shut down; a second explicit "
-                  "shutdownAndJoin() is a caller lifecycle bug");
         shutdown = true;
     }
     wakeWorkers.notify_all();
     for (std::thread &worker : workers)
         worker.join();
-    workers.clear();
 }
 
 void
@@ -146,18 +131,11 @@ ThreadPool::parallelFor(size_t n,
 {
     if (n == 0)
         return;
-    if (workerCount == 0) {
-        for (size_t i = 0; i < n; ++i)
-            loopBody(i);
-        return;
-    }
 
     // One batch in flight at a time: a second caller waits its turn
     // here rather than clobbering the published batch state.
     std::lock_guard<std::mutex> turn(callerMutex);
     std::unique_lock<std::mutex> lock(mutex);
-    rl_assert(!shutdown,
-              "parallelFor() on a ThreadPool that was shut down");
     // Publish the batch only once every worker is back in wait():
     // a straggler from the previous batch could otherwise claim the
     // reset index counter against its stale body pointer.

@@ -70,17 +70,6 @@ class ThreadPool
                      const std::function<void(size_t)> &body);
 
     /**
-     * Stop the workers and join them; after this the pool is dead
-     * and parallelFor() must not be called again.  Idempotent with
-     * the destructor (which only joins if this was never called) but
-     * deliberately NOT with itself: a second explicit shutdown is a
-     * lifecycle bug in the caller and panics.  The serve daemon
-     * calls this on SIGTERM to guarantee every drained request
-     * finished before the process exits.
-     */
-    void shutdownAndJoin();
-
-    /**
      * Threads the process can actually run at once: the CPUs in its
      * sched_getaffinity() mask, capped by its cgroup v2 cpu.max
      * quota, floor 1.  hardware_concurrency() counts the host's CPUs

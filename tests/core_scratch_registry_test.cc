@@ -247,7 +247,7 @@ TEST(ScratchRegistry, ThrowingSolveStillPublishesHonestBytes)
     });
     core::RaceGridAligner aligner(bio::ScoreMatrix::dnaShortestPath());
 
-    // The dispatcher tolerates throwing jobs, so the lease must too:
+    // Serve workers tolerate throwing jobs, so the lease must too:
     // when a solve throws after growing the arena, the destructor
     // still publishes the real high-water -- hiding those bytes from
     // the brownout budget would defeat the accounting.

@@ -264,7 +264,7 @@ TEST(ServeAntiDrift, ProductStateBudgetRejectsTypedAndDaemonServesOn)
     ASSERT_TRUE(response.solve.has_value());
 
     // ... and the ledger shows exactly one compute-budget rejection.
-    // The completed count is retired by the dispatcher *after* the
+    // The completed count is retired by the worker *after* the
     // solve's reply is flushed, so poll briefly instead of racing it.
     uint32_t statsId = 73;
     for (int attempt = 0;; ++attempt) {

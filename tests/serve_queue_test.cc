@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "rl/serve/queue.h"
 
@@ -342,6 +343,34 @@ TEST(ServeQueue, WeightedDrainFavorsHigherClassesWithoutStarvation)
     ASSERT_EQ(rest.size(), 5u);
     queue.markDone(rest.size());
     expectLedgerCoherent(queue.stats(), /*checkCompleted=*/false);
+}
+
+TEST(ServeQueue, OneJobDrainsKeepTheWeightedRound)
+{
+    // A serve worker pops one job per drain; the 4 : 2 : 1 round must
+    // carry over between drains, or one-job drains turn into strict
+    // priority and batch starves behind a deep interactive backlog.
+    RequestQueue queue(32);
+    for (size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(queue.tryPush(classedJob(Priority::Batch, 100 + i)),
+                  RequestQueue::Admit::Accepted);
+        ASSERT_EQ(queue.tryPush(classedJob(Priority::Normal, 200 + i)),
+                  RequestQueue::Admit::Accepted);
+        ASSERT_EQ(
+            queue.tryPush(classedJob(Priority::Interactive, 300 + i)),
+            RequestQueue::Admit::Accepted);
+    }
+
+    std::vector<size_t> order;
+    for (int i = 0; i < 7; ++i) {
+        auto one = queue.drain(1);
+        ASSERT_EQ(one.size(), 1u);
+        order.push_back(tagOf(one.front()));
+        queue.markDone(1);
+    }
+    // The same sequence one drain(7) returns from a fresh backlog.
+    EXPECT_EQ(order, (std::vector<size_t>{300, 301, 302, 303, 200, 201,
+                                          100}));
 }
 
 TEST(ServeQueue, EvictionShedsLowestClassFirst)

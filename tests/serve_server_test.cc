@@ -552,7 +552,7 @@ TEST(ServeServer, QueueWaitInflatesUnderSaturation)
 
 // ------------------------------------------------ the shared plan cache
 
-TEST(ServeServer, WarmShapeTrafficNeverTakesTheBuildLock)
+TEST(ServeServer, WarmShapeTrafficBuildsOnePlan)
 {
     AlignServer server(tcpConfig());
     ASSERT_TRUE(server.start());
@@ -630,6 +630,66 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     EXPECT_EQ(server.engineStats().plansBuilt +
                   server.engineStats().planCacheHits,
               total);
+}
+
+TEST(ServeServer, ShortRequestsOvertakeALongSolve)
+{
+    // Each worker pulls its own next job, so a long solve holds one
+    // worker and nothing else: short requests on another connection
+    // run on the idle worker and all finish first.  The check reads
+    // completion order from the trace hook, not timings.
+    std::mutex mutex;
+    std::vector<uint32_t> finished; // raced ids, in completion order
+    ServerConfig cfg = tcpConfig();
+    cfg.workers = 2;
+    cfg.maxGridCells = 1ull << 28; // room for the long race below
+    cfg.traceHook = [&](const telemetry::RequestTrace &t) {
+        if (t.tag != static_cast<uint8_t>(RequestTag::Pairwise))
+            return;
+        std::lock_guard<std::mutex> lock(mutex);
+        finished.push_back(t.id);
+    };
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient slow = ServeClient::overTcp(server.port());
+    ServeClient fast = ServeClient::overTcp(server.port());
+
+    // 12001 x 12001 cells race for over 70 ms even on the skewed
+    // AVX-512F band (under 1 ns per cell) and for seconds under TSan,
+    // where the eight 21 x 21 races below slow down about as much and
+    // still have some 300 000 times fewer cells.
+    ASSERT_TRUE(slow.submitPairwise(1, fig2b(), dnaString(12000, 61),
+                                    dnaString(12000, 62)));
+
+    // Send the shorts only once a worker has popped the long race.
+    Response response;
+    for (uint32_t probe = 100;; ++probe) {
+        ASSERT_LT(probe, 20000u) << "the long race never went inflight";
+        ASSERT_TRUE(fast.submitStats(probe));
+        ASSERT_TRUE(fast.receive(response));
+        ASSERT_TRUE(response.queueStats.has_value());
+        if (response.queueStats->inflight == 1)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    const size_t shorts = 8;
+    for (uint32_t i = 0; i < shorts; ++i)
+        ASSERT_TRUE(fast.submitPairwise(10 + i, fig2b(),
+                                        dnaString(20, 70 + i),
+                                        dnaString(20, 80 + i)));
+    for (size_t i = 0; i < shorts; ++i) {
+        ASSERT_TRUE(fast.receive(response));
+        EXPECT_EQ(response.status, Status::Ok);
+    }
+    ASSERT_TRUE(slow.receive(response));
+    EXPECT_EQ(response.status, Status::Ok);
+    server.stop();
+
+    std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(finished.size(), shorts + 1);
+    EXPECT_EQ(finished.back(), 1u)
+        << "a short request waited behind the long solve";
 }
 
 // ------------------------------------------------------- protocol abuse
@@ -852,7 +912,6 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     ServerConfig cfg = tcpConfig();
     cfg.workers = 1;
     cfg.queueDepth = 8;
-    cfg.drainBatchMax = 1; // one job per drain: the second waits
     cfg.maxGridCells = 1ull << 25; // room for the blocker below
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
@@ -862,8 +921,7 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     // request's 1 ms deadline -- 4500 x 4500 cells race for over 10 ms
     // even on the fastest sweep, the skewed AVX-512F band at under
     // 1 ns per cell -- so the doomed job is still queued when the
-    // dispatcher next drains, and it is shed without touching the
-    // engine.
+    // worker next pops, and it is shed without touching the engine.
     ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(4500, 41),
                                       dnaString(4500, 42)));
     ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(500, 43),

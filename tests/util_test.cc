@@ -360,25 +360,6 @@ TEST(ThreadPool, UsableAfterABatchThrew)
     EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ThreadPool, ExplicitShutdownThenDestructorIsClean)
-{
-    util::ThreadPool pool(2);
-    pool.parallelFor(4, [](size_t) {});
-    pool.shutdownAndJoin();
-    // Destructor runs next -- it must notice the pool is already down.
-}
-
-TEST(ThreadPoolDeath, DoubleExplicitShutdownPanics)
-{
-    EXPECT_DEATH(
-        {
-            util::ThreadPool pool(2);
-            pool.shutdownAndJoin();
-            pool.shutdownAndJoin();
-        },
-        "already shut down");
-}
-
 TEST(ThreadPool, ConcurrentCallersTakeTurns)
 {
     // Several threads sharing one pool (a shared engine's batches)
@@ -419,17 +400,6 @@ TEST(ThreadPool, CpuMaxLimitParsesCgroupQuotas)
 TEST(ThreadPool, DefaultThreadCountIsAtLeastOne)
 {
     EXPECT_GE(util::ThreadPool::defaultThreadCount(), 1u);
-}
-
-TEST(ThreadPoolDeath, ParallelForAfterShutdownPanics)
-{
-    EXPECT_DEATH(
-        {
-            util::ThreadPool pool(2);
-            pool.shutdownAndJoin();
-            pool.parallelFor(1, [](size_t) {});
-        },
-        "shut down");
 }
 
 } // namespace
