@@ -14,14 +14,11 @@
  * Eq. 5 coefficients.
  */
 
-#include <chrono>
 #include <iostream>
 
-#include "rl/bio/edit_graph.h"
 #include "rl/bio/sequence.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_grid_circuit.h"
-#include "rl/core/race_network.h"
 #include "rl/sim/stats.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/tech/area_model.h"
@@ -137,46 +134,6 @@ energyPanel(const CellLibrary &lib)
 }
 
 void
-simulatorThroughputPanel()
-{
-    // Not a paper panel, but the knob that sets how large a sweep
-    // every other panel can afford: cells simulated per second on the
-    // behavioral backend, the grid sweep kernel vs the heap event
-    // queue it replaced.
-    util::printBanner(std::cout,
-                      "Simulator throughput: grid sweep kernel "
-                      "vs heap event queue (cells/s)");
-    util::Rng rng(4242);
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    core::RaceGridAligner racer(m);
-    util::TextTable table({"N", "wavefront Mcells/s", "heap Mcells/s",
-                           "speedup"});
-    for (size_t n : {16u, 64u, 256u}) {
-        Sequence a = Sequence::random(rng, Alphabet::dna(), n);
-        Sequence b = Sequence::random(rng, Alphabet::dna(), n);
-        const int reps = n >= 256 ? 4 : 64;
-        auto time_s = [&](auto &&body) {
-            auto start = std::chrono::steady_clock::now();
-            for (int r = 0; r < reps; ++r)
-                body();
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                .count();
-        };
-        double wavefront = time_s([&] { racer.align(a, b); });
-        double heap = time_s([&] {
-            bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-            core::raceDagEventDriven(eg.dag, {eg.source},
-                                     core::RaceType::Or);
-        });
-        double cells = double(n) * double(n) * reps;
-        table.row(n, cells / wavefront / 1e6, cells / heap / 1e6,
-                  heap / wavefront);
-    }
-    table.print(std::cout);
-}
-
-void
 refitEquation5(const CellLibrary &lib)
 {
     util::printBanner(std::cout,
@@ -219,7 +176,6 @@ refitEquation5(const CellLibrary &lib)
 int
 main()
 {
-    simulatorThroughputPanel();
     for (const CellLibrary *lib : CellLibrary::all()) {
         areaPanel(*lib);
         latencyPanel(*lib);

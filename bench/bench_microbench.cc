@@ -66,8 +66,7 @@ BM_EventDrivenRace(benchmark::State &state)
     // trajectory): core::raceEditGrid's dense row sweep of the OR
     // race.  It races BM_ReferenceDp's pair, so the two rows compare
     // the race kernel with the DP it models on identical inputs (CI
-    // gates the ratio); BM_HeapEventQueueRace is the event-driven
-    // pipeline it replaced.
+    // gates the ratio).
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(1, n);
     core::RaceGridAligner racer(
@@ -122,29 +121,6 @@ BM_RaceEditGridServed(benchmark::State &state)
                             int64_t(n) * int64_t(n));
 }
 BENCHMARK(BM_RaceEditGridServed)->Arg(32)->Arg(128);
-
-void
-BM_HeapEventQueueRace(benchmark::State &state)
-{
-    // The pre-kernel pipeline: materialize the edit graph, race it on
-    // the heap-scheduled event queue (one std::function per edge
-    // arrival).  Kept as the baseline the wavefront kernel is
-    // measured against.
-    size_t n = size_t(state.range(0));
-    auto [a, b] = randomPair(2, n);
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    for (auto _ : state) {
-        bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-        benchmark::DoNotOptimize(
-            core::raceDagEventDriven(eg.dag, {eg.source},
-                                     core::RaceType::Or)
-                .at(eg.sink)
-                .rawTime());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(n) * int64_t(n));
-}
-BENCHMARK(BM_HeapEventQueueRace)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_WavefrontKernelDag(benchmark::State &state)

@@ -20,7 +20,7 @@
 #include "rl/api/problem.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/temporal.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::api {

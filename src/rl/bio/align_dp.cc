@@ -160,263 +160,6 @@ globalAlign(const Sequence &a, const Sequence &b,
     return result;
 }
 
-namespace {
-
-/** Last row of the global DP of (a, b): scores d(|a|, j). */
-std::vector<Score>
-lastRowScores(const Sequence &a, const Sequence &b,
-              const ScoreMatrix &matrix)
-{
-    const size_t n = a.size();
-    const size_t m = b.size();
-    const bool minimize = matrix.isCost();
-    std::vector<Score> prev(m + 1), curr(m + 1);
-    prev[0] = 0;
-    for (size_t j = 1; j <= m; ++j)
-        prev[j] = prev[j - 1] + matrix.gap(b[j - 1]);
-    for (size_t i = 1; i <= n; ++i) {
-        curr[0] = prev[0] + matrix.gap(a[i - 1]);
-        for (size_t j = 1; j <= m; ++j) {
-            Score best = prev[j] + matrix.gap(a[i - 1]);
-            Score left = curr[j - 1] + matrix.gap(b[j - 1]);
-            if (better(left, best, minimize))
-                best = left;
-            Score w = matrix.pair(a[i - 1], b[j - 1]);
-            if (w != kScoreInfinity) {
-                Score diag = prev[j - 1] + w;
-                if (better(diag, best, minimize))
-                    best = diag;
-            }
-            curr[j] = best;
-        }
-        std::swap(prev, curr);
-    }
-    return prev;
-}
-
-Sequence
-reversed(const Sequence &s)
-{
-    std::vector<Symbol> symbols(s.symbols().rbegin(),
-                                s.symbols().rend());
-    return Sequence(s.alphabet(), std::move(symbols));
-}
-
-/** Recursive Hirschberg: returns the two aligned rows. */
-void
-hirschbergRows(const Sequence &a, const Sequence &b,
-               const ScoreMatrix &matrix, std::string &row_a,
-               std::string &row_b)
-{
-    const Alphabet &alphabet = matrix.alphabet();
-    if (a.empty()) {
-        for (size_t j = 0; j < b.size(); ++j) {
-            row_a.push_back('-');
-            row_b.push_back(alphabet.letter(b[j]));
-        }
-        return;
-    }
-    if (b.empty()) {
-        for (size_t i = 0; i < a.size(); ++i) {
-            row_a.push_back(alphabet.letter(a[i]));
-            row_b.push_back('-');
-        }
-        return;
-    }
-    if (a.size() == 1 || b.size() == 1) {
-        Alignment base = globalAlign(a, b, matrix);
-        row_a += base.alignedA;
-        row_b += base.alignedB;
-        return;
-    }
-
-    const size_t mid = a.size() / 2;
-    Sequence top = a.slice(0, mid);
-    Sequence bottom = a.slice(mid, a.size() - mid);
-    std::vector<Score> forward = lastRowScores(top, b, matrix);
-    std::vector<Score> backward =
-        lastRowScores(reversed(bottom), reversed(b), matrix);
-
-    const bool minimize = matrix.isCost();
-    size_t split = 0;
-    Score best = forward[0] + backward[b.size()];
-    for (size_t j = 1; j <= b.size(); ++j) {
-        Score candidate = forward[j] + backward[b.size() - j];
-        if (better(candidate, best, minimize)) {
-            best = candidate;
-            split = j;
-        }
-    }
-
-    hirschbergRows(top, b.slice(0, split), matrix, row_a, row_b);
-    hirschbergRows(bottom, b.slice(split, b.size() - split), matrix,
-                   row_a, row_b);
-}
-
-} // namespace
-
-Alignment
-hirschbergAlign(const Sequence &a, const Sequence &b,
-                const ScoreMatrix &matrix)
-{
-    checkMatrixUsable(a, b, matrix);
-    Alignment out;
-    hirschbergRows(a, b, matrix, out.alignedA, out.alignedB);
-
-    // Derive score, path, and operation counts from the rows.
-    const Alphabet &alphabet = matrix.alphabet();
-    uint32_t i = 0, j = 0;
-    out.path.emplace_back(0u, 0u);
-    for (size_t k = 0; k < out.alignedA.size(); ++k) {
-        char ca = out.alignedA[k];
-        char cb = out.alignedB[k];
-        rl_assert(!(ca == '-' && cb == '-'), "double gap column");
-        if (ca != '-' && cb != '-') {
-            Score w = matrix.pair(alphabet.encode(ca),
-                                  alphabet.encode(cb));
-            rl_assert(w != kScoreInfinity,
-                      "Hirschberg produced a forbidden pair");
-            out.score += w;
-            if (ca == cb)
-                ++out.matches;
-            else
-                ++out.mismatches;
-            ++i;
-            ++j;
-        } else if (ca != '-') {
-            out.score += matrix.gap(alphabet.encode(ca));
-            ++out.indels;
-            ++i;
-        } else {
-            out.score += matrix.gap(alphabet.encode(cb));
-            ++out.indels;
-            ++j;
-        }
-        out.path.emplace_back(i, j);
-    }
-    return out;
-}
-
-LocalAlignment
-localAlign(const Sequence &a, const Sequence &b,
-           const ScoreMatrix &similarity)
-{
-    rl_assert(similarity.kind() == ScoreKind::Similarity,
-              "Smith-Waterman requires a similarity matrix");
-    checkMatrixUsable(a, b, similarity);
-    const size_t n = a.size();
-    const size_t m = b.size();
-    const Alphabet &alphabet = similarity.alphabet();
-
-    util::Grid<Score> t(n + 1, m + 1, 0);
-    Score best = 0;
-    size_t bi = 0, bj = 0;
-    for (size_t i = 1; i <= n; ++i) {
-        for (size_t j = 1; j <= m; ++j) {
-            Score w = similarity.pair(a[i - 1], b[j - 1]);
-            Score v = std::max<Score>(
-                {0,
-                 t(i - 1, j - 1) + w,
-                 t(i - 1, j) + similarity.gap(a[i - 1]),
-                 t(i, j - 1) + similarity.gap(b[j - 1])});
-            t(i, j) = v;
-            if (v > best) {
-                best = v;
-                bi = i;
-                bj = j;
-            }
-        }
-    }
-
-    LocalAlignment result;
-    result.score = best;
-    if (best == 0)
-        return result; // empty local alignment
-
-    // Trace back until a zero cell.
-    size_t i = bi, j = bj;
-    std::string ra, rb;
-    while (t(i, j) != 0) {
-        if (i > 0 && j > 0 &&
-            t(i, j) == t(i - 1, j - 1) +
-                           similarity.pair(a[i - 1], b[j - 1])) {
-            ra.push_back(alphabet.letter(a[i - 1]));
-            rb.push_back(alphabet.letter(b[j - 1]));
-            --i;
-            --j;
-        } else if (i > 0 &&
-                   t(i, j) == t(i - 1, j) + similarity.gap(a[i - 1])) {
-            ra.push_back(alphabet.letter(a[i - 1]));
-            rb.push_back('-');
-            --i;
-        } else if (j > 0 &&
-                   t(i, j) == t(i, j - 1) + similarity.gap(b[j - 1])) {
-            ra.push_back('-');
-            rb.push_back(alphabet.letter(b[j - 1]));
-            --j;
-        } else {
-            rl_panic("Smith-Waterman traceback inconsistent");
-        }
-    }
-    std::reverse(ra.begin(), ra.end());
-    std::reverse(rb.begin(), rb.end());
-    result.beginA = i;
-    result.endA = bi;
-    result.beginB = j;
-    result.endB = bj;
-    result.alignedA = std::move(ra);
-    result.alignedB = std::move(rb);
-    return result;
-}
-
-Score
-bandedGlobalScore(const Sequence &a, const Sequence &b,
-                  const ScoreMatrix &matrix, size_t band)
-{
-    checkMatrixUsable(a, b, matrix);
-    const size_t n = a.size();
-    const size_t m = b.size();
-    const bool minimize = matrix.isCost();
-    const Score unreachable =
-        minimize ? kScoreInfinity : -kScoreInfinity;
-    size_t diff = n > m ? n - m : m - n;
-    if (band < diff)
-        return unreachable;
-
-    util::Grid<Score> t(n + 1, m + 1, unreachable);
-    t(0, 0) = 0;
-    for (size_t j = 1; j <= std::min(m, band); ++j)
-        t(0, j) = t(0, j - 1) + matrix.gap(b[j - 1]);
-    for (size_t i = 1; i <= std::min(n, band); ++i)
-        t(i, 0) = t(i - 1, 0) + matrix.gap(a[i - 1]);
-
-    for (size_t i = 1; i <= n; ++i) {
-        size_t lo = i > band ? i - band : 1;
-        size_t hi = std::min(m, i + band);
-        for (size_t j = lo; j <= hi; ++j) {
-            Score best = unreachable;
-            if (t(i - 1, j) != unreachable) {
-                Score up = t(i - 1, j) + matrix.gap(a[i - 1]);
-                if (best == unreachable || better(up, best, minimize))
-                    best = up;
-            }
-            if (t(i, j - 1) != unreachable) {
-                Score left = t(i, j - 1) + matrix.gap(b[j - 1]);
-                if (best == unreachable || better(left, best, minimize))
-                    best = left;
-            }
-            Score w = matrix.pair(a[i - 1], b[j - 1]);
-            if (w != kScoreInfinity && t(i - 1, j - 1) != unreachable) {
-                Score diag = t(i - 1, j - 1) + w;
-                if (best == unreachable || better(diag, best, minimize))
-                    best = diag;
-            }
-            t(i, j) = best;
-        }
-    }
-    return t(n, m);
-}
-
 Score
 levenshtein(const Sequence &a, const Sequence &b)
 {

@@ -4,8 +4,8 @@
  *
  * These are the software implementations of the recurrences the
  * hardware accelerates (paper Eq. 1a/1b): Needleman-Wunsch global
- * alignment under either score semantics, Smith-Waterman local
- * alignment, Levenshtein distance, and LCS.  They serve three roles:
+ * alignment under either score semantics, Levenshtein distance, and
+ * LCS.  They serve three roles:
  *
  *  1. correctness oracles for every hardware model in the library
  *     (race grid, generalized array, systolic array);
@@ -65,46 +65,6 @@ Score globalScore(const Sequence &a, const Sequence &b,
 /** Optimal global alignment with deterministic traceback. */
 Alignment globalAlign(const Sequence &a, const Sequence &b,
                       const ScoreMatrix &matrix);
-
-/**
- * Hirschberg divide-and-conquer global alignment: the same optimal
- * score as globalAlign() in O(min(n,m)) memory instead of O(n*m),
- * for aligning sequences too long for a full table.  The returned
- * alignment is optimal but may differ from globalAlign()'s
- * tie-breaking.
- */
-Alignment hirschbergAlign(const Sequence &a, const Sequence &b,
-                          const ScoreMatrix &matrix);
-
-/** A local alignment (Smith-Waterman) result. */
-struct LocalAlignment {
-    /** Best local similarity (>= 0; 0 means "align nothing"). */
-    Score score = 0;
-    /** Inclusive-exclusive coordinates of the aligned region in a/b. */
-    size_t beginA = 0, endA = 0;
-    size_t beginB = 0, endB = 0;
-    /** The aligned region rendered like Alignment. */
-    std::string alignedA;
-    std::string alignedB;
-};
-
-/**
- * Smith-Waterman local alignment; requires a Similarity matrix
- * (negative entries are what make locality meaningful).
- */
-LocalAlignment localAlign(const Sequence &a, const Sequence &b,
-                          const ScoreMatrix &similarity);
-
-/**
- * Banded global alignment score: only cells with |i - j| <= band are
- * evaluated.  Exact whenever some optimal path stays inside the band
- * (always true for band >= max(|a|,|b|)); a common screening
- * shortcut when strings are known to be nearly aligned.  Returns
- * kScoreInfinity (cost) / -kScoreInfinity (similarity) if the band
- * cannot connect the corners (band < ||a| - |b||).
- */
-Score bandedGlobalScore(const Sequence &a, const Sequence &b,
-                        const ScoreMatrix &matrix, size_t band);
 
 /** Unit-cost Levenshtein distance (two-row DP). */
 Score levenshtein(const Sequence &a, const Sequence &b);

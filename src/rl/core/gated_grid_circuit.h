@@ -30,7 +30,7 @@
 #include "rl/circuit/netlist.h"
 #include "rl/circuit/sim_sync.h"
 #include "rl/core/race_grid_circuit.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::core {

@@ -22,7 +22,7 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::core {

@@ -35,7 +35,7 @@
 #include "rl/circuit/compiled_sim.h"
 #include "rl/circuit/netlist.h"
 #include "rl/circuit/sim_sync.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/grid.h"
 
 namespace racelogic::core {

@@ -33,65 +33,6 @@ raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
     return WavefrontRaceKernel(dag).race(sources, type, horizon);
 }
 
-RaceOutcome
-raceDagEventDriven(const graph::Dag &dag,
-                   const std::vector<graph::NodeId> &sources,
-                   RaceType type, sim::Tick horizon)
-{
-    checkRaceable(dag);
-    rl_assert(!sources.empty(), "race needs at least one source");
-    const size_t n = dag.nodeCount();
-    RaceOutcome outcome;
-    outcome.firing.assign(n, TemporalValue::never());
-
-    // For AND nodes, count in-edges still waiting; the node fires on
-    // the last arrival.  For OR nodes, the first arrival fires it and
-    // later arrivals are absorbed (the gate is already high).
-    std::vector<size_t> waiting(n);
-    for (graph::NodeId id = 0; id < n; ++id)
-        waiting[id] = dag.inEdges(id).size();
-
-    sim::EventQueue queue;
-    // At most one pending arrival per edge can be in flight.
-    queue.reserve(dag.edgeCount());
-
-    // fire() marks a node and schedules the arrivals it causes.
-    std::function<void(graph::NodeId)> fire = [&](graph::NodeId node) {
-        outcome.firing[node] = TemporalValue::at(queue.now());
-        outcome.horizon = std::max(outcome.horizon, queue.now());
-        for (uint32_t idx : dag.outEdges(node)) {
-            const graph::Edge &edge = dag.edges()[idx];
-            queue.scheduleIn(static_cast<sim::Tick>(edge.weight), [&, edge] {
-                graph::NodeId to = edge.to;
-                if (outcome.firing[to].fired())
-                    return; // OR node already high
-                if (type == RaceType::Or) {
-                    fire(to);
-                } else {
-                    rl_assert(waiting[to] > 0, "arrival underflow");
-                    if (--waiting[to] == 0)
-                        fire(to); // last arrival = max
-                }
-            });
-        }
-    };
-
-    for (graph::NodeId s : sources) {
-        rl_assert(s < n, "bad source node ", s);
-        // In AND mode a source with in-edges would double-fire; the
-        // injected edge simply dominates (hardware ties the input
-        // high), so clear its waiting count.
-        waiting[s] = 0;
-        if (!outcome.firing[s].fired())
-            fire(s);
-    }
-
-    outcome.events = horizon == sim::kTickInfinity
-                         ? queue.run()
-                         : queue.runUntil(horizon);
-    return outcome;
-}
-
 bool
 andRaceMatchesDp(const graph::Dag &dag,
                  const std::vector<graph::NodeId> &sources)

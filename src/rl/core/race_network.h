@@ -15,14 +15,13 @@
  *    "wavefront").  It runs on the bucketed wavefront kernel
  *    (rl/core/wavefront.h -- Dial's algorithm, O(E + T), no heap and
  *    no per-event allocation), which takes delays up to
- *    kMaxWavefrontWeight; raceDagEventDriven() is the original
- *    heap-scheduled kernel, kept as the reference the wavefront
- *    kernel is tested and benchmarked against.
+ *    kMaxWavefrontWeight.  Its oracle is the DAG DP
+ *    (graph::solveDag).
  *
  *  - compileRaceCircuit(): an actual gate-level netlist (OR/AND
  *    gates + DFF delay chains) runnable on circuit::SyncSim.  This
- *    is the synthesizable artifact; the event backend and the DP
- *    oracle validate it.
+ *    is the synthesizable artifact; raceDag() and the DP oracle
+ *    validate it.
  */
 
 #ifndef RACELOGIC_CORE_RACE_NETWORK_H
@@ -33,7 +32,7 @@
 #include "rl/circuit/netlist.h"
 #include "rl/core/temporal.h"
 #include "rl/graph/dag.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 
 namespace racelogic::core {
 
@@ -43,12 +42,13 @@ enum class RaceType {
     And, ///< last arrival wins: max / longest path
 };
 
-/** Outcome of an event-driven race. */
+/** Outcome of a race over a DAG. */
 struct RaceOutcome {
     /** Per-node firing time ("never" where the signal can't reach). */
     std::vector<TemporalValue> firing;
 
-    /** Events processed by the simulation. */
+    /** Arrivals scheduled: each out-edge of a fired node whose
+     *  arrival is within the horizon, first to its target or not. */
     uint64_t events = 0;
 
     /** Latest firing time among fired nodes (total race duration). */
@@ -86,17 +86,6 @@ RaceOutcome raceDag(const graph::Dag &dag,
                     const std::vector<graph::NodeId> &sources,
                     RaceType type,
                     sim::Tick horizon = sim::kTickInfinity);
-
-/**
- * The original heap-scheduled kernel: one sim::EventQueue callback
- * per edge arrival.  Same semantics (and same outcome, event counts
- * included) as raceDag() for any delay; kept only as the reference
- * the wavefront kernel is tested and benchmarked against.
- */
-RaceOutcome raceDagEventDriven(const graph::Dag &dag,
-                               const std::vector<graph::NodeId> &sources,
-                               RaceType type,
-                               sim::Tick horizon = sim::kTickInfinity);
 
 /**
  * True iff an AND-type race over this graph/source set computes the

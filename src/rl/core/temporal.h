@@ -23,7 +23,7 @@
 #include <algorithm>
 #include <initializer_list>
 
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::core {

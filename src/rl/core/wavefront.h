@@ -4,10 +4,8 @@
  * sweep for the edit grid.
  *
  * The paper's OR-type race *is* a shortest-path wavefront sweeping the
- * edit graph one clock cycle at a time; the generic discrete-event
- * simulator (sim::EventQueue) models that with a binary heap of
- * std::function closures -- one heap allocation plus O(log E) ordering
- * work per edge arrival.  Two cheaper kernels are provided:
+ * edit graph one clock cycle at a time.  Two kernels race it without
+ * a priority queue of events (O(log E) ordering work per arrival):
  *
  *  - WavefrontRaceKernel: races any graph::Dag via its packed CSR
  *    view.  Race Logic delays are small bounded integers, so a
@@ -42,11 +40,14 @@
  *    The CPU alone picks the sweep, once per process
  *    (sweepLanes()); nothing else selects it.
  *
- * The event-driven reference (rl/core/race_network.h
- * raceDagEventDriven), the bucketed kernel and both sweeps agree on
- * firing times *and* event counts; the equivalence suite in
- * tests/core_wavefront_test.cc checks them against each other and
- * against the DP oracle.
+ * The bucketed kernel fires every node at its DAG DP value
+ * (graph::solveDag; for an And race, where andRaceMatchesDp() holds)
+ * when that is within the horizon, and schedules exactly the
+ * out-edges of fired nodes that land within it.  The equivalence
+ * suite in tests/core_wavefront_test.cc checks firing times, event
+ * counts and the latest firing against that closed form, and both
+ * sweeps against the bucketed kernel on the materialized graph, event
+ * counts included.
  */
 
 #ifndef RACELOGIC_CORE_WAVEFRONT_H

@@ -38,7 +38,7 @@
 #include "rl/pangraph/graph_align_kernel.h"
 #include "rl/pangraph/mapping.h"
 #include "rl/pangraph/variation_graph.h"
-#include "rl/sim/event_queue.h"
+#include "rl/sim/tick.h"
 
 namespace racelogic::pangraph {
 

@@ -190,10 +190,6 @@ RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
         }
         fifo.pop_front();
     }
-    // Shedding the whole backlog can finish the drain: wake
-    // waitDrained() just as markDone() would have.
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
     return batch;
 }
 
@@ -205,8 +201,6 @@ RequestQueue::markDone(size_t n)
               "markDone() retires more jobs than are inflight");
     counters.inflight -= n;
     counters.completed += n;
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
 }
 
 void
@@ -222,8 +216,6 @@ RequestQueue::markDone(const std::array<uint64_t, kPriorityClasses> &byClass)
     counters.completed += n;
     for (size_t c = 0; c < kPriorityClasses; ++c)
         counters.classes[c].completed += byClass[c];
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
 }
 
 void
@@ -246,17 +238,6 @@ RequestQueue::beginShutdown()
     std::lock_guard<std::mutex> lock(mutex);
     shuttingDown = true;
     readable.notify_all();
-    if (counters.queued == 0 && counters.inflight == 0)
-        drained.notify_all();
-}
-
-void
-RequestQueue::waitDrained()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    drained.wait(lock, [&] {
-        return counters.queued == 0 && counters.inflight == 0;
-    });
 }
 
 QueueStats

@@ -200,9 +200,6 @@ class RequestQueue
     /** Reject new pushes from now on; drain() keeps emptying. */
     void beginShutdown();
 
-    /** Block until queued == 0 and inflight == 0. */
-    void waitDrained();
-
     /** Coherent counter snapshot (single mutex acquisition). */
     QueueStats stats() const;
 
@@ -217,7 +214,6 @@ class RequestQueue
 
     mutable std::mutex mutex;
     std::condition_variable readable; ///< jobs available / shutdown
-    std::condition_variable drained;  ///< everything retired
     std::array<std::deque<QueuedJob>, kPriorityClasses> jobs;
     QueueStats counters;
     bool shuttingDown = false;

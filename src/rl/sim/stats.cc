@@ -7,135 +7,6 @@
 
 namespace racelogic::sim {
 
-void
-RunningStats::add(double sample)
-{
-    if (n == 0) {
-        lo = hi = sample;
-    } else {
-        lo = std::min(lo, sample);
-        hi = std::max(hi, sample);
-    }
-    ++n;
-    total += sample;
-    double delta = sample - mu;
-    mu += delta / static_cast<double>(n);
-    m2 += delta * (sample - mu);
-}
-
-double
-RunningStats::min() const
-{
-    rl_assert(n > 0, "min of empty stats");
-    return lo;
-}
-
-double
-RunningStats::max() const
-{
-    rl_assert(n > 0, "max of empty stats");
-    return hi;
-}
-
-double
-RunningStats::mean() const
-{
-    rl_assert(n > 0, "mean of empty stats");
-    return mu;
-}
-
-double
-RunningStats::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    return m2 / static_cast<double>(n);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    uint64_t combined = n + other.n;
-    double delta = other.mu - mu;
-    double new_mu = mu + delta * static_cast<double>(other.n) /
-                             static_cast<double>(combined);
-    m2 = m2 + other.m2 +
-         delta * delta * static_cast<double>(n) *
-             static_cast<double>(other.n) / static_cast<double>(combined);
-    mu = new_mu;
-    total += other.total;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-    n = combined;
-}
-
-void
-Histogram::add(int64_t value, uint64_t weight)
-{
-    counts[value] += weight;
-    n += weight;
-}
-
-uint64_t
-Histogram::at(int64_t value) const
-{
-    auto it = counts.find(value);
-    return it == counts.end() ? 0 : it->second;
-}
-
-int64_t
-Histogram::minValue() const
-{
-    rl_assert(n > 0, "minValue of empty histogram");
-    return counts.begin()->first;
-}
-
-int64_t
-Histogram::maxValue() const
-{
-    rl_assert(n > 0, "maxValue of empty histogram");
-    return counts.rbegin()->first;
-}
-
-double
-Histogram::mean() const
-{
-    rl_assert(n > 0, "mean of empty histogram");
-    double acc = 0.0;
-    for (const auto &[value, weight] : counts)
-        acc += static_cast<double>(value) * static_cast<double>(weight);
-    return acc / static_cast<double>(n);
-}
-
-int64_t
-Histogram::percentile(double fraction) const
-{
-    rl_assert(n > 0, "percentile of empty histogram");
-    rl_assert(fraction > 0.0 && fraction <= 1.0,
-              "fraction out of range: ", fraction);
-    uint64_t needed = static_cast<uint64_t>(
-        std::ceil(fraction * static_cast<double>(n)));
-    uint64_t seen = 0;
-    for (const auto &[value, weight] : counts) {
-        seen += weight;
-        if (seen >= needed)
-            return value;
-    }
-    return counts.rbegin()->first;
-}
-
 namespace {
 
 /**
@@ -176,16 +47,6 @@ solveLinear(std::vector<std::vector<double>> a, std::vector<double> b)
 } // namespace
 
 std::vector<double>
-polyFit(const std::vector<double> &xs, const std::vector<double> &ys,
-        unsigned degree)
-{
-    std::vector<unsigned> powers(degree + 1);
-    for (unsigned k = 0; k <= degree; ++k)
-        powers[k] = k;
-    return monomialFit(xs, ys, powers);
-}
-
-std::vector<double>
 monomialFit(const std::vector<double> &xs, const std::vector<double> &ys,
             const std::vector<unsigned> &powers)
 {
@@ -216,38 +77,6 @@ monomialFit(const std::vector<double> &xs, const std::vector<double> &ys,
     for (size_t t = 0; t < terms; ++t)
         dense[powers[t]] = solution[t];
     return dense;
-}
-
-double
-polyEval(const std::vector<double> &coefficients, double x)
-{
-    double acc = 0.0;
-    for (size_t k = coefficients.size(); k-- > 0;)
-        acc = acc * x + coefficients[k];
-    return acc;
-}
-
-double
-rSquared(const std::vector<double> &observed,
-         const std::vector<double> &predicted)
-{
-    rl_assert(observed.size() == predicted.size() && !observed.empty(),
-              "mismatched rSquared inputs");
-    double mean = 0.0;
-    for (double y : observed)
-        mean += y;
-    mean /= static_cast<double>(observed.size());
-    double ss_res = 0.0;
-    double ss_tot = 0.0;
-    for (size_t i = 0; i < observed.size(); ++i) {
-        double r = observed[i] - predicted[i];
-        double d = observed[i] - mean;
-        ss_res += r * r;
-        ss_tot += d * d;
-    }
-    if (ss_tot == 0.0)
-        return ss_res == 0.0 ? 1.0 : 0.0;
-    return 1.0 - ss_res / ss_tot;
 }
 
 } // namespace racelogic::sim

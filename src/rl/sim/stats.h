@@ -1,106 +1,33 @@
 /**
  * @file
- * Statistics collection for simulations and benches.
+ * Least-squares fitting for the figure benches.
  *
- * Provides the handful of aggregates the reproduction needs: running
- * scalar summaries, integer histograms, and an ordinary-least-squares
- * polynomial fit.  The fit is what regenerates the paper's Eq. 5
- * (energy-vs-N polynomials fitted to simulated points).
+ * One fit: the constrained monomial fit that regenerates the paper's
+ * Eq. 5 (energy-vs-N polynomials fitted to simulated points, in
+ * bench_fig5_scaling).
  */
 
 #ifndef RACELOGIC_SIM_STATS_H
 #define RACELOGIC_SIM_STATS_H
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace racelogic::sim {
-
-/** Running scalar summary: count / min / max / mean / stddev. */
-class RunningStats
-{
-  public:
-    /** Fold one sample into the summary. */
-    void add(double sample);
-
-    uint64_t count() const { return n; }
-    double min() const;
-    double max() const;
-    double mean() const;
-    /** Population variance (0 for fewer than 2 samples). */
-    double variance() const;
-    double stddev() const;
-    double sum() const { return total; }
-
-    /** Merge another summary into this one. */
-    void merge(const RunningStats &other);
-
-  private:
-    uint64_t n = 0;
-    double total = 0.0;
-    double m2 = 0.0;      // sum of squared deviations (Welford)
-    double mu = 0.0;      // running mean (Welford)
-    double lo = 0.0;
-    double hi = 0.0;
-};
-
-/** Sparse integer histogram. */
-class Histogram
-{
-  public:
-    void add(int64_t value, uint64_t weight = 1);
-
-    uint64_t count() const { return n; }
-    uint64_t at(int64_t value) const;
-    int64_t minValue() const;
-    int64_t maxValue() const;
-    double mean() const;
-
-    /** Value v such that >= fraction of mass is <= v (fraction in (0,1]). */
-    int64_t percentile(double fraction) const;
-
-    /** Iterate buckets in increasing value order. */
-    const std::map<int64_t, uint64_t> &buckets() const { return counts; }
-
-  private:
-    std::map<int64_t, uint64_t> counts;
-    uint64_t n = 0;
-};
-
-/**
- * Ordinary least squares fit of y = sum_k c[k] * x^k.
- *
- * @param xs      Sample abscissae.
- * @param ys      Sample ordinates (same length as xs).
- * @param degree  Highest power of x in the model.
- * @return Coefficients c[0..degree], constant term first.
- *
- * Used to regenerate the paper's Eq. 5 coefficients from simulated
- * energy points.  Solves the normal equations by Gaussian elimination
- * with partial pivoting, which is ample for degree <= 4 fits.
- */
-std::vector<double> polyFit(const std::vector<double> &xs,
-                            const std::vector<double> &ys,
-                            unsigned degree);
 
 /**
  * Constrained monomial fit y = sum_{k in powers} c[k] * x^k.
  *
  * The paper fits energy to exactly aN^3 + bN^2 (no constant or linear
- * term); this variant reproduces that model family directly.
+ * term); this fit reproduces that model family directly.  Solves the
+ * normal equations by Gaussian elimination with partial pivoting,
+ * which is ample for a handful of terms.
+ *
+ * @return Coefficients indexed by power, c[0..max(powers)]; powers
+ *         outside the model are 0.
  */
 std::vector<double> monomialFit(const std::vector<double> &xs,
                                 const std::vector<double> &ys,
                                 const std::vector<unsigned> &powers);
-
-/** Evaluate a polyFit-style coefficient vector at x. */
-double polyEval(const std::vector<double> &coefficients, double x);
-
-/** Coefficient of determination R^2 for predictions vs observations. */
-double rSquared(const std::vector<double> &observed,
-                const std::vector<double> &predicted);
 
 } // namespace racelogic::sim
 

@@ -167,65 +167,6 @@ TEST(GlobalAlign, TwoRowScoreMatchesFullTable)
     }
 }
 
-// --------------------------------------------------------- Hirschberg
-
-class Hirschberg : public ::testing::TestWithParam<int> {};
-
-TEST_P(Hirschberg, OptimalAndValidOnRandomPairs)
-{
-    util::Rng rng(26000 + GetParam());
-    ScoreMatrix cost = ScoreMatrix::dnaShortestPath();
-    ScoreMatrix inf = ScoreMatrix::dnaShortestPathInfMismatch();
-    ScoreMatrix sim = ScoreMatrix::blosum62();
-    {
-        Sequence a = Sequence::random(rng, Alphabet::dna(),
-                                      rng.index(30));
-        Sequence b = Sequence::random(rng, Alphabet::dna(),
-                                      rng.index(30));
-        for (const ScoreMatrix *m : {&cost, &inf}) {
-            auto h = bio::hirschbergAlign(a, b, *m);
-            EXPECT_EQ(h.score, bio::globalScore(a, b, *m));
-            EXPECT_EQ(bio::checkAlignment(a, b, *m, h), "");
-        }
-    }
-    {
-        Sequence a = Sequence::random(rng, Alphabet::protein(),
-                                      1 + rng.index(20));
-        Sequence b = Sequence::random(rng, Alphabet::protein(),
-                                      1 + rng.index(20));
-        auto h = bio::hirschbergAlign(a, b, sim);
-        EXPECT_EQ(h.score, bio::globalScore(a, b, sim));
-        EXPECT_EQ(bio::checkAlignment(a, b, sim, h), "");
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Hirschberg, ::testing::Range(0, 15));
-
-TEST(HirschbergEdge, EmptyAndSingletonInputs)
-{
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    Sequence e(Alphabet::dna());
-    Sequence s = dna("ACGT");
-    EXPECT_EQ(bio::hirschbergAlign(e, s, m).score, 4);
-    EXPECT_EQ(bio::hirschbergAlign(s, e, m).score, 4);
-    EXPECT_EQ(bio::hirschbergAlign(e, e, m).score, 0);
-    EXPECT_EQ(bio::hirschbergAlign(dna("A"), s, m).score,
-              bio::globalScore(dna("A"), s, m));
-}
-
-TEST(HirschbergEdge, LongSequencesLinearSpacePath)
-{
-    // The point of Hirschberg: long inputs, full-table memory never
-    // allocated, result still optimal.
-    util::Rng rng(27);
-    Sequence a = Sequence::random(rng, Alphabet::dna(), 400);
-    Sequence b = mutate(rng, a, bio::MutationModel::uniform(0.1));
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    auto h = bio::hirschbergAlign(a, b, m);
-    EXPECT_EQ(h.score, bio::globalScore(a, b, m));
-    EXPECT_EQ(bio::checkAlignment(a, b, m, h), "");
-}
-
 // -------------------------------------------------------- Levenshtein
 
 TEST(Levenshtein, KnownDistances)
@@ -293,52 +234,6 @@ TEST(Lcs, InfMismatchCostIdentityOnRandomPairs)
                         2 * bio::lcsLength(a, b)) +
                       Score(bio::lcsLength(a, b)));
     }
-}
-
-// ---------------------------------------------------- Smith-Waterman
-
-TEST(LocalAlign, FindsEmbeddedMotif)
-{
-    ScoreMatrix sim(Alphabet::dna(), bio::ScoreKind::Similarity);
-    for (bio::Symbol s = 0; s < 4; ++s) {
-        sim.setGap(s, -2);
-        for (bio::Symbol t = 0; t < 4; ++t)
-            sim.setPair(s, t, s == t ? 2 : -1);
-    }
-    Sequence a = dna("TTTTACGTACGTTTTT");
-    Sequence b = dna("GGACGTACGAGG");
-    auto local = bio::localAlign(a, b, sim);
-    EXPECT_GE(local.score, 2 * 8 - 3); // the ACGTACG core
-    EXPECT_GT(local.endA, local.beginA);
-    EXPECT_EQ(local.alignedA.size(), local.alignedB.size());
-}
-
-TEST(LocalAlign, DisjointStringsScoreZero)
-{
-    ScoreMatrix sim(Alphabet::dna(), bio::ScoreKind::Similarity);
-    for (bio::Symbol s = 0; s < 4; ++s) {
-        sim.setGap(s, -2);
-        for (bio::Symbol t = 0; t < 4; ++t)
-            sim.setPair(s, t, s == t ? 2 : -3);
-    }
-    auto local = bio::localAlign(dna("AAAA"), dna("CCCC"), sim);
-    EXPECT_EQ(local.score, 0);
-    EXPECT_TRUE(local.alignedA.empty());
-}
-
-TEST(LocalAlign, AtLeastGlobalOnPerfectMatch)
-{
-    ScoreMatrix blosum = ScoreMatrix::blosum62();
-    Sequence s(Alphabet::protein(), "WWHKTW");
-    auto local = bio::localAlign(s, s, blosum);
-    EXPECT_EQ(local.score, bio::globalScore(s, s, blosum));
-}
-
-TEST(LocalAlignDeath, RejectsCostMatrix)
-{
-    Sequence s = dna("ACGT");
-    EXPECT_DEATH(bio::localAlign(s, s, ScoreMatrix::dnaShortestPath()),
-                 "similarity");
 }
 
 // -------------------------------------------------- checkAlignment

@@ -249,59 +249,4 @@ TEST(GatedFabric, GatingOverheadIsCounted)
     EXPECT_LE(gated.gatingGateCount(), gated.regions() * 6);
 }
 
-// ----------------------------------------------------- banded scores
-
-class BandedDp : public ::testing::TestWithParam<int> {};
-
-TEST_P(BandedDp, WideBandMatchesExactScore)
-{
-    util::Rng rng(18000 + GetParam());
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    Sequence a = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(24));
-    Sequence b = Sequence::random(rng, Alphabet::dna(),
-                                  1 + rng.index(24));
-    size_t band = std::max(a.size(), b.size());
-    EXPECT_EQ(bio::bandedGlobalScore(a, b, m, band),
-              bio::globalScore(a, b, m));
-}
-
-TEST_P(BandedDp, NarrowBandNeverBeatsExact)
-{
-    util::Rng rng(19000 + GetParam());
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    size_t n = 4 + rng.index(20);
-    Sequence a = Sequence::random(rng, Alphabet::dna(), n);
-    Sequence b = Sequence::random(rng, Alphabet::dna(), n);
-    bio::Score exact = bio::globalScore(a, b, m);
-    for (size_t band = 0; band <= n; ++band) {
-        bio::Score banded = bio::bandedGlobalScore(a, b, m, band);
-        if (banded != bio::kScoreInfinity) {
-            EXPECT_GE(banded, exact) << "band " << band;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BandedDp, ::testing::Range(0, 10));
-
-TEST(BandedDp, BandNarrowerThanLengthGapIsInfeasible)
-{
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    Sequence a(Alphabet::dna(), "ACGTACGT");
-    Sequence b(Alphabet::dna(), "AC");
-    EXPECT_EQ(bio::bandedGlobalScore(a, b, m, 2), bio::kScoreInfinity);
-    EXPECT_EQ(bio::bandedGlobalScore(a, b, m, 6),
-              bio::globalScore(a, b, m));
-}
-
-TEST(BandedDp, NearlyIdenticalStringsNeedOnlyTinyBand)
-{
-    util::Rng rng(33);
-    ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    Sequence a = Sequence::random(rng, Alphabet::dna(), 40);
-    Sequence b = mutate(rng, a, bio::MutationModel{0.05, 0.0, 0.0});
-    EXPECT_EQ(bio::bandedGlobalScore(a, b, m, 2),
-              bio::globalScore(a, b, m));
-}
-
 } // namespace

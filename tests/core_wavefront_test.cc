@@ -1,13 +1,14 @@
 /**
  * @file
- * Equivalence suite for the bucketed wavefront race kernel: the new
- * kernel, the heap-scheduled event-queue reference, and the DP oracle
- * must agree node-for-node on randomized DAGs and sequences -- Or and
- * And races, with and without an early-termination horizon -- and the
- * grid-direct kernel must reproduce the materialized edit-graph race
- * exactly (arrival grids and event counts included).  The grid
- * kernel's skewed AVX-512F band must reproduce its row sweep field for
- * field and counter for counter.
+ * Equivalence suite for the wavefront race kernels.  The bucketed
+ * kernel must match the DAG DP oracle node for node on randomized
+ * DAGs -- Or and And races, zero-weight edges, with and without an
+ * early-termination horizon -- with the event count and the latest
+ * firing the DP determines in closed form.  The grid-direct kernel
+ * must reproduce the bucketed kernel's race of the materialized edit
+ * graph exactly (arrival grids and event counts included), and its
+ * skewed AVX-512F band must reproduce its row sweep field for field
+ * and counter for counter.
  */
 
 #include <gtest/gtest.h>
@@ -77,90 +78,109 @@ TEST(CsrView, MatchesAdjacencyOrder)
     }
 }
 
-// ----------------------------------- kernel vs event queue vs oracle
+// ------------------------------------------ bucket kernel vs DP oracle
 
-void
-expectSameOutcome(const RaceOutcome &got, const RaceOutcome &want)
+/** The largest DP value of a reached node: the full race's latest
+ *  firing. */
+sim::Tick
+latestDp(const graph::PathResult &dp)
 {
-    ASSERT_EQ(got.firing.size(), want.firing.size());
-    for (size_t n = 0; n < want.firing.size(); ++n)
-        EXPECT_TRUE(got.firing[n] == want.firing[n]) << "node " << n;
-    EXPECT_EQ(got.events, want.events);
-    EXPECT_EQ(got.horizon, want.horizon);
+    sim::Tick latest = 0;
+    for (NodeId n = 0; n < dp.distance.size(); ++n)
+        if (dp.reached(n))
+            latest =
+                std::max(latest, static_cast<sim::Tick>(dp.distance[n]));
+    return latest;
+}
+
+graph::PathResult
+dpOf(const Dag &d, const std::vector<NodeId> &sources, RaceType type)
+{
+    return graph::solveDag(d, sources,
+                           type == RaceType::Or ? Objective::Shortest
+                                                : Objective::Longest);
+}
+
+/**
+ * Race `sources` over `d` under `horizon` on the bucket kernel and
+ * check it against the DAG DP `dp` and the closed form that follows
+ * from it: a node fires at its DP value iff that value is within the
+ * horizon; each fired node schedules exactly those out-edges that land
+ * within the horizon (one event each, first to its target or not);
+ * and the race lasts until the latest firing.
+ */
+void
+expectRaceMatchesDp(const Dag &d, const std::vector<NodeId> &sources,
+                    RaceType type, const graph::PathResult &dp,
+                    sim::Tick horizon)
+{
+    SCOPED_TRACE(testing::Message() << "horizon=" << horizon);
+    RaceOutcome got =
+        WavefrontRaceKernel(d).race(sources, type, horizon);
+    ASSERT_EQ(got.firing.size(), d.nodeCount());
+    uint64_t events = 0;
+    sim::Tick latest = 0;
+    for (NodeId n = 0; n < d.nodeCount(); ++n) {
+        const sim::Tick t = static_cast<sim::Tick>(dp.distance[n]);
+        if (!dp.reached(n) || t > horizon) {
+            EXPECT_FALSE(got.at(n).fired()) << "node " << n;
+            continue;
+        }
+        ASSERT_TRUE(got.at(n).fired()) << "node " << n;
+        EXPECT_EQ(got.at(n).time(), t) << "node " << n;
+        latest = std::max(latest, t);
+        for (uint32_t idx : d.outEdges(n)) {
+            const auto w = static_cast<sim::Tick>(d.edges()[idx].weight);
+            if (t + w <= horizon)
+                ++events;
+        }
+    }
+    EXPECT_EQ(got.events, events);
+    EXPECT_EQ(got.horizon, latest);
 }
 
 class WavefrontVsReference : public ::testing::TestWithParam<int> {};
 
-TEST_P(WavefrontVsReference, OrRaceMatchesEventQueueAndDp)
+TEST_P(WavefrontVsReference, OrRaceMatchesDp)
 {
     util::Rng rng(3100 + GetParam());
     // Zero weights included: wire edges must propagate same-tick.
     Dag d = graph::randomDag(rng, 50, 0.15, {0, 9});
     auto [source, sink] = graph::addSuperEndpoints(d, 1);
     (void)sink;
-
-    RaceOutcome kernel =
-        WavefrontRaceKernel(d).race({source}, RaceType::Or);
-    RaceOutcome reference =
-        core::raceDagEventDriven(d, {source}, RaceType::Or);
-    expectSameOutcome(kernel, reference);
-
-    auto dp = graph::solveDag(d, {source}, Objective::Shortest);
-    for (NodeId n = 0; n < d.nodeCount(); ++n) {
-        if (dp.reached(n))
-            EXPECT_EQ(kernel.at(n).time(),
-                      static_cast<sim::Tick>(dp.distance[n]));
-        else
-            EXPECT_FALSE(kernel.at(n).fired());
-    }
+    expectRaceMatchesDp(d, {source}, RaceType::Or,
+                        dpOf(d, {source}, RaceType::Or),
+                        sim::kTickInfinity);
 }
 
-TEST_P(WavefrontVsReference, AndRaceMatchesEventQueueAndDp)
+TEST_P(WavefrontVsReference, AndRaceMatchesDp)
 {
     util::Rng rng(3500 + GetParam());
-    Dag d = graph::layeredDag(rng, 6, 5, 0.5, {1, 9});
+    // Zero weights included: an And node whose last arrival comes over
+    // a wire fires on its latest predecessor's tick.
+    Dag d = graph::layeredDag(rng, 6, 5, 0.5, {0, 9});
     std::vector<NodeId> sources{0, 1, 2, 3, 4};
     ASSERT_TRUE(core::andRaceMatchesDp(d, sources));
 
-    RaceOutcome kernel =
-        WavefrontRaceKernel(d).race(sources, RaceType::And);
-    RaceOutcome reference =
-        core::raceDagEventDriven(d, sources, RaceType::And);
-    expectSameOutcome(kernel, reference);
-
-    auto dp = graph::solveDag(d, sources, Objective::Longest);
-    for (NodeId n = 0; n < d.nodeCount(); ++n)
-        if (dp.reached(n))
-            EXPECT_EQ(kernel.at(n).time(),
-                      static_cast<sim::Tick>(dp.distance[n]));
+    graph::PathResult dp = dpOf(d, sources, RaceType::And);
+    const sim::Tick latest = latestDp(dp);
+    for (sim::Tick horizon : {sim::Tick(0), sim::Tick(5), latest - 1,
+                              latest, sim::kTickInfinity})
+        expectRaceMatchesDp(d, sources, RaceType::And, dp, horizon);
 }
 
-TEST_P(WavefrontVsReference, HorizonTruncatesIdenticallyOnBothKernels)
+TEST_P(WavefrontVsReference, OrRaceUnderHorizonMatchesDp)
 {
     util::Rng rng(3900 + GetParam());
     Dag d = graph::randomDag(rng, 40, 0.2, {1, 6});
     auto [source, sink] = graph::addSuperEndpoints(d, 1);
     (void)sink;
 
-    RaceOutcome full =
-        WavefrontRaceKernel(d).race({source}, RaceType::Or);
-    for (sim::Tick horizon : {sim::Tick(0), sim::Tick(3), full.horizon}) {
-        RaceOutcome kernel =
-            WavefrontRaceKernel(d).race({source}, RaceType::Or, horizon);
-        RaceOutcome reference = core::raceDagEventDriven(
-            d, {source}, RaceType::Or, horizon);
-        expectSameOutcome(kernel, reference);
-        // A node fires under the horizon iff its full-race arrival is
-        // within it (arrival times are monotone in simulated time).
-        for (NodeId n = 0; n < d.nodeCount(); ++n) {
-            if (full.at(n).fired() && full.at(n).time() <= horizon) {
-                ASSERT_TRUE(kernel.at(n).fired()) << "node " << n;
-                EXPECT_EQ(kernel.at(n).time(), full.at(n).time());
-            } else {
-                EXPECT_FALSE(kernel.at(n).fired()) << "node " << n;
-            }
-        }
-    }
+    graph::PathResult dp = dpOf(d, {source}, RaceType::Or);
+    const sim::Tick latest = latestDp(dp);
+    for (sim::Tick horizon :
+         {sim::Tick(0), sim::Tick(3), latest - 1, latest})
+        expectRaceMatchesDp(d, {source}, RaceType::Or, dp, horizon);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WavefrontVsReference,

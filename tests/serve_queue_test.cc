@@ -187,7 +187,6 @@ TEST(ServeQueue, ShutdownRejectsNewWorkButDrainsOld)
 
     // Nothing left: drain must return empty instead of blocking.
     EXPECT_TRUE(queue.drain(4).empty());
-    queue.waitDrained(); // and waitDrained must not hang
 }
 
 TEST(ServeQueue, DrainShedsExpiredJobs)
@@ -272,28 +271,6 @@ TEST(ServeQueue, SheddingReleasesAdmissionCapacity)
     EXPECT_TRUE(queue.drain(4, &shed).empty());
     ASSERT_EQ(shed.size(), 1u);
     EXPECT_EQ(queue.tryPush(noopJob()), RequestQueue::Admit::Accepted);
-}
-
-TEST(ServeQueue, WaitDrainedWakesWhenShedEmptiesTheQueue)
-{
-    // If shedding retires the last outstanding job, waitDrained()
-    // must wake without a markDone().
-    RequestQueue queue(4);
-    QueuedJob expired = noopJob();
-    expired.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::milliseconds(5);
-    ASSERT_EQ(queue.tryPush(std::move(expired)),
-              RequestQueue::Admit::Accepted);
-    queue.beginShutdown();
-
-    std::thread dispatcher([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        std::vector<QueuedJob> shed;
-        (void)queue.drain(4, &shed);
-    });
-    queue.waitDrained();
-    dispatcher.join();
-    EXPECT_EQ(queue.stats().shedDeadline, 1u);
 }
 
 TEST(ServeQueue, DrainBlocksUntilAJobArrives)
@@ -500,22 +477,6 @@ TEST(ServeQueue, PerClassCompletionKeepsClassLedgersCoherent)
     EXPECT_EQ(stats.classes[2].completed, 2u);
     EXPECT_EQ(stats.completed, 3u);
     expectLedgerCoherent(stats);
-}
-
-TEST(ServeQueue, WaitDrainedBlocksUntilInflightRetires)
-{
-    RequestQueue queue(4);
-    ASSERT_EQ(queue.tryPush(noopJob()), RequestQueue::Admit::Accepted);
-    auto batch = queue.drain(1);
-    queue.beginShutdown();
-
-    std::thread finisher([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        queue.markDone(batch.size());
-    });
-    queue.waitDrained(); // must block until markDone, then return
-    finisher.join();
-    EXPECT_EQ(queue.stats().completed, 1u);
 }
 
 } // namespace

@@ -1,203 +1,21 @@
 /**
  * @file
- * Unit tests for rl/sim: the discrete-event kernel and statistics.
+ * Unit tests for rl/sim: the monomial fit that regenerates Eq. 5.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "rl/sim/event_queue.h"
 #include "rl/sim/stats.h"
 
 namespace {
 
 using namespace racelogic;
-using sim::EventQueue;
-using sim::Tick;
 
-// --------------------------------------------------------- EventQueue
+// -------------------------------------------------------- monomialFit
 
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(5, [&] { order.push_back(5); });
-    q.schedule(1, [&] { order.push_back(1); });
-    q.schedule(3, [&] { order.push_back(3); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
-    EXPECT_EQ(q.now(), 5u);
-}
-
-TEST(EventQueue, TieBreaksByPriorityThenInsertion)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(2, [&] { order.push_back(0); }, /*priority=*/1);
-    q.schedule(2, [&] { order.push_back(1); }, /*priority=*/0);
-    q.schedule(2, [&] { order.push_back(2); }, /*priority=*/0);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
-}
-
-TEST(EventQueue, CallbackMaySchedule)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] {
-        ++fired;
-        q.scheduleIn(4, [&] { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 5u);
-}
-
-TEST(EventQueue, ZeroDelaySelfScheduleFiresSameTick)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(3, [&] {
-        if (++count < 4)
-            q.scheduleIn(0, [&] { ++count; });
-    });
-    q.run();
-    EXPECT_EQ(q.now(), 3u);
-    EXPECT_EQ(count, 2); // one rescheduled event fired
-}
-
-TEST(EventQueue, RunUntilHorizonStopsEarly)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] { ++fired; });
-    q.schedule(10, [&] { ++fired; });
-    size_t n = q.runUntil(5);
-    EXPECT_EQ(n, 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 5u);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, RunWithLimit)
-{
-    EventQueue q;
-    int fired = 0;
-    for (Tick t = 1; t <= 10; ++t)
-        q.schedule(t, [&] { ++fired; });
-    EXPECT_EQ(q.run(3), 3u);
-    EXPECT_EQ(fired, 3);
-    EXPECT_EQ(q.pending(), 7u);
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue q;
-    q.schedule(4, [] {});
-    q.step();
-    q.schedule(9, [] {});
-    q.reset();
-    EXPECT_EQ(q.now(), 0u);
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.fired(), 0u);
-}
-
-TEST(EventQueueDeath, PastSchedulingIsABug)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    q.step();
-    EXPECT_DEATH(q.schedule(5, [] {}), "scheduling into the past");
-}
-
-// ------------------------------------------------------- RunningStats
-
-TEST(RunningStats, BasicAggregates)
-{
-    sim::RunningStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-}
-
-TEST(RunningStats, MergeMatchesCombinedStream)
-{
-    sim::RunningStats a, b, combined;
-    for (int i = 0; i < 50; ++i) {
-        double v = std::sin(i) * 10;
-        (i % 2 ? a : b).add(v);
-        combined.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), combined.min());
-    EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    sim::RunningStats a, b;
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-// ---------------------------------------------------------- Histogram
-
-TEST(Histogram, CountsAndPercentiles)
-{
-    sim::Histogram h;
-    for (int64_t v = 1; v <= 100; ++v)
-        h.add(v);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_EQ(h.minValue(), 1);
-    EXPECT_EQ(h.maxValue(), 100);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    EXPECT_EQ(h.percentile(0.5), 50);
-    EXPECT_EQ(h.percentile(0.99), 99);
-    EXPECT_EQ(h.percentile(1.0), 100);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    sim::Histogram h;
-    h.add(7, 10);
-    h.add(3, 30);
-    EXPECT_EQ(h.count(), 40u);
-    EXPECT_EQ(h.at(7), 10u);
-    EXPECT_EQ(h.at(3), 30u);
-    EXPECT_EQ(h.at(5), 0u);
-    EXPECT_EQ(h.percentile(0.5), 3);
-}
-
-// ------------------------------------------------------------ polyFit
-
-TEST(PolyFit, RecoversExactQuadratic)
-{
-    std::vector<double> xs, ys;
-    for (double x = 1; x <= 20; ++x) {
-        xs.push_back(x);
-        ys.push_back(3.0 * x * x - 2.0 * x + 5.0);
-    }
-    auto c = sim::polyFit(xs, ys, 2);
-    ASSERT_EQ(c.size(), 3u);
-    EXPECT_NEAR(c[0], 5.0, 1e-6);
-    EXPECT_NEAR(c[1], -2.0, 1e-6);
-    EXPECT_NEAR(c[2], 3.0, 1e-6);
-}
-
-TEST(PolyFit, MonomialFitMatchesPaperModelFamily)
+TEST(MonomialFit, MatchesPaperModelFamily)
 {
     // The paper fits energy to a*N^3 + b*N^2 with no lower terms.
     std::vector<double> xs, ys;
@@ -213,24 +31,10 @@ TEST(PolyFit, MonomialFitMatchesPaperModelFamily)
     EXPECT_NEAR(c[0], 0.0, 1e-9);
 }
 
-TEST(PolyFit, PolyEvalHorner)
+TEST(MonomialFitDeath, NeedsEnoughPoints)
 {
-    std::vector<double> c{1.0, 2.0, 3.0}; // 1 + 2x + 3x^2
-    EXPECT_DOUBLE_EQ(sim::polyEval(c, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(sim::polyEval(c, 2.0), 17.0);
-}
-
-TEST(PolyFit, RSquaredPerfectAndPoor)
-{
-    std::vector<double> obs{1, 2, 3, 4};
-    EXPECT_DOUBLE_EQ(sim::rSquared(obs, obs), 1.0);
-    std::vector<double> bad{4, 3, 2, 1};
-    EXPECT_LT(sim::rSquared(obs, bad), 0.0); // worse than the mean
-}
-
-TEST(PolyFitDeath, NeedsEnoughPoints)
-{
-    EXPECT_DEATH(sim::polyFit({1.0}, {1.0}, 2), "at least as many");
+    EXPECT_DEATH(sim::monomialFit({1.0}, {1.0}, {3, 2}),
+                 "at least as many");
 }
 
 } // namespace
