@@ -10,15 +10,16 @@
 #include <iostream>
 
 #include "rl/bio/score_matrix.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/tech/cell_library.h"
+#include "rl/util/random.h"
 #include "rl/util/table.h"
 
 using namespace racelogic;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using core::DelayEncoding;
-using core::GeneralizedGridCircuit;
+using core::GridFabric;
 
 namespace {
 
@@ -50,11 +51,9 @@ main()
     for (bio::Score ndr : {2, 4, 8, 16, 32, 64}) {
         ScoreMatrix m = matrixWithRange(ndr);
         auto onehot =
-            GeneralizedGridCircuit::cellInventory(m,
-                                                  DelayEncoding::OneHot);
+            core::generalizedCellInventory(m, DelayEncoding::OneHot);
         auto binary =
-            GeneralizedGridCircuit::cellInventory(m,
-                                                  DelayEncoding::Binary);
+            core::generalizedCellInventory(m, DelayEncoding::Binary);
         double area_oh = lib.areaOfInventory(onehot);
         double area_bin = lib.areaOfInventory(binary);
         table.row(ndr, onehot[size_t(circuit::GateType::Dff)],
@@ -74,14 +73,19 @@ main()
                       "same scores (3x3 fabric, N_DR = 8)");
     util::Rng rng(4);
     ScoreMatrix m = matrixWithRange(8);
-    GeneralizedGridCircuit onehot(m, 3, 3, DelayEncoding::OneHot);
-    GeneralizedGridCircuit binary(m, 3, 3, DelayEncoding::Binary);
+    const GridFabric onehot =
+        GridFabric::generalized(m, 3, 3, DelayEncoding::OneHot);
+    const GridFabric binary =
+        GridFabric::generalized(m, 3, 3, DelayEncoding::Binary);
+    circuit::CompiledSim onehot_sim(onehot.compiled());
+    circuit::CompiledSim binary_sim(binary.compiled());
     util::TextTable agree({"pair", "one-hot", "binary"});
     for (int trial = 0; trial < 4; ++trial) {
         auto a = bio::Sequence::random(rng, Alphabet::dna(), 3);
         auto b = bio::Sequence::random(rng, Alphabet::dna(), 3);
-        agree.row(a.str() + "/" + b.str(), onehot.align(a, b).score,
-                  binary.align(a, b).score);
+        agree.row(a.str() + "/" + b.str(),
+                  core::raceFabricPair(onehot_sim, onehot, a, b).score,
+                  core::raceFabricPair(binary_sim, binary, a, b).score);
     }
     agree.print(std::cout);
     return 0;

@@ -8,8 +8,8 @@
 #include <iostream>
 
 #include "rl/bio/align_dp.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/tech/area_model.h"
 #include "rl/tech/cell_library.h"
 #include "rl/util/table.h"
@@ -38,8 +38,10 @@ main()
 
     util::printBanner(std::cout,
                       "Fig. 4a: gate-level fabric, N = M = 7");
-    core::RaceGridCircuit fabric(Alphabet::dna(), 7, 7);
-    auto run = fabric.align(q, p);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(Alphabet::dna(), 7, 7);
+    circuit::CompiledSim sim(fabric.compiled());
+    auto run = core::raceFabricPair(sim, fabric, q, p);
     auto counts = fabric.netlist().typeCounts();
     util::TextTable hw({"metric", "value"});
     hw.row("gate-level score", run.score);
@@ -57,7 +59,7 @@ main()
     util::printBanner(std::cout,
                       "Unit cell inventory (Fig. 4b: OR + 3 DFF + "
                       "AND + XNOR comparator)");
-    auto cell = core::RaceGridCircuit::unitCellInventory(2);
+    auto cell = core::unitCellInventory(2);
     util::TextTable cell_table({"gate", "count"});
     for (size_t t = 0; t < circuit::kGateTypeCount; ++t)
         if (cell[t])

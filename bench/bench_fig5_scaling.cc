@@ -17,8 +17,8 @@
 #include <iostream>
 
 #include "rl/bio/sequence.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/sim/stats.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/tech/area_model.h"
@@ -143,17 +143,16 @@ refitEquation5(const CellLibrary &lib)
     util::Rng rng(99);
     std::vector<double> xs, ys_worst, ys_best;
     for (size_t n = 4; n <= 28; n += 4) {
-        core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+        const core::GridFabric fabric =
+            core::GridFabric::unitCells(Alphabet::dna(), n, n);
+        circuit::CompiledSim sim(fabric.compiled());
         auto [wa, wb] = bio::worstCasePair(rng, Alphabet::dna(), n);
-        fabric.sim().clearActivity();
-        fabric.align(wa, wb);
-        double worst =
-            tech::energyFromActivityJ(lib, fabric.sim().activity());
+        core::raceFabricPair(sim, fabric, wa, wb);
+        double worst = tech::energyFromActivityJ(lib, sim.activity());
         Sequence same = Sequence::random(rng, Alphabet::dna(), n);
-        fabric.sim().clearActivity();
-        fabric.align(same, same);
-        double best =
-            tech::energyFromActivityJ(lib, fabric.sim().activity());
+        sim.clearActivity();
+        core::raceFabricPair(sim, fabric, same, same);
+        double best = tech::energyFromActivityJ(lib, sim.activity());
         xs.push_back(double(n));
         ys_worst.push_back(worst * 1e12);
         ys_best.push_back(best * 1e12);

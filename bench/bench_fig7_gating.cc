@@ -12,9 +12,8 @@
 
 #include "rl/bio/sequence.h"
 #include "rl/core/clock_gating.h"
-#include "rl/core/gated_grid_circuit.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/tech/energy_model.h"
 #include "rl/util/random.h"
 #include "rl/util/strings.h"
@@ -91,17 +90,19 @@ main()
                                 "gating gates"});
     for (size_t n : {8u, 12u, 16u}) {
         auto [a, b] = bio::worstCasePair(rng, Alphabet::dna(), n);
-        core::RaceGridCircuit plain(Alphabet::dna(), n, n);
-        plain.sim().clearActivity();
-        auto r_plain = plain.align(a, b);
+        const core::GridFabric plain =
+            core::GridFabric::unitCells(Alphabet::dna(), n, n);
+        circuit::CompiledSim plain_sim(plain.compiled());
+        auto r_plain = core::raceFabricPair(plain_sim, plain, a, b);
         for (size_t m : {2u, 4u}) {
-            core::GatedRaceGridCircuit gated(Alphabet::dna(), n, n, m);
-            gated.sim().clearActivity();
-            auto r_gated = gated.align(a, b);
+            const core::GridFabric gated =
+                core::GridFabric::gated(Alphabet::dna(), n, n, m);
+            circuit::CompiledSim gated_sim(gated.compiled());
+            auto r_gated = core::raceFabricPair(gated_sim, gated, a, b);
             uint64_t ungated_clocks =
-                plain.sim().activity().clockedDffCycles;
+                plain_sim.activity().clockedDffCycles;
             uint64_t gated_clocks =
-                gated.sim().activity().clockedDffCycles;
+                gated_sim.activity().clockedDffCycles;
             gate_level.row(
                 n, m,
                 (r_gated.completed &&
@@ -110,7 +111,9 @@ main()
                     : "NO",
                 ungated_clocks, gated_clocks,
                 double(gated_clocks) / double(ungated_clocks),
-                gated.gatingGateCount());
+                // The gated builder adds its gating leaves after the
+                // plain datapath.
+                gated.netlist().gateCount() - plain.netlist().gateCount());
         }
     }
     gate_level.print(std::cout);

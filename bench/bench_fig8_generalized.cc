@@ -14,7 +14,7 @@
 #include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
 #include "rl/bio/score_convert.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/tech/area_model.h"
 #include "rl/tech/cell_library.h"
 #include "rl/util/random.h"
@@ -26,7 +26,6 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 using core::DelayEncoding;
 using core::GeneralizedCellSpec;
-using core::GeneralizedGridCircuit;
 
 int
 main()
@@ -54,8 +53,7 @@ main()
         util::TextTable inv({"encoding", "DFFs", "muxes", "total gates",
                              "cell area um2"});
         for (auto enc : {DelayEncoding::OneHot, DelayEncoding::Binary}) {
-            auto counts =
-                GeneralizedGridCircuit::cellInventory(form.costs, enc);
+            auto counts = core::generalizedCellInventory(form.costs, enc);
             size_t total = 0;
             for (size_t c : counts)
                 total += c;

@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "rl/bio/sequence.h"
-#include "rl/core/race_grid_circuit.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/tech/energy_model.h"
 #include "rl/tech/metrics.h"
 #include "rl/util/random.h"
@@ -124,20 +124,19 @@ measuredActivityPanel(const CellLibrary &lib)
                            "analytic worst J", "meas/analytic"});
     util::Rng rng(9);
     for (size_t n : {16ul, 32ul, 64ul, 128ul}) {
-        core::RaceGridCircuit fabric(bio::Alphabet::dna(), n, n);
+        const core::GridFabric fabric =
+            core::GridFabric::unitCells(bio::Alphabet::dna(), n, n);
+        circuit::CompiledSim sim(fabric.compiled());
         bio::Sequence same =
             bio::Sequence::random(rng, bio::Alphabet::dna(), n);
         auto [w1, w2] = bio::worstCasePair(rng, bio::Alphabet::dna(), n);
 
-        fabric.sim().clearActivity();
-        fabric.align(same, same);
-        double bestJ =
-            tech::energyFromActivityJ(lib, fabric.sim().activity());
+        core::raceFabricPair(sim, fabric, same, same);
+        double bestJ = tech::energyFromActivityJ(lib, sim.activity());
 
-        fabric.sim().clearActivity();
-        fabric.align(w1, w2);
-        double worstJ =
-            tech::energyFromActivityJ(lib, fabric.sim().activity());
+        sim.clearActivity();
+        core::raceFabricPair(sim, fabric, w1, w2);
+        double worstJ = tech::energyFromActivityJ(lib, sim.activity());
 
         double analyticJ =
             tech::raceAnalyticEnergy(lib, n, RaceCase::Worst).totalJ();

@@ -12,9 +12,8 @@
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
 #include "rl/bio/score_convert.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/core/wavefront.h"
 #include "rl/core/wavefront_band.h"
 #include "rl/systolic/lipton_lopresti.h"
@@ -164,30 +163,18 @@ BM_ScreeningRaceWithHorizon(benchmark::State &state)
 BENCHMARK(BM_ScreeningRaceWithHorizon)->Arg(64)->Arg(256);
 
 void
-BM_GateLevelRaceGrid(benchmark::State &state)
-{
-    size_t n = size_t(state.range(0));
-    auto [a, b] = randomPair(3, n);
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fabric.align(a, b).score);
-    // Gate evaluations per comparison ~ gates x cycles.
-    state.SetItemsProcessed(
-        int64_t(state.iterations()) *
-        int64_t(fabric.netlist().gateCount()) * int64_t(2 * n));
-}
-BENCHMARK(BM_GateLevelRaceGrid)->Arg(8)->Arg(16)->Arg(32);
-
-void
 BM_SyncSimGrid(benchmark::State &state)
 {
     // The interpretive reference: full O(gates x cycles) settle
     // loops.  The before-number of the compiled-kernel contrast.
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(3, n);
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(Alphabet::dna(), n, n);
+    circuit::SyncSim sim(fabric.netlist());
     for (auto _ : state)
-        benchmark::DoNotOptimize(fabric.alignReference(a, b).score);
+        benchmark::DoNotOptimize(
+            core::raceFabricPair(sim, fabric, a, b).score);
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(n) * int64_t(n));
 }
@@ -200,9 +187,12 @@ BM_CompiledSimGrid(benchmark::State &state)
     // wavefront's dirty frontier is re-evaluated each cycle.
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(3, n);
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(Alphabet::dna(), n, n);
+    circuit::CompiledSim sim(fabric.compiled());
     for (auto _ : state)
-        benchmark::DoNotOptimize(fabric.align(a, b).score);
+        benchmark::DoNotOptimize(
+            core::raceFabricPair(sim, fabric, a, b).score);
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(n) * int64_t(n));
 }
@@ -217,7 +207,8 @@ BM_CompiledSim64Lane(benchmark::State &state)
     // BM_CompiledSimGrid's per-comparison rate.
     size_t n = size_t(state.range(0));
     util::Rng rng(10);
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(Alphabet::dna(), n, n);
     std::vector<Sequence> as, bs;
     std::vector<core::LanePair> lanes;
     for (unsigned l = 0; l < 64; ++l) {
@@ -273,7 +264,8 @@ BM_GateLevelGeneralizedBuild(benchmark::State &state)
     const ScoreMatrix costs =
         bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
     for (auto _ : state) {
-        core::GeneralizedGridCircuit fabric(costs, 2, 2);
+        const core::GridFabric fabric =
+            core::GridFabric::generalized(costs, 2, 2);
         benchmark::DoNotOptimize(fabric.netlist().gateCount());
     }
 }

@@ -17,7 +17,7 @@
 
 #include "rl/api/api.h"
 #include "rl/circuit/verilog.h"
-#include "rl/core/race_grid_circuit.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/tech/area_model.h"
 #include "rl/util/random.h"
 #include "rl/util/strings.h"
@@ -38,19 +38,17 @@ main(int argc, char **argv)
         return 1;
     }
 
-    core::RaceGridCircuit fabric(bio::Alphabet::dna(), rows, cols);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(bio::Alphabet::dna(), rows, cols);
 
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot write " << path << '\n';
         return 1;
     }
-    // The grid's sink is the last OR gate created; expose it.
-    circuit::NetId sink =
-        static_cast<circuit::NetId>(fabric.netlist().gateCount() - 1);
     circuit::writeVerilog(out, fabric.netlist(),
                           util::format("race_grid_%zux%zu", rows, cols),
-                          {{"done", sink}});
+                          {{"done", fabric.sink()}});
 
     auto counts = fabric.netlist().typeCounts();
     util::printBanner(std::cout, "wrote " + path);

@@ -1,11 +1,13 @@
 #include "rl/api/engine.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "rl/api/validate.h"
 #include "rl/bio/score_convert.h"
 #include "rl/circuit/compiled_sim.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
 #include "rl/core/race_network.h"
 #include "rl/core/scratch_registry.h"
@@ -41,7 +43,7 @@ struct RaceEngine::Plan {
 
     /** Synthesized fabric (GateLevel backend); races run through the
      *  const alignLanes() on a private simulator. */
-    std::unique_ptr<const core::GeneralizedGridCircuit> fabric;
+    std::optional<core::GridFabric> fabric;
 
     /** Lipton-Lopresti array (Systolic backend). */
     std::unique_ptr<const systolic::LiptonLoprestiArray> array;
@@ -186,6 +188,160 @@ applyThresholdVerdict(bio::Score threshold, RaceResult &result)
                              : result.latencyCycles;
 }
 
+/** The threshold a grid-family problem's verdict is judged against. */
+bio::Score
+gridThreshold(const RaceProblem &problem, const EngineConfig &cfg)
+{
+    return problem.kind == ProblemKind::ThresholdScreen ? problem.threshold
+                                                        : cfg.threshold;
+}
+
+/**
+ * The GateLevel cross-check: a replayed sink against the behavioral
+ * race of the same problem.  `threshold` is the bound the replay's
+ * budget came from (kScoreInfinity when the replay ran past the
+ * behavioral arrival).
+ */
+void
+checkGateSink(const RaceResult &behavioral, bool gateFired,
+              bio::Score gateScore, bio::Score threshold)
+{
+    if (gateFired && behavioral.completed) {
+        rl_assert(gateScore == behavioral.racedCost,
+                  "gate-level race disagrees with the behavioral model "
+                  "at the sink: ",
+                  gateScore, " vs ", behavioral.racedCost);
+    } else if (gateFired) {
+        // The behavioral race aborted at its horizon, but the replay
+        // budget may run longer -- its floor of 1 at threshold 0, or
+        // a lane chunk's shared budget -- so the sink may fire, but
+        // only past the threshold.
+        rl_assert(gateScore > threshold,
+                  "gate-level race completed under a threshold the "
+                  "behavioral model aborted at");
+    } else {
+        rl_assert(threshold != bio::kScoreInfinity && !behavioral.accepted,
+                  "gate-level race did not complete within budget");
+    }
+}
+
+/**
+ * Price a GateLevel race from its synthesized netlist's gate counts
+ * and its simulated switching energy (the ModelSim -> PrimeTime
+ * stand-in).
+ */
+void
+priceGates(const tech::CellLibrary &lib,
+           const std::array<size_t, circuit::kGateTypeCount> &counts,
+           double energyJ, HardwareEstimate &estimate)
+{
+    estimate.areaUm2 = lib.areaOfInventory(counts);
+    estimate.energyJ = energyJ;
+    estimate.gateCount =
+        std::accumulate(counts.begin(), counts.end(), size_t(0));
+    estimate.dffCount = counts[static_cast<size_t>(circuit::GateType::Dff)];
+}
+
+/** One already-raced grid-family problem in a GateLevel replay. */
+struct GridLane {
+    const RaceProblem *problem;
+    RaceResult *result;
+};
+
+/**
+ * Replay up to 64 already-raced grid-family problems on their plan's
+ * fabric, one bit-parallel lane each, then cross-check and price every
+ * lane.  The serial GateLevel solve is a chunk of one.
+ *
+ * The lanes share one lock-step budget: the largest lane threshold
+ * (floored at 1, since the fabric treats budget 0 as "unlimited" and
+ * threshold 0 must still reject after one cycle), or the fabric's
+ * full-race default if any lane is unbounded.  Each lane's own Section
+ * 6 verdict is then checked against its own threshold.  Energy is the
+ * measured word's Eq. 3 energy averaged per lane, and profiling
+ * counters describe the one sweep the lanes share, like the activity.
+ */
+void
+replayGridLanes(const core::GridFabric &fabric,
+                std::span<const GridLane> lanes, const EngineConfig &cfg)
+{
+    std::vector<core::LanePair> pairs;
+    pairs.reserve(lanes.size());
+    uint64_t budget = 0;
+    bool unbounded = false;
+    bool wantCounters = false;
+    for (const GridLane &lane : lanes) {
+        const RaceProblem &p = *lane.problem;
+        pairs.push_back({&*p.a, &*p.b});
+        const bio::Score threshold = gridThreshold(p, cfg);
+        if (threshold == bio::kScoreInfinity)
+            unbounded = true;
+        else
+            budget = std::max<uint64_t>(
+                budget, std::max<uint64_t>(
+                            static_cast<uint64_t>(threshold), 1));
+        wantCounters = wantCounters || p.counters != nullptr;
+    }
+    core::KernelCounters counters;
+    const core::LaneBatchResult raced = fabric.alignLanes(
+        pairs, unbounded ? 0 : budget, wantCounters ? &counters : nullptr);
+
+    std::array<size_t, circuit::kGateTypeCount> gateCounts{};
+    double laneEnergyJ = 0.0;
+    if (cfg.withEstimates) {
+        gateCounts = fabric.netlist().typeCounts();
+        laneEnergyJ =
+            tech::energyFromActivityJ(*cfg.library, raced.activity) /
+            static_cast<double>(lanes.size());
+    }
+    for (size_t k = 0; k < lanes.size(); ++k) {
+        const RaceProblem &p = *lanes[k].problem;
+        RaceResult &result = *lanes[k].result;
+        if (p.counters)
+            p.counters->merge(counters);
+        const core::CircuitRunResult &run = raced.lanes[k];
+        checkGateSink(result, run.completed, run.score,
+                      gridThreshold(p, cfg));
+        if (result.estimate)
+            priceGates(*cfg.library, gateCounts, laneEnergyJ,
+                       *result.estimate);
+    }
+}
+
+/**
+ * Replay a materialized race DAG (Dtw, DagPath, Affine, the GraphAlign
+ * product) on gates: compile it to a netlist, race it on the compiled
+ * levelized simulator, cross-check the sink and price.  The budget is
+ * the behavioral arrival plus margin, or -- for a behavioral race that
+ * aborted at its horizon -- `threshold`, floored at 1.
+ */
+void
+replayDagOnGates(const graph::Dag &dag,
+                 const std::vector<graph::NodeId> &sources,
+                 graph::NodeId sink, core::RaceType type,
+                 bio::Score threshold, const EngineConfig &cfg,
+                 RaceResult &result)
+{
+    core::RaceCircuit compiled = core::compileRaceCircuit(dag, sources, type);
+    circuit::CompiledSim sim(compiled.netlist);
+    for (circuit::NetId input : compiled.sourceInputs)
+        sim.setInput(input, true);
+    const uint64_t budget =
+        result.completed
+            ? static_cast<uint64_t>(result.racedCost) + 4
+            : std::max<uint64_t>(static_cast<uint64_t>(threshold), 1);
+    auto gateArrival =
+        sim.runUntil(compiled.nodeNets[sink], true, budget);
+    checkGateSink(result, gateArrival.has_value(),
+                  gateArrival ? static_cast<bio::Score>(*gateArrival)
+                              : bio::kScoreInfinity,
+                  threshold);
+    if (cfg.withEstimates && result.estimate)
+        priceGates(*cfg.library, compiled.netlist.typeCounts(),
+                   tech::energyFromActivityJ(*cfg.library, sim.activity()),
+                   *result.estimate);
+}
+
 } // namespace
 
 size_t
@@ -312,15 +468,15 @@ RaceEngine::buildPlan(const RaceProblem &problem) const
     }
 
     if (cfg.backend == BackendKind::GateLevel)
-        plan->fabric = std::make_unique<const core::GeneralizedGridCircuit>(
+        plan->fabric = core::GridFabric::generalized(
             plan->costs(), problem.a->size(), problem.b->size(),
             cfg.encoding);
     if (cfg.backend == BackendKind::Systolic)
         plan->array = std::make_unique<const systolic::LiptonLoprestiArray>(
             plan->costs());
     if (cfg.withEstimates && cfg.backend != BackendKind::Systolic) {
-        plan->cellInventory = core::GeneralizedGridCircuit::cellInventory(
-            plan->costs(), cfg.encoding);
+        plan->cellInventory =
+            core::generalizedCellInventory(plan->costs(), cfg.encoding);
         plan->hasInventory = true;
     }
     return plan;
@@ -543,8 +699,7 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
     const bio::Sequence &a = *problem.a;
     const bio::Sequence &b = *problem.b;
     const bool screening = problem.kind == ProblemKind::ThresholdScreen;
-    const bio::Score threshold =
-        screening ? problem.threshold : cfg.threshold;
+    const bio::Score threshold = gridThreshold(problem, cfg);
     const tech::CellLibrary &lib = *cfg.library;
 
     RaceResult result;
@@ -642,9 +797,7 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
 {
     const bio::Sequence &a = *problem.a;
     const bio::Sequence &b = *problem.b;
-    const bio::Score threshold =
-        problem.kind == ProblemKind::ThresholdScreen ? problem.threshold
-                                                     : cfg.threshold;
+    const bio::Score threshold = gridThreshold(problem, cfg);
 
     rl_assert(cfg.backend != BackendKind::Systolic ||
                   problem.kind != ProblemKind::GeneralizedAlignment,
@@ -691,51 +844,14 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
     RaceResult result = raceGridBehavioral(problem, *plan);
 
     if (cfg.backend == BackendKind::GateLevel && !result.cancelled) {
-        // Run the same race on the synthesized fabric, as a one-lane
-        // alignLanes(): a private simulator over the plan's shared
-        // compile, so concurrent solves never share simulation state.
-        // Any finite threshold becomes the cycle budget -- the
-        // hardware realization of Section 6's abort -- so the priced
-        // switching activity covers exactly the cycles the fabric is
-        // busy.  Floor at 1: the fabric treats budget 0 as
-        // "unlimited", while threshold 0 must reject after a single
-        // cycle (all weights are >= 1).
-        const bool bounded = threshold < bio::kScoreInfinity;
-        uint64_t budget =
-            bounded ? std::max<uint64_t>(
-                          static_cast<uint64_t>(threshold), 1)
-                    : 0;
-        const core::LaneBatchResult raced =
-            plan->fabric->alignLanes({{&a, &b}}, budget);
-        const core::CircuitRunResult &run = raced.lanes.front();
-        if (run.completed && result.completed) {
-            rl_assert(run.score == result.racedCost,
-                      "gate-level race disagrees with behavioral "
-                      "model: ",
-                      run.score, " vs ", result.racedCost);
-        } else if (run.completed) {
-            // The behavioral race aborted at its horizon, so the
-            // fabric's sink can only have fired past the threshold
-            // (possible only at threshold 0, whose budget floor is 1).
-            rl_assert(run.score > threshold,
-                      "gate-level race completed under a threshold "
-                      "the behavioral model aborted at");
-        } else {
-            rl_assert(bounded && !result.accepted,
-                      "gate-level race did not complete within budget");
-        }
-        if (cfg.withEstimates && result.estimate) {
-            // Priced from the actual synthesized netlist + simulated
-            // switching activity (the ModelSim -> PrimeTime stand-in).
-            auto counts = plan->fabric->netlist().typeCounts();
-            result.estimate->areaUm2 = lib.areaOfInventory(counts);
-            result.estimate->energyJ =
-                tech::energyFromActivityJ(lib, raced.activity);
-            result.estimate->gateCount =
-                plan->fabric->netlist().gateCount();
-            result.estimate->dffCount =
-                counts[static_cast<size_t>(circuit::GateType::Dff)];
-        }
+        // Run the same race on the synthesized fabric: a lane chunk of
+        // one, on a private simulator over the plan's shared compile,
+        // so concurrent solves never share simulation state.  A finite
+        // threshold becomes the cycle budget -- the hardware
+        // realization of Section 6's abort -- so the priced switching
+        // activity covers exactly the cycles the fabric is busy.
+        const GridLane lane{&problem, &result};
+        replayGridLanes(*plan->fabric, {&lane, 1}, cfg);
     }
     return result;
 }
@@ -744,8 +860,8 @@ namespace {
 
 /**
  * Race a DAG problem behaviorally and, on the gate-level backend,
- * compile it to a netlist, replay the race on real gates, and
- * cross-check the sink arrival.  Shared by Dtw / DagPath / Affine.
+ * replay a sink that fired on real gates.  Shared by Dtw / DagPath /
+ * Affine.
  */
 void
 raceDagProblem(const graph::Dag &dag,
@@ -777,30 +893,9 @@ raceDagProblem(const graph::Dag &dag,
         result.estimate = est;
     }
 
-    if (cfg.backend == BackendKind::GateLevel && arrival.fired()) {
-        core::RaceCircuit compiled =
-            core::compileRaceCircuit(dag, sources, type);
-        circuit::CompiledSim sim(compiled.netlist);
-        for (circuit::NetId input : compiled.sourceInputs)
-            sim.setInput(input, true);
-        auto gateArrival =
-            sim.runUntil(compiled.nodeNets[sink], true,
-                         static_cast<uint64_t>(result.racedCost) + 4);
-        rl_assert(gateArrival.has_value() &&
-                      static_cast<bio::Score>(*gateArrival) ==
-                          result.racedCost,
-                  "gate-level race disagrees with the event-driven "
-                  "model at the sink");
-        if (cfg.withEstimates && result.estimate) {
-            auto counts = compiled.netlist.typeCounts();
-            result.estimate->areaUm2 = lib.areaOfInventory(counts);
-            result.estimate->energyJ =
-                tech::energyFromActivityJ(lib, sim.activity());
-            result.estimate->gateCount = compiled.netlist.gateCount();
-            result.estimate->dffCount =
-                counts[static_cast<size_t>(circuit::GateType::Dff)];
-        }
-    }
+    if (cfg.backend == BackendKind::GateLevel && arrival.fired())
+        replayDagOnGates(dag, sources, sink, type, bio::kScoreInfinity, cfg,
+                         result);
 }
 
 } // namespace
@@ -975,46 +1070,8 @@ RaceEngine::solveGraphAlign(const RaceProblem &problem, PlanSlot slot)
     pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
         aligner.compiled(), *problem.a, aligner.costs());
     RaceResult result = raceGraphBehavioral(problem, *plan, &product);
-    core::RaceCircuit compiled = core::compileRaceCircuit(
-        product.dag, {product.source}, core::RaceType::Or);
-    circuit::CompiledSim sim(compiled.netlist);
-    for (circuit::NetId input : compiled.sourceInputs)
-        sim.setInput(input, true);
-    const bool screening = problem.threshold != bio::kScoreInfinity;
-    const uint64_t budget =
-        result.completed
-            ? static_cast<uint64_t>(result.racedCost) + 4
-            : std::max<uint64_t>(
-                  static_cast<uint64_t>(problem.threshold), 1);
-    auto gateArrival =
-        sim.runUntil(compiled.nodeNets[product.sink], true, budget);
-    if (result.completed) {
-        rl_assert(gateArrival.has_value() &&
-                      static_cast<bio::Score>(*gateArrival) ==
-                          result.racedCost,
-                  "gate-level graph race disagrees with the "
-                  "wavefront kernel at the sink");
-    } else {
-        // The behavioral race aborted at its horizon; the budget
-        // floor of 1 (threshold 0) can still let the sink fire --
-        // but only past the threshold.
-        rl_assert(screening &&
-                      (!gateArrival.has_value() ||
-                       static_cast<bio::Score>(*gateArrival) >
-                           problem.threshold),
-                  "gate-level graph race completed under a "
-                  "threshold the behavioral race aborted at");
-    }
-    if (cfg.withEstimates && result.estimate) {
-        const tech::CellLibrary &lib = *cfg.library;
-        auto counts = compiled.netlist.typeCounts();
-        result.estimate->areaUm2 = lib.areaOfInventory(counts);
-        result.estimate->energyJ =
-            tech::energyFromActivityJ(lib, sim.activity());
-        result.estimate->gateCount = compiled.netlist.gateCount();
-        result.estimate->dffCount =
-            counts[static_cast<size_t>(circuit::GateType::Dff)];
-    }
+    replayDagOnGates(product.dag, {product.source}, product.sink,
+                     core::RaceType::Or, problem.threshold, cfg, result);
     return result;
 }
 
@@ -1062,119 +1119,36 @@ RaceEngine::raceBatchGateLevel(
     const std::vector<PlanPtr> &plans,
     std::vector<RaceResult> &results)
 {
-    // Group problem indices by plan (one synthesized fabric per grid
-    // shape) and fill each fabric's 64 bit-parallel lanes.  Cancelled
-    // races have nothing to replay.
+    // Group problems by plan (one synthesized fabric per grid shape)
+    // and fill each fabric's 64 bit-parallel lanes.  Cancelled races
+    // have nothing to replay.
     struct Chunk {
-        const Plan *plan;
-        std::vector<size_t> indices;
+        const core::GridFabric *fabric;
+        std::vector<GridLane> lanes;
     };
     std::vector<Chunk> chunks;
-    std::unordered_map<const Plan *, size_t> open;
+    std::unordered_map<const core::GridFabric *, size_t> open;
     for (size_t i = 0; i < problems.size(); ++i) {
         if (results[i].cancelled)
             continue;
-        const Plan *plan = plans[i].get();
-        auto found = open.find(plan);
+        const core::GridFabric *fabric = &*plans[i]->fabric;
+        auto found = open.find(fabric);
         if (found != open.end() &&
-            chunks[found->second].indices.size() < 64) {
-            chunks[found->second].indices.push_back(i);
+            chunks[found->second].lanes.size() < 64) {
+            chunks[found->second].lanes.push_back(
+                {&problems[i], &results[i]});
         } else {
-            open[plan] = chunks.size();
-            chunks.push_back({plan, {i}});
+            open[fabric] = chunks.size();
+            chunks.push_back({fabric, {{&problems[i], &results[i]}}});
         }
     }
 
-    const tech::CellLibrary &lib = *cfg.library;
+    // Each chunk simulates on a private CompiledSim over its plan's
+    // shared compile and writes only its own results, so chunks race
+    // on the pool.
     auto raceChunk = [&](size_t c) {
-        const Chunk &chunk = chunks[c];
-        const Plan &plan = *chunk.plan;
-
-        // The shared lock-step budget: the largest per-lane threshold
-        // (each lane's own Section 6 verdict is checked below), or
-        // the fabric's full-race default if any lane is unbounded.
-        std::vector<core::LanePair> lanes;
-        lanes.reserve(chunk.indices.size());
-        uint64_t budget = 0;
-        bool unbounded = false;
-        for (size_t idx : chunk.indices) {
-            const RaceProblem &p = problems[idx];
-            lanes.push_back({&*p.a, &*p.b});
-            const bio::Score threshold =
-                p.kind == ProblemKind::ThresholdScreen ? p.threshold
-                                                       : cfg.threshold;
-            if (threshold == bio::kScoreInfinity)
-                unbounded = true;
-            else
-                budget = std::max<uint64_t>(
-                    budget,
-                    std::max<uint64_t>(
-                        static_cast<uint64_t>(threshold), 1));
-        }
-        // alignLanes is const and simulates on a private CompiledSim
-        // over the plan's shared compile, so chunks race on the pool
-        // without touching the fabric's serial-path simulator.
-        // Profiling counters describe the one lock-step sweep the
-        // whole chunk shares (like the chunk's Activity), so each
-        // requesting problem gets the chunk-level merge.
-        core::KernelCounters chunkCounters;
-        bool wantCounters = false;
-        for (size_t idx : chunk.indices)
-            wantCounters = wantCounters ||
-                           problems[idx].counters != nullptr;
-        core::LaneBatchResult raced = plan.fabric->alignLanes(
-            lanes, unbounded ? 0 : budget,
-            wantCounters ? &chunkCounters : nullptr);
-        if (wantCounters)
-            for (size_t idx : chunk.indices)
-                if (problems[idx].counters)
-                    problems[idx].counters->merge(chunkCounters);
-
-        const double chunkEnergyJ =
-            tech::energyFromActivityJ(lib, raced.activity);
-        const auto counts = plan.fabric->netlist().typeCounts();
-        for (size_t k = 0; k < chunk.indices.size(); ++k) {
-            const size_t idx = chunk.indices[k];
-            const RaceProblem &p = problems[idx];
-            const bio::Score threshold =
-                p.kind == ProblemKind::ThresholdScreen ? p.threshold
-                                                       : cfg.threshold;
-            RaceResult &soft = results[idx];
-            const core::CircuitRunResult &run = raced.lanes[k];
-            if (run.completed && soft.completed) {
-                rl_assert(run.score == soft.racedCost,
-                          "gate-level lane race disagrees with "
-                          "behavioral model: ",
-                          run.score, " vs ", soft.racedCost);
-            } else if (run.completed) {
-                // The behavioral race aborted at its own horizon; the
-                // lock-step word kept clocking to the chunk budget,
-                // so the lane's sink may fire -- but only past its
-                // own threshold.
-                rl_assert(run.score > threshold,
-                          "gate-level lane completed under a "
-                          "threshold the behavioral model aborted at");
-            } else {
-                rl_assert(threshold != bio::kScoreInfinity &&
-                              !soft.accepted,
-                          "gate-level lane race did not complete "
-                          "within budget");
-            }
-            if (soft.estimate) {
-                // Priced from the measured chunk activity: the
-                // lock-step word's Eq. 3 energy, averaged per lane
-                // (lanes share one fabric compile and clock).
-                soft.estimate->areaUm2 = lib.areaOfInventory(counts);
-                soft.estimate->energyJ =
-                    chunkEnergyJ / static_cast<double>(lanes.size());
-                soft.estimate->gateCount =
-                    plan.fabric->netlist().gateCount();
-                soft.estimate->dffCount = counts[static_cast<size_t>(
-                    circuit::GateType::Dff)];
-            }
-        }
+        replayGridLanes(*chunks[c].fabric, chunks[c].lanes, cfg);
     };
-
     if (batchWorkerCount() > 1 && chunks.size() > 1)
         threadPool().parallelFor(chunks.size(), raceChunk);
     else

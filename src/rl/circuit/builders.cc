@@ -127,15 +127,6 @@ buildMuxTree(Netlist &netlist, const Bus &select,
 }
 
 Bus
-buildConstBus(Netlist &netlist, uint64_t value, unsigned bits)
-{
-    Bus bus(bits);
-    for (unsigned b = 0; b < bits; ++b)
-        bus[b] = netlist.constant((value >> b) & 1);
-    return bus;
-}
-
-Bus
 buildInputBus(Netlist &netlist, const std::string &prefix, unsigned bits)
 {
     Bus bus(bits);

@@ -62,9 +62,6 @@ NetId buildSetOnArrival(Netlist &netlist, NetId set);
 NetId buildMuxTree(Netlist &netlist, const Bus &select,
                    const std::vector<NetId> &data);
 
-/** Constant bus of `bits` nets encoding `value` (LSB first). */
-Bus buildConstBus(Netlist &netlist, uint64_t value, unsigned bits);
-
 /** Primary-input bus named `prefix`0..`prefix`(bits-1). */
 Bus buildInputBus(Netlist &netlist, const std::string &prefix,
                   unsigned bits);
@@ -74,9 +71,6 @@ Bus buildInputBus(Netlist &netlist, const std::string &prefix,
  * the two symbol buses carry the same code.
  */
 NetId buildMatchComparator(Netlist &netlist, const Bus &a, const Bus &b);
-
-/** Drive a bus of primary inputs with an integer value. */
-class SyncSim;
 
 } // namespace racelogic::circuit
 

@@ -19,7 +19,8 @@ isCombinational(GateType type)
 
 } // namespace
 
-CompiledNetlist::CompiledNetlist(const Netlist &netlist) : src(&netlist)
+CompiledNetlist::CompiledNetlist(const Netlist &netlist)
+    : inputIds(netlist.inputs().begin(), netlist.inputs().end())
 {
     netlist.validate();
     const size_t n = netlist.gateCount();
@@ -429,8 +430,7 @@ CompiledSim::reset()
     // Like SyncSim::reset: silent (reset energy is amortized outside
     // the measured loop), activity preserved.
     counting = false;
-    const Netlist &netlist = code->source();
-    for (NetId in : netlist.inputs())
+    for (uint32_t in : code->inputIds)
         commit(in, 0);
     for (size_t i = 0; i < code->dffCount(); ++i) {
         state[i] = code->dffInit[i] ? mask : 0;

@@ -68,25 +68,21 @@ namespace racelogic::circuit {
  * Immutable after construction and referenced (not copied) by any
  * number of CompiledSim instances, so one synthesized fabric can be
  * raced concurrently from many threads, each with its own sim state
- * -- compile once, simulate many.  Keeps a pointer to the source
- * netlist, which must outlive it.
+ * -- compile once, simulate many.  Self-contained: it copies what it
+ * needs from the netlist, which may then be moved or destroyed.
  */
 class CompiledNetlist
 {
   public:
     explicit CompiledNetlist(const Netlist &netlist);
 
-    const Netlist &source() const { return *src; }
     size_t netCount() const { return types.size(); }
     size_t dffCount() const { return dffIds.size(); }
-
-    /** Combinational depth (levels; level 0 = sources/DFF outputs). */
-    size_t levelCount() const { return levels; }
 
   private:
     friend class CompiledSim;
 
-    const Netlist *src;
+    std::vector<uint32_t> inputIds; ///< primary inputs (reset drives them low)
 
     /** @name Per-net arrays (index = NetId) @{ */
     std::vector<uint8_t> types;    ///< GateType

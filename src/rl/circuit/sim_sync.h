@@ -57,11 +57,16 @@ struct Activity {
     std::vector<uint64_t> perNet;
 };
 
-/** Cycle-accurate two-phase (settle, clock) netlist simulator. */
+/**
+ * Cycle-accurate two-phase (settle, clock) netlist simulator: the
+ * interpretive reference the compiled kernel is checked against, and
+ * the reference path of core::raceFabricPair().
+ */
 class SyncSim
 {
   public:
-    /** Bind to a netlist (validated on construction). */
+    /** Bind to a netlist (validated on construction), which must
+     *  outlive the simulator. */
     explicit SyncSim(const Netlist &netlist);
 
     /** Drive a primary input (takes effect at the current cycle). */

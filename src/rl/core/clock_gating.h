@@ -96,8 +96,8 @@ struct MeasuredGatedClocks {
 
 /**
  * Split the clockedDffCycles a gate-level simulation measured on a
- * GatedRaceGridCircuit into the un-gated boundary frame (rows + cols
- * DFFs, clocked every cycle by construction) and the gated cell
+ * GridFabric::gated() fabric into the un-gated boundary frame (rows +
+ * cols DFFs, clocked every cycle by construction) and the gated cell
  * array.  Works on both simulator kernels: `activity.cycles` is
  * lane-summed by the compiled simulator, so the boundary term scales
  * with the packed lane count automatically.

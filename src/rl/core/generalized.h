@@ -11,7 +11,8 @@
  * pulse into a held level.  A one-hot alternative (a tapped DFF
  * chain) trades N_DR flip-flops against the counter's log2(N_DR)
  * flip-flops plus comparators -- the Section 5 area trade-off
- * reproduced by bench_ablation_encoding.
+ * reproduced by bench_ablation_encoding.  core::GridFabric::generalized
+ * (rl/core/grid_fabric.h) builds a race grid of these cells.
  *
  * The behavioral race of a similarity matrix (api::RaceEngine,
  * ProblemKind::GeneralizedAlignment) first rewrites it into
@@ -22,16 +23,11 @@
 #ifndef RACELOGIC_CORE_GENERALIZED_H
 #define RACELOGIC_CORE_GENERALIZED_H
 
-#include <memory>
 #include <vector>
 
 #include "rl/bio/score_matrix.h"
-#include "rl/bio/sequence.h"
 #include "rl/circuit/builders.h"
 #include "rl/circuit/netlist.h"
-#include "rl/circuit/sim_sync.h"
-#include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 
 namespace racelogic::core {
 
@@ -73,79 +69,6 @@ circuit::NetId buildWeightApplicator(
     const circuit::Bus &select,
     const std::vector<bio::Score> &weight_by_index,
     const GeneralizedCellSpec &spec, DelayEncoding encoding);
-
-/**
- * Gate-level grid of generalized cells over an arbitrary race-ready
- * cost matrix, simulated on the compiled levelized kernel (lane-pack
- * batches with alignLanes; SyncSim stays the reference path via
- * alignReference).
- */
-class GeneralizedGridCircuit
-{
-  public:
-    GeneralizedGridCircuit(bio::ScoreMatrix costs, size_t rows,
-                           size_t cols,
-                           DelayEncoding encoding = DelayEncoding::Binary);
-
-    /** Race one pair; budget defaults to (rows+cols) * N_DR + 2. */
-    CircuitRunResult align(const bio::Sequence &a, const bio::Sequence &b,
-                           uint64_t max_cycles = 0);
-
-    /**
-     * Race up to 64 pairs at once, one per bit-parallel lane, on a
-     * private simulator over the shared compile.  const and
-     * allocation-local: the engine's batch screening calls this from
-     * many pool threads against one cached fabric plan.
-     */
-    LaneBatchResult alignLanes(const std::vector<LanePair> &lanes,
-                               uint64_t max_cycles = 0,
-                               KernelCounters *counters = nullptr) const;
-
-    /** Replay a race on the interpretive SyncSim reference path. */
-    CircuitRunResult alignReference(const bio::Sequence &a,
-                                    const bio::Sequence &b,
-                                    uint64_t max_cycles = 0);
-
-    const circuit::Netlist &netlist() const { return net; }
-
-    /** The active (compiled) simulator behind align(). */
-    circuit::CompiledSim &sim() { return *simulator; }
-
-    /** The lazily created SyncSim behind alignReference(). */
-    circuit::SyncSim &referenceSim();
-
-    const GeneralizedCellSpec &spec() const { return cellSpec; }
-
-    /**
-     * Gate inventory of one generalized cell under `encoding`,
-     * measured by building a single cell into a scratch netlist --
-     * the library's equivalent of a synthesis report.
-     */
-    static std::array<size_t, circuit::kGateTypeCount>
-    cellInventory(const bio::ScoreMatrix &costs, DelayEncoding encoding);
-
-  private:
-    circuit::NetId buildEdge(circuit::NetId pred, const circuit::Bus &sel,
-                             const std::vector<bio::Score> &weights,
-                             DelayEncoding encoding);
-
-    detail::GridFabricView view() const;
-    uint64_t defaultBudget() const;
-
-    bio::ScoreMatrix costs;
-    GeneralizedCellSpec cellSpec;
-    DelayEncoding encoding;
-    size_t numRows;
-    size_t numCols;
-    circuit::Netlist net;
-    circuit::NetId go = circuit::kNoNet;
-    util::Grid<circuit::NetId> nodeNets;
-    std::vector<circuit::Bus> rowSymbols;
-    std::vector<circuit::Bus> colSymbols;
-    std::unique_ptr<circuit::CompiledNetlist> compiled;
-    std::unique_ptr<circuit::CompiledSim> simulator;
-    std::unique_ptr<circuit::SyncSim> refSim;
-};
 
 } // namespace racelogic::core
 

@@ -11,8 +11,8 @@
  * of a particular unit cell"), and thresholding it by cycle yields
  * the Fig. 6 wavefront shades.
  *
- * The companion gate-level artifact lives in
- * rl/core/race_grid_circuit.h and is checked against this model.
+ * The companion gate-level artifact, core::GridFabric, lives in
+ * rl/core/grid_fabric.h and is checked against this model.
  */
 
 #ifndef RACELOGIC_CORE_RACE_GRID_H

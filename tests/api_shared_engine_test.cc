@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "rl/api/api.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/pangraph/generate.h"
 #include "rl/tech/energy_model.h"
 #include "rl/util/random.h"
@@ -281,9 +281,9 @@ TEST(SharedEngine, GraphEvictionsNeverDeadlockPlanMissSolves)
 TEST(SharedEngine, GateLevelSolveMatchesTheFabricsSerialAlign)
 {
     // The engine races GateLevel single solves through a one-lane
-    // alignLanes() on a private simulator; the fabric's own align()
-    // on its built-in simulator is the reference.  Score, completion
-    // and the priced switching energy must agree exactly.
+    // alignLanes() on a private simulator; a one-pair race on a
+    // caller-owned simulator is the reference.  Score, completion and
+    // the priced switching energy must agree exactly.
     const ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
     const tech::CellLibrary &lib = tech::CellLibrary::amis();
     EngineConfig config;
@@ -304,19 +304,21 @@ TEST(SharedEngine, GateLevelSolveMatchesTheFabricsSerialAlign)
             screen ? RaceProblem::thresholdScreen(costs, threshold, a, b)
                    : RaceProblem::pairwiseAlignment(costs, a, b));
 
-        core::GeneralizedGridCircuit fabric(costs, n, m, config.encoding);
+        const core::GridFabric fabric =
+            core::GridFabric::generalized(costs, n, m, config.encoding);
+        circuit::CompiledSim sim(fabric.compiled());
         const uint64_t budget =
             screen ? std::max<uint64_t>(static_cast<uint64_t>(threshold), 1)
                    : 0;
-        fabric.sim().clearActivity();
-        const core::CircuitRunResult run = fabric.align(a, b, budget);
+        const core::CircuitRunResult run =
+            core::raceFabricPair(sim, fabric, a, b, budget);
         if (r.completed) {
             ASSERT_TRUE(run.completed) << round;
             EXPECT_EQ(run.score, r.racedCost) << round;
         }
         ASSERT_TRUE(r.estimate.has_value());
         EXPECT_EQ(r.estimate->energyJ,
-                  tech::energyFromActivityJ(lib, fabric.sim().activity()))
+                  tech::energyFromActivityJ(lib, sim.activity()))
             << round;
         EXPECT_EQ(r.estimate->gateCount, fabric.netlist().gateCount());
     }

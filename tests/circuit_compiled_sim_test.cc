@@ -13,10 +13,8 @@
 #include "rl/circuit/compiled_sim.h"
 #include "rl/circuit/sim_sync.h"
 #include "rl/core/clock_gating.h"
-#include "rl/core/gated_grid_circuit.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/util/random.h"
 #include "rl/util/strings.h"
 
@@ -30,6 +28,8 @@ using circuit::CompiledSim;
 using circuit::Netlist;
 using circuit::NetId;
 using circuit::SyncSim;
+using core::GridFabric;
+using core::raceFabricPair;
 
 // --------------------------------------------------- random netlists
 
@@ -230,38 +230,40 @@ TEST(CompiledSim, ResetMatchesSyncSimAndPreservesActivity)
 TEST(CompiledSim, RaceGridFabricMatchesReferencePath)
 {
     util::Rng rng(2014);
-    core::RaceGridCircuit fabric(Alphabet::dna(), 6, 7);
+    const GridFabric fabric = GridFabric::unitCells(Alphabet::dna(), 6, 7);
+    CompiledSim sim(fabric.compiled());
+    SyncSim reference(fabric.netlist());
     for (int round = 0; round < 4; ++round) {
         Sequence a = Sequence::random(rng, Alphabet::dna(), 6);
         Sequence b = Sequence::random(rng, Alphabet::dna(), 7);
-        auto fast = fabric.align(a, b);
-        auto ref = fabric.alignReference(a, b);
+        auto fast = raceFabricPair(sim, fabric, a, b);
+        auto ref = raceFabricPair(reference, fabric, a, b);
         ASSERT_TRUE(fast.completed && ref.completed);
         EXPECT_EQ(fast.score, ref.score);
         EXPECT_EQ(fast.cyclesRun, ref.cyclesRun);
     }
     // Same race history on both kernels since construction -> the
     // whole Activity must match field for field.
-    expectActivityEqual(fabric.sim().activity(),
-                        fabric.referenceSim().activity());
+    expectActivityEqual(sim.activity(), reference.activity());
 }
 
 TEST(CompiledSim, GatedFabricMatchesReferencePathAndSplitsClocks)
 {
     util::Rng rng(77);
     const size_t n = 6;
-    core::GatedRaceGridCircuit fabric(Alphabet::dna(), n, n, 2);
+    const GridFabric fabric = GridFabric::gated(Alphabet::dna(), n, n, 2);
+    CompiledSim sim(fabric.compiled());
+    SyncSim reference(fabric.netlist());
     auto [a, b] = bio::worstCasePair(rng, Alphabet::dna(), n);
-    auto fast = fabric.align(a, b);
-    auto ref = fabric.alignReference(a, b);
+    auto fast = raceFabricPair(sim, fabric, a, b);
+    auto ref = raceFabricPair(reference, fabric, a, b);
     ASSERT_TRUE(fast.completed && ref.completed);
     EXPECT_EQ(fast.score, ref.score);
-    expectActivityEqual(fabric.sim().activity(),
-                        fabric.referenceSim().activity());
+    expectActivityEqual(sim.activity(), reference.activity());
 
     // The measured activity splits into the un-gated boundary frame
     // plus a gated cell array that beats the ungated fabric.
-    const circuit::Activity &activity = fabric.sim().activity();
+    const circuit::Activity &activity = sim.activity();
     core::MeasuredGatedClocks split =
         core::splitGatedClockActivity(activity, n, n);
     EXPECT_EQ(split.boundaryDffCycles + split.cellDffCycles,
@@ -278,13 +280,15 @@ TEST(CompiledSim, GeneralizedFabricMatchesReferenceBothEncodings)
     Sequence b(Alphabet::protein(), "PAW");
     for (core::DelayEncoding encoding :
          {core::DelayEncoding::Binary, core::DelayEncoding::OneHot}) {
-        core::GeneralizedGridCircuit fabric(costs, 4, 3, encoding);
-        auto fast = fabric.align(a, b);
-        auto ref = fabric.alignReference(a, b);
+        const GridFabric fabric =
+            GridFabric::generalized(costs, 4, 3, encoding);
+        CompiledSim sim(fabric.compiled());
+        SyncSim reference(fabric.netlist());
+        auto fast = raceFabricPair(sim, fabric, a, b);
+        auto ref = raceFabricPair(reference, fabric, a, b);
         ASSERT_TRUE(fast.completed && ref.completed);
         EXPECT_EQ(fast.score, ref.score);
-        expectActivityEqual(fabric.sim().activity(),
-                            fabric.referenceSim().activity());
+        expectActivityEqual(sim.activity(), reference.activity());
     }
 }
 
@@ -294,7 +298,8 @@ TEST(CompiledSim, LanePackedGridRacesMatchSerialArrivals)
 {
     util::Rng rng(4242);
     const size_t n = 8;
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+    const GridFabric fabric = GridFabric::unitCells(Alphabet::dna(), n, n);
+    CompiledSim sim(fabric.compiled());
     std::vector<Sequence> as, bs;
     for (unsigned l = 0; l < 64; ++l) {
         as.push_back(Sequence::random(rng, Alphabet::dna(), n));
@@ -308,7 +313,7 @@ TEST(CompiledSim, LanePackedGridRacesMatchSerialArrivals)
     ASSERT_EQ(packed.lanes.size(), 64u);
     uint64_t slowest = 0;
     for (unsigned l = 0; l < 64; ++l) {
-        auto serial = fabric.align(as[l], bs[l]);
+        auto serial = raceFabricPair(sim, fabric, as[l], bs[l]);
         ASSERT_TRUE(serial.completed);
         ASSERT_TRUE(packed.lanes[l].completed) << "lane " << l;
         EXPECT_EQ(packed.lanes[l].score, serial.score) << "lane " << l;
@@ -328,7 +333,7 @@ TEST(CompiledSim, LanePackedBudgetActsAsThresholdPerLane)
     // One near-identical and one hopeless candidate under a shared
     // lock-step budget: the near lane fires within it, the far lane
     // does not (Section 6 screening on the packed word).
-    core::RaceGridCircuit fabric(Alphabet::dna(), 4, 4);
+    const GridFabric fabric = GridFabric::unitCells(Alphabet::dna(), 4, 4);
     Sequence query(Alphabet::dna(), "ACTG");
     Sequence near_seq(Alphabet::dna(), "ACTG"); // 4 matches: score 4
     Sequence far(Alphabet::dna(), "TTTT"); // 1 match + 6 indels: 7
@@ -349,7 +354,7 @@ TEST(CompiledSim, LanePackedMatchesLockstepSyncSimActivity)
     // cycles -- values, arrivals, and summed activity all equal.
     util::Rng rng(31);
     const size_t n = 5;
-    core::RaceGridCircuit fabric(Alphabet::dna(), n, n);
+    const GridFabric fabric = GridFabric::unitCells(Alphabet::dna(), n, n);
     const Netlist &net = fabric.netlist();
     constexpr unsigned kLanes = 8;
     std::vector<Sequence> as, bs;

@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "rl/circuit/verilog.h"
-#include "rl/core/race_grid_circuit.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_network.h"
 #include "rl/graph/dag.h"
 
@@ -86,7 +86,8 @@ TEST(Verilog, EnableDffUsesElseIf)
 
 TEST(Verilog, RaceGridFabricExports)
 {
-    core::RaceGridCircuit fabric(bio::Alphabet::dna(), 3, 3);
+    const core::GridFabric fabric =
+        core::GridFabric::unitCells(bio::Alphabet::dna(), 3, 3);
     std::ostringstream os;
     circuit::writeVerilog(
         os, fabric.netlist(), "race_grid_3x3",

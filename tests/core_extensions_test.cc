@@ -10,9 +10,8 @@
 #include "rl/bio/align_dp.h"
 #include "rl/core/async_race.h"
 #include "rl/core/clock_gating.h"
-#include "rl/core/gated_grid_circuit.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
-#include "rl/core/race_grid_circuit.h"
 #include "rl/core/traceback.h"
 #include "rl/graph/generate.h"
 #include "rl/graph/paths.h"
@@ -24,6 +23,9 @@ using namespace racelogic;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
+using circuit::CompiledSim;
+using core::GridFabric;
+using core::raceFabricPair;
 
 // ---------------------------------------------------------- traceback
 
@@ -173,13 +175,16 @@ TEST_P(GatedFabric, ScoresIdenticalToUngatedFabric)
     if (m_side > n)
         GTEST_SKIP();
     util::Rng rng(16000 + n * 13 + m_side);
-    core::RaceGridCircuit plain(Alphabet::dna(), n, n);
-    core::GatedRaceGridCircuit gated(Alphabet::dna(), n, n, m_side);
+    const GridFabric plain = GridFabric::unitCells(Alphabet::dna(), n, n);
+    const GridFabric gated =
+        GridFabric::gated(Alphabet::dna(), n, n, m_side);
+    CompiledSim plain_sim(plain.compiled());
+    CompiledSim gated_sim(gated.compiled());
     for (int trial = 0; trial < 3; ++trial) {
         Sequence a = Sequence::random(rng, Alphabet::dna(), n);
         Sequence b = Sequence::random(rng, Alphabet::dna(), n);
-        auto r_plain = plain.align(a, b);
-        auto r_gated = gated.align(a, b);
+        auto r_plain = raceFabricPair(plain_sim, plain, a, b);
+        auto r_gated = raceFabricPair(gated_sim, gated, a, b);
         ASSERT_TRUE(r_plain.completed && r_gated.completed);
         EXPECT_EQ(r_gated.score, r_plain.score)
             << a.str() << " vs " << b.str();
@@ -192,15 +197,16 @@ TEST_P(GatedFabric, ClockActivityReducedVsUngated)
     if (m_side >= n)
         GTEST_SKIP();
     util::Rng rng(17000 + n * 13 + m_side);
-    core::RaceGridCircuit plain(Alphabet::dna(), n, n);
-    core::GatedRaceGridCircuit gated(Alphabet::dna(), n, n, m_side);
+    const GridFabric plain = GridFabric::unitCells(Alphabet::dna(), n, n);
+    const GridFabric gated =
+        GridFabric::gated(Alphabet::dna(), n, n, m_side);
+    CompiledSim plain_sim(plain.compiled());
+    CompiledSim gated_sim(gated.compiled());
     auto [a, b] = bio::worstCasePair(rng, Alphabet::dna(), n);
-    plain.sim().clearActivity();
-    plain.align(a, b);
-    gated.sim().clearActivity();
-    gated.align(a, b);
-    EXPECT_LT(gated.sim().activity().clockedDffCycles,
-              plain.sim().activity().clockedDffCycles);
+    raceFabricPair(plain_sim, plain, a, b);
+    raceFabricPair(gated_sim, gated, a, b);
+    EXPECT_LT(gated_sim.activity().clockedDffCycles,
+              plain_sim.activity().clockedDffCycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,14 +223,15 @@ TEST(GatedFabric, MatchesBehavioralGatingAnalysisClosely)
     util::Rng rng(31);
     auto [a, b] = bio::worstCasePair(rng, Alphabet::dna(), n);
 
-    core::GatedRaceGridCircuit gated(Alphabet::dna(), n, n, m_side);
-    gated.sim().clearActivity();
-    auto run = gated.align(a, b);
+    const GridFabric gated =
+        GridFabric::gated(Alphabet::dna(), n, n, m_side);
+    CompiledSim sim(gated.compiled());
+    auto run = raceFabricPair(sim, gated, a, b);
     ASSERT_TRUE(run.completed);
     // Strip the un-gated boundary frame; only the cell array is the
     // gated C_clk term the behavioral analysis models.
     uint64_t gate_level =
-        core::splitGatedClockActivity(gated.sim().activity(), n, n)
+        core::splitGatedClockActivity(sim.activity(), n, n)
             .cellDffCycles;
 
     core::RaceGridAligner model(
@@ -242,11 +249,18 @@ TEST(GatedFabric, MatchesBehavioralGatingAnalysisClosely)
 
 TEST(GatedFabric, GatingOverheadIsCounted)
 {
-    core::GatedRaceGridCircuit gated(Alphabet::dna(), 8, 8, 4);
-    EXPECT_EQ(gated.regions(), 4u);
-    EXPECT_GT(gated.gatingGateCount(), 0u);
+    // The gated builder runs the plain datapath, then adds one gating
+    // leaf per region, each with the fabric's only NOT gate.
+    const GridFabric plain = GridFabric::unitCells(Alphabet::dna(), 8, 8);
+    const GridFabric gated = GridFabric::gated(Alphabet::dna(), 8, 8, 4);
+    const size_t regions =
+        gated.netlist().typeCounts()[size_t(circuit::GateType::Not)];
+    EXPECT_EQ(regions, 4u);
+    const size_t gating_gates =
+        gated.netlist().gateCount() - plain.netlist().gateCount();
+    EXPECT_GT(gating_gates, 0u);
     // A few gates per region (wake OR, done AND, NOT, enable AND).
-    EXPECT_LE(gated.gatingGateCount(), gated.regions() * 6);
+    EXPECT_LE(gating_gates, regions * 6);
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 #include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
 #include "rl/bio/score_convert.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/util/random.h"
 
 namespace {
@@ -23,7 +23,7 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 using core::DelayEncoding;
 using core::GeneralizedCellSpec;
-using core::GeneralizedGridCircuit;
+using core::GridFabric;
 
 // --------------------------------------------------------- cell spec
 
@@ -142,11 +142,12 @@ TEST_P(GeneralizedFabric, MatchesDpUnderRandomCostMatrix)
     size_t m = 1 + rng.index(4);
     DelayEncoding enc = GetParam() % 2 ? DelayEncoding::Binary
                                        : DelayEncoding::OneHot;
-    GeneralizedGridCircuit fabric(costs, n, m, enc);
+    const GridFabric fabric = GridFabric::generalized(costs, n, m, enc);
+    circuit::CompiledSim sim(fabric.compiled());
     for (int pair = 0; pair < 2; ++pair) {
         Sequence a = Sequence::random(rng, Alphabet::dna(), n);
         Sequence b = Sequence::random(rng, Alphabet::dna(), m);
-        auto run = fabric.align(a, b);
+        auto run = core::raceFabricPair(sim, fabric, a, b);
         ASSERT_TRUE(run.completed);
         EXPECT_EQ(run.score, bio::globalScore(a, b, costs));
     }
@@ -164,13 +165,17 @@ TEST(GeneralizedFabric, BothEncodingsAgree)
         for (bio::Symbol t = 0; t < 4; ++t)
             costs.setPair(s, t, s == t ? 1 : 4);
     }
-    GeneralizedGridCircuit onehot(costs, 3, 3, DelayEncoding::OneHot);
-    GeneralizedGridCircuit binary(costs, 3, 3, DelayEncoding::Binary);
+    const GridFabric onehot =
+        GridFabric::generalized(costs, 3, 3, DelayEncoding::OneHot);
+    const GridFabric binary =
+        GridFabric::generalized(costs, 3, 3, DelayEncoding::Binary);
+    circuit::CompiledSim onehot_sim(onehot.compiled());
+    circuit::CompiledSim binary_sim(binary.compiled());
     for (int trial = 0; trial < 4; ++trial) {
         Sequence a = Sequence::random(rng, Alphabet::dna(), 3);
         Sequence b = Sequence::random(rng, Alphabet::dna(), 3);
-        auto r1 = onehot.align(a, b);
-        auto r2 = binary.align(a, b);
+        auto r1 = core::raceFabricPair(onehot_sim, onehot, a, b);
+        auto r2 = core::raceFabricPair(binary_sim, binary, a, b);
         ASSERT_TRUE(r1.completed && r2.completed);
         EXPECT_EQ(r1.score, r2.score);
     }
@@ -187,10 +192,10 @@ TEST(GeneralizedFabric, CellInventoryTradeoff)
         for (bio::Symbol t = 0; t < 4; ++t)
             costs.setPair(s, t, s == t ? 1 : 31);
     }
-    auto onehot = GeneralizedGridCircuit::cellInventory(
-        costs, DelayEncoding::OneHot);
-    auto binary = GeneralizedGridCircuit::cellInventory(
-        costs, DelayEncoding::Binary);
+    auto onehot =
+        core::generalizedCellInventory(costs, DelayEncoding::OneHot);
+    auto binary =
+        core::generalizedCellInventory(costs, DelayEncoding::Binary);
     size_t dff = size_t(circuit::GateType::Dff);
     EXPECT_GT(onehot[dff], binary[dff] * 3);
 }

@@ -11,7 +11,7 @@
 #include <cmath>
 
 #include "rl/bio/alphabet.h"
-#include "rl/core/generalized.h"
+#include "rl/core/grid_fabric.h"
 #include "rl/tech/area_model.h"
 #include "rl/tech/cell_library.h"
 #include "rl/tech/energy_model.h"
@@ -96,9 +96,9 @@ TEST(AreaModel, GeneralizedCellGrowsWithDynamicRange)
             large_m.setPair(s, t, s == t ? 1 : 60);
         }
     }
-    auto inv_small = core::GeneralizedGridCircuit::cellInventory(
+    auto inv_small = core::generalizedCellInventory(
         small_m, core::DelayEncoding::OneHot);
-    auto inv_large = core::GeneralizedGridCircuit::cellInventory(
+    auto inv_large = core::generalizedCellInventory(
         large_m, core::DelayEncoding::OneHot);
     EXPECT_GT(lib.areaOfInventory(inv_large),
               2.0 * lib.areaOfInventory(inv_small));
