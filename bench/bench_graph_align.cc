@@ -31,7 +31,7 @@ using bio::Sequence;
 
 namespace {
 
-// Which sweep produced the fused-kernel numbers: 8 lanes (the AVX-512F
+// Which sweep produced the fused-kernel numbers: 16 lanes (the AVX-512F
 // graph band) or 1 (the row sweep).  Printed in the run's context,
 // where tools/bench_compare.py reads it to pick each headline row's
 // baseline.

@@ -27,7 +27,7 @@ using bio::Sequence;
 namespace {
 
 // Which sweep produced the BM_EventDrivenRace and
-// BM_RaceEditGridServed numbers: 8 lanes (the AVX-512F band) or 1
+// BM_RaceEditGridServed numbers: 16 lanes (the AVX-512F band) or 1
 // (the row sweep).  Printed in the run's context, where
 // tools/bench_compare.py reads it to pick each headline row's
 // baseline.

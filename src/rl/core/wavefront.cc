@@ -191,7 +191,8 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              RaceGridScratch &scratch, const CancelToken *cancel,
              KernelCounters *counters, bool arrivals)
 {
-    return sweepLanes() == detail::kBandLanes
+    return sweepLanes() == detail::kBandLanes &&
+                   detail::editGridBandExact(a, b, costs)
                ? detail::raceEditGridBand(a, b, costs, horizon, scratch,
                                           cancel, counters, arrivals)
                : detail::raceEditGridRows(a, b, costs, horizon, scratch,
@@ -334,6 +335,8 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     checkEditGridInputs(a, b, costs);
     rl_assert(sweepLanes() == kBandLanes,
               "the skewed band needs a host with AVX-512F");
+    rl_dassert(editGridBandExact(a, b, costs),
+               "the race's cost range does not fit the band's 32-bit lanes");
 
     const size_t rows = a.size();
     const size_t cols = b.size();
@@ -345,22 +348,24 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     // row s sits at kBandPad + cols - j, and everything outside columns
     // 1..cols is unfired.  Rows 0..alpha-1 hold each symbol's diagonal
     // weights, row alpha none (the lanes past a band's last row), row
-    // alpha + 1 the horizontal ones.
+    // alpha + 1 the horizontal ones.  The gather's indices are 32-bit.
     const size_t stride = cols + 2 * kBandPad;
-    std::vector<sim::Tick> &profile = scratch.profile;
-    profile.assign((alpha + 2) * stride, kSweepUnfired);
+    rl_assert((alpha + 2) * stride <= INT32_MAX,
+              "the band's profile outgrows its 32-bit gather indices");
+    std::vector<uint32_t> &profile = scratch.profile;
+    profile.assign((alpha + 2) * stride, kBandUnfired);
     for (size_t j = 1; j <= cols; ++j) {
         const size_t at = kBandPad + cols - j;
         for (size_t s = 0; s < alpha; ++s)
-            profile[s * stride + at] = sweepWeight(
+            profile[s * stride + at] = bandWeight(
                 costs.pair(static_cast<bio::Symbol>(s), symB[j - 1]));
         profile[(alpha + 1) * stride + at] =
-            sweepWeight(costs.gap(symB[j - 1]));
+            bandWeight(costs.gap(symB[j - 1]));
     }
-    const sim::Tick *horizontal =
+    const uint32_t *horizontal =
         profile.data() + (alpha + 1) * stride + kBandPad + cols;
-    scratch.row.assign(cols + 1 + 2 * kBandPad, kSweepUnfired);
-    sim::Tick *above = scratch.row.data() + kBandPad;
+    scratch.bandRow.assign(cols + 1 + 2 * kBandPad, kBandUnfired);
+    uint32_t *above = scratch.bandRow.data() + kBandPad;
     if (arrivals)
         scratch.skew.resize(kBandLanes * (cols + kBandLanes));
 
@@ -368,7 +373,9 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     if (arrivals)
         result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
                                                sim::kTickInfinity);
-    SweepTally tally(horizon);
+    // Within the bound no arrival reaches kBandUnfired, so the lanes'
+    // limit below it counts exactly the row sweep's arrivals.
+    SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
     sim::Tick sink = sim::kTickInfinity;
     bool cancelled = cancel && cancel->cancelled();
     if (!cancelled) {
@@ -376,9 +383,9 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         // horizontal edges -- is the row above the first band.
         above[0] = 0;
         for (size_t j = 1; j <= cols; ++j) {
-            const sim::Tick t = above[j - 1] + *(horizontal - j);
+            const uint32_t t = above[j - 1] + *(horizontal - j);
             tally.arrive(t);
-            above[j] = std::min(t, kSweepUnfired);
+            above[j] = std::min(t, kBandUnfired);
         }
         sim::Tick *out = arrivals ? &result.arrival.at(0, 0) : nullptr;
         for (size_t j = 0; j <= cols; ++j) {
@@ -415,11 +422,12 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         for (size_t r = 0; r < kBandLanes; ++r) {
             const bool live = r < lanes;
             const size_t s = live ? symA[i0 + r - 1] : alpha;
-            band.gather[r] = s * stride + kBandPad + cols + r;
-            band.down[r] = live ? sweepWeight(costs.gap(symA[i0 + r - 1]))
-                                : kSweepUnfired;
+            band.gather[r] =
+                static_cast<uint32_t>(s * stride + kBandPad + cols + r);
+            band.down[r] = live ? bandWeight(costs.gap(symA[i0 + r - 1]))
+                                : kBandUnfired;
         }
-        uint64_t fired[kBandLanes];
+        uint32_t fired[kBandLanes];
         sweepEditGridBand(band, tally, fired);
 
         // Section 6, row by row: the first row with no fired cell stops
@@ -430,7 +438,7 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
             result.cellsFired += fired[swept++];
         for (size_t r = 0; arrivals && r < swept; ++r) {
             // Lane r's cell in column j is at step j + r.
-            const sim::Tick *lane =
+            const uint32_t *lane =
                 scratch.skew.data() + r * (kBandLanes + 1);
             sim::Tick *out = &result.arrival.at(i0 + r, 0);
             for (size_t j = 0; j <= cols; ++j) {

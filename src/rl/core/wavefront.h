@@ -30,15 +30,18 @@
  *       calendar would drain per settled cell in a pass over each
  *       finished row (SweepTally), off the recurrence's serial chain.
  *       It runs on every host and is the reference;
- *     - the skewed band, on hosts with AVX-512F: rows i..i+7 race in
- *       the eight 64-bit lanes of one register, lane r one column
+ *     - the skewed band, on hosts with AVX-512F: rows i..i+15 race in
+ *       the sixteen 32-bit lanes of one register, lane r one column
  *       behind lane r-1, like a short linear systolic array riding
  *       the paper's diagonal wavefront.  Each step fires one cell of
  *       every row in the band and tallies the arrivals into them in
  *       lanes (rl/core/wavefront_band.h).
  *
- *    The CPU alone picks the sweep, once per process
- *    (sweepLanes()); nothing else selects it.
+ *    The CPU (sweepLanes(), once per process) and a bound on the
+ *    race's cost range pick the sweep: the band runs a race only
+ *    where its 32-bit lanes are exact, (|a| + |b| + 1) x the largest
+ *    finite weight < 2^30, and the row sweep runs every other one.
+ *    Nothing else selects it.
  *
  * The bucketed kernel fires every node at its DAG DP value
  * (graph::solveDag; for an And race, where andRaceMatchesDp() holds)
@@ -210,8 +213,8 @@ struct SweepTally {
 /**
  * Reusable scratch state for raceEditGrid: the sweep's working row
  * plus the weights hoisted out of it.  The row sweep uses gapA,
- * columns, outEdges and row; the skewed band row, profile and, when
- * it fills the arrival grid, skew.
+ * columns, outEdges and row; the skewed band bandRow, profile and,
+ * when it fills the arrival grid, skew, all in its 32-bit lanes.
  */
 struct RaceGridScratch {
     /** Vertical (gap) weight into row i: gap(a[i-1]); row 0 unfired. */
@@ -242,66 +245,58 @@ struct RaceGridScratch {
      */
     std::vector<SweepOutEdges> outEdges;
 
-    /**
-     * The working row: the row being swept, over the row above.  The
-     * band keeps the row above its next band here, padded with
-     * unfired cells on both sides.
-     */
+    /** The working row: the row being swept, over the row above. */
     std::vector<sim::Tick> row;
+
+    /** The band's row above its next band, padded with unfired cells
+     *  on both sides. */
+    std::vector<uint32_t> bandRow;
 
     /**
      * The band's in-edge weights, column-reversed and padded with
-     * unfired weights so that one step reads eight lanes at one
+     * unfired weights so that one step reads sixteen lanes at one
      * offset: a diagonal row per symbol, an all-unfired row for the
      * lanes past the band's last row, then the horizontal gap(b) row
      * (layout in rl/core/wavefront_band.h).
      */
-    std::vector<sim::Tick> profile;
+    std::vector<uint32_t> profile;
 
-    /** The band's lanes, step by step (8 x (|b| + 8)), from which an
+    /** The band's lanes, step by step (16 x (|b| + 16)), from which an
      *  arrival grid is filled row by row. */
-    std::vector<sim::Tick> skew;
+    std::vector<uint32_t> skew;
 
     /** Release all retained capacity. */
-    void
-    shrinkToFit()
-    {
-        for (std::vector<sim::Tick> *v : {&gapA, &row, &profile, &skew}) {
-            v->clear();
-            v->shrink_to_fit();
-        }
-        columns.clear();
-        columns.shrink_to_fit();
-        outEdges.clear();
-        outEdges.shrink_to_fit();
-    }
+    void shrinkToFit() { *this = RaceGridScratch(); }
 
     /** Heap bytes currently retained across the rows. */
     size_t
     residentBytes() const
     {
-        return (gapA.capacity() + row.capacity() + profile.capacity() +
-                skew.capacity()) *
-                   sizeof(sim::Tick) +
-               columns.capacity() * sizeof(ColumnWeights) +
-               outEdges.capacity() * sizeof(SweepOutEdges);
+        auto bytes = [](const auto &v) {
+            return v.capacity() * sizeof(*v.data());
+        };
+        return bytes(gapA) + bytes(columns) + bytes(outEdges) + bytes(row) +
+               bytes(bandRow) + bytes(profile) + bytes(skew);
     }
 };
 
 /**
  * Rows one step of the dense sweeps fires on this host -- edit-grid
  * rows in raceEditGrid(), read rows in pangraph::raceAlignmentGrid():
- * 8 where the CPU supports AVX-512F (the skewed bands), 1 elsewhere
+ * 16 where the CPU supports AVX-512F (the skewed bands), 1 elsewhere
  * (the row sweeps).  Decided once per process, from the CPU alone;
- * both kernels dispatch on it and nothing else.
+ * both kernels dispatch on it and, on a band host, on whether the
+ * race fits the band's 32-bit lanes -- a race outside that bound
+ * takes the row sweep.
  */
 unsigned sweepLanes();
 
 /**
  * OR-type race of the edit graph of (a, b) under a race-ready cost
  * matrix, swept without materializing the graph -- in skewed bands of
- * eight rows where the CPU has AVX-512F, row by row elsewhere, with
- * the same result either way.
+ * sixteen rows where the CPU has AVX-512F and (|a| + |b| + 1) x the
+ * largest finite weight < 2^30, row by row elsewhere, with the same
+ * result either way.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with
  * raceDag(..., RaceType::Or, horizon): same arrival grid (filled for

@@ -2,11 +2,12 @@
  * @file
  * The two sweeps behind core::raceEditGrid, and the AVX-512F step of
  * the skewed band.  Internal to rl/core: raceEditGrid() picks the
- * sweep from the CPU (sweepLanes()); tests and benches call one
- * directly to hold the two against each other.
+ * sweep from the CPU (sweepLanes()) and the race's cost range
+ * (editGridBandExact()); tests and benches call one directly to hold
+ * the two against each other.
  *
- * The skewed band races rows i0 .. i0+7 in the eight 64-bit lanes of
- * one register.  At step t, lane r fires cell (i0 + r, t - r):
+ * The skewed band races rows i0 .. i0+15 in the sixteen 32-bit lanes
+ * of one register.  At step t, lane r fires cell (i0 + r, t - r):
  *
  *  - `up` is the previous step's value of lane r - 1 -- the cell
  *    above, fired one step earlier -- and, for lane 0, the stored row
@@ -18,18 +19,21 @@
  * vertical one is constant per lane.  The horizontal one, gap(b[j-1])
  * for lane r at column j = t - r, sits at offset pad + |b| - t + r of
  * the column-reversed profile row, so one unaligned load at pad + |b|
- * - t serves all eight lanes.  The diagonal one, pair(a[i-1], b[j-1]),
- * needs a different symbol row per lane: one 64-bit gather, whose
- * per-lane indices fall by one each step.  Columns outside 1..|b|
- * read unfired padding, so a lane that has not reached column 0 yet,
- * or has passed column |b|, computes an unfired cell; lanes past the
- * band's last row read the all-unfired symbol row and an unfired
+ * - t serves all sixteen lanes.  The diagonal one, pair(a[i-1],
+ * b[j-1]), needs a different symbol row per lane: one 32-bit gather,
+ * whose per-lane indices fall by one each step.  Columns outside
+ * 1..|b| read unfired padding, so a lane that has not reached column 0
+ * yet, or has passed column |b|, computes an unfired cell; lanes past
+ * the band's last row read the all-unfired symbol row and an unfired
  * vertical weight, and stay unfired too.
  *
- * Every value is the row sweep's own working value (unsigned, clamped
- * to kSweepUnfired = 2^62, with unfired weights 2^62), so each
- * addition stays below 2^64 and each lane does the row sweep's exact
- * arithmetic.
+ * A lane holds the row sweep's working value at 32 bits: unsigned,
+ * clamped to kBandUnfired = 2^30, with unfired weights 2^30, so each
+ * addition stays below 2^32.  raceEditGrid() takes the band only
+ * where that is exact -- (|a| + |b| + 1) x costs.maxFinite() < 2^30
+ * (editGridBandExact()), so every fired value and every arrival out of one is
+ * below 2^30 -- and the row sweep elsewhere; the band's tally limit is
+ * clamped below 2^30 too, which no arrival within the bound reaches.
  *
  * Events are tallied per *target* cell: the three in-edge arrivals
  * the recurrence has just formed are compared with the limit, and the
@@ -59,42 +63,55 @@ namespace racelogic::core::detail {
 struct EditGridBand {
     /** The row above the band, columns 0..|b|, with kBandPad unfired
      *  cells on each side.  On return it holds the band's last row. */
-    sim::Tick *above = nullptr;
+    uint32_t *above = nullptr;
 
     /** Base of the profile; `gather` indexes into it. */
-    const sim::Tick *profile = nullptr;
+    const uint32_t *profile = nullptr;
 
     /** The horizontal profile row, at offset kBandPad + |b|. */
-    const sim::Tick *horizontal = nullptr;
+    const uint32_t *horizontal = nullptr;
 
     /** Per lane, the profile index of its diagonal weight at step 0:
      *  symbol row * stride + kBandPad + |b| + lane. */
-    uint64_t gather[kBandLanes] = {};
+    uint32_t gather[kBandLanes] = {};
 
     /** Per lane, the vertical in-edge weight (unfired past the band). */
-    sim::Tick down[kBandLanes] = {};
+    uint32_t down[kBandLanes] = {};
 
     size_t cols = 0;  ///< |b|
     size_t lanes = 0; ///< rows in this band, 1..kBandLanes
 
     /** nullptr: score-only.  Otherwise the band's values, step by
      *  step: lane r at step t in skew[t * kBandLanes + r]. */
-    sim::Tick *skew = nullptr;
+    uint32_t *skew = nullptr;
 };
 
 /**
  * Race one band: every step from lane 0's column 0 to the last lane's
- * column |b|.  Adds the band's arrivals within tally.limit to
- * tally.events and tally.latest, and stores each lane's fired-cell
- * count in fired[lane].  Requires sweepLanes() == kBandLanes.
+ * column |b|.  Adds the band's arrivals within tally.limit (below
+ * kBandUnfired) to tally.events and tally.latest, and stores each
+ * lane's fired-cell count in fired[lane].  Requires sweepLanes() ==
+ * kBandLanes.
  */
 void sweepEditGridBand(const EditGridBand &band, SweepTally &tally,
-                       uint64_t fired[kBandLanes]);
+                       uint32_t fired[kBandLanes]);
+
+/**
+ * True iff the band races (a, b) under `costs` exactly: bandExact()
+ * over the |a| + |b| edges of the grid's longest path.
+ */
+inline bool
+editGridBandExact(const bio::Sequence &a, const bio::Sequence &b,
+                  const bio::ScoreMatrix &costs)
+{
+    return bandExact(a.size() + b.size(), costs.maxFinite());
+}
 
 /**
  * raceEditGrid()'s two sweeps, with its scratch overload's contract.
  * raceEditGridRows() runs on every host and is the reference;
- * raceEditGridBand() requires sweepLanes() == kBandLanes.
+ * raceEditGridBand() requires sweepLanes() == kBandLanes and
+ * editGridBandExact().
  * @{
  */
 RaceGridResult raceEditGridRows(const bio::Sequence &a,

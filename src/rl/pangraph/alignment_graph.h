@@ -45,7 +45,7 @@ namespace racelogic::pangraph {
 /**
  * The graph band's read-independent tables: the sweep order, and the
  * weights and predecessors of every sweep index laid out so that one
- * load serves the band's eight lanes.  The layout is documented with
+ * load serves the band's sixteen lanes.  The layout is documented with
  * the band in rl/pangraph/graph_align_band.h.
  */
 struct GraphBandTables {
@@ -57,9 +57,9 @@ struct GraphBandTables {
     std::vector<uint32_t> rank;
 
     /**
-     * Weight rows of `stride` ticks, column-reversed and padded: entry
-     * k of a row sits at core::detail::kBandPad + K - k, and every
-     * entry outside 0..K is core::kSweepUnfired.  Rows 0..|alphabet|-1
+     * Weight rows of `stride` entries, column-reversed and padded:
+     * entry k of a row sits at core::detail::kBandPad + K - k, and
+     * every entry outside 0..K is core::detail::kBandUnfired.  Rows 0..|alphabet|-1
      * hold the substitution weight pair(s, symbol) into k for read
      * symbol s, row |alphabet| is all unfired (lanes past a band's last
      * row), then come the deletion weight into k, the same where k - 1
@@ -67,18 +67,19 @@ struct GraphBandTables {
      * precedes k, unfired elsewhere).  Position 0 has no deletion or
      * substitution in-edge: unfired in every row.
      */
-    std::vector<sim::Tick> weights;
+    std::vector<uint32_t> weights;
     size_t stride = 0;
 
     /**
      * The far predecessors -- every predecessor of k but k - 1 -- by
-     * band step: step t races far[farBegin[t]] .. far[farBegin[t+1]],
-     * eight history indices each (one per lane, lane r at k = t - r).
-     * A lane with fewer far predecessors than the step's largest reads
-     * the history's never-written sentinel slot, which stays unfired.
+     * band step: step t races slots farBegin[t] .. farBegin[t+1] of
+     * `far`, sixteen history indices each (one per lane, lane r at
+     * k = t - r).  A lane with fewer far predecessors than the step's
+     * largest reads the history's never-written sentinel slot, which
+     * stays unfired.
      */
-    std::vector<size_t> farBegin;
-    std::vector<uint64_t> far;
+    std::vector<uint32_t> farBegin;
+    std::vector<uint32_t> far;
 
     /** Steps of history the band keeps: a power of two above the
      *  longest far-predecessor distance in sweep order. */
@@ -89,10 +90,9 @@ struct GraphBandTables {
     residentBytes() const
     {
         return order.capacity() * sizeof(CharPos) +
-               rank.capacity() * sizeof(uint32_t) +
-               weights.capacity() * sizeof(sim::Tick) +
-               farBegin.capacity() * sizeof(size_t) +
-               far.capacity() * sizeof(uint64_t);
+               (rank.capacity() + weights.capacity() + farBegin.capacity() +
+                far.capacity()) *
+                   sizeof(uint32_t);
     }
 };
 
@@ -162,7 +162,7 @@ struct CompiledGraph {
 
     /**
      * The graph band's tables, built only where raceAlignmentGrid
-     * takes the band (core::sweepLanes() == 8) and empty elsewhere.
+     * takes the band (core::sweepLanes() == 16) and empty elsewhere.
      */
     GraphBandTables band;
 

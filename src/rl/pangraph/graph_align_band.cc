@@ -31,8 +31,10 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
     const size_t alpha = race.alphabet().size();
     const size_t deletionRow = alpha + 1;
     band.stride = positions + 2 * kBandPad;
-    band.weights.assign((alpha + 4) * band.stride, core::kSweepUnfired);
-    auto entry = [&](size_t row, size_t k) -> sim::Tick & {
+    rl_assert((alpha + 4) * band.stride <= INT32_MAX,
+              "the band's weights outgrow its 32-bit gather indices");
+    band.weights.assign((alpha + 4) * band.stride, kBandUnfired);
+    auto entry = [&](size_t row, size_t k) -> uint32_t & {
         return band.weights[row * band.stride + kBandPad + chars - k];
     };
     std::vector<uint32_t> farOffsets(positions + 1, 0);
@@ -41,9 +43,10 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
     for (size_t k = 1; k < positions; ++k) {
         const CharPos q = band.order[k];
         for (size_t s = 0; s < alpha; ++s)
-            entry(s, k) = core::sweepWeight(
+            entry(s, k) = core::detail::bandWeight(
                 race.pair(static_cast<bio::Symbol>(s), compiled.symbol[q]));
-        const sim::Tick deletion = core::sweepWeight(compiled.gapWeight[q]);
+        const uint32_t deletion =
+            core::detail::bandWeight(compiled.gapWeight[q]);
         entry(deletionRow, k) = deletion;
         bool chain = false;
         for (uint32_t e = compiled.predOffsets[q];
@@ -63,12 +66,13 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
     }
 
     // The history indices, step by step: lane r at step t is at sweep
-    // index k = t - r, and fired its far predecessor k' at step k' + r.
-    // A window above the longest distance keeps every slot a step
-    // reads apart from the one it writes.
+    // index k = t - r, and fired its far predecessor k' at step k' + r;
+    // its pair sits in 64-bit element r of that step's slot.  A window
+    // above the longest distance keeps every slot a step reads apart
+    // from the one it writes.
     band.window = std::bit_ceil(longest + 1);
-    const uint64_t ring = band.window - 1;
-    const uint64_t sentinel = band.window * kHistoryStride;
+    const size_t ring = band.window - 1;
+    const size_t sentinel = band.window * kBandLanes;
     const size_t steps = positions + kBandLanes - 1;
     auto farCount = [&](size_t t, size_t r) -> size_t {
         if (t < r || t - r >= positions)
@@ -82,16 +86,22 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
             slots = std::max(slots, farCount(t, r));
         for (size_t d = 0; d < slots; ++d) {
             for (size_t r = 0; r < kBandLanes; ++r) {
-                uint64_t at = sentinel + r;
+                size_t at = sentinel + r;
                 if (d < farCount(t, r)) {
-                    const uint64_t from = farPreds[farOffsets[t - r] + d];
-                    at = ((from + r) & ring) * kHistoryStride + r;
+                    const size_t from = farPreds[farOffsets[t - r] + d];
+                    at = ((from + r) & ring) * kBandLanes + r;
                 }
-                band.far.push_back(at);
+                band.far.push_back(static_cast<uint32_t>(at));
             }
         }
-        band.farBegin[t + 1] = band.far.size() / kBandLanes;
+        band.farBegin[t + 1] =
+            static_cast<uint32_t>(band.far.size() / kBandLanes);
     }
+    // A lane tallies at most three arrivals per step and two per far
+    // slot, in 32 bits.
+    rl_assert(3 * steps + 2 * (band.far.size() / kBandLanes) <= UINT32_MAX &&
+                  sentinel + kBandLanes <= INT32_MAX,
+              "the graph outgrows the band's 32-bit tallies and indices");
     return band;
 }
 
@@ -107,26 +117,36 @@ using core::detail::arrive;
 // instructions.
 template <bool kArrivals>
 __attribute__((target("avx512f"))) void
-sweep(const GraphBand &band, core::SweepTally &tally,
-      uint64_t fired[kBandLanes])
+sweep(const GraphBand &shared, core::SweepTally &tally,
+      uint32_t fired[kBandLanes])
 {
-    const __m512i unfired =
-        _mm512_set1_epi64(static_cast<long long>(core::kSweepUnfired));
-    const __m512i limit =
-        _mm512_set1_epi64(static_cast<long long>(tally.limit));
-    const __m512i one = _mm512_set1_epi64(1);
+    // A local copy, kept in registers: the vector stores below may
+    // alias anything, the caller's band included.
+    const GraphBand band = shared;
+    const __m512i unfired = _mm512_set1_epi32(kBandUnfired);
+    // The caller keeps the tally's limit below kBandUnfired.
+    const __m512i limit = _mm512_set1_epi32(static_cast<int>(tally.limit));
+    const __m512i one = _mm512_set1_epi32(1);
     const __m512i down = _mm512_loadu_si512(band.down);
     __m512i gather = _mm512_loadu_si512(band.gather);
+    // The ring's (value, up) pairs: a slot's first half interleaves
+    // lanes 0..7 of v and up, its second half lanes 8..15; the two
+    // gathers of a far slot are split back by even and odd elements.
+    const __m512i pairLow = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4,
+                                              20, 5, 21, 6, 22, 7, 23);
+    const __m512i pairHigh = _mm512_add_epi32(pairLow, _mm512_set1_epi32(8));
+    const __m512i values = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
+                                             18, 20, 22, 24, 26, 28, 30);
+    const __m512i ups = _mm512_add_epi32(values, one);
 
     // The last lane writes its row over the row above as lane 0 reads
     // it: lane r's state at step t is sweep index t - r, so a masked
     // store of lane r at above + t - 2r puts it in above[t - r], an
     // index lane 0 has already passed.
     const size_t last = band.lanes - 1;
-    const __mmask8 lastLane = static_cast<__mmask8>(1u << last);
-    sim::Tick *const lastRow = band.above - 2 * last;
+    const __mmask16 lastLane = static_cast<__mmask16>(1u << last);
+    uint32_t *const lastRow = band.above - 2 * last;
     const size_t ring = band.window - 1;
-    const sim::Tick *const history = band.history;
 
     __m512i prev = unfired; // each lane's chain predecessor
     __m512i diag = unfired;
@@ -136,68 +156,68 @@ sweep(const GraphBand &band, core::SweepTally &tally,
 
     const size_t steps = band.positions + band.lanes - 1;
     for (size_t t = 0; t < steps; ++t) {
-        const __m512i up = _mm512_alignr_epi64(
-            prev, _mm512_set1_epi64(static_cast<long long>(band.above[t])),
-            7);
+        const __m512i up = _mm512_alignr_epi32(
+            prev, _mm512_set1_epi32(static_cast<int>(band.above[t])), 15);
         const __m512i deletion = _mm512_loadu_si512(band.deletion - t);
         const __m512i chainDeletion =
             _mm512_loadu_si512(band.chainDeletion - t);
         const __m512i chainGate = _mm512_loadu_si512(band.chainGate - t);
         const __m512i substitution =
-            _mm512_i64gather_epi64(gather, band.weights, 8);
-        gather = _mm512_sub_epi64(gather, one);
+            _mm512_i32gather_epi32(gather, band.weights, 4);
+        gather = _mm512_sub_epi32(gather, one);
 
-        const __m512i fromUp = _mm512_add_epi64(up, down);
+        const __m512i fromUp = _mm512_add_epi32(up, down);
         const __m512i fromDiag =
-            _mm512_add_epi64(_mm512_max_epu64(diag, chainGate), substitution);
-        const __m512i fromLeft = _mm512_add_epi64(prev, chainDeletion);
+            _mm512_add_epi32(_mm512_max_epu32(diag, chainGate), substitution);
+        const __m512i fromLeft = _mm512_add_epi32(prev, chainDeletion);
         arrive(fromUp, limit, events, latest);
         arrive(fromDiag, limit, events, latest);
         arrive(fromLeft, limit, events, latest);
 
         // Far predecessors: their value and `up`, from the history.
-        __m512i best = _mm512_min_epu64(fromDiag, unfired);
+        __m512i best = _mm512_min_epu32(fromDiag, unfired);
         for (size_t e = band.farBegin[t]; e < band.farBegin[t + 1]; ++e) {
-            const __m512i at = _mm512_loadu_si512(band.far + e * kBandLanes);
-            const __m512i farLeft = _mm512_add_epi64(
-                _mm512_i64gather_epi64(at, history, 8), deletion);
-            const __m512i farDiag = _mm512_add_epi64(
-                _mm512_i64gather_epi64(at, history + kBandLanes, 8),
-                substitution);
+            const uint32_t *at = band.far + e * kBandLanes;
+            const __m512i low = _mm512_i32gather_epi64(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(at)),
+                band.history, 8);
+            const __m512i high = _mm512_i32gather_epi64(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(at + kBandLanes / 2)),
+                band.history, 8);
+            const __m512i farLeft = _mm512_add_epi32(
+                _mm512_permutex2var_epi32(low, values, high), deletion);
+            const __m512i farDiag = _mm512_add_epi32(
+                _mm512_permutex2var_epi32(low, ups, high), substitution);
             arrive(farLeft, limit, events, latest);
             arrive(farDiag, limit, events, latest);
-            best = _mm512_min_epu64(best, _mm512_min_epu64(farLeft, farDiag));
+            best = _mm512_min_epu32(best, _mm512_min_epu32(farLeft, farDiag));
         }
         // The row sweep's clamp, with the chain predecessor folded in
         // last: it alone depends on the previous step.
         const __m512i v =
-            _mm512_min_epu64(_mm512_min_epu64(fromUp, best), fromLeft);
-        firedCells = _mm512_mask_add_epi64(
-            firedCells, _mm512_cmple_epu64_mask(v, limit), firedCells, one);
+            _mm512_min_epu32(_mm512_min_epu32(fromUp, best), fromLeft);
+        firedCells = _mm512_mask_add_epi32(
+            firedCells, _mm512_cmple_epu32_mask(v, limit), firedCells, one);
 
-        _mm512_mask_storeu_epi64(lastRow + t, lastLane, v);
-        sim::Tick *const slot = band.history + (t & ring) * kHistoryStride;
-        _mm512_storeu_si512(slot, v);
-        _mm512_storeu_si512(slot + kBandLanes, up);
+        _mm512_mask_storeu_epi32(lastRow + t, lastLane, v);
+        uint32_t *const slot = band.history + (t & ring) * kHistoryStride;
+        _mm512_storeu_si512(slot, _mm512_permutex2var_epi32(v, pairLow, up));
+        _mm512_storeu_si512(slot + kBandLanes,
+                            _mm512_permutex2var_epi32(v, pairHigh, up));
         if constexpr (kArrivals)
             _mm512_storeu_si512(band.skew + t * kBandLanes, v);
         diag = up;
         prev = v;
     }
-
-    tally.events += static_cast<uint64_t>(_mm512_reduce_add_epi64(events));
-    const sim::Tick bandLatest =
-        static_cast<sim::Tick>(_mm512_reduce_max_epu64(latest));
-    if (bandLatest > tally.latest)
-        tally.latest = bandLatest;
-    _mm512_storeu_si512(fired, firedCells);
+    core::detail::foldBand(events, latest, firedCells, tally, fired);
 }
 
 } // namespace
 
 void
 sweepGraphBand(const GraphBand &band, core::SweepTally &tally,
-               uint64_t fired[kBandLanes])
+               uint32_t fired[kBandLanes])
 {
     if (band.skew)
         sweep<true>(band, tally, fired);
@@ -208,7 +228,7 @@ sweepGraphBand(const GraphBand &band, core::SweepTally &tally,
 #else
 
 void
-sweepGraphBand(const GraphBand &, core::SweepTally &, uint64_t *)
+sweepGraphBand(const GraphBand &, core::SweepTally &, uint32_t *)
 {
     rl_panic("the graph band needs an x86-64 host with AVX-512F");
 }

@@ -114,7 +114,8 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                   const core::CancelToken *cancel,
                   core::KernelCounters *counters, bool arrivals)
 {
-    return core::sweepLanes() == detail::kBandLanes
+    return core::sweepLanes() == detail::kBandLanes &&
+                   detail::graphBandExact(compiled, read, costs)
                ? detail::raceAlignmentGridBand(compiled, read, costs,
                                                horizon, scratch, cancel,
                                                counters, arrivals)
@@ -282,6 +283,8 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     const GraphBandTables &tables = compiled.band;
     rl_assert(tables.order.size() == compiled.positionCount(),
               "the graph was compiled without the band's tables");
+    rl_dassert(graphBandExact(compiled, read, costs),
+               "the race's cost range does not fit the band's 32-bit lanes");
 
     const size_t m = read.size();
     const size_t positions = compiled.positionCount();
@@ -291,11 +294,11 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
 
     // The row above, by sweep index, padded with unfired ticks; the
     // history's last slot is the sentinel, never written.
-    scratch.above.assign(positions + 2 * kBandPad, core::kSweepUnfired);
-    sim::Tick *above = scratch.above.data() + kBandPad;
+    scratch.bandRow.assign(positions + 2 * kBandPad, kBandUnfired);
+    uint32_t *above = scratch.bandRow.data() + kBandPad;
     scratch.history.resize((tables.window + 1) * kHistoryStride);
     std::fill_n(scratch.history.end() - kHistoryStride, kHistoryStride,
-                core::kSweepUnfired);
+                kBandUnfired);
     if (arrivals)
         scratch.skew.resize(kBandLanes * (positions + kBandLanes));
 
@@ -303,7 +306,9 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     result.nodes = states;
     if (arrivals)
         result.arrival.assign(states, core::TemporalValue::never());
-    core::SweepTally tally(horizon);
+    // Within the bound no arrival reaches kBandUnfired, so the lanes'
+    // limit below it counts exactly the row sweep's arrivals.
+    core::SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
     sim::Tick sinkTime = sim::kTickInfinity;
 
     // Publish `rows` swept read rows from j on, whose values at sweep
@@ -341,11 +346,12 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         above[0] = 0;
         for (size_t k = 1; k < positions; ++k) {
             const CharPos q = order[k];
-            const sim::Tick gap = static_cast<sim::Tick>(compiled.gapWeight[q]);
-            sim::Tick best = core::kSweepUnfired;
+            const uint32_t gap =
+                core::detail::bandWeight(compiled.gapWeight[q]);
+            uint32_t best = kBandUnfired;
             for (uint32_t e = compiled.predOffsets[q];
                  e < compiled.predOffsets[q + 1]; ++e) {
-                const sim::Tick t = above[tables.rank[compiled.pred[e]]] + gap;
+                const uint32_t t = above[tables.rank[compiled.pred[e]]] + gap;
                 tally.arrive(t);
                 best = std::min(best, t);
             }
@@ -391,12 +397,13 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         for (size_t r = 0; r < kBandLanes; ++r) {
             const bool live = r < lanes;
             const size_t s = live ? symRead[i0 + r - 1] : alpha;
-            band.gather[r] = s * tables.stride + origin + r;
-            band.down[r] = live ? core::sweepWeight(
+            band.gather[r] =
+                static_cast<uint32_t>(s * tables.stride + origin + r);
+            band.down[r] = live ? core::detail::bandWeight(
                                       costs.gap(symRead[i0 + r - 1]))
-                                : core::kSweepUnfired;
+                                : kBandUnfired;
         }
-        uint64_t fired[kBandLanes];
+        uint32_t fired[kBandLanes];
         sweepGraphBand(band, tally, fired);
 
         // Section 6, row by row: the first row with no fired state
@@ -407,7 +414,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
             result.cellsFired += fired[swept++];
         if (arrivals) {
             // Lane r's state at sweep index k is at step k + r.
-            const sim::Tick *skew = scratch.skew.data();
+            const uint32_t *skew = scratch.skew.data();
             publish(i0, swept, [&](size_t k, size_t r) {
                 return skew[(k + r) * kBandLanes + r];
             });

@@ -30,16 +30,19 @@
  *    outside the serial min-plus loop.  It runs on every host and is
  *    the reference;
  *  - the skewed graph band, on hosts with AVX-512F: read rows
- *    i..i+7 race in the eight 64-bit lanes of one register, lane r one
- *    position behind lane r-1 in the sweep order, with the in-edges
- *    from predecessors other than the previous position gathered from
- *    a small history of the band's past steps.  Its tables are
- *    read-independent and built once per compile
+ *    i..i+15 race in the sixteen 32-bit lanes of one register, lane r
+ *    one position behind lane r-1 in the sweep order, with the
+ *    in-edges from predecessors other than the previous position
+ *    gathered from a small history of the band's past steps.  Its
+ *    tables are read-independent and built once per compile
  *    (CompiledGraph::band); it tallies events per target state, in
  *    lanes (rl/pangraph/graph_align_band.h).
  *
- * The CPU alone picks the sweep, once per process (core::sweepLanes(),
- * shared with core::raceEditGrid); nothing else selects it.
+ * The CPU (core::sweepLanes(), once per process, shared with
+ * core::raceEditGrid) and a bound on the race's cost range pick the
+ * sweep: the band runs a race only where its 32-bit lanes are exact,
+ * (|read| + K + 1) x the largest finite weight < 2^30, and the row
+ * sweep runs every other one.  Nothing else selects it.
  *
  * The outcome is bit-identical -- arrival vector (AlignmentGraph::
  * node() layout, super-sink included), event count, sink score, and
@@ -105,9 +108,9 @@ struct GraphRaceResult {
 /**
  * Reusable scratch state for raceAlignmentGrid.  The row sweep uses
  * its two working rows (above, here) and the per-read weight rows
- * hoisted out of it (gapRead, pairRow); the graph band uses above, as
- * the padded row above its next band, history and, when it fills the
- * arrival vector, skew.
+ * hoisted out of it (gapRead, pairRow); the graph band uses bandRow,
+ * history and, when it fills the arrival vector, skew, all in its
+ * 32-bit lanes.
  */
 struct GraphAlignScratch {
     /**
@@ -125,48 +128,44 @@ struct GraphAlignScratch {
      */
     std::vector<sim::Tick> pairRow;
 
-    /** Working values of read rows j - 1 and j, by graph position.
-     *  The band keeps the row above its next band in `above`, by sweep
-     *  index and padded with unfired ticks on both sides. */
+    /** Working values of read rows j - 1 and j, by graph position. */
     std::vector<sim::Tick> above, here;
 
-    /** The band's ring of past steps, whose far predecessors it
-     *  gathers: (window + 1) x 16 ticks, the last slot unfired (layout
-     *  in rl/pangraph/graph_align_band.h). */
-    std::vector<sim::Tick> history;
+    /** The band's row above its next band, by sweep index and padded
+     *  with unfired ticks on both sides. */
+    std::vector<uint32_t> bandRow;
 
-    /** The band's lanes, step by step (8 x (K + 8)), from which the
+    /** The band's ring of past steps, whose far predecessors it
+     *  gathers: (window + 1) x 32 ticks, the last slot unfired (layout
+     *  in rl/pangraph/graph_align_band.h). */
+    std::vector<uint32_t> history;
+
+    /** The band's lanes, step by step (16 x (K + 16)), from which the
      *  arrival vector is filled row by row. */
-    std::vector<sim::Tick> skew;
+    std::vector<uint32_t> skew;
 
     /** Release all retained capacity. */
-    void
-    shrinkToFit()
-    {
-        for (std::vector<sim::Tick> *v :
-             {&gapRead, &pairRow, &above, &here, &history, &skew}) {
-            v->clear();
-            v->shrink_to_fit();
-        }
-    }
+    void shrinkToFit() { *this = GraphAlignScratch(); }
 
     /** Heap bytes currently retained across the rows. */
     size_t
     residentBytes() const
     {
         return (gapRead.capacity() + pairRow.capacity() +
-                above.capacity() + here.capacity() + history.capacity() +
-                skew.capacity()) *
-               sizeof(sim::Tick);
+                above.capacity() + here.capacity()) *
+                   sizeof(sim::Tick) +
+               (bandRow.capacity() + history.capacity() + skew.capacity()) *
+                   sizeof(uint32_t);
     }
 };
 
 /**
  * OR-type race of `read` against a compiled graph under the race-ready
  * cost matrix it was compiled with, swept without materializing the
- * product DAG -- in skewed bands of eight read rows where the CPU has
- * AVX-512F, read row by read row elsewhere, with the same result
- * either way.
+ * product DAG -- in skewed bands of sixteen read rows where the CPU
+ * has AVX-512F and (|read| + K + 1) x the largest finite weight <
+ * 2^30, read row by read row elsewhere, with the same result either
+ * way.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
  * read, costs) on core::WavefrontRaceKernel with the same horizon:
@@ -192,7 +191,7 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  *
  * `cancel` (nullptr = never) is polled once per read row (the band
  * polls a band's rows just before sweeping it, so a cancel is seen
- * within eight read rows); a cancelled race comes back completed =
+ * within sixteen read rows); a cancelled race comes back completed =
  * false with cancelled = true, score
  * kScoreInfinity, and latencyCycles the latest arrival scheduled
  * before the sweep stopped -- the same typed-abort shape as a horizon

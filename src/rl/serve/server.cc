@@ -227,7 +227,7 @@ AlignServer::metricsSnapshot() const
     }
 
     // Which sweeps produced the kernel series, in both dense kernels
-    // (raceEditGrid and raceAlignmentGrid): 8 lanes for the AVX-512F
+    // (raceEditGrid and raceAlignmentGrid): 16 lanes for the AVX-512F
     // bands, 1 for the row sweeps.
     gauge("rl_kernel_sweep_lanes",
           static_cast<int64_t>(core::sweepLanes()));

@@ -148,21 +148,21 @@ TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
     {
         // With the arrival vector on, the band fills all of its
         // buffers: the padded row above, the history and the skew
-        // buffer.
+        // buffer, all of 32-bit ticks.
         core::ScratchLease lease(reg.entry());
         (void)aligner.align(w.read, sim::kTickInfinity, scratch);
     }
     EXPECT_GT(scratch.history.capacity(), 0u);
     EXPECT_GT(scratch.skew.capacity(), 0u);
-    const size_t band = (scratch.above.capacity() +
+    const size_t band = (scratch.bandRow.capacity() +
                          scratch.history.capacity() +
                          scratch.skew.capacity()) *
-                        sizeof(sim::Tick);
+                        sizeof(uint32_t);
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
     EXPECT_GE(registry.shrinkAll(), band);
-    EXPECT_EQ(scratch.above.capacity(), 0u);
+    EXPECT_EQ(scratch.bandRow.capacity(), 0u);
     EXPECT_EQ(scratch.history.capacity(), 0u);
     EXPECT_EQ(scratch.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
@@ -214,7 +214,7 @@ TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
     {
         // With the arrival grid on, the band fills all of its buffers:
         // the padded row above, the reversed profiles and the skew
-        // buffer.
+        // buffer, all of 32-bit ticks.
         core::ScratchLease lease(reg.entry());
         (void)core::raceEditGrid(dna(longDna(300)), dna(longDna(300)),
                                  bio::ScoreMatrix::dnaShortestPath(),
@@ -222,15 +222,15 @@ TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
     }
     EXPECT_GT(scratch.profile.capacity(), 0u);
     EXPECT_GT(scratch.skew.capacity(), 0u);
-    const size_t band = (scratch.row.capacity() +
+    const size_t band = (scratch.bandRow.capacity() +
                          scratch.profile.capacity() +
                          scratch.skew.capacity()) *
-                        sizeof(sim::Tick);
+                        sizeof(uint32_t);
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
     EXPECT_GE(registry.shrinkAll(), band);
-    EXPECT_EQ(scratch.row.capacity(), 0u);
+    EXPECT_EQ(scratch.bandRow.capacity(), 0u);
     EXPECT_EQ(scratch.profile.capacity(), 0u);
     EXPECT_EQ(scratch.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);

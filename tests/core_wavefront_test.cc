@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "rl/bio/align_dp.h"
@@ -348,15 +349,19 @@ hostHasBand()
 constexpr const char *kNoBand =
     "host has no AVX-512F: raceEditGrid runs the row sweep alone";
 
+using EditGridSweep = decltype(&core::detail::raceEditGridRows);
+
 /**
- * Race (a, b) on the row sweep and on the skewed band and assert the
- * outcomes are identical: every RaceGridResult field, the arrival grid
- * included, and every KernelCounters field.
+ * Race (a, b) on the row sweep and on `subject` -- the skewed band
+ * unless named -- and assert the outcomes are identical: every
+ * RaceGridResult field, the arrival grid included, and every
+ * KernelCounters field.
  */
 void
 expectBandMatchesRows(const Sequence &a, const Sequence &b,
                       const ScoreMatrix &m, sim::Tick horizon,
-                      bool arrivals, const core::CancelToken *cancel)
+                      bool arrivals, const core::CancelToken *cancel,
+                      EditGridSweep subject = &core::detail::raceEditGridBand)
 {
     SCOPED_TRACE(testing::Message()
                  << "|a|=" << a.size() << " |b|=" << b.size()
@@ -366,7 +371,7 @@ expectBandMatchesRows(const Sequence &a, const Sequence &b,
     core::KernelCounters rowCounters, bandCounters;
     const core::RaceGridResult rows = core::detail::raceEditGridRows(
         a, b, m, horizon, rowScratch, cancel, &rowCounters, arrivals);
-    const core::RaceGridResult band = core::detail::raceEditGridBand(
+    const core::RaceGridResult band = subject(
         a, b, m, horizon, bandScratch, cancel, &bandCounters, arrivals);
 
     EXPECT_EQ(band.score, rows.score);
@@ -440,9 +445,10 @@ TEST_P(BandSweep, EveryBandShapeAroundTheLaneCount)
     // horizons that stop the sweep inside a band.
     util::Rng rng(5300 + GetParam());
     const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    const size_t rows = static_cast<size_t>(GetParam()) + 1; // 1..24
-    for (size_t cols : {size_t(0), size_t(1), size_t(7), size_t(8),
-                        size_t(9), size_t(33)}) {
+    const size_t lanes = core::detail::kBandLanes;
+    const size_t rows = static_cast<size_t>(GetParam()) + 1; // 1..3 lanes
+    for (size_t cols : {size_t(0), size_t(1), lanes - 1, lanes, lanes + 1,
+                        2 * lanes + 1}) {
         const Sequence a = Sequence::random(rng, Alphabet::dna(), rows);
         const Sequence b = Sequence::random(rng, Alphabet::dna(), cols);
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(rows / 2),
@@ -451,7 +457,66 @@ TEST_P(BandSweep, EveryBandShapeAroundTheLaneCount)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BandSweep, ::testing::Range(0, 24));
+// One seed per row count of EveryBandShapeAroundTheLaneCount.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BandSweep,
+    ::testing::Range(0, static_cast<int>(3 * core::detail::kBandLanes)));
+
+// ------------------------------------------------- the band's bound
+
+/**
+ * DNA costs of `w` for every match and every gap, with mismatches
+ * forbidden: a grid of two sequences with no symbol in common races
+ * gap chains alone, so its costs climb to (|a| + |b|) x w.
+ */
+ScoreMatrix
+gapChainCosts(bio::Score w)
+{
+    ScoreMatrix m =
+        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, w);
+    for (bio::Symbol x = 0; x < 4; ++x)
+        for (bio::Symbol y = 0; y < 4; ++y)
+            if (x != y)
+                m.setPair(x, y, bio::kScoreInfinity);
+    return m;
+}
+
+TEST(BandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+{
+    // |a| + |b| = 63, so (63 + 1) x w < 2^30 holds up to w = 2^24 - 1:
+    // that race sits 64 below the bound, the next weight on it, and
+    // twice that weight sends the sink past 2^30, which no 32-bit lane
+    // can hold.  a is over {A, C} and b over {G, T}, so the sink fires
+    // at 63 w.
+    util::Rng rng(5800);
+    std::string left, right;
+    for (int j = 0; j < 32; ++j) {
+        left += rng.bernoulli(0.5) ? 'A' : 'C';
+        right += rng.bernoulli(0.5) ? 'G' : 'T';
+    }
+    const Sequence a(Alphabet::dna(), left.substr(1));
+    const Sequence b(Alphabet::dna(), right);
+    const bio::Score under = (bio::Score(1) << 24) - 1;
+    for (bio::Score w : {under, under + 1, 2 * under + 2}) {
+        SCOPED_TRACE(testing::Message() << "w=" << w);
+        const ScoreMatrix m = gapChainCosts(w);
+        EXPECT_EQ(core::detail::editGridBandExact(a, b, m), w == under);
+        const auto sink = static_cast<sim::Tick>(63 * w);
+        EXPECT_EQ(core::raceEditGrid(a, b, m).score, 63 * w);
+        // The last horizon lies in [2^30, 2^62): past every 32-bit
+        // lane value, within the row sweep's range.
+        for (sim::Tick horizon : {sim::kTickInfinity, sink - 1, sink,
+                                  sim::Tick(1) << 40}) {
+            for (bool arrivals : {true, false}) {
+                expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
+                                      &core::raceEditGrid);
+                if (w == under && hostHasBand())
+                    expectBandMatchesRows(a, b, m, horizon, arrivals,
+                                          nullptr);
+            }
+        }
+    }
+}
 
 /**
  * Cancel 2047 x 2047 races from a second thread: the sweep must come

@@ -791,19 +791,22 @@ hostHasBand()
 constexpr const char *kNoBand =
     "host has no AVX-512F: raceAlignmentGrid runs the row sweep alone";
 
+using GraphSweep = decltype(&pangraph::detail::raceAlignmentGridRows);
+
 /**
- * Race `read` on the row sweep and on the graph band and assert the
- * outcomes are identical: every GraphRaceResult field, the arrival
- * vector (AlignmentGraph::node() layout) included, and every
- * KernelCounters field.  The band races on `bandScratch`, which the
- * caller reuses across graphs, so a ring left by a graph of another
- * shape is raced over too.
+ * Race `read` on the row sweep and on `subject` -- the graph band
+ * unless named -- and assert the outcomes are identical: every
+ * GraphRaceResult field, the arrival vector (AlignmentGraph::node()
+ * layout) included, and every KernelCounters field.  The subject races
+ * on `bandScratch`, which the caller reuses across graphs, so a ring
+ * left by a graph of another shape is raced over too.
  */
 void
-expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
-                           sim::Tick horizon, bool arrivals,
-                           const core::CancelToken *cancel,
-                           pangraph::GraphAlignScratch &bandScratch)
+expectGraphBandMatchesRows(
+    const GraphAligner &aligner, const Sequence &read, sim::Tick horizon,
+    bool arrivals, const core::CancelToken *cancel,
+    pangraph::GraphAlignScratch &bandScratch,
+    GraphSweep subject = &pangraph::detail::raceAlignmentGridBand)
 {
     SCOPED_TRACE(testing::Message()
                  << "positions=" << aligner.compiled().positionCount()
@@ -817,9 +820,8 @@ expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
             aligner.compiled(), read, aligner.costs(), horizon, rowScratch,
             cancel, &rowCounters, arrivals);
     const pangraph::GraphRaceResult band =
-        pangraph::detail::raceAlignmentGridBand(
-            aligner.compiled(), read, aligner.costs(), horizon, bandScratch,
-            cancel, &bandCounters, arrivals);
+        subject(aligner.compiled(), read, aligner.costs(), horizon,
+                bandScratch, cancel, &bandCounters, arrivals);
 
     EXPECT_EQ(band.score, rows.score);
     EXPECT_EQ(band.racedCost, rows.racedCost);
@@ -876,14 +878,19 @@ expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
     }
 }
 
-/** Reads of 0, 1-9, 15-17 and up to 200 nt, and a noisy walk. */
+/**
+ * Reads of 0, 1-9 nt, one off either side of one and two band widths
+ * L (L - 1 .. L + 1, 2L - 1 .. 2L + 1), up to 200 nt, and a noisy
+ * walk.
+ */
 std::vector<Sequence>
 bandReads(util::Rng &rng, const VariationGraph &graph)
 {
+    const size_t lanes = core::detail::kBandLanes;
     std::vector<Sequence> reads;
     for (size_t n : {size_t(0), size_t(1), size_t(rng.uniformInt(2, 9)),
-                     size_t(15), size_t(16), size_t(17),
-                     size_t(rng.uniformInt(18, 200))})
+                     lanes - 1, lanes, lanes + 1, 2 * lanes - 1, 2 * lanes,
+                     2 * lanes + 1, size_t(rng.uniformInt(18, 200))})
         reads.push_back(Sequence::random(rng, graph.alphabet(), n));
     reads.push_back(pangraph::sampleRead(rng, graph,
                                          bio::MutationModel::uniform(0.2)));
@@ -976,15 +983,15 @@ TEST(GraphBandTables, FanJoinsNeedSeveralFarSlots)
     if (!hostHasBand())
         GTEST_SKIP() << kNoBand;
     // Four sources into one join, which then has one chain predecessor
-    // at most and three far ones; every step within seven of the join
-    // races three far slots.
+    // at most and three far ones; every step within fifteen of the
+    // join races three far slots.
     auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
     const SegmentId join = graph->addSegment("join", dna("GATTACA"));
     for (const char *name : {"a", "b", "c", "d"})
         graph->addLink(graph->addSegment(name, dna("ACG")), join);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
     const pangraph::GraphBandTables &band = aligner.compiled().band;
-    size_t widest = 0;
+    uint32_t widest = 0;
     for (size_t t = 0; t + 1 < band.farBegin.size(); ++t)
         widest = std::max(widest, band.farBegin[t + 1] - band.farBegin[t]);
     EXPECT_EQ(widest, 3u);
@@ -1015,6 +1022,61 @@ TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
     pangraph::GraphAlignScratch scratch;
     for (const Sequence &read : bandReads(rng, *graph))
         expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
+}
+
+TEST(GraphBandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+{
+    // Costs of 2^16 -- the largest weight compileGraph admits -- for
+    // every match and gap, mismatches forbidden, on a one-nt bubble
+    // (a -> b | c -> d, so d has a far predecessor): with K = 4,
+    // (|read| + 4 + 1) x 2^16 < 2^30 holds up to |read| = 16378.  That
+    // race sits 2^16 below the bound, the next read length on it, and
+    // a 20000-nt read sends the sink past 2^30, which no 32-bit lane
+    // can hold.
+    util::Rng rng(6250);
+    const bio::Score w = core::kMaxWavefrontWeight;
+    ScoreMatrix m =
+        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, w);
+    for (bio::Symbol x = 0; x < 4; ++x)
+        for (bio::Symbol y = 0; y < 4; ++y)
+            if (x != y)
+                m.setPair(x, y, bio::kScoreInfinity);
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    const SegmentId a = graph->addSegment("a", dna("A"));
+    const SegmentId b = graph->addSegment("b", dna("C"));
+    const SegmentId c = graph->addSegment("c", dna("G"));
+    const SegmentId d = graph->addSegment("d", dna("T"));
+    graph->addLink(a, b);
+    graph->addLink(a, c);
+    graph->addLink(b, d);
+    graph->addLink(c, d);
+    GraphAligner aligner(graph, m);
+    pangraph::GraphAlignScratch scratch;
+    for (size_t n : {size_t(16378), size_t(16379), size_t(20000)}) {
+        SCOPED_TRACE(testing::Message() << "|read|=" << n);
+        const Sequence read = Sequence::random(rng, Alphabet::dna(), n);
+        EXPECT_EQ(pangraph::detail::graphBandExact(aligner.compiled(), read,
+                                                   m),
+                  n == 16378);
+        const auto opt = static_cast<sim::Tick>(
+            pangraph::graphAlignDp(*graph, read, m).distance);
+        EXPECT_EQ(pangraph::raceAlignmentGrid(aligner.compiled(), read, m)
+                      .racedCost,
+                  static_cast<bio::Score>(opt));
+        // The last horizon lies in [2^30, 2^62): past every 32-bit
+        // lane value, within the row sweep's range.
+        for (sim::Tick horizon :
+             {sim::kTickInfinity, opt - 1, opt, sim::Tick(1) << 40}) {
+            for (bool arrivals : {true, false}) {
+                expectGraphBandMatchesRows(
+                    aligner, read, horizon, arrivals, nullptr, scratch,
+                    &pangraph::raceAlignmentGrid);
+                if (n == 16378 && hostHasBand())
+                    expectGraphBandMatchesRows(aligner, read, horizon,
+                                               arrivals, nullptr, scratch);
+            }
+        }
+    }
 }
 
 /**

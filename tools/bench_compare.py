@@ -27,9 +27,9 @@ than the tolerance relative to the baseline, i.e. when
 
 Each headline row is compared with the baseline of the sweep the
 runner took.  The race kernels pick their sweep from the CPU, and the
-benches print it as `sweep_lanes` in their run context: 8 for the
+benches print it as `sweep_lanes` in their run context: 16 for the
 AVX-512F skewed bands, 1 for the row sweeps.  When the fresh run's
-context says 8 and the baseline stores a `NAME@sweep_lanes=8` row, the
+context says N and the baseline stores a `NAME@sweep_lanes=N` row, the
 row is compared with it; otherwise with the plain `NAME` row, which
 holds row-sweep values.  A runner that took the band then cannot lose
 the band's speed-up unseen, and no runner's gate loosens.

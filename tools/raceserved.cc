@@ -255,7 +255,8 @@ main(int argc, char **argv)
     const unsigned lanes = core::sweepLanes();
     std::fputs(("raceserved: rl_kernel_sweep_lanes=" +
                 std::to_string(lanes) +
-                (lanes > 1 ? " (AVX-512F skewed bands: edit grid and graph)\n"
+                (lanes > 1 ? " (AVX-512F skewed bands: edit grid and graph; "
+                             "row sweeps for races whose costs could reach 2^30)\n"
                            : " (row sweeps: edit grid and graph)\n"))
                    .c_str(),
                stderr);
