@@ -167,8 +167,9 @@ void
 BM_GraphAlignReference(benchmark::State &state)
 {
     // The materialized path the fused kernel replaced: build the
-    // product graph::Dag, then race it on the general CSR kernel.
-    // Kept as the before number (and the gate-level synthesis path).
+    // product graph::Dag, then race it on core::raceDag -- the
+    // GateLevel GraphAlign product race.  Kept as the before number
+    // (and the gate-level synthesis path).
     Workload w(size_t(state.range(0)));
     pangraph::GraphAligner aligner(w.graph,
                                    ScoreMatrix::dnaShortestPath());

@@ -14,8 +14,11 @@
 #include "rl/bio/score_convert.h"
 #include "rl/core/grid_fabric.h"
 #include "rl/core/race_grid.h"
+#include "rl/core/race_network.h"
 #include "rl/core/wavefront.h"
 #include "rl/core/wavefront_band.h"
+#include "rl/graph/generate.h"
+#include "rl/graph/paths.h"
 #include "rl/systolic/lipton_lopresti.h"
 #include "rl/util/random.h"
 
@@ -122,25 +125,72 @@ BM_RaceEditGridServed(benchmark::State &state)
 BENCHMARK(BM_RaceEditGridServed)->Arg(32)->Arg(128);
 
 void
-BM_WavefrontKernelDag(benchmark::State &state)
+BM_RaceDag(benchmark::State &state)
 {
-    // The general CSR bucket kernel on a prebuilt DAG (the DTW /
-    // DAG-path substrate), isolating kernel cost from graph
-    // construction.
+    // core::raceDag -- the race of the DagPath, DTW and affine
+    // lattices -- on a prebuilt edit graph, isolating the race from
+    // graph construction.  Each call still orders the graph and checks
+    // its weights, as every caller's does.
     size_t n = size_t(state.range(0));
     auto [a, b] = randomPair(2, n);
     ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-    core::WavefrontRaceKernel kernel(eg.dag);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            kernel.race({eg.source}, core::RaceType::Or)
+            core::raceDag(eg.dag, {eg.source}, core::RaceType::Or)
                 .at(eg.sink)
                 .rawTime());
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(n) * int64_t(n));
 }
-BENCHMARK(BM_WavefrontKernelDag)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_RaceDag)->Arg(16)->Arg(64)->Arg(256);
+
+/** The n x n gridDag (weights 1-9) both DagPath rows race. */
+graph::Dag
+dagPathGrid(size_t n)
+{
+    util::Rng rng(11);
+    return graph::gridDag(rng, n, n, {1, 9});
+}
+
+void
+BM_DagPathSolve(benchmark::State &state)
+{
+    // A score-only DagPath solve through the engine: the race and the
+    // result it assembles.  It races BM_DagPathOracle's graph, so the
+    // two rows compare the race with the DP it models (CI gates the
+    // ratio).
+    size_t n = size_t(state.range(0));
+    graph::Dag dag = dagPathGrid(n);
+    const auto sink = static_cast<graph::NodeId>(dag.nodeCount() - 1);
+    api::RaceProblem problem = api::RaceProblem::dagPath(
+        std::move(dag), {0}, sink, graph::Objective::Shortest);
+    problem.arrivals = false;
+    api::EngineConfig config;
+    config.withEstimates = false;
+    api::RaceEngine engine(config);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(engine.solve(problem).score);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_DagPathSolve)->Arg(256);
+
+void
+BM_DagPathOracle(benchmark::State &state)
+{
+    // The DAG DP (graph::solveDag) on BM_DagPathSolve's graph.
+    size_t n = size_t(state.range(0));
+    const graph::Dag dag = dagPathGrid(n);
+    const auto sink = static_cast<graph::NodeId>(dag.nodeCount() - 1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            graph::solveDag(dag, {0}, graph::Objective::Shortest)
+                .distance[sink]);
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(n) * int64_t(n));
+}
+BENCHMARK(BM_DagPathOracle)->Arg(256);
 
 void
 BM_ScreeningRaceWithHorizon(benchmark::State &state)

@@ -26,8 +26,8 @@ enum class BackendKind {
     /**
      * Behavioral race simulation (fast, exact, default): a dense
      * min-plus sweep of the arrival times for the grid family and
-     * GraphAlign, the bucketed DAG kernel (core::raceDag) for Dtw,
-     * DagPath and affine lattices.
+     * GraphAlign, one pass in topological order (core::raceDag) for
+     * Dtw, DagPath and affine lattices.
      */
     Behavioral,
 

@@ -125,8 +125,9 @@ class ScoreMatrix
      * the matrix must be Cost kind, every gap weight finite and >= 1,
      * every pair weight >= 1 with kScoreInfinity (a missing diagonal
      * edge) allowed only when `allowForbiddenPairs`, and every finite
-     * weight <= `maxWeight` when maxWeight != 0 (the calendar/wire
-     * cap).  Returns InvalidArgument describing the first violation.
+     * weight <= `maxWeight` when maxWeight != 0 (the race's delay
+     * cap or the wire's).  Returns InvalidArgument describing the
+     * first violation.
      */
     Status validateRaceReady(Score maxWeight = 0,
                              bool allowForbiddenPairs = true) const;

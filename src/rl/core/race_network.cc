@@ -11,15 +11,14 @@ namespace racelogic::core {
 
 namespace {
 
+/** fatal() on a delay Race Logic cannot realize. */
 void
-checkRaceable(const graph::Dag &dag)
+checkNonNegative(const graph::Edge &e)
 {
-    dag.validateAcyclic();
-    for (const graph::Edge &e : dag.edges())
-        if (e.weight < 0)
-            rl_fatal("edge ", e.from, "->", e.to, " has negative weight ",
-                     e.weight, "; Race Logic cannot realize negative "
-                     "delays (convert the matrix first, Section 5)");
+    if (e.weight < 0)
+        rl_fatal("edge ", e.from, "->", e.to, " has negative weight ",
+                 e.weight, "; Race Logic cannot realize negative delays "
+                 "(convert the matrix first, Section 5)");
 }
 
 } // namespace
@@ -28,9 +27,66 @@ RaceOutcome
 raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
         RaceType type, sim::Tick horizon)
 {
-    checkRaceable(dag);
     rl_assert(!sources.empty(), "race needs at least one source");
-    return WavefrontRaceKernel(dag).race(sources, type, horizon);
+    // Every arrival into a node comes from a node before it, so one
+    // pass in this order settles each node before it fires.  Ordering
+    // first exits on a cycle, and frees the sort's working arrays
+    // before the race allocates its own.
+    const std::vector<graph::NodeId> order = graph::topologicalOrder(dag);
+    const size_t n = dag.nodeCount();
+    const bool andRace = type == RaceType::And;
+    std::vector<bool> isSource(n, false);
+    for (graph::NodeId s : sources) {
+        rl_assert(s < n, "bad source node ", s);
+        isSource[s] = true;
+    }
+
+    RaceOutcome outcome;
+    // Each node's arrivals so far -- the earliest for Or, the latest
+    // for And, which also counts down the in-edges yet to deliver --
+    // become its firing time when the pass reaches it.
+    std::vector<TemporalValue> &firing = outcome.firing;
+    firing.assign(n, TemporalValue::never());
+    std::vector<uint32_t> waiting;
+    if (andRace) {
+        waiting.resize(n);
+        for (graph::NodeId node = 0; node < n; ++node)
+            waiting[node] = static_cast<uint32_t>(dag.inDegree(node));
+    }
+
+    const std::vector<graph::Edge> &edges = dag.edges();
+    for (graph::NodeId node : order) {
+        // A source is tied high at tick 0, whatever reaches it; an And
+        // gate waits for its last in-edge.
+        if (isSource[node])
+            firing[node] = TemporalValue::at(0);
+        else if (andRace && waiting[node] > 0)
+            firing[node] = TemporalValue::never();
+        const TemporalValue t = firing[node];
+        if (t.fired())
+            outcome.horizon = std::max(outcome.horizon, t.time());
+        for (uint32_t idx : dag.outEdges(node)) {
+            const graph::Edge &e = edges[idx];
+            checkNonNegative(e);
+            rl_assert(e.weight <= kMaxWavefrontWeight,
+                      "wavefront kernel weight ", e.weight, " outside [0, ",
+                      kMaxWavefrontWeight, "]; validate the problem "
+                      "(api::RaceEngine::validate()) before racing it");
+            const TemporalValue at =
+                t.delayed(static_cast<sim::Tick>(e.weight));
+            if (!at.fired() || at.rawTime() > horizon)
+                continue; // unfired, or past Section 6's abort counter
+            ++outcome.events;
+            TemporalValue &into = firing[e.to];
+            if (!andRace) {
+                into = firstArrival(into, at);
+            } else {
+                --waiting[e.to];
+                into = into.fired() ? std::max(into, at) : at;
+            }
+        }
+    }
+    return outcome;
 }
 
 bool
@@ -57,7 +113,6 @@ compileRaceCircuit(const graph::Dag &dag,
                    const std::vector<graph::NodeId> &sources,
                    RaceType type)
 {
-    checkRaceable(dag);
     rl_assert(!sources.empty(), "race needs at least one source");
 
     RaceCircuit rc;
@@ -71,7 +126,7 @@ compileRaceCircuit(const graph::Dag &dag,
     }
 
     // Create nets in topological order so edge delay chains always
-    // have their driver available.
+    // have their driver available; topologicalOrder() exits on a cycle.
     std::vector<std::vector<circuit::NetId>> fanin(n);
     for (graph::NodeId node : graph::topologicalOrder(dag)) {
         circuit::NetId net;
@@ -92,6 +147,7 @@ compileRaceCircuit(const graph::Dag &dag,
         rc.nodeNets[node] = net;
         for (uint32_t idx : dag.outEdges(node)) {
             const graph::Edge &edge = dag.edges()[idx];
+            checkNonNegative(edge);
             circuit::NetId delayed = circuit::buildDelayChain(
                 rc.netlist, net, static_cast<size_t>(edge.weight));
             fanin[edge.to].push_back(delayed);

@@ -9,13 +9,13 @@
  *
  * Two execution backends are provided:
  *
- *  - raceDag(): a temporal simulation on the DAG itself.  Arrival
- *    events propagate in time order exactly as edges would in
- *    hardware; per-node firing times come out as a by-product (the
- *    "wavefront").  It runs on the bucketed wavefront kernel
- *    (rl/core/wavefront.h -- Dial's algorithm, O(E + T), no heap and
- *    no per-event allocation), which takes delays up to
- *    kMaxWavefrontWeight.  Its oracle is the DAG DP
+ *  - raceDag(): the race on the DAG itself, one pass in topological
+ *    order.  Every arrival into a node comes from a node before it,
+ *    so when the pass reaches a node it holds all of them, and the
+ *    node fires when its gate would rise in hardware; per-node firing
+ *    times come out as a by-product (the "wavefront").  O(V log V +
+ *    E), the order being graph::topologicalOrder()'s, with delays up
+ *    to kMaxWavefrontWeight.  Its oracle is the DAG DP
  *    (graph::solveDag).
  *
  *  - compileRaceCircuit(): an actual gate-level netlist (OR/AND
@@ -65,12 +65,16 @@ struct RaceOutcome {
  * Race over `dag` injecting a rising edge at every node in `sources`
  * at tick 0.
  *
- * Runs on the bucketed wavefront kernel (rl/core/wavefront.h).
+ * An Or node fires at its earliest arrival; an And node at its latest,
+ * once every in-edge has delivered one; a source at tick 0, whatever
+ * reaches it (arrivals into a source still count as events).  A node
+ * that no arrival reaches never fires.
  *
- * Requirements checked: the graph is acyclic, every edge weight is
- * >= 0 (Race Logic cannot realize negative delays; Section 5) and at
- * most kMaxWavefrontWeight (api::RaceEngine::validate() rejects
- * larger delays with a typed error; here they abort).
+ * Requirements checked in the same pass: the graph is acyclic, every
+ * edge weight is >= 0 (Race Logic cannot realize negative delays;
+ * Section 5) -- both fatal() -- and at most kMaxWavefrontWeight
+ * (api::RaceEngine::validate() rejects larger delays with a typed
+ * error; here they abort).
  * For RaceType::And the hardware fires a node only after *all*
  * in-edges have fired, so any node with an in-edge that cannot fire
  * stays at never(); callers comparing against a longest-path DP
@@ -78,7 +82,7 @@ struct RaceOutcome {
  * andRaceMatchesDp()).
  *
  * @param horizon  Section 6 early termination: arrivals later than
- *                 this tick are never simulated, so nodes whose
+ *                 this tick are never delivered, so nodes whose
  *                 signal would arrive past the horizon stay at
  *                 never().  Default races to full drain.
  */

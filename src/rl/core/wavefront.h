@@ -1,56 +1,39 @@
 /**
  * @file
- * Wavefront race kernels: a bucketed one for any DAG and a dense
- * sweep for the edit grid.
+ * The dense sweep of the edit grid's race.
  *
  * The paper's OR-type race *is* a shortest-path wavefront sweeping the
- * edit graph one clock cycle at a time.  Two kernels race it without
- * a priority queue of events (O(log E) ordering work per arrival):
+ * edit graph one clock cycle at a time.  raceEditGrid() races the
+ * (|a|+1) x (|b|+1) edit graph of two sequences without materializing
+ * it and without scheduling a single event.  With every delay >= 1,
+ * each cell fires at exactly its min-plus DP value (the paper's
+ * Fig. 4c arrival table), and each row depends only on the row above
+ * and on its own left neighbour -- so a sweep of the recurrence
+ * computes the arrival table directly.  Two sweeps compute it,
+ * bit-identically:
  *
- *  - WavefrontRaceKernel: races any graph::Dag via its packed CSR
- *    view.  Race Logic delays are small bounded integers, so a
- *    calendar of W+1 circular buckets (Dial's algorithm, W = the
- *    largest edge weight) schedules each arrival in O(1): an arrival
- *    at tick t+w goes into bucket (t+w) mod (W+1), and the simulation
- *    drains bucket t, t+1, t+2, ... -- exactly the clock the hardware
- *    would tick.  Supports Or (first-arrival, min) and And
- *    (last-arrival via in-degree countdown, max) races, and an
- *    early-termination horizon: arrivals past the horizon are never
- *    scheduled, which is the Section 6 abort counter.
+ *  - the row sweep, one cell at a time, counting the events raceDag()
+ *    would count per settled cell in a pass over each finished row
+ *    (SweepTally), off the recurrence's serial chain.  It runs on
+ *    every host and is the reference;
+ *  - the skewed band, on hosts with AVX-512F: rows i..i+15 race in the
+ *    sixteen 32-bit lanes of one register, lane r one column behind
+ *    lane r-1, like a short linear systolic array riding the paper's
+ *    diagonal wavefront.  Each step fires one cell of every row in the
+ *    band and tallies the arrivals into them in lanes
+ *    (rl/core/wavefront_band.h).
  *
- *  - raceEditGrid(): the OR race of the (|a|+1) x (|b|+1) edit graph
- *    of two sequences, without materializing it.  With every delay
- *    >= 1, each cell fires at exactly its min-plus DP value (the
- *    paper's Fig. 4c arrival table), and each row depends only on the
- *    row above and on its own left neighbour -- so a sweep of the
- *    recurrence computes the arrival table directly, with no event
- *    scheduling at all.  Two sweeps compute it, bit-identically:
+ * The CPU (sweepLanes(), once per process) and a bound on the race's
+ * cost range pick the sweep: the band runs a race only where its
+ * 32-bit lanes are exact, (|a| + |b| + 1) x the largest finite
+ * weight < 2^30, and the row sweep runs every other one.  Nothing else
+ * selects it.
  *
- *     - the row sweep, one cell at a time, counting the events the
- *       calendar would drain per settled cell in a pass over each
- *       finished row (SweepTally), off the recurrence's serial chain.
- *       It runs on every host and is the reference;
- *     - the skewed band, on hosts with AVX-512F: rows i..i+15 race in
- *       the sixteen 32-bit lanes of one register, lane r one column
- *       behind lane r-1, like a short linear systolic array riding
- *       the paper's diagonal wavefront.  Each step fires one cell of
- *       every row in the band and tallies the arrivals into them in
- *       lanes (rl/core/wavefront_band.h).
- *
- *    The CPU (sweepLanes(), once per process) and a bound on the
- *    race's cost range pick the sweep: the band runs a race only
- *    where its 32-bit lanes are exact, (|a| + |b| + 1) x the largest
- *    finite weight < 2^30, and the row sweep runs every other one.
- *    Nothing else selects it.
- *
- * The bucketed kernel fires every node at its DAG DP value
- * (graph::solveDag; for an And race, where andRaceMatchesDp() holds)
- * when that is within the horizon, and schedules exactly the
- * out-edges of fired nodes that land within it.  The equivalence
- * suite in tests/core_wavefront_test.cc checks firing times, event
- * counts and the latest firing against that closed form, and both
- * sweeps against the bucketed kernel on the materialized graph, event
- * counts included.
+ * tests/core_wavefront_test.cc checks both sweeps against raceDag() on
+ * the materialized edit graph, arrival grids and event counts
+ * included; raceDag() against the closed form of the DAG DP
+ * (graph::solveDag); and the band against the row sweep field for
+ * field and counter for counter.
  */
 
 #ifndef RACELOGIC_CORE_WAVEFRONT_H
@@ -71,51 +54,16 @@
 namespace racelogic::core {
 
 /**
- * Largest delay a race may carry.  The bucket calendar needs
- * maxWeight+1 buckets (and a gate-level fabric a maxWeight-deep DFF
- * chain), so WavefrontRaceKernel asserts every edge weight is at most
- * this, and api::RaceEngine::validate() rejects any problem raising
- * one above it -- matrix and affine gap weights, DTW sample spreads,
- * DAG edge weights -- with a typed InvalidArgument.  Every workload
- * in the paper sits far below it.
+ * Largest delay a race may carry.  A gate-level fabric realizes a
+ * weight-w edge as a w-deep DFF chain (compileRaceCircuit(), the
+ * one-hot cells of core::GridFabric), so the cap bounds the chain
+ * depth.  api::RaceEngine::validate() rejects any problem raising a
+ * delay above it -- matrix and affine gap weights, DTW sample spreads,
+ * DAG edge weights -- with a typed InvalidArgument, which makes
+ * [0, kMaxWavefrontWeight] the race-ready range, and raceDag() asserts
+ * it.  Every workload in the paper sits far below it.
  */
 constexpr graph::Weight kMaxWavefrontWeight = 1 << 16;
-
-/**
- * Calendar-queue race kernel over a DAG's packed CSR view.
- *
- * Construction snapshots the adjacency (O(V + E)); race() is const
- * and allocates only its own per-race state, so one kernel can race
- * many source sets -- including concurrently from several threads.
- *
- * The caller is responsible for acyclicity and non-negative weights
- * (raceDag() checks both before constructing a kernel); the
- * constructor asserts the kMaxWavefrontWeight cap.
- */
-class WavefrontRaceKernel
-{
-  public:
-    explicit WavefrontRaceKernel(const graph::Dag &dag);
-
-    /**
-     * Race from `sources` (all injected at tick 0).
-     *
-     * @param horizon  Arrivals later than this tick are never
-     *                 scheduled (Section 6 early termination); the
-     *                 default races to full drain.
-     */
-    RaceOutcome race(const std::vector<graph::NodeId> &sources,
-                     RaceType type,
-                     sim::Tick horizon = sim::kTickInfinity) const;
-
-    size_t nodeCount() const { return inDegree.size(); }
-    size_t edgeCount() const { return csr.edgeCount(); }
-
-  private:
-    graph::CsrOutEdges csr;
-    std::vector<uint32_t> inDegree;
-    graph::Weight maxWeight = 0;
-};
 
 /**
  * Working value of a cell that has not fired, in the dense sweeps of
@@ -157,10 +105,9 @@ struct SweepOutEdges {
 
 /**
  * The arrivals a dense sweep schedules.  An edge out of a fired state
- * whose arrival is within the horizon is one event -- the arrival the
- * calendar kernel (WavefrontRaceKernel) would schedule and drain on
- * the materialized graph -- whether or not it is the first to reach
- * its target.
+ * whose arrival is within the horizon is one event -- the arrival
+ * raceDag() counts on the materialized graph -- whether or not it is
+ * the first to reach its target.
  *
  * The sweeps count per settled source, in a pass over each finished
  * row, so the serial min-plus loop carries no bookkeeping.  A source

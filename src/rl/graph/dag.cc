@@ -52,32 +52,6 @@ Dag::inEdges(NodeId node) const
     return inAdjacency[node];
 }
 
-CsrOutEdges
-Dag::outEdgesCsr() const
-{
-    CsrOutEdges csr;
-    const size_t n = nodeCount();
-    csr.offsets.assign(n + 1, 0);
-    for (const Edge &e : edges_)
-        ++csr.offsets[e.from + 1];
-    for (size_t v = 0; v < n; ++v)
-        csr.offsets[v + 1] += csr.offsets[v];
-    csr.to.resize(edges_.size());
-    csr.weight.resize(edges_.size());
-    // Fill in per-node insertion order so CSR traversal matches
-    // outEdges() traversal exactly (event-order equivalence).
-    std::vector<uint32_t> cursor(csr.offsets.begin(),
-                                 csr.offsets.end() - 1);
-    for (size_t v = 0; v < n; ++v) {
-        for (uint32_t idx : outAdjacency[v]) {
-            uint32_t slot = cursor[v]++;
-            csr.to[slot] = edges_[idx].to;
-            csr.weight[slot] = edges_[idx].weight;
-        }
-    }
-    return csr;
-}
-
 std::vector<NodeId>
 Dag::sources() const
 {

@@ -44,35 +44,6 @@ struct Edge {
 };
 
 /**
- * Packed CSR (compressed sparse row) view of a DAG's out-edges.
- *
- * Three flat arrays replace the vector-of-vectors adjacency: the
- * out-edges of node v are the index range [offsets[v], offsets[v+1])
- * into the parallel `to` / `weight` arrays.  Within a node the edges
- * keep their insertion order, so CSR traversal visits edges in the
- * same order as Dag::outEdges() -- simulation kernels built on either
- * view are event-for-event identical.
- *
- * This is the layout the wavefront race kernel
- * (rl/core/wavefront.h) sweeps: contiguous, allocation-free, and
- * cache-friendly, where the adjacency lists cost one pointer chase
- * per node.
- */
-struct CsrOutEdges {
-    /** Size nodeCount()+1; offsets[v]..offsets[v+1] index the edges. */
-    std::vector<uint32_t> offsets;
-
-    /** Head node of each edge, grouped by tail node. */
-    std::vector<NodeId> to;
-
-    /** Weight of each edge, parallel to `to`. */
-    std::vector<Weight> weight;
-
-    size_t nodeCount() const { return offsets.empty() ? 0 : offsets.size() - 1; }
-    size_t edgeCount() const { return to.size(); }
-};
-
-/**
  * A mutable weighted digraph intended to be acyclic.
  *
  * Nodes are created densely; edges may be added in any order.
@@ -114,14 +85,6 @@ class Dag
 
     /** In-edge indices (into edges()) of a node. */
     const std::vector<uint32_t> &inEdges(NodeId node) const;
-
-    /**
-     * Build the packed CSR view of the out-adjacency (O(V + E)).
-     *
-     * The view is a snapshot by value: edges added to the Dag after
-     * the call are not reflected in it.
-     */
-    CsrOutEdges outEdgesCsr() const;
 
     /** Number of edges entering `node`. */
     size_t inDegree(NodeId node) const { return inEdges(node).size(); }

@@ -36,8 +36,7 @@ checkCompilable(const VariationGraph &graph, const bio::ScoreMatrix &race)
     // per-read check is the cheap fingerprint equality): the race
     // needs every finite weight >= 1, gap weights must be finite
     // (every character insertable or no walk connects the corners),
-    // and no weight may exceed the cap the materialized reference's
-    // bucket calendar sizes itself for.
+    // and no weight may exceed the race's delay cap.
     return race.validateRaceReady(core::kMaxWavefrontWeight,
                                   /*allowForbiddenPairs=*/true);
 }

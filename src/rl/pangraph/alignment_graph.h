@@ -10,9 +10,8 @@
  * prefix 0..m) x (character positions) is an edit DAG whose
  * shortest source-to-sink path is exactly the graph alignment
  * distance -- so it races on the same OR-gate/delay-chain fabric as
- * the pairwise edit graph (Section 3), and the bucketed wavefront
- * kernel (rl/core/wavefront.h) races it through graph::Dag's CSR
- * view.
+ * the pairwise edit graph (Section 3), and core::raceDag
+ * (rl/core/race_network.h) races it.
  *
  * Two layers are split deliberately:
  *

@@ -23,7 +23,7 @@
  * row after read row, each row in the compiled topological position
  * order.  Terminal states (m, p) feed the super-sink OR through
  * zero-weight wires, one event per fired terminal state exactly as
- * the DAG kernel drains them.  Two sweeps compute it, bit-identically:
+ * core::raceDag counts them.  Two sweeps compute it, bit-identically:
  *
  *  - the row sweep, one state at a time, counting events per settled
  *    state from CompiledGraph::outEdges (see core::SweepTally),
@@ -47,7 +47,7 @@
  * The outcome is bit-identical -- arrival vector (AlignmentGraph::
  * node() layout, super-sink included), event count, sink score, and
  * Section 6 horizon aborts -- to building the product with
- * buildAlignmentGraph() and racing it on core::WavefrontRaceKernel;
+ * buildAlignmentGraph() and racing it on core::raceDag;
  * tests/pangraph_test.cc asserts the equivalence on randomized
  * graphs.  The materialized path stays as the tested reference and as
  * the gate-level synthesis input.
@@ -168,7 +168,7 @@ struct GraphAlignScratch {
  * way.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
- * read, costs) on core::WavefrontRaceKernel with the same horizon:
+ * read, costs) on core::raceDag with the same horizon:
  * same arrival vector, same event count, same sink score.  Section 6
  * horizon aborts behave identically too (completed = false, score
  * kScoreInfinity, latencyCycles = horizon); a bounded sweep stops at

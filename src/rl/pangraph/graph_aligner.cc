@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "rl/core/scratch_registry.h"
-#include "rl/core/wavefront.h"
+#include "rl/core/race_network.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::pangraph {
@@ -129,12 +129,8 @@ GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
 GraphRaceResult
 GraphAligner::align(const AlignmentGraph &product, sim::Tick horizon) const
 {
-    // The product DAG is acyclic by construction and its weights are
-    // cost-matrix entries, so the bucketed wavefront kernel applies
-    // directly (no raceDag() revalidation sweep per read).
-    core::WavefrontRaceKernel kernel(product.dag);
-    core::RaceOutcome outcome =
-        kernel.race({product.source}, core::RaceType::Or, horizon);
+    core::RaceOutcome outcome = core::raceDag(
+        product.dag, {product.source}, core::RaceType::Or, horizon);
 
     GraphRaceResult result;
     result.nodes = product.dag.nodeCount();

@@ -12,8 +12,8 @@
  * aligner serves many reads concurrently (the api engine races read
  * batches on its thread pool against a single cached aligner, one
  * scratch per thread).  The align(AlignmentGraph) overload races a
- * materialized product on core::WavefrontRaceKernel instead; it is
- * the bit-identical reference and the gate-level synthesis input.
+ * materialized product on core::raceDag instead; it is the
+ * bit-identical reference and the gate-level synthesis input.
  *
  * Section 5 caveat: the similarity-to-cost conversion is affine in
  * the *walk length*, so it preserves the optimum across walks only
@@ -105,8 +105,8 @@ class GraphAligner
 
     /**
      * Race an already-built product DAG (from buildAlignmentGraph
-     * over this aligner's compiled graph and costs) on the general
-     * CSR kernel.  This is the fused kernel's bit-identical
+     * over this aligner's compiled graph and costs) on
+     * core::raceDag.  This is the fused kernel's bit-identical
      * reference, and the GateLevel engine path builds the product
      * once and shares it between this race and fabric synthesis.
      */

@@ -44,7 +44,7 @@ namespace racelogic::serve {
 /** Default ceiling on one frame's payload bytes. */
 constexpr uint32_t kDefaultMaxFrameBytes = 8u << 20;
 
-/** Largest edit weight the protocol admits (Dial calendar bound). */
+/** Largest edit weight the protocol admits (under the race's delay cap). */
 constexpr int64_t kMaxWireWeight = 4096;
 
 /** Largest sequence length the protocol admits. */

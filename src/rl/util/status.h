@@ -42,7 +42,7 @@ enum class ErrorCode : uint8_t {
     /** Bytes/text that do not parse as the claimed format. */
     ParseError = 2,
     /** Valid input the race substrate cannot realize (e.g. a cyclic
-     *  graph, reverse-strand GFA links, weights past the calendar). */
+     *  graph, reverse-strand GFA links, weights past the delay cap). */
     Unsupported = 3,
     /** A named thing (file, GFA segment) does not exist. */
     NotFound = 4,

@@ -77,12 +77,42 @@ TEST(RaceDag, AndNodeWithDeadInputStallsForever)
     EXPECT_FALSE(out.at(3).fired());
 }
 
+TEST(RaceDag, SourceWithInEdgesFiresAtTickZero)
+{
+    // Source 1 has an in-edge from source 0.  Both inputs are driven
+    // high at tick 0, so 1 fires at 0 whatever reaches it -- the
+    // longest-path DP would put it at 3 -- and the arrival over
+    // 0 -> 1 still counts as one event.  Listing a source twice
+    // changes nothing.
+    Dag d(2);
+    d.addEdge(0, 1, 3);
+    for (RaceType type : {RaceType::Or, RaceType::And}) {
+        for (const std::vector<NodeId> &sources :
+             {std::vector<NodeId>{0, 1}, std::vector<NodeId>{1, 0, 1}}) {
+            RaceOutcome out = core::raceDag(d, sources, type);
+            EXPECT_EQ(out.at(0).time(), 0u);
+            EXPECT_EQ(out.at(1).time(), 0u);
+            EXPECT_EQ(out.events, 1u);
+            EXPECT_EQ(out.horizon, 0u);
+        }
+    }
+}
+
 TEST(RaceDagDeath, NegativeWeightsRejected)
 {
     Dag d(2);
     d.addEdge(0, 1, -1);
     EXPECT_EXIT(core::raceDag(d, {0}, RaceType::Or),
                 ::testing::ExitedWithCode(1), "negative");
+}
+
+TEST(RaceDagDeath, CyclesRejected)
+{
+    Dag d(2);
+    d.addEdge(0, 1, 1);
+    d.addEdge(1, 0, 1);
+    EXPECT_EXIT(core::raceDag(d, {0}, RaceType::Or),
+                ::testing::ExitedWithCode(1), "cycle");
 }
 
 class RaceVsDp : public ::testing::TestWithParam<int> {};
@@ -209,6 +239,25 @@ TEST(CompiledRace, CircuitShapeMatchesConstruction)
     EXPECT_EQ(counts[size_t(circuit::GateType::Dff)],
               static_cast<size_t>(total));
     EXPECT_EQ(rc.sourceInputs.size(), 2u);
+}
+
+TEST(CompiledRaceDeath, CyclesRejected)
+{
+    Dag d(2);
+    d.addEdge(0, 1, 1);
+    d.addEdge(1, 0, 1);
+    EXPECT_EXIT(core::compileRaceCircuit(d, {0}, RaceType::Or),
+                ::testing::ExitedWithCode(1), "cycle");
+}
+
+TEST(CompiledRaceDeath, NegativeWeightsRejected)
+{
+    // The weight becomes a DFF chain length; a negative one must stop
+    // the compile before it is cast to a size.
+    Dag d(2);
+    d.addEdge(0, 1, -1);
+    EXPECT_EXIT(core::compileRaceCircuit(d, {0}, RaceType::Or),
+                ::testing::ExitedWithCode(1), "negative");
 }
 
 } // namespace

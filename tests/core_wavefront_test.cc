@@ -1,14 +1,13 @@
 /**
  * @file
- * Equivalence suite for the wavefront race kernels.  The bucketed
- * kernel must match the DAG DP oracle node for node on randomized
- * DAGs -- Or and And races, zero-weight edges, with and without an
- * early-termination horizon -- with the event count and the latest
- * firing the DP determines in closed form.  The grid-direct kernel
- * must reproduce the bucketed kernel's race of the materialized edit
- * graph exactly (arrival grids and event counts included), and its
- * skewed AVX-512F band must reproduce its row sweep field for field
- * and counter for counter.
+ * Equivalence suite for the race kernels.  core::raceDag must match
+ * the DAG DP oracle node for node on randomized DAGs -- Or and And
+ * races, zero-weight edges, with and without an early-termination
+ * horizon -- with the event count and the latest firing the DP
+ * determines in closed form.  The grid-direct kernel must reproduce
+ * raceDag's race of the materialized edit graph exactly (arrival grids
+ * and event counts included), and its skewed AVX-512F band must
+ * reproduce its row sweep field for field and counter for counter.
  */
 
 #include <gtest/gtest.h>
@@ -38,48 +37,11 @@ using bio::ScoreMatrix;
 using bio::Sequence;
 using core::RaceOutcome;
 using core::RaceType;
-using core::WavefrontRaceKernel;
 using graph::Dag;
 using graph::NodeId;
 using graph::Objective;
 
-// ------------------------------------------------------------ CSR view
-
-TEST(CsrView, MatchesAdjacencyOrder)
-{
-    Dag d(4);
-    d.addEdge(2, 0, 7);
-    d.addEdge(2, 3, 1);
-    d.addEdge(0, 3, 2);
-    d.addEdge(2, 1, 5);
-
-    graph::CsrOutEdges csr = d.outEdgesCsr();
-    ASSERT_EQ(csr.nodeCount(), 4u);
-    ASSERT_EQ(csr.edgeCount(), 4u);
-    // Node 2's edges keep insertion order 0, 3, 1.
-    EXPECT_EQ(csr.offsets[2], 1u);
-    EXPECT_EQ(csr.offsets[3], 4u);
-    EXPECT_EQ(csr.to[1], 0u);
-    EXPECT_EQ(csr.to[2], 3u);
-    EXPECT_EQ(csr.to[3], 1u);
-    EXPECT_EQ(csr.weight[1], 7);
-    EXPECT_EQ(csr.weight[3], 5);
-    // Node 1 has no out-edges: empty range.
-    EXPECT_EQ(csr.offsets[1], 1u);
-
-    // The generic order check across every node.
-    for (NodeId v = 0; v < d.nodeCount(); ++v) {
-        const auto &adj = d.outEdges(v);
-        ASSERT_EQ(csr.offsets[v + 1] - csr.offsets[v], adj.size());
-        for (size_t k = 0; k < adj.size(); ++k) {
-            const graph::Edge &e = d.edges()[adj[k]];
-            EXPECT_EQ(csr.to[csr.offsets[v] + k], e.to);
-            EXPECT_EQ(csr.weight[csr.offsets[v] + k], e.weight);
-        }
-    }
-}
-
-// ------------------------------------------ bucket kernel vs DP oracle
+// ------------------------------------------------ raceDag vs DP oracle
 
 /** The largest DP value of a reached node: the full race's latest
  *  firing. */
@@ -103,7 +65,7 @@ dpOf(const Dag &d, const std::vector<NodeId> &sources, RaceType type)
 }
 
 /**
- * Race `sources` over `d` under `horizon` on the bucket kernel and
+ * Race `sources` over `d` under `horizon` on core::raceDag and
  * check it against the DAG DP `dp` and the closed form that follows
  * from it: a node fires at its DP value iff that value is within the
  * horizon; each fired node schedules exactly those out-edges that land
@@ -116,8 +78,7 @@ expectRaceMatchesDp(const Dag &d, const std::vector<NodeId> &sources,
                     sim::Tick horizon)
 {
     SCOPED_TRACE(testing::Message() << "horizon=" << horizon);
-    RaceOutcome got =
-        WavefrontRaceKernel(d).race(sources, type, horizon);
+    RaceOutcome got = core::raceDag(d, sources, type, horizon);
     ASSERT_EQ(got.firing.size(), d.nodeCount());
     uint64_t events = 0;
     sim::Tick latest = 0;
@@ -214,7 +175,7 @@ TEST(WavefrontDeath, RaceDagAssertsOnOverCapWeight)
 class GridKernel : public ::testing::TestWithParam<int> {};
 
 /**
- * Race (a, b) on the grid kernel and on WavefrontRaceKernel over the
+ * Race (a, b) on the grid kernel and on core::raceDag over the
  * materialized edit graph under `horizon`, and assert the outcomes are
  * identical: arrival grid, events, cells fired, completion, latency --
  * and the kernel counters the sweep exports.  A score-only race of the
@@ -232,8 +193,8 @@ expectGridMatchesMaterialized(const Sequence &a, const Sequence &b,
         a, b, m, horizon, scratch, nullptr, &counters);
 
     bio::EditGraph eg = bio::makeEditGraph(a, b, m);
-    RaceOutcome reference = WavefrontRaceKernel(eg.dag).race(
-        {eg.source}, RaceType::Or, horizon);
+    RaceOutcome reference =
+        core::raceDag(eg.dag, {eg.source}, RaceType::Or, horizon);
 
     EXPECT_EQ(grid.events, reference.events);
     size_t fired = 0;

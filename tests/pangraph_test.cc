@@ -554,7 +554,7 @@ expectFusedMatchesMaterialized(const GraphAligner &aligner,
 TEST(GraphAlignFused, BitIdenticalToMaterializedDagOnRandomGraphs)
 {
     // The fused kernel generates product edges on the fly; racing the
-    // materialized DAG on the general CSR kernel is the reference.
+    // materialized DAG on core::raceDag is the reference.
     // Randomized graphs (SNP bubbles, indel branches, 1..64 nt
     // labels), both factory cost matrices, reads with mutation noise,
     // full races and random Section 6 horizons.

@@ -53,7 +53,7 @@ from pathlib import Path
 # The perf trajectory: one representative entry per kernel family.
 HEADLINE_BENCHES = [
     "BM_EventDrivenRace/256",       # behavioral race-grid hot path
-    "BM_WavefrontKernelDag/256",    # general CSR bucket kernel
+    "BM_RaceDag/256",               # general DAG race (raceDag)
     "BM_ScreeningRaceWithHorizon/256",  # Section 6 early termination
     "BM_CompiledSimGrid/64",        # compiled gate-level kernel
     "BM_CompiledSim64Lane/64",      # bit-parallel gate-level batch
