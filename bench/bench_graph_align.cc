@@ -9,9 +9,9 @@
  * The graph scales with the read: a random variation graph whose
  * backbone grows with range(0), read sampled from a walk with
  * Section 6-style mutation noise.  BM_GraphAlignRace/64,
- * BM_GraphAlignFused/64, and BM_GraphMapReadsBatch/1 are headline
- * benches (tools/bench_compare.py) -- refresh BENCH_baseline.json in
- * the PR that changes them.
+ * BM_GraphAlignFused/64, BM_GraphAlignServed/64 and
+ * BM_GraphMapReadsBatch/1 are headline benches (tools/bench_compare.py)
+ * -- refresh BENCH_baseline.json in the PR that changes them.
  */
 
 #include <benchmark/benchmark.h>

@@ -169,6 +169,7 @@ ScoreMatrix::setPair(Symbol a, Symbol b, Score value)
     rl_assert(a < alphabet_.size() && b < alphabet_.size(),
               "symbol out of range");
     table[index(a, b)] = value;
+    changed();
 }
 
 void
@@ -184,6 +185,15 @@ ScoreMatrix::setGap(Symbol s, Score value)
     rl_assert(s < alphabet_.size(), "symbol out of range");
     table[index(s, gapSlot())] = value;
     table[index(gapSlot(), s)] = value;
+    changed();
+}
+
+void
+ScoreMatrix::changed()
+{
+    minFinite_.reset();
+    maxFinite_.reset();
+    fingerprint_.reset();
 }
 
 void
@@ -206,28 +216,32 @@ ScoreMatrix::isSymmetric() const
 Score
 ScoreMatrix::minFinite() const
 {
-    Score best = kScoreInfinity;
-    for (Symbol a = 0; a < alphabet_.size(); ++a) {
-        best = std::min(best, gap(a));
-        for (Symbol b = 0; b < alphabet_.size(); ++b)
-            if (pair(a, b) != kScoreInfinity)
-                best = std::min(best, pair(a, b));
-    }
-    rl_assert(best != kScoreInfinity, "matrix has no finite entries");
-    return best;
+    return minFinite_.get([this] {
+        Score best = kScoreInfinity;
+        for (Symbol a = 0; a < alphabet_.size(); ++a) {
+            best = std::min(best, gap(a));
+            for (Symbol b = 0; b < alphabet_.size(); ++b)
+                if (pair(a, b) != kScoreInfinity)
+                    best = std::min(best, pair(a, b));
+        }
+        rl_assert(best != kScoreInfinity, "matrix has no finite entries");
+        return best;
+    });
 }
 
 Score
 ScoreMatrix::maxFinite() const
 {
-    Score best = INT64_MIN;
-    for (Symbol a = 0; a < alphabet_.size(); ++a) {
-        best = std::max(best, gap(a));
-        for (Symbol b = 0; b < alphabet_.size(); ++b)
-            if (pair(a, b) != kScoreInfinity)
-                best = std::max(best, pair(a, b));
-    }
-    return best;
+    return maxFinite_.get([this] {
+        Score best = INT64_MIN;
+        for (Symbol a = 0; a < alphabet_.size(); ++a) {
+            best = std::max(best, gap(a));
+            for (Symbol b = 0; b < alphabet_.size(); ++b)
+                if (pair(a, b) != kScoreInfinity)
+                    best = std::max(best, pair(a, b));
+        }
+        return best;
+    });
 }
 
 bool
@@ -299,17 +313,19 @@ ScoreMatrix::validateRaceReady(Score maxWeight,
 uint64_t
 ScoreMatrix::fingerprint() const
 {
-    util::Fnv f;
-    f.mix(static_cast<uint64_t>(kind_));
-    const size_t n = alphabet_.size();
-    f.mix(n);
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j)
-            f.mix(static_cast<uint64_t>(
-                pair(static_cast<Symbol>(i), static_cast<Symbol>(j))));
-        f.mix(static_cast<uint64_t>(gap(static_cast<Symbol>(i))));
-    }
-    return f.h;
+    return fingerprint_.get([this] {
+        util::Fnv f;
+        f.mix(static_cast<uint64_t>(kind_));
+        const size_t n = alphabet_.size();
+        f.mix(n);
+        for (size_t i = 0; i < n; ++i) {
+            for (size_t j = 0; j < n; ++j)
+                f.mix(static_cast<uint64_t>(
+                    pair(static_cast<Symbol>(i), static_cast<Symbol>(j))));
+            f.mix(static_cast<uint64_t>(gap(static_cast<Symbol>(i))));
+        }
+        return f.h;
+    });
 }
 
 std::string

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "rl/bio/alphabet.h"
+#include "rl/util/memo.h"
 
 namespace racelogic::bio {
 
@@ -44,7 +45,10 @@ enum class ScoreKind {
  * Dense (Nss+1) x (Nss+1) edit-weight table (last index = gap).
  *
  * Value type.  All factory matrices are symmetric, but the class
- * supports asymmetric substitution weights.
+ * supports asymmetric substitution weights.  minFinite(), maxFinite()
+ * and fingerprint() scan the table once and are memoized until the
+ * next setter (util::Memo), so a const matrix may be read from several
+ * threads at once.
  */
 class ScoreMatrix
 {
@@ -153,9 +157,14 @@ class ScoreMatrix
 
     size_t gapSlot() const { return alphabet_.size(); }
 
+    /** Every setter's last step: the memoized scans are stale. */
+    void changed();
+
     Alphabet alphabet_;
     ScoreKind kind_;
     std::vector<Score> table;
+    util::Memo<Score> minFinite_, maxFinite_;
+    util::Memo<uint64_t> fingerprint_;
 };
 
 } // namespace racelogic::bio

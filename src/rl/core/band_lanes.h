@@ -79,12 +79,13 @@ bandWeight(bio::Score weight)
 /**
  * Count the in-edge arrivals `t` within `limit`, as SweepTally does:
  * one event per lane whose arrival is within the horizon, folded into
- * that lane's latest arrival.
+ * that lane's latest arrival.  Only the lanes in `lanes` have arrived.
  */
 __attribute__((target("avx512f"), always_inline)) inline void
-arrive(__m512i t, __m512i limit, __m512i &events, __m512i &latest)
+arrive(__m512i t, __m512i limit, __m512i &events, __m512i &latest,
+       __mmask16 lanes = 0xFFFF)
 {
-    const __mmask16 in = _mm512_cmple_epu32_mask(t, limit);
+    const __mmask16 in = _mm512_mask_cmple_epu32_mask(lanes, t, limit);
     events = _mm512_mask_add_epi32(events, in, events, _mm512_set1_epi32(1));
     latest = _mm512_mask_max_epu32(latest, in, latest, t);
 }

@@ -70,15 +70,24 @@ struct GraphBandTables {
     size_t stride = 0;
 
     /**
+     * The lanes of one band step whose far predecessors lie the same
+     * sweep distance d back: bit r of `lanes` is lane r, at sweep index
+     * t - r, whose predecessor t - r - d it fired at step t - d into
+     * the history's slot `slot` = (t - d) mod window.
+     */
+    struct FarGroup {
+        uint32_t slot = 0;
+        uint16_t lanes = 0;
+    };
+
+    /**
      * The far predecessors -- every predecessor of k but k - 1 -- by
-     * band step: step t races slots farBegin[t] .. farBegin[t+1] of
-     * `far`, sixteen history indices each (one per lane, lane r at
-     * k = t - r).  A lane with fewer far predecessors than the step's
-     * largest reads the history's never-written sentinel slot, which
-     * stays unfired.
+     * band step, one group per sweep distance: step t races groups
+     * farBegin[t] .. farBegin[t+1] of `far`.  A lane is in as many of
+     * its step's groups as its position has far predecessors.
      */
     std::vector<uint32_t> farBegin;
-    std::vector<uint32_t> far;
+    std::vector<FarGroup> far;
 
     /** Steps of history the band keeps: a power of two above the
      *  longest far-predecessor distance in sweep order. */
@@ -89,9 +98,9 @@ struct GraphBandTables {
     residentBytes() const
     {
         return order.capacity() * sizeof(CharPos) +
-               (rank.capacity() + weights.capacity() + farBegin.capacity() +
-                far.capacity()) *
-                   sizeof(uint32_t);
+               (rank.capacity() + weights.capacity() + farBegin.capacity()) *
+                   sizeof(uint32_t) +
+               far.capacity() * sizeof(FarGroup);
     }
 };
 

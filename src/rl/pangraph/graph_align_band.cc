@@ -38,7 +38,7 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
         return band.weights[row * band.stride + kBandPad + chars - k];
     };
     std::vector<uint32_t> farOffsets(positions + 1, 0);
-    std::vector<uint32_t> farPreds;
+    std::vector<uint32_t> farDistance;
     size_t longest = 0;
     for (size_t k = 1; k < positions; ++k) {
         const CharPos q = band.order[k];
@@ -58,50 +58,47 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
                 entry(deletionRow + 1, k) = deletion;
                 entry(deletionRow + 2, k) = 0;
             } else {
-                farPreds.push_back(from);
+                farDistance.push_back(static_cast<uint32_t>(k - from));
                 longest = std::max(longest, k - from);
             }
         }
-        farOffsets[k + 1] = static_cast<uint32_t>(farPreds.size());
+        farOffsets[k + 1] = static_cast<uint32_t>(farDistance.size());
     }
 
-    // The history indices, step by step: lane r at step t is at sweep
-    // index k = t - r, and fired its far predecessor k' at step k' + r;
-    // its pair sits in 64-bit element r of that step's slot.  A window
-    // above the longest distance keeps every slot a step reads apart
-    // from the one it writes.
+    // The far groups, step by step: lane r at step t is at sweep index
+    // k = t - r, and fired its far predecessor k - d at step t - d,
+    // into lane r of that step's slot; the lanes whose predecessors lie
+    // d back form one group.  A window above the longest distance keeps
+    // every slot a step reads apart from the one it writes.
     band.window = std::bit_ceil(longest + 1);
-    const size_t ring = band.window - 1;
-    const size_t sentinel = band.window * kBandLanes;
     const size_t steps = positions + kBandLanes - 1;
-    auto farCount = [&](size_t t, size_t r) -> size_t {
-        if (t < r || t - r >= positions)
-            return 0;
-        return farOffsets[t - r + 1] - farOffsets[t - r];
-    };
+    std::vector<std::pair<uint32_t, uint16_t>> groups; // (d, lanes)
     band.farBegin.assign(steps + 1, 0);
     for (size_t t = 0; t < steps; ++t) {
-        size_t slots = 0;
-        for (size_t r = 0; r < kBandLanes; ++r)
-            slots = std::max(slots, farCount(t, r));
-        for (size_t d = 0; d < slots; ++d) {
-            for (size_t r = 0; r < kBandLanes; ++r) {
-                size_t at = sentinel + r;
-                if (d < farCount(t, r)) {
-                    const size_t from = farPreds[farOffsets[t - r] + d];
-                    at = ((from + r) & ring) * kBandLanes + r;
-                }
-                band.far.push_back(static_cast<uint32_t>(at));
+        groups.clear();
+        for (size_t r = 0; r < kBandLanes && r <= t; ++r) {
+            const size_t k = t - r;
+            if (k >= positions)
+                continue;
+            for (uint32_t e = farOffsets[k]; e < farOffsets[k + 1]; ++e) {
+                const uint32_t d = farDistance[e];
+                auto group = std::find_if(
+                    groups.begin(), groups.end(),
+                    [d](const auto &g) { return g.first == d; });
+                if (group == groups.end())
+                    group = groups.insert(group, {d, uint16_t(0)});
+                group->second |= static_cast<uint16_t>(1u << r);
             }
         }
-        band.farBegin[t + 1] =
-            static_cast<uint32_t>(band.far.size() / kBandLanes);
+        for (const auto &[d, lanes] : groups)
+            band.far.push_back(
+                {static_cast<uint32_t>((t - d) & (band.window - 1)), lanes});
+        band.farBegin[t + 1] = static_cast<uint32_t>(band.far.size());
     }
     // A lane tallies at most three arrivals per step and two per far
-    // slot, in 32 bits.
-    rl_assert(3 * steps + 2 * (band.far.size() / kBandLanes) <= UINT32_MAX &&
-                  sentinel + kBandLanes <= INT32_MAX,
-              "the graph outgrows the band's 32-bit tallies and indices");
+    // group, in 32 bits.
+    rl_assert(3 * steps + 2 * band.far.size() <= UINT32_MAX,
+              "the graph outgrows the band's 32-bit tallies");
     return band;
 }
 
@@ -129,15 +126,6 @@ sweep(const GraphBand &shared, core::SweepTally &tally,
     const __m512i one = _mm512_set1_epi32(1);
     const __m512i down = _mm512_loadu_si512(band.down);
     __m512i gather = _mm512_loadu_si512(band.gather);
-    // The ring's (value, up) pairs: a slot's first half interleaves
-    // lanes 0..7 of v and up, its second half lanes 8..15; the two
-    // gathers of a far slot are split back by even and odd elements.
-    const __m512i pairLow = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4,
-                                              20, 5, 21, 6, 22, 7, 23);
-    const __m512i pairHigh = _mm512_add_epi32(pairLow, _mm512_set1_epi32(8));
-    const __m512i values = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16,
-                                             18, 20, 22, 24, 26, 28, 30);
-    const __m512i ups = _mm512_add_epi32(values, one);
 
     // The last lane writes its row over the row above as lane 0 reads
     // it: lane r's state at step t is sweep index t - r, so a masked
@@ -174,24 +162,21 @@ sweep(const GraphBand &shared, core::SweepTally &tally,
         arrive(fromDiag, limit, events, latest);
         arrive(fromLeft, limit, events, latest);
 
-        // Far predecessors: their value and `up`, from the history.
+        // Far predecessors, a group of lanes at a time: their values
+        // and `up`s from one slot of the history, taken in the group's
+        // lanes alone.
         __m512i best = _mm512_min_epu32(fromDiag, unfired);
         for (size_t e = band.farBegin[t]; e < band.farBegin[t + 1]; ++e) {
-            const uint32_t *at = band.far + e * kBandLanes;
-            const __m512i low = _mm512_i32gather_epi64(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(at)),
-                band.history, 8);
-            const __m512i high = _mm512_i32gather_epi64(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(at + kBandLanes / 2)),
-                band.history, 8);
-            const __m512i farLeft = _mm512_add_epi32(
-                _mm512_permutex2var_epi32(low, values, high), deletion);
+            const GraphBandTables::FarGroup group = band.far[e];
+            const uint32_t *from = band.history + group.slot * kHistoryStride;
+            const __m512i farLeft =
+                _mm512_add_epi32(_mm512_load_si512(from), deletion);
             const __m512i farDiag = _mm512_add_epi32(
-                _mm512_permutex2var_epi32(low, ups, high), substitution);
-            arrive(farLeft, limit, events, latest);
-            arrive(farDiag, limit, events, latest);
-            best = _mm512_min_epu32(best, _mm512_min_epu32(farLeft, farDiag));
+                _mm512_load_si512(from + kBandLanes), substitution);
+            arrive(farLeft, limit, events, latest, group.lanes);
+            arrive(farDiag, limit, events, latest, group.lanes);
+            best = _mm512_mask_min_epu32(best, group.lanes, best,
+                                         _mm512_min_epu32(farLeft, farDiag));
         }
         // The row sweep's clamp, with the chain predecessor folded in
         // last: it alone depends on the previous step.
@@ -202,9 +187,8 @@ sweep(const GraphBand &shared, core::SweepTally &tally,
 
         _mm512_mask_storeu_epi32(lastRow + t, lastLane, v);
         uint32_t *const slot = band.history + (t & ring) * kHistoryStride;
-        _mm512_storeu_si512(slot, _mm512_permutex2var_epi32(v, pairLow, up));
-        _mm512_storeu_si512(slot + kBandLanes,
-                            _mm512_permutex2var_epi32(v, pairHigh, up));
+        _mm512_store_si512(slot, v);
+        _mm512_store_si512(slot + kBandLanes, up);
         if constexpr (kArrivals)
             _mm512_storeu_si512(band.skew + t * kBandLanes, v);
         diag = up;

@@ -24,28 +24,30 @@
  *    unfired where k - 1 does not precede k (the chain deletion
  *    weight and the chain gate);
  *  - every other ("far") predecessor k' -- segment joins, links out of
- *    position 0 -- was fired by lane r at step k' + r: its value and
- *    its `up` come from a small history of the band's past steps.
+ *    position 0 -- was fired by lane r at step t - d, d = k - k' its
+ *    sweep distance: its value and its `up` come from a small history
+ *    of the band's past steps.
  *
  * The history is a ring of `window` steps, a power of two above the
  * longest far-predecessor distance in sweep order, so its size
  * follows the graph's shape, not its length.  Each step stores its
- * lanes as sixteen (value, up) pairs of 32-bit ticks, lane r's pair
- * in the slot's 64-bit element r, so a far slot is two eight-lane
- * 64-bit gathers -- lanes 0..7 and 8..15 -- split back into values
- * and `up`s by two two-source permutes.  A ring slot past the last,
- * never written and so always unfired, is the sentinel a lane reads
- * when its position has fewer far predecessors than the step's
- * largest.  The history indices are read-independent, so they are
- * precomputed per step and lane (GraphBandTables::far).
+ * values and its `up`s as they are, two 64-byte-aligned vectors in
+ * the ring's slot t mod window.  Every lane whose far predecessor lies
+ * d steps back finds it in its own lane of step t - d's slot, so one
+ * plain load per vector serves all of them.  The load hands the other
+ * lanes states that are not their predecessors, so the lanes take it
+ * under a mask: a step races one group per distance among its lanes'
+ * far predecessors, each a ring slot and a lane mask.  The groups are
+ * read-independent, so they are precomputed per step
+ * (GraphBandTables::far).
  *
  * Weights come as in the edit-grid band (rl/core/wavefront_band.h):
  * the deletion weights and gates by one unaligned load of a
  * column-reversed, padded row, the substitution weights -- one symbol
  * row per lane -- by one 32-bit gather whose per-lane indices fall by
  * one each step.  Lanes before position 0, past position K or past the
- * band's last read row read unfired padding, the sentinel and the
- * all-unfired symbol row, and stay unfired.  A lane holds the row
+ * band's last read row read unfired padding and the all-unfired symbol
+ * row, are in no far group, and stay unfired.  A lane holds the row
  * sweep's working value at 32 bits, clamped to kBandUnfired = 2^30;
  * raceAlignmentGrid() takes the band only where that is exact --
  * (|read| + K + 1) x the largest finite weight < 2^30
@@ -53,10 +55,11 @@
  * the row sweep's exact arithmetic.
  *
  * Events are tallied per target state, in lanes: each in-edge arrival
- * the step has formed (up, chain left and diag, every far left and
- * diag) is counted when it is within the limit and folded into the
- * latest arrival -- the same edges the row sweep counts per source, so
- * a cancelled race counts the arrivals into the rows it swept.
+ * the step has formed (up, chain left and diag, and each group's far
+ * left and diag in its lanes) is counted when it is within the limit
+ * and folded into the latest arrival -- the same edges the row sweep
+ * counts per source, so a cancelled race counts the arrivals into the
+ * rows it swept.
  */
 
 #ifndef RACELOGIC_PANGRAPH_GRAPH_ALIGN_BAND_H
@@ -74,8 +77,8 @@ using core::detail::kBandLanes;
 using core::detail::kBandPad;
 using core::detail::kBandUnfired;
 
-/** 32-bit ticks of history one band step keeps: a (value, up) pair
- *  per lane. */
+/** 32-bit ticks of history one band step keeps: its values, then its
+ *  `up`s. */
 constexpr size_t kHistoryStride = 2 * kBandLanes;
 
 /**
@@ -116,10 +119,9 @@ struct GraphBand {
 
     /** GraphBandTables::farBegin and far. */
     const uint32_t *farBegin = nullptr;
-    const uint32_t *far = nullptr;
+    const GraphBandTables::FarGroup *far = nullptr;
 
-    /** The ring: (window + 1) x kHistoryStride ticks, the last slot
-     *  unfired. */
+    /** The ring: window x kHistoryStride ticks, 64-byte aligned. */
     uint32_t *history = nullptr;
     size_t window = 0;
 

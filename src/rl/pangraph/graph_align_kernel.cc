@@ -1,6 +1,7 @@
 #include "rl/pangraph/graph_align_kernel.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "rl/graph/dag.h"
 #include "rl/pangraph/graph_align_band.h"
@@ -292,13 +293,16 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     const std::vector<bio::Symbol> &symRead = read.symbols();
     const std::vector<CharPos> &order = tables.order;
 
-    // The row above, by sweep index, padded with unfired ticks; the
-    // history's last slot is the sentinel, never written.
+    // The row above, by sweep index, padded with unfired ticks, and
+    // the ring, from its first 64-byte boundary so that each vector
+    // the band stores and loads is one cache line.
     scratch.bandRow.assign(positions + 2 * kBandPad, kBandUnfired);
     uint32_t *above = scratch.bandRow.data() + kBandPad;
-    scratch.history.resize((tables.window + 1) * kHistoryStride);
-    std::fill_n(scratch.history.end() - kHistoryStride, kHistoryStride,
-                kBandUnfired);
+    const size_t ring = tables.window * kHistoryStride;
+    scratch.history.resize(ring + kBandLanes);
+    void *history = scratch.history.data();
+    size_t room = scratch.history.size() * sizeof(uint32_t);
+    history = std::align(64, ring * sizeof(uint32_t), history, room);
     if (arrivals)
         scratch.skew.resize(kBandLanes * (positions + kBandLanes));
 
@@ -375,7 +379,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     band.chainGate = band.chainDeletion + tables.stride;
     band.farBegin = tables.farBegin.data();
     band.far = tables.far.data();
-    band.history = scratch.history.data();
+    band.history = static_cast<uint32_t *>(history);
     band.window = tables.window;
     band.positions = positions;
     band.skew = arrivals ? scratch.skew.data() : nullptr;

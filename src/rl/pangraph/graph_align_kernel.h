@@ -33,7 +33,7 @@
  *    i..i+15 race in the sixteen 32-bit lanes of one register, lane r
  *    one position behind lane r-1 in the sweep order, with the
  *    in-edges from predecessors other than the previous position
- *    gathered from a small history of the band's past steps.  Its
+ *    loaded from a small history of the band's past steps.  Its
  *    tables are read-independent and built once per compile
  *    (CompiledGraph::band); it tallies events per target state, in
  *    lanes (rl/pangraph/graph_align_band.h).
@@ -135,9 +135,11 @@ struct GraphAlignScratch {
      *  with unfired ticks on both sides. */
     std::vector<uint32_t> bandRow;
 
-    /** The band's ring of past steps, whose far predecessors it
-     *  gathers: (window + 1) x 32 ticks, the last slot unfired (layout
-     *  in rl/pangraph/graph_align_band.h). */
+    /** The band's ring of past steps, from which it loads its far
+     *  predecessors: window slots of 32 ticks -- a step's values, then
+     *  its `up`s -- from the buffer's first 64-byte boundary, which
+     *  the buffer's 16 more ticks leave room for (layout in
+     *  rl/pangraph/graph_align_band.h). */
     std::vector<uint32_t> history;
 
     /** The band's lanes, step by step (16 x (K + 16)), from which the

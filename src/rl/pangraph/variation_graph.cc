@@ -49,7 +49,7 @@ VariationGraph::tryAddSegment(std::string name, bio::Sequence label)
     segments_.push_back(Segment{std::move(name), std::move(label)});
     outAdjacency.emplace_back();
     inAdjacency.emplace_back();
-    cachedFingerprint.store(0, std::memory_order_relaxed);
+    fingerprint_.reset();
     return id;
 }
 
@@ -64,7 +64,7 @@ VariationGraph::addLink(SegmentId from, SegmentId to)
     out.push_back(to);
     inAdjacency[to].push_back(from);
     ++links_;
-    cachedFingerprint.store(0, std::memory_order_relaxed);
+    fingerprint_.reset();
 }
 
 const Segment &
@@ -247,30 +247,24 @@ VariationGraph::spelledLengthRange() const
 uint64_t
 VariationGraph::fingerprint() const
 {
-    uint64_t cached =
-        cachedFingerprint.load(std::memory_order_relaxed);
-    if (cached != 0)
-        return cached;
-    util::Fnv f;
-    for (char c : alphabet_.letters())
-        f.mix(static_cast<uint64_t>(c));
-    f.mix(segments_.size());
-    for (const Segment &s : segments_) {
-        f.mix(s.label.size());
-        for (bio::Symbol sym : s.label.symbols())
-            f.mix(sym);
-    }
-    f.mix(links_);
-    for (SegmentId id = 0; id < segments_.size(); ++id)
-        for (SegmentId to : outAdjacency[id]) {
-            f.mix(id);
-            f.mix(to);
+    return fingerprint_.get([this] {
+        util::Fnv f;
+        for (char c : alphabet_.letters())
+            f.mix(static_cast<uint64_t>(c));
+        f.mix(segments_.size());
+        for (const Segment &s : segments_) {
+            f.mix(s.label.size());
+            for (bio::Symbol sym : s.label.symbols())
+                f.mix(sym);
         }
-    // FNV-1a never yields 0 on these inputs in practice, but stay
-    // correct if it does: fold to a nonzero sentinel-safe value.
-    const uint64_t value = f.h == 0 ? 1 : f.h;
-    cachedFingerprint.store(value, std::memory_order_relaxed);
-    return value;
+        f.mix(links_);
+        for (SegmentId id = 0; id < segments_.size(); ++id)
+            for (SegmentId to : outAdjacency[id]) {
+                f.mix(id);
+                f.mix(to);
+            }
+        return f.h;
+    });
 }
 
 bool

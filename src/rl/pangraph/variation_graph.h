@@ -20,7 +20,6 @@
 #ifndef RACELOGIC_PANGRAPH_VARIATION_GRAPH_H
 #define RACELOGIC_PANGRAPH_VARIATION_GRAPH_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "rl/bio/sequence.h"
+#include "rl/util/memo.h"
 #include "rl/util/status.h"
 
 namespace racelogic::pangraph {
@@ -65,46 +65,6 @@ class VariationGraph
 {
   public:
     explicit VariationGraph(bio::Alphabet alphabet);
-
-    /** @name Value semantics
-     *  Hand-written only because the memoized fingerprint is a
-     *  std::atomic (thread-safe lazy init), which deletes the
-     *  implicit copies; the cached value transfers with the graph.
-     * @{ */
-    VariationGraph(const VariationGraph &other)
-        : alphabet_(other.alphabet_), segments_(other.segments_),
-          outAdjacency(other.outAdjacency),
-          inAdjacency(other.inAdjacency), byName(other.byName),
-          links_(other.links_),
-          cachedFingerprint(other.cachedFingerprint.load(
-              std::memory_order_relaxed))
-    {}
-
-    VariationGraph(VariationGraph &&other) noexcept
-        : alphabet_(std::move(other.alphabet_)),
-          segments_(std::move(other.segments_)),
-          outAdjacency(std::move(other.outAdjacency)),
-          inAdjacency(std::move(other.inAdjacency)),
-          byName(std::move(other.byName)), links_(other.links_),
-          cachedFingerprint(other.cachedFingerprint.load(
-              std::memory_order_relaxed))
-    {}
-
-    VariationGraph &
-    operator=(VariationGraph other)
-    {
-        alphabet_ = std::move(other.alphabet_);
-        segments_ = std::move(other.segments_);
-        outAdjacency = std::move(other.outAdjacency);
-        inAdjacency = std::move(other.inAdjacency);
-        byName = std::move(other.byName);
-        links_ = other.links_;
-        cachedFingerprint.store(other.cachedFingerprint.load(
-                                    std::memory_order_relaxed),
-                                std::memory_order_relaxed);
-        return *this;
-    }
-    /** @} */
 
     /**
      * Add a segment; returns its id.  fatal() on an empty name, a
@@ -201,13 +161,9 @@ class VariationGraph
     std::unordered_map<std::string, SegmentId> byName;
     size_t links_ = 0;
 
-    /**
-     * Memoized fingerprint; 0 = not yet computed (mutations reset).
-     * Atomic with relaxed ordering: const graphs are shared across
-     * engine threads via shared_ptr, and the computed value is
-     * deterministic, so racing recomputations are benign.
-     */
-    mutable std::atomic<uint64_t> cachedFingerprint{0};
+    /** Memoized fingerprint (mutations reset it): const graphs are
+     *  shared across engine threads via shared_ptr. */
+    util::Memo<uint64_t> fingerprint_;
 };
 
 /**

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "rl/bio/score_convert.h"
 #include "rl/bio/score_matrix.h"
@@ -137,6 +140,65 @@ TEST(ScoreMatrix, ToStringMentionsLettersAndInf)
     std::string s = ScoreMatrix::dnaShortestPathInfMismatch().toString();
     EXPECT_NE(s.find('A'), std::string::npos);
     EXPECT_NE(s.find("inf"), std::string::npos);
+}
+
+TEST(ScoreMatrix, ASetterAfterAReadChangesEveryMemoizedScan)
+{
+    // pair(A, A) is the one smallest entry; raising it above the rest
+    // moves the minimum, the maximum and the fingerprint at once.
+    ScoreMatrix m = ScoreMatrix::uniform(Alphabet::dna(), ScoreKind::Cost, 3);
+    m.setPair(0, 0, 1);
+    EXPECT_EQ(m.minFinite(), 1);
+    EXPECT_EQ(m.maxFinite(), 3);
+    const uint64_t read = m.fingerprint();
+    const ScoreMatrix copy = m;
+
+    m.setPair(0, 0, 9);
+    EXPECT_EQ(m.minFinite(), 3);
+    EXPECT_EQ(m.maxFinite(), 9);
+    EXPECT_NE(m.fingerprint(), read);
+
+    // The copy keeps the table, and the scans, it was made with.
+    EXPECT_EQ(copy.minFinite(), 1);
+    EXPECT_EQ(copy.maxFinite(), 3);
+    EXPECT_EQ(copy.fingerprint(), read);
+
+    // Every other setter refreshes them too, and the memoized results
+    // equal those of a matrix built to the same table unread.
+    m.setGap(1, 20);
+    EXPECT_EQ(m.maxFinite(), 20);
+    m.setAllGaps(2);
+    EXPECT_EQ(m.minFinite(), 2);
+    EXPECT_EQ(m.maxFinite(), 9);
+    m.setPairSymmetric(1, 2, 30);
+    EXPECT_EQ(m.maxFinite(), 30);
+    ScoreMatrix unread =
+        ScoreMatrix::uniform(Alphabet::dna(), ScoreKind::Cost, 3);
+    unread.setPair(0, 0, 9);
+    unread.setAllGaps(2);
+    unread.setPairSymmetric(1, 2, 30);
+    EXPECT_EQ(m.fingerprint(), unread.fingerprint());
+    EXPECT_EQ(m.minFinite(), unread.minFinite());
+    EXPECT_EQ(m.maxFinite(), unread.maxFinite());
+}
+
+TEST(ScoreMatrix, ConcurrentReadersAgreeOnTheMemoizedScans)
+{
+    const ScoreMatrix m = ScoreMatrix::blosum62();
+    const ScoreMatrix unread = ScoreMatrix::blosum62();
+    const Score min = unread.minFinite();
+    const Score max = unread.maxFinite();
+    const uint64_t fingerprint = unread.fingerprint();
+    std::vector<std::thread> readers;
+    std::atomic<int> wrong{0};
+    for (int i = 0; i < 4; ++i)
+        readers.emplace_back([&] {
+            wrong += m.fingerprint() != fingerprint ||
+                     m.minFinite() != min || m.maxFinite() != max;
+        });
+    for (std::thread &reader : readers)
+        reader.join();
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ScoreMatrixDeath, DynamicRangeRequiresRaceReadyWeights)

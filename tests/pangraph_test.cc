@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <csignal>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "rl/bio/align_dp.h"
 #include "rl/core/cancel.h"
@@ -978,23 +982,109 @@ TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphBandSweep, ::testing::Range(0, 24));
 
-TEST(GraphBandTables, FanJoinsNeedSeveralFarSlots)
+/**
+ * The band's tables for `aligner`'s graph, built on any host, with
+ * their far groups held to CompiledGraph::pred: expanded back into
+ * (step, lane, far predecessor) triples, they are exactly the triples
+ * of every predecessor k' of sweep index k but k - 1, raced by lane r
+ * at step k + r -- each once.  Every group reads a slot the band wrote
+ * earlier in the same band (d <= t - r, and d < window, so the ring has
+ * not overwritten it), and a step has one group per distance.
+ */
+pangraph::GraphBandTables
+checkedBandTables(const GraphAligner &aligner)
 {
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
+    using Triple = std::tuple<size_t, size_t, size_t>; // (t, r, k')
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+    pangraph::GraphBandTables band =
+        pangraph::detail::compileBandTables(compiled, aligner.costs());
+    const size_t lanes = core::detail::kBandLanes;
+    const size_t positions = compiled.positionCount();
+    EXPECT_TRUE(std::has_single_bit(band.window));
+    EXPECT_EQ(band.farBegin.size(), positions + lanes);
+
+    std::vector<Triple> expected;
+    for (size_t k = 1; k < positions; ++k) {
+        const pangraph::CharPos q = band.order[k];
+        for (uint32_t e = compiled.predOffsets[q];
+             e < compiled.predOffsets[q + 1]; ++e) {
+            const size_t from = band.rank[compiled.pred[e]];
+            if (from + 1 == k)
+                continue;
+            EXPECT_LT(k - from, band.window);
+            for (size_t r = 0; r < lanes; ++r)
+                expected.emplace_back(k + r, r, from);
+        }
+    }
+
+    std::vector<Triple> expanded;
+    for (size_t t = 0; t + 1 < band.farBegin.size(); ++t) {
+        std::set<uint32_t> slots;
+        for (uint32_t g = band.farBegin[t]; g < band.farBegin[t + 1]; ++g) {
+            const pangraph::GraphBandTables::FarGroup group = band.far[g];
+            EXPECT_LT(group.slot, band.window);
+            EXPECT_NE(group.lanes, 0);
+            EXPECT_TRUE(slots.insert(group.slot).second)
+                << "two groups of step " << t << " read one slot";
+            // The one distance in 1 .. window - 1 whose step t - d
+            // wrote the slot.
+            const size_t d = (t - group.slot) & (band.window - 1);
+            EXPECT_GE(d, 1u);
+            for (size_t r = 0; r < lanes; ++r) {
+                if (!(group.lanes >> r & 1))
+                    continue;
+                EXPECT_LE(r + d, t) << "step " << t << " lane " << r
+                                    << " reads a slot not yet written";
+                expanded.emplace_back(t, r, t - r - d);
+            }
+        }
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(expanded.begin(), expanded.end());
+    EXPECT_EQ(expanded, expected);
+    return band;
+}
+
+TEST(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
+{
+    util::Rng rng(6200);
+    for (int round = 0; round < 24; ++round) {
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = static_cast<size_t>(rng.uniformInt(1, 12));
+        params.maxLabel = round % 4 == 0 ? 24 : 8;
+        params.snpDensity = 0.4;
+        params.insertDensity = 0.25;
+        params.deleteDensity = 0.25;
+        auto variation = std::make_shared<VariationGraph>(
+            pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+        SCOPED_TRACE(testing::Message() << "round " << round);
+        checkedBandTables(
+            GraphAligner(variation, ScoreMatrix::dnaShortestPath()));
+        checkedBandTables(GraphAligner(
+            fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12))),
+            ScoreMatrix::dnaShortestPathInfMismatch()));
+    }
+}
+
+TEST(GraphBandTables, FanJoinsNeedSeveralFarGroups)
+{
     // Four sources into one join, which then has one chain predecessor
-    // at most and three far ones; every step within fifteen of the
-    // join races three far slots.
+    // at most and three far ones, at three sweep distances.  Position
+    // 0 lies the same three distances back from three of the sources'
+    // first characters, so no step races more than three far groups,
+    // and every step that races the join races three.
     auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
     const SegmentId join = graph->addSegment("join", dna("GATTACA"));
     for (const char *name : {"a", "b", "c", "d"})
         graph->addLink(graph->addSegment(name, dna("ACG")), join);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
-    const pangraph::GraphBandTables &band = aligner.compiled().band;
+    const pangraph::GraphBandTables band = checkedBandTables(aligner);
     uint32_t widest = 0;
     for (size_t t = 0; t + 1 < band.farBegin.size(); ++t)
         widest = std::max(widest, band.farBegin[t + 1] - band.farBegin[t]);
     EXPECT_EQ(widest, 3u);
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
     pangraph::GraphAlignScratch scratch;
     util::Rng rng(6201);
     for (const Sequence &read : bandReads(rng, *graph))
@@ -1003,8 +1093,6 @@ TEST(GraphBandTables, FanJoinsNeedSeveralFarSlots)
 
 TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
 {
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
     // An optional 40-nt insertion: the segment after it has a far
     // predecessor 41 sweep steps back, past the 16-step window of the
     // graph-map shapes, so the ring grows to 64 steps.
@@ -1018,6 +1106,9 @@ TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
     graph->addLink(insert, to);
     graph->addLink(from, to);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPathInfMismatch());
+    EXPECT_EQ(checkedBandTables(aligner).window, 64u);
+    if (!hostHasBand())
+        GTEST_SKIP() << kNoBand;
     EXPECT_EQ(aligner.compiled().band.window, 64u);
     pangraph::GraphAlignScratch scratch;
     for (const Sequence &read : bandReads(rng, *graph))
