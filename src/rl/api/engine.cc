@@ -861,12 +861,13 @@ namespace {
 /**
  * Race a DAG problem behaviorally and, on the gate-level backend,
  * replay a sink that fired on real gates.  Shared by Dtw / DagPath /
- * Affine.
+ * Affine; a score-only solve (`arrivals` false) returns no
+ * nodeArrival.
  */
 void
 raceDagProblem(const graph::Dag &dag,
                const std::vector<graph::NodeId> &sources,
-               graph::NodeId sink, core::RaceType type,
+               graph::NodeId sink, core::RaceType type, bool arrivals,
                const EngineConfig &cfg, RaceResult &result)
 {
     core::RaceOutcome outcome = core::raceDag(dag, sources, type);
@@ -881,10 +882,11 @@ raceDagProblem(const graph::Dag &dag,
         result.racedCost = bio::kScoreInfinity;
         result.latencyCycles = outcome.horizon;
     }
-    result.nodeArrival = std::move(outcome.firing);
     result.cellsFired = static_cast<size_t>(std::count_if(
-        result.nodeArrival.begin(), result.nodeArrival.end(),
+        outcome.firing.begin(), outcome.firing.end(),
         [](const core::TemporalValue &v) { return v.fired(); }));
+    if (arrivals)
+        result.nodeArrival = std::move(outcome.firing);
 
     const tech::CellLibrary &lib = *cfg.library;
     if (cfg.withEstimates) {
@@ -913,7 +915,7 @@ RaceEngine::solveDtw(const RaceProblem &problem)
     result.kind = ProblemKind::Dtw;
     result.backend = cfg.backend;
     raceDagProblem(lattice.dag, {lattice.source}, lattice.sink,
-                   core::RaceType::Or, cfg, result);
+                   core::RaceType::Or, problem.arrivals, cfg, result);
     rl_assert(result.completed, "DTW race never finished");
     result.score = result.racedCost;
     applyThresholdVerdict(cfg.threshold, result);
@@ -935,7 +937,7 @@ RaceEngine::solveDagPath(const RaceProblem &problem)
     result.backend = cfg.backend;
     raceDagProblem(*problem.dag, problem.sources, problem.sink,
                    shortest ? core::RaceType::Or : core::RaceType::And,
-                   cfg, result);
+                   problem.arrivals, cfg, result);
     result.score = result.completed ? result.racedCost
                                     : bio::kScoreInfinity;
     if (shortest) {
@@ -963,7 +965,7 @@ RaceEngine::solveAffine(const RaceProblem &problem)
     result.kind = ProblemKind::AffineAlignment;
     result.backend = cfg.backend;
     raceDagProblem(lattice.dag, {lattice.source}, lattice.sink,
-                   core::RaceType::Or, cfg, result);
+                   core::RaceType::Or, problem.arrivals, cfg, result);
     rl_assert(result.completed,
               "affine race never finished; finite gaps should always "
               "connect the corners");

@@ -114,12 +114,14 @@ struct RaceProblem {
 
     /**
      * Whether the solve returns its arrival detail: RaceResult::arrival
-     * (grid kinds) or RaceResult::nodeArrival (GraphAlign).  False asks
-     * for a score-only solve -- what race-logic hardware reports: the
-     * sink's cycle and whether the abort counter tripped -- and the
-     * Behavioral grid-family and GraphAlign kernels then neither
-     * allocate nor fill the detail, which comes back empty; every
-     * other result field is unchanged.  graphMapping(), traceback,
+     * (grid kinds) or RaceResult::nodeArrival (Dtw, Affine, DagPath,
+     * GraphAlign).  False asks for a score-only solve -- what
+     * race-logic hardware reports: the sink's cycle and whether the
+     * abort counter tripped -- on every kind and backend: the detail
+     * comes back empty, the Behavioral grid-family and GraphAlign
+     * kernels neither allocate nor fill it, and a DAG-family solve
+     * drops its node arrivals once the race is counted.  Every other
+     * result field is unchanged.  graphMapping(), traceback,
      * clock-gating analysis and arrivalTable() need it true.  Like
      * `cancel`, a run-time property, not part of the plan key.
      */

@@ -30,7 +30,10 @@ raceDagAnalog(const graph::Dag &dag,
               const std::vector<graph::NodeId> &sources, RaceType type,
               const AnalogDelayModel &model, util::Rng &rng)
 {
-    dag.validateAcyclic();
+    // Continuous time, but arrival order still follows topological
+    // structure, so a topological sweep is exact (and deterministic);
+    // topologicalOrder() exits on a cycle.
+    const std::vector<graph::NodeId> order = graph::topologicalOrder(dag);
     rl_assert(!sources.empty(), "race needs at least one source");
     rl_assert(model.unitDelayNs > 0, "unit delay must be positive");
     rl_assert(model.sigma >= 0, "sigma must be non-negative");
@@ -55,9 +58,7 @@ raceDagAnalog(const graph::Dag &dag,
         outcome.arrivalNs[s] = 0.0;
     }
 
-    // Continuous time, but arrival order still follows topological
-    // structure, so a topological sweep is exact (and deterministic).
-    for (graph::NodeId node : graph::topologicalOrder(dag)) {
+    for (graph::NodeId node : order) {
         if (is_source[node])
             continue;
         const auto &in = dag.inEdges(node);

@@ -1,11 +1,51 @@
 /**
  * @file
- * What the two skewed AVX-512F bands share -- core::raceEditGrid's
- * (rl/core/wavefront_band.h) and pangraph::raceAlignmentGrid's
- * (rl/pangraph/graph_align_band.h): the lane count and width, the
- * bound within which a race fits 32-bit lanes, the unfired padding
- * around their column-reversed rows, and the in-lane event tally.
- * Internal to the library.
+ * The one skewed AVX-512F band behind both dense race kernels,
+ * core::raceEditGrid (rl/core/wavefront_band.h) and
+ * pangraph::raceAlignmentGrid (rl/pangraph/graph_align_band.h): the
+ * lane count and width, the bound within which a race fits 32-bit
+ * lanes, the band's tables, its step and the driver that races a
+ * kernel's rows band by band.  Internal to the library.
+ *
+ * A band races rows i0 .. i0+15 in the sixteen 32-bit lanes of one
+ * register, over positions 0..K in sweep order, lane r one step
+ * behind lane r - 1: at step t, lane r fires (i0 + r, t - r).  The
+ * edit grid is a chain of K = |b| columns; a graph's product takes its
+ * positions in the order of GraphBandTables::order.  The in-edges of
+ * (i, k):
+ *
+ *  - `up`, from (i - 1, k), is the previous step's value of lane
+ *    r - 1 -- and, for lane 0, the stored row above the band;
+ *  - the chain predecessor k - 1: `left` is the lane's own previous
+ *    value and `diag` the previous step's `up`.  On a graph, a chain
+ *    deletion row and a chain gate leave both unfired where k - 1 does
+ *    not precede k; on the edit grid's chain it always does;
+ *  - a graph's far predecessors, every one but k - 1: lane r fired
+ *    predecessor k - d at step t - d.  A ring of `window` past steps
+ *    keeps each step's values and `up`s as two 64-byte vectors, so the
+ *    lanes whose predecessors lie d back take slot (t - d) mod window
+ *    with one load per vector, under their lane mask: one BandFarGroup
+ *    per distance, precomputed per step.
+ *
+ * Weights come in rows of K + 1 + 2 kBandPad, column-reversed and
+ * padded: entry k sits at kBandPad + K - k, and every entry outside
+ * 0..K is unfired.  Rows 0..|alphabet|-1 hold the substitution weight
+ * into k for each row symbol, row |alphabet| is all unfired (the lanes
+ * past the band's last row), then come the deletion row and, on a
+ * graph alone, the chain deletion and chain gate rows.  A step reads a
+ * deletion-side row for all sixteen lanes with one unaligned load,
+ * and the substitution weights -- one symbol row per lane -- with one
+ * 32-bit gather whose per-lane indices fall by one each step.  A lane
+ * before position 0, past position K or past the band's last row
+ * reads unfired padding, is in no far group, and stays unfired.
+ *
+ * A lane holds the row sweep's working value at 32 bits, clamped to
+ * kBandUnfired = 2^30; a kernel takes the band only where that is
+ * exact (bandExact()), so each lane does the row sweep's arithmetic.
+ * Events are tallied per target, in lanes: each in-edge arrival a step
+ * forms is counted when it is within the limit and folded into the
+ * latest arrival -- the edges the row sweeps count per source, so a
+ * cancelled race counts the arrivals into the rows it swept.
  */
 
 #ifndef RACELOGIC_CORE_BAND_LANES_H
@@ -16,19 +56,6 @@
 
 #include "rl/core/wavefront.h"
 
-#if defined(__x86_64__)
-// GCC 12's AVX-512 intrinsics pass a self-initialised "undefined"
-// vector to their masked builtins, which -Wuninitialized reports at
-// every inlined call; the pragmas cover the header's lines alone.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#ifndef __clang__
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
-
 namespace racelogic::core::detail {
 
 /** Rows one band races: the 32-bit lanes of a 512-bit register. */
@@ -37,7 +64,7 @@ constexpr size_t kBandLanes = 16;
 /**
  * Unfired padding on each side of a band's column-reversed rows and
  * of the row above: a lane runs up to fifteen steps before its first
- * column and after its last, and the last lane's store trails lane 0
+ * position and after its last, and the last lane's store trails lane 0
  * by up to 2 x 15 elements.
  */
 constexpr size_t kBandPad = 2 * kBandLanes;
@@ -50,6 +77,10 @@ constexpr size_t kBandPad = 2 * kBandLanes;
  */
 constexpr uint32_t kBandUnfired = uint32_t(1) << 30;
 
+/** 32-bit ticks of history one band step keeps: its values, then its
+ *  `up`s. */
+constexpr size_t kHistoryStride = 2 * kBandLanes;
+
 /**
  * True iff a race whose paths take at most `edges` in-edges, each of
  * weight at most `maxWeight`, races exactly in 32-bit lanes:
@@ -57,7 +88,7 @@ constexpr uint32_t kBandUnfired = uint32_t(1) << 30;
  * out of a fired cell then stays below kBandUnfired, so clamping to it
  * loses nothing; and with fewer than 2^30 steps, a lane's u32 tallies
  * of three arrivals per step stay below 2^32 (the graph band's tables
- * check their far slots' share).  A race outside the bound takes the
+ * check their far groups' share).  A race outside the bound takes the
  * row sweep.
  */
 inline bool
@@ -74,40 +105,130 @@ bandWeight(bio::Score weight)
         std::min(sweepWeight(weight), sim::Tick(kBandUnfired)));
 }
 
-#if defined(__x86_64__)
+/**
+ * The lanes of one band step whose far predecessors lie the same sweep
+ * distance d back: bit r of `lanes` is lane r, at sweep index t - r,
+ * whose predecessor t - r - d it fired at step t - d into the ring's
+ * slot `slot` = (t - d) mod window.
+ */
+struct BandFarGroup {
+    uint32_t slot = 0;
+    uint16_t lanes = 0;
+};
+
+/** One band race, as the step reads it. */
+struct Band {
+    /** The row above the band by sweep index, positions 0..K, with
+     *  kBandPad unfired ticks on each side.  On return it holds the
+     *  band's last row. */
+    uint32_t *above = nullptr;
+
+    /** The weight rows, from row 0; `gather` indexes into them. */
+    const uint32_t *weights = nullptr;
+
+    size_t positions = 0; ///< K + 1
+
+    /** nullptr: score-only.  Otherwise the band's values, step by
+     *  step: lane r at step t in skew[t * kBandLanes + r]. */
+    uint32_t *skew = nullptr;
+
+    /** A graph's far groups (step t races far[farBegin[t]] ..
+     *  far[farBegin[t + 1] - 1]) and its ring of window x
+     *  kHistoryStride ticks, 64-byte aligned. */
+    const uint32_t *farBegin = nullptr;
+    const BandFarGroup *far = nullptr;
+    uint32_t *history = nullptr;
+    size_t window = 0;
+
+    /** Set by raceBands(): the deletion row at sweep index 0. */
+    const uint32_t *deletion = nullptr;
+
+    /** Set per band by raceBands(): each lane's weight index of its
+     *  substitution weight at step 0 (symbol row x stride + kBandPad +
+     *  K + lane), its insertion weight (unfired past the band), and
+     *  the rows in the band, 1..kBandLanes. */
+    uint32_t gather[kBandLanes] = {};
+    uint32_t down[kBandLanes] = {};
+    size_t lanes = 0;
+};
 
 /**
- * Count the in-edge arrivals `t` within `limit`, as SweepTally does:
- * one event per lane whose arrival is within the horizon, folded into
- * that lane's latest arrival.  Only the lanes in `lanes` have arrived.
+ * Race one band: every step from lane 0's position 0 to the last
+ * lane's position K.  Adds the band's arrivals within tally.limit
+ * (below kBandUnfired) to tally.events and tally.latest, and stores
+ * each lane's fired count in fired[lane].  kChain races the edit
+ * grid's chain, without the graph's chain gate, far groups and ring.
+ * Requires sweepLanes() == kBandLanes.
  */
-__attribute__((target("avx512f"), always_inline)) inline void
-arrive(__m512i t, __m512i limit, __m512i &events, __m512i &latest,
-       __mmask16 lanes = 0xFFFF)
-{
-    const __mmask16 in = _mm512_mask_cmple_epu32_mask(lanes, t, limit);
-    events = _mm512_mask_add_epi32(events, in, events, _mm512_set1_epi32(1));
-    latest = _mm512_mask_max_epu32(latest, in, latest, t);
-}
+template <bool kChain>
+void sweepBand(const Band &band, SweepTally &tally,
+               uint32_t fired[kBandLanes]);
 
 /**
- * Widen a finished band's in-lane tallies into `tally`, and store
- * each lane's fired-cell count in fired[lane].
+ * Race rows 1..|rows| of `band` band by band, each row consuming its
+ * symbol of `rows` under `costs`; band.above holds row 0.  Per band:
+ * poll each row's cancel ahead of it (the first cancelled poll cuts
+ * the band there, so the rows swept are the rows polled), set the
+ * lanes' gather indices and insertion weights, race the step, add the
+ * swept rows' fired counts to `cellsFired` and, when the band fills
+ * arrivals, hand them to publish(i0, swept).  Section 6: the first
+ * row with no fired cell stops the race, and no later row can fire
+ * either.  Once the last row is swept, atLastRow() reads it in
+ * band.above.  Returns true iff a cancel stopped the race.
  */
-__attribute__((target("avx512f"), always_inline)) inline void
-foldBand(__m512i events, __m512i latest, __m512i firedCells,
-         SweepTally &tally, uint32_t fired[kBandLanes])
+template <bool kChain, typename Publish, typename AtLastRow>
+bool
+raceBands(Band &band, const bio::Sequence &rows,
+          const bio::ScoreMatrix &costs, SweepTally &tally,
+          size_t &cellsFired, const CancelToken *cancel,
+          Publish &&publish, AtLastRow &&atLastRow)
 {
-    tally.events += static_cast<uint64_t>(_mm512_reduce_add_epi64(
-        _mm512_add_epi64(
-            _mm512_cvtepu32_epi64(_mm512_castsi512_si256(events)),
-            _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(events, 1)))));
-    tally.latest = std::max(
-        tally.latest, sim::Tick(_mm512_reduce_max_epu32(latest)));
-    _mm512_storeu_si512(fired, firedCells);
-}
+    const size_t m = rows.size();
+    const size_t alpha = costs.alphabet().size();
+    const std::vector<bio::Symbol> &symbols = rows.symbols();
+    const size_t stride = band.positions + 2 * kBandPad;
+    const size_t origin = kBandPad + band.positions - 1; // sweep index 0
+    band.deletion = band.weights + (alpha + 1) * stride + origin;
+    for (size_t i0 = 1; i0 <= m; i0 += kBandLanes) {
+        size_t lanes = std::min(kBandLanes, m + 1 - i0);
+        bool cancelled = false;
+        for (size_t r = 0; r < lanes; ++r) {
+            if (cancel && cancel->cancelled()) {
+                lanes = r;
+                cancelled = true;
+                break;
+            }
+        }
+        if (lanes == 0)
+            return true;
 
-#endif
+        band.lanes = lanes;
+        for (size_t r = 0; r < kBandLanes; ++r) {
+            const bool live = r < lanes;
+            const size_t s = live ? symbols[i0 + r - 1] : alpha;
+            band.gather[r] = static_cast<uint32_t>(s * stride + origin + r);
+            band.down[r] = live ? bandWeight(costs.gap(symbols[i0 + r - 1]))
+                                : kBandUnfired;
+        }
+        uint32_t fired[kBandLanes];
+        sweepBand<kChain>(band, tally, fired);
+
+        // The rows after a row with no fired cell fired nothing and
+        // scheduled nothing either, so the band's tally stands, and a
+        // cancel polled past that row changes nothing.
+        size_t swept = 0;
+        while (swept < lanes && fired[swept] > 0)
+            cellsFired += fired[swept++];
+        if (band.skew)
+            publish(i0, swept);
+        if (swept < lanes)
+            return false;
+        if (cancelled)
+            return true;
+    }
+    atLastRow();
+    return false;
+}
 
 } // namespace racelogic::core::detail
 

@@ -24,54 +24,6 @@ checkEditGridInputs(const bio::Sequence &a, const bio::Sequence &b,
               costs.minFinite(), ")");
 }
 
-/**
- * Close a stopped edit-grid sweep: events, the profiling export, and
- * the verdict -- the sink fired, a cancel stopped the sweep first, or
- * the horizon did.
- */
-void
-finishEditGrid(RaceGridResult &result, const SweepTally &tally,
-               sim::Tick sink, bool cancelled, sim::Tick horizon,
-               size_t cols, KernelCounters *counters)
-{
-    result.events = tally.events;
-
-    // Profiling export: everything below was tracked by the sweep
-    // anyway (or is a container size), so a null `counters` costs
-    // nothing and a non-null one cannot change the result.
-    if (counters) {
-        counters->events += result.events;
-        counters->bucketsDrained += tally.latest + 1;
-        counters->scratchHighWater = std::max(
-            counters->scratchHighWater, static_cast<uint64_t>(cols + 1));
-        counters->lanesOccupied += result.cellsFired;
-    }
-
-    if (sink != sim::kTickInfinity) {
-        result.completed = true;
-        result.score = static_cast<bio::Score>(sink);
-        result.latencyCycles = sink;
-    } else if (cancelled) {
-        // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the latest arrival scheduled.
-        result.completed = false;
-        result.cancelled = true;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = tally.latest;
-        if (counters)
-            ++counters->cancels;
-    } else {
-        rl_assert(horizon != sim::kTickInfinity,
-                  "sink never fired; gap weights should guarantee a "
-                  "path");
-        result.completed = false;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = horizon;
-        if (counters)
-            ++counters->horizonAborts;
-    }
-}
-
 } // namespace
 
 RaceGridResult
@@ -235,7 +187,7 @@ raceEditGridRows(const bio::Sequence &a, const bio::Sequence &b,
             break;
         }
     }
-    finishEditGrid(result, tally, sink, cancelled, horizon, cols, counters);
+    finishSweep(result, tally, sink, cancelled, horizon, cols + 1, counters);
     return result;
 }
 
@@ -251,18 +203,15 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     rl_dassert(editGridBandExact(a, b, costs),
                "the race's cost range does not fit the band's 32-bit lanes");
 
-    const size_t rows = a.size();
     const size_t cols = b.size();
     const size_t alpha = costs.alphabet().size();
-    const std::vector<bio::Symbol> &symA = a.symbols();
     const std::vector<bio::Symbol> &symB = b.symbols();
 
-    // The profile, column-reversed: the weight into column j of profile
-    // row s sits at kBandPad + cols - j, and everything outside columns
-    // 1..cols is unfired.  Rows 0..alpha-1 hold each symbol's diagonal
-    // weights, row alpha none (the lanes past a band's last row), row
-    // alpha + 1 the horizontal ones.  The gather's indices are 32-bit.
-    const size_t stride = cols + 2 * kBandPad;
+    // The profile: a graph band's first alpha + 2 weight rows for the
+    // chain of columns (layout in rl/core/band_lanes.h) -- each
+    // symbol's diagonal weights, the all-unfired row, then the
+    // horizontal ones.  The gather's indices are 32-bit.
+    const size_t stride = cols + 1 + 2 * kBandPad;
     rl_assert((alpha + 2) * stride <= INT32_MAX,
               "the band's profile outgrows its 32-bit gather indices");
     std::vector<uint32_t> &profile = scratch.profile;
@@ -284,7 +233,7 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
 
     RaceGridResult result;
     if (arrivals)
-        result.arrival = util::Grid<sim::Tick>(rows + 1, cols + 1,
+        result.arrival = util::Grid<sim::Tick>(a.size() + 1, cols + 1,
                                                sim::kTickInfinity);
     // Within the bound no arrival reaches kBandUnfired, so the lanes'
     // limit below it counts exactly the row sweep's arrivals.
@@ -307,69 +256,31 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
             if (out)
                 out[j] = hit ? above[j] : sim::kTickInfinity;
         }
-        if (rows == 0 && tally.fired(above[cols]))
-            sink = above[cols];
-    }
 
-    for (size_t i0 = 1; i0 <= rows && !cancelled; i0 += kBandLanes) {
-        // Poll each row ahead of the band; the first cancelled poll
-        // cuts the band there, so the rows swept are the rows polled.
-        size_t lanes = std::min(kBandLanes, rows + 1 - i0);
-        for (size_t r = 0; r < lanes; ++r) {
-            if (cancel && cancel->cancelled()) {
-                lanes = r;
-                cancelled = true;
-                break;
-            }
-        }
-        if (lanes == 0)
-            break;
-
-        EditGridBand band;
+        Band band;
         band.above = above;
-        band.profile = profile.data();
-        band.horizontal = horizontal;
-        band.cols = cols;
-        band.lanes = lanes;
+        band.weights = profile.data();
+        band.positions = cols + 1;
         band.skew = arrivals ? scratch.skew.data() : nullptr;
-        for (size_t r = 0; r < kBandLanes; ++r) {
-            const bool live = r < lanes;
-            const size_t s = live ? symA[i0 + r - 1] : alpha;
-            band.gather[r] =
-                static_cast<uint32_t>(s * stride + kBandPad + cols + r);
-            band.down[r] = live ? bandWeight(costs.gap(symA[i0 + r - 1]))
-                                : kBandUnfired;
-        }
-        uint32_t fired[kBandLanes];
-        sweepEditGridBand(band, tally, fired);
-
-        // Section 6, row by row: the first row with no fired cell stops
-        // the sweep.  The rows after it in the band fired nothing and
-        // scheduled nothing either, so the band's tally stands.
-        size_t swept = 0;
-        while (swept < lanes && fired[swept] > 0)
-            result.cellsFired += fired[swept++];
-        for (size_t r = 0; arrivals && r < swept; ++r) {
-            // Lane r's cell in column j is at step j + r.
-            const uint32_t *lane =
-                scratch.skew.data() + r * (kBandLanes + 1);
-            sim::Tick *out = &result.arrival.at(i0 + r, 0);
-            for (size_t j = 0; j <= cols; ++j) {
-                const sim::Tick v = lane[j * kBandLanes];
-                out[j] = tally.fired(v) ? v : sim::kTickInfinity;
+        const auto publish = [&](size_t i0, size_t swept) {
+            for (size_t r = 0; r < swept; ++r) {
+                // Lane r's cell in column j is at step j + r.
+                const uint32_t *lane =
+                    scratch.skew.data() + r * (kBandLanes + 1);
+                sim::Tick *row = &result.arrival.at(i0 + r, 0);
+                for (size_t j = 0; j <= cols; ++j) {
+                    const sim::Tick v = lane[j * kBandLanes];
+                    row[j] = tally.fired(v) ? v : sim::kTickInfinity;
+                }
             }
-        }
-        if (swept < lanes) {
-            // A cancel polled past this row changes nothing: there is
-            // no row to stop.
-            cancelled = false;
-            break;
-        }
-        if (i0 + lanes - 1 == rows && tally.fired(above[cols]))
-            sink = above[cols];
+        };
+        cancelled = raceBands<true>(band, a, costs, tally, result.cellsFired,
+                                    cancel, publish, [&] {
+                                        if (tally.fired(above[cols]))
+                                            sink = above[cols];
+                                    });
     }
-
-    finishEditGrid(result, tally, sink, cancelled, horizon, cols, counters);
+    finishSweep(result, tally, sink, cancelled, horizon, cols + 1, counters);
     return result;
 }
 

@@ -20,8 +20,9 @@
  *    sixteen 32-bit lanes of one register, lane r one column behind
  *    lane r-1, like a short linear systolic array riding the paper's
  *    diagonal wavefront.  Each step fires one cell of every row in the
- *    band and tallies the arrivals into them in lanes
- *    (rl/core/wavefront_band.h).
+ *    band and tallies the arrivals into them in lanes.  It is
+ *    pangraph::raceAlignmentGrid's band, raced over the chain of
+ *    columns (rl/core/band_lanes.h, rl/core/wavefront_band.h).
  *
  * The CPU (sweepLanes(), once per process) and a bound on the race's
  * cost range pick the sweep: the band runs a race only where its
@@ -157,6 +158,57 @@ struct SweepTally {
     sim::Tick latest = 0;  ///< latest arrival scheduled so far
 };
 
+namespace detail {
+
+/**
+ * Close a stopped dense sweep of either kernel, row sweep or band:
+ * its events, the KernelCounters export and the verdict.  The sink
+ * fired at `sink` (kTickInfinity: it did not); else a cancel stopped
+ * the sweep first -- the same typed-abort shape as a horizon trip,
+ * stamped with the latest arrival scheduled; else the horizon did.
+ * `width` is the sweep's working-row size.  Everything exported was
+ * tracked by the sweep anyway (or is a container size), so a null
+ * `counters` costs nothing and a non-null one cannot change the
+ * result.
+ */
+template <typename Result>
+void
+finishSweep(Result &result, const SweepTally &tally, sim::Tick sink,
+            bool cancelled, sim::Tick horizon, size_t width,
+            KernelCounters *counters)
+{
+    result.events = tally.events;
+    if (counters) {
+        counters->events += result.events;
+        counters->bucketsDrained += tally.latest + 1;
+        counters->scratchHighWater = std::max(
+            counters->scratchHighWater, static_cast<uint64_t>(width));
+        counters->lanesOccupied += result.cellsFired;
+    }
+
+    result.completed = sink != sim::kTickInfinity;
+    if (result.completed) {
+        result.score = static_cast<bio::Score>(sink);
+        result.latencyCycles = sink;
+        return;
+    }
+    result.score = bio::kScoreInfinity;
+    if (cancelled) {
+        result.cancelled = true;
+        result.latencyCycles = tally.latest;
+        if (counters)
+            ++counters->cancels;
+    } else {
+        rl_assert(horizon != sim::kTickInfinity,
+                  "sink never fired; gap weights should guarantee a path");
+        result.latencyCycles = horizon;
+        if (counters)
+            ++counters->horizonAborts;
+    }
+}
+
+} // namespace detail
+
 /**
  * Reusable scratch state for raceEditGrid: the sweep's working row
  * plus the weights hoisted out of it.  The row sweep uses gapA,
@@ -204,7 +256,7 @@ struct RaceGridScratch {
      * unfired weights so that one step reads sixteen lanes at one
      * offset: a diagonal row per symbol, an all-unfired row for the
      * lanes past the band's last row, then the horizontal gap(b) row
-     * (layout in rl/core/wavefront_band.h).
+     * (layout in rl/core/band_lanes.h).
      */
     std::vector<uint32_t> profile;
 

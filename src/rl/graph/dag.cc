@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rl/graph/topo.h"
 #include "rl/util/logging.h"
 
 namespace racelogic::graph {
@@ -104,35 +105,7 @@ Dag::maxWeight() const
 bool
 Dag::isAcyclic() const
 {
-    // Kahn's algorithm: the graph is acyclic iff all nodes drain.
-    std::vector<size_t> remaining(nodeCount());
-    std::vector<NodeId> ready;
-    for (NodeId n = 0; n < nodeCount(); ++n) {
-        remaining[n] = inAdjacency[n].size();
-        if (remaining[n] == 0)
-            ready.push_back(n);
-    }
-    size_t visited = 0;
-    while (!ready.empty()) {
-        NodeId n = ready.back();
-        ready.pop_back();
-        ++visited;
-        for (uint32_t idx : outAdjacency[n]) {
-            NodeId to = edges_[idx].to;
-            if (--remaining[to] == 0)
-                ready.push_back(to);
-        }
-    }
-    return visited == nodeCount();
-}
-
-void
-Dag::validateAcyclic() const
-{
-    if (!isAcyclic())
-        rl_fatal("graph contains a directed cycle; Race Logic requires "
-                 "a DAG (", nodeCount(), " nodes, ", edgeCount(),
-                 " edges)");
+    return kahnOrder(*this).size() == nodeCount();
 }
 
 void

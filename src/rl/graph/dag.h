@@ -47,9 +47,10 @@ struct Edge {
  * A mutable weighted digraph intended to be acyclic.
  *
  * Nodes are created densely; edges may be added in any order.
- * Acyclicity is validated on demand (validateAcyclic() or the
- * topological-sort routines), not on every insertion, so construction
- * stays O(V + E).
+ * Acyclicity is checked on demand, not on every insertion, so
+ * construction stays O(V + E): isAcyclic() asks, and
+ * graph::topologicalOrder() -- the one Kahn pass both run -- exits on
+ * a cycle.
  */
 class Dag
 {
@@ -107,11 +108,9 @@ class Dag
     /** Largest edge weight (fatal on an edgeless graph). */
     Weight maxWeight() const;
 
-    /** True iff the graph currently contains no directed cycle. */
+    /** True iff the graph currently contains no directed cycle:
+     *  graph::kahnOrder() (rl/graph/topo.h) reaches every node. */
     bool isAcyclic() const;
-
-    /** fatal() with a diagnostic if the graph contains a cycle. */
-    void validateAcyclic() const;
 
   private:
     void checkNode(NodeId node) const;

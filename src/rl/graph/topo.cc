@@ -8,7 +8,7 @@
 namespace racelogic::graph {
 
 std::vector<NodeId>
-topologicalOrder(const Dag &dag)
+kahnOrder(const Dag &dag)
 {
     const size_t n = dag.nodeCount();
     std::vector<size_t> remaining(n);
@@ -31,7 +31,14 @@ topologicalOrder(const Dag &dag)
                 ready.push(to);
         }
     }
-    if (order.size() != n)
+    return order;
+}
+
+std::vector<NodeId>
+topologicalOrder(const Dag &dag)
+{
+    std::vector<NodeId> order = kahnOrder(dag);
+    if (order.size() != dag.nodeCount())
         rl_fatal("topologicalOrder: graph has a cycle");
     return order;
 }

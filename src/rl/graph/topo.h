@@ -13,8 +13,16 @@
 namespace racelogic::graph {
 
 /**
- * Deterministic topological order (Kahn's algorithm; smallest node id
- * first among ready nodes).  fatal() if the graph has a cycle.
+ * Kahn's algorithm, smallest node id first among ready nodes: every
+ * node the pass reaches, in topological order.  It comes up short of
+ * nodeCount() iff the graph has a cycle (Dag::isAcyclic()).
+ */
+std::vector<NodeId> kahnOrder(const Dag &dag);
+
+/**
+ * Deterministic topological order: kahnOrder(), which solveDag()'s
+ * tie-breaking and compileRaceCircuit()'s net numbering rely on.
+ * fatal() if the graph has a cycle.
  */
 std::vector<NodeId> topologicalOrder(const Dag &dag);
 

@@ -35,6 +35,7 @@
 
 #include "rl/bio/score_matrix.h"
 #include "rl/bio/sequence.h"
+#include "rl/core/band_lanes.h"
 #include "rl/core/wavefront.h"
 #include "rl/graph/dag.h"
 #include "rl/pangraph/variation_graph.h"
@@ -43,9 +44,8 @@ namespace racelogic::pangraph {
 
 /**
  * The graph band's read-independent tables: the sweep order, and the
- * weights and predecessors of every sweep index laid out so that one
- * load serves the band's sixteen lanes.  The layout is documented with
- * the band in rl/pangraph/graph_align_band.h.
+ * weights and far predecessors of every sweep index laid out for the
+ * one skewed band (rl/core/band_lanes.h).
  */
 struct GraphBandTables {
     /** Sweep index k -> position: position 0, then each segment's
@@ -56,29 +56,18 @@ struct GraphBandTables {
     std::vector<uint32_t> rank;
 
     /**
-     * Weight rows of `stride` entries, column-reversed and padded:
-     * entry k of a row sits at core::detail::kBandPad + K - k, and
-     * every entry outside 0..K is core::detail::kBandUnfired.  Rows 0..|alphabet|-1
-     * hold the substitution weight pair(s, symbol) into k for read
-     * symbol s, row |alphabet| is all unfired (lanes past a band's last
-     * row), then come the deletion weight into k, the same where k - 1
-     * precedes k (unfired elsewhere), and the chain gate (0 where k - 1
-     * precedes k, unfired elsewhere).  Position 0 has no deletion or
+     * The band's weight rows (layout in rl/core/band_lanes.h): the
+     * substitution rows, the all-unfired row, the deletion row, the
+     * chain deletion row (the deletion weight where k - 1 precedes k)
+     * and the chain gate (0 there); both chain rows are unfired where
+     * k - 1 does not precede k.  Position 0 has no deletion or
      * substitution in-edge: unfired in every row.
      */
     std::vector<uint32_t> weights;
-    size_t stride = 0;
 
-    /**
-     * The lanes of one band step whose far predecessors lie the same
-     * sweep distance d back: bit r of `lanes` is lane r, at sweep index
-     * t - r, whose predecessor t - r - d it fired at step t - d into
-     * the history's slot `slot` = (t - d) mod window.
-     */
-    struct FarGroup {
-        uint32_t slot = 0;
-        uint16_t lanes = 0;
-    };
+    /** The lanes of one band step whose far predecessors lie one
+     *  sweep distance back. */
+    using FarGroup = core::detail::BandFarGroup;
 
     /**
      * The far predecessors -- every predecessor of k but k - 1 -- by

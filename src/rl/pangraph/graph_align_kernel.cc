@@ -46,56 +46,22 @@ checkGraphRaceInputs(const CompiledGraph &compiled, const bio::Sequence &read,
 }
 
 /**
- * Both sweeps' verdict: the sink's arrival, the profiling counters
- * and the typed abort of a horizon trip or a cancel.
+ * Close either sweep: the super-sink fires at the first terminal
+ * arrival, then the one verdict (core::detail::finishSweep()).
  */
 void
 finishGraphRace(GraphRaceResult &result, const core::SweepTally &tally,
                 sim::Tick sinkTime, bool cancelled, sim::Tick horizon,
                 size_t positions, core::KernelCounters *counters)
 {
-    result.events = tally.events;
     if (sinkTime != sim::kTickInfinity) {
         ++result.cellsFired;
         if (!result.arrival.empty())
             result.arrival.back() = core::TemporalValue::at(sinkTime);
     }
-
-    // Profiling export: everything below was tracked by the sweep
-    // anyway (or is a container size), so a null `counters` costs
-    // nothing and a non-null one cannot change the result.
-    if (counters) {
-        counters->events += result.events;
-        counters->bucketsDrained += tally.latest + 1;
-        counters->scratchHighWater = std::max(
-            counters->scratchHighWater, static_cast<uint64_t>(positions));
-        counters->lanesOccupied += result.cellsFired;
-    }
-
-    result.completed = sinkTime != sim::kTickInfinity;
-    if (result.completed) {
-        result.racedCost = static_cast<bio::Score>(sinkTime);
-        result.score = result.racedCost;
-        result.latencyCycles = sinkTime;
-    } else if (cancelled) {
-        // Cancelled before the sink fired: the same typed-abort shape
-        // as a horizon trip, stamped with the latest arrival scheduled.
-        result.cancelled = true;
-        result.racedCost = bio::kScoreInfinity;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = tally.latest;
-        if (counters)
-            ++counters->cancels;
-    } else {
-        rl_assert(horizon != sim::kTickInfinity,
-                  "sink never fired; gap weights should guarantee a "
-                  "walk");
-        result.racedCost = bio::kScoreInfinity;
-        result.score = bio::kScoreInfinity;
-        result.latencyCycles = horizon;
-        if (counters)
-            ++counters->horizonAborts;
-    }
+    core::detail::finishSweep(result, tally, sinkTime, cancelled, horizon,
+                              positions, counters);
+    result.racedCost = result.score;
 }
 
 } // namespace
@@ -287,10 +253,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     rl_dassert(graphBandExact(compiled, read, costs),
                "the race's cost range does not fit the band's 32-bit lanes");
 
-    const size_t m = read.size();
     const size_t positions = compiled.positionCount();
-    const size_t alpha = costs.alphabet().size();
-    const std::vector<bio::Symbol> &symRead = read.symbols();
     const std::vector<CharPos> &order = tables.order;
 
     // The row above, by sweep index, padded with unfired ticks, and
@@ -298,7 +261,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     // the band stores and loads is one cache line.
     scratch.bandRow.assign(positions + 2 * kBandPad, kBandUnfired);
     uint32_t *above = scratch.bandRow.data() + kBandPad;
-    const size_t ring = tables.window * kHistoryStride;
+    const size_t ring = tables.window * core::detail::kHistoryStride;
     scratch.history.resize(ring + kBandLanes);
     void *history = scratch.history.data();
     size_t room = scratch.history.size() * sizeof(uint32_t);
@@ -330,18 +293,6 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
             }
         }
     };
-    // The zero-weight super-sink wires out of the read's last row, held
-    // in `above`: one event per fired terminal state, and the first
-    // terminal arrival fires the sink OR.
-    auto drainSink = [&] {
-        for (size_t p = 1; p < positions; ++p) {
-            const sim::Tick v = above[tables.rank[p]];
-            if (compiled.terminal[p] && tally.fired(v)) {
-                ++tally.events;
-                sinkTime = std::min(sinkTime, v);
-            }
-        }
-    };
 
     bool cancelled = cancel && cancel->cancelled();
     if (!cancelled) {
@@ -365,74 +316,38 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
             result.cellsFired += tally.fired(above[k]);
         if (arrivals)
             publish(0, 1, [&](size_t k, size_t) { return above[k]; });
-        if (m == 0)
-            drainSink();
-    }
 
-    // Sweep index 0 sits at kBandPad + K in each weight row.
-    const size_t origin = kBandPad + compiled.charCount;
-    GraphBand band;
-    band.above = above;
-    band.weights = tables.weights.data();
-    band.deletion = band.weights + (alpha + 1) * tables.stride + origin;
-    band.chainDeletion = band.deletion + tables.stride;
-    band.chainGate = band.chainDeletion + tables.stride;
-    band.farBegin = tables.farBegin.data();
-    band.far = tables.far.data();
-    band.history = static_cast<uint32_t *>(history);
-    band.window = tables.window;
-    band.positions = positions;
-    band.skew = arrivals ? scratch.skew.data() : nullptr;
-    for (size_t i0 = 1; i0 <= m && !cancelled; i0 += kBandLanes) {
-        // Poll each row ahead of the band; the first cancelled poll
-        // cuts the band there, so the rows swept are the rows polled.
-        size_t lanes = std::min(kBandLanes, m + 1 - i0);
-        for (size_t r = 0; r < lanes; ++r) {
-            if (cancel && cancel->cancelled()) {
-                lanes = r;
-                cancelled = true;
-                break;
-            }
-        }
-        if (lanes == 0)
-            break;
-
-        band.lanes = lanes;
-        for (size_t r = 0; r < kBandLanes; ++r) {
-            const bool live = r < lanes;
-            const size_t s = live ? symRead[i0 + r - 1] : alpha;
-            band.gather[r] =
-                static_cast<uint32_t>(s * tables.stride + origin + r);
-            band.down[r] = live ? core::detail::bandWeight(
-                                      costs.gap(symRead[i0 + r - 1]))
-                                : kBandUnfired;
-        }
-        uint32_t fired[kBandLanes];
-        sweepGraphBand(band, tally, fired);
-
-        // Section 6, row by row: the first row with no fired state
-        // stops the sweep.  The rows after it in the band fired nothing
-        // and scheduled nothing either, so the band's tally stands.
-        size_t swept = 0;
-        while (swept < lanes && fired[swept] > 0)
-            result.cellsFired += fired[swept++];
-        if (arrivals) {
-            // Lane r's state at sweep index k is at step k + r.
-            const uint32_t *skew = scratch.skew.data();
-            publish(i0, swept, [&](size_t k, size_t r) {
-                return skew[(k + r) * kBandLanes + r];
+        core::detail::Band band;
+        band.above = above;
+        band.weights = tables.weights.data();
+        band.positions = positions;
+        band.skew = arrivals ? scratch.skew.data() : nullptr;
+        band.farBegin = tables.farBegin.data();
+        band.far = tables.far.data();
+        band.history = static_cast<uint32_t *>(history);
+        band.window = tables.window;
+        cancelled = core::detail::raceBands<false>(
+            band, read, costs, tally, result.cellsFired, cancel,
+            [&](size_t i0, size_t swept) {
+                // Lane r's state at sweep index k is at step k + r.
+                const uint32_t *skew = scratch.skew.data();
+                publish(i0, swept, [&](size_t k, size_t r) {
+                    return skew[(k + r) * kBandLanes + r];
+                });
+            },
+            [&] {
+                // The zero-weight super-sink wires out of the read's
+                // last row: one event per fired terminal state, and the
+                // first terminal arrival fires the sink OR.
+                for (size_t p = 1; p < positions; ++p) {
+                    const sim::Tick v = above[tables.rank[p]];
+                    if (compiled.terminal[p] && tally.fired(v)) {
+                        ++tally.events;
+                        sinkTime = std::min(sinkTime, v);
+                    }
+                }
             });
-        }
-        if (swept < lanes) {
-            // A cancel polled past this row changes nothing: there is
-            // no row to stop.
-            cancelled = false;
-            break;
-        }
-        if (i0 + lanes - 1 == m)
-            drainSink();
     }
-
     finishGraphRace(result, tally, sinkTime, cancelled, horizon, positions,
                     counters);
     return result;

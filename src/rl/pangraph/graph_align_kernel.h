@@ -29,14 +29,16 @@
  *    state from CompiledGraph::outEdges (see core::SweepTally),
  *    outside the serial min-plus loop.  It runs on every host and is
  *    the reference;
- *  - the skewed graph band, on hosts with AVX-512F: read rows
- *    i..i+15 race in the sixteen 32-bit lanes of one register, lane r
- *    one position behind lane r-1 in the sweep order, with the
- *    in-edges from predecessors other than the previous position
- *    loaded from a small history of the band's past steps.  Its
- *    tables are read-independent and built once per compile
- *    (CompiledGraph::band); it tallies events per target state, in
- *    lanes (rl/pangraph/graph_align_band.h).
+ *  - the skewed band both dense kernels share (rl/core/band_lanes.h),
+ *    on hosts with AVX-512F: read rows i..i+15 race in the sixteen
+ *    32-bit lanes of one register, lane r one position behind lane
+ *    r-1 in the sweep order, with the in-edges from predecessors
+ *    other than the previous position loaded from a small ring of the
+ *    band's past steps.  Its tables are read-independent and built
+ *    once per compile (CompiledGraph::band,
+ *    rl/pangraph/graph_align_band.h); it tallies events per target
+ *    state, in lanes.  core::raceEditGrid races the same step over a
+ *    chain: its grid is this product for a one-segment graph.
  *
  * The CPU (core::sweepLanes(), once per process, shared with
  * core::raceEditGrid) and a bound on the race's cost range pick the
@@ -139,7 +141,7 @@ struct GraphAlignScratch {
      *  predecessors: window slots of 32 ticks -- a step's values, then
      *  its `up`s -- from the buffer's first 64-byte boundary, which
      *  the buffer's 16 more ticks leave room for (layout in
-     *  rl/pangraph/graph_align_band.h). */
+     *  rl/core/band_lanes.h). */
     std::vector<uint32_t> history;
 
     /** The band's lanes, step by step (16 x (K + 16)), from which the

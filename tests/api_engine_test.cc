@@ -493,6 +493,30 @@ TEST(ApiEngine, ScoreOnlySolvesEqualFullSolvesOnBothBackends)
         RaceProblem stopped = RaceProblem::graphAlign(costs, read, graph);
         stopped.cancel = &cancelled;
         expectScoreOnlyMatchesFull(engine, stopped);
+
+        // The DAG family races a lattice on core::raceDag(): Dtw,
+        // Affine, and DagPath with Or and with And.
+        util::Rng dagRng(1405);
+        std::vector<apps::Sample> x(6), y(7);
+        for (apps::Sample &v : x)
+            v = dagRng.uniformInt(0, 9);
+        for (apps::Sample &v : y)
+            v = dagRng.uniformInt(0, 9);
+        const graph::Dag dag = graph::gridDag(dagRng, 4, 5, {1, 9});
+        const auto sink = static_cast<graph::NodeId>(dag.nodeCount() - 1);
+        for (const RaceProblem &problem :
+             {RaceProblem::dtw(x, y),
+              RaceProblem::affineAlignment(
+                  costs, {3, 1}, Sequence::random(dagRng, Alphabet::dna(), 6),
+                  Sequence::random(dagRng, Alphabet::dna(), 7)),
+              RaceProblem::dagPath(dag, {0}, sink, graph::Objective::Shortest),
+              RaceProblem::dagPath(dag, {0}, sink,
+                                   graph::Objective::Longest)}) {
+            SCOPED_TRACE(api::problemKindName(problem.kind));
+            const RaceResult full = engine.solve(problem);
+            EXPECT_EQ(full.nodeArrival.size(), full.nodes);
+            expectScoreOnlyMatchesFull(engine, problem);
+        }
     }
 }
 

@@ -78,12 +78,12 @@ TEST(DagDeath, SelfLoopRejected)
                 "self-loop");
 }
 
-TEST(DagDeath, ValidateAcyclicOnCycle)
+TEST(DagDeath, TopologicalOrderOnCycle)
 {
     Dag d(2);
     d.addEdge(0, 1, 1);
     d.addEdge(1, 0, 1);
-    EXPECT_EXIT(d.validateAcyclic(), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(graph::topologicalOrder(d), ::testing::ExitedWithCode(1),
                 "cycle");
 }
 

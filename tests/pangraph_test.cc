@@ -23,6 +23,7 @@
 #include "rl/core/cancel.h"
 #include "rl/core/kernel_counters.h"
 #include "rl/core/wavefront.h"
+#include "rl/core/wavefront_band.h"
 #include "rl/pangraph/generate.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/pangraph/graph_align_band.h"
@@ -1252,6 +1253,103 @@ TEST(GraphBandSweepCancel, BandStopsWithTheTypedAbort)
         GTEST_SKIP() << kNoBand;
     expectGraphCancelledFromAnotherThread(
         &pangraph::detail::raceAlignmentGridBand);
+}
+
+// ------------------------------ the edit grid as a one-segment graph
+
+using EditGridSweep = decltype(&core::detail::raceEditGridRows);
+
+/**
+ * A race-ready cost matrix over `alphabet` drawn at random, and
+ * asymmetric: pair(x, y) and pair(y, x) are drawn apart, from 1..9 or
+ * forbidden, and the gaps from 1..9.
+ */
+ScoreMatrix
+randomAsymmetricCosts(util::Rng &rng, const Alphabet &alphabet)
+{
+    ScoreMatrix m(alphabet, bio::ScoreKind::Cost);
+    for (size_t x = 0; x < alphabet.size(); ++x) {
+        m.setGap(bio::Symbol(x), rng.uniformInt(1, 9));
+        for (size_t y = 0; y < alphabet.size(); ++y)
+            m.setPair(bio::Symbol(x), bio::Symbol(y),
+                      x != y && rng.index(5) == 0 ? bio::kScoreInfinity
+                                                  : rng.uniformInt(1, 9));
+    }
+    return m;
+}
+
+/**
+ * Race (a, b) on the edit grid's `edit` sweep and read a against a
+ * one-segment graph spelling b on the graph kernel's `graph` sweep,
+ * and hold them to each other: grid cell (i, j) is product state
+ * (i, j), and the product's super-sink adds one wire -- an event and a
+ * fired node -- when the sink fires, and nothing when it does not.
+ */
+void
+expectProductMatchesEditGrid(const Sequence &a, const Sequence &b,
+                             const GraphAligner &aligner, sim::Tick horizon,
+                             EditGridSweep edit, GraphSweep graph)
+{
+    SCOPED_TRACE(testing::Message() << "|a|=" << a.size() << " |b|="
+                                    << b.size() << " horizon=" << horizon);
+    core::RaceGridScratch gridScratch;
+    pangraph::GraphAlignScratch productScratch;
+    core::KernelCounters gridCounters, productCounters;
+    const core::RaceGridResult grid = edit(
+        a, b, aligner.costs(), horizon, gridScratch, nullptr, &gridCounters,
+        /*arrivals=*/true);
+    const pangraph::GraphRaceResult product =
+        graph(aligner.compiled(), a, aligner.costs(), horizon,
+              productScratch, nullptr, &productCounters, /*arrivals=*/true);
+
+    EXPECT_EQ(product.score, grid.score);
+    EXPECT_EQ(product.completed, grid.completed);
+    EXPECT_EQ(product.latencyCycles, grid.latencyCycles);
+    const size_t wire = grid.completed ? 1 : 0;
+    EXPECT_EQ(product.events, grid.events + wire);
+    EXPECT_EQ(product.cellsFired, grid.cellsFired + wire);
+    EXPECT_EQ(productCounters.lanesOccupied,
+              gridCounters.lanesOccupied + wire);
+    const size_t positions = b.size() + 1;
+    ASSERT_EQ(product.arrival.size(), (a.size() + 1) * positions + 1);
+    for (size_t i = 0; i <= a.size(); ++i)
+        for (size_t j = 0; j <= b.size(); ++j)
+            ASSERT_EQ(product.arrival[i * positions + j].rawTime(),
+                      grid.arrival.at(i, j))
+                << "cell (" << i << ", " << j << ")";
+}
+
+TEST(EditGridChain, OneSegmentProductIsTheEditGrid)
+{
+    util::Rng rng(6300);
+    for (int round = 0; round < 24; ++round) {
+        const Alphabet &alphabet =
+            round % 2 ? Alphabet::protein() : Alphabet::dna();
+        const ScoreMatrix costs = randomAsymmetricCosts(rng, alphabet);
+        const Sequence a = Sequence::random(
+            rng, alphabet, size_t(rng.uniformInt(0, 70)));
+        const Sequence b = Sequence::random(
+            rng, alphabet, size_t(rng.uniformInt(1, 70)));
+        auto graph = std::make_shared<VariationGraph>(alphabet);
+        graph->addSegment("b", b);
+        const GraphAligner aligner(graph, costs);
+
+        core::RaceGridScratch scratch;
+        const auto opt = static_cast<sim::Tick>(
+            core::detail::raceEditGridRows(a, b, costs, sim::kTickInfinity,
+                                           scratch, nullptr, nullptr, false)
+                .score);
+        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt}) {
+            expectProductMatchesEditGrid(
+                a, b, aligner, horizon, &core::detail::raceEditGridRows,
+                &pangraph::detail::raceAlignmentGridRows);
+            if (hostHasBand())
+                expectProductMatchesEditGrid(
+                    a, b, aligner, horizon,
+                    &core::detail::raceEditGridBand,
+                    &pangraph::detail::raceAlignmentGridBand);
+        }
+    }
 }
 
 } // namespace

@@ -53,6 +53,10 @@ from pathlib import Path
 # The perf trajectory: one representative entry per kernel family.
 HEADLINE_BENCHES = [
     "BM_EventDrivenRace/256",       # behavioral race-grid hot path
+    # The race a serve worker runs per pairwise and screen request:
+    # score-only, so the edit-grid band is all of its time
+    # (BM_EventDrivenRace/256 mostly times its arrival grid).
+    "BM_RaceEditGridServed/128",
     "BM_RaceDag/256",               # general DAG race (raceDag)
     "BM_ScreeningRaceWithHorizon/256",  # Section 6 early termination
     "BM_CompiledSimGrid/64",        # compiled gate-level kernel
