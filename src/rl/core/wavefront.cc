@@ -40,9 +40,11 @@ sweepLanes()
 #if defined(__x86_64__)
     static const unsigned lanes = [] {
         __builtin_cpu_init();
-        return __builtin_cpu_supports("avx512f")
-                   ? static_cast<unsigned>(detail::kBandLanes)
-                   : 1u;
+        if (!__builtin_cpu_supports("avx512f"))
+            return 1u;
+        return __builtin_cpu_supports("avx512bw")
+                   ? static_cast<unsigned>(detail::kBandLanes<uint16_t>)
+                   : static_cast<unsigned>(detail::kBandLanes<uint32_t>);
     }();
     return lanes;
 #else
@@ -56,12 +58,16 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              RaceGridScratch &scratch, const CancelToken *cancel,
              KernelCounters *counters, bool arrivals)
 {
-    return sweepLanes() == detail::kBandLanes &&
-                   detail::editGridBandExact(a, b, costs)
-               ? detail::raceEditGridBand(a, b, costs, horizon, scratch,
-                                          cancel, counters, arrivals)
-               : detail::raceEditGridRows(a, b, costs, horizon, scratch,
-                                          cancel, counters, arrivals);
+    using detail::editGridBandExact;
+    using detail::hostRunsBand;
+    if (hostRunsBand<uint16_t>() && editGridBandExact<uint16_t>(a, b, costs))
+        return detail::raceEditGridBand<uint16_t>(
+            a, b, costs, horizon, scratch, cancel, counters, arrivals);
+    if (hostRunsBand<uint32_t>() && editGridBandExact<uint32_t>(a, b, costs))
+        return detail::raceEditGridBand<uint32_t>(
+            a, b, costs, horizon, scratch, cancel, counters, arrivals);
+    return detail::raceEditGridRows(a, b, costs, horizon, scratch, cancel,
+                                    counters, arrivals);
 }
 
 namespace detail {
@@ -191,53 +197,85 @@ raceEditGridRows(const bio::Sequence &a, const bio::Sequence &b,
     return result;
 }
 
+template <typename Lane>
 RaceGridResult
 raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
                  const bio::ScoreMatrix &costs, sim::Tick horizon,
                  RaceGridScratch &scratch, const CancelToken *cancel,
                  KernelCounters *counters, bool arrivals)
 {
+    constexpr size_t kLanes = kBandLanes<Lane>;
+    constexpr size_t kPad = kBandPad<Lane>;
+    constexpr Lane kUnfired = kBandUnfired<Lane>;
     checkEditGridInputs(a, b, costs);
-    rl_assert(sweepLanes() == kBandLanes,
-              "the skewed band needs a host with AVX-512F");
-    rl_dassert(editGridBandExact(a, b, costs),
-               "the race's cost range does not fit the band's 32-bit lanes");
+    rl_assert(hostRunsBand<Lane>(), "the skewed band of ", kLanes,
+              " lanes needs a host with AVX-512",
+              sizeof(Lane) == 2 ? "BW" : "F");
+    rl_dassert(editGridBandExact<Lane>(a, b, costs),
+               "the race does not fit the band's lanes");
 
+    const size_t rows = a.size();
     const size_t cols = b.size();
     const size_t alpha = costs.alphabet().size();
     const std::vector<bio::Symbol> &symB = b.symbols();
+    BandBuffers<Lane> &buffers = scratch.band<Lane>();
 
-    // The profile: a graph band's first alpha + 2 weight rows for the
-    // chain of columns (layout in rl/core/band_lanes.h) -- each
-    // symbol's diagonal weights, the all-unfired row, then the
-    // horizontal ones.  The gather's indices are 32-bit.
-    const size_t stride = cols + 1 + 2 * kBandPad;
-    rl_assert((alpha + 2) * stride <= INT32_MAX,
+    // The profile: a graph band's substitution rows and deletion row
+    // for the chain of columns (layout in rl/core/band_lanes.h) --
+    // each symbol's diagonal weights and the all-unfired row, or the
+    // column codes, then the horizontal weights.  The wide band's
+    // gather indices are 32-bit.
+    const size_t stride = cols + 1 + 2 * kPad;
+    const size_t horizontalRow = bandDeletionRow<Lane>(alpha);
+    rl_assert((horizontalRow + 1) * stride <= INT32_MAX,
               "the band's profile outgrows its 32-bit gather indices");
-    std::vector<uint32_t> &profile = scratch.profile;
-    profile.assign((alpha + 2) * stride, kBandUnfired);
+    std::vector<Lane> &profile = buffers.profile;
+    profile.assign((horizontalRow + 1) * stride, kUnfired);
+    if constexpr (sizeof(Lane) == 2)
+        std::fill_n(profile.begin(), stride, static_cast<Lane>(alpha));
     for (size_t j = 1; j <= cols; ++j) {
-        const size_t at = kBandPad + cols - j;
-        for (size_t s = 0; s < alpha; ++s)
-            profile[s * stride + at] = bandWeight(
-                costs.pair(static_cast<bio::Symbol>(s), symB[j - 1]));
-        profile[(alpha + 1) * stride + at] =
-            bandWeight(costs.gap(symB[j - 1]));
+        const size_t at = kPad + cols - j;
+        if constexpr (sizeof(Lane) == 2) {
+            profile[at] = symB[j - 1];
+        } else {
+            for (size_t s = 0; s < alpha; ++s)
+                profile[s * stride + at] = bandWeight<Lane>(
+                    costs.pair(static_cast<bio::Symbol>(s), symB[j - 1]));
+        }
+        profile[horizontalRow * stride + at] =
+            bandWeight<Lane>(costs.gap(symB[j - 1]));
     }
-    const uint32_t *horizontal =
-        profile.data() + (alpha + 1) * stride + kBandPad + cols;
-    scratch.bandRow.assign(cols + 1 + 2 * kBandPad, kBandUnfired);
-    uint32_t *above = scratch.bandRow.data() + kBandPad;
+    const Lane *horizontal = profile.data() + horizontalRow * stride + kPad +
+                             cols;
+    buffers.row.assign(cols + 1 + 2 * kPad, kUnfired);
+    Lane *above = buffers.row.data() + kPad;
     if (arrivals)
-        scratch.skew.resize(kBandLanes * (cols + kBandLanes));
+        buffers.skew.resize(kLanes * (cols + kLanes));
 
     RaceGridResult result;
-    if (arrivals)
-        result.arrival = util::Grid<sim::Tick>(a.size() + 1, cols + 1,
-                                               sim::kTickInfinity);
-    // Within the bound no arrival reaches kBandUnfired, so the lanes'
-    // limit below it counts exactly the row sweep's arrivals.
-    SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
+    // Within the bound no arrival reaches kUnfired, so the lanes' limit
+    // below it counts exactly the row sweep's arrivals.
+    SweepTally tally(std::min(horizon, sim::Tick(kUnfired - 1)));
+
+    // The arrival grid, written once: each swept row, staged, as its
+    // band publishes it, then the rows the race left unswept.
+    std::vector<sim::Tick> cells;
+    std::vector<sim::Tick> &stage = scratch.arrivalRow;
+    if (arrivals) {
+        cells.reserve((rows + 1) * (cols + 1));
+        stage.resize(cols + 1);
+    }
+    // Publish one swept row, whose value in column j is value(j);
+    // unfired cells read back as kTickInfinity.
+    auto publishRow = [&](auto value) {
+        sim::Tick *row = stage.data();
+        const sim::Tick limit = tally.limit;
+        for (size_t j = 0; j <= cols; ++j) {
+            const sim::Tick v = value(j);
+            row[j] = v <= limit ? v : sim::kTickInfinity;
+        }
+        cells.insert(cells.end(), stage.begin(), stage.end());
+    };
     sim::Tick sink = sim::kTickInfinity;
     bool cancelled = cancel && cancel->cancelled();
     if (!cancelled) {
@@ -245,44 +283,50 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         // horizontal edges -- is the row above the first band.
         above[0] = 0;
         for (size_t j = 1; j <= cols; ++j) {
-            const uint32_t t = above[j - 1] + *(horizontal - j);
+            const sim::Tick t = sim::Tick(above[j - 1]) + *(horizontal - j);
             tally.arrive(t);
-            above[j] = std::min(t, kBandUnfired);
+            above[j] = static_cast<Lane>(std::min(t, sim::Tick(kUnfired)));
         }
-        sim::Tick *out = arrivals ? &result.arrival.at(0, 0) : nullptr;
-        for (size_t j = 0; j <= cols; ++j) {
-            const bool hit = tally.fired(above[j]);
-            result.cellsFired += hit;
-            if (out)
-                out[j] = hit ? above[j] : sim::kTickInfinity;
-        }
+        for (size_t j = 0; j <= cols; ++j)
+            result.cellsFired += tally.fired(above[j]);
+        if (arrivals)
+            publishRow([&](size_t j) { return above[j]; });
 
-        Band band;
+        Band<Lane> band;
         band.above = above;
         band.weights = profile.data();
         band.positions = cols + 1;
-        band.skew = arrivals ? scratch.skew.data() : nullptr;
-        const auto publish = [&](size_t i0, size_t swept) {
+        band.skew = arrivals ? buffers.skew.data() : nullptr;
+        const auto publish = [&](size_t, size_t swept) {
             for (size_t r = 0; r < swept; ++r) {
                 // Lane r's cell in column j is at step j + r.
-                const uint32_t *lane =
-                    scratch.skew.data() + r * (kBandLanes + 1);
-                sim::Tick *row = &result.arrival.at(i0 + r, 0);
-                for (size_t j = 0; j <= cols; ++j) {
-                    const sim::Tick v = lane[j * kBandLanes];
-                    row[j] = tally.fired(v) ? v : sim::kTickInfinity;
-                }
+                const Lane *lane = buffers.skew.data() + r * (kLanes + 1);
+                publishRow([&](size_t j) { return lane[j * kLanes]; });
             }
         };
-        cancelled = raceBands<true>(band, a, costs, tally, result.cellsFired,
-                                    cancel, publish, [&] {
-                                        if (tally.fired(above[cols]))
-                                            sink = above[cols];
-                                    });
+        cancelled = raceBands<Lane, true>(
+            band, a, costs, tally, result.cellsFired, cancel, publish, [&] {
+                if (tally.fired(above[cols]))
+                    sink = above[cols];
+            });
+    }
+    if (arrivals) {
+        cells.resize((rows + 1) * (cols + 1), sim::kTickInfinity);
+        result.arrival =
+            util::Grid<sim::Tick>(rows + 1, cols + 1, std::move(cells));
     }
     finishSweep(result, tally, sink, cancelled, horizon, cols + 1, counters);
     return result;
 }
+
+template RaceGridResult raceEditGridBand<uint16_t>(
+    const bio::Sequence &, const bio::Sequence &, const bio::ScoreMatrix &,
+    sim::Tick, RaceGridScratch &, const CancelToken *, KernelCounters *,
+    bool);
+template RaceGridResult raceEditGridBand<uint32_t>(
+    const bio::Sequence &, const bio::Sequence &, const bio::ScoreMatrix &,
+    sim::Tick, RaceGridScratch &, const CancelToken *, KernelCounters *,
+    bool);
 
 } // namespace detail
 

@@ -16,19 +16,20 @@
  *    would count per settled cell in a pass over each finished row
  *    (SweepTally), off the recurrence's serial chain.  It runs on
  *    every host and is the reference;
- *  - the skewed band, on hosts with AVX-512F: rows i..i+15 race in the
- *    sixteen 32-bit lanes of one register, lane r one column behind
- *    lane r-1, like a short linear systolic array riding the paper's
- *    diagonal wavefront.  Each step fires one cell of every row in the
- *    band and tallies the arrivals into them in lanes.  It is
- *    pangraph::raceAlignmentGrid's band, raced over the chain of
- *    columns (rl/core/band_lanes.h, rl/core/wavefront_band.h).
+ *  - the skewed band: L rows race in the L lanes of one register, lane
+ *    r one column behind lane r-1, like a short linear systolic array
+ *    riding the paper's diagonal wavefront -- thirty-two 16-bit lanes
+ *    on hosts with AVX-512BW (the narrow band), sixteen 32-bit lanes on
+ *    hosts with AVX-512F (the wide band).  Each step fires one cell of
+ *    every row in the band and tallies the arrivals into them in
+ *    lanes.  It is pangraph::raceAlignmentGrid's band, raced over the
+ *    chain of columns (rl/core/band_lanes.h, rl/core/wavefront_band.h).
  *
  * The CPU (sweepLanes(), once per process) and a bound on the race's
- * cost range pick the sweep: the band runs a race only where its
- * 32-bit lanes are exact, (|a| + |b| + 1) x the largest finite
- * weight < 2^30, and the row sweep runs every other one.  Nothing else
- * selects it.
+ * cost range pick the sweep: the narrowest band whose lanes are exact
+ * for the race -- (|a| + |b| + 1) x the largest finite weight < 2^14
+ * over at most 7 letters for the narrow band, < 2^30 for the wide one
+ * -- and the row sweep for every other race.  Nothing else selects it.
  *
  * tests/core_wavefront_test.cc checks both sweeps against raceDag() on
  * the materialized edit graph, arrival grids and event counts
@@ -209,11 +210,40 @@ finishSweep(Result &result, const SweepTally &tally, sim::Tick sink,
 
 } // namespace detail
 
+namespace detail {
+
+/**
+ * A skewed band's working buffers, in its lanes (rl/core/band_lanes.h):
+ * the row above its next band, padded with unfired cells on both
+ * sides; the edit grid's weight rows (its profile) or a graph's ring
+ * of past steps; and, when the band fills arrivals, its lanes step by
+ * step (L x (K + L)), from which the arrivals are published row by
+ * row.
+ */
+template <typename Lane>
+struct BandBuffers {
+    std::vector<Lane> row;
+    std::vector<Lane> profile;
+    std::vector<Lane> history;
+    std::vector<Lane> skew;
+
+    /** Heap bytes currently retained. */
+    size_t
+    residentBytes() const
+    {
+        return (row.capacity() + profile.capacity() + history.capacity() +
+                skew.capacity()) *
+               sizeof(Lane);
+    }
+};
+
+} // namespace detail
+
 /**
  * Reusable scratch state for raceEditGrid: the sweep's working row
  * plus the weights hoisted out of it.  The row sweep uses gapA,
- * columns, outEdges and row; the skewed band bandRow, profile and,
- * when it fills the arrival grid, skew, all in its 32-bit lanes.
+ * columns, outEdges and row; the skewed bands their own buffers, the
+ * wide band's 32-bit and the narrow band's 16-bit ones.
  */
 struct RaceGridScratch {
     /** Vertical (gap) weight into row i: gap(a[i-1]); row 0 unfired. */
@@ -247,22 +277,25 @@ struct RaceGridScratch {
     /** The working row: the row being swept, over the row above. */
     std::vector<sim::Tick> row;
 
-    /** The band's row above its next band, padded with unfired cells
-     *  on both sides. */
-    std::vector<uint32_t> bandRow;
+    /** The bands' buffers; `profile` holds each band's in-edge
+     *  weights, column-reversed and padded (rl/core/band_lanes.h). */
+    detail::BandBuffers<uint32_t> wide;
+    detail::BandBuffers<uint16_t> narrow;
 
-    /**
-     * The band's in-edge weights, column-reversed and padded with
-     * unfired weights so that one step reads sixteen lanes at one
-     * offset: a diagonal row per symbol, an all-unfired row for the
-     * lanes past the band's last row, then the horizontal gap(b) row
-     * (layout in rl/core/band_lanes.h).
-     */
-    std::vector<uint32_t> profile;
+    /** One arrival row, staged by a band before it is appended to the
+     *  arrival grid, so each cell of the grid is written once. */
+    std::vector<sim::Tick> arrivalRow;
 
-    /** The band's lanes, step by step (16 x (|b| + 16)), from which an
-     *  arrival grid is filled row by row. */
-    std::vector<uint32_t> skew;
+    /** The buffers of the band of `Lane`s. */
+    template <typename Lane>
+    detail::BandBuffers<Lane> &
+    band()
+    {
+        if constexpr (sizeof(Lane) == 2)
+            return narrow;
+        else
+            return wide;
+    }
 
     /** Release all retained capacity. */
     void shrinkToFit() { *this = RaceGridScratch(); }
@@ -275,26 +308,29 @@ struct RaceGridScratch {
             return v.capacity() * sizeof(*v.data());
         };
         return bytes(gapA) + bytes(columns) + bytes(outEdges) + bytes(row) +
-               bytes(bandRow) + bytes(profile) + bytes(skew);
+               wide.residentBytes() + narrow.residentBytes() +
+               bytes(arrivalRow);
     }
 };
 
 /**
  * Rows one step of the dense sweeps fires on this host -- edit-grid
  * rows in raceEditGrid(), read rows in pangraph::raceAlignmentGrid():
- * 16 where the CPU supports AVX-512F (the skewed bands), 1 elsewhere
- * (the row sweeps).  Decided once per process, from the CPU alone;
- * both kernels dispatch on it and, on a band host, on whether the
- * race fits the band's 32-bit lanes -- a race outside that bound
- * takes the row sweep.
+ * 32 where the CPU supports AVX-512BW (the narrow band), 16 where it
+ * supports AVX-512F alone (the wide band), 1 elsewhere (the row
+ * sweeps).  Decided once per process, from the CPU alone; both kernels
+ * dispatch on it and, on a band host, race each race on the narrowest
+ * band that is exact for it -- the narrow band needs the race within
+ * 2^14 and an alphabet of at most 7 letters, the wide one the race
+ * within 2^30 -- and on the row sweep when none is.
  */
 unsigned sweepLanes();
 
 /**
  * OR-type race of the edit graph of (a, b) under a race-ready cost
  * matrix, swept without materializing the graph -- in skewed bands of
- * sixteen rows where the CPU has AVX-512F and (|a| + |b| + 1) x the
- * largest finite weight < 2^30, row by row elsewhere, with the same
+ * sixteen or thirty-two rows where the CPU has them and the race fits
+ * their lanes (see sweepLanes()), row by row elsewhere, with the same
  * result either way.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with

@@ -1,20 +1,23 @@
 /**
  * @file
- * The two sweeps behind core::raceEditGrid.  Internal to rl/core:
+ * The sweeps behind core::raceEditGrid.  Internal to rl/core:
  * raceEditGrid() picks the sweep from the CPU (sweepLanes()) and the
  * race's cost range (editGridBandExact()); tests and benches call one
- * directly to hold the two against each other.
+ * directly to hold them against each other.
  *
- * The band races the edit grid as a chain: the one skewed band of
- * rl/core/band_lanes.h, over the |b| + 1 columns, with no far
- * predecessors and the chain predecessor -- column j - 1 -- always
- * present.  Its profile is a graph band's first |alphabet| + 2 weight
- * rows: each symbol's diagonal weights pair(s, b[j-1]), the
- * all-unfired row, then the horizontal gap(b[j-1]) ones, each
- * column-reversed and padded.  The vertical weight gap(a[i-1]) is
- * constant per lane.  raceEditGrid() takes the band only where its
- * 32-bit lanes are exact -- (|a| + |b| + 1) x costs.maxFinite() <
- * 2^30 (editGridBandExact()) -- and the row sweep elsewhere.
+ * The bands race the edit grid as a chain: the skewed band of
+ * rl/core/band_lanes.h, in either lane width, over the |b| + 1
+ * columns, with no far predecessors and the chain predecessor --
+ * column j - 1 -- always present.  Its profile is a graph band's
+ * substitution rows and deletion row: the wide band's diagonal
+ * weights pair(s, b[j-1]) for each symbol s and the all-unfired row,
+ * or the narrow band's column codes b[j-1]; then the horizontal
+ * gap(b[j-1]) ones, each column-reversed and padded.  The vertical
+ * weight gap(a[i-1]) is constant per lane.  raceEditGrid() takes the
+ * narrow band where its 16-bit lanes are exact -- (|a| + |b| + 1) x
+ * costs.maxFinite() < 2^14 over at most 7 letters -- else the wide
+ * band where its 32-bit lanes are (< 2^30), and the row sweep
+ * elsewhere.
  */
 
 #ifndef RACELOGIC_CORE_WAVEFRONT_BAND_H
@@ -26,21 +29,24 @@
 namespace racelogic::core::detail {
 
 /**
- * True iff the band races (a, b) under `costs` exactly: bandExact()
- * over the |a| + |b| edges of the grid's longest path.
+ * True iff the band of `Lane`s races (a, b) under `costs` exactly: its
+ * alphabet fits the band and bandExact() holds over the |a| + |b|
+ * edges of the grid's longest path.
  */
-inline bool
+template <typename Lane>
+bool
 editGridBandExact(const bio::Sequence &a, const bio::Sequence &b,
                   const bio::ScoreMatrix &costs)
 {
-    return bandExact(a.size() + b.size(), costs.maxFinite());
+    return bandAlphabetFits<Lane>(costs.alphabet().size()) &&
+           bandExact<Lane>(a.size() + b.size(), costs.maxFinite());
 }
 
 /**
- * raceEditGrid()'s two sweeps, with its scratch overload's contract.
+ * raceEditGrid()'s sweeps, with its scratch overload's contract.
  * raceEditGridRows() runs on every host and is the reference;
- * raceEditGridBand() requires sweepLanes() == kBandLanes and
- * editGridBandExact().
+ * raceEditGridBand<Lane>() requires hostRunsBand<Lane>() and
+ * editGridBandExact<Lane>().
  * @{
  */
 RaceGridResult raceEditGridRows(const bio::Sequence &a,
@@ -52,6 +58,7 @@ RaceGridResult raceEditGridRows(const bio::Sequence &a,
                                 KernelCounters *counters = nullptr,
                                 bool arrivals = true);
 
+template <typename Lane>
 RaceGridResult raceEditGridBand(const bio::Sequence &a,
                                 const bio::Sequence &b,
                                 const bio::ScoreMatrix &costs,

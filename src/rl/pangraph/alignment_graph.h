@@ -43,31 +43,26 @@
 namespace racelogic::pangraph {
 
 /**
- * The graph band's read-independent tables: the sweep order, and the
- * weights and far predecessors of every sweep index laid out for the
- * one skewed band (rl/core/band_lanes.h).
+ * One lane width's share of the graph band's tables (layout in
+ * rl/core/band_lanes.h): the weight rows and far groups of every sweep
+ * index, for the band of `Lane`s.
  */
-struct GraphBandTables {
-    /** Sweep index k -> position: position 0, then each segment's
-     *  label in CompiledGraph::segmentOrder. */
-    std::vector<CharPos> order;
-
-    /** Position -> sweep index (the inverse of order). */
-    std::vector<uint32_t> rank;
-
+template <typename Lane>
+struct GraphBandLanes {
     /**
-     * The band's weight rows (layout in rl/core/band_lanes.h): the
-     * substitution rows, the all-unfired row, the deletion row, the
-     * chain deletion row (the deletion weight where k - 1 precedes k)
-     * and the chain gate (0 there); both chain rows are unfired where
-     * k - 1 does not precede k.  Position 0 has no deletion or
-     * substitution in-edge: unfired in every row.
+     * The band's weight rows: the substitution rows (the wide band's
+     * weight row per read symbol and all-unfired row, or the narrow
+     * band's column codes), the deletion row, the chain deletion row
+     * (the deletion weight where k - 1 precedes k) and the chain gate
+     * (0 there); both chain rows are unfired where k - 1 does not
+     * precede k.  Position 0 has no deletion or substitution in-edge:
+     * unfired in every row, code |alphabet| in the codes.
      */
-    std::vector<uint32_t> weights;
+    std::vector<Lane> weights;
 
     /** The lanes of one band step whose far predecessors lie one
      *  sweep distance back. */
-    using FarGroup = core::detail::BandFarGroup;
+    using FarGroup = core::detail::BandFarGroup<Lane>;
 
     /**
      * The far predecessors -- every predecessor of k but k - 1 -- by
@@ -78,18 +73,59 @@ struct GraphBandTables {
     std::vector<uint32_t> farBegin;
     std::vector<FarGroup> far;
 
+    /** True iff this width's tables were not built. */
+    bool empty() const { return weights.empty(); }
+
+    /** Heap bytes held by the tables. */
+    size_t
+    residentBytes() const
+    {
+        return weights.capacity() * sizeof(Lane) +
+               farBegin.capacity() * sizeof(uint32_t) +
+               far.capacity() * sizeof(FarGroup);
+    }
+};
+
+/**
+ * The graph band's read-independent tables: the sweep order, and the
+ * weights and far predecessors of every sweep index laid out for each
+ * lane width of the skewed band (rl/core/band_lanes.h).
+ */
+struct GraphBandTables {
+    /** Sweep index k -> position: position 0, then each segment's
+     *  label in CompiledGraph::segmentOrder. */
+    std::vector<CharPos> order;
+
+    /** Position -> sweep index (the inverse of order). */
+    std::vector<uint32_t> rank;
+
     /** Steps of history the band keeps: a power of two above the
      *  longest far-predecessor distance in sweep order. */
     size_t window = 0;
+
+    /** The wide band's tables, and the narrow band's where it can race
+     *  the graph (empty elsewhere). */
+    GraphBandLanes<uint32_t> wide;
+    GraphBandLanes<uint16_t> narrow;
+
+    /** The tables of the band of `Lane`s. */
+    template <typename Lane>
+    const GraphBandLanes<Lane> &
+    lanes() const
+    {
+        if constexpr (sizeof(Lane) == 2)
+            return narrow;
+        else
+            return wide;
+    }
 
     /** Heap bytes held by the tables. */
     size_t
     residentBytes() const
     {
         return order.capacity() * sizeof(CharPos) +
-               (rank.capacity() + weights.capacity() + farBegin.capacity()) *
-                   sizeof(uint32_t) +
-               far.capacity() * sizeof(FarGroup);
+               rank.capacity() * sizeof(uint32_t) + wide.residentBytes() +
+               narrow.residentBytes();
     }
 };
 
@@ -159,7 +195,8 @@ struct CompiledGraph {
 
     /**
      * The graph band's tables, built only where raceAlignmentGrid
-     * takes the band (core::sweepLanes() == 16) and empty elsewhere.
+     * takes a band (core::sweepLanes() > 1) and empty elsewhere; the
+     * narrow band's only where it runs and can race the graph.
      */
     GraphBandTables band;
 

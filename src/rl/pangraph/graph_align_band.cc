@@ -7,11 +7,102 @@
 
 namespace racelogic::pangraph::detail {
 
-GraphBandTables
-compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
+namespace {
+
+/**
+ * Each sweep index's predecessors in sweep order: whether k - 1 is one
+ * (chain[k]), and the distances back of every other one, those of k in
+ * distance[offsets[k]] .. distance[offsets[k+1] - 1].
+ */
+struct FarPredecessors {
+    std::vector<uint8_t> chain;
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> distance;
+};
+
+/**
+ * One width's tables: the weight rows, and the far groups of each band
+ * step of kBandLanes<Lane> lanes.
+ */
+template <typename Lane>
+GraphBandLanes<Lane>
+compileLanes(const CompiledGraph &compiled, const GraphBandTables &band,
+             const FarPredecessors &far, const bio::ScoreMatrix &race)
 {
+    constexpr size_t kLanes = kBandLanes<Lane>;
+    constexpr size_t kPad = kBandPad<Lane>;
     const size_t positions = compiled.positionCount();
     const size_t chars = compiled.charCount;
+    const size_t alpha = race.alphabet().size();
+    GraphBandLanes<Lane> lanes;
+
+    const size_t deletionRow = core::detail::bandDeletionRow<Lane>(alpha);
+    const size_t stride = positions + 2 * kPad;
+    rl_assert((deletionRow + 3) * stride <= INT32_MAX,
+              "the band's weights outgrow its 32-bit gather indices");
+    lanes.weights.assign((deletionRow + 3) * stride, kBandUnfired<Lane>);
+    auto entry = [&](size_t row, size_t k) -> Lane & {
+        return lanes.weights[row * stride + kPad + chars - k];
+    };
+    if constexpr (sizeof(Lane) == 2)
+        std::fill_n(lanes.weights.begin(), stride, static_cast<Lane>(alpha));
+    for (size_t k = 1; k < positions; ++k) {
+        const CharPos q = band.order[k];
+        if constexpr (sizeof(Lane) == 2) {
+            entry(0, k) = compiled.symbol[q];
+        } else {
+            for (size_t s = 0; s < alpha; ++s)
+                entry(s, k) = core::detail::bandWeight<Lane>(race.pair(
+                    static_cast<bio::Symbol>(s), compiled.symbol[q]));
+        }
+        const Lane deletion =
+            core::detail::bandWeight<Lane>(compiled.gapWeight[q]);
+        entry(deletionRow, k) = deletion;
+        if (far.chain[k]) {
+            entry(deletionRow + 1, k) = deletion;
+            entry(deletionRow + 2, k) = 0;
+        }
+    }
+
+    // The far groups, step by step: lane r at step t is at sweep index
+    // k = t - r, and fired its far predecessor k - d at step t - d,
+    // into lane r of that step's slot; the lanes whose predecessors lie
+    // d back form one group.
+    const size_t steps = positions + kLanes - 1;
+    using Mask = core::detail::BandMask<Lane>;
+    std::vector<std::pair<uint32_t, Mask>> groups; // (d, lanes)
+    lanes.farBegin.assign(steps + 1, 0);
+    for (size_t t = 0; t < steps; ++t) {
+        groups.clear();
+        for (size_t r = 0; r < kLanes && r <= t; ++r) {
+            const size_t k = t - r;
+            if (k >= positions)
+                continue;
+            for (uint32_t e = far.offsets[k]; e < far.offsets[k + 1]; ++e) {
+                const uint32_t d = far.distance[e];
+                auto group = std::find_if(
+                    groups.begin(), groups.end(),
+                    [d](const auto &g) { return g.first == d; });
+                if (group == groups.end())
+                    group = groups.insert(group, {d, Mask(0)});
+                group->second |= static_cast<Mask>(Mask(1) << r);
+            }
+        }
+        for (const auto &[d, mask] : groups)
+            lanes.far.push_back(
+                {static_cast<uint32_t>((t - d) & (band.window - 1)), mask});
+        lanes.farBegin[t + 1] = static_cast<uint32_t>(lanes.far.size());
+    }
+    return lanes;
+}
+
+} // namespace
+
+GraphBandTables
+compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race,
+                  unsigned lanes)
+{
+    const size_t positions = compiled.positionCount();
     GraphBandTables band;
 
     // The sweep order: position 0, then each segment's label in turn.
@@ -27,78 +118,41 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
     for (size_t k = 0; k < positions; ++k)
         band.rank[band.order[k]] = static_cast<uint32_t>(k);
 
-    // The weight rows, and each sweep index's far predecessors.
-    const size_t alpha = race.alphabet().size();
-    const size_t deletionRow = alpha + 1;
-    const size_t stride = positions + 2 * kBandPad;
-    rl_assert((alpha + 4) * stride <= INT32_MAX,
-              "the band's weights outgrow its 32-bit gather indices");
-    band.weights.assign((alpha + 4) * stride, kBandUnfired);
-    auto entry = [&](size_t row, size_t k) -> uint32_t & {
-        return band.weights[row * stride + kBandPad + chars - k];
-    };
-    std::vector<uint32_t> farOffsets(positions + 1, 0);
-    std::vector<uint32_t> farDistance;
+    // Each sweep index's far predecessors: every one but k - 1.  A
+    // window above the longest distance keeps every slot a step reads
+    // apart from the one it writes.
+    FarPredecessors far;
+    far.chain.assign(positions, 0);
+    far.offsets.assign(positions + 1, 0);
     size_t longest = 0;
     for (size_t k = 1; k < positions; ++k) {
         const CharPos q = band.order[k];
-        for (size_t s = 0; s < alpha; ++s)
-            entry(s, k) = core::detail::bandWeight(
-                race.pair(static_cast<bio::Symbol>(s), compiled.symbol[q]));
-        const uint32_t deletion =
-            core::detail::bandWeight(compiled.gapWeight[q]);
-        entry(deletionRow, k) = deletion;
-        bool chain = false;
         for (uint32_t e = compiled.predOffsets[q];
              e < compiled.predOffsets[q + 1]; ++e) {
             const uint32_t from = band.rank[compiled.pred[e]];
             rl_assert(from < k, "the sweep order must be topological");
-            if (!chain && from + 1 == k) {
-                chain = true;
-                entry(deletionRow + 1, k) = deletion;
-                entry(deletionRow + 2, k) = 0;
+            if (!far.chain[k] && from + 1 == k) {
+                far.chain[k] = 1;
             } else {
-                farDistance.push_back(static_cast<uint32_t>(k - from));
+                far.distance.push_back(static_cast<uint32_t>(k - from));
                 longest = std::max(longest, k - from);
             }
         }
-        farOffsets[k + 1] = static_cast<uint32_t>(farDistance.size());
+        far.offsets[k + 1] = static_cast<uint32_t>(far.distance.size());
     }
-
-    // The far groups, step by step: lane r at step t is at sweep index
-    // k = t - r, and fired its far predecessor k - d at step t - d,
-    // into lane r of that step's slot; the lanes whose predecessors lie
-    // d back form one group.  A window above the longest distance keeps
-    // every slot a step reads apart from the one it writes.
     band.window = std::bit_ceil(longest + 1);
-    const size_t steps = positions + kBandLanes - 1;
-    std::vector<std::pair<uint32_t, uint16_t>> groups; // (d, lanes)
-    band.farBegin.assign(steps + 1, 0);
-    for (size_t t = 0; t < steps; ++t) {
-        groups.clear();
-        for (size_t r = 0; r < kBandLanes && r <= t; ++r) {
-            const size_t k = t - r;
-            if (k >= positions)
-                continue;
-            for (uint32_t e = farOffsets[k]; e < farOffsets[k + 1]; ++e) {
-                const uint32_t d = farDistance[e];
-                auto group = std::find_if(
-                    groups.begin(), groups.end(),
-                    [d](const auto &g) { return g.first == d; });
-                if (group == groups.end())
-                    group = groups.insert(group, {d, uint16_t(0)});
-                group->second |= static_cast<uint16_t>(1u << r);
-            }
-        }
-        for (const auto &[d, lanes] : groups)
-            band.far.push_back(
-                {static_cast<uint32_t>((t - d) & (band.window - 1)), lanes});
-        band.farBegin[t + 1] = static_cast<uint32_t>(band.far.size());
-    }
+
     // A lane tallies at most three arrivals per step and two per far
-    // group, in 32 bits.
-    rl_assert(3 * steps + 2 * band.far.size() <= UINT32_MAX,
+    // predecessor of the positions it races.
+    using core::detail::bandTallyFits;
+    rl_assert(bandTallyFits<uint32_t>(positions + kBandLanes<uint32_t> - 1,
+                                      far.distance.size()),
               "the graph outgrows the band's 32-bit tallies");
+    band.wide = compileLanes<uint32_t>(compiled, band, far, race);
+    if (lanes >= kBandLanes<uint16_t> && graphNarrowRaceable(compiled, race) &&
+        bandTallyFits<uint16_t>(positions + kBandLanes<uint16_t> - 1,
+                                far.distance.size()))
+        band.narrow = compileLanes<uint16_t>(compiled, band, far, race);
     return band;
 }
 

@@ -81,14 +81,21 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                   const core::CancelToken *cancel,
                   core::KernelCounters *counters, bool arrivals)
 {
-    return core::sweepLanes() == detail::kBandLanes &&
-                   detail::graphBandExact(compiled, read, costs)
-               ? detail::raceAlignmentGridBand(compiled, read, costs,
-                                               horizon, scratch, cancel,
-                                               counters, arrivals)
-               : detail::raceAlignmentGridRows(compiled, read, costs,
-                                               horizon, scratch, cancel,
-                                               counters, arrivals);
+    using core::detail::hostRunsBand;
+    using detail::graphBandExact;
+    if (hostRunsBand<uint16_t>() &&
+        graphBandExact<uint16_t>(compiled, read, costs))
+        return detail::raceAlignmentGridBand<uint16_t>(
+            compiled, read, costs, horizon, scratch, cancel, counters,
+            arrivals);
+    if (hostRunsBand<uint32_t>() &&
+        graphBandExact<uint32_t>(compiled, read, costs))
+        return detail::raceAlignmentGridBand<uint32_t>(
+            compiled, read, costs, horizon, scratch, cancel, counters,
+            arrivals);
+    return detail::raceAlignmentGridRows(compiled, read, costs, horizon,
+                                         scratch, cancel, counters,
+                                         arrivals);
 }
 
 namespace detail {
@@ -236,6 +243,7 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
     return result;
 }
 
+template <typename Lane>
 GraphRaceResult
 raceAlignmentGridBand(const CompiledGraph &compiled,
                       const bio::Sequence &read,
@@ -244,54 +252,66 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                       const core::CancelToken *cancel,
                       core::KernelCounters *counters, bool arrivals)
 {
+    constexpr size_t kLanes = kBandLanes<Lane>;
+    constexpr size_t kPad = kBandPad<Lane>;
+    constexpr Lane kUnfired = kBandUnfired<Lane>;
     const size_t states = checkGraphRaceInputs(compiled, read, costs);
-    rl_assert(core::sweepLanes() == kBandLanes,
-              "the graph band needs a host with AVX-512F");
+    rl_assert(core::detail::hostRunsBand<Lane>(), "the graph band of ",
+              kLanes, " lanes needs a host with AVX-512",
+              sizeof(Lane) == 2 ? "BW" : "F");
     const GraphBandTables &tables = compiled.band;
-    rl_assert(tables.order.size() == compiled.positionCount(),
+    const GraphBandLanes<Lane> &lanes = tables.lanes<Lane>();
+    rl_assert(tables.order.size() == compiled.positionCount() &&
+                  !lanes.empty(),
               "the graph was compiled without the band's tables");
-    rl_dassert(graphBandExact(compiled, read, costs),
-               "the race's cost range does not fit the band's 32-bit lanes");
+    rl_dassert(graphBandExact<Lane>(compiled, read, costs),
+               "the race does not fit the band's lanes");
 
     const size_t positions = compiled.positionCount();
-    const std::vector<CharPos> &order = tables.order;
+    const std::vector<uint32_t> &rank = tables.rank;
+    core::detail::BandBuffers<Lane> &buffers = scratch.band<Lane>();
 
     // The row above, by sweep index, padded with unfired ticks, and
     // the ring, from its first 64-byte boundary so that each vector
     // the band stores and loads is one cache line.
-    scratch.bandRow.assign(positions + 2 * kBandPad, kBandUnfired);
-    uint32_t *above = scratch.bandRow.data() + kBandPad;
-    const size_t ring = tables.window * core::detail::kHistoryStride;
-    scratch.history.resize(ring + kBandLanes);
-    void *history = scratch.history.data();
-    size_t room = scratch.history.size() * sizeof(uint32_t);
-    history = std::align(64, ring * sizeof(uint32_t), history, room);
+    buffers.row.assign(positions + 2 * kPad, kUnfired);
+    Lane *above = buffers.row.data() + kPad;
+    const size_t ring = tables.window * core::detail::kHistoryStride<Lane>;
+    buffers.history.resize(ring + kLanes);
+    void *history = buffers.history.data();
+    size_t room = buffers.history.size() * sizeof(Lane);
+    history = std::align(64, ring * sizeof(Lane), history, room);
     if (arrivals)
-        scratch.skew.resize(kBandLanes * (positions + kBandLanes));
+        buffers.skew.resize(kLanes * (positions + kLanes));
 
     GraphRaceResult result;
     result.nodes = states;
-    if (arrivals)
-        result.arrival.assign(states, core::TemporalValue::never());
-    // Within the bound no arrival reaches kBandUnfired, so the lanes'
-    // limit below it counts exactly the row sweep's arrivals.
-    core::SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
+    // Within the bound no arrival reaches kUnfired, so the lanes' limit
+    // below it counts exactly the row sweep's arrivals.
+    core::SweepTally tally(std::min(horizon, sim::Tick(kUnfired - 1)));
     sim::Tick sinkTime = sim::kTickInfinity;
 
-    // Publish `rows` swept read rows from j on, whose values at sweep
-    // index k are value(k, r) for r < rows; unfired states read back
-    // as never().
-    auto publish = [&](size_t j, size_t rows, auto value) {
-        core::TemporalValue *out = result.arrival.data() + j * positions;
+    // The arrival vector, written once: each swept read row, staged in
+    // position order, as its band publishes it, then the rows the race
+    // left unswept and the sink.
+    std::vector<core::TemporalValue> &stage = scratch.arrivalRow;
+    if (arrivals) {
+        result.arrival.reserve(states);
+        stage.resize(positions);
+    }
+    // Publish one swept read row, whose value at sweep index k is
+    // value(k); unfired states read back as never().
+    auto publish = [&](auto value) {
+        const CharPos *order = tables.order.data();
+        core::TemporalValue *row = stage.data();
+        const sim::Tick limit = tally.limit;
         for (size_t k = 0; k < positions; ++k) {
-            const CharPos p = order[k];
-            for (size_t r = 0; r < rows; ++r) {
-                const sim::Tick v = value(k, r);
-                out[r * positions + p] = tally.fired(v)
-                                             ? core::TemporalValue::at(v)
-                                             : core::TemporalValue::never();
-            }
+            const sim::Tick v = value(k);
+            row[order[k]] = v <= limit ? core::TemporalValue::at(v)
+                                       : core::TemporalValue::never();
         }
+        result.arrival.insert(result.arrival.end(), stage.begin(),
+                              stage.end());
     };
 
     bool cancelled = cancel && cancel->cancelled();
@@ -300,47 +320,48 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         // alone -- is the row above the first band.
         above[0] = 0;
         for (size_t k = 1; k < positions; ++k) {
-            const CharPos q = order[k];
-            const uint32_t gap =
-                core::detail::bandWeight(compiled.gapWeight[q]);
-            uint32_t best = kBandUnfired;
+            const CharPos q = tables.order[k];
+            const sim::Tick gap = core::detail::bandWeight<Lane>(
+                compiled.gapWeight[q]);
+            sim::Tick best = kUnfired;
             for (uint32_t e = compiled.predOffsets[q];
                  e < compiled.predOffsets[q + 1]; ++e) {
-                const uint32_t t = above[tables.rank[compiled.pred[e]]] + gap;
+                const sim::Tick t = above[rank[compiled.pred[e]]] + gap;
                 tally.arrive(t);
                 best = std::min(best, t);
             }
-            above[k] = best;
+            above[k] = static_cast<Lane>(best);
         }
         for (size_t k = 0; k < positions; ++k)
             result.cellsFired += tally.fired(above[k]);
         if (arrivals)
-            publish(0, 1, [&](size_t k, size_t) { return above[k]; });
+            publish([&](size_t k) { return above[k]; });
 
-        core::detail::Band band;
+        core::detail::Band<Lane> band;
         band.above = above;
-        band.weights = tables.weights.data();
+        band.weights = lanes.weights.data();
         band.positions = positions;
-        band.skew = arrivals ? scratch.skew.data() : nullptr;
-        band.farBegin = tables.farBegin.data();
-        band.far = tables.far.data();
-        band.history = static_cast<uint32_t *>(history);
+        band.skew = arrivals ? buffers.skew.data() : nullptr;
+        band.farBegin = lanes.farBegin.data();
+        band.far = lanes.far.data();
+        band.history = static_cast<Lane *>(history);
         band.window = tables.window;
-        cancelled = core::detail::raceBands<false>(
+        cancelled = core::detail::raceBands<Lane, false>(
             band, read, costs, tally, result.cellsFired, cancel,
-            [&](size_t i0, size_t swept) {
+            [&](size_t, size_t swept) {
                 // Lane r's state at sweep index k is at step k + r.
-                const uint32_t *skew = scratch.skew.data();
-                publish(i0, swept, [&](size_t k, size_t r) {
-                    return skew[(k + r) * kBandLanes + r];
-                });
+                const Lane *skew = buffers.skew.data();
+                for (size_t r = 0; r < swept; ++r)
+                    publish([&](size_t k) {
+                        return skew[(k + r) * kLanes + r];
+                    });
             },
             [&] {
                 // The zero-weight super-sink wires out of the read's
                 // last row: one event per fired terminal state, and the
                 // first terminal arrival fires the sink OR.
                 for (size_t p = 1; p < positions; ++p) {
-                    const sim::Tick v = above[tables.rank[p]];
+                    const sim::Tick v = above[rank[p]];
                     if (compiled.terminal[p] && tally.fired(v)) {
                         ++tally.events;
                         sinkTime = std::min(sinkTime, v);
@@ -348,10 +369,21 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                 }
             });
     }
+    if (arrivals)
+        result.arrival.resize(states, core::TemporalValue::never());
     finishGraphRace(result, tally, sinkTime, cancelled, horizon, positions,
                     counters);
     return result;
 }
+
+template GraphRaceResult raceAlignmentGridBand<uint16_t>(
+    const CompiledGraph &, const bio::Sequence &, const bio::ScoreMatrix &,
+    sim::Tick, GraphAlignScratch &, const core::CancelToken *,
+    core::KernelCounters *, bool);
+template GraphRaceResult raceAlignmentGridBand<uint32_t>(
+    const CompiledGraph &, const bio::Sequence &, const bio::ScoreMatrix &,
+    sim::Tick, GraphAlignScratch &, const core::CancelToken *,
+    core::KernelCounters *, bool);
 
 } // namespace detail
 

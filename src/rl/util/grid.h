@@ -9,6 +9,7 @@
 #ifndef RACELOGIC_UTIL_GRID_H
 #define RACELOGIC_UTIL_GRID_H
 
+#include <utility>
 #include <vector>
 
 #include "rl/util/logging.h"
@@ -26,6 +27,14 @@ class Grid
     Grid(size_t rows, size_t cols, const T &fill = T())
         : numRows(rows), numCols(cols), cells(rows * cols, fill)
     {}
+
+    /** rows x cols cells taken over from `flat`, row-major. */
+    Grid(size_t rows, size_t cols, std::vector<T> &&flat)
+        : numRows(rows), numCols(cols), cells(std::move(flat))
+    {
+        rl_assert(cells.size() == rows * cols, "Grid of ", rows, "x", cols,
+                  " built from ", cells.size(), " cells");
+    }
 
     size_t rows() const { return numRows; }
     size_t cols() const { return numCols; }

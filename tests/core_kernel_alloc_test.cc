@@ -78,11 +78,6 @@ using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
 
-bool
-hostHasBand()
-{
-    return core::sweepLanes() == core::detail::kBandLanes;
-}
 
 /**
  * Heap allocations per race of `race`, warm: one race grows the
@@ -121,8 +116,10 @@ TEST(KernelAllocations, WarmScoreOnlyEditGridRaceAllocatesNothing)
     using Sweep = decltype(&core::detail::raceEditGridRows);
     std::vector<Sweep> sweeps = {&core::raceEditGrid,
                                  &core::detail::raceEditGridRows};
-    if (hostHasBand())
-        sweeps.push_back(&core::detail::raceEditGridBand);
+    if (core::detail::hostRunsBand<uint32_t>())
+        sweeps.push_back(&core::detail::raceEditGridBand<uint32_t>);
+    if (core::detail::hostRunsBand<uint16_t>())
+        sweeps.push_back(&core::detail::raceEditGridBand<uint16_t>);
     for (Sweep sweep : sweeps) {
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
             core::RaceGridScratch scratch;
@@ -151,8 +148,10 @@ TEST(KernelAllocations, WarmScoreOnlyGraphRaceAllocatesNothing)
     using Sweep = decltype(&pangraph::detail::raceAlignmentGridRows);
     std::vector<Sweep> sweeps = {&pangraph::raceAlignmentGrid,
                                  &pangraph::detail::raceAlignmentGridRows};
-    if (hostHasBand())
-        sweeps.push_back(&pangraph::detail::raceAlignmentGridBand);
+    if (core::detail::hostRunsBand<uint32_t>())
+        sweeps.push_back(&pangraph::detail::raceAlignmentGridBand<uint32_t>);
+    if (core::detail::hostRunsBand<uint16_t>())
+        sweeps.push_back(&pangraph::detail::raceAlignmentGridBand<uint16_t>);
     for (Sweep sweep : sweeps) {
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
             pangraph::GraphAlignScratch scratch;

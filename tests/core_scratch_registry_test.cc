@@ -24,6 +24,7 @@
 #include "rl/core/wavefront.h"
 #include "rl/core/wavefront_band.h"
 #include "rl/pangraph/generate.h"
+#include "rl/pangraph/graph_align_band.h"
 #include "rl/pangraph/graph_aligner.h"
 #include "rl/util/random.h"
 
@@ -128,11 +129,16 @@ TEST(ScratchShrink, GraphAlignScratchReleasesItsHighWater)
     EXPECT_GT(scratch.residentBytes(), 0u);
 }
 
-TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
+/**
+ * A graph race on the band of `Lane`s, with the arrival vector on, is
+ * published to the registry: it fills all of the band's buffers -- the
+ * padded row above, the history and the skew buffer -- and shrinkAll()
+ * releases them.
+ */
+template <typename Lane>
+void
+expectGraphBandBuffersVisibleAndReclaimed()
 {
-    if (core::sweepLanes() != core::detail::kBandLanes)
-        GTEST_SKIP() << "host has no AVX-512F: raceAlignmentGrid runs the "
-                        "row sweep alone";
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
     const size_t baseline = registry.totalResidentBytes();
 
@@ -146,27 +152,44 @@ TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
         return scratch.residentBytes();
     });
     {
-        // With the arrival vector on, the band fills all of its
-        // buffers: the padded row above, the history and the skew
-        // buffer, all of 32-bit ticks.
         core::ScratchLease lease(reg.entry());
-        (void)aligner.align(w.read, sim::kTickInfinity, scratch);
+        (void)pangraph::detail::raceAlignmentGridBand<Lane>(
+            aligner.compiled(), w.read, aligner.costs(), sim::kTickInfinity,
+            scratch);
     }
-    EXPECT_GT(scratch.history.capacity(), 0u);
-    EXPECT_GT(scratch.skew.capacity(), 0u);
-    const size_t band = (scratch.bandRow.capacity() +
-                         scratch.history.capacity() +
-                         scratch.skew.capacity()) *
-                        sizeof(uint32_t);
+    const core::detail::BandBuffers<Lane> &buffers =
+        scratch.template band<Lane>();
+    EXPECT_GT(buffers.history.capacity(), 0u);
+    EXPECT_GT(buffers.skew.capacity(), 0u);
+    const size_t band = buffers.residentBytes();
+    EXPECT_GE(band, (buffers.row.capacity() + buffers.history.capacity() +
+                     buffers.skew.capacity()) *
+                        sizeof(Lane));
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
     EXPECT_GE(registry.shrinkAll(), band);
-    EXPECT_EQ(scratch.bandRow.capacity(), 0u);
-    EXPECT_EQ(scratch.history.capacity(), 0u);
-    EXPECT_EQ(scratch.skew.capacity(), 0u);
+    EXPECT_EQ(buffers.row.capacity(), 0u);
+    EXPECT_EQ(buffers.history.capacity(), 0u);
+    EXPECT_EQ(buffers.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
     EXPECT_LE(registry.totalResidentBytes(), baseline);
+}
+
+TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
+{
+    if (!core::detail::hostRunsBand<uint32_t>())
+        GTEST_SKIP() << "host has no AVX-512F: raceAlignmentGrid runs the "
+                        "row sweep alone";
+    expectGraphBandBuffersVisibleAndReclaimed<uint32_t>();
+}
+
+TEST(ScratchRegistry, NarrowGraphBandBuffersAreVisibleAndReclaimed)
+{
+    if (!core::detail::hostRunsBand<uint16_t>())
+        GTEST_SKIP() << "host has no AVX-512BW: raceAlignmentGrid never "
+                        "takes the narrow band";
+    expectGraphBandBuffersVisibleAndReclaimed<uint16_t>();
 }
 
 TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
@@ -197,11 +220,16 @@ TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
     EXPECT_LE(registry.totalResidentBytes(), baseline);
 }
 
-TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
+/**
+ * An edit-grid race on the band of `Lane`s, with the arrival grid on,
+ * is published to the registry: it fills all of the band's buffers --
+ * the padded row above, the reversed profile and the skew buffer --
+ * and shrinkAll() releases them.
+ */
+template <typename Lane>
+void
+expectBandBuffersVisibleAndReclaimed()
 {
-    if (core::sweepLanes() != core::detail::kBandLanes)
-        GTEST_SKIP() << "host has no AVX-512F: raceEditGrid runs the row "
-                        "sweep alone";
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
     const size_t baseline = registry.totalResidentBytes();
 
@@ -212,29 +240,45 @@ TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
         return scratch.residentBytes();
     });
     {
-        // With the arrival grid on, the band fills all of its buffers:
-        // the padded row above, the reversed profiles and the skew
-        // buffer, all of 32-bit ticks.
         core::ScratchLease lease(reg.entry());
-        (void)core::raceEditGrid(dna(longDna(300)), dna(longDna(300)),
-                                 bio::ScoreMatrix::dnaShortestPath(),
-                                 sim::kTickInfinity, scratch);
+        (void)core::detail::raceEditGridBand<Lane>(
+            dna(longDna(300)), dna(longDna(300)),
+            bio::ScoreMatrix::dnaShortestPath(), sim::kTickInfinity,
+            scratch);
     }
-    EXPECT_GT(scratch.profile.capacity(), 0u);
-    EXPECT_GT(scratch.skew.capacity(), 0u);
-    const size_t band = (scratch.bandRow.capacity() +
-                         scratch.profile.capacity() +
-                         scratch.skew.capacity()) *
-                        sizeof(uint32_t);
+    const core::detail::BandBuffers<Lane> &buffers =
+        scratch.template band<Lane>();
+    EXPECT_GT(buffers.profile.capacity(), 0u);
+    EXPECT_GT(buffers.skew.capacity(), 0u);
+    const size_t band = buffers.residentBytes();
+    EXPECT_GE(band, (buffers.row.capacity() + buffers.profile.capacity() +
+                     buffers.skew.capacity()) *
+                        sizeof(Lane));
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
     EXPECT_GE(registry.shrinkAll(), band);
-    EXPECT_EQ(scratch.bandRow.capacity(), 0u);
-    EXPECT_EQ(scratch.profile.capacity(), 0u);
-    EXPECT_EQ(scratch.skew.capacity(), 0u);
+    EXPECT_EQ(buffers.row.capacity(), 0u);
+    EXPECT_EQ(buffers.profile.capacity(), 0u);
+    EXPECT_EQ(buffers.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
     EXPECT_LE(registry.totalResidentBytes(), baseline);
+}
+
+TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
+{
+    if (!core::detail::hostRunsBand<uint32_t>())
+        GTEST_SKIP() << "host has no AVX-512F: raceEditGrid runs the row "
+                        "sweep alone";
+    expectBandBuffersVisibleAndReclaimed<uint32_t>();
+}
+
+TEST(ScratchRegistry, NarrowBandBuffersAreVisibleAndReclaimed)
+{
+    if (!core::detail::hostRunsBand<uint16_t>())
+        GTEST_SKIP() << "host has no AVX-512BW: raceEditGrid never takes "
+                        "the narrow band";
+    expectBandBuffersVisibleAndReclaimed<uint16_t>();
 }
 
 TEST(ScratchRegistry, ThrowingSolveStillPublishesHonestBytes)

@@ -6,8 +6,9 @@
  * horizon -- with the event count and the latest firing the DP
  * determines in closed form.  The grid-direct kernel must reproduce
  * raceDag's race of the materialized edit graph exactly (arrival grids
- * and event counts included), and its skewed AVX-512F band must
- * reproduce its row sweep field for field and counter for counter.
+ * and event counts included), and its skewed bands, in both lane
+ * widths, must reproduce its row sweep field for field and counter for
+ * counter.
  */
 
 #include <gtest/gtest.h>
@@ -299,30 +300,53 @@ TEST_P(GridKernel, HorizonMatchesFullRacePrefix)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
 
-// ------------------------------------------ skewed band vs row sweep
-
-bool
-hostHasBand()
-{
-    return core::sweepLanes() == core::detail::kBandLanes;
-}
-
-constexpr const char *kNoBand =
-    "host has no AVX-512F: raceEditGrid runs the row sweep alone";
+// ----------------------------------------- skewed bands vs row sweep
 
 using EditGridSweep = decltype(&core::detail::raceEditGridRows);
 
 /**
- * Race (a, b) on the row sweep and on `subject` -- the skewed band
- * unless named -- and assert the outcomes are identical: every
- * RaceGridResult field, the arrival grid included, and every
- * KernelCounters field.
+ * One lane width of the skewed band: its detail:: entry, whether this
+ * host runs it, whether a race fits it, its lane count and bound.
+ */
+struct BandWidth {
+    const char *name;
+    EditGridSweep race;
+    bool (*runs)();
+    bool (*exact)(const Sequence &, const Sequence &, const ScoreMatrix &);
+    size_t lanes;
+    sim::Tick bound; ///< the band's kBandUnfired
+    const char *skip;
+};
+
+template <typename Lane>
+BandWidth
+bandWidth(const char *name, const char *skip)
+{
+    return {name,
+            &core::detail::raceEditGridBand<Lane>,
+            &core::detail::hostRunsBand<Lane>,
+            &core::detail::editGridBandExact<Lane>,
+            core::detail::kBandLanes<Lane>,
+            core::detail::kBandUnfired<Lane>,
+            skip};
+}
+
+const BandWidth kWide = bandWidth<uint32_t>(
+    "Wide", "host has no AVX-512F: raceEditGrid runs the row sweep alone");
+const BandWidth kNarrow = bandWidth<uint16_t>(
+    "Narrow", "host has no AVX-512BW: raceEditGrid never takes the narrow "
+              "band");
+
+/**
+ * Race (a, b) on the row sweep and on `subject` and assert the
+ * outcomes are identical: every RaceGridResult field, the arrival grid
+ * included, and every KernelCounters field.
  */
 void
 expectBandMatchesRows(const Sequence &a, const Sequence &b,
                       const ScoreMatrix &m, sim::Tick horizon,
                       bool arrivals, const core::CancelToken *cancel,
-                      EditGridSweep subject = &core::detail::raceEditGridBand)
+                      EditGridSweep subject)
 {
     SCOPED_TRACE(testing::Message()
                  << "|a|=" << a.size() << " |b|=" << b.size()
@@ -353,20 +377,35 @@ expectBandMatchesRows(const Sequence &a, const Sequence &b,
     EXPECT_EQ(bandCounters.horizonAborts, rowCounters.horizonAborts);
 }
 
-class BandSweep : public ::testing::TestWithParam<int>
+/** The band of `width` for (a, b) where it races them exactly, else
+ *  raceEditGrid, which takes the next exact sweep. */
+EditGridSweep
+bandOrDispatch(const BandWidth &width, const Sequence &a, const Sequence &b,
+               const ScoreMatrix &m)
+{
+    if (width.exact(a, b, m))
+        return width.race;
+    return &core::raceEditGrid;
+}
+
+class BandSweep
+    : public ::testing::TestWithParam<std::tuple<const BandWidth *, int>>
 {
   protected:
     void
     SetUp() override
     {
-        if (!hostHasBand())
-            GTEST_SKIP() << kNoBand;
+        if (!width().runs())
+            GTEST_SKIP() << width().skip;
     }
+
+    const BandWidth &width() const { return *std::get<0>(GetParam()); }
+    int seed() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
 {
-    util::Rng rng(5100 + GetParam());
+    util::Rng rng(5100 + seed());
     const ScoreMatrix protein =
         bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
     const core::CancelToken never;
@@ -382,6 +421,11 @@ TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
             const size_t cols = trial == 1 ? 0 : rng.index(201);
             const Sequence a = Sequence::random(rng, m.alphabet(), rows);
             const Sequence b = Sequence::random(rng, m.alphabet(), cols);
+            // The narrow band races DNA; protein's 20 letters take the
+            // wide band.
+            EXPECT_EQ(width().exact(a, b, m),
+                      width().lanes == 16 || m.alphabet().size() == 4);
+            const EditGridSweep subject = bandOrDispatch(width(), a, b, m);
             const sim::Tick opt =
                 static_cast<sim::Tick>(bio::globalScore(a, b, m));
             for (sim::Tick horizon :
@@ -389,11 +433,11 @@ TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
                   opt, sim::Tick(rng.index(2 * opt + 2))}) {
                 for (bool arrivals : {true, false}) {
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          nullptr);
+                                          nullptr, subject);
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          &never);
+                                          &never, subject);
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          &already);
+                                          &already, subject);
                 }
             }
         }
@@ -404,26 +448,43 @@ TEST_P(BandSweep, EveryBandShapeAroundTheLaneCount)
 {
     // Row and column counts on both sides of each band boundary, with
     // horizons that stop the sweep inside a band.
-    util::Rng rng(5300 + GetParam());
+    util::Rng rng(5300 + seed());
     const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    const size_t lanes = core::detail::kBandLanes;
-    const size_t rows = static_cast<size_t>(GetParam()) + 1; // 1..3 lanes
+    const size_t lanes = width().lanes;
+    const size_t rows = static_cast<size_t>(seed()) + 1; // 1..3 lanes
     for (size_t cols : {size_t(0), size_t(1), lanes - 1, lanes, lanes + 1,
                         2 * lanes + 1}) {
         const Sequence a = Sequence::random(rng, Alphabet::dna(), rows);
         const Sequence b = Sequence::random(rng, Alphabet::dna(), cols);
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(rows / 2),
                                   sim::Tick(rows + 3)})
-            expectBandMatchesRows(a, b, m, horizon, true, nullptr);
+            expectBandMatchesRows(a, b, m, horizon, true, nullptr,
+                                  width().race);
     }
+}
+
+/** A BandSweep parameter's name: the width, then the seed. */
+std::string
+bandParamName(
+    const testing::TestParamInfo<std::tuple<const BandWidth *, int>> &info)
+{
+    return std::string(std::get<0>(info.param)->name) + "_" +
+           std::to_string(std::get<1>(info.param));
 }
 
 // One seed per row count of EveryBandShapeAroundTheLaneCount.
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, BandSweep,
-    ::testing::Range(0, static_cast<int>(3 * core::detail::kBandLanes)));
+    Wide, BandSweep,
+    ::testing::Combine(::testing::Values(&kWide),
+                       ::testing::Range(0, static_cast<int>(3 * 16))),
+    bandParamName);
+INSTANTIATE_TEST_SUITE_P(
+    Narrow, BandSweep,
+    ::testing::Combine(::testing::Values(&kNarrow),
+                       ::testing::Range(0, static_cast<int>(3 * 32))),
+    bandParamName);
 
-// ------------------------------------------------- the band's bound
+// ------------------------------------------------ the bands' bounds
 
 /**
  * DNA costs of `w` for every match and every gap, with mismatches
@@ -442,13 +503,18 @@ gapChainCosts(bio::Score w)
     return m;
 }
 
-TEST(BandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+class BandBound : public ::testing::TestWithParam<const BandWidth *>
+{};
+
+TEST_P(BandBound, TheBandRacesBelowTheBoundAndTheNextSweepFromIt)
 {
-    // |a| + |b| = 63, so (63 + 1) x w < 2^30 holds up to w = 2^24 - 1:
-    // that race sits 64 below the bound, the next weight on it, and
-    // twice that weight sends the sink past 2^30, which no 32-bit lane
-    // can hold.  a is over {A, C} and b over {G, T}, so the sink fires
-    // at 63 w.
+    // |a| + |b| = 63, so (63 + 1) x w < bound holds up to w = under,
+    // (bound - 1) / 64: 2^24 - 1 for the wide band's 2^30, 255 for the
+    // narrow band's 2^14.  That race sits 64 below the bound, the next
+    // weight exactly on it, and twice that weight sends the sink past
+    // the bound, which the band's lanes cannot hold.  a is over {A, C}
+    // and b over {G, T}, so the sink fires at 63 w.
+    const BandWidth &width = *GetParam();
     util::Rng rng(5800);
     std::string left, right;
     for (int j = 0; j < 32; ++j) {
@@ -457,23 +523,77 @@ TEST(BandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
     }
     const Sequence a(Alphabet::dna(), left.substr(1));
     const Sequence b(Alphabet::dna(), right);
-    const bio::Score under = (bio::Score(1) << 24) - 1;
+    const auto under = static_cast<bio::Score>((width.bound - 1) / 64);
     for (bio::Score w : {under, under + 1, 2 * under + 2}) {
-        SCOPED_TRACE(testing::Message() << "w=" << w);
+        SCOPED_TRACE(testing::Message() << width.name << " w=" << w);
         const ScoreMatrix m = gapChainCosts(w);
-        EXPECT_EQ(core::detail::editGridBandExact(a, b, m), w == under);
+        EXPECT_EQ(width.exact(a, b, m), w == under);
+        EXPECT_EQ(64 * sim::Tick(w) < width.bound, w == under);
         const auto sink = static_cast<sim::Tick>(63 * w);
         EXPECT_EQ(core::raceEditGrid(a, b, m).score, 63 * w);
-        // The last horizon lies in [2^30, 2^62): past every 32-bit
-        // lane value, within the row sweep's range.
+        // The bound itself, past every lane value, and a horizon in
+        // [2^30, 2^62): past every 32-bit lane value, within the row
+        // sweep's range.
         for (sim::Tick horizon : {sim::kTickInfinity, sink - 1, sink,
-                                  sim::Tick(1) << 40}) {
+                                  width.bound, sim::Tick(1) << 40}) {
             for (bool arrivals : {true, false}) {
                 expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
                                       &core::raceEditGrid);
-                if (w == under && hostHasBand())
+                if (w == under && width.runs())
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          nullptr);
+                                          nullptr, width.race);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BandBound,
+                         ::testing::Values(&kWide, &kNarrow),
+                         [](const auto &info) {
+                             return std::string(info.param->name);
+                         });
+
+/**
+ * Costs over an alphabet of `letters` letters, drawn from 1..9: pairs
+ * forbidden at random, gaps finite.
+ */
+ScoreMatrix
+lettersCosts(util::Rng &rng, size_t letters)
+{
+    const Alphabet alphabet(std::string("ACDEFGHIK").substr(0, letters));
+    ScoreMatrix m(alphabet, bio::ScoreKind::Cost);
+    for (size_t x = 0; x < letters; ++x) {
+        m.setGap(bio::Symbol(x), rng.uniformInt(1, 9));
+        for (size_t y = 0; y < letters; ++y)
+            m.setPair(bio::Symbol(x), bio::Symbol(y),
+                      x != y && rng.index(4) == 0 ? bio::kScoreInfinity
+                                                  : rng.uniformInt(1, 9));
+    }
+    return m;
+}
+
+TEST(BandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
+{
+    // The narrow band's pair table has 8 codes per axis: 7 letters and
+    // the unfired code.
+    util::Rng rng(5900);
+    for (size_t letters : {size_t(7), size_t(8)}) {
+        SCOPED_TRACE(testing::Message() << letters << " letters");
+        const ScoreMatrix m = lettersCosts(rng, letters);
+        const Sequence a = Sequence::random(rng, m.alphabet(), 90);
+        const Sequence b = Sequence::random(rng, m.alphabet(), 70);
+        EXPECT_EQ(kNarrow.exact(a, b, m), letters == 7);
+        EXPECT_TRUE(kWide.exact(a, b, m));
+        const sim::Tick opt =
+            static_cast<sim::Tick>(bio::globalScore(a, b, m));
+        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt}) {
+            for (bool arrivals : {true, false}) {
+                expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
+                                      &core::raceEditGrid);
+                for (const BandWidth *width : {&kWide, &kNarrow})
+                    if (width->runs() && width->exact(a, b, m))
+                        expectBandMatchesRows(a, b, m, horizon, arrivals,
+                                              nullptr, width->race);
             }
         }
     }
@@ -488,8 +608,7 @@ TEST(BandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
  * each later row.
  */
 void
-expectCancelledFromAnotherThread(
-    decltype(&core::detail::raceEditGridRows) sweep)
+expectCancelledFromAnotherThread(EditGridSweep sweep)
 {
     util::Rng rng(5700);
     const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
@@ -532,11 +651,18 @@ TEST(BandSweepCancel, RowSweepStopsWithTheTypedAbort)
     expectCancelledFromAnotherThread(&core::detail::raceEditGridRows);
 }
 
-TEST(BandSweepCancel, BandStopsWithTheTypedAbort)
+TEST(BandSweepCancel, WideBandStopsWithTheTypedAbort)
 {
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
-    expectCancelledFromAnotherThread(&core::detail::raceEditGridBand);
+    if (!kWide.runs())
+        GTEST_SKIP() << kWide.skip;
+    expectCancelledFromAnotherThread(kWide.race);
+}
+
+TEST(BandSweepCancel, NarrowBandStopsWithTheTypedAbort)
+{
+    if (!kNarrow.runs())
+        GTEST_SKIP() << kNarrow.skip;
+    expectCancelledFromAnotherThread(kNarrow.race);
 }
 
 // ------------------------------- horizon-true screening accounting

@@ -787,31 +787,74 @@ TEST(GraphAlignFused, ScratchReuseIsBitIdenticalAndBuildsNoProduct)
 
 // ---------------------------------------- graph band vs row sweep
 
-bool
-hostHasBand()
-{
-    return core::sweepLanes() == core::detail::kBandLanes;
-}
-
-constexpr const char *kNoBand =
-    "host has no AVX-512F: raceAlignmentGrid runs the row sweep alone";
-
 using GraphSweep = decltype(&pangraph::detail::raceAlignmentGridRows);
 
+template <typename Lane>
+pangraph::GraphBandTables checkedBandTables(const GraphAligner &aligner);
+
 /**
- * Race `read` on the row sweep and on `subject` -- the graph band
- * unless named -- and assert the outcomes are identical: every
- * GraphRaceResult field, the arrival vector (AlignmentGraph::node()
- * layout) included, and every KernelCounters field.  The subject races
- * on `bandScratch`, which the caller reuses across graphs, so a ring
- * left by a graph of another shape is raced over too.
+ * One lane width of the graph band: its detail:: entry, whether this
+ * host runs it, whether a race fits it, its lane count and bound, and
+ * its tables' check (checkedBandTables()).
+ */
+struct GraphBandWidth {
+    const char *name;
+    GraphSweep race;
+    bool (*runs)();
+    bool (*exact)(const pangraph::CompiledGraph &, const Sequence &,
+                  const ScoreMatrix &);
+    size_t lanes;
+    sim::Tick bound; ///< the band's kBandUnfired
+    const char *skip;
+    pangraph::GraphBandTables (*checkedTables)(const GraphAligner &);
+};
+
+template <typename Lane>
+GraphBandWidth
+graphBandWidth(const char *name, const char *skip)
+{
+    return {name,
+            &pangraph::detail::raceAlignmentGridBand<Lane>,
+            &core::detail::hostRunsBand<Lane>,
+            &pangraph::detail::graphBandExact<Lane>,
+            core::detail::kBandLanes<Lane>,
+            core::detail::kBandUnfired<Lane>,
+            skip,
+            &checkedBandTables<Lane>};
+}
+
+const GraphBandWidth kWide = graphBandWidth<uint32_t>(
+    "Wide",
+    "host has no AVX-512F: raceAlignmentGrid runs the row sweep alone");
+const GraphBandWidth kNarrow = graphBandWidth<uint16_t>(
+    "Narrow", "host has no AVX-512BW: raceAlignmentGrid never takes the "
+              "narrow band");
+
+/** The band of `width` for `read` where it races it exactly, else
+ *  raceAlignmentGrid, which takes the next exact sweep. */
+GraphSweep
+bandOrDispatch(const GraphBandWidth &width, const GraphAligner &aligner,
+               const Sequence &read)
+{
+    if (width.exact(aligner.compiled(), read, aligner.costs()))
+        return width.race;
+    return &pangraph::raceAlignmentGrid;
+}
+
+/**
+ * Race `read` on the row sweep and on `subject` and assert the
+ * outcomes are identical: every GraphRaceResult field, the arrival
+ * vector (AlignmentGraph::node() layout) included, and every
+ * KernelCounters field.  The subject races on `bandScratch`, which the
+ * caller reuses across graphs, so a ring left by a graph of another
+ * shape is raced over too.
  */
 void
-expectGraphBandMatchesRows(
-    const GraphAligner &aligner, const Sequence &read, sim::Tick horizon,
-    bool arrivals, const core::CancelToken *cancel,
-    pangraph::GraphAlignScratch &bandScratch,
-    GraphSweep subject = &pangraph::detail::raceAlignmentGridBand)
+expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
+                           sim::Tick horizon, bool arrivals,
+                           const core::CancelToken *cancel,
+                           pangraph::GraphAlignScratch &bandScratch,
+                           GraphSweep subject)
 {
     SCOPED_TRACE(testing::Message()
                  << "positions=" << aligner.compiled().positionCount()
@@ -850,15 +893,19 @@ expectGraphBandMatchesRows(
 }
 
 /**
- * Every horizon, arrival mode and token of the suite, for one read:
- * horizons {inf, 0, opt - 1, opt, random}, arrivals on and off, and no
- * token, a never-cancelled one and a pre-cancelled one.
+ * Every horizon, arrival mode and token of the suite, for one read on
+ * the band of `width`: horizons {inf, 0, opt - 1, opt, random},
+ * arrivals on and off, and no token, a never-cancelled one and a
+ * pre-cancelled one.  The band must race the read exactly.
  */
 void
-expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
+expectGraphBandMatchesRowsEverywhere(const GraphBandWidth &width,
+                                     const GraphAligner &aligner,
                                      const Sequence &read, util::Rng &rng,
                                      pangraph::GraphAlignScratch &bandScratch)
 {
+    ASSERT_TRUE(width.exact(aligner.compiled(), read, aligner.costs()))
+        << width.name << " band, |read| = " << read.size();
     pangraph::GraphAlignScratch scratch;
     const pangraph::GraphRaceResult full =
         pangraph::detail::raceAlignmentGridRows(
@@ -874,11 +921,11 @@ expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
           sim::Tick(rng.index(2 * opt + 2))}) {
         for (bool arrivals : {true, false}) {
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       nullptr, bandScratch);
+                                       nullptr, bandScratch, width.race);
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       &never, bandScratch);
+                                       &never, bandScratch, width.race);
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       &already, bandScratch);
+                                       &already, bandScratch, width.race);
         }
     }
 }
@@ -889,9 +936,8 @@ expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
  * walk.
  */
 std::vector<Sequence>
-bandReads(util::Rng &rng, const VariationGraph &graph)
+bandReads(util::Rng &rng, const VariationGraph &graph, size_t lanes)
 {
-    const size_t lanes = core::detail::kBandLanes;
     std::vector<Sequence> reads;
     for (size_t n : {size_t(0), size_t(1), size_t(rng.uniformInt(2, 9)),
                      lanes - 1, lanes, lanes + 1, 2 * lanes - 1, 2 * lanes,
@@ -928,20 +974,27 @@ fanGraph(util::Rng &rng, size_t segments)
     return graph;
 }
 
-class GraphBandSweep : public ::testing::TestWithParam<int>
+class GraphBandSweep
+    : public ::testing::TestWithParam<
+          std::tuple<const GraphBandWidth *, int>>
 {
   protected:
     void
     SetUp() override
     {
-        if (!hostHasBand())
-            GTEST_SKIP() << kNoBand;
+        if (!width().runs())
+            GTEST_SKIP() << width().skip;
     }
+
+    const GraphBandWidth &width() const { return *std::get<0>(GetParam()); }
+    int seed() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
 {
-    util::Rng rng(6100 + GetParam());
+    const GraphBandWidth &width = this->width();
+    const int param = seed();
+    util::Rng rng(6100 + param);
     pangraph::GraphAlignScratch bandScratch;
     const ScoreMatrix matrices[] = {
         ScoreMatrix::dnaShortestPath(),
@@ -952,22 +1005,23 @@ TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
     // backbone, so position order is not the sweep order.
     pangraph::VariationGraphParams params;
     params.backboneSegments = static_cast<size_t>(rng.uniformInt(1, 10));
-    params.maxLabel = GetParam() % 4 == 0 ? 24 : 8;
+    params.maxLabel = param % 4 == 0 ? 24 : 8;
     params.snpDensity = 0.4;
     params.insertDensity = 0.25;
     params.deleteDensity = 0.25;
     auto variation = std::make_shared<VariationGraph>(
         pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
-    GraphAligner onVariation(variation, matrices[GetParam() % 2]);
-    for (const Sequence &read : bandReads(rng, *variation))
-        expectGraphBandMatchesRowsEverywhere(onVariation, read, rng,
+    GraphAligner onVariation(variation, matrices[param % 2]);
+    for (const Sequence &read : bandReads(rng, *variation, width.lanes))
+        expectGraphBandMatchesRowsEverywhere(width, onVariation, read, rng,
                                              bandScratch);
 
     // Several sources and joins of in-degree >= 3.
     auto fan = fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12)));
-    GraphAligner onFan(fan, matrices[(GetParam() + 1) % 2]);
-    for (const Sequence &read : bandReads(rng, *fan))
-        expectGraphBandMatchesRowsEverywhere(onFan, read, rng, bandScratch);
+    GraphAligner onFan(fan, matrices[(param + 1) % 2]);
+    for (const Sequence &read : bandReads(rng, *fan, width.lanes))
+        expectGraphBandMatchesRowsEverywhere(width, onFan, read, rng,
+                                             bandScratch);
 
     // A converted (Section 5) similarity plan on a rank-balanced graph.
     auto balanced = std::make_shared<VariationGraph>(
@@ -976,43 +1030,61 @@ TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
             pangraph::VariationGraphParams::balanced(
                 static_cast<size_t>(rng.uniformInt(1, 6)))));
     GraphAligner similarity(balanced, ScoreMatrix::dnaLongestPath());
-    for (const Sequence &read : bandReads(rng, *balanced))
-        expectGraphBandMatchesRowsEverywhere(similarity, read, rng,
+    for (const Sequence &read : bandReads(rng, *balanced, width.lanes))
+        expectGraphBandMatchesRowsEverywhere(width, similarity, read, rng,
                                              bandScratch);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GraphBandSweep, ::testing::Range(0, 24));
+/** A GraphBandSweep parameter's name: the width, then the seed. */
+std::string
+graphBandParamName(
+    const testing::TestParamInfo<std::tuple<const GraphBandWidth *, int>>
+        &info)
+{
+    return std::string(std::get<0>(info.param)->name) + "_" +
+           std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, GraphBandSweep,
+    ::testing::Combine(::testing::Values(&kWide, &kNarrow),
+                       ::testing::Range(0, 24)),
+    graphBandParamName);
 
 /**
- * The band's tables for `aligner`'s graph, built on any host, with
- * their far groups held to CompiledGraph::pred: expanded back into
- * (step, lane, far predecessor) triples, they are exactly the triples
- * of every predecessor k' of sweep index k but k - 1, raced by lane r
- * at step k + r -- each once.  Every group reads a slot the band wrote
- * earlier in the same band (d <= t - r, and d < window, so the ring has
- * not overwritten it), and a step has one group per distance.
+ * The band's tables for `aligner`'s graph, built on any host for both
+ * widths, with the far groups of the band of `Lane`s held to
+ * CompiledGraph::pred: expanded back into (step, lane, far
+ * predecessor) triples, they are exactly the triples of every
+ * predecessor k' of sweep index k but k - 1, raced by lane r at step
+ * k + r -- each once.  Every group reads a slot the band wrote earlier
+ * in the same band (d <= t - r, and d < window, so the ring has not
+ * overwritten it), and a step has one group per distance.
  */
+template <typename Lane>
 pangraph::GraphBandTables
 checkedBandTables(const GraphAligner &aligner)
 {
     using Triple = std::tuple<size_t, size_t, size_t>; // (t, r, k')
     const pangraph::CompiledGraph &compiled = aligner.compiled();
-    pangraph::GraphBandTables band =
-        pangraph::detail::compileBandTables(compiled, aligner.costs());
-    const size_t lanes = core::detail::kBandLanes;
+    pangraph::GraphBandTables tables = pangraph::detail::compileBandTables(
+        compiled, aligner.costs(), core::detail::kBandLanes<uint16_t>);
+    const pangraph::GraphBandLanes<Lane> &band = tables.lanes<Lane>();
+    const size_t lanes = core::detail::kBandLanes<Lane>;
     const size_t positions = compiled.positionCount();
-    EXPECT_TRUE(std::has_single_bit(band.window));
+    EXPECT_FALSE(band.empty());
+    EXPECT_TRUE(std::has_single_bit(tables.window));
     EXPECT_EQ(band.farBegin.size(), positions + lanes);
 
     std::vector<Triple> expected;
     for (size_t k = 1; k < positions; ++k) {
-        const pangraph::CharPos q = band.order[k];
+        const pangraph::CharPos q = tables.order[k];
         for (uint32_t e = compiled.predOffsets[q];
              e < compiled.predOffsets[q + 1]; ++e) {
-            const size_t from = band.rank[compiled.pred[e]];
+            const size_t from = tables.rank[compiled.pred[e]];
             if (from + 1 == k)
                 continue;
-            EXPECT_LT(k - from, band.window);
+            EXPECT_LT(k - from, tables.window);
             for (size_t r = 0; r < lanes; ++r)
                 expected.emplace_back(k + r, r, from);
         }
@@ -1022,14 +1094,14 @@ checkedBandTables(const GraphAligner &aligner)
     for (size_t t = 0; t + 1 < band.farBegin.size(); ++t) {
         std::set<uint32_t> slots;
         for (uint32_t g = band.farBegin[t]; g < band.farBegin[t + 1]; ++g) {
-            const pangraph::GraphBandTables::FarGroup group = band.far[g];
-            EXPECT_LT(group.slot, band.window);
+            const auto group = band.far[g];
+            EXPECT_LT(group.slot, tables.window);
             EXPECT_NE(group.lanes, 0);
             EXPECT_TRUE(slots.insert(group.slot).second)
                 << "two groups of step " << t << " read one slot";
             // The one distance in 1 .. window - 1 whose step t - d
             // wrote the slot.
-            const size_t d = (t - group.slot) & (band.window - 1);
+            const size_t d = (t - group.slot) & (tables.window - 1);
             EXPECT_GE(d, 1u);
             for (size_t r = 0; r < lanes; ++r) {
                 if (!(group.lanes >> r & 1))
@@ -1043,10 +1115,16 @@ checkedBandTables(const GraphAligner &aligner)
     std::sort(expected.begin(), expected.end());
     std::sort(expanded.begin(), expanded.end());
     EXPECT_EQ(expanded, expected);
-    return band;
+    return tables;
 }
 
-TEST(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
+class GraphBandTables : public ::testing::TestWithParam<const GraphBandWidth *>
+{
+  protected:
+    const GraphBandWidth &width() const { return *GetParam(); }
+};
+
+TEST_P(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
 {
     util::Rng rng(6200);
     for (int round = 0; round < 24; ++round) {
@@ -1059,15 +1137,15 @@ TEST(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
         auto variation = std::make_shared<VariationGraph>(
             pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
         SCOPED_TRACE(testing::Message() << "round " << round);
-        checkedBandTables(
+        width().checkedTables(
             GraphAligner(variation, ScoreMatrix::dnaShortestPath()));
-        checkedBandTables(GraphAligner(
+        width().checkedTables(GraphAligner(
             fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12))),
             ScoreMatrix::dnaShortestPathInfMismatch()));
     }
 }
 
-TEST(GraphBandTables, FanJoinsNeedSeveralFarGroups)
+TEST_P(GraphBandTables, FanJoinsNeedSeveralFarGroups)
 {
     // Four sources into one join, which then has one chain predecessor
     // at most and three far ones, at three sweep distances.  Position
@@ -1079,20 +1157,23 @@ TEST(GraphBandTables, FanJoinsNeedSeveralFarGroups)
     for (const char *name : {"a", "b", "c", "d"})
         graph->addLink(graph->addSegment(name, dna("ACG")), join);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
-    const pangraph::GraphBandTables band = checkedBandTables(aligner);
+    const pangraph::GraphBandTables tables = width().checkedTables(aligner);
+    const std::vector<uint32_t> &farBegin =
+        width().lanes == 16 ? tables.wide.farBegin : tables.narrow.farBegin;
     uint32_t widest = 0;
-    for (size_t t = 0; t + 1 < band.farBegin.size(); ++t)
-        widest = std::max(widest, band.farBegin[t + 1] - band.farBegin[t]);
+    for (size_t t = 0; t + 1 < farBegin.size(); ++t)
+        widest = std::max(widest, farBegin[t + 1] - farBegin[t]);
     EXPECT_EQ(widest, 3u);
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
+    if (!width().runs())
+        GTEST_SKIP() << width().skip;
     pangraph::GraphAlignScratch scratch;
     util::Rng rng(6201);
-    for (const Sequence &read : bandReads(rng, *graph))
-        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
+    for (const Sequence &read : bandReads(rng, *graph, width().lanes))
+        expectGraphBandMatchesRowsEverywhere(width(), aligner, read, rng,
+                                             scratch);
 }
 
-TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
+TEST_P(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
 {
     // An optional 40-nt insertion: the segment after it has a far
     // predecessor 41 sweep steps back, past the 16-step window of the
@@ -1107,26 +1188,113 @@ TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
     graph->addLink(insert, to);
     graph->addLink(from, to);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPathInfMismatch());
-    EXPECT_EQ(checkedBandTables(aligner).window, 64u);
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
+    EXPECT_EQ(width().checkedTables(aligner).window, 64u);
+    if (!width().runs())
+        GTEST_SKIP() << width().skip;
     EXPECT_EQ(aligner.compiled().band.window, 64u);
     pangraph::GraphAlignScratch scratch;
-    for (const Sequence &read : bandReads(rng, *graph))
-        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
+    for (const Sequence &read : bandReads(rng, *graph, width().lanes))
+        expectGraphBandMatchesRowsEverywhere(width(), aligner, read, rng,
+                                             scratch);
 }
 
-TEST(GraphBandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+TEST_P(GraphBandTables, TalliesThatWouldWrapLeaveTheNarrowBandOut)
 {
-    // Costs of 2^16 -- the largest weight compileGraph admits -- for
-    // every match and gap, mismatches forbidden, on a one-nt bubble
-    // (a -> b | c -> d, so d has a far predecessor): with K = 4,
-    // (|read| + 4 + 1) x 2^16 < 2^30 holds up to |read| = 16378.  That
-    // race sits 2^16 below the bound, the next read length on it, and
-    // a 20000-nt read sends the sink past 2^30, which no 32-bit lane
-    // can hold.
+    // A chain of 12000 one-nt segments, each linked to the next three:
+    // every position past the third has two far predecessors, so a
+    // lane tallies up to 3 x 12031 + 2 x 23997 arrivals per band, past
+    // 2^16.  The graph fits the narrow band's 2^14 bound, but only the
+    // wide band's tables are built, and a read races on the wide band.
+    const size_t segments = 12000;
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    util::Rng rng(6203);
+    const Sequence labels =
+        Sequence::random(rng, Alphabet::dna(), segments);
+    for (size_t i = 0; i < segments; ++i)
+        graph->addSegment("s" + std::to_string(i), labels.slice(i, 1));
+    for (size_t i = 0; i < segments; ++i)
+        for (size_t d = 1; d <= 3 && i + d < segments; ++d)
+            graph->addLink(static_cast<SegmentId>(i),
+                           static_cast<SegmentId>(i + d));
+    const ScoreMatrix unit =
+        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 1);
+    GraphAligner aligner(graph, unit);
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+    EXPECT_TRUE(pangraph::detail::graphNarrowRaceable(compiled, unit));
+    const pangraph::GraphBandTables tables =
+        pangraph::detail::compileBandTables(
+            compiled, unit, core::detail::kBandLanes<uint16_t>);
+    EXPECT_FALSE(tables.wide.empty());
+    EXPECT_TRUE(tables.narrow.empty());
+    const Sequence read = labels.slice(100, 40);
+    EXPECT_FALSE(kNarrow.exact(compiled, read, unit));
+    if (!width().runs())
+        GTEST_SKIP() << width().skip;
+    EXPECT_TRUE(width().exact(compiled, read, unit) == (width().lanes == 16));
+    pangraph::GraphAlignScratch scratch;
+    for (bool arrivals : {true, false})
+        expectGraphBandMatchesRows(aligner, read, sim::kTickInfinity,
+                                   arrivals, nullptr, scratch,
+                                   bandOrDispatch(width(), aligner, read));
+}
+
+/** A parameter's name: the width's. */
+std::string
+widthName(const testing::TestParamInfo<const GraphBandWidth *> &info)
+{
+    return info.param->name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GraphBandTables,
+                         ::testing::Values(&kWide, &kNarrow), widthName);
+
+TEST(GraphBandMemory, ResidentBytesCountBothWidths)
+{
+    // The plan cache counts a plan's band tables through
+    // GraphBandTables::residentBytes(): the narrow band's weights and
+    // far groups too, where a host builds them.
+    util::Rng rng(6240);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 24;
+    auto graph = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    const pangraph::GraphBandTables both =
+        pangraph::detail::compileBandTables(
+            aligner.compiled(), aligner.costs(),
+            core::detail::kBandLanes<uint16_t>);
+    const pangraph::GraphBandTables wide =
+        pangraph::detail::compileBandTables(
+            aligner.compiled(), aligner.costs(),
+            core::detail::kBandLanes<uint32_t>);
+    ASSERT_FALSE(both.narrow.empty());
+    EXPECT_TRUE(wide.narrow.empty());
+    const size_t narrow =
+        both.narrow.weights.capacity() * sizeof(uint16_t) +
+        both.narrow.farBegin.capacity() * sizeof(uint32_t) +
+        both.narrow.far.capacity() *
+            sizeof(pangraph::GraphBandLanes<uint16_t>::FarGroup);
+    EXPECT_GT(narrow, 0u);
+    EXPECT_EQ(both.narrow.residentBytes(), narrow);
+    EXPECT_EQ(both.residentBytes(), wide.residentBytes() + narrow);
+}
+
+class GraphBandBound : public ::testing::TestWithParam<const GraphBandWidth *>
+{};
+
+TEST_P(GraphBandBound, TheBandRacesBelowTheBoundAndTheNextSweepFromIt)
+{
+    // Costs of w for every match and gap, mismatches forbidden, on a
+    // one-nt bubble (a -> b | c -> d, so d has a far predecessor):
+    // with K = 4, (|read| + 4 + 1) x w < bound holds up to |read| =
+    // 16378 at w = bound / 2^14 -- 2^16, the largest weight
+    // compileGraph admits, for the wide band's 2^30, and 1 for the
+    // narrow band's 2^14.  That race sits w below the bound, the next
+    // read length exactly on it, and a 20000-nt read sends the sink
+    // past the bound, which the band's lanes cannot hold.
+    const GraphBandWidth &width = *GetParam();
     util::Rng rng(6250);
-    const bio::Score w = core::kMaxWavefrontWeight;
+    const auto w = static_cast<bio::Score>(width.bound >> 14);
     ScoreMatrix m =
         ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, w);
     for (bio::Symbol x = 0; x < 4; ++x)
@@ -1145,27 +1313,81 @@ TEST(GraphBandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
     GraphAligner aligner(graph, m);
     pangraph::GraphAlignScratch scratch;
     for (size_t n : {size_t(16378), size_t(16379), size_t(20000)}) {
-        SCOPED_TRACE(testing::Message() << "|read|=" << n);
+        SCOPED_TRACE(testing::Message() << width.name << " |read|=" << n);
         const Sequence read = Sequence::random(rng, Alphabet::dna(), n);
-        EXPECT_EQ(pangraph::detail::graphBandExact(aligner.compiled(), read,
-                                                   m),
-                  n == 16378);
+        EXPECT_EQ((n + 4 + 1) * sim::Tick(w) < width.bound, n == 16378);
+        if (width.runs())
+            EXPECT_EQ(width.exact(aligner.compiled(), read, m), n == 16378);
         const auto opt = static_cast<sim::Tick>(
             pangraph::graphAlignDp(*graph, read, m).distance);
         EXPECT_EQ(pangraph::raceAlignmentGrid(aligner.compiled(), read, m)
                       .racedCost,
                   static_cast<bio::Score>(opt));
-        // The last horizon lies in [2^30, 2^62): past every 32-bit
-        // lane value, within the row sweep's range.
-        for (sim::Tick horizon :
-             {sim::kTickInfinity, opt - 1, opt, sim::Tick(1) << 40}) {
+        // The bound itself, past every lane value, and a horizon in
+        // [2^30, 2^62): past every 32-bit lane value, within the row
+        // sweep's range.
+        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt,
+                                  width.bound, sim::Tick(1) << 40}) {
             for (bool arrivals : {true, false}) {
-                expectGraphBandMatchesRows(
-                    aligner, read, horizon, arrivals, nullptr, scratch,
-                    &pangraph::raceAlignmentGrid);
-                if (n == 16378 && hostHasBand())
+                expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
+                                           nullptr, scratch,
+                                           &pangraph::raceAlignmentGrid);
+                if (n == 16378 && width.runs())
                     expectGraphBandMatchesRows(aligner, read, horizon,
-                                               arrivals, nullptr, scratch);
+                                               arrivals, nullptr, scratch,
+                                               width.race);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GraphBandBound,
+                         ::testing::Values(&kWide, &kNarrow), widthName);
+
+TEST(GraphBandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
+{
+    // The narrow band's pair table has 8 codes per axis: 7 letters and
+    // the unfired code, so a graph over 8 letters is compiled without
+    // the narrow band's tables.
+    util::Rng rng(6260);
+    for (size_t letters : {size_t(7), size_t(8)}) {
+        SCOPED_TRACE(testing::Message() << letters << " letters");
+        const Alphabet alphabet(
+            std::string("ACDEFGHIK").substr(0, letters));
+        ScoreMatrix m(alphabet, bio::ScoreKind::Cost);
+        for (size_t x = 0; x < letters; ++x) {
+            m.setGap(bio::Symbol(x), rng.uniformInt(1, 9));
+            for (size_t y = 0; y < letters; ++y)
+                m.setPair(bio::Symbol(x), bio::Symbol(y),
+                          x != y && rng.index(4) == 0
+                              ? bio::kScoreInfinity
+                              : rng.uniformInt(1, 9));
+        }
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = 8;
+        auto graph = std::make_shared<VariationGraph>(
+            pangraph::randomVariationGraph(rng, alphabet, params));
+        GraphAligner aligner(graph, m);
+        EXPECT_EQ(pangraph::detail::graphNarrowRaceable(aligner.compiled(),
+                                                        m),
+                  letters == 7);
+        const pangraph::GraphBandTables tables =
+            pangraph::detail::compileBandTables(
+                aligner.compiled(), m, core::detail::kBandLanes<uint16_t>);
+        EXPECT_EQ(tables.narrow.empty(), letters == 8);
+        pangraph::GraphAlignScratch scratch;
+        for (const GraphBandWidth *width : {&kWide, &kNarrow}) {
+            if (!width->runs())
+                continue;
+            for (const Sequence &read : bandReads(rng, *graph, width->lanes)) {
+                EXPECT_EQ(width->exact(aligner.compiled(), read, m),
+                          width->lanes == 16 || letters == 7);
+                if (width->exact(aligner.compiled(), read, m))
+                    expectGraphBandMatchesRowsEverywhere(*width, aligner,
+                                                         read, rng, scratch);
+                expectGraphBandMatchesRows(aligner, read, sim::kTickInfinity,
+                                           true, nullptr, scratch,
+                                           &pangraph::raceAlignmentGrid);
             }
         }
     }
@@ -1247,12 +1469,18 @@ TEST(GraphBandSweepCancel, RowSweepStopsWithTheTypedAbort)
         &pangraph::detail::raceAlignmentGridRows);
 }
 
-TEST(GraphBandSweepCancel, BandStopsWithTheTypedAbort)
+TEST(GraphBandSweepCancel, WideBandStopsWithTheTypedAbort)
 {
-    if (!hostHasBand())
-        GTEST_SKIP() << kNoBand;
-    expectGraphCancelledFromAnotherThread(
-        &pangraph::detail::raceAlignmentGridBand);
+    if (!kWide.runs())
+        GTEST_SKIP() << kWide.skip;
+    expectGraphCancelledFromAnotherThread(kWide.race);
+}
+
+TEST(GraphBandSweepCancel, NarrowBandStopsWithTheTypedAbort)
+{
+    if (!kNarrow.runs())
+        GTEST_SKIP() << kNarrow.skip;
+    expectGraphCancelledFromAnotherThread(kNarrow.race);
 }
 
 // ------------------------------ the edit grid as a one-segment graph
@@ -1339,15 +1567,29 @@ TEST(EditGridChain, OneSegmentProductIsTheEditGrid)
             core::detail::raceEditGridRows(a, b, costs, sim::kTickInfinity,
                                            scratch, nullptr, nullptr, false)
                 .score);
+        // The narrow band races DNA; protein's 20 letters race both
+        // kernels' dispatchers, which take the wide band.
+        const bool narrow =
+            core::detail::editGridBandExact<uint16_t>(a, b, costs) &&
+            kNarrow.exact(aligner.compiled(), a, costs);
+        EXPECT_EQ(narrow, kNarrow.runs() && round % 2 == 0);
         for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt}) {
             expectProductMatchesEditGrid(
                 a, b, aligner, horizon, &core::detail::raceEditGridRows,
                 &pangraph::detail::raceAlignmentGridRows);
-            if (hostHasBand())
+            if (kWide.runs())
                 expectProductMatchesEditGrid(
                     a, b, aligner, horizon,
-                    &core::detail::raceEditGridBand,
-                    &pangraph::detail::raceAlignmentGridBand);
+                    &core::detail::raceEditGridBand<uint32_t>, kWide.race);
+            if (narrow)
+                expectProductMatchesEditGrid(
+                    a, b, aligner, horizon,
+                    &core::detail::raceEditGridBand<uint16_t>,
+                    kNarrow.race);
+            else if (kNarrow.runs())
+                expectProductMatchesEditGrid(a, b, aligner, horizon,
+                                             &core::raceEditGrid,
+                                             &pangraph::raceAlignmentGrid);
         }
     }
 }

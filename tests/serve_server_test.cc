@@ -596,8 +596,8 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     ServeClient client = ServeClient::overTcp(server.port());
 
     // 2000 x 2000 grids: each solve outlasts the arrival of the rest
-    // even on the skewed AVX-512F band, so the queue holds several
-    // jobs whenever a worker frees up.
+    // even on the fastest sweep, the narrow AVX-512BW band, so the
+    // queue holds several jobs whenever a worker frees up.
     const size_t total = 16;
     for (size_t i = 0; i < total; ++i)
         ASSERT_TRUE(client.submitPairwise(
@@ -918,9 +918,10 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     ServeClient client = ServeClient::overTcp(server.port());
 
     // The blocker holds the single worker well past the doomed
-    // request's 1 ms deadline -- 4500 x 4500 cells race for over 10 ms
-    // even on the fastest sweep, the skewed AVX-512F band at under
-    // 1 ns per cell -- so the doomed job is still queued when the
+    // request's 1 ms deadline -- 4500 x 4500 cells, past the narrow
+    // band's 2^14 bound, race for over 10 ms even on the wide AVX-512F
+    // band at under 1 ns per cell -- so the doomed job is still queued
+    // when the
     // worker next pops, and it is shed without touching the engine.
     ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(4500, 41),
                                       dnaString(4500, 42)));
