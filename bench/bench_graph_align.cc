@@ -31,9 +31,8 @@ using bio::Sequence;
 
 namespace {
 
-// Which sweep produced the fused-kernel numbers: 32 lanes (the narrow
-// AVX-512BW graph band), 16 (the wide AVX-512F one) or 1 (the row
-// sweep).  Printed in the run's context, where tools/bench_compare.py
+// Which sweep produced the fused-kernel numbers: 32 lanes (the
+// AVX-512BW graph band) or 1 (the row sweep).  Printed in the run's context, where tools/bench_compare.py
 // reads it to pick each headline row's baseline.
 const bool kSweepContext = [] {
     benchmark::AddCustomContext("sweep_lanes",
@@ -121,7 +120,7 @@ void
 BM_GraphAlignFusedScalar(benchmark::State &state)
 {
     // BM_GraphAlignFused on the row sweep, called directly: the sweep
-    // raceAlignmentGrid runs on hosts without AVX-512F.  CI gates it
+    // raceAlignmentGrid runs on hosts without AVX-512BW.  CI gates it
     // against BM_GraphAlignOracle as well, so the fallback stays gated
     // on runners whose raceAlignmentGrid takes the band.
     Workload w(size_t(state.range(0)));
@@ -162,37 +161,6 @@ BM_GraphAlignServed(benchmark::State &state)
         int64_t(w.graph->totalLabelLength()));
 }
 BENCHMARK(BM_GraphAlignServed)->Arg(64);
-
-void
-BM_GraphAlignServedWide(benchmark::State &state)
-{
-    // BM_GraphAlignServed pinned to the wide band, sixteen 32-bit
-    // lanes: the band raceAlignmentGrid takes for these DNA reads only
-    // where the CPU has AVX-512F but not AVX-512BW.  Against
-    // BM_GraphAlignServed on an AVX-512BW host, the pair times the
-    // narrow band's gain on identical inputs.
-    if (!core::detail::hostRunsBand<uint32_t>()) {
-        state.SkipWithError("host has no AVX-512F");
-        return;
-    }
-    Workload w(size_t(state.range(0)));
-    pangraph::GraphAligner aligner(w.graph,
-                                   ScoreMatrix::dnaShortestPath());
-    pangraph::GraphAlignScratch scratch;
-    core::KernelCounters counters;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            pangraph::detail::raceAlignmentGridBand<uint32_t>(
-                aligner.compiled(), w.read, aligner.costs(),
-                sim::kTickInfinity, scratch, nullptr, &counters,
-                /*arrivals=*/false)
-                .racedCost);
-    benchmark::DoNotOptimize(counters.events);
-    state.SetItemsProcessed(
-        int64_t(state.iterations()) * int64_t(w.read.size()) *
-        int64_t(w.graph->totalLabelLength()));
-}
-BENCHMARK(BM_GraphAlignServedWide)->Arg(64);
 
 void
 BM_GraphAlignReference(benchmark::State &state)

@@ -30,8 +30,8 @@ using bio::Sequence;
 namespace {
 
 // Which sweep produced the BM_EventDrivenRace and
-// BM_RaceEditGridServed numbers: 32 lanes (the narrow AVX-512BW
-// band), 16 (the wide AVX-512F band) or 1 (the row sweep).  Printed
+// BM_RaceEditGridServed numbers: 32 lanes (the AVX-512BW band) or 1
+// (the row sweep).  Printed
 // in the run's context, where tools/bench_compare.py reads it to pick
 // each headline row's baseline.
 const bool kSweepContext = [] {
@@ -84,7 +84,7 @@ void
 BM_EventDrivenRaceScalar(benchmark::State &state)
 {
     // BM_EventDrivenRace on the row sweep, called directly: the sweep
-    // raceEditGrid runs on hosts without AVX-512F.  CI gates it against
+    // raceEditGrid runs on hosts without AVX-512BW.  CI gates it against
     // BM_ReferenceDp as well, so the fallback stays gated on runners
     // whose raceEditGrid takes the band.
     size_t n = size_t(state.range(0));
@@ -125,42 +125,14 @@ BM_RaceEditGridServed(benchmark::State &state)
 BENCHMARK(BM_RaceEditGridServed)->Arg(32)->Arg(128);
 
 void
-BM_RaceEditGridServedWide(benchmark::State &state)
-{
-    // BM_RaceEditGridServed pinned to the wide band, sixteen 32-bit
-    // lanes: the band raceEditGrid takes for these DNA races only
-    // where the CPU has AVX-512F but not AVX-512BW.  Against
-    // BM_RaceEditGridServed on an AVX-512BW host, the pair times the
-    // narrow band's gain on identical inputs.
-    if (!core::detail::hostRunsBand<uint32_t>()) {
-        state.SkipWithError("host has no AVX-512F");
-        return;
-    }
-    size_t n = size_t(state.range(0));
-    auto [a, b] = randomPair(1, n);
-    ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    core::RaceGridScratch scratch;
-    core::KernelCounters counters;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            core::detail::raceEditGridBand<uint32_t>(
-                a, b, m, sim::kTickInfinity, scratch, nullptr, &counters,
-                /*arrivals=*/false)
-                .score);
-    benchmark::DoNotOptimize(counters.events);
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(n) * int64_t(n));
-}
-BENCHMARK(BM_RaceEditGridServedWide)->Arg(128);
-
-void
 BM_RaceEditGridServedProtein(benchmark::State &state)
 {
     // The served race on BLOSUM62's shortest-path costs: twenty
-    // letters, more than the narrow band's pair table holds, so
-    // raceEditGrid takes the wide band wherever the CPU has AVX-512F.
-    // It keeps the wide band gated on AVX-512BW runners, where the
-    // DNA rows take the narrow one.
+    // letters, more than the band's pair table holds, so the band
+    // gathers its substitution weights.  It keeps the gather gated on
+    // AVX-512BW runners, where the DNA rows take the pair table.  At
+    // 1024 its costs pass the old worst-case path bound, (|a| + |b| + 1)
+    // x 16 < 2^14, yet its arrivals stay below 2^14: the band keeps it.
     size_t n = size_t(state.range(0));
     util::Rng rng(1);
     ScoreMatrix m = bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
@@ -177,7 +149,7 @@ BM_RaceEditGridServedProtein(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(n) * int64_t(n));
 }
-BENCHMARK(BM_RaceEditGridServedProtein)->Arg(128);
+BENCHMARK(BM_RaceEditGridServedProtein)->Arg(128)->Arg(1024);
 
 void
 BM_RaceDag(benchmark::State &state)

@@ -8,6 +8,7 @@
 
 #include "rl/api/api.h"
 #include "rl/bio/fasta.h"
+#include "rl/core/wavefront_band.h"
 #include "rl/pangraph/alignment_graph.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/wire.h"
@@ -60,7 +61,136 @@ graphContext()
     return ctx;
 }
 
+/** Bytes read front to back; past the end every read is 0. */
+class ByteReader
+{
+  public:
+    ByteReader(const uint8_t *data, size_t size) : data_(data), size_(size) {}
+
+    uint8_t
+    byte()
+    {
+        return at_ < size_ ? data_[at_++] : 0;
+    }
+
+    uint16_t
+    u16()
+    {
+        const uint16_t low = byte();
+        return static_cast<uint16_t>(low | byte() << 8);
+    }
+
+  private:
+    const uint8_t *data_;
+    size_t size_;
+    size_t at_ = 0;
+};
+
+/** One edit-grid race decoded from fuzz bytes (raceInput()). */
+struct RaceCase {
+    bio::ScoreMatrix costs;
+    bio::Sequence a, b;
+    sim::Tick horizon;
+    bool arrivals;
+};
+
+RaceCase
+decodeRace(const uint8_t *data, size_t size)
+{
+    static const std::string kLetters =
+        "ACGTDEFHIKLMNPQRSVWYBJOUXZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    ByteReader in(data, size);
+    const size_t letters = 1 + in.byte() % serve::kMaxWireAlphabet;
+    const bio::Alphabet alphabet(kLetters.substr(0, letters));
+
+    // Weights scale up to `top`, so small tops race near-DNA costs and
+    // large ones pass 2^14 within a few cells; 255 forbids a pair.
+    const auto top =
+        static_cast<bio::Score>(1 + in.u16() % serve::kMaxWireWeight);
+    auto weight = [&](uint8_t b) {
+        return 1 + static_cast<bio::Score>(b) * (top - 1) / 254;
+    };
+    bio::ScoreMatrix costs(alphabet, bio::ScoreKind::Cost);
+    for (size_t x = 0; x < letters; ++x) {
+        costs.setGap(static_cast<bio::Symbol>(x), weight(in.byte() % 255));
+        for (size_t y = 0; y < letters; ++y) {
+            const uint8_t b = in.byte();
+            costs.setPair(static_cast<bio::Symbol>(x),
+                          static_cast<bio::Symbol>(y),
+                          b == 255 && x != y ? bio::kScoreInfinity
+                                             : weight(b % 255));
+        }
+    }
+
+    // Lengths capped so that the grid stays near 2^16 cells; symbols
+    // past the bytes' end continue from a generator the bytes seed.
+    const size_t rows = in.u16() % 1024;
+    const size_t cols = std::min<size_t>(in.u16() % 1024,
+                                         (size_t(1) << 16) / (rows + 1));
+    uint32_t state = in.u16();
+    auto symbols = [&](size_t n) {
+        std::string s;
+        for (size_t i = 0; i < n; ++i) {
+            state = state * 1664525u + 1013904223u;
+            s.push_back(kLetters[(in.byte() + (state >> 24)) % letters]);
+        }
+        return bio::Sequence(alphabet, s);
+    };
+    bio::Sequence a = symbols(rows);
+    bio::Sequence b = symbols(cols);
+
+    // The horizon: unbounded, just below or just past 2^14, or any
+    // 16-bit value.
+    const uint8_t pick = in.byte();
+    const sim::Tick near = in.byte();
+    const sim::Tick bound = core::detail::kBandUnfired;
+    const sim::Tick horizon = pick % 4 == 0   ? sim::kTickInfinity
+                              : pick % 4 == 1 ? bound - 1 - near
+                              : pick % 4 == 2 ? bound + near
+                                              : in.u16();
+    return {std::move(costs), std::move(a), std::move(b), horizon,
+            (pick & 4) != 0};
+}
+
 } // namespace
+
+int
+raceInput(const uint8_t *data, size_t size)
+{
+    const RaceCase race = decodeRace(data, size);
+    core::RaceGridScratch scratch, rowScratch;
+    core::KernelCounters counters, rowCounters;
+    const core::RaceGridResult raced =
+        core::raceEditGrid(race.a, race.b, race.costs, race.horizon,
+                           scratch, nullptr, &counters, race.arrivals);
+    const core::RaceGridResult rows = core::detail::raceEditGridRows(
+        race.a, race.b, race.costs, race.horizon, rowScratch, nullptr,
+        &rowCounters, race.arrivals);
+    const auto field = [](const char *name, uint64_t got, uint64_t want) {
+        if (got != want)
+            violated("raceEditGrid == its row sweep",
+                     std::string(name) + " " + std::to_string(got) +
+                         " != " + std::to_string(want));
+    };
+    field("score", uint64_t(raced.score), uint64_t(rows.score));
+    field("completed", raced.completed, rows.completed);
+    field("cancelled", raced.cancelled, rows.cancelled);
+    field("latencyCycles", raced.latencyCycles, rows.latencyCycles);
+    field("cellsFired", raced.cellsFired, rows.cellsFired);
+    field("events", raced.events, rows.events);
+    field("arrival", raced.arrival == rows.arrival, true);
+    field("counters.events", counters.events, rowCounters.events);
+    field("counters.bucketsDrained", counters.bucketsDrained,
+          rowCounters.bucketsDrained);
+    field("counters.scratchHighWater", counters.scratchHighWater,
+          rowCounters.scratchHighWater);
+    field("counters.lanesOccupied", counters.lanesOccupied,
+          rowCounters.lanesOccupied);
+    field("counters.cancels", counters.cancels, rowCounters.cancels);
+    field("counters.horizonAborts", counters.horizonAborts,
+          rowCounters.horizonAborts);
+    return 0;
+}
 
 int
 gfaInput(const uint8_t *data, size_t size)

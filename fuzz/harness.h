@@ -35,6 +35,18 @@ int fastaInput(const uint8_t *data, size_t size);
  */
 int wireInput(const uint8_t *data, size_t size);
 
+/**
+ * Arbitrary bytes as one edit-grid race -- an alphabet of 1-64
+ * letters, a Cost matrix with weights in 1..serve::kMaxWireWeight,
+ * some forbidden pairs and finite gaps, two sequences of at most about
+ * 2^16 cells and a horizon drawn around 2^14 -- raced through
+ * core::raceEditGrid and its reference row sweep.  Aborts if the two
+ * differ on any RaceGridResult or KernelCounters field: on a host with
+ * the skewed band, this holds the band's exactness check (it keeps or
+ * gives back each race) to the row sweep.
+ */
+int raceInput(const uint8_t *data, size_t size);
+
 } // namespace racelogic::fuzz
 
 #endif // RACELOGIC_FUZZ_HARNESS_H

@@ -1,17 +1,16 @@
 /**
  * @file
- * The one skewed AVX-512 band behind both dense race kernels,
+ * The one skewed AVX-512BW band behind both dense race kernels,
  * core::raceEditGrid (rl/core/wavefront_band.h) and
- * pangraph::raceAlignmentGrid (rl/pangraph/graph_align_band.h), in two
- * lane widths: the lane counts and bounds, the band's tables, its step
- * and raceBands(), which races a kernel's rows band by band.  Internal
- * to the library.
+ * pangraph::raceAlignmentGrid (rl/pangraph/graph_align_band.h): its
+ * lanes and bound, its tables, its step and raceBands(), which races a
+ * kernel's rows band by band.  Internal to the library.
  *
- * A band races rows i0 .. i0+L-1 in the L lanes of one register, over
- * positions 0..K in sweep order, lane r one step behind lane r - 1: at
- * step t, lane r fires (i0 + r, t - r).  The edit grid is a chain of
- * K = |b| columns; a graph's product takes its positions in the order
- * of GraphBandTables::order.  The in-edges of (i, k):
+ * A band races rows i0 .. i0+31 in the thirty-two 16-bit lanes of one
+ * register, over positions 0..K in sweep order, lane r one step behind
+ * lane r - 1: at step t, lane r fires (i0 + r, t - r).  The edit grid
+ * is a chain of K = |b| columns; a graph's product takes its positions
+ * in the order of GraphBandTables::order.  The in-edges of (i, k):
  *
  *  - `up`, from (i - 1, k), is the previous step's value of lane
  *    r - 1 -- and, for lane 0, the stored row above the band;
@@ -34,37 +33,45 @@
  * A lane before position 0, past position K or past the band's last
  * row reads unfired padding, is in no far group, and stays unfired.
  *
- * The two widths differ in their lanes and in how a step reads the
- * substitution weights -- one per lane, since each lane consumes its
- * own row symbol:
+ * Each lane consumes its own row symbol, so a step looks its
+ * substitution weights up by the alphabet's size:
  *
- *  - the wide band, sixteen 32-bit lanes on hosts with AVX-512F:
- *    unfired is 2^30.  Its substitution rows are one weight row per
- *    row symbol, then an all-unfired row for the lanes past the band,
- *    and a step reads them with one 32-bit gather whose per-lane
- *    indices fall by one each step.  It races any alphabet;
- *  - the narrow band, thirty-two 16-bit lanes on hosts with
- *    AVX-512BW: unfired is 2^14.  Its one substitution row holds each
- *    position's column symbol code, and code |alphabet| marks
- *    position 0 and the padding.  A step loads the codes, adds each
- *    lane's row code x 8 (|alphabet| x 8 past the band's last row)
- *    and looks the weights up in a 64-entry table of pair weights
- *    with one vpermt2w: no gather.  Every entry of code |alphabet|
- *    is unfired, so the narrow band races alphabets of at most 7
- *    letters.
+ *  - up to 7 letters (DNA), with no gather: one substitution row
+ *    holds each position's column symbol code, and code |alphabet|
+ *    marks position 0 and the padding.  A step loads the codes, adds
+ *    each lane's row code x 8 (|alphabet| x 8 past the band's last
+ *    row) and looks the weights up in a 64-entry table of pair
+ *    weights with one vpermt2w; every entry of code |alphabet| is
+ *    unfired;
+ *  - from 8 letters (protein, and up to the 255 a bio::Symbol holds):
+ *    one weight row per row symbol, then an all-unfired row for the
+ *    lanes past the band.  A step reads them with two sixteen-lane
+ *    32-bit gathers at scale 2, whose per-lane indices fall by one
+ *    each step, and packs the low halves into the thirty-two lanes
+ *    with one vpermt2w.
  *
- * A lane holds the row sweep's working value, clamped to kBandUnfired;
- * a kernel takes a band only where that is exact (bandExact(): every
- * value of the race's longest path below unfired), so each lane does
- * the row sweep's arithmetic.  Events are tallied per target, in
- * lanes: each in-edge arrival a step forms is counted when it is
- * within the limit and folded into the latest arrival -- the edges the
- * row sweeps count per source, so a cancelled race counts the arrivals
- * into the rows it swept.  A lane's tally grows by at most three per
- * step and two per far predecessor; within the 2^14 bound a chain
- * stays under 2^16 (a chain has fewer than 2^14 + 32 steps), and a
- * graph's tables are built for the narrow band only where its far
- * predecessors keep it there (bandTallyFits()).
+ * A lane holds the row sweep's working value clamped to kBandUnfired
+ * = 2^14: every step takes min(value, 2^14), so a lane holds min(true
+ * value, 2^14), and every sum of a value and a (clamped) weight fits
+ * 16 bits.  The band therefore loses only arrivals at or past 2^14,
+ * and counts the row sweep's arrivals exactly within a limit below it.
+ * raceBands() keeps a race whose horizon is below 2^14, or whose
+ * latest counted arrival plus the matrix's largest finite weight is
+ * below 2^14 (bandHolds()); it gives up on any other, and the kernel
+ * races it again on its row sweep.  That check is sound: a lost
+ * arrival leaves a fired cell, whose value is at most the latest
+ * arrival counted, over an edge of at most the largest weight.  It
+ * runs after every band, so a race past the lanes stops early.
+ *
+ * Events are tallied per target, in lanes: each in-edge arrival a step
+ * forms is counted when it is within the limit and folded into the
+ * latest arrival -- the edges the row sweeps count per source, so a
+ * cancelled race counts the arrivals into the rows it swept.  A lane's
+ * event tally grows by at most three per step and two per far group
+ * of the step, its fired count by at most one; a graph's band folds
+ * both into the race's tally every so many steps, before they could
+ * wrap 16 bits, and a chain needs no fold (see the static_assert
+ * below).
  */
 
 #ifndef RACELOGIC_CORE_BAND_LANES_H
@@ -72,106 +79,93 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "rl/core/wavefront.h"
 
 namespace racelogic::core::detail {
 
-/** Rows one band of `Lane`s races: the lanes of a 512-bit register. */
-template <typename Lane>
-constexpr size_t kBandLanes = 64 / sizeof(Lane);
+/** Rows one band races: the 16-bit lanes of a 512-bit register. */
+constexpr size_t kBandLanes = 32;
 
 /**
  * Unfired padding on each side of a band's column-reversed rows and
- * of the row above: a lane runs up to L - 1 steps before its first
+ * of the row above: a lane runs up to 31 steps before its first
  * position and after its last, and the last lane's store trails lane
- * 0 by up to 2 (L - 1) elements.
+ * 0 by up to 62 elements.
  */
-template <typename Lane>
-constexpr size_t kBandPad = 2 * kBandLanes<Lane>;
+constexpr size_t kBandPad = 2 * kBandLanes;
 
 /**
- * A band's kSweepUnfired: the working value of an unfired cell and
- * every forbidden (or out-of-bound) weight.  Every lane value is
- * clamped to it, so the sum of a value and a weight fits the lane.
+ * The band's kSweepUnfired: the working value of an unfired cell and
+ * every forbidden (or larger) weight.  Every lane value is clamped to
+ * it, so the sum of a value and a weight fits the lane.
  */
-template <typename Lane>
-constexpr Lane kBandUnfired = Lane(1) << (sizeof(Lane) == 2 ? 14 : 30);
+constexpr uint16_t kBandUnfired = uint16_t(1) << 14;
 
-/** One bit per lane of a band of `Lane`s. */
-template <typename Lane>
-using BandMask = std::conditional_t<sizeof(Lane) == 2, uint32_t, uint16_t>;
+/** One bit per lane. */
+using BandMask = uint32_t;
 
 /** Ticks of history one band step keeps: its values, then its `up`s. */
-template <typename Lane>
-constexpr size_t kHistoryStride = 2 * kBandLanes<Lane>;
+constexpr size_t kHistoryStride = 2 * kBandLanes;
 
 /**
- * Symbol codes per axis of the narrow band's pair table: one per
- * letter and the unfired code |alphabet|, 8 x 8 16-bit entries in the
- * two registers of one vpermt2w.
+ * Symbol codes per axis of the pair table: one per letter and the
+ * unfired code |alphabet|, 8 x 8 16-bit entries in the two registers of
+ * one vpermt2w.  Alphabets of kPairCodes letters or more gather.
  */
 constexpr size_t kPairCodes = 8;
 
-/** True iff the band of `Lane`s races an alphabet of `letters`. */
-template <typename Lane>
+// The chain needs no fold.  Every weight is >= 1, so an arrival the
+// band counts into column j is at least j, and below kBandUnfired: a
+// lane counts at most three arrivals into each of the first 2^14
+// columns, and fires at most one cell in each.
+static_assert(3 * size_t(kBandUnfired) <= UINT16_MAX);
+
+/** True iff the band gathers the substitution weights of an alphabet
+ *  of `letters` letters, which its pair table cannot hold. */
 constexpr bool
-bandAlphabetFits(size_t letters)
+bandGathers(size_t letters)
 {
-    return sizeof(Lane) == 4 || letters < kPairCodes;
+    return letters >= kPairCodes;
 }
 
 /**
- * True iff a race whose paths take at most `edges` in-edges, each of
- * weight at most `maxWeight`, races exactly in `Lane`s:
- * (edges + 1) x maxWeight < kBandUnfired.  Every fired value and every
- * arrival out of a fired cell then stays below kBandUnfired, so
- * clamping to it loses nothing.  A race outside the bound takes a
- * wider band or the row sweep.
+ * The first weight row after the substitution rows -- the deletion
+ * row -- for an alphabet of `alpha` letters: after the codes, or after
+ * a weight row per letter and the all-unfired row.
  */
-template <typename Lane>
-bool
-bandExact(size_t edges, bio::Score maxWeight)
+constexpr size_t
+bandDeletionRow(size_t alpha)
 {
-    return maxWeight <= bio::Score((kBandUnfired<Lane> - 1) / (edges + 1));
+    return bandGathers(alpha) ? alpha + 1 : 1;
 }
 
-/**
- * True iff a lane's tallies fit a `Lane` over `steps` band steps with
- * `farEdges` far predecessors per lane: three arrivals per step and
- * two per far predecessor.
- */
-template <typename Lane>
-constexpr bool
-bandTallyFits(size_t steps, size_t farEdges)
-{
-    return 3 * steps + 2 * farEdges <= size_t(Lane(~Lane(0)));
-}
-
-// Within its bound a chain's tallies fit its lanes: fewer than
-// kBandUnfired positions, so three arrivals a step stay in range.
-static_assert(bandTallyFits<uint16_t>(
-    kBandUnfired<uint16_t> + kBandLanes<uint16_t>, 0));
-static_assert(bandTallyFits<uint32_t>(
-    kBandUnfired<uint32_t> + kBandLanes<uint32_t>, 0));
-
-/** A weight hoisted for a band: forbidden, or too large, is unfired. */
-template <typename Lane>
-Lane
+/** A weight hoisted for the band: forbidden, or larger, is unfired. */
+inline uint16_t
 bandWeight(bio::Score weight)
 {
-    return static_cast<Lane>(
-        std::min(sweepWeight(weight), sim::Tick(kBandUnfired<Lane>)));
+    return static_cast<uint16_t>(
+        std::min(sweepWeight(weight), sim::Tick(kBandUnfired)));
 }
 
-/** True iff this host runs the band of `Lane`s: AVX-512F for the wide
- *  band, AVX-512BW for the narrow one. */
-template <typename Lane>
-bool
+/**
+ * True iff a band race under `horizon` is exact so far, with its
+ * latest counted arrival at `latest` and no weight above `maxWeight`:
+ * the horizon is below kBandUnfired, or no arrival out of a fired cell
+ * reaches it.
+ */
+inline bool
+bandHolds(sim::Tick horizon, sim::Tick latest, bio::Score maxWeight)
+{
+    return horizon < kBandUnfired ||
+           latest + static_cast<sim::Tick>(maxWeight) < kBandUnfired;
+}
+
+/** True iff this host runs the band: AVX-512BW. */
+inline bool
 hostRunsBand()
 {
-    return sweepLanes() >= kBandLanes<Lane>;
+    return sweepLanes() == kBandLanes;
 }
 
 /**
@@ -180,51 +174,52 @@ hostRunsBand()
  * whose predecessor t - r - d it fired at step t - d into the ring's
  * slot `slot` = (t - d) mod window.
  */
-template <typename Lane>
 struct BandFarGroup {
     uint32_t slot = 0;
-    BandMask<Lane> lanes = 0;
+    BandMask lanes = 0;
 };
 
 /** One band race, as the step reads it. */
-template <typename Lane>
 struct Band {
     /** The row above the band by sweep index, positions 0..K, with
      *  kBandPad unfired ticks on each side.  On return it holds the
      *  band's last row. */
-    Lane *above = nullptr;
+    uint16_t *above = nullptr;
 
     /** The weight rows, from row 0 (layout above). */
-    const Lane *weights = nullptr;
+    const uint16_t *weights = nullptr;
 
     size_t positions = 0; ///< K + 1
 
     /** nullptr: score-only.  Otherwise the band's values, step by
      *  step: lane r at step t in skew[t * kBandLanes + r]. */
-    Lane *skew = nullptr;
+    uint16_t *skew = nullptr;
 
     /** A graph's far groups (step t races far[farBegin[t]] ..
-     *  far[farBegin[t + 1] - 1]) and its ring of window x
-     *  kHistoryStride ticks, 64-byte aligned. */
+     *  far[farBegin[t + 1] - 1]), its ring of window x kHistoryStride
+     *  ticks, 64-byte aligned, and the steps after which the step folds
+     *  its lanes' tallies (GraphBandTables::foldSteps). */
     const uint32_t *farBegin = nullptr;
-    const BandFarGroup<Lane> *far = nullptr;
-    Lane *history = nullptr;
+    const BandFarGroup *far = nullptr;
+    uint16_t *history = nullptr;
     size_t window = 0;
+    size_t foldSteps = 0;
 
-    /** Set by raceBands(): the deletion row at sweep index 0. */
-    const Lane *deletion = nullptr;
+    /** Set by raceBands(): the deletion row at sweep index 0, and
+     *  whether the step gathers its substitution weights. */
+    const uint16_t *deletion = nullptr;
+    bool gather = false;
 
-    /** Set by raceBands() for the narrow band: pair(r, c) at
-     *  r x kPairCodes + c, unfired where r or c is |alphabet|. */
+    /** Set by raceBands() where the step does not gather: pair(r, c)
+     *  at r x kPairCodes + c, unfired where r or c is |alphabet|. */
     uint16_t pairs[kPairCodes * kPairCodes] = {};
 
     /** Set per band by raceBands(): each lane's substitution index at
-     *  step 0 -- the wide band's gather index (symbol row x stride +
-     *  kBandPad + K + lane), the narrow band's row code x kPairCodes
-     *  -- its insertion weight (unfired past the band), and the rows in
-     *  the band, 1..kBandLanes. */
-    Lane row[kBandLanes<Lane>] = {};
-    Lane down[kBandLanes<Lane>] = {};
+     *  step 0 -- its gather index (symbol row x stride + kBandPad + K +
+     *  lane), or its row code x kPairCodes -- its insertion weight
+     *  (unfired past the band), and the rows in the band, 1..32. */
+    uint32_t row[kBandLanes] = {};
+    uint16_t down[kBandLanes] = {};
     size_t lanes = 0;
 };
 
@@ -233,63 +228,61 @@ struct Band {
  * lane's position K.  Adds the band's arrivals within tally.limit
  * (below kBandUnfired) to tally.events and tally.latest, and stores
  * each lane's fired count in fired[lane].  kChain races the edit
- * grid's chain, without the graph's chain gate, far groups and ring.
- * Requires hostRunsBand<Lane>().
+ * grid's chain, without the graph's chain gate, far groups, ring and
+ * fold.  Requires hostRunsBand().
  */
-template <typename Lane, bool kChain>
-void sweepBand(const Band<Lane> &band, SweepTally &tally,
-               uint32_t fired[kBandLanes<Lane>]);
+template <bool kChain>
+void sweepBand(const Band &band, SweepTally &tally,
+               uint32_t fired[kBandLanes]);
+
+/** How raceBands() stopped. */
+enum class BandRace {
+    Done,      ///< the last row was swept, or a row fired nothing
+    Cancelled, ///< a cancel poll stopped it
+    Lost,      ///< bandHolds() failed: race it on the row sweep
+};
 
 /**
- * The first weight row after a band's substitution rows -- the
- * deletion row -- for an alphabet of `alpha` letters.
+ * Race rows 1..|rows| of `band` band by band under `horizon`, each row
+ * consuming its symbol of `rows` under `costs`; band.above holds row 0,
+ * already counted in `tally`.  Checks bandHolds() first and after each
+ * band, and returns Lost at the first failure.  Per band: poll each
+ * row's cancel ahead of it (the first cancelled poll cuts the band
+ * there, so the rows swept are the rows polled), set the lanes'
+ * substitution indices and insertion weights, race the step, add the
+ * swept rows' fired counts to `cellsFired` and, when the band fills
+ * arrivals, hand them to publish(i0, swept).  Section 6: the first row
+ * with no fired cell stops the race, and no later row can fire either.
+ * Once the last row is swept, atLastRow() reads it in band.above.
  */
-template <typename Lane>
-constexpr size_t
-bandDeletionRow(size_t alpha)
-{
-    return sizeof(Lane) == 2 ? 1 : alpha + 1;
-}
-
-/**
- * Race rows 1..|rows| of `band` band by band, each row consuming its
- * symbol of `rows` under `costs`; band.above holds row 0.  Per band:
- * poll each row's cancel ahead of it (the first cancelled poll cuts
- * the band there, so the rows swept are the rows polled), set the
- * lanes' substitution indices and insertion weights, race the step,
- * add the swept rows' fired counts to `cellsFired` and, when the band
- * fills arrivals, hand them to publish(i0, swept).  Section 6: the
- * first row with no fired cell stops the race, and no later row can
- * fire either.  Once the last row is swept, atLastRow() reads it in
- * band.above.  Returns true iff a cancel stopped the race.
- */
-template <typename Lane, bool kChain, typename Publish, typename AtLastRow>
-bool
-raceBands(Band<Lane> &band, const bio::Sequence &rows,
-          const bio::ScoreMatrix &costs, SweepTally &tally,
-          size_t &cellsFired, const CancelToken *cancel,
+template <bool kChain, typename Publish, typename AtLastRow>
+BandRace
+raceBands(Band &band, const bio::Sequence &rows,
+          const bio::ScoreMatrix &costs, sim::Tick horizon,
+          SweepTally &tally, size_t &cellsFired, const CancelToken *cancel,
           Publish &&publish, AtLastRow &&atLastRow)
 {
-    constexpr size_t kLanes = kBandLanes<Lane>;
+    const bio::Score maxWeight = costs.maxFinite();
+    if (!bandHolds(horizon, tally.latest, maxWeight))
+        return BandRace::Lost;
     const size_t m = rows.size();
     const size_t alpha = costs.alphabet().size();
     const std::vector<bio::Symbol> &symbols = rows.symbols();
-    const size_t stride = band.positions + 2 * kBandPad<Lane>;
-    const size_t origin = kBandPad<Lane> + band.positions - 1; // index 0
-    band.deletion =
-        band.weights + bandDeletionRow<Lane>(alpha) * stride + origin;
-    if constexpr (sizeof(Lane) == 2) {
+    const size_t stride = band.positions + 2 * kBandPad;
+    const size_t origin = kBandPad + band.positions - 1; // index 0
+    band.gather = bandGathers(alpha);
+    band.deletion = band.weights + bandDeletionRow(alpha) * stride + origin;
+    if (!band.gather) {
         for (size_t r = 0; r < kPairCodes; ++r)
             for (size_t c = 0; c < kPairCodes; ++c)
                 band.pairs[r * kPairCodes + c] =
                     r < alpha && c < alpha
-                        ? bandWeight<Lane>(
-                              costs.pair(static_cast<bio::Symbol>(r),
-                                         static_cast<bio::Symbol>(c)))
-                        : kBandUnfired<Lane>;
+                        ? bandWeight(costs.pair(static_cast<bio::Symbol>(r),
+                                                static_cast<bio::Symbol>(c)))
+                        : kBandUnfired;
     }
-    for (size_t i0 = 1; i0 <= m; i0 += kLanes) {
-        size_t lanes = std::min(kLanes, m + 1 - i0);
+    for (size_t i0 = 1; i0 <= m; i0 += kBandLanes) {
+        size_t lanes = std::min(kBandLanes, m + 1 - i0);
         bool cancelled = false;
         for (size_t r = 0; r < lanes; ++r) {
             if (cancel && cancel->cancelled()) {
@@ -299,20 +292,21 @@ raceBands(Band<Lane> &band, const bio::Sequence &rows,
             }
         }
         if (lanes == 0)
-            return true;
+            return BandRace::Cancelled;
 
         band.lanes = lanes;
-        for (size_t r = 0; r < kLanes; ++r) {
+        for (size_t r = 0; r < kBandLanes; ++r) {
             const bool live = r < lanes;
             const size_t s = live ? symbols[i0 + r - 1] : alpha;
-            band.row[r] = static_cast<Lane>(
-                sizeof(Lane) == 2 ? s * kPairCodes : s * stride + origin + r);
-            band.down[r] =
-                live ? bandWeight<Lane>(costs.gap(symbols[i0 + r - 1]))
-                     : kBandUnfired<Lane>;
+            band.row[r] = static_cast<uint32_t>(
+                band.gather ? s * stride + origin + r : s * kPairCodes);
+            band.down[r] = live ? bandWeight(costs.gap(symbols[i0 + r - 1]))
+                                : kBandUnfired;
         }
-        uint32_t fired[kLanes];
-        sweepBand<Lane, kChain>(band, tally, fired);
+        uint32_t fired[kBandLanes];
+        sweepBand<kChain>(band, tally, fired);
+        if (!bandHolds(horizon, tally.latest, maxWeight))
+            return BandRace::Lost;
 
         // The rows after a row with no fired cell fired nothing and
         // scheduled nothing either, so the band's tally stands, and a
@@ -323,12 +317,12 @@ raceBands(Band<Lane> &band, const bio::Sequence &rows,
         if (band.skew)
             publish(i0, swept);
         if (swept < lanes)
-            return false;
+            return BandRace::Done;
         if (cancelled)
-            return true;
+            return BandRace::Cancelled;
     }
     atLastRow();
-    return false;
+    return BandRace::Done;
 }
 
 } // namespace racelogic::core::detail

@@ -40,11 +40,10 @@ sweepLanes()
 #if defined(__x86_64__)
     static const unsigned lanes = [] {
         __builtin_cpu_init();
-        if (!__builtin_cpu_supports("avx512f"))
-            return 1u;
-        return __builtin_cpu_supports("avx512bw")
-                   ? static_cast<unsigned>(detail::kBandLanes<uint16_t>)
-                   : static_cast<unsigned>(detail::kBandLanes<uint32_t>);
+        return __builtin_cpu_supports("avx512f") &&
+                       __builtin_cpu_supports("avx512bw")
+                   ? static_cast<unsigned>(detail::kBandLanes)
+                   : 1u;
     }();
     return lanes;
 #else
@@ -58,14 +57,11 @@ raceEditGrid(const bio::Sequence &a, const bio::Sequence &b,
              RaceGridScratch &scratch, const CancelToken *cancel,
              KernelCounters *counters, bool arrivals)
 {
-    using detail::editGridBandExact;
-    using detail::hostRunsBand;
-    if (hostRunsBand<uint16_t>() && editGridBandExact<uint16_t>(a, b, costs))
-        return detail::raceEditGridBand<uint16_t>(
-            a, b, costs, horizon, scratch, cancel, counters, arrivals);
-    if (hostRunsBand<uint32_t>() && editGridBandExact<uint32_t>(a, b, costs))
-        return detail::raceEditGridBand<uint32_t>(
-            a, b, costs, horizon, scratch, cancel, counters, arrivals);
+    if (detail::hostRunsBand()) {
+        if (std::optional<RaceGridResult> raced = detail::raceEditGridBand(
+                a, b, costs, horizon, scratch, cancel, counters, arrivals))
+            return std::move(*raced);
+    }
     return detail::raceEditGridRows(a, b, costs, horizon, scratch, cancel,
                                     counters, arrivals);
 }
@@ -197,65 +193,58 @@ raceEditGridRows(const bio::Sequence &a, const bio::Sequence &b,
     return result;
 }
 
-template <typename Lane>
-RaceGridResult
+std::optional<RaceGridResult>
 raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
                  const bio::ScoreMatrix &costs, sim::Tick horizon,
                  RaceGridScratch &scratch, const CancelToken *cancel,
                  KernelCounters *counters, bool arrivals)
 {
-    constexpr size_t kLanes = kBandLanes<Lane>;
-    constexpr size_t kPad = kBandPad<Lane>;
-    constexpr Lane kUnfired = kBandUnfired<Lane>;
     checkEditGridInputs(a, b, costs);
-    rl_assert(hostRunsBand<Lane>(), "the skewed band of ", kLanes,
-              " lanes needs a host with AVX-512",
-              sizeof(Lane) == 2 ? "BW" : "F");
-    rl_dassert(editGridBandExact<Lane>(a, b, costs),
-               "the race does not fit the band's lanes");
+    rl_assert(hostRunsBand(), "the skewed band needs a host with AVX-512BW");
 
     const size_t rows = a.size();
     const size_t cols = b.size();
     const size_t alpha = costs.alphabet().size();
     const std::vector<bio::Symbol> &symB = b.symbols();
-    BandBuffers<Lane> &buffers = scratch.band<Lane>();
+    BandBuffers &buffers = scratch.band;
 
     // The profile: a graph band's substitution rows and deletion row
-    // for the chain of columns (layout in rl/core/band_lanes.h) --
-    // each symbol's diagonal weights and the all-unfired row, or the
-    // column codes, then the horizontal weights.  The wide band's
-    // gather indices are 32-bit.
-    const size_t stride = cols + 1 + 2 * kPad;
-    const size_t horizontalRow = bandDeletionRow<Lane>(alpha);
-    rl_assert((horizontalRow + 1) * stride <= INT32_MAX,
+    // for the chain of columns (layout in rl/core/band_lanes.h) -- the
+    // column codes, or each symbol's diagonal weights and the
+    // all-unfired row -- then the horizontal weights.  The gather
+    // indices are 32-bit.
+    const bool gather = bandGathers(alpha);
+    const size_t stride = cols + 1 + 2 * kBandPad;
+    const size_t horizontalRow = bandDeletionRow(alpha);
+    rl_assert(!gather || (horizontalRow + 1) * stride <= INT32_MAX,
               "the band's profile outgrows its 32-bit gather indices");
-    std::vector<Lane> &profile = buffers.profile;
-    profile.assign((horizontalRow + 1) * stride, kUnfired);
-    if constexpr (sizeof(Lane) == 2)
-        std::fill_n(profile.begin(), stride, static_cast<Lane>(alpha));
+    std::vector<uint16_t> &profile = buffers.profile;
+    profile.assign((horizontalRow + 1) * stride, kBandUnfired);
+    if (!gather)
+        std::fill_n(profile.begin(), stride, static_cast<uint16_t>(alpha));
     for (size_t j = 1; j <= cols; ++j) {
-        const size_t at = kPad + cols - j;
-        if constexpr (sizeof(Lane) == 2) {
-            profile[at] = symB[j - 1];
-        } else {
+        const size_t at = kBandPad + cols - j;
+        if (gather) {
             for (size_t s = 0; s < alpha; ++s)
-                profile[s * stride + at] = bandWeight<Lane>(
+                profile[s * stride + at] = bandWeight(
                     costs.pair(static_cast<bio::Symbol>(s), symB[j - 1]));
+        } else {
+            profile[at] = symB[j - 1];
         }
         profile[horizontalRow * stride + at] =
-            bandWeight<Lane>(costs.gap(symB[j - 1]));
+            bandWeight(costs.gap(symB[j - 1]));
     }
-    const Lane *horizontal = profile.data() + horizontalRow * stride + kPad +
-                             cols;
-    buffers.row.assign(cols + 1 + 2 * kPad, kUnfired);
-    Lane *above = buffers.row.data() + kPad;
+    const uint16_t *horizontal =
+        profile.data() + horizontalRow * stride + kBandPad + cols;
+    buffers.row.assign(cols + 1 + 2 * kBandPad, kBandUnfired);
+    uint16_t *above = buffers.row.data() + kBandPad;
     if (arrivals)
-        buffers.skew.resize(kLanes * (cols + kLanes));
+        buffers.skew.resize(kBandLanes * (cols + kBandLanes));
 
     RaceGridResult result;
-    // Within the bound no arrival reaches kUnfired, so the lanes' limit
-    // below it counts exactly the row sweep's arrivals.
-    SweepTally tally(std::min(horizon, sim::Tick(kUnfired - 1)));
+    // No arrival the lanes hold reaches kBandUnfired, so a limit below
+    // it counts exactly the row sweep's arrivals while bandHolds().
+    SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
 
     // The arrival grid, written once: each swept row, staged, as its
     // band publishes it, then the rows the race left unswept.
@@ -285,14 +274,15 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         for (size_t j = 1; j <= cols; ++j) {
             const sim::Tick t = sim::Tick(above[j - 1]) + *(horizontal - j);
             tally.arrive(t);
-            above[j] = static_cast<Lane>(std::min(t, sim::Tick(kUnfired)));
+            above[j] = static_cast<uint16_t>(
+                std::min(t, sim::Tick(kBandUnfired)));
         }
         for (size_t j = 0; j <= cols; ++j)
             result.cellsFired += tally.fired(above[j]);
         if (arrivals)
             publishRow([&](size_t j) { return above[j]; });
 
-        Band<Lane> band;
+        Band band;
         band.above = above;
         band.weights = profile.data();
         band.positions = cols + 1;
@@ -300,15 +290,20 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         const auto publish = [&](size_t, size_t swept) {
             for (size_t r = 0; r < swept; ++r) {
                 // Lane r's cell in column j is at step j + r.
-                const Lane *lane = buffers.skew.data() + r * (kLanes + 1);
-                publishRow([&](size_t j) { return lane[j * kLanes]; });
+                const uint16_t *lane =
+                    buffers.skew.data() + r * (kBandLanes + 1);
+                publishRow([&](size_t j) { return lane[j * kBandLanes]; });
             }
         };
-        cancelled = raceBands<Lane, true>(
-            band, a, costs, tally, result.cellsFired, cancel, publish, [&] {
+        const BandRace raced = raceBands<true>(
+            band, a, costs, horizon, tally, result.cellsFired, cancel,
+            publish, [&] {
                 if (tally.fired(above[cols]))
                     sink = above[cols];
             });
+        if (raced == BandRace::Lost)
+            return std::nullopt;
+        cancelled = raced == BandRace::Cancelled;
     }
     if (arrivals) {
         cells.resize((rows + 1) * (cols + 1), sim::kTickInfinity);
@@ -318,15 +313,6 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     finishSweep(result, tally, sink, cancelled, horizon, cols + 1, counters);
     return result;
 }
-
-template RaceGridResult raceEditGridBand<uint16_t>(
-    const bio::Sequence &, const bio::Sequence &, const bio::ScoreMatrix &,
-    sim::Tick, RaceGridScratch &, const CancelToken *, KernelCounters *,
-    bool);
-template RaceGridResult raceEditGridBand<uint32_t>(
-    const bio::Sequence &, const bio::Sequence &, const bio::ScoreMatrix &,
-    sim::Tick, RaceGridScratch &, const CancelToken *, KernelCounters *,
-    bool);
 
 } // namespace detail
 

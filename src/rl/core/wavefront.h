@@ -16,20 +16,19 @@
  *    would count per settled cell in a pass over each finished row
  *    (SweepTally), off the recurrence's serial chain.  It runs on
  *    every host and is the reference;
- *  - the skewed band: L rows race in the L lanes of one register, lane
- *    r one column behind lane r-1, like a short linear systolic array
- *    riding the paper's diagonal wavefront -- thirty-two 16-bit lanes
- *    on hosts with AVX-512BW (the narrow band), sixteen 32-bit lanes on
- *    hosts with AVX-512F (the wide band).  Each step fires one cell of
- *    every row in the band and tallies the arrivals into them in
- *    lanes.  It is pangraph::raceAlignmentGrid's band, raced over the
- *    chain of columns (rl/core/band_lanes.h, rl/core/wavefront_band.h).
+ *  - the skewed band: thirty-two rows race in the 16-bit lanes of one
+ *    register, lane r one column behind lane r-1, like a short linear
+ *    systolic array riding the paper's diagonal wavefront, on hosts
+ *    with AVX-512BW.  Each step fires one cell of every row in the
+ *    band and tallies the arrivals into them in lanes.  It is
+ *    pangraph::raceAlignmentGrid's band, raced over the chain of
+ *    columns (rl/core/band_lanes.h, rl/core/wavefront_band.h).
  *
- * The CPU (sweepLanes(), once per process) and a bound on the race's
- * cost range pick the sweep: the narrowest band whose lanes are exact
- * for the race -- (|a| + |b| + 1) x the largest finite weight < 2^14
- * over at most 7 letters for the narrow band, < 2^30 for the wide one
- * -- and the row sweep for every other race.  Nothing else selects it.
+ * The CPU (sweepLanes(), once per process) picks the sweep: the band
+ * on a band host, the row sweep elsewhere.  A lane counts only up to
+ * 2^14, so the band keeps a race whose horizon is below 2^14 or whose
+ * arrivals stay clear of it (core::detail::bandHolds()), and hands
+ * every other race back to the row sweep.  Nothing else selects it.
  *
  * tests/core_wavefront_test.cc checks both sweeps against raceDag() on
  * the materialized edit graph, arrival grids and event counts
@@ -213,19 +212,18 @@ finishSweep(Result &result, const SweepTally &tally, sim::Tick sink,
 namespace detail {
 
 /**
- * A skewed band's working buffers, in its lanes (rl/core/band_lanes.h):
- * the row above its next band, padded with unfired cells on both
- * sides; the edit grid's weight rows (its profile) or a graph's ring
- * of past steps; and, when the band fills arrivals, its lanes step by
- * step (L x (K + L)), from which the arrivals are published row by
- * row.
+ * The skewed band's working buffers, in its 16-bit lanes
+ * (rl/core/band_lanes.h): the row above its next band, padded with
+ * unfired cells on both sides; the edit grid's weight rows (its
+ * profile) or a graph's ring of past steps; and, when the band fills
+ * arrivals, its lanes step by step (32 x (K + 32)), from which the
+ * arrivals are published row by row.
  */
-template <typename Lane>
 struct BandBuffers {
-    std::vector<Lane> row;
-    std::vector<Lane> profile;
-    std::vector<Lane> history;
-    std::vector<Lane> skew;
+    std::vector<uint16_t> row;
+    std::vector<uint16_t> profile;
+    std::vector<uint16_t> history;
+    std::vector<uint16_t> skew;
 
     /** Heap bytes currently retained. */
     size_t
@@ -233,7 +231,7 @@ struct BandBuffers {
     {
         return (row.capacity() + profile.capacity() + history.capacity() +
                 skew.capacity()) *
-               sizeof(Lane);
+               sizeof(uint16_t);
     }
 };
 
@@ -242,8 +240,7 @@ struct BandBuffers {
 /**
  * Reusable scratch state for raceEditGrid: the sweep's working row
  * plus the weights hoisted out of it.  The row sweep uses gapA,
- * columns, outEdges and row; the skewed bands their own buffers, the
- * wide band's 32-bit and the narrow band's 16-bit ones.
+ * columns, outEdges and row; the skewed band its own buffers.
  */
 struct RaceGridScratch {
     /** Vertical (gap) weight into row i: gap(a[i-1]); row 0 unfired. */
@@ -277,25 +274,13 @@ struct RaceGridScratch {
     /** The working row: the row being swept, over the row above. */
     std::vector<sim::Tick> row;
 
-    /** The bands' buffers; `profile` holds each band's in-edge
-     *  weights, column-reversed and padded (rl/core/band_lanes.h). */
-    detail::BandBuffers<uint32_t> wide;
-    detail::BandBuffers<uint16_t> narrow;
+    /** The band's buffers; `profile` holds its in-edge weights,
+     *  column-reversed and padded (rl/core/band_lanes.h). */
+    detail::BandBuffers band;
 
     /** One arrival row, staged by a band before it is appended to the
      *  arrival grid, so each cell of the grid is written once. */
     std::vector<sim::Tick> arrivalRow;
-
-    /** The buffers of the band of `Lane`s. */
-    template <typename Lane>
-    detail::BandBuffers<Lane> &
-    band()
-    {
-        if constexpr (sizeof(Lane) == 2)
-            return narrow;
-        else
-            return wide;
-    }
 
     /** Release all retained capacity. */
     void shrinkToFit() { *this = RaceGridScratch(); }
@@ -308,30 +293,27 @@ struct RaceGridScratch {
             return v.capacity() * sizeof(*v.data());
         };
         return bytes(gapA) + bytes(columns) + bytes(outEdges) + bytes(row) +
-               wide.residentBytes() + narrow.residentBytes() +
-               bytes(arrivalRow);
+               band.residentBytes() + bytes(arrivalRow);
     }
 };
 
 /**
  * Rows one step of the dense sweeps fires on this host -- edit-grid
  * rows in raceEditGrid(), read rows in pangraph::raceAlignmentGrid():
- * 32 where the CPU supports AVX-512BW (the narrow band), 16 where it
- * supports AVX-512F alone (the wide band), 1 elsewhere (the row
- * sweeps).  Decided once per process, from the CPU alone; both kernels
- * dispatch on it and, on a band host, race each race on the narrowest
- * band that is exact for it -- the narrow band needs the race within
- * 2^14 and an alphabet of at most 7 letters, the wide one the race
- * within 2^30 -- and on the row sweep when none is.
+ * 32 where the CPU supports AVX-512BW (the band), 1 elsewhere (the
+ * row sweeps).  Decided once per process, from the CPU alone; both
+ * kernels dispatch on it and, on a band host, race each race on the
+ * band, and again on the row sweep where the band's 16-bit lanes
+ * cannot hold it (core::detail::bandHolds()).
  */
 unsigned sweepLanes();
 
 /**
  * OR-type race of the edit graph of (a, b) under a race-ready cost
  * matrix, swept without materializing the graph -- in skewed bands of
- * sixteen or thirty-two rows where the CPU has them and the race fits
- * their lanes (see sweepLanes()), row by row elsewhere, with the same
- * result either way.
+ * thirty-two rows where the CPU has them and the race fits their lanes
+ * (see sweepLanes()), row by row elsewhere, with the same result either
+ * way.
  *
  * Semantically identical to racing makeEditGraph(a, b, costs) with
  * raceDag(..., RaceType::Or, horizon): same arrival grid (filled for

@@ -141,9 +141,9 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
         }
     }
 
-    // The graph band's tables, where raceAlignmentGrid will take a band.
-    if (core::detail::hostRunsBand<uint32_t>())
-        out.band = detail::compileBandTables(out, race, core::sweepLanes());
+    // The graph band's tables, where raceAlignmentGrid will take it.
+    if (core::detail::hostRunsBand())
+        out.band = detail::compileBandTables(out, race);
 
     return out;
 }

@@ -43,53 +43,9 @@
 namespace racelogic::pangraph {
 
 /**
- * One lane width's share of the graph band's tables (layout in
- * rl/core/band_lanes.h): the weight rows and far groups of every sweep
- * index, for the band of `Lane`s.
- */
-template <typename Lane>
-struct GraphBandLanes {
-    /**
-     * The band's weight rows: the substitution rows (the wide band's
-     * weight row per read symbol and all-unfired row, or the narrow
-     * band's column codes), the deletion row, the chain deletion row
-     * (the deletion weight where k - 1 precedes k) and the chain gate
-     * (0 there); both chain rows are unfired where k - 1 does not
-     * precede k.  Position 0 has no deletion or substitution in-edge:
-     * unfired in every row, code |alphabet| in the codes.
-     */
-    std::vector<Lane> weights;
-
-    /** The lanes of one band step whose far predecessors lie one
-     *  sweep distance back. */
-    using FarGroup = core::detail::BandFarGroup<Lane>;
-
-    /**
-     * The far predecessors -- every predecessor of k but k - 1 -- by
-     * band step, one group per sweep distance: step t races groups
-     * farBegin[t] .. farBegin[t+1] of `far`.  A lane is in as many of
-     * its step's groups as its position has far predecessors.
-     */
-    std::vector<uint32_t> farBegin;
-    std::vector<FarGroup> far;
-
-    /** True iff this width's tables were not built. */
-    bool empty() const { return weights.empty(); }
-
-    /** Heap bytes held by the tables. */
-    size_t
-    residentBytes() const
-    {
-        return weights.capacity() * sizeof(Lane) +
-               farBegin.capacity() * sizeof(uint32_t) +
-               far.capacity() * sizeof(FarGroup);
-    }
-};
-
-/**
- * The graph band's read-independent tables: the sweep order, and the
- * weights and far predecessors of every sweep index laid out for each
- * lane width of the skewed band (rl/core/band_lanes.h).
+ * The graph band's read-independent tables (layout in
+ * rl/core/band_lanes.h): the sweep order, and the weights and far
+ * predecessors of every sweep index.
  */
 struct GraphBandTables {
     /** Sweep index k -> position: position 0, then each segment's
@@ -103,29 +59,43 @@ struct GraphBandTables {
      *  longest far-predecessor distance in sweep order. */
     size_t window = 0;
 
-    /** The wide band's tables, and the narrow band's where it can race
-     *  the graph (empty elsewhere). */
-    GraphBandLanes<uint32_t> wide;
-    GraphBandLanes<uint16_t> narrow;
+    /** Band steps that cannot wrap a lane's 16-bit tallies, at three
+     *  arrivals a step and two per far group of the step with the
+     *  most: the band folds them into the race's after each run. */
+    size_t foldSteps = 0;
 
-    /** The tables of the band of `Lane`s. */
-    template <typename Lane>
-    const GraphBandLanes<Lane> &
-    lanes() const
-    {
-        if constexpr (sizeof(Lane) == 2)
-            return narrow;
-        else
-            return wide;
-    }
+    /**
+     * The band's weight rows: the substitution rows (the column codes
+     * up to 7 letters; from 8, a weight row per read symbol and the
+     * all-unfired row), the deletion row, the chain deletion row (the
+     * deletion weight where k - 1 precedes k) and the chain gate (0
+     * there); both chain rows are unfired where k - 1 does not precede
+     * k.  Position 0 has no deletion or substitution in-edge: unfired
+     * in every row, code |alphabet| in the codes.
+     */
+    std::vector<uint16_t> weights;
+
+    /**
+     * The far predecessors -- every predecessor of k but k - 1 -- by
+     * band step, one group per sweep distance: step t races groups
+     * farBegin[t] .. farBegin[t+1] of `far`.  A lane is in as many of
+     * its step's groups as its position has far predecessors.
+     */
+    std::vector<uint32_t> farBegin;
+    std::vector<core::detail::BandFarGroup> far;
+
+    /** True iff the band's tables were not built. */
+    bool empty() const { return weights.empty(); }
 
     /** Heap bytes held by the tables. */
     size_t
     residentBytes() const
     {
         return order.capacity() * sizeof(CharPos) +
-               rank.capacity() * sizeof(uint32_t) + wide.residentBytes() +
-               narrow.residentBytes();
+               rank.capacity() * sizeof(uint32_t) +
+               weights.capacity() * sizeof(uint16_t) +
+               farBegin.capacity() * sizeof(uint32_t) +
+               far.capacity() * sizeof(core::detail::BandFarGroup);
     }
 };
 
@@ -195,8 +165,9 @@ struct CompiledGraph {
 
     /**
      * The graph band's tables, built only where raceAlignmentGrid
-     * takes a band (core::sweepLanes() > 1) and empty elsewhere; the
-     * narrow band's only where it runs and can race the graph.
+     * takes the band (core::sweepLanes() > 1), and empty elsewhere and
+     * where one band step would race more far groups than its 16-bit
+     * tallies hold (detail::compileBandTables()).
      */
     GraphBandTables band;
 

@@ -7,102 +7,15 @@
 
 namespace racelogic::pangraph::detail {
 
-namespace {
-
-/**
- * Each sweep index's predecessors in sweep order: whether k - 1 is one
- * (chain[k]), and the distances back of every other one, those of k in
- * distance[offsets[k]] .. distance[offsets[k+1] - 1].
- */
-struct FarPredecessors {
-    std::vector<uint8_t> chain;
-    std::vector<uint32_t> offsets;
-    std::vector<uint32_t> distance;
-};
-
-/**
- * One width's tables: the weight rows, and the far groups of each band
- * step of kBandLanes<Lane> lanes.
- */
-template <typename Lane>
-GraphBandLanes<Lane>
-compileLanes(const CompiledGraph &compiled, const GraphBandTables &band,
-             const FarPredecessors &far, const bio::ScoreMatrix &race)
+GraphBandTables
+compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
 {
-    constexpr size_t kLanes = kBandLanes<Lane>;
-    constexpr size_t kPad = kBandPad<Lane>;
+    using core::detail::kBandLanes;
+    using core::detail::kBandPad;
+    using core::detail::kBandUnfired;
     const size_t positions = compiled.positionCount();
     const size_t chars = compiled.charCount;
     const size_t alpha = race.alphabet().size();
-    GraphBandLanes<Lane> lanes;
-
-    const size_t deletionRow = core::detail::bandDeletionRow<Lane>(alpha);
-    const size_t stride = positions + 2 * kPad;
-    rl_assert((deletionRow + 3) * stride <= INT32_MAX,
-              "the band's weights outgrow its 32-bit gather indices");
-    lanes.weights.assign((deletionRow + 3) * stride, kBandUnfired<Lane>);
-    auto entry = [&](size_t row, size_t k) -> Lane & {
-        return lanes.weights[row * stride + kPad + chars - k];
-    };
-    if constexpr (sizeof(Lane) == 2)
-        std::fill_n(lanes.weights.begin(), stride, static_cast<Lane>(alpha));
-    for (size_t k = 1; k < positions; ++k) {
-        const CharPos q = band.order[k];
-        if constexpr (sizeof(Lane) == 2) {
-            entry(0, k) = compiled.symbol[q];
-        } else {
-            for (size_t s = 0; s < alpha; ++s)
-                entry(s, k) = core::detail::bandWeight<Lane>(race.pair(
-                    static_cast<bio::Symbol>(s), compiled.symbol[q]));
-        }
-        const Lane deletion =
-            core::detail::bandWeight<Lane>(compiled.gapWeight[q]);
-        entry(deletionRow, k) = deletion;
-        if (far.chain[k]) {
-            entry(deletionRow + 1, k) = deletion;
-            entry(deletionRow + 2, k) = 0;
-        }
-    }
-
-    // The far groups, step by step: lane r at step t is at sweep index
-    // k = t - r, and fired its far predecessor k - d at step t - d,
-    // into lane r of that step's slot; the lanes whose predecessors lie
-    // d back form one group.
-    const size_t steps = positions + kLanes - 1;
-    using Mask = core::detail::BandMask<Lane>;
-    std::vector<std::pair<uint32_t, Mask>> groups; // (d, lanes)
-    lanes.farBegin.assign(steps + 1, 0);
-    for (size_t t = 0; t < steps; ++t) {
-        groups.clear();
-        for (size_t r = 0; r < kLanes && r <= t; ++r) {
-            const size_t k = t - r;
-            if (k >= positions)
-                continue;
-            for (uint32_t e = far.offsets[k]; e < far.offsets[k + 1]; ++e) {
-                const uint32_t d = far.distance[e];
-                auto group = std::find_if(
-                    groups.begin(), groups.end(),
-                    [d](const auto &g) { return g.first == d; });
-                if (group == groups.end())
-                    group = groups.insert(group, {d, Mask(0)});
-                group->second |= static_cast<Mask>(Mask(1) << r);
-            }
-        }
-        for (const auto &[d, mask] : groups)
-            lanes.far.push_back(
-                {static_cast<uint32_t>((t - d) & (band.window - 1)), mask});
-        lanes.farBegin[t + 1] = static_cast<uint32_t>(lanes.far.size());
-    }
-    return lanes;
-}
-
-} // namespace
-
-GraphBandTables
-compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race,
-                  unsigned lanes)
-{
-    const size_t positions = compiled.positionCount();
     GraphBandTables band;
 
     // The sweep order: position 0, then each segment's label in turn.
@@ -118,12 +31,14 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race,
     for (size_t k = 0; k < positions; ++k)
         band.rank[band.order[k]] = static_cast<uint32_t>(k);
 
-    // Each sweep index's far predecessors: every one but k - 1.  A
+    // Each sweep index's predecessors in sweep order: whether k - 1 is
+    // one (chain[k]), and the distances back of every other one, those
+    // of k in distance[offsets[k]] .. distance[offsets[k+1] - 1].  A
     // window above the longest distance keeps every slot a step reads
     // apart from the one it writes.
-    FarPredecessors far;
-    far.chain.assign(positions, 0);
-    far.offsets.assign(positions + 1, 0);
+    std::vector<uint8_t> chain(positions, 0);
+    std::vector<uint32_t> offsets(positions + 1, 0);
+    std::vector<uint32_t> distance;
     size_t longest = 0;
     for (size_t k = 1; k < positions; ++k) {
         const CharPos q = band.order[k];
@@ -131,28 +46,82 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race,
              e < compiled.predOffsets[q + 1]; ++e) {
             const uint32_t from = band.rank[compiled.pred[e]];
             rl_assert(from < k, "the sweep order must be topological");
-            if (!far.chain[k] && from + 1 == k) {
-                far.chain[k] = 1;
+            if (!chain[k] && from + 1 == k) {
+                chain[k] = 1;
             } else {
-                far.distance.push_back(static_cast<uint32_t>(k - from));
+                distance.push_back(static_cast<uint32_t>(k - from));
                 longest = std::max(longest, k - from);
             }
         }
-        far.offsets[k + 1] = static_cast<uint32_t>(far.distance.size());
+        offsets[k + 1] = static_cast<uint32_t>(distance.size());
     }
     band.window = std::bit_ceil(longest + 1);
 
-    // A lane tallies at most three arrivals per step and two per far
-    // predecessor of the positions it races.
-    using core::detail::bandTallyFits;
-    rl_assert(bandTallyFits<uint32_t>(positions + kBandLanes<uint32_t> - 1,
-                                      far.distance.size()),
-              "the graph outgrows the band's 32-bit tallies");
-    band.wide = compileLanes<uint32_t>(compiled, band, far, race);
-    if (lanes >= kBandLanes<uint16_t> && graphNarrowRaceable(compiled, race) &&
-        bandTallyFits<uint16_t>(positions + kBandLanes<uint16_t> - 1,
-                                far.distance.size()))
-        band.narrow = compileLanes<uint16_t>(compiled, band, far, race);
+    // The far groups, step by step: lane r at step t is at sweep index
+    // k = t - r, and fired its far predecessor k - d at step t - d,
+    // into lane r of that step's slot; the lanes whose predecessors lie
+    // d back form one group.  A step racing more groups than a lane's
+    // tallies take leaves the tables empty.
+    const size_t steps = positions + kBandLanes - 1;
+    std::vector<std::pair<uint32_t, core::detail::BandMask>> groups;
+    size_t widest = 0;
+    band.farBegin.assign(steps + 1, 0);
+    for (size_t t = 0; t < steps; ++t) {
+        groups.clear();
+        for (size_t r = 0; r < kBandLanes && r <= t; ++r) {
+            const size_t k = t - r;
+            if (k >= positions)
+                continue;
+            for (uint32_t e = offsets[k]; e < offsets[k + 1]; ++e) {
+                const uint32_t d = distance[e];
+                auto group = std::find_if(
+                    groups.begin(), groups.end(),
+                    [d](const auto &g) { return g.first == d; });
+                if (group == groups.end())
+                    group = groups.insert(group, {d, 0});
+                group->second |= core::detail::BandMask(1) << r;
+            }
+        }
+        widest = std::max(widest, groups.size());
+        if (3 + 2 * widest > UINT16_MAX)
+            return GraphBandTables();
+        for (const auto &[d, mask] : groups)
+            band.far.push_back(
+                {static_cast<uint32_t>((t - d) & (band.window - 1)), mask});
+        band.farBegin[t + 1] = static_cast<uint32_t>(band.far.size());
+    }
+    band.foldSteps = UINT16_MAX / (3 + 2 * widest);
+
+    // The weight rows.
+    const bool gather = core::detail::bandGathers(alpha);
+    const size_t deletionRow = core::detail::bandDeletionRow(alpha);
+    const size_t stride = positions + 2 * kBandPad;
+    if (gather && (deletionRow + 3) * stride > INT32_MAX)
+        return GraphBandTables();
+    band.weights.assign((deletionRow + 3) * stride, kBandUnfired);
+    auto entry = [&](size_t row, size_t k) -> uint16_t & {
+        return band.weights[row * stride + kBandPad + chars - k];
+    };
+    if (!gather)
+        std::fill_n(band.weights.begin(), stride,
+                    static_cast<uint16_t>(alpha));
+    for (size_t k = 1; k < positions; ++k) {
+        const CharPos q = band.order[k];
+        if (gather) {
+            for (size_t s = 0; s < alpha; ++s)
+                entry(s, k) = core::detail::bandWeight(race.pair(
+                    static_cast<bio::Symbol>(s), compiled.symbol[q]));
+        } else {
+            entry(0, k) = compiled.symbol[q];
+        }
+        const uint16_t deletion =
+            core::detail::bandWeight(compiled.gapWeight[q]);
+        entry(deletionRow, k) = deletion;
+        if (chain[k]) {
+            entry(deletionRow + 1, k) = deletion;
+            entry(deletionRow + 2, k) = 0;
+        }
+    }
     return band;
 }
 

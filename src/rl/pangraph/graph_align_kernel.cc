@@ -81,18 +81,14 @@ raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
                   const core::CancelToken *cancel,
                   core::KernelCounters *counters, bool arrivals)
 {
-    using core::detail::hostRunsBand;
-    using detail::graphBandExact;
-    if (hostRunsBand<uint16_t>() &&
-        graphBandExact<uint16_t>(compiled, read, costs))
-        return detail::raceAlignmentGridBand<uint16_t>(
-            compiled, read, costs, horizon, scratch, cancel, counters,
-            arrivals);
-    if (hostRunsBand<uint32_t>() &&
-        graphBandExact<uint32_t>(compiled, read, costs))
-        return detail::raceAlignmentGridBand<uint32_t>(
-            compiled, read, costs, horizon, scratch, cancel, counters,
-            arrivals);
+    // compileGraph() builds the band's tables only on a band host.
+    if (!compiled.band.empty()) {
+        if (std::optional<GraphRaceResult> raced =
+                detail::raceAlignmentGridBand(compiled, read, costs, horizon,
+                                              scratch, cancel, counters,
+                                              arrivals))
+            return std::move(*raced);
+    }
     return detail::raceAlignmentGridRows(compiled, read, costs, horizon,
                                          scratch, cancel, counters,
                                          arrivals);
@@ -243,8 +239,7 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
     return result;
 }
 
-template <typename Lane>
-GraphRaceResult
+std::optional<GraphRaceResult>
 raceAlignmentGridBand(const CompiledGraph &compiled,
                       const bio::Sequence &read,
                       const bio::ScoreMatrix &costs, sim::Tick horizon,
@@ -252,43 +247,39 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                       const core::CancelToken *cancel,
                       core::KernelCounters *counters, bool arrivals)
 {
-    constexpr size_t kLanes = kBandLanes<Lane>;
-    constexpr size_t kPad = kBandPad<Lane>;
-    constexpr Lane kUnfired = kBandUnfired<Lane>;
+    using core::detail::kBandLanes;
+    using core::detail::kBandPad;
+    using core::detail::kBandUnfired;
     const size_t states = checkGraphRaceInputs(compiled, read, costs);
-    rl_assert(core::detail::hostRunsBand<Lane>(), "the graph band of ",
-              kLanes, " lanes needs a host with AVX-512",
-              sizeof(Lane) == 2 ? "BW" : "F");
+    rl_assert(core::detail::hostRunsBand(),
+              "the graph band needs a host with AVX-512BW");
     const GraphBandTables &tables = compiled.band;
-    const GraphBandLanes<Lane> &lanes = tables.lanes<Lane>();
     rl_assert(tables.order.size() == compiled.positionCount() &&
-                  !lanes.empty(),
+                  !tables.empty(),
               "the graph was compiled without the band's tables");
-    rl_dassert(graphBandExact<Lane>(compiled, read, costs),
-               "the race does not fit the band's lanes");
 
     const size_t positions = compiled.positionCount();
     const std::vector<uint32_t> &rank = tables.rank;
-    core::detail::BandBuffers<Lane> &buffers = scratch.band<Lane>();
+    core::detail::BandBuffers &buffers = scratch.band;
 
     // The row above, by sweep index, padded with unfired ticks, and
     // the ring, from its first 64-byte boundary so that each vector
     // the band stores and loads is one cache line.
-    buffers.row.assign(positions + 2 * kPad, kUnfired);
-    Lane *above = buffers.row.data() + kPad;
-    const size_t ring = tables.window * core::detail::kHistoryStride<Lane>;
-    buffers.history.resize(ring + kLanes);
+    buffers.row.assign(positions + 2 * kBandPad, kBandUnfired);
+    uint16_t *above = buffers.row.data() + kBandPad;
+    const size_t ring = tables.window * core::detail::kHistoryStride;
+    buffers.history.resize(ring + kBandLanes);
     void *history = buffers.history.data();
-    size_t room = buffers.history.size() * sizeof(Lane);
-    history = std::align(64, ring * sizeof(Lane), history, room);
+    size_t room = buffers.history.size() * sizeof(uint16_t);
+    history = std::align(64, ring * sizeof(uint16_t), history, room);
     if (arrivals)
-        buffers.skew.resize(kLanes * (positions + kLanes));
+        buffers.skew.resize(kBandLanes * (positions + kBandLanes));
 
     GraphRaceResult result;
     result.nodes = states;
-    // Within the bound no arrival reaches kUnfired, so the lanes' limit
-    // below it counts exactly the row sweep's arrivals.
-    core::SweepTally tally(std::min(horizon, sim::Tick(kUnfired - 1)));
+    // No arrival the lanes hold reaches kBandUnfired, so a limit below
+    // it counts exactly the row sweep's arrivals while bandHolds().
+    core::SweepTally tally(std::min(horizon, sim::Tick(kBandUnfired - 1)));
     sim::Tick sinkTime = sim::kTickInfinity;
 
     // The arrival vector, written once: each swept read row, staged in
@@ -321,39 +312,40 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         above[0] = 0;
         for (size_t k = 1; k < positions; ++k) {
             const CharPos q = tables.order[k];
-            const sim::Tick gap = core::detail::bandWeight<Lane>(
-                compiled.gapWeight[q]);
-            sim::Tick best = kUnfired;
+            const sim::Tick gap =
+                core::detail::bandWeight(compiled.gapWeight[q]);
+            sim::Tick best = kBandUnfired;
             for (uint32_t e = compiled.predOffsets[q];
                  e < compiled.predOffsets[q + 1]; ++e) {
                 const sim::Tick t = above[rank[compiled.pred[e]]] + gap;
                 tally.arrive(t);
                 best = std::min(best, t);
             }
-            above[k] = static_cast<Lane>(best);
+            above[k] = static_cast<uint16_t>(best);
         }
         for (size_t k = 0; k < positions; ++k)
             result.cellsFired += tally.fired(above[k]);
         if (arrivals)
             publish([&](size_t k) { return above[k]; });
 
-        core::detail::Band<Lane> band;
+        core::detail::Band band;
         band.above = above;
-        band.weights = lanes.weights.data();
+        band.weights = tables.weights.data();
         band.positions = positions;
         band.skew = arrivals ? buffers.skew.data() : nullptr;
-        band.farBegin = lanes.farBegin.data();
-        band.far = lanes.far.data();
-        band.history = static_cast<Lane *>(history);
+        band.farBegin = tables.farBegin.data();
+        band.far = tables.far.data();
+        band.history = static_cast<uint16_t *>(history);
         band.window = tables.window;
-        cancelled = core::detail::raceBands<Lane, false>(
-            band, read, costs, tally, result.cellsFired, cancel,
+        band.foldSteps = tables.foldSteps;
+        const core::detail::BandRace raced = core::detail::raceBands<false>(
+            band, read, costs, horizon, tally, result.cellsFired, cancel,
             [&](size_t, size_t swept) {
                 // Lane r's state at sweep index k is at step k + r.
-                const Lane *skew = buffers.skew.data();
+                const uint16_t *skew = buffers.skew.data();
                 for (size_t r = 0; r < swept; ++r)
                     publish([&](size_t k) {
-                        return skew[(k + r) * kLanes + r];
+                        return skew[(k + r) * kBandLanes + r];
                     });
             },
             [&] {
@@ -368,6 +360,9 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                     }
                 }
             });
+        if (raced == core::detail::BandRace::Lost)
+            return std::nullopt;
+        cancelled = raced == core::detail::BandRace::Cancelled;
     }
     if (arrivals)
         result.arrival.resize(states, core::TemporalValue::never());
@@ -375,15 +370,6 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                     counters);
     return result;
 }
-
-template GraphRaceResult raceAlignmentGridBand<uint16_t>(
-    const CompiledGraph &, const bio::Sequence &, const bio::ScoreMatrix &,
-    sim::Tick, GraphAlignScratch &, const core::CancelToken *,
-    core::KernelCounters *, bool);
-template GraphRaceResult raceAlignmentGridBand<uint32_t>(
-    const CompiledGraph &, const bio::Sequence &, const bio::ScoreMatrix &,
-    sim::Tick, GraphAlignScratch &, const core::CancelToken *,
-    core::KernelCounters *, bool);
 
 } // namespace detail
 

@@ -30,9 +30,8 @@
  *    outside the serial min-plus loop.  It runs on every host and is
  *    the reference;
  *  - the skewed band both dense kernels share (rl/core/band_lanes.h):
- *    L read rows race in the L lanes of one register -- thirty-two
- *    16-bit lanes on hosts with AVX-512BW, sixteen 32-bit lanes on
- *    hosts with AVX-512F -- lane r one position behind lane r-1 in the
+ *    thirty-two read rows race in the 16-bit lanes of one register on
+ *    hosts with AVX-512BW, lane r one position behind lane r-1 in the
  *    sweep order, with the in-edges from predecessors other than the
  *    previous position loaded from a small ring of the band's past
  *    steps.  Its tables are read-independent and built once per
@@ -42,12 +41,11 @@
  *    one-segment graph.
  *
  * The CPU (core::sweepLanes(), once per process, shared with
- * core::raceEditGrid) and a bound on the race's cost range pick the
- * sweep: the narrowest band whose lanes are exact for the race --
- * (|read| + K + 1) x the largest finite weight < 2^14 for the narrow
- * band, on a graph compiled with its tables, < 2^30 for the wide one
- * -- and the row sweep for every other race.  Nothing else selects
- * it.
+ * core::raceEditGrid) picks the sweep: the band on a graph compiled
+ * with its tables, the row sweep elsewhere.  A lane counts only up to
+ * 2^14, so the band keeps a race whose horizon is below 2^14 or whose
+ * arrivals stay clear of it (core::detail::bandHolds()), and hands
+ * every other race back to the row sweep.  Nothing else selects it.
  *
  * The outcome is bit-identical -- arrival vector (AlignmentGraph::
  * node() layout, super-sink included), event count, sink score, and
@@ -113,8 +111,8 @@ struct GraphRaceResult {
 /**
  * Reusable scratch state for raceAlignmentGrid.  The row sweep uses
  * its two working rows (above, here) and the per-read weight rows
- * hoisted out of it (gapRead, pairRow); the graph bands their own
- * buffers, the wide band's 32-bit and the narrow band's 16-bit ones.
+ * hoisted out of it (gapRead, pairRow); the graph band its own
+ * buffers.
  */
 struct GraphAlignScratch {
     /**
@@ -135,29 +133,17 @@ struct GraphAlignScratch {
     /** Working values of read rows j - 1 and j, by graph position. */
     std::vector<sim::Tick> above, here;
 
-    /** The bands' buffers; `history` holds each band's ring of past
-     *  steps, from which it loads its far predecessors: window slots
-     *  of a step's values, then its `up`s, from the buffer's first
-     *  64-byte boundary, which the buffer's 64 more bytes leave room
-     *  for (layout in rl/core/band_lanes.h). */
-    core::detail::BandBuffers<uint32_t> wide;
-    core::detail::BandBuffers<uint16_t> narrow;
+    /** The band's buffers; `history` holds its ring of past steps,
+     *  from which it loads its far predecessors: window slots of a
+     *  step's values, then its `up`s, from the buffer's first 64-byte
+     *  boundary, which the buffer's 64 more bytes leave room for
+     *  (layout in rl/core/band_lanes.h). */
+    core::detail::BandBuffers band;
 
     /** One read row of arrivals, staged by a band in position order
      *  before it is appended to the arrival vector, so each entry of
      *  the vector is written once. */
     std::vector<core::TemporalValue> arrivalRow;
-
-    /** The buffers of the band of `Lane`s. */
-    template <typename Lane>
-    core::detail::BandBuffers<Lane> &
-    band()
-    {
-        if constexpr (sizeof(Lane) == 2)
-            return narrow;
-        else
-            return wide;
-    }
 
     /** Release all retained capacity. */
     void shrinkToFit() { *this = GraphAlignScratch(); }
@@ -169,7 +155,7 @@ struct GraphAlignScratch {
         return (gapRead.capacity() + pairRow.capacity() +
                 above.capacity() + here.capacity()) *
                    sizeof(sim::Tick) +
-               wide.residentBytes() + narrow.residentBytes() +
+               band.residentBytes() +
                arrivalRow.capacity() * sizeof(core::TemporalValue);
     }
 };
@@ -177,10 +163,9 @@ struct GraphAlignScratch {
 /**
  * OR-type race of `read` against a compiled graph under the race-ready
  * cost matrix it was compiled with, swept without materializing the
- * product DAG -- in skewed bands of sixteen or thirty-two read rows
- * where the CPU has them and the race fits their lanes (see
- * core::sweepLanes()), read row by read row elsewhere, with the same
- * result either way.
+ * product DAG -- in skewed bands of thirty-two read rows where the CPU
+ * has them and the race fits their lanes (see core::sweepLanes()),
+ * read row by read row elsewhere, with the same result either way.
  *
  * Semantically identical to racing buildAlignmentGraph(compiled,
  * read, costs) on core::raceDag with the same horizon:
@@ -206,7 +191,7 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  *
  * `cancel` (nullptr = never) is polled once per read row (a band
  * polls its rows just before sweeping them, so a cancel is seen within
- * one band of 16 or 32 read rows); a cancelled race comes back
+ * one band of 32 read rows); a cancelled race comes back
  * completed = false with cancelled = true, score
  * kScoreInfinity, and latencyCycles the latest arrival scheduled
  * before the sweep stopped -- the same typed-abort shape as a horizon

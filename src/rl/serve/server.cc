@@ -228,7 +228,7 @@ AlignServer::metricsSnapshot() const
 
     // Which sweeps produced the kernel series, in both dense kernels
     // (raceEditGrid and raceAlignmentGrid): 32 lanes for the AVX-512BW
-    // bands, 16 for the AVX-512F ones, 1 for the row sweeps.
+    // band, 1 for the row sweeps.
     gauge("rl_kernel_sweep_lanes",
           static_cast<int64_t>(core::sweepLanes()));
 

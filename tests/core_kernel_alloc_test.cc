@@ -5,7 +5,9 @@
  * perfbench/src/count_new.cc), so the count is exact: once a scratch
  * has grown to a race's shape, racing that shape again -- through
  * core::raceEditGrid, through pangraph::raceAlignmentGrid and through
- * each of their sweeps -- makes no heap allocation at all.
+ * each of their sweeps, on the band's pair table and its gather, with
+ * a fold of the graph band's tallies, and a race the band gives back
+ * to the row sweep -- makes no heap allocation at all.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +16,11 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "rl/bio/score_convert.h"
 #include "rl/core/wavefront.h"
 #include "rl/core/wavefront_band.h"
 #include "rl/pangraph/generate.h"
@@ -106,27 +111,129 @@ TEST(KernelAllocations, CountingOperatorNewSeesTheHeap)
     EXPECT_EQ(gAllocations.load() - before, 1u);
 }
 
-TEST(KernelAllocations, WarmScoreOnlyEditGridRaceAllocatesNothing)
+/** raceEditGrid's sweeps, the band's as the dispatcher calls it. */
+using EditGridSweep = decltype(&core::detail::raceEditGridRows);
+
+std::vector<EditGridSweep>
+editGridSweeps()
 {
-    util::Rng rng(7100);
-    const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
-    const Sequence a = Sequence::random(rng, Alphabet::dna(), 160);
-    const Sequence b = Sequence::random(rng, Alphabet::dna(), 150);
+    std::vector<EditGridSweep> sweeps = {&core::raceEditGrid,
+                                         &core::detail::raceEditGridRows};
+    if (core::detail::hostRunsBand())
+        sweeps.push_back([](const Sequence &a, const Sequence &b,
+                            const ScoreMatrix &m, sim::Tick horizon,
+                            core::RaceGridScratch &scratch,
+                            const core::CancelToken *cancel,
+                            core::KernelCounters *counters, bool arrivals) {
+            std::optional<core::RaceGridResult> raced =
+                core::detail::raceEditGridBand(a, b, m, horizon, scratch,
+                                               cancel, counters, arrivals);
+            EXPECT_TRUE(raced.has_value());
+            return raced ? std::move(*raced) : core::RaceGridResult();
+        });
+    return sweeps;
+}
+
+/** Every sweep of (a, b) under `m`, warm, score-only, at two horizons,
+ *  makes no heap allocation. */
+void
+expectWarmEditGridRacesAllocateNothing(const Sequence &a, const Sequence &b,
+                                       const ScoreMatrix &m)
+{
     const core::CancelToken never;
-    using Sweep = decltype(&core::detail::raceEditGridRows);
-    std::vector<Sweep> sweeps = {&core::raceEditGrid,
-                                 &core::detail::raceEditGridRows};
-    if (core::detail::hostRunsBand<uint32_t>())
-        sweeps.push_back(&core::detail::raceEditGridBand<uint32_t>);
-    if (core::detail::hostRunsBand<uint16_t>())
-        sweeps.push_back(&core::detail::raceEditGridBand<uint16_t>);
-    for (Sweep sweep : sweeps) {
+    for (EditGridSweep sweep : editGridSweeps()) {
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
             core::RaceGridScratch scratch;
             core::KernelCounters counters;
             EXPECT_EQ(warmAllocationsPerRace([&] {
                           (void)sweep(a, b, m, horizon, scratch, &never,
                                       &counters, false);
+                      }),
+                      0.0)
+                << "horizon " << horizon;
+        }
+    }
+}
+
+TEST(KernelAllocations, WarmScoreOnlyEditGridRaceAllocatesNothing)
+{
+    util::Rng rng(7100);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 160);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 150);
+    expectWarmEditGridRacesAllocateNothing(a, b, m);
+}
+
+TEST(KernelAllocations, WarmScoreOnlyProteinRaceAllocatesNothing)
+{
+    // Twenty letters: the band gathers its substitution weights.
+    util::Rng rng(7110);
+    const ScoreMatrix m =
+        bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
+    const Sequence a = Sequence::random(rng, Alphabet::protein(), 160);
+    const Sequence b = Sequence::random(rng, Alphabet::protein(), 150);
+    expectWarmEditGridRacesAllocateNothing(a, b, m);
+}
+
+TEST(KernelAllocations, WarmRaceTheBandGivesBackAllocatesNothing)
+{
+    // Gaps of 600: arrivals pass 2^14 in the first band, so an
+    // unbounded raceEditGrid races the band, gives up, and races the
+    // row sweep.
+    util::Rng rng(7120);
+    ScoreMatrix m =
+        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 600);
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 40);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 20);
+    core::RaceGridScratch scratch;
+    core::KernelCounters counters;
+    if (core::detail::hostRunsBand())
+        EXPECT_FALSE(core::detail::raceEditGridBand(
+                         a, b, m, sim::kTickInfinity, scratch, nullptr,
+                         &counters, false)
+                         .has_value());
+    EXPECT_EQ(warmAllocationsPerRace([&] {
+                  (void)core::raceEditGrid(a, b, m, sim::kTickInfinity,
+                                           scratch, nullptr, &counters,
+                                           false);
+              }),
+              0.0);
+}
+
+/** raceAlignmentGrid's sweeps, the band's as the dispatcher calls it. */
+using GraphSweep = decltype(&pangraph::detail::raceAlignmentGridRows);
+
+/** Every sweep of `read` against `aligner`'s graph, warm, score-only,
+ *  at two horizons, makes no heap allocation. */
+void
+expectWarmGraphRacesAllocateNothing(const pangraph::GraphAligner &aligner,
+                                    const Sequence &read)
+{
+    const core::CancelToken never;
+    std::vector<GraphSweep> sweeps = {&pangraph::raceAlignmentGrid,
+                                      &pangraph::detail::raceAlignmentGridRows};
+    if (core::detail::hostRunsBand())
+        sweeps.push_back([](const pangraph::CompiledGraph &compiled,
+                            const Sequence &r, const ScoreMatrix &costs,
+                            sim::Tick horizon,
+                            pangraph::GraphAlignScratch &scratch,
+                            const core::CancelToken *cancel,
+                            core::KernelCounters *counters, bool arrivals) {
+            std::optional<pangraph::GraphRaceResult> raced =
+                pangraph::detail::raceAlignmentGridBand(
+                    compiled, r, costs, horizon, scratch, cancel, counters,
+                    arrivals);
+            EXPECT_TRUE(raced.has_value());
+            return raced ? std::move(*raced) : pangraph::GraphRaceResult();
+        });
+    for (GraphSweep sweep : sweeps) {
+        for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
+            pangraph::GraphAlignScratch scratch;
+            core::KernelCounters counters;
+            EXPECT_EQ(warmAllocationsPerRace([&] {
+                          (void)sweep(aligner.compiled(), read,
+                                      aligner.costs(), horizon, scratch,
+                                      &never, &counters, false);
                       }),
                       0.0)
                 << "horizon " << horizon;
@@ -142,29 +249,30 @@ TEST(KernelAllocations, WarmScoreOnlyGraphRaceAllocatesNothing)
     auto graph = std::make_shared<pangraph::VariationGraph>(
         pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
     pangraph::GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
-    const Sequence read = pangraph::sampleRead(
-        rng, *graph, bio::MutationModel::uniform(0.1));
-    const core::CancelToken never;
-    using Sweep = decltype(&pangraph::detail::raceAlignmentGridRows);
-    std::vector<Sweep> sweeps = {&pangraph::raceAlignmentGrid,
-                                 &pangraph::detail::raceAlignmentGridRows};
-    if (core::detail::hostRunsBand<uint32_t>())
-        sweeps.push_back(&pangraph::detail::raceAlignmentGridBand<uint32_t>);
-    if (core::detail::hostRunsBand<uint16_t>())
-        sweeps.push_back(&pangraph::detail::raceAlignmentGridBand<uint16_t>);
-    for (Sweep sweep : sweeps) {
-        for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
-            pangraph::GraphAlignScratch scratch;
-            core::KernelCounters counters;
-            EXPECT_EQ(warmAllocationsPerRace([&] {
-                          (void)sweep(aligner.compiled(), read,
-                                      aligner.costs(), horizon, scratch,
-                                      &never, &counters, false);
-                      }),
-                      0.0)
-                << "horizon " << horizon;
-        }
-    }
+    expectWarmGraphRacesAllocateNothing(
+        aligner,
+        pangraph::sampleRead(rng, *graph, bio::MutationModel::uniform(0.1)));
+}
+
+TEST(KernelAllocations, WarmScoreOnlyGraphRaceThatFoldsAllocatesNothing)
+{
+    // A chain of 12000 one-nt segments, each linked to the next three:
+    // a lane's tallies pass 2^16 within one band, so the band folds
+    // them mid-band.
+    const size_t segments = 12000;
+    util::Rng rng(7210);
+    auto graph =
+        std::make_shared<pangraph::VariationGraph>(Alphabet::dna());
+    const Sequence labels = Sequence::random(rng, Alphabet::dna(), segments);
+    for (size_t i = 0; i < segments; ++i)
+        graph->addSegment("s" + std::to_string(i), labels.slice(i, 1));
+    for (size_t i = 0; i < segments; ++i)
+        for (size_t d = 1; d <= 3 && i + d < segments; ++d)
+            graph->addLink(static_cast<pangraph::SegmentId>(i),
+                           static_cast<pangraph::SegmentId>(i + d));
+    pangraph::GraphAligner aligner(
+        graph, ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 1));
+    expectWarmGraphRacesAllocateNothing(aligner, labels.slice(100, 40));
 }
 
 } // namespace

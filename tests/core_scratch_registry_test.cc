@@ -129,16 +129,15 @@ TEST(ScratchShrink, GraphAlignScratchReleasesItsHighWater)
     EXPECT_GT(scratch.residentBytes(), 0u);
 }
 
-/**
- * A graph race on the band of `Lane`s, with the arrival vector on, is
- * published to the registry: it fills all of the band's buffers -- the
- * padded row above, the history and the skew buffer -- and shrinkAll()
- * releases them.
- */
-template <typename Lane>
-void
-expectGraphBandBuffersVisibleAndReclaimed()
+TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
 {
+    // A graph race on the band, with the arrival vector on, is
+    // published to the registry: it fills all of the band's buffers --
+    // the padded row above, the history and the skew buffer -- and
+    // shrinkAll() releases them.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << "host has no AVX-512BW: raceAlignmentGrid runs the "
+                        "row sweep alone";
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
     const size_t baseline = registry.totalResidentBytes();
 
@@ -153,18 +152,18 @@ expectGraphBandBuffersVisibleAndReclaimed()
     });
     {
         core::ScratchLease lease(reg.entry());
-        (void)pangraph::detail::raceAlignmentGridBand<Lane>(
-            aligner.compiled(), w.read, aligner.costs(), sim::kTickInfinity,
-            scratch);
+        EXPECT_TRUE(pangraph::detail::raceAlignmentGridBand(
+                        aligner.compiled(), w.read, aligner.costs(),
+                        sim::kTickInfinity, scratch)
+                        .has_value());
     }
-    const core::detail::BandBuffers<Lane> &buffers =
-        scratch.template band<Lane>();
+    const core::detail::BandBuffers &buffers = scratch.band;
     EXPECT_GT(buffers.history.capacity(), 0u);
     EXPECT_GT(buffers.skew.capacity(), 0u);
     const size_t band = buffers.residentBytes();
     EXPECT_GE(band, (buffers.row.capacity() + buffers.history.capacity() +
                      buffers.skew.capacity()) *
-                        sizeof(Lane));
+                        sizeof(uint16_t));
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
@@ -174,22 +173,6 @@ expectGraphBandBuffersVisibleAndReclaimed()
     EXPECT_EQ(buffers.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
     EXPECT_LE(registry.totalResidentBytes(), baseline);
-}
-
-TEST(ScratchRegistry, GraphBandBuffersAreVisibleAndReclaimed)
-{
-    if (!core::detail::hostRunsBand<uint32_t>())
-        GTEST_SKIP() << "host has no AVX-512F: raceAlignmentGrid runs the "
-                        "row sweep alone";
-    expectGraphBandBuffersVisibleAndReclaimed<uint32_t>();
-}
-
-TEST(ScratchRegistry, NarrowGraphBandBuffersAreVisibleAndReclaimed)
-{
-    if (!core::detail::hostRunsBand<uint16_t>())
-        GTEST_SKIP() << "host has no AVX-512BW: raceAlignmentGrid never "
-                        "takes the narrow band";
-    expectGraphBandBuffersVisibleAndReclaimed<uint16_t>();
 }
 
 TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
@@ -220,16 +203,15 @@ TEST(ScratchRegistry, LeasePublishesAndShrinkAllReclaims)
     EXPECT_LE(registry.totalResidentBytes(), baseline);
 }
 
-/**
- * An edit-grid race on the band of `Lane`s, with the arrival grid on,
- * is published to the registry: it fills all of the band's buffers --
- * the padded row above, the reversed profile and the skew buffer --
- * and shrinkAll() releases them.
- */
-template <typename Lane>
-void
-expectBandBuffersVisibleAndReclaimed()
+TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
 {
+    // An edit-grid race on the band, with the arrival grid on, is
+    // published to the registry: it fills all of the band's buffers --
+    // the padded row above, the reversed profile and the skew buffer --
+    // and shrinkAll() releases them.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << "host has no AVX-512BW: raceEditGrid runs the row "
+                        "sweep alone";
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
     const size_t baseline = registry.totalResidentBytes();
 
@@ -241,19 +223,19 @@ expectBandBuffersVisibleAndReclaimed()
     });
     {
         core::ScratchLease lease(reg.entry());
-        (void)core::detail::raceEditGridBand<Lane>(
-            dna(longDna(300)), dna(longDna(300)),
-            bio::ScoreMatrix::dnaShortestPath(), sim::kTickInfinity,
-            scratch);
+        EXPECT_TRUE(core::detail::raceEditGridBand(
+                        dna(longDna(300)), dna(longDna(300)),
+                        bio::ScoreMatrix::dnaShortestPath(),
+                        sim::kTickInfinity, scratch)
+                        .has_value());
     }
-    const core::detail::BandBuffers<Lane> &buffers =
-        scratch.template band<Lane>();
+    const core::detail::BandBuffers &buffers = scratch.band;
     EXPECT_GT(buffers.profile.capacity(), 0u);
     EXPECT_GT(buffers.skew.capacity(), 0u);
     const size_t band = buffers.residentBytes();
     EXPECT_GE(band, (buffers.row.capacity() + buffers.profile.capacity() +
                      buffers.skew.capacity()) *
-                        sizeof(Lane));
+                        sizeof(uint16_t));
     EXPECT_GE(scratch.residentBytes(), band);
     EXPECT_GE(registry.totalResidentBytes(), baseline + band);
 
@@ -263,22 +245,6 @@ expectBandBuffersVisibleAndReclaimed()
     EXPECT_EQ(buffers.skew.capacity(), 0u);
     EXPECT_EQ(scratch.residentBytes(), 0u);
     EXPECT_LE(registry.totalResidentBytes(), baseline);
-}
-
-TEST(ScratchRegistry, BandBuffersAreVisibleAndReclaimed)
-{
-    if (!core::detail::hostRunsBand<uint32_t>())
-        GTEST_SKIP() << "host has no AVX-512F: raceEditGrid runs the row "
-                        "sweep alone";
-    expectBandBuffersVisibleAndReclaimed<uint32_t>();
-}
-
-TEST(ScratchRegistry, NarrowBandBuffersAreVisibleAndReclaimed)
-{
-    if (!core::detail::hostRunsBand<uint16_t>())
-        GTEST_SKIP() << "host has no AVX-512BW: raceEditGrid never takes "
-                        "the narrow band";
-    expectBandBuffersVisibleAndReclaimed<uint16_t>();
 }
 
 TEST(ScratchRegistry, ThrowingSolveStillPublishesHonestBytes)

@@ -6,15 +6,18 @@
  * horizon -- with the event count and the latest firing the DP
  * determines in closed form.  The grid-direct kernel must reproduce
  * raceDag's race of the materialized edit graph exactly (arrival grids
- * and event counts included), and its skewed bands, in both lane
- * widths, must reproduce its row sweep field for field and counter for
- * counter.
+ * and event counts included), and its skewed band must reproduce its
+ * row sweep field for field and counter for counter wherever it keeps
+ * a race, and give back exactly the races its 16-bit lanes cannot
+ * hold.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "rl/bio/align_dp.h"
 #include "rl/bio/edit_graph.h"
@@ -300,42 +303,33 @@ TEST_P(GridKernel, HorizonMatchesFullRacePrefix)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridKernel, ::testing::Range(0, 10));
 
-// ----------------------------------------- skewed bands vs row sweep
+// ------------------------------------------- the skewed band vs row sweep
 
 using EditGridSweep = decltype(&core::detail::raceEditGridRows);
 
+constexpr size_t kLanes = core::detail::kBandLanes;
+constexpr sim::Tick kBound = core::detail::kBandUnfired; // 2^14
+
+const char *const kNoBand =
+    "host has no AVX-512BW: raceEditGrid runs the row sweep alone";
+
 /**
- * One lane width of the skewed band: its detail:: entry, whether this
- * host runs it, whether a race fits it, its lane count and bound.
+ * raceEditGrid's band, which must keep the race: one it gives back to
+ * the row sweep fails the test and reads as a default result.
  */
-struct BandWidth {
-    const char *name;
-    EditGridSweep race;
-    bool (*runs)();
-    bool (*exact)(const Sequence &, const Sequence &, const ScoreMatrix &);
-    size_t lanes;
-    sim::Tick bound; ///< the band's kBandUnfired
-    const char *skip;
-};
-
-template <typename Lane>
-BandWidth
-bandWidth(const char *name, const char *skip)
+core::RaceGridResult
+keptBand(const Sequence &a, const Sequence &b, const ScoreMatrix &m,
+         sim::Tick horizon, core::RaceGridScratch &scratch,
+         const core::CancelToken *cancel, core::KernelCounters *counters,
+         bool arrivals)
 {
-    return {name,
-            &core::detail::raceEditGridBand<Lane>,
-            &core::detail::hostRunsBand<Lane>,
-            &core::detail::editGridBandExact<Lane>,
-            core::detail::kBandLanes<Lane>,
-            core::detail::kBandUnfired<Lane>,
-            skip};
+    std::optional<core::RaceGridResult> raced =
+        core::detail::raceEditGridBand(a, b, m, horizon, scratch, cancel,
+                                       counters, arrivals);
+    EXPECT_TRUE(raced.has_value())
+        << "the band gave the race back to the row sweep";
+    return raced ? std::move(*raced) : core::RaceGridResult();
 }
-
-const BandWidth kWide = bandWidth<uint32_t>(
-    "Wide", "host has no AVX-512F: raceEditGrid runs the row sweep alone");
-const BandWidth kNarrow = bandWidth<uint16_t>(
-    "Narrow", "host has no AVX-512BW: raceEditGrid never takes the narrow "
-              "band");
 
 /**
  * Race (a, b) on the row sweep and on `subject` and assert the
@@ -377,35 +371,65 @@ expectBandMatchesRows(const Sequence &a, const Sequence &b,
     EXPECT_EQ(bandCounters.horizonAborts, rowCounters.horizonAborts);
 }
 
-/** The band of `width` for (a, b) where it races them exactly, else
- *  raceEditGrid, which takes the next exact sweep. */
-EditGridSweep
-bandOrDispatch(const BandWidth &width, const Sequence &a, const Sequence &b,
-               const ScoreMatrix &m)
+/**
+ * Race (a, b) under `horizon` on the band where the host has it, and
+ * assert it keeps the race exactly when its lanes hold it -- the
+ * horizon is below 2^14, or the row sweep's latest arrival plus the
+ * largest weight is -- and then matches the row sweep; and that
+ * raceEditGrid, which races the row sweep again for a race the band
+ * gives back, matches it either way.  Returns whether the band kept
+ * the race (false on a host without the band).
+ */
+bool
+expectBandKeepsWhatItsLanesHold(const Sequence &a, const Sequence &b,
+                                const ScoreMatrix &m, sim::Tick horizon,
+                                bool arrivals)
 {
-    if (width.exact(a, b, m))
-        return width.race;
-    return &core::raceEditGrid;
+    SCOPED_TRACE(testing::Message() << "|a|=" << a.size() << " |b|="
+                                    << b.size() << " horizon=" << horizon
+                                    << " arrivals=" << arrivals);
+    expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
+                          &core::raceEditGrid);
+    if (!core::detail::hostRunsBand())
+        return false;
+    core::RaceGridScratch rowScratch, bandScratch;
+    core::KernelCounters rowCounters, bandCounters;
+    (void)core::detail::raceEditGridRows(a, b, m, horizon, rowScratch,
+                                         nullptr, &rowCounters, false);
+    const sim::Tick latest = rowCounters.bucketsDrained - 1;
+    const bool holds = horizon < kBound ||
+                       latest + static_cast<sim::Tick>(m.maxFinite()) < kBound;
+    const std::optional<core::RaceGridResult> band =
+        core::detail::raceEditGridBand(a, b, m, horizon, bandScratch,
+                                       nullptr, &bandCounters, arrivals);
+    EXPECT_EQ(band.has_value(), holds) << "latest arrival " << latest;
+    if (band)
+        expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
+                              &keptBand);
+    else
+        EXPECT_EQ(bandCounters.events + bandCounters.bucketsDrained +
+                      bandCounters.scratchHighWater +
+                      bandCounters.lanesOccupied + bandCounters.cancels +
+                      bandCounters.horizonAborts,
+                  0u)
+            << "a race the band gave back touched the counters";
+    return band.has_value();
 }
 
-class BandSweep
-    : public ::testing::TestWithParam<std::tuple<const BandWidth *, int>>
+class BandSweep : public ::testing::TestWithParam<int>
 {
   protected:
     void
     SetUp() override
     {
-        if (!width().runs())
-            GTEST_SKIP() << width().skip;
+        if (!core::detail::hostRunsBand())
+            GTEST_SKIP() << kNoBand;
     }
-
-    const BandWidth &width() const { return *std::get<0>(GetParam()); }
-    int seed() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
 {
-    util::Rng rng(5100 + seed());
+    util::Rng rng(5100 + GetParam());
     const ScoreMatrix protein =
         bio::toShortestPathForm(ScoreMatrix::blosum62()).costs;
     const core::CancelToken never;
@@ -417,15 +441,12 @@ TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
         for (int trial = 0; trial < 3; ++trial) {
             // Empty sequences on the first two trials; otherwise any
             // length up to 200, so the last band is mostly partial.
+            // DNA takes the pair table, protein's 20 letters the
+            // gather, and the band keeps every race.
             const size_t rows = trial == 0 ? 0 : rng.index(201);
             const size_t cols = trial == 1 ? 0 : rng.index(201);
             const Sequence a = Sequence::random(rng, m.alphabet(), rows);
             const Sequence b = Sequence::random(rng, m.alphabet(), cols);
-            // The narrow band races DNA; protein's 20 letters take the
-            // wide band.
-            EXPECT_EQ(width().exact(a, b, m),
-                      width().lanes == 16 || m.alphabet().size() == 4);
-            const EditGridSweep subject = bandOrDispatch(width(), a, b, m);
             const sim::Tick opt =
                 static_cast<sim::Tick>(bio::globalScore(a, b, m));
             for (sim::Tick horizon :
@@ -433,11 +454,11 @@ TEST_P(BandSweep, MatchesRowSweepOnEveryFieldAndCounter)
                   opt, sim::Tick(rng.index(2 * opt + 2))}) {
                 for (bool arrivals : {true, false}) {
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          nullptr, subject);
+                                          nullptr, &keptBand);
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          &never, subject);
+                                          &never, &keptBand);
                     expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          &already, subject);
+                                          &already, &keptBand);
                 }
             }
         }
@@ -448,48 +469,31 @@ TEST_P(BandSweep, EveryBandShapeAroundTheLaneCount)
 {
     // Row and column counts on both sides of each band boundary, with
     // horizons that stop the sweep inside a band.
-    util::Rng rng(5300 + seed());
+    util::Rng rng(5300 + GetParam());
     const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
-    const size_t lanes = width().lanes;
-    const size_t rows = static_cast<size_t>(seed()) + 1; // 1..3 lanes
-    for (size_t cols : {size_t(0), size_t(1), lanes - 1, lanes, lanes + 1,
-                        2 * lanes + 1}) {
+    const size_t rows = static_cast<size_t>(GetParam()) + 1; // 1..3 bands
+    for (size_t cols : {size_t(0), size_t(1), kLanes - 1, kLanes,
+                        kLanes + 1, 2 * kLanes + 1}) {
         const Sequence a = Sequence::random(rng, Alphabet::dna(), rows);
         const Sequence b = Sequence::random(rng, Alphabet::dna(), cols);
         for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(rows / 2),
                                   sim::Tick(rows + 3)})
             expectBandMatchesRows(a, b, m, horizon, true, nullptr,
-                                  width().race);
+                                  &keptBand);
     }
 }
 
-/** A BandSweep parameter's name: the width, then the seed. */
-std::string
-bandParamName(
-    const testing::TestParamInfo<std::tuple<const BandWidth *, int>> &info)
-{
-    return std::string(std::get<0>(info.param)->name) + "_" +
-           std::to_string(std::get<1>(info.param));
-}
-
 // One seed per row count of EveryBandShapeAroundTheLaneCount.
-INSTANTIATE_TEST_SUITE_P(
-    Wide, BandSweep,
-    ::testing::Combine(::testing::Values(&kWide),
-                       ::testing::Range(0, static_cast<int>(3 * 16))),
-    bandParamName);
-INSTANTIATE_TEST_SUITE_P(
-    Narrow, BandSweep,
-    ::testing::Combine(::testing::Values(&kNarrow),
-                       ::testing::Range(0, static_cast<int>(3 * 32))),
-    bandParamName);
+INSTANTIATE_TEST_SUITE_P(Seeds, BandSweep,
+                         ::testing::Range(0, static_cast<int>(3 * kLanes)));
 
-// ------------------------------------------------ the bands' bounds
+// -------------------------------------------------- the band's bound
 
 /**
  * DNA costs of `w` for every match and every gap, with mismatches
  * forbidden: a grid of two sequences with no symbol in common races
- * gap chains alone, so its costs climb to (|a| + |b|) x w.
+ * gap chains alone, so its costs climb to (|a| + |b|) x w, and every
+ * arrival is at most that.
  */
 ScoreMatrix
 gapChainCosts(bio::Score w)
@@ -503,64 +507,141 @@ gapChainCosts(bio::Score w)
     return m;
 }
 
-class BandBound : public ::testing::TestWithParam<const BandWidth *>
-{};
-
-TEST_P(BandBound, TheBandRacesBelowTheBoundAndTheNextSweepFromIt)
+/** |a| letters over {A, C} and |b| over {G, T}: no symbol in common,
+ *  so under gapChainCosts(w) the sink fires at (|a| + |b|) w. */
+std::pair<Sequence, Sequence>
+gapChainPair(util::Rng &rng, size_t rows, size_t cols)
 {
-    // |a| + |b| = 63, so (63 + 1) x w < bound holds up to w = under,
-    // (bound - 1) / 64: 2^24 - 1 for the wide band's 2^30, 255 for the
-    // narrow band's 2^14.  That race sits 64 below the bound, the next
-    // weight exactly on it, and twice that weight sends the sink past
-    // the bound, which the band's lanes cannot hold.  a is over {A, C}
-    // and b over {G, T}, so the sink fires at 63 w.
-    const BandWidth &width = *GetParam();
-    util::Rng rng(5800);
     std::string left, right;
-    for (int j = 0; j < 32; ++j) {
+    for (size_t i = 0; i < rows; ++i)
         left += rng.bernoulli(0.5) ? 'A' : 'C';
+    for (size_t j = 0; j < cols; ++j)
         right += rng.bernoulli(0.5) ? 'G' : 'T';
-    }
-    const Sequence a(Alphabet::dna(), left.substr(1));
-    const Sequence b(Alphabet::dna(), right);
-    const auto under = static_cast<bio::Score>((width.bound - 1) / 64);
-    for (bio::Score w : {under, under + 1, 2 * under + 2}) {
-        SCOPED_TRACE(testing::Message() << width.name << " w=" << w);
+    return {Sequence(Alphabet::dna(), left),
+            Sequence(Alphabet::dna(), right)};
+}
+
+TEST(BandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+{
+    // |a| + |b| = 63, so the sink fires at 63 w and the latest arrival
+    // is the sink's.  At w = 255 that plus w is 64 x 255 < 2^14: the
+    // band keeps the race under every horizon.  At w = 256 it is 2^14
+    // exactly, and at 512 the sink itself is past 2^14: the band keeps
+    // those races only under horizons below 2^14, and gives the rest
+    // back to the row sweep.  The horizons: the sink less one, the
+    // sink, 2^14, and 2^40, past every lane value.
+    util::Rng rng(5800);
+    const auto [a, b] = gapChainPair(rng, 31, 32);
+    for (bio::Score w : {255, 256, 512}) {
+        SCOPED_TRACE(testing::Message() << "w=" << w);
         const ScoreMatrix m = gapChainCosts(w);
-        EXPECT_EQ(width.exact(a, b, m), w == under);
-        EXPECT_EQ(64 * sim::Tick(w) < width.bound, w == under);
         const auto sink = static_cast<sim::Tick>(63 * w);
         EXPECT_EQ(core::raceEditGrid(a, b, m).score, 63 * w);
-        // The bound itself, past every lane value, and a horizon in
-        // [2^30, 2^62): past every 32-bit lane value, within the row
-        // sweep's range.
-        for (sim::Tick horizon : {sim::kTickInfinity, sink - 1, sink,
-                                  width.bound, sim::Tick(1) << 40}) {
+        for (sim::Tick horizon : {sim::kTickInfinity, sink - 1, sink, kBound,
+                                  sim::Tick(1) << 40}) {
             for (bool arrivals : {true, false}) {
-                expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
-                                      &core::raceEditGrid);
-                if (w == under && width.runs())
-                    expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                          nullptr, width.race);
+                const bool kept = expectBandKeepsWhatItsLanesHold(
+                    a, b, m, horizon, arrivals);
+                if (core::detail::hostRunsBand())
+                    EXPECT_EQ(kept, w == 255 || horizon < kBound);
             }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, BandBound,
-                         ::testing::Values(&kWide, &kNarrow),
-                         [](const auto &info) {
-                             return std::string(info.param->name);
-                         });
+TEST(BandBound, LatestArrivalPlusTheLargestWeightDecides)
+{
+    // Unbounded gap-chain races whose latest arrival is the sink's,
+    // (|a| + |b|) w: 128 x 127 + 127 = 2^14 - 1 is kept, and
+    // 127 x 128 + 128 = 2^14 is raced again on the row sweep.
+    util::Rng rng(5810);
+    for (const auto &[rows, w] : {std::pair<size_t, bio::Score>{64, 127},
+                                  std::pair<size_t, bio::Score>{63, 128}}) {
+        SCOPED_TRACE(testing::Message() << "w=" << w);
+        const auto [a, b] = gapChainPair(rng, rows, 64);
+        const ScoreMatrix m = gapChainCosts(w);
+        EXPECT_EQ((rows + 64 + 1) * sim::Tick(w), w == 127 ? kBound - 1
+                                                           : kBound);
+        for (bool arrivals : {true, false}) {
+            const bool kept = expectBandKeepsWhatItsLanesHold(
+                a, b, m, sim::kTickInfinity, arrivals);
+            if (core::detail::hostRunsBand())
+                EXPECT_EQ(kept, w == 127);
+        }
+    }
+}
+
+TEST(BandBound, RacesGoBackInTheirFirstBandOrTheirLast)
+{
+    // Heavy weights: 600 per gap, so row 0's 20 columns stay clear of
+    // 2^14 and the first band's rows pass it.  Then 128 per gap over
+    // 70 rows: the first two bands' arrivals reach 124 x 128, 128 below
+    // 2^14, and only the last band's six rows pass it.  Both go back to
+    // the row sweep, unbounded; under a horizon below 2^14 the band
+    // keeps them.
+    util::Rng rng(5820);
+    for (const auto &[rows, cols, w] :
+         {std::tuple<size_t, size_t, bio::Score>{40, 20, 600},
+          std::tuple<size_t, size_t, bio::Score>{70, 60, 128}}) {
+        SCOPED_TRACE(testing::Message() << "w=" << w);
+        const auto [a, b] = gapChainPair(rng, rows, cols);
+        const ScoreMatrix m = gapChainCosts(w);
+        for (bool arrivals : {true, false}) {
+            for (sim::Tick horizon : {sim::kTickInfinity, kBound - 1}) {
+                const bool kept = expectBandKeepsWhatItsLanesHold(
+                    a, b, m, horizon, arrivals);
+                if (core::detail::hostRunsBand())
+                    EXPECT_EQ(kept, horizon < kBound);
+            }
+        }
+    }
+}
+
+TEST(BandBound, RacesPastTheWorstCasePathBoundStayOnTheBand)
+{
+    // 8200 x 100 DNA: the longest path's 8300 edges of up to weight 2
+    // pass 2^14, the bound the band once took races by, but every
+    // arrival of the race stays far below it, so the band keeps it.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
+    util::Rng rng(5830);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 8200);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 100);
+    EXPECT_GE((a.size() + b.size() + 1) * sim::Tick(m.maxFinite()), kBound);
+    EXPECT_TRUE(expectBandKeepsWhatItsLanesHold(a, b, m, sim::kTickInfinity,
+                                                false));
+}
+
+TEST(BandBound, HorizonJustBelowTheBoundOnAChainPastItsTallies)
+{
+    // 22000 columns under a horizon of 2^14 - 1: a lane that counted
+    // three arrivals into every column would pass 2^16, but an arrival
+    // into column j is at least j, so it counts none past column 2^14
+    // and its 16-bit tallies never wrap.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
+    util::Rng rng(5840);
+    const ScoreMatrix m = ScoreMatrix::dnaShortestPath();
+    const Sequence a = Sequence::random(rng, Alphabet::dna(), 40);
+    const Sequence b = Sequence::random(rng, Alphabet::dna(), 22000);
+    EXPECT_GT(3 * b.size(), size_t(UINT16_MAX));
+    for (bool arrivals : {true, false})
+        expectBandMatchesRows(a, b, m, kBound - 1, arrivals, nullptr,
+                              &keptBand);
+}
 
 /**
- * Costs over an alphabet of `letters` letters, drawn from 1..9: pairs
- * forbidden at random, gaps finite.
+ * Costs over the first `letters` letters of a 64-letter alphabet,
+ * drawn from 1..9: pairs forbidden at random, gaps finite.
  */
 ScoreMatrix
 lettersCosts(util::Rng &rng, size_t letters)
 {
-    const Alphabet alphabet(std::string("ACDEFGHIK").substr(0, letters));
+    const Alphabet alphabet(
+        std::string("ACDEFGHIKLMNPQRSTVWYBJOUXZabcdefghijklmnopqrstuvwxyz"
+                    "0123456789+/")
+            .substr(0, letters));
     ScoreMatrix m(alphabet, bio::ScoreKind::Cost);
     for (size_t x = 0; x < letters; ++x) {
         m.setGap(bio::Symbol(x), rng.uniformInt(1, 9));
@@ -572,30 +653,25 @@ lettersCosts(util::Rng &rng, size_t letters)
     return m;
 }
 
-TEST(BandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
+TEST(BandAlphabet, EveryAlphabetUpToSixtyFourLettersRacesTheBand)
 {
-    // The narrow band's pair table has 8 codes per axis: 7 letters and
-    // the unfired code.
+    // The pair table has 8 codes per axis: 7 letters and the unfired
+    // code.  From 8 letters the band gathers its substitution weights.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
     util::Rng rng(5900);
-    for (size_t letters : {size_t(7), size_t(8)}) {
+    for (size_t letters : {size_t(7), size_t(8), size_t(20), size_t(64)}) {
         SCOPED_TRACE(testing::Message() << letters << " letters");
         const ScoreMatrix m = lettersCosts(rng, letters);
+        EXPECT_EQ(core::detail::bandGathers(letters), letters >= 8);
         const Sequence a = Sequence::random(rng, m.alphabet(), 90);
         const Sequence b = Sequence::random(rng, m.alphabet(), 70);
-        EXPECT_EQ(kNarrow.exact(a, b, m), letters == 7);
-        EXPECT_TRUE(kWide.exact(a, b, m));
         const sim::Tick opt =
             static_cast<sim::Tick>(bio::globalScore(a, b, m));
-        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt}) {
-            for (bool arrivals : {true, false}) {
+        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt})
+            for (bool arrivals : {true, false})
                 expectBandMatchesRows(a, b, m, horizon, arrivals, nullptr,
-                                      &core::raceEditGrid);
-                for (const BandWidth *width : {&kWide, &kNarrow})
-                    if (width->runs() && width->exact(a, b, m))
-                        expectBandMatchesRows(a, b, m, horizon, arrivals,
-                                              nullptr, width->race);
-            }
-        }
+                                      &keptBand);
     }
 }
 
@@ -651,18 +727,11 @@ TEST(BandSweepCancel, RowSweepStopsWithTheTypedAbort)
     expectCancelledFromAnotherThread(&core::detail::raceEditGridRows);
 }
 
-TEST(BandSweepCancel, WideBandStopsWithTheTypedAbort)
+TEST(BandSweepCancel, BandStopsWithTheTypedAbort)
 {
-    if (!kWide.runs())
-        GTEST_SKIP() << kWide.skip;
-    expectCancelledFromAnotherThread(kWide.race);
-}
-
-TEST(BandSweepCancel, NarrowBandStopsWithTheTypedAbort)
-{
-    if (!kNarrow.runs())
-        GTEST_SKIP() << kNarrow.skip;
-    expectCancelledFromAnotherThread(kNarrow.race);
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
+    expectCancelledFromAnotherThread(&keptBand);
 }
 
 // ------------------------------- horizon-true screening accounting

@@ -62,4 +62,9 @@ TEST(FuzzCorpus, WireSeedsReplayClean)
     EXPECT_GE(replayDirectory("wire", racelogic::fuzz::wireInput), 5u);
 }
 
+TEST(FuzzCorpus, RaceSeedsReplayClean)
+{
+    EXPECT_GE(replayDirectory("race", racelogic::fuzz::raceInput), 5u);
+}
+
 } // namespace

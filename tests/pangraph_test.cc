@@ -14,6 +14,7 @@
 #include <bit>
 #include <chrono>
 #include <csignal>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -789,56 +790,30 @@ TEST(GraphAlignFused, ScratchReuseIsBitIdenticalAndBuildsNoProduct)
 
 using GraphSweep = decltype(&pangraph::detail::raceAlignmentGridRows);
 
-template <typename Lane>
-pangraph::GraphBandTables checkedBandTables(const GraphAligner &aligner);
+constexpr size_t kLanes = core::detail::kBandLanes;
+constexpr sim::Tick kBound = core::detail::kBandUnfired; // 2^14
+
+const char *const kNoBand =
+    "host has no AVX-512BW: raceAlignmentGrid runs the row sweep alone";
 
 /**
- * One lane width of the graph band: its detail:: entry, whether this
- * host runs it, whether a race fits it, its lane count and bound, and
- * its tables' check (checkedBandTables()).
+ * raceAlignmentGrid's band, which must keep the race: one it gives
+ * back to the row sweep fails the test and reads as a default result.
  */
-struct GraphBandWidth {
-    const char *name;
-    GraphSweep race;
-    bool (*runs)();
-    bool (*exact)(const pangraph::CompiledGraph &, const Sequence &,
-                  const ScoreMatrix &);
-    size_t lanes;
-    sim::Tick bound; ///< the band's kBandUnfired
-    const char *skip;
-    pangraph::GraphBandTables (*checkedTables)(const GraphAligner &);
-};
-
-template <typename Lane>
-GraphBandWidth
-graphBandWidth(const char *name, const char *skip)
+pangraph::GraphRaceResult
+keptBand(const pangraph::CompiledGraph &compiled, const Sequence &read,
+         const ScoreMatrix &costs, sim::Tick horizon,
+         pangraph::GraphAlignScratch &scratch,
+         const core::CancelToken *cancel, core::KernelCounters *counters,
+         bool arrivals)
 {
-    return {name,
-            &pangraph::detail::raceAlignmentGridBand<Lane>,
-            &core::detail::hostRunsBand<Lane>,
-            &pangraph::detail::graphBandExact<Lane>,
-            core::detail::kBandLanes<Lane>,
-            core::detail::kBandUnfired<Lane>,
-            skip,
-            &checkedBandTables<Lane>};
-}
-
-const GraphBandWidth kWide = graphBandWidth<uint32_t>(
-    "Wide",
-    "host has no AVX-512F: raceAlignmentGrid runs the row sweep alone");
-const GraphBandWidth kNarrow = graphBandWidth<uint16_t>(
-    "Narrow", "host has no AVX-512BW: raceAlignmentGrid never takes the "
-              "narrow band");
-
-/** The band of `width` for `read` where it races it exactly, else
- *  raceAlignmentGrid, which takes the next exact sweep. */
-GraphSweep
-bandOrDispatch(const GraphBandWidth &width, const GraphAligner &aligner,
-               const Sequence &read)
-{
-    if (width.exact(aligner.compiled(), read, aligner.costs()))
-        return width.race;
-    return &pangraph::raceAlignmentGrid;
+    std::optional<pangraph::GraphRaceResult> raced =
+        pangraph::detail::raceAlignmentGridBand(compiled, read, costs,
+                                                horizon, scratch, cancel,
+                                                counters, arrivals);
+    EXPECT_TRUE(raced.has_value())
+        << "the band gave the race back to the row sweep";
+    return raced ? std::move(*raced) : pangraph::GraphRaceResult();
 }
 
 /**
@@ -894,18 +869,15 @@ expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
 
 /**
  * Every horizon, arrival mode and token of the suite, for one read on
- * the band of `width`: horizons {inf, 0, opt - 1, opt, random},
- * arrivals on and off, and no token, a never-cancelled one and a
- * pre-cancelled one.  The band must race the read exactly.
+ * the band: horizons {inf, 0, opt - 1, opt, random}, arrivals on and
+ * off, and no token, a never-cancelled one and a pre-cancelled one.
+ * The band must keep every race.
  */
 void
-expectGraphBandMatchesRowsEverywhere(const GraphBandWidth &width,
-                                     const GraphAligner &aligner,
+expectGraphBandMatchesRowsEverywhere(const GraphAligner &aligner,
                                      const Sequence &read, util::Rng &rng,
                                      pangraph::GraphAlignScratch &bandScratch)
 {
-    ASSERT_TRUE(width.exact(aligner.compiled(), read, aligner.costs()))
-        << width.name << " band, |read| = " << read.size();
     pangraph::GraphAlignScratch scratch;
     const pangraph::GraphRaceResult full =
         pangraph::detail::raceAlignmentGridRows(
@@ -921,27 +893,27 @@ expectGraphBandMatchesRowsEverywhere(const GraphBandWidth &width,
           sim::Tick(rng.index(2 * opt + 2))}) {
         for (bool arrivals : {true, false}) {
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       nullptr, bandScratch, width.race);
+                                       nullptr, bandScratch, &keptBand);
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       &never, bandScratch, width.race);
+                                       &never, bandScratch, &keptBand);
             expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                       &already, bandScratch, width.race);
+                                       &already, bandScratch, &keptBand);
         }
     }
 }
 
 /**
  * Reads of 0, 1-9 nt, one off either side of one and two band widths
- * L (L - 1 .. L + 1, 2L - 1 .. 2L + 1), up to 200 nt, and a noisy
- * walk.
+ * (31 .. 33, 63 .. 65), up to 200 nt, and a noisy walk.
  */
 std::vector<Sequence>
-bandReads(util::Rng &rng, const VariationGraph &graph, size_t lanes)
+bandReads(util::Rng &rng, const VariationGraph &graph)
 {
     std::vector<Sequence> reads;
     for (size_t n : {size_t(0), size_t(1), size_t(rng.uniformInt(2, 9)),
-                     lanes - 1, lanes, lanes + 1, 2 * lanes - 1, 2 * lanes,
-                     2 * lanes + 1, size_t(rng.uniformInt(18, 200))})
+                     kLanes - 1, kLanes, kLanes + 1, 2 * kLanes - 1,
+                     2 * kLanes, 2 * kLanes + 1,
+                     size_t(rng.uniformInt(18, 200))})
         reads.push_back(Sequence::random(rng, graph.alphabet(), n));
     reads.push_back(pangraph::sampleRead(rng, graph,
                                          bio::MutationModel::uniform(0.2)));
@@ -974,26 +946,20 @@ fanGraph(util::Rng &rng, size_t segments)
     return graph;
 }
 
-class GraphBandSweep
-    : public ::testing::TestWithParam<
-          std::tuple<const GraphBandWidth *, int>>
+class GraphBandSweep : public ::testing::TestWithParam<int>
 {
   protected:
     void
     SetUp() override
     {
-        if (!width().runs())
-            GTEST_SKIP() << width().skip;
+        if (!core::detail::hostRunsBand())
+            GTEST_SKIP() << kNoBand;
     }
-
-    const GraphBandWidth &width() const { return *std::get<0>(GetParam()); }
-    int seed() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
 {
-    const GraphBandWidth &width = this->width();
-    const int param = seed();
+    const int param = GetParam();
     util::Rng rng(6100 + param);
     pangraph::GraphAlignScratch bandScratch;
     const ScoreMatrix matrices[] = {
@@ -1012,16 +978,15 @@ TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
     auto variation = std::make_shared<VariationGraph>(
         pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
     GraphAligner onVariation(variation, matrices[param % 2]);
-    for (const Sequence &read : bandReads(rng, *variation, width.lanes))
-        expectGraphBandMatchesRowsEverywhere(width, onVariation, read, rng,
+    for (const Sequence &read : bandReads(rng, *variation))
+        expectGraphBandMatchesRowsEverywhere(onVariation, read, rng,
                                              bandScratch);
 
     // Several sources and joins of in-degree >= 3.
     auto fan = fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12)));
     GraphAligner onFan(fan, matrices[(param + 1) % 2]);
-    for (const Sequence &read : bandReads(rng, *fan, width.lanes))
-        expectGraphBandMatchesRowsEverywhere(width, onFan, read, rng,
-                                             bandScratch);
+    for (const Sequence &read : bandReads(rng, *fan))
+        expectGraphBandMatchesRowsEverywhere(onFan, read, rng, bandScratch);
 
     // A converted (Section 5) similarity plan on a rank-balanced graph.
     auto balanced = std::make_shared<VariationGraph>(
@@ -1030,51 +995,33 @@ TEST_P(GraphBandSweep, MatchesRowSweepOnEveryFieldAndCounter)
             pangraph::VariationGraphParams::balanced(
                 static_cast<size_t>(rng.uniformInt(1, 6)))));
     GraphAligner similarity(balanced, ScoreMatrix::dnaLongestPath());
-    for (const Sequence &read : bandReads(rng, *balanced, width.lanes))
-        expectGraphBandMatchesRowsEverywhere(width, similarity, read, rng,
+    for (const Sequence &read : bandReads(rng, *balanced))
+        expectGraphBandMatchesRowsEverywhere(similarity, read, rng,
                                              bandScratch);
 }
 
-/** A GraphBandSweep parameter's name: the width, then the seed. */
-std::string
-graphBandParamName(
-    const testing::TestParamInfo<std::tuple<const GraphBandWidth *, int>>
-        &info)
-{
-    return std::string(std::get<0>(info.param)->name) + "_" +
-           std::to_string(std::get<1>(info.param));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, GraphBandSweep,
-    ::testing::Combine(::testing::Values(&kWide, &kNarrow),
-                       ::testing::Range(0, 24)),
-    graphBandParamName);
+INSTANTIATE_TEST_SUITE_P(Seeds, GraphBandSweep, ::testing::Range(0, 24));
 
 /**
- * The band's tables for `aligner`'s graph, built on any host for both
- * widths, with the far groups of the band of `Lane`s held to
- * CompiledGraph::pred: expanded back into (step, lane, far
- * predecessor) triples, they are exactly the triples of every
+ * The band's tables for `aligner`'s graph, built on any host, with the
+ * far groups held to CompiledGraph::pred: expanded back into (step,
+ * lane, far predecessor) triples, they are exactly the triples of every
  * predecessor k' of sweep index k but k - 1, raced by lane r at step
  * k + r -- each once.  Every group reads a slot the band wrote earlier
  * in the same band (d <= t - r, and d < window, so the ring has not
  * overwritten it), and a step has one group per distance.
  */
-template <typename Lane>
 pangraph::GraphBandTables
 checkedBandTables(const GraphAligner &aligner)
 {
     using Triple = std::tuple<size_t, size_t, size_t>; // (t, r, k')
     const pangraph::CompiledGraph &compiled = aligner.compiled();
-    pangraph::GraphBandTables tables = pangraph::detail::compileBandTables(
-        compiled, aligner.costs(), core::detail::kBandLanes<uint16_t>);
-    const pangraph::GraphBandLanes<Lane> &band = tables.lanes<Lane>();
-    const size_t lanes = core::detail::kBandLanes<Lane>;
+    pangraph::GraphBandTables tables =
+        pangraph::detail::compileBandTables(compiled, aligner.costs());
     const size_t positions = compiled.positionCount();
-    EXPECT_FALSE(band.empty());
+    EXPECT_FALSE(tables.empty());
     EXPECT_TRUE(std::has_single_bit(tables.window));
-    EXPECT_EQ(band.farBegin.size(), positions + lanes);
+    EXPECT_EQ(tables.farBegin.size(), positions + kLanes);
 
     std::vector<Triple> expected;
     for (size_t k = 1; k < positions; ++k) {
@@ -1085,25 +1032,26 @@ checkedBandTables(const GraphAligner &aligner)
             if (from + 1 == k)
                 continue;
             EXPECT_LT(k - from, tables.window);
-            for (size_t r = 0; r < lanes; ++r)
+            for (size_t r = 0; r < kLanes; ++r)
                 expected.emplace_back(k + r, r, from);
         }
     }
 
     std::vector<Triple> expanded;
-    for (size_t t = 0; t + 1 < band.farBegin.size(); ++t) {
+    for (size_t t = 0; t + 1 < tables.farBegin.size(); ++t) {
         std::set<uint32_t> slots;
-        for (uint32_t g = band.farBegin[t]; g < band.farBegin[t + 1]; ++g) {
-            const auto group = band.far[g];
+        for (uint32_t g = tables.farBegin[t]; g < tables.farBegin[t + 1];
+             ++g) {
+            const auto group = tables.far[g];
             EXPECT_LT(group.slot, tables.window);
-            EXPECT_NE(group.lanes, 0);
+            EXPECT_NE(group.lanes, 0u);
             EXPECT_TRUE(slots.insert(group.slot).second)
                 << "two groups of step " << t << " read one slot";
             // The one distance in 1 .. window - 1 whose step t - d
             // wrote the slot.
             const size_t d = (t - group.slot) & (tables.window - 1);
             EXPECT_GE(d, 1u);
-            for (size_t r = 0; r < lanes; ++r) {
+            for (size_t r = 0; r < kLanes; ++r) {
                 if (!(group.lanes >> r & 1))
                     continue;
                 EXPECT_LE(r + d, t) << "step " << t << " lane " << r
@@ -1118,13 +1066,7 @@ checkedBandTables(const GraphAligner &aligner)
     return tables;
 }
 
-class GraphBandTables : public ::testing::TestWithParam<const GraphBandWidth *>
-{
-  protected:
-    const GraphBandWidth &width() const { return *GetParam(); }
-};
-
-TEST_P(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
+TEST(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
 {
     util::Rng rng(6200);
     for (int round = 0; round < 24; ++round) {
@@ -1137,15 +1079,15 @@ TEST_P(GraphBandTables, FarGroupsExpandToEveryFarPredecessorOnce)
         auto variation = std::make_shared<VariationGraph>(
             pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
         SCOPED_TRACE(testing::Message() << "round " << round);
-        width().checkedTables(
+        checkedBandTables(
             GraphAligner(variation, ScoreMatrix::dnaShortestPath()));
-        width().checkedTables(GraphAligner(
+        checkedBandTables(GraphAligner(
             fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12))),
             ScoreMatrix::dnaShortestPathInfMismatch()));
     }
 }
 
-TEST_P(GraphBandTables, FanJoinsNeedSeveralFarGroups)
+TEST(GraphBandTables, FanJoinsNeedSeveralFarGroups)
 {
     // Four sources into one join, which then has one chain predecessor
     // at most and three far ones, at three sweep distances.  Position
@@ -1157,23 +1099,20 @@ TEST_P(GraphBandTables, FanJoinsNeedSeveralFarGroups)
     for (const char *name : {"a", "b", "c", "d"})
         graph->addLink(graph->addSegment(name, dna("ACG")), join);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
-    const pangraph::GraphBandTables tables = width().checkedTables(aligner);
-    const std::vector<uint32_t> &farBegin =
-        width().lanes == 16 ? tables.wide.farBegin : tables.narrow.farBegin;
+    const pangraph::GraphBandTables tables = checkedBandTables(aligner);
     uint32_t widest = 0;
-    for (size_t t = 0; t + 1 < farBegin.size(); ++t)
-        widest = std::max(widest, farBegin[t + 1] - farBegin[t]);
+    for (size_t t = 0; t + 1 < tables.farBegin.size(); ++t)
+        widest = std::max(widest, tables.farBegin[t + 1] - tables.farBegin[t]);
     EXPECT_EQ(widest, 3u);
-    if (!width().runs())
-        GTEST_SKIP() << width().skip;
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
     pangraph::GraphAlignScratch scratch;
     util::Rng rng(6201);
-    for (const Sequence &read : bandReads(rng, *graph, width().lanes))
-        expectGraphBandMatchesRowsEverywhere(width(), aligner, read, rng,
-                                             scratch);
+    for (const Sequence &read : bandReads(rng, *graph))
+        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
 }
 
-TEST_P(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
+TEST(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
 {
     // An optional 40-nt insertion: the segment after it has a far
     // predecessor 41 sweep steps back, past the 16-step window of the
@@ -1188,23 +1127,22 @@ TEST_P(GraphBandTables, LinkBeyondTheMinimumWindowWidensTheRing)
     graph->addLink(insert, to);
     graph->addLink(from, to);
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPathInfMismatch());
-    EXPECT_EQ(width().checkedTables(aligner).window, 64u);
-    if (!width().runs())
-        GTEST_SKIP() << width().skip;
+    EXPECT_EQ(checkedBandTables(aligner).window, 64u);
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
     EXPECT_EQ(aligner.compiled().band.window, 64u);
     pangraph::GraphAlignScratch scratch;
-    for (const Sequence &read : bandReads(rng, *graph, width().lanes))
-        expectGraphBandMatchesRowsEverywhere(width(), aligner, read, rng,
-                                             scratch);
+    for (const Sequence &read : bandReads(rng, *graph))
+        expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
 }
 
-TEST_P(GraphBandTables, TalliesThatWouldWrapLeaveTheNarrowBandOut)
+TEST(GraphBandTables, TalliesThatWouldWrapFoldMidBand)
 {
     // A chain of 12000 one-nt segments, each linked to the next three:
     // every position past the third has two far predecessors, so a
     // lane tallies up to 3 x 12031 + 2 x 23997 arrivals per band, past
-    // 2^16.  The graph fits the narrow band's 2^14 bound, but only the
-    // wide band's tables are built, and a read races on the wide band.
+    // 2^16.  The band folds its lanes' tallies into the race's before
+    // they wrap, mid-band, and keeps the race, bounded or not.
     const size_t segments = 12000;
     auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
     util::Rng rng(6203);
@@ -1219,84 +1157,118 @@ TEST_P(GraphBandTables, TalliesThatWouldWrapLeaveTheNarrowBandOut)
     const ScoreMatrix unit =
         ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 1);
     GraphAligner aligner(graph, unit);
-    const pangraph::CompiledGraph &compiled = aligner.compiled();
-    EXPECT_TRUE(pangraph::detail::graphNarrowRaceable(compiled, unit));
     const pangraph::GraphBandTables tables =
-        pangraph::detail::compileBandTables(
-            compiled, unit, core::detail::kBandLanes<uint16_t>);
-    EXPECT_FALSE(tables.wide.empty());
-    EXPECT_TRUE(tables.narrow.empty());
+        pangraph::detail::compileBandTables(aligner.compiled(), unit);
+    ASSERT_FALSE(tables.empty());
+    size_t growth = 0; // a lane's tallies over one band, at most
+    for (size_t t = 0; t + 1 < tables.farBegin.size(); ++t)
+        growth += 3 + 2 * (tables.farBegin[t + 1] - tables.farBegin[t]);
+    EXPECT_GT(growth, size_t(UINT16_MAX));
+    EXPECT_LT(tables.foldSteps, tables.farBegin.size() - 1);
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
+    EXPECT_FALSE(aligner.compiled().band.empty());
     const Sequence read = labels.slice(100, 40);
-    EXPECT_FALSE(kNarrow.exact(compiled, read, unit));
-    if (!width().runs())
-        GTEST_SKIP() << width().skip;
-    EXPECT_TRUE(width().exact(compiled, read, unit) == (width().lanes == 16));
     pangraph::GraphAlignScratch scratch;
-    for (bool arrivals : {true, false})
-        expectGraphBandMatchesRows(aligner, read, sim::kTickInfinity,
-                                   arrivals, nullptr, scratch,
-                                   bandOrDispatch(width(), aligner, read));
+    const auto opt = static_cast<sim::Tick>(
+        pangraph::detail::raceAlignmentGridRows(aligner.compiled(), read,
+                                                unit, sim::kTickInfinity,
+                                                scratch, nullptr, nullptr,
+                                                false)
+            .racedCost);
+    for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt})
+        for (bool arrivals : {true, false})
+            expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
+                                       nullptr, scratch, &keptBand);
 }
 
-/** A parameter's name: the width's. */
-std::string
-widthName(const testing::TestParamInfo<const GraphBandWidth *> &info)
-{
-    return info.param->name;
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, GraphBandTables,
-                         ::testing::Values(&kWide, &kNarrow), widthName);
-
-TEST(GraphBandMemory, ResidentBytesCountBothWidths)
+TEST(GraphBandMemory, ResidentBytesCountTheTables)
 {
     // The plan cache counts a plan's band tables through
-    // GraphBandTables::residentBytes(): the narrow band's weights and
-    // far groups too, where a host builds them.
+    // GraphBandTables::residentBytes(): the sweep order, the weights
+    // and the far groups.
     util::Rng rng(6240);
     pangraph::VariationGraphParams params;
     params.backboneSegments = 24;
     auto graph = std::make_shared<VariationGraph>(
         pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
     GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
-    const pangraph::GraphBandTables both =
-        pangraph::detail::compileBandTables(
-            aligner.compiled(), aligner.costs(),
-            core::detail::kBandLanes<uint16_t>);
-    const pangraph::GraphBandTables wide =
-        pangraph::detail::compileBandTables(
-            aligner.compiled(), aligner.costs(),
-            core::detail::kBandLanes<uint32_t>);
-    ASSERT_FALSE(both.narrow.empty());
-    EXPECT_TRUE(wide.narrow.empty());
-    const size_t narrow =
-        both.narrow.weights.capacity() * sizeof(uint16_t) +
-        both.narrow.farBegin.capacity() * sizeof(uint32_t) +
-        both.narrow.far.capacity() *
-            sizeof(pangraph::GraphBandLanes<uint16_t>::FarGroup);
-    EXPECT_GT(narrow, 0u);
-    EXPECT_EQ(both.narrow.residentBytes(), narrow);
-    EXPECT_EQ(both.residentBytes(), wide.residentBytes() + narrow);
+    const pangraph::GraphBandTables tables =
+        pangraph::detail::compileBandTables(aligner.compiled(),
+                                            aligner.costs());
+    ASSERT_FALSE(tables.empty());
+    const size_t lanes =
+        tables.weights.capacity() * sizeof(uint16_t) +
+        tables.farBegin.capacity() * sizeof(uint32_t) +
+        tables.far.capacity() * sizeof(core::detail::BandFarGroup);
+    EXPECT_GT(lanes, 0u);
+    EXPECT_EQ(tables.residentBytes(),
+              tables.order.capacity() * sizeof(pangraph::CharPos) +
+                  tables.rank.capacity() * sizeof(uint32_t) + lanes);
 }
 
-class GraphBandBound : public ::testing::TestWithParam<const GraphBandWidth *>
-{};
-
-TEST_P(GraphBandBound, TheBandRacesBelowTheBoundAndTheNextSweepFromIt)
+/**
+ * Race `read` under `horizon` on the band where the host has it, and
+ * assert it keeps the race exactly when its lanes hold it -- the
+ * horizon is below 2^14, or the row sweep's latest arrival plus the
+ * largest weight is -- and then matches the row sweep; and that
+ * raceAlignmentGrid, which races the row sweep again for a race the
+ * band gives back, matches it either way.  Returns whether the band
+ * kept the race (false on a host without the band).
+ */
+bool
+expectGraphBandKeepsWhatItsLanesHold(const GraphAligner &aligner,
+                                     const Sequence &read, sim::Tick horizon,
+                                     bool arrivals,
+                                     pangraph::GraphAlignScratch &scratch)
 {
-    // Costs of w for every match and gap, mismatches forbidden, on a
-    // one-nt bubble (a -> b | c -> d, so d has a far predecessor):
-    // with K = 4, (|read| + 4 + 1) x w < bound holds up to |read| =
-    // 16378 at w = bound / 2^14 -- 2^16, the largest weight
-    // compileGraph admits, for the wide band's 2^30, and 1 for the
-    // narrow band's 2^14.  That race sits w below the bound, the next
-    // read length exactly on it, and a 20000-nt read sends the sink
-    // past the bound, which the band's lanes cannot hold.
-    const GraphBandWidth &width = *GetParam();
+    SCOPED_TRACE(testing::Message() << "|read|=" << read.size()
+                                    << " horizon=" << horizon
+                                    << " arrivals=" << arrivals);
+    expectGraphBandMatchesRows(aligner, read, horizon, arrivals, nullptr,
+                               scratch, &pangraph::raceAlignmentGrid);
+    if (!core::detail::hostRunsBand())
+        return false;
+    pangraph::GraphAlignScratch rowScratch;
+    core::KernelCounters rowCounters, bandCounters;
+    (void)pangraph::detail::raceAlignmentGridRows(
+        aligner.compiled(), read, aligner.costs(), horizon, rowScratch,
+        nullptr, &rowCounters, false);
+    const sim::Tick latest = rowCounters.bucketsDrained - 1;
+    const bool holds =
+        horizon < kBound ||
+        latest + static_cast<sim::Tick>(aligner.costs().maxFinite()) < kBound;
+    const std::optional<pangraph::GraphRaceResult> band =
+        pangraph::detail::raceAlignmentGridBand(
+            aligner.compiled(), read, aligner.costs(), horizon, scratch,
+            nullptr, &bandCounters, arrivals);
+    EXPECT_EQ(band.has_value(), holds) << "latest arrival " << latest;
+    if (band)
+        expectGraphBandMatchesRows(aligner, read, horizon, arrivals, nullptr,
+                                   scratch, &keptBand);
+    else
+        EXPECT_EQ(bandCounters.events + bandCounters.bucketsDrained +
+                      bandCounters.scratchHighWater +
+                      bandCounters.lanesOccupied + bandCounters.cancels +
+                      bandCounters.horizonAborts,
+                  0u)
+            << "a race the band gave back touched the counters";
+    return band.has_value();
+}
+
+TEST(GraphBandBound, TheBandRacesBelowTheBoundAndTheRowSweepFromIt)
+{
+    // Costs of 1 for every match and gap, mismatches forbidden, on a
+    // one-nt bubble (a -> b | c -> d, so d has a far predecessor).
+    // With K = 4, (|read| + 4 + 1) x 1 < 2^14 -- the worst-case path
+    // bound the band once took races by -- up to |read| = 16378, so
+    // that read's arrivals, plus the largest weight, stay below 2^14.
+    // The next read length sits on that bound, and a 20000-nt read
+    // sends the sink past 2^14.  The band keeps what its lanes hold --
+    // every race under a horizon below 2^14 -- and gives the rest back.
     util::Rng rng(6250);
-    const auto w = static_cast<bio::Score>(width.bound >> 14);
     ScoreMatrix m =
-        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, w);
+        ScoreMatrix::uniform(Alphabet::dna(), bio::ScoreKind::Cost, 1);
     for (bio::Symbol x = 0; x < 4; ++x)
         for (bio::Symbol y = 0; y < 4; ++y)
             if (x != y)
@@ -1313,47 +1285,42 @@ TEST_P(GraphBandBound, TheBandRacesBelowTheBoundAndTheNextSweepFromIt)
     GraphAligner aligner(graph, m);
     pangraph::GraphAlignScratch scratch;
     for (size_t n : {size_t(16378), size_t(16379), size_t(20000)}) {
-        SCOPED_TRACE(testing::Message() << width.name << " |read|=" << n);
+        SCOPED_TRACE(testing::Message() << "|read|=" << n);
         const Sequence read = Sequence::random(rng, Alphabet::dna(), n);
-        EXPECT_EQ((n + 4 + 1) * sim::Tick(w) < width.bound, n == 16378);
-        if (width.runs())
-            EXPECT_EQ(width.exact(aligner.compiled(), read, m), n == 16378);
         const auto opt = static_cast<sim::Tick>(
             pangraph::graphAlignDp(*graph, read, m).distance);
         EXPECT_EQ(pangraph::raceAlignmentGrid(aligner.compiled(), read, m)
                       .racedCost,
                   static_cast<bio::Score>(opt));
-        // The bound itself, past every lane value, and a horizon in
-        // [2^30, 2^62): past every 32-bit lane value, within the row
-        // sweep's range.
-        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt,
-                                  width.bound, sim::Tick(1) << 40}) {
+        // The bound itself, and a horizon past every lane value.
+        for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt, kBound,
+                                  sim::Tick(1) << 40}) {
             for (bool arrivals : {true, false}) {
-                expectGraphBandMatchesRows(aligner, read, horizon, arrivals,
-                                           nullptr, scratch,
-                                           &pangraph::raceAlignmentGrid);
-                if (n == 16378 && width.runs())
-                    expectGraphBandMatchesRows(aligner, read, horizon,
-                                               arrivals, nullptr, scratch,
-                                               width.race);
+                const bool kept = expectGraphBandKeepsWhatItsLanesHold(
+                    aligner, read, horizon, arrivals, scratch);
+                if (!core::detail::hostRunsBand())
+                    continue;
+                if (n == 16378 || horizon < kBound)
+                    EXPECT_TRUE(kept);
+                if (n == 20000 && horizon >= kBound)
+                    EXPECT_FALSE(kept);
             }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, GraphBandBound,
-                         ::testing::Values(&kWide, &kNarrow), widthName);
-
-TEST(GraphBandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
+TEST(GraphBandAlphabet, EveryAlphabetUpToSixtyFourLettersRacesTheBand)
 {
-    // The narrow band's pair table has 8 codes per axis: 7 letters and
-    // the unfired code, so a graph over 8 letters is compiled without
-    // the narrow band's tables.
+    // The pair table has 8 codes per axis: 7 letters and the unfired
+    // code.  From 8 letters the band gathers its substitution weights.
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
     util::Rng rng(6260);
-    for (size_t letters : {size_t(7), size_t(8)}) {
+    const std::string letters64 =
+        "ACDEFGHIKLMNPQRSTVWYBJOUXZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    for (size_t letters : {size_t(7), size_t(8), size_t(20), size_t(64)}) {
         SCOPED_TRACE(testing::Message() << letters << " letters");
-        const Alphabet alphabet(
-            std::string("ACDEFGHIK").substr(0, letters));
+        const Alphabet alphabet(letters64.substr(0, letters));
         ScoreMatrix m(alphabet, bio::ScoreKind::Cost);
         for (size_t x = 0; x < letters; ++x) {
             m.setGap(bio::Symbol(x), rng.uniformInt(1, 9));
@@ -1368,28 +1335,10 @@ TEST(GraphBandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
         auto graph = std::make_shared<VariationGraph>(
             pangraph::randomVariationGraph(rng, alphabet, params));
         GraphAligner aligner(graph, m);
-        EXPECT_EQ(pangraph::detail::graphNarrowRaceable(aligner.compiled(),
-                                                        m),
-                  letters == 7);
-        const pangraph::GraphBandTables tables =
-            pangraph::detail::compileBandTables(
-                aligner.compiled(), m, core::detail::kBandLanes<uint16_t>);
-        EXPECT_EQ(tables.narrow.empty(), letters == 8);
+        EXPECT_FALSE(aligner.compiled().band.empty());
         pangraph::GraphAlignScratch scratch;
-        for (const GraphBandWidth *width : {&kWide, &kNarrow}) {
-            if (!width->runs())
-                continue;
-            for (const Sequence &read : bandReads(rng, *graph, width->lanes)) {
-                EXPECT_EQ(width->exact(aligner.compiled(), read, m),
-                          width->lanes == 16 || letters == 7);
-                if (width->exact(aligner.compiled(), read, m))
-                    expectGraphBandMatchesRowsEverywhere(*width, aligner,
-                                                         read, rng, scratch);
-                expectGraphBandMatchesRows(aligner, read, sim::kTickInfinity,
-                                           true, nullptr, scratch,
-                                           &pangraph::raceAlignmentGrid);
-            }
-        }
+        for (const Sequence &read : bandReads(rng, *graph))
+            expectGraphBandMatchesRowsEverywhere(aligner, read, rng, scratch);
     }
 }
 
@@ -1402,8 +1351,7 @@ TEST(GraphBandAlphabet, SevenLettersTakeTheNarrowBandAndEightTheWide)
  * the same arrivals plus the sink wires out of its last row.
  */
 void
-expectGraphCancelledFromAnotherThread(
-    decltype(&pangraph::detail::raceAlignmentGridRows) sweep)
+expectGraphCancelledFromAnotherThread(GraphSweep sweep)
 {
     util::Rng rng(6300);
     pangraph::VariationGraphParams params;
@@ -1469,23 +1417,31 @@ TEST(GraphBandSweepCancel, RowSweepStopsWithTheTypedAbort)
         &pangraph::detail::raceAlignmentGridRows);
 }
 
-TEST(GraphBandSweepCancel, WideBandStopsWithTheTypedAbort)
+TEST(GraphBandSweepCancel, BandStopsWithTheTypedAbort)
 {
-    if (!kWide.runs())
-        GTEST_SKIP() << kWide.skip;
-    expectGraphCancelledFromAnotherThread(kWide.race);
-}
-
-TEST(GraphBandSweepCancel, NarrowBandStopsWithTheTypedAbort)
-{
-    if (!kNarrow.runs())
-        GTEST_SKIP() << kNarrow.skip;
-    expectGraphCancelledFromAnotherThread(kNarrow.race);
+    if (!core::detail::hostRunsBand())
+        GTEST_SKIP() << kNoBand;
+    expectGraphCancelledFromAnotherThread(&keptBand);
 }
 
 // ------------------------------ the edit grid as a one-segment graph
 
 using EditGridSweep = decltype(&core::detail::raceEditGridRows);
+
+/** raceEditGrid's band, which must keep the race, as keptBand(). */
+core::RaceGridResult
+keptEditGridBand(const Sequence &a, const Sequence &b, const ScoreMatrix &m,
+                 sim::Tick horizon, core::RaceGridScratch &scratch,
+                 const core::CancelToken *cancel,
+                 core::KernelCounters *counters, bool arrivals)
+{
+    std::optional<core::RaceGridResult> raced =
+        core::detail::raceEditGridBand(a, b, m, horizon, scratch, cancel,
+                                       counters, arrivals);
+    EXPECT_TRUE(raced.has_value())
+        << "the band gave the race back to the row sweep";
+    return raced ? std::move(*raced) : core::RaceGridResult();
+}
 
 /**
  * A race-ready cost matrix over `alphabet` drawn at random, and
@@ -1567,29 +1523,15 @@ TEST(EditGridChain, OneSegmentProductIsTheEditGrid)
             core::detail::raceEditGridRows(a, b, costs, sim::kTickInfinity,
                                            scratch, nullptr, nullptr, false)
                 .score);
-        // The narrow band races DNA; protein's 20 letters race both
-        // kernels' dispatchers, which take the wide band.
-        const bool narrow =
-            core::detail::editGridBandExact<uint16_t>(a, b, costs) &&
-            kNarrow.exact(aligner.compiled(), a, costs);
-        EXPECT_EQ(narrow, kNarrow.runs() && round % 2 == 0);
+        // Both kernels race DNA on the pair table and protein's 20
+        // letters on the gather, and keep every race.
         for (sim::Tick horizon : {sim::kTickInfinity, opt - 1, opt}) {
             expectProductMatchesEditGrid(
                 a, b, aligner, horizon, &core::detail::raceEditGridRows,
                 &pangraph::detail::raceAlignmentGridRows);
-            if (kWide.runs())
-                expectProductMatchesEditGrid(
-                    a, b, aligner, horizon,
-                    &core::detail::raceEditGridBand<uint32_t>, kWide.race);
-            if (narrow)
-                expectProductMatchesEditGrid(
-                    a, b, aligner, horizon,
-                    &core::detail::raceEditGridBand<uint16_t>,
-                    kNarrow.race);
-            else if (kNarrow.runs())
+            if (core::detail::hostRunsBand())
                 expectProductMatchesEditGrid(a, b, aligner, horizon,
-                                             &core::raceEditGrid,
-                                             &pangraph::raceAlignmentGrid);
+                                             &keptEditGridBand, &keptBand);
         }
     }
 }

@@ -596,7 +596,7 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     ServeClient client = ServeClient::overTcp(server.port());
 
     // 2000 x 2000 grids: each solve outlasts the arrival of the rest
-    // even on the fastest sweep, the narrow AVX-512BW band, so the
+    // even on the fastest sweep, the AVX-512BW band, so the
     // queue holds several jobs whenever a worker frees up.
     const size_t total = 16;
     for (size_t i = 0; i < total; ++i)
@@ -654,10 +654,12 @@ TEST(ServeServer, ShortRequestsOvertakeALongSolve)
     ServeClient slow = ServeClient::overTcp(server.port());
     ServeClient fast = ServeClient::overTcp(server.port());
 
-    // 12001 x 12001 cells race for over 70 ms even on the skewed
-    // AVX-512F band (under 1 ns per cell) and for seconds under TSan,
-    // where the eight 21 x 21 races below slow down about as much and
-    // still have some 300 000 times fewer cells.
+    // 12001 x 12001 cells race for over 25 ms even on the skewed
+    // AVX-512BW band (about 0.2 ns per cell), which keeps the race:
+    // its latest arrival, the sink at 16172, stays below 2^14.  Off
+    // the band, and under TSan, the race takes seconds, and the eight
+    // 21 x 21 races below slow down about as much and still have some
+    // 300 000 times fewer cells.
     ASSERT_TRUE(slow.submitPairwise(1, fig2b(), dnaString(12000, 61),
                                     dnaString(12000, 62)));
 
@@ -912,19 +914,19 @@ TEST(ServeServer, QueuedRequestPastDeadlineIsShedNotRaced)
     ServerConfig cfg = tcpConfig();
     cfg.workers = 1;
     cfg.queueDepth = 8;
-    cfg.maxGridCells = 1ull << 25; // room for the blocker below
+    cfg.maxGridCells = 1ull << 26; // room for the blocker below
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
     // The blocker holds the single worker well past the doomed
-    // request's 1 ms deadline -- 4500 x 4500 cells, past the narrow
-    // band's 2^14 bound, race for over 10 ms even on the wide AVX-512F
-    // band at under 1 ns per cell -- so the doomed job is still queued
-    // when the
-    // worker next pops, and it is shed without touching the engine.
-    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(4500, 41),
-                                      dnaString(4500, 42)));
+    // request's 1 ms deadline -- 6400 x 6400 cells race for some 6 ms
+    // or more even on the skewed AVX-512BW band at about 0.2 ns per
+    // cell, and for hundreds off it -- so the doomed job is still
+    // queued when the worker next pops, and it is shed without
+    // touching the engine.
+    ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(6400, 41),
+                                      dnaString(6400, 42)));
     ASSERT_TRUE(client.submitPairwise(2, fig2b(), dnaString(500, 43),
                                       dnaString(500, 44), 1));
 
@@ -963,8 +965,10 @@ TEST(ServeServer, DeadlineTrippingMidRaceCancelsCooperatively)
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
-    // A 48001x48001 grid races for about 2 s even on the skewed
-    // AVX-512F band (under 1 ns per cell), over ten times the 150 ms
+    // A 48001x48001 grid's row 0 alone reaches 2^14, so the skewed
+    // band gives the race back before its first band, and the row
+    // sweep races it for about 10 s (some 4.5 ns per cell), polling
+    // the token every row of 48001 cells: over ten times the 150 ms
     // deadline.  The deadline counts from frame arrival, so it also
     // leaves room to decode the 96 KB request in an instrumented
     // build (about 60 ms under TSan).  The queue is otherwise empty,

@@ -28,10 +28,8 @@ than the tolerance relative to the baseline, i.e. when
 Each headline row is compared with the baseline of the sweep the
 runner took.  The race kernels pick their sweep from the CPU, and the
 benches print it as `sweep_lanes` in their run context: 32 where the
-CPU has AVX-512BW (the narrow skewed bands of 16-bit lanes, and the
-wide ones for races the narrow bands cannot hold, such as protein), 16
-where it has AVX-512F alone (the wide bands of 32-bit lanes), 1 for
-the row sweeps.  When the fresh run's context says N and the baseline
+CPU has AVX-512BW (the skewed band of 16-bit lanes), 1 for the row
+sweeps.  When the fresh run's context says N and the baseline
 stores a `NAME@sweep_lanes=N` row, the row is compared with it;
 otherwise with the plain `NAME` row, which holds row-sweep values.  A
 runner that took a band then cannot lose the band's speed-up unseen,
@@ -60,9 +58,9 @@ HEADLINE_BENCHES = [
     # score-only, so the edit-grid band is all of its time
     # (BM_EventDrivenRace/256 mostly times its arrival grid).
     "BM_RaceEditGridServed/128",
-    # The same race on BLOSUM62 costs: twenty letters take the wide
-    # band where the DNA rows above take the narrow one, so the wide
-    # band stays gated on AVX-512BW runners too.
+    # The same race on BLOSUM62 costs: twenty letters take the band's
+    # gather where the DNA rows above take its pair table, so the
+    # gather stays gated on AVX-512BW runners too.
     "BM_RaceEditGridServedProtein/128",
     "BM_RaceDag/256",               # general DAG race (raceDag)
     "BM_ScreeningRaceWithHorizon/256",  # Section 6 early termination

@@ -255,14 +255,9 @@ main(int argc, char **argv)
     const unsigned lanes = core::sweepLanes();
     std::fputs(("raceserved: rl_kernel_sweep_lanes=" +
                 std::to_string(lanes) +
-                (lanes == 32
-                     ? " (AVX-512BW skewed bands: edit grid and graph; the "
-                       "AVX-512F bands for races past 2^14 or over 7 "
-                       "letters, row sweeps past 2^30)\n"
-                 : lanes == 16
-                     ? " (AVX-512F skewed bands: edit grid and graph; row "
-                       "sweeps for races whose costs could reach 2^30)\n"
-                     : " (row sweeps: edit grid and graph)\n"))
+                (lanes > 1 ? " (AVX-512BW skewed band: edit grid and "
+                             "graph; row sweeps for races past 2^14)\n"
+                           : " (row sweeps: edit grid and graph)\n"))
                    .c_str(),
                stderr);
 
