@@ -532,22 +532,59 @@ RaceEngine::lookup(const RaceProblem &problem, bool touch) const
             lru.splice(lru.begin(), lru, found->second);
         cached = found->second->second;
     }
-    // The key carries 64-bit content fingerprints; confirm the match
-    // exactly (outside the lock -- the plan is immutable) so a
-    // collision can never hand back the wrong fabric.  A collision
+    // Confirm outside the lock -- the plan is immutable.  A collision
     // counts as a miss: deep validation, then an uncached fresh plan
-    // (the slot keeps its original owner).  GraphAlign plans also
-    // re-verify the graph topology structurally.
-    const bool graphKind = problem.kind == ProblemKind::GraphAlign;
-    bool match = graphKind == (cached->graphAligner != nullptr) &&
-                 sameMatrix(*problem.matrix, *cached->input);
-    if (match && graphKind)
-        match = problem.vgraph == cached->graphAligner->graphPtr() ||
-                pangraph::sameTopology(*problem.vgraph,
-                                       cached->graphAligner->graph());
-    if (match)
+    // (the slot keeps its original owner).
+    if (planMatches(problem, *cached, /*walkGraphs=*/true))
         slot.plan = std::move(cached);
     return slot;
+}
+
+RaceEngine::PlanSlot
+RaceEngine::lookupToSolve(const RaceProblem &problem)
+{
+    PlanSlot slot;
+    if (cfg.planCacheCapacity == 0 || !planFamilyKind(problem.kind))
+        return slot;
+    slot.key = planKey(problem);
+    PlanPtr cached;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto found = index.find(*slot.key);
+        if (found == index.end())
+            return slot;
+        lru.splice(lru.begin(), lru, found->second);
+        cached = found->second->second;
+        // The common hit -- same matrix, same graph object -- is
+        // confirmed in the lock it already holds, and counted there.
+        if (planMatches(problem, *cached, /*walkGraphs=*/false)) {
+            ++statistics.solves;
+            ++statistics.planCacheHits;
+            slot.plan = std::move(cached);
+            slot.counted = true;
+            return slot;
+        }
+    }
+    if (planMatches(problem, *cached, /*walkGraphs=*/true))
+        slot.plan = std::move(cached);
+    return slot;
+}
+
+bool
+RaceEngine::planMatches(const RaceProblem &problem, const Plan &plan,
+                        bool walkGraphs)
+{
+    // The key carries 64-bit content fingerprints; confirm the match
+    // exactly so a collision can never hand back the wrong fabric.
+    // GraphAlign plans also re-verify the graph topology.
+    const bool graphKind = problem.kind == ProblemKind::GraphAlign;
+    if (graphKind != (plan.graphAligner != nullptr) ||
+        !sameMatrix(*problem.matrix, *plan.input))
+        return false;
+    if (!graphKind || problem.vgraph == plan.graphAligner->graphPtr())
+        return true;
+    return walkGraphs && pangraph::sameTopology(*problem.vgraph,
+                                                plan.graphAligner->graph());
 }
 
 RaceEngine::PlanPtr
@@ -555,7 +592,7 @@ RaceEngine::planFor(const RaceProblem &problem, PlanSlot slot,
                     bool recordHit)
 {
     if (slot.plan) {
-        if (recordHit) {
+        if (recordHit && !slot.counted) {
             std::lock_guard<std::mutex> lock(mutex);
             ++statistics.planCacheHits;
         }
@@ -648,9 +685,18 @@ RaceEngine::trySolve(const RaceProblem &problem)
 {
     if (Status s = checkSolvable(problem); !s.ok())
         return s;
-    PlanSlot slot = lookup(problem, /*touch=*/true);
-    if (Status s = validate(problem, slot); !s.ok())
+    // The checks every validation depth opens with run first, so a
+    // cached hit is vetted before the lookup counts it as solved.
+    ProblemLimits limits;
+    limits.maxProductStates = cfg.maxProductStates;
+    if (Status s = checkBudgets(problem, limits); !s.ok())
         return s;
+    if (Status s = checkRuntimeInputs(problem); !s.ok())
+        return s;
+    PlanSlot slot = lookupToSolve(problem);
+    if (!slot.plan)
+        if (Status s = validate(problem, slot); !s.ok())
+            return s;
     return solve(problem, std::move(slot));
 }
 
@@ -664,13 +710,13 @@ RaceEngine::stats() const
 RaceResult
 RaceEngine::solve(const RaceProblem &problem)
 {
-    return solve(problem, lookup(problem, /*touch=*/true));
+    return solve(problem, lookupToSolve(problem));
 }
 
 RaceResult
 RaceEngine::solve(const RaceProblem &problem, PlanSlot slot)
 {
-    {
+    if (!slot.counted) {
         std::lock_guard<std::mutex> lock(mutex);
         ++statistics.solves;
     }

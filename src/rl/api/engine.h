@@ -276,6 +276,8 @@ class RaceEngine
         /** The cached plan on an exact hit; null on a miss or a key
          *  collision (both take the deep validation and a build). */
         PlanPtr plan;
+        /** lookupToSolve() already counted this solve and its hit. */
+        bool counted = false;
     };
 
     /** The key of a grid-family or GraphAlign problem. */
@@ -288,9 +290,30 @@ class RaceEngine
     PlanSlot lookup(const RaceProblem &problem, bool touch) const;
 
     /**
+     * lookup() for a solve that races whatever it finds, with every
+     * check a cached plan needs already passed: a hit moves to the
+     * LRU front and, once its match is confirmed under the same lock,
+     * counts the solve and the hit there (`counted`) -- one engine
+     * lock per cached solve.  What it does not count (a miss, a kind
+     * without a plan, a graph whose topology must be walked to
+     * confirm) solve() and planFor() count.
+     */
+    PlanSlot lookupToSolve(const RaceProblem &problem);
+
+    /**
+     * Whether `plan`, found under `problem`'s key, is exactly its
+     * plan: keys carry fingerprints, which may collide.  A GraphAlign
+     * plan over another graph object is compared structurally only
+     * when `walkGraphs` is set, and otherwise does not match.
+     */
+    static bool planMatches(const RaceProblem &problem, const Plan &plan,
+                            bool walkGraphs);
+
+    /**
      * The plan to race: the slot's cached hit (counted in
-     * planCacheHits when `recordHit`), else a fresh build (counted in
-     * plansBuilt) inserted under the slot's key if still absent.
+     * planCacheHits when `recordHit`, unless the lookup counted it),
+     * else a fresh build (counted in plansBuilt) inserted under the
+     * slot's key if still absent.
      * `recordHit` = false keeps auxiliary lookups (graphMapping
      * traceback) out of the solve statistics.
      */

@@ -1,5 +1,7 @@
 #include "rl/bio/alphabet.h"
 
+#include <array>
+
 #include "rl/util/bitops.h"
 #include "rl/util/logging.h"
 
@@ -29,7 +31,7 @@ Alphabet::tryMake(std::string letters, std::string name)
         return Status::error(ErrorCode::InvalidArgument, "alphabet of ",
                              letters.size(),
                              " letters exceeds the 255-symbol encoding");
-    std::vector<bool> seen(256, false);
+    std::array<bool, 256> seen{};
     for (char ch : letters) {
         if (ch <= ' ' || ch > '~')
             return Status::error(ErrorCode::InvalidArgument,

@@ -58,7 +58,7 @@ Sequence::tryEncodeFolded(const Alphabet &alphabet,
 }
 
 Expected<Sequence>
-Sequence::tryEncode(const Alphabet &alphabet, const std::string &text)
+Sequence::tryEncode(const Alphabet &alphabet, std::string_view text)
 {
     std::vector<Symbol> symbols;
     symbols.reserve(text.size());

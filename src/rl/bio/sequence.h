@@ -14,6 +14,7 @@
 #define RACELOGIC_BIO_SEQUENCE_H
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,7 +68,7 @@ class Sequence
      * bytes are a protocol error, not formatting).
      */
     static Expected<Sequence> tryEncode(const Alphabet &alphabet,
-                                        const std::string &text);
+                                        std::string_view text);
 
     size_t size() const { return symbols_.size(); }
     bool empty() const { return symbols_.empty(); }

@@ -41,15 +41,14 @@ ScratchRegistry::entryCount() const
 size_t
 ScratchRegistry::shrinkIdle(std::chrono::nanoseconds idle)
 {
-    std::vector<ScratchEntry *> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        snapshot = entries;
-    }
     const int64_t cutoff =
         (std::chrono::steady_clock::now() - idle).time_since_epoch().count();
     size_t reclaimed = 0;
-    for (ScratchEntry *entry : snapshot) {
+    // Walked under the registry lock, with no snapshot copy: a pass
+    // allocates nothing, and the per-entry try_lock below never
+    // waits, so no lock order can form.
+    std::lock_guard<std::mutex> lock(mutex);
+    for (ScratchEntry *entry : entries) {
         if (entry->lastUseNs.load(std::memory_order_relaxed) > cutoff)
             continue;
         // Never block a solve: a busy entry is by definition not

@@ -34,12 +34,13 @@ FaultInjector::touch(int fd)
 }
 
 FaultAction
-FaultInjector::beforeIo(int fd, size_t want, bool)
+FaultInjector::beforeIo(int fd, size_t want, bool isWrite)
 {
     uint32_t delayMicros = 0;
     FaultAction action;
     {
         std::lock_guard<std::mutex> lock(mutex);
+        ++(isWrite ? counters.sends : counters.recvs);
         FdState &state = touch(fd);
 
         if (state.bytes >= state.dropAt) {
@@ -93,6 +94,13 @@ FaultInjector::afterIo(int fd, size_t transferred)
 {
     std::lock_guard<std::mutex> lock(mutex);
     touch(fd).bytes += transferred;
+}
+
+void
+FaultInjector::beforePoll()
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    ++counters.polls;
 }
 
 void

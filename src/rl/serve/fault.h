@@ -3,12 +3,17 @@
  * Deterministic fault injection for the serve socket layer.
  *
  * A FaultInjector, once installed, sits underneath the socket helpers
- * in rl/serve/socket.h: every readExact/writeAll syscall consults it
+ * in rl/serve/socket.h: every recv/send of readExact, writeAll and
+ * RecvBuffer consults it
  * and may be capped to a short transfer, delayed, or severed outright
  * (the fd is shutdown() at a per-connection byte offset drawn from
  * the injector's seeded generator).  All randomness comes from one
  * mt19937_64 seeded by FaultConfig::seed, so a chaos schedule replays
  * bit-identically: same seed, same faults.
+ *
+ * The injector also counts every recv, send and poll the helpers
+ * make, so a test can pin a syscall budget with a schedule whose
+ * probabilities are all zero.
  *
  * The injector is for tests and tools ONLY.  Production servers never
  * install one; when none is installed the socket helpers pay a single
@@ -84,17 +89,24 @@ class FaultInjector
     /** Byte accounting after a successful transfer. */
     void afterIo(int fd, size_t transferred);
 
+    /** Counted by the socket helpers before each poll() they make. */
+    void beforePoll();
+
     /**
      * Drop per-fd state when a descriptor is closed, so a recycled fd
      * number starts a fresh byte count (ScopedFd calls this).
      */
     void forgetFd(int fd);
 
-    /** Injection counters, for asserting a schedule actually bit. */
+    /** Injection counters, for asserting a schedule actually bit,
+     *  and the syscalls the socket helpers made while installed. */
     struct Stats {
         uint64_t shortIos = 0;
         uint64_t delays = 0;
         uint64_t drops = 0;
+        uint64_t recvs = 0; ///< recv() calls (beforeIo, reads)
+        uint64_t sends = 0; ///< send() calls (beforeIo, writes)
+        uint64_t polls = 0; ///< poll() calls (beforePoll)
     };
     Stats stats() const;
 

@@ -53,6 +53,35 @@ QueueStats::wire() const
     return w;
 }
 
+void
+RequestQueue::JobFifo::push_back(QueuedJob job)
+{
+    if (jobs.size() == jobs.capacity() && head > 0) {
+        jobs.erase(jobs.begin(), jobs.begin() + static_cast<ptrdiff_t>(head));
+        head = 0;
+    }
+    jobs.push_back(std::move(job));
+}
+
+void
+RequestQueue::JobFifo::pop_front()
+{
+    if (++head == jobs.size()) {
+        jobs.clear();
+        head = 0;
+    }
+}
+
+void
+RequestQueue::JobFifo::pop_back()
+{
+    jobs.pop_back();
+    if (head == jobs.size()) {
+        jobs.clear();
+        head = 0;
+    }
+}
+
 RequestQueue::RequestQueue(size_t depth, size_t brownoutDepth)
     : capacity(depth),
       brownoutCapacity(brownoutDepth == 0
@@ -61,6 +90,8 @@ RequestQueue::RequestQueue(size_t depth, size_t brownoutDepth)
                                       std::max<size_t>(1, brownoutDepth)))
 {
     rl_assert(depth > 0, "a zero-depth queue admits nothing");
+    for (JobFifo &fifo : jobs)
+        fifo.reserve(depth);
 }
 
 size_t
@@ -152,8 +183,30 @@ RequestQueue::noteRejected(Status status, Priority priority)
 std::vector<QueuedJob>
 RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
 {
-    rl_assert(max > 0, "drain batch must hold at least one job");
+    std::vector<QueuedJob> batch;
     std::unique_lock<std::mutex> lock(mutex);
+    drainLocked(lock, max, batch, shed);
+    return batch;
+}
+
+void
+RequestQueue::drain(size_t max, std::vector<QueuedJob> &batch,
+                    std::vector<QueuedJob> &shed,
+                    const std::array<uint64_t, kPriorityClasses> &done)
+{
+    batch.clear();
+    shed.clear();
+    std::unique_lock<std::mutex> lock(mutex);
+    retireLocked(done);
+    drainLocked(lock, max, batch, &shed);
+}
+
+void
+RequestQueue::drainLocked(std::unique_lock<std::mutex> &lock, size_t max,
+                          std::vector<QueuedJob> &batch,
+                          std::vector<QueuedJob> *shed)
+{
+    rl_assert(max > 0, "drain batch must hold at least one job");
     readable.wait(lock, [&] {
         return counters.queued > 0 || shuttingDown;
     });
@@ -163,7 +216,6 @@ RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
     // its own execution.
     const auto now = std::chrono::steady_clock::now();
 
-    std::vector<QueuedJob> batch;
     batch.reserve(std::min<uint64_t>(max, counters.queued));
     // Weighted round-robin, highest class first, resumed across drains
     // so one-job drains keep the weights.  Deadline sheds consume no
@@ -175,7 +227,7 @@ RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
             roundQuota = kDrainWeight[roundClass];
             continue;
         }
-        std::deque<QueuedJob> &fifo = jobs[roundClass];
+        JobFifo &fifo = jobs[roundClass];
         ClassStats &slice = counters.classes[roundClass];
         --counters.queued;
         --slice.queued;
@@ -190,7 +242,6 @@ RequestQueue::drain(size_t max, std::vector<QueuedJob> *shed)
         }
         fifo.pop_front();
     }
-    return batch;
 }
 
 void
@@ -206,16 +257,22 @@ RequestQueue::markDone(size_t n)
 void
 RequestQueue::markDone(const std::array<uint64_t, kPriorityClasses> &byClass)
 {
-    uint64_t n = 0;
-    for (uint64_t count : byClass)
-        n += count;
     std::lock_guard<std::mutex> lock(mutex);
+    retireLocked(byClass);
+}
+
+void
+RequestQueue::retireLocked(const std::array<uint64_t, kPriorityClasses> &done)
+{
+    uint64_t n = 0;
+    for (uint64_t count : done)
+        n += count;
     rl_assert(counters.inflight >= n,
               "markDone() retires more jobs than are inflight");
     counters.inflight -= n;
     counters.completed += n;
     for (size_t c = 0; c < kPriorityClasses; ++c)
-        counters.classes[c].completed += byClass[c];
+        counters.classes[c].completed += done[c];
 }
 
 void

@@ -42,7 +42,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -120,8 +119,9 @@ struct QueueStats {
 /**
  * Bounded multi-producer, multi-consumer job queue: connection
  * threads push, serve workers drain.  Depth bounds queued + inflight:
- * a request is outstanding until markDone(), so admission reflects
- * work the daemon has committed to, not just buffer occupancy.
+ * a request is outstanding until it is retired (markDone(), or the
+ * worker's next drain), so admission reflects work the daemon has
+ * committed to, not just buffer occupancy.
  */
 class RequestQueue
 {
@@ -166,7 +166,7 @@ class RequestQueue
      * move out up to `max` jobs in weighted round-robin order
      * (interactive 4 : normal 2 : batch 1, resuming the previous
      * drain's round; FIFO within a class).
-     * The moved jobs are accounted inflight until markDone().
+     * The moved jobs are accounted inflight until retired.
      * Returns an empty vector only when shutting down with nothing
      * left.
      *
@@ -178,6 +178,17 @@ class RequestQueue
      */
     std::vector<QueuedJob> drain(size_t max,
                                  std::vector<QueuedJob> *shed = nullptr);
+
+    /**
+     * A worker loop's drain: first retire `done` -- the jobs, per
+     * class, the caller ran since its previous drain (markDone()'s
+     * ledger step) -- then drain() into `batch` and `shed`, which are
+     * cleared first and keep their capacity.  One lock acquisition
+     * per job, and no allocation once the two vectors have grown.
+     */
+    void drain(size_t max, std::vector<QueuedJob> &batch,
+               std::vector<QueuedJob> &shed,
+               const std::array<uint64_t, kPriorityClasses> &done);
 
     /**
      * Retire `n` drained jobs once they have run.
@@ -206,15 +217,47 @@ class RequestQueue
     size_t depth() const { return capacity; }
 
   private:
+    /**
+     * One class's FIFO: a vector whose head moves, so pushes and pops
+     * reuse its storage instead of allocating a block every few jobs
+     * as std::deque does.  Popped slots stay moved-from (empty) until
+     * a push finds the storage full and first drops them.  Reserved
+     * at the queue's depth, which bounds a class's queued jobs, the
+     * storage never grows.
+     */
+    class JobFifo
+    {
+      public:
+        void reserve(size_t n) { jobs.reserve(n); }
+        bool empty() const { return head == jobs.size(); }
+        QueuedJob &front() { return jobs[head]; }
+        QueuedJob &back() { return jobs.back(); }
+        void push_back(QueuedJob job);
+        void pop_front();
+        void pop_back();
+
+      private:
+        std::vector<QueuedJob> jobs;
+        size_t head = 0;
+    };
+
     /** Admission bound under the current brownout state (locked). */
     size_t effectiveDepth() const;
+
+    /** drain()'s body, `lock` held: wait, then move jobs out. */
+    void drainLocked(std::unique_lock<std::mutex> &lock, size_t max,
+                     std::vector<QueuedJob> &batch,
+                     std::vector<QueuedJob> *shed);
+
+    /** markDone()'s ledger step, the lock held. */
+    void retireLocked(const std::array<uint64_t, kPriorityClasses> &done);
 
     const size_t capacity;
     const size_t brownoutCapacity;
 
     mutable std::mutex mutex;
     std::condition_variable readable; ///< jobs available / shutdown
-    std::array<std::deque<QueuedJob>, kPriorityClasses> jobs;
+    std::array<JobFifo, kPriorityClasses> jobs;
     QueueStats counters;
     bool shuttingDown = false;
     bool brownoutActive = false;

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -235,7 +236,7 @@ AlignServer::metricsSnapshot() const
     // Brownout observability: the gauge mirrors exactly what Health
     // reports, and the rl_mem_* gauges expose the same usage the
     // janitor feeds into the budget latch.
-    gauge("rl_serve_brownout", budget.browned() ? 1 : 0);
+    gauge("rl_serve_brownout", brownedOut() ? 1 : 0);
     gauge("rl_mem_plan_cache_bytes",
           static_cast<int64_t>(engine.planCacheBytes()));
     gauge("rl_mem_scratch_bytes",
@@ -450,11 +451,13 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
     const int64_t idleMs = cfg.idleTimeoutMs > 0 ? cfg.idleTimeoutMs : -1;
     const int64_t ioMs = cfg.ioTimeoutMs > 0 ? cfg.ioTimeoutMs : -1;
 
+    // Every frame is read through one reused buffer: one recv() takes
+    // whatever the peer has sent, and each complete frame in it is
+    // decoded before the next recv().
+    RecvBuffer in(conn->fd.get());
     for (;;) {
-        uint8_t header[4];
-        const IoStatus headerRead = readExact(
-            conn->fd.get(), header, sizeof(header),
-            deadlineAfterMs(idleMs));
+        const IoStatus headerRead =
+            in.fill(kFrameHeaderBytes, deadlineAfterMs(idleMs));
         if (headerRead != IoStatus::Ok) {
             // Clean EOF, disconnect, or an idle peer: hang up.  On
             // timeout the shutdown tells the peer explicitly instead
@@ -472,7 +475,7 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
 
         uint32_t length = 0;
         WireError headerError = parseFrameHeader(
-            header, sizeof(header), cfg.maxFrameBytes, length);
+            in.data(), in.size(), cfg.maxFrameBytes, length);
         if (headerError != WireError::None) {
             // A hostile length prefix poisons the framing itself --
             // reply once (id unknowable) and hang up; without the
@@ -494,25 +497,25 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
         // The header committed the peer to `length` more bytes; a
         // peer that stalls mid-frame (slow-loris) is cut off after
         // ioTimeoutMs instead of pinning this reader forever.
-        std::vector<uint8_t> payload(length);
-        if (length > 0) {
-            const IoStatus bodyRead =
-                readExact(conn->fd.get(), payload.data(), length,
-                          deadlineAfterMs(ioMs));
-            if (bodyRead != IoStatus::Ok) {
-                if (bodyRead == IoStatus::Timeout)
-                    ::shutdown(conn->fd.get(), SHUT_RDWR);
-                return;
-            }
+        const size_t frameBytes = kFrameHeaderBytes + size_t{length};
+        const IoStatus bodyRead = in.fill(frameBytes, deadlineAfterMs(ioMs));
+        if (bodyRead != IoStatus::Ok) {
+            if (bodyRead == IoStatus::Timeout)
+                ::shutdown(conn->fd.get(), SHUT_RDWR);
+            return;
         }
         const auto arrival = std::chrono::steady_clock::now();
         trace.readDone = arrival;
         if (metrics.requests)
             metrics.requests->add();
 
+        // Decode in place; the request keeps its own copies, so the
+        // frame's bytes are released before it is handled.
         Request request;
-        WireError decodeError =
-            decodeRequest(payload, graphAlphabet, request);
+        WireError decodeError = decodeRequest(
+            {in.data() + kFrameHeaderBytes, length}, graphAlphabet,
+            request);
+        in.consume(frameBytes);
         trace.decodeDone = telemetry::RequestTrace::Clock::now();
         trace.id = request.id;
         trace.tag = static_cast<uint8_t>(request.tag);
@@ -572,7 +575,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             HealthReply h;
             if (stopping.load(std::memory_order_acquire))
                 h.state = HealthState::Draining;
-            else if (budget.browned())
+            else if (brownedOut())
                 h.state = HealthState::Brownout;
             else
                 h.state = HealthState::Ready;
@@ -611,43 +614,49 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     // Build the race problem(s); every wire-level validation already
     // passed, so the remaining admission gate is the library's own
     // budget check below -- one call covers grid cells and graph
-    // product states for every kind, instead of a per-tag copy.
+    // product states for every kind, instead of a per-tag copy.  The
+    // decoded matrix, sequences and signals move into the problem.
     // Graph kinds copy the registry snapshot *here*, at admission:
     // the shared_ptr pins that graph version for this request's whole
     // lifetime, so a reload can swap the registry underneath without
-    // perturbing a single queued or in-flight solve.
-    const GraphSnapshot graphSnap = graphSnapshot();
-    std::vector<api::RaceProblem> problems;
+    // perturbing a single queued or in-flight solve.  Grid kinds never
+    // read the graph and take no snapshot.
+    api::RaceProblem problem; // every queued kind but MapReads
+    std::vector<api::RaceProblem> reads; // MapReads: one per read
     switch (tag) {
     case RequestTag::Pairwise:
-        problems.push_back(api::RaceProblem::pairwiseAlignment(
-            *request.matrix, *request.a, *request.b));
+        problem = api::RaceProblem::pairwiseAlignment(
+            std::move(*request.matrix), std::move(*request.a),
+            std::move(*request.b));
         break;
     case RequestTag::Affine:
-        problems.push_back(api::RaceProblem::affineAlignment(
-            *request.matrix,
+        problem = api::RaceProblem::affineAlignment(
+            std::move(*request.matrix),
             bio::AffineGapCosts{request.open, request.extend},
-            *request.a, *request.b));
+            std::move(*request.a), std::move(*request.b));
         break;
     case RequestTag::Screen:
-        problems.push_back(api::RaceProblem::thresholdScreen(
-            *request.matrix, request.threshold, *request.a,
-            *request.b));
+        problem = api::RaceProblem::thresholdScreen(
+            std::move(*request.matrix), request.threshold,
+            std::move(*request.a), std::move(*request.b));
         break;
     case RequestTag::Dtw:
-        problems.push_back(api::RaceProblem::dtw(std::move(request.x),
-                                                 std::move(request.y)));
+        problem = api::RaceProblem::dtw(std::move(request.x),
+                                        std::move(request.y));
         break;
-    case RequestTag::GraphAlign:
+    case RequestTag::GraphAlign: {
+        const GraphSnapshot graphSnap = graphSnapshot();
         if (!graphSnap.graph) {
             bounce(Status::BadRequest, "no pangenome loaded");
             return;
         }
-        problems.push_back(api::RaceProblem::graphAlign(
-            *graphSnap.matrix, *request.read, graphSnap.graph,
-            request.threshold));
+        problem = api::RaceProblem::graphAlign(
+            *graphSnap.matrix, std::move(*request.read), graphSnap.graph,
+            request.threshold);
         break;
+    }
     case RequestTag::MapReads: {
+        const GraphSnapshot graphSnap = graphSnapshot();
         if (!graphSnap.graph) {
             bounce(Status::BadRequest, "no pangenome loaded");
             return;
@@ -660,8 +669,9 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             bounce(Status::Oversized, "batch exceeds maxBatchReads");
             return;
         }
+        reads.reserve(request.reads.size());
         for (bio::Sequence &read : request.reads)
-            problems.push_back(api::RaceProblem::graphAlign(
+            reads.push_back(api::RaceProblem::graphAlign(
                 *graphSnap.matrix, std::move(read), graphSnap.graph,
                 request.threshold));
         break;
@@ -681,8 +691,11 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     api::ProblemLimits limits;
     limits.maxGridCells = cfg.maxGridCells;
     limits.maxProductStates = cfg.engine.maxProductStates;
-    for (const api::RaceProblem &problem : problems) {
-        racelogic::Status budget = api::checkBudgets(problem, limits);
+    const std::span<const api::RaceProblem> admitted =
+        tag == RequestTag::MapReads ? std::span<const api::RaceProblem>(reads)
+                                    : std::span(&problem, 1);
+    for (const api::RaceProblem &p : admitted) {
+        racelogic::Status budget = api::checkBudgets(p, limits);
         if (!budget.ok()) {
             bounce(statusForCode(budget.code()), budget.message());
             return;
@@ -718,7 +731,8 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         recordTrace(trace, 0, false);
     };
     job.run = [this, conn, id, tag, deadline, trace,
-               problems = std::move(problems)]() mutable {
+               problem = std::move(problem),
+               reads = std::move(reads)]() mutable {
         trace.dispatchStart = telemetry::RequestTrace::Clock::now();
 
         // A live deadline becomes a cooperative cancel token: the
@@ -742,8 +756,11 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         // score-only: the grid and graph kernels then allocate no
         // arrival grid, a per-request allocation the memory budget
         // cannot see.
-        for (api::RaceProblem &problem : problems)
-            problem.arrivals = false;
+        auto prepare = [&](api::RaceProblem &p) {
+            p.arrivals = false;
+            p.cancel = cancel;
+            p.counters = counters;
+        };
 
         Response r;
         r.id = id;
@@ -753,15 +770,13 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         // problem that slipped past admission earns a typed reply
         // here instead of tripping a library fatal on a worker.
         // Every exit assigns `r` and falls through: the job must
-        // record exactly one raced trace, because markDone() retires
+        // record exactly one raced trace, because the worker retires
         // it from the completed ledger no matter how it replied.
         if (tag == RequestTag::MapReads) {
-            r.reads.reserve(problems.size());
-            for (api::RaceProblem &problem : problems) {
-                problem.cancel = cancel;
-                problem.counters = counters;
-                Expected<api::RaceResult> result =
-                    engine.trySolve(problem);
+            r.reads.reserve(reads.size());
+            for (api::RaceProblem &read : reads) {
+                prepare(read);
+                Expected<api::RaceResult> result = engine.trySolve(read);
                 if (!result.ok()) {
                     r = errorResponse(id, tag,
                                       statusForCode(
@@ -783,10 +798,8 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
                 r.reads.push_back(rr);
             }
         } else {
-            problems.front().cancel = cancel;
-            problems.front().counters = counters;
-            Expected<api::RaceResult> result =
-                engine.trySolve(problems.front());
+            prepare(problem);
+            Expected<api::RaceResult> result = engine.trySolve(problem);
             if (!result.ok()) {
                 r = errorResponse(id, tag,
                                   statusForCode(result.status().code()),
@@ -831,9 +844,15 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
 void
 AlignServer::workerLoop()
 {
+    // Reused across jobs: each drain refills them in place and first
+    // retires the job the previous pass ran, so a job costs one queue
+    // lock and no vector allocation.  Shed jobs were never inflight;
+    // only raced jobs retire, each in its class, so the class ledgers
+    // stay coherent with the global one.
+    std::vector<QueuedJob> popped, shed;
+    std::array<uint64_t, kPriorityClasses> ran{};
     for (;;) {
-        std::vector<QueuedJob> shed;
-        std::vector<QueuedJob> popped = queue.drain(1, &shed);
+        queue.drain(1, popped, shed, ran);
         if (popped.empty() && shed.empty())
             return; // shut down with nothing left
         try {
@@ -848,13 +867,9 @@ AlignServer::workerLoop()
             rl_warn("serve: job raised '", e.what(),
                     "'; worker continues");
         }
-        // Shed jobs were never inflight; only the raced job retires,
-        // in its class, so the class ledgers stay coherent with the
-        // global one.
-        std::array<uint64_t, kPriorityClasses> byClass{};
+        ran = {};
         for (const QueuedJob &job : popped)
-            ++byClass[static_cast<size_t>(job.priority)];
-        queue.markDone(byClass);
+            ++ran[static_cast<size_t>(job.priority)];
     }
 }
 
@@ -924,7 +939,10 @@ void
 AlignServer::reply(Connection &conn, const Response &response,
                    telemetry::RequestTrace *trace)
 {
-    std::vector<uint8_t> framed = frame(encodeResponse(response));
+    // One framed reply buffer per thread, reused: a reply allocates
+    // only while the buffer grows to the thread's largest.
+    static thread_local std::vector<uint8_t> framed;
+    encodeResponseFrame(response, framed);
     if (trace)
         trace->encodeDone = telemetry::RequestTrace::Clock::now();
     const IoDeadline deadline =

@@ -49,7 +49,7 @@ namespace racelogic::serve {
 /**
  * One coherent view of the daemon's preloaded pangenome.
  *
- * Requests copy a snapshot at admission; the shared_ptr pins the
+ * Graph requests copy a snapshot at admission; the shared_ptr pins the
  * graph for as long as any queued or in-flight solve still references
  * it, so a hot reload can swap the registry without ever yanking a
  * graph out from under a race.  `version` increments on every
@@ -198,8 +198,12 @@ class AlignServer
     /** Coherent admission counters (safe from any thread). */
     QueueStats queueStats() const { return queue.stats(); }
 
-    /** Current brownout latch state (safe from any thread). */
-    bool brownedOut() const { return budget.browned(); }
+    /**
+     * Current brownout state (safe from any thread): the admission
+     * queue's latch, so whenever this reads true, batch-class work is
+     * already being shed.  Health and rl_serve_brownout report it too.
+     */
+    bool brownedOut() const { return queue.brownout(); }
 
     /** The graph registry's current version (0 = none loaded). */
     uint64_t graphVersion() const;

@@ -90,6 +90,8 @@ waitReady(int fd, short events, IoDeadline deadline)
         pollfd entry{};
         entry.fd = fd;
         entry.events = events;
+        if (FaultInjector *injector = FaultInjector::installed())
+            injector->beforePoll();
         const int rc = ::poll(&entry, 1, timeout);
         if (rc > 0)
             return IoStatus::Ok;
@@ -240,39 +242,66 @@ connectTcp(uint16_t port, int64_t timeoutMs)
                                sizeof(addr), timeoutMs);
 }
 
-IoStatus
-readExact(int fd, void *buffer, size_t n, IoDeadline deadline)
-{
-    uint8_t *out = static_cast<uint8_t *>(buffer);
-    size_t got = 0;
-    while (got < n) {
-        const IoStatus ready = waitReady(fd, POLLIN, deadline);
-        if (ready != IoStatus::Ok)
-            return ready;
+namespace {
 
-        size_t want = n - got;
+/**
+ * The verdict on a recv() or send() that moved nothing: Ok to try
+ * again (EINTR, or EAGAIN once `fd` is ready for `events` by
+ * `deadline`), else the status to return.
+ */
+IoStatus
+retryOrWait(int fd, short events, IoDeadline deadline)
+{
+    if (errno == EINTR)
+        return IoStatus::Ok;
+    if (errno != EAGAIN && errno != EWOULDBLOCK)
+        return IoStatus::Error;
+    return waitReady(fd, events, deadline);
+}
+
+/**
+ * Receive into `buffer`, whose first `have` bytes are filled, until
+ * at least `need` are, never past `room`: each recv() takes what is
+ * there up to `room`, through the installed fault injector's cap and
+ * byte count.  MSG_DONTWAIT: never block, blocking and non-blocking
+ * fds alike; poll() only on EAGAIN.  `have` counts what landed, also
+ * when the status is not Ok.
+ */
+IoStatus
+recvAtLeast(int fd, uint8_t *buffer, size_t &have, size_t need,
+            size_t room, IoDeadline deadline)
+{
+    while (have < need) {
+        size_t want = room - have;
         if (FaultInjector *injector = FaultInjector::installed()) {
             const FaultAction act = injector->beforeIo(fd, want, false);
             if (act.chunkCap > 0 && act.chunkCap < want)
                 want = act.chunkCap;
         }
-
-        // MSG_DONTWAIT: poll said readable, but never risk blocking
-        // (works uniformly for blocking and non-blocking fds).
-        const ssize_t rc = ::recv(fd, out + got, want, MSG_DONTWAIT);
+        const ssize_t rc = ::recv(fd, buffer + have, want, MSG_DONTWAIT);
         if (rc > 0) {
-            got += static_cast<size_t>(rc);
+            have += static_cast<size_t>(rc);
             if (FaultInjector *injector = FaultInjector::installed())
                 injector->afterIo(fd, static_cast<size_t>(rc));
             continue;
         }
         if (rc == 0)
             return IoStatus::Eof;
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-            continue;
-        return IoStatus::Error;
+        if (const IoStatus next = retryOrWait(fd, POLLIN, deadline);
+            next != IoStatus::Ok)
+            return next;
     }
     return IoStatus::Ok;
+}
+
+} // namespace
+
+IoStatus
+readExact(int fd, void *buffer, size_t n, IoDeadline deadline)
+{
+    size_t got = 0;
+    return recvAtLeast(fd, static_cast<uint8_t *>(buffer), got, n, n,
+                       deadline);
 }
 
 IoStatus
@@ -281,10 +310,6 @@ writeAll(int fd, const void *buffer, size_t n, IoDeadline deadline)
     const uint8_t *in = static_cast<const uint8_t *>(buffer);
     size_t sent = 0;
     while (sent < n) {
-        const IoStatus ready = waitReady(fd, POLLOUT, deadline);
-        if (ready != IoStatus::Ok)
-            return ready;
-
         size_t want = n - sent;
         if (FaultInjector *injector = FaultInjector::installed()) {
             const FaultAction act = injector->beforeIo(fd, want, true);
@@ -300,10 +325,11 @@ writeAll(int fd, const void *buffer, size_t n, IoDeadline deadline)
                 injector->afterIo(fd, static_cast<size_t>(rc));
             continue;
         }
-        if (rc < 0 &&
-            (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
-            continue;
-        return IoStatus::Error;
+        if (rc == 0)
+            return IoStatus::Error;
+        if (const IoStatus next = retryOrWait(fd, POLLOUT, deadline);
+            next != IoStatus::Ok)
+            return next;
     }
     return IoStatus::Ok;
 }
@@ -318,6 +344,32 @@ bool
 writeAll(int fd, const void *buffer, size_t n)
 {
     return writeAll(fd, buffer, n, kNoDeadline) == IoStatus::Ok;
+}
+
+RecvBuffer::RecvBuffer(int fd) : fd(fd), bytes(4096) {}
+
+IoStatus
+RecvBuffer::fill(size_t n, IoDeadline deadline)
+{
+    if (begin + n > bytes.size()) {
+        // Slide the held bytes to the front; grow only if the span
+        // asked for is larger than the whole buffer.
+        std::memmove(bytes.data(), bytes.data() + begin, size());
+        end -= begin;
+        begin = 0;
+        if (n > bytes.size())
+            bytes.resize(n);
+    }
+    return recvAtLeast(fd, bytes.data(), end, begin + n, bytes.size(),
+                       deadline);
+}
+
+void
+RecvBuffer::consume(size_t n)
+{
+    begin += n;
+    if (begin == end)
+        begin = end = 0;
 }
 
 } // namespace racelogic::serve

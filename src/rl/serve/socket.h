@@ -8,11 +8,14 @@
  * clean false instead of a signal or an exception.  The wire protocol
  * (rl/serve/wire.h) sits entirely above this layer.
  *
- * Every transfer loop is poll()-based and can carry an absolute
- * deadline (IoDeadline): a peer that stops sending or stops reading
- * turns into a typed IoStatus::Timeout instead of a thread pinned in
- * recv()/send() forever.  kNoDeadline recovers the old blocking
- * behaviour.  The loops also consult the process-global
+ * Every transfer loop calls recv()/send() first and poll()s only when
+ * the socket answers EAGAIN, so bytes that are already there cost one
+ * syscall.  Each loop can carry an absolute deadline (IoDeadline): a
+ * peer that stops sending or stops reading turns into a typed
+ * IoStatus::Timeout instead of a thread pinned in recv()/send()
+ * forever.  The deadline bounds waiting only -- bytes already
+ * buffered still move after it has passed.  kNoDeadline recovers the
+ * old blocking behaviour.  The loops also consult the process-global
  * serve::FaultInjector (rl/serve/fault.h) when one is installed --
  * tests and tools only; an uninstalled injector costs one relaxed
  * atomic load per syscall.
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace racelogic::serve {
 
@@ -116,7 +120,7 @@ ScopedFd listenTcp(uint16_t port, uint16_t &boundPort);
  * via a non-blocking connect + poll, so a dead or unresponsive
  * address fails with ETIMEDOUT instead of blocking the caller
  * indefinitely.  The returned fd is left non-blocking -- the
- * poll-based transfer loops below handle that transparently.
+ * transfer loops below handle that transparently.
  */
 ScopedFd connectUnix(const std::string &path, int64_t timeoutMs = -1);
 
@@ -127,18 +131,22 @@ ScopedFd connectTcp(uint16_t port, int64_t timeoutMs = -1);
 bool setNonBlocking(int fd);
 
 /**
- * Read exactly `n` bytes by `deadline`, retrying EINTR, EAGAIN, and
- * short reads via poll().  Works on blocking and non-blocking fds
- * alike.  A timeout may leave a partial frame consumed -- the
- * connection's framing is gone; callers must close, not retry.
+ * Read exactly `n` bytes, retrying EINTR and short reads.  Each pass
+ * calls recv() first and poll()s only on EAGAIN, so `deadline` bounds
+ * waiting for bytes, not reading bytes already buffered.  Works on
+ * blocking and non-blocking fds alike.  A timeout may leave a partial
+ * frame consumed -- the connection's framing is gone; callers must
+ * close, not retry.
  */
 IoStatus readExact(int fd, void *buffer, size_t n, IoDeadline deadline);
 
 /**
- * Write all `n` bytes by `deadline`, retrying EINTR, EAGAIN, and
- * short writes via poll(), with SIGPIPE suppressed (MSG_NOSIGNAL) so
- * a vanished peer is a status return, not a process-killing signal.
- * A timeout may leave a partial frame sent; callers must close.
+ * Write all `n` bytes, retrying EINTR and short writes.  Each pass
+ * calls send() first and poll()s only on EAGAIN (a full send buffer),
+ * so `deadline` bounds waiting for room, not writing into room that
+ * is already there.  SIGPIPE is suppressed (MSG_NOSIGNAL) so a
+ * vanished peer is a status return, not a process-killing signal.  A
+ * timeout may leave a partial frame sent; callers must close.
  */
 IoStatus writeAll(int fd, const void *buffer, size_t n,
                   IoDeadline deadline);
@@ -152,6 +160,42 @@ bool readExact(int fd, void *buffer, size_t n);
 
 /** Write all `n` bytes with no deadline; false on error. */
 bool writeAll(int fd, const void *buffer, size_t n);
+
+/**
+ * One connection's read side: a reused buffer that each recv() fills
+ * with as much as the peer has already sent, so a pipelined window of
+ * frames costs one recv() per batch instead of two per frame.  The
+ * buffer starts at one page and grows only to the largest span a
+ * caller asks to hold at once (for the daemon: its largest frame).
+ */
+class RecvBuffer
+{
+  public:
+    explicit RecvBuffer(int fd);
+
+    /**
+     * Hold at least `n` unconsumed bytes, receiving more as needed
+     * with readExact()'s contract: recv() first, poll() only on
+     * EAGAIN, `deadline` bounds waiting only, same statuses, same
+     * fault hooks.  Bytes received before a Timeout stay held.  A
+     * later fill() may move the held bytes, so pointers from data()
+     * last until the next fill().
+     */
+    IoStatus fill(size_t n, IoDeadline deadline);
+
+    /** The unconsumed bytes (size() of them). */
+    const uint8_t *data() const { return bytes.data() + begin; }
+    size_t size() const { return end - begin; }
+
+    /** Drop the first `n` unconsumed bytes (n <= size()). */
+    void consume(size_t n);
+
+  private:
+    int fd;
+    std::vector<uint8_t> bytes;
+    size_t begin = 0;
+    size_t end = 0;
+};
 
 } // namespace racelogic::serve
 

@@ -1,6 +1,8 @@
 #include "rl/serve/wire.h"
 
 #include <cstring>
+#include <sstream>
+#include <string_view>
 
 #include "rl/bio/fasta.h"
 #include "rl/core/wavefront.h"
@@ -65,14 +67,14 @@ class Writer
 };
 
 /**
- * Bounds-checked little-endian reader.  Every read reports
- * truncation instead of walking off the payload, so a hostile frame
- * can never index out of bounds.
+ * Bounds-checked little-endian reader over borrowed bytes.  Every
+ * read reports truncation instead of walking off the payload, so a
+ * hostile frame can never index out of bounds.
  */
 class Reader
 {
   public:
-    explicit Reader(const std::vector<uint8_t> &in) : bytes(in) {}
+    explicit Reader(std::span<const uint8_t> in) : bytes(in) {}
 
     bool
     u8(uint8_t &v)
@@ -115,17 +117,31 @@ class Reader
         return true;
     }
 
-    /** Length-prefixed string, capped so a lying prefix truncates. */
+    /**
+     * Length-prefixed string, viewed in place (valid as long as the
+     * payload), capped so a lying prefix truncates.
+     */
     bool
-    str(std::string &s, uint32_t maxLength)
+    view(std::string_view &s, uint32_t maxLength)
     {
         uint32_t n;
         if (!u32(n))
             return false;
         if (n > maxLength || pos + n > bytes.size())
             return false;
-        s.assign(reinterpret_cast<const char *>(bytes.data() + pos), n);
+        s = {reinterpret_cast<const char *>(bytes.data() + pos), n};
         pos += n;
+        return true;
+    }
+
+    /** Length-prefixed string, copied out. */
+    bool
+    str(std::string &s, uint32_t maxLength)
+    {
+        std::string_view v;
+        if (!view(v, maxLength))
+            return false;
+        s.assign(v);
         return true;
     }
 
@@ -136,7 +152,7 @@ class Reader
     }
 
   private:
-    const std::vector<uint8_t> &bytes;
+    std::span<const uint8_t> bytes;
     size_t pos = 0;
 };
 
@@ -169,35 +185,35 @@ writeMatrix(Writer &w, const bio::ScoreMatrix &m)
 WireError
 readMatrix(Reader &r, bool finitePairs, std::optional<bio::ScoreMatrix> &out)
 {
-    std::string letters;
-    if (!r.str(letters, kMaxWireAlphabet))
+    std::string_view letters;
+    if (!r.view(letters, kMaxWireAlphabet))
         return WireError::Truncated;
-    auto alphabet = bio::Alphabet::tryMake(letters);
+    auto alphabet = bio::Alphabet::tryMake(std::string(letters));
     if (!alphabet.ok())
         return wireErrorForCode(alphabet.status().code());
 
+    // Weights are read straight into the matrix the request keeps.
     const size_t n = letters.size();
-    std::vector<int64_t> pairs(n * n);
-    for (int64_t &p : pairs)
-        if (!r.i64(p))
-            return WireError::Truncated;
-    std::vector<int64_t> gaps(n);
-    for (int64_t &g : gaps)
-        if (!r.i64(g))
-            return WireError::Truncated;
-
-    bio::ScoreMatrix m(std::move(alphabet.value()), bio::ScoreKind::Cost);
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j)
+    bio::ScoreMatrix &m =
+        out.emplace(std::move(alphabet.value()), bio::ScoreKind::Cost);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j) {
+            int64_t w;
+            if (!r.i64(w))
+                return WireError::Truncated;
             m.setPair(static_cast<bio::Symbol>(i),
-                      static_cast<bio::Symbol>(j), pairs[i * n + j]);
-        m.setGap(static_cast<bio::Symbol>(i), gaps[i]);
+                      static_cast<bio::Symbol>(j), w);
+        }
+    for (size_t i = 0; i < n; ++i) {
+        int64_t w;
+        if (!r.i64(w))
+            return WireError::Truncated;
+        m.setGap(static_cast<bio::Symbol>(i), w);
     }
     if (racelogic::Status ready = m.validateRaceReady(
             kMaxWireWeight, /*allowForbiddenPairs=*/!finitePairs);
         !ready.ok())
         return wireErrorForCode(ready.code());
-    out.emplace(std::move(m));
     return WireError::None;
 }
 
@@ -210,8 +226,8 @@ WireError
 readSequence(Reader &r, const bio::Alphabet &alphabet, bool allowEmpty,
              std::optional<bio::Sequence> &out)
 {
-    std::string text;
-    if (!r.str(text, kMaxWireSequence))
+    std::string_view text;
+    if (!r.view(text, kMaxWireSequence))
         return WireError::Truncated;
     if (text.empty() && !allowEmpty)
         return WireError::BadRequest;
@@ -259,12 +275,14 @@ readSignal(Reader &r, std::vector<apps::Sample> &out)
  * client bug, not a file-format question).
  */
 WireError
-readFastaBatch(const std::string &text, const bio::Alphabet &alphabet,
+readFastaBatch(std::string_view text, const bio::Alphabet &alphabet,
                std::vector<bio::Sequence> &out)
 {
     bio::FastaLimits limits;
     limits.maxSequenceLength = kMaxWireSequence;
-    auto records = bio::tryReadFasta(text, alphabet, limits);
+    // The parser reads a stream; it takes the batch's one copy.
+    std::istringstream in{std::string(text)};
+    auto records = bio::tryReadFasta(in, alphabet, limits);
     if (!records.ok())
         return wireErrorForCode(records.status().code());
     if (records.value().empty())
@@ -502,7 +520,7 @@ encodeHealthRequest(uint32_t id)
 }
 
 WireError
-decodeRequest(const std::vector<uint8_t> &payload,
+decodeRequest(std::span<const uint8_t> payload,
               const bio::Alphabet &graphAlphabet, Request &out)
 {
     out = Request{};
@@ -582,8 +600,8 @@ decodeRequest(const std::vector<uint8_t> &payload,
             return WireError::Truncated;
         if (!validThreshold(out.threshold, /*sentinelAllowed=*/true))
             return WireError::BadRequest;
-        std::string fasta;
-        if (!r.str(fasta, kDefaultMaxFrameBytes))
+        std::string_view fasta;
+        if (!r.view(fasta, kDefaultMaxFrameBytes))
             return WireError::Truncated;
         if (WireError e = readFastaBatch(fasta, graphAlphabet, out.reads);
             e != WireError::None)
@@ -602,18 +620,19 @@ decodeRequest(const std::vector<uint8_t> &payload,
     return WireError::None;
 }
 
-std::vector<uint8_t>
-encodeResponse(const Response &response)
+namespace {
+
+/** Append the payload of `response` to `w`. */
+void
+writeResponse(Writer &w, const Response &response)
 {
-    std::vector<uint8_t> payload;
-    Writer w(payload);
     w.u32(response.id);
     w.u8(static_cast<uint8_t>(response.status));
     w.u8(static_cast<uint8_t>(response.tag));
     w.str(response.message);
 
     if (response.status != Status::Ok)
-        return payload;
+        return;
 
     switch (response.tag) {
     case RequestTag::Pairwise:
@@ -708,11 +727,34 @@ encodeResponse(const Response &response)
         break;
     }
     }
+}
+
+} // namespace
+
+std::vector<uint8_t>
+encodeResponse(const Response &response)
+{
+    std::vector<uint8_t> payload;
+    Writer w(payload);
+    writeResponse(w, response);
     return payload;
 }
 
+void
+encodeResponseFrame(const Response &response, std::vector<uint8_t> &out)
+{
+    out.clear();
+    Writer w(out);
+    w.u32(0); // the length prefix, patched below
+    writeResponse(w, response);
+    const uint32_t length =
+        static_cast<uint32_t>(out.size() - kFrameHeaderBytes);
+    for (size_t i = 0; i < kFrameHeaderBytes; ++i)
+        out[i] = static_cast<uint8_t>(length >> (8 * i));
+}
+
 WireError
-decodeResponse(const std::vector<uint8_t> &payload, Response &out)
+decodeResponse(std::span<const uint8_t> payload, Response &out)
 {
     out = Response{};
     Reader r(payload);
@@ -878,10 +920,10 @@ WireError
 parseFrameHeader(const uint8_t *bytes, size_t available,
                  uint32_t maxFrameBytes, uint32_t &length)
 {
-    if (available < 4)
+    if (available < kFrameHeaderBytes)
         return WireError::Truncated;
     length = 0;
-    for (int i = 0; i < 4; ++i)
+    for (size_t i = 0; i < kFrameHeaderBytes; ++i)
         length |= static_cast<uint32_t>(bytes[i]) << (8 * i);
     if (length > maxFrameBytes)
         return WireError::Oversized;

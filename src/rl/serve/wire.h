@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -353,18 +354,32 @@ std::vector<uint8_t> encodeHealthRequest(uint32_t id);
  * Decode and validate one request payload.  `graphAlphabet` checks
  * GraphAlign/MapReads letters (the preloaded pangenome's alphabet).
  * On any error the returned Request carries whatever id could be
- * read (0 if none) so the server can still address its reply.
+ * read (0 if none) so the server can still address its reply.  The
+ * payload is read in place (the daemon passes a view into its
+ * connection's receive buffer); only what `out` keeps -- the matrix,
+ * the encoded sequences, signals and reads -- is allocated, plus the
+ * one copy of a MapReads batch's FASTA text its parser reads.
  */
-WireError decodeRequest(const std::vector<uint8_t> &payload,
+WireError decodeRequest(std::span<const uint8_t> payload,
                         const bio::Alphabet &graphAlphabet,
                         Request &out);
 
 /** Encode a response payload. */
 std::vector<uint8_t> encodeResponse(const Response &response);
 
+/**
+ * Encode `response` as one whole frame -- length prefix and payload
+ * -- into `out`, replacing its contents but keeping its capacity, so
+ * a reused buffer encodes without allocating.
+ */
+void encodeResponseFrame(const Response &response,
+                         std::vector<uint8_t> &out);
+
 /** Decode a response payload (client side). */
-WireError decodeResponse(const std::vector<uint8_t> &payload,
-                         Response &out);
+WireError decodeResponse(std::span<const uint8_t> payload, Response &out);
+
+/** Bytes of the little-endian length prefix that opens every frame. */
+constexpr size_t kFrameHeaderBytes = 4;
 
 /** Wrap a payload in its 4-byte little-endian length prefix. */
 std::vector<uint8_t> frame(const std::vector<uint8_t> &payload);

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -32,6 +33,7 @@
 #include <unistd.h>
 
 #include "rl/api/api.h"
+#include "rl/core/scratch_registry.h"
 #include "rl/core/wavefront.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/client.h"
@@ -1065,10 +1067,22 @@ TEST(ServeServer, TinyMemoryBudgetEntersAndExitsBrownoutObservably)
     ASSERT_TRUE(server.start());
     ServeClient client = ServeClient::overTcp(server.port());
 
+    // A scratch the janitor cannot reclaim while `held` is set: it
+    // keeps usage above the low watermark for as long as the test
+    // probes the latch, which the 10 ms janitor could otherwise
+    // release between the probes.  Zero bytes until armed; armed
+    // before the solve, so the janitor's pass that latches the
+    // brownout already reads it and the latch cannot flap.
+    std::atomic<bool> held{false};
+    core::ScratchRegistration hold([&held](bool) -> size_t {
+        return held.load() ? 4096 : 0;
+    });
+
     EXPECT_FALSE(server.brownedOut());
 
     // One solve leaves a resident plan; the next janitor tick crosses
     // the 1-byte high watermark and latches the brownout.
+    held.store(true);
     ASSERT_TRUE(client.submitPairwise(1, fig2b(), dnaString(40, 15),
                                       dnaString(40, 16)));
     Response r;
@@ -1102,6 +1116,7 @@ TEST(ServeServer, TinyMemoryBudgetEntersAndExitsBrownoutObservably)
     // The janitor's reclaim (scratch shrink + plan eviction) drives
     // usage to zero, which is under the low watermark: the latch must
     // release on its own.
+    held.store(false);
     for (int i = 0; i < 500 && server.brownedOut(); ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_FALSE(server.brownedOut());

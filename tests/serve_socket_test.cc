@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -18,12 +20,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "rl/bio/score_matrix.h"
 #include "rl/serve/fault.h"
 #include "rl/serve/socket.h"
+#include "rl/serve/wire.h"
 
 namespace {
 
 using namespace racelogic::serve;
+namespace bio = racelogic::bio;
 
 /** A connected socketpair wrapped for RAII. */
 struct Pair {
@@ -114,6 +119,165 @@ TEST(ServeSocket, NegativeTimeoutMeansNoDeadline)
 {
     EXPECT_EQ(deadlineAfterMs(-1), kNoDeadline);
     EXPECT_NE(deadlineAfterMs(0), kNoDeadline);
+}
+
+// ------------------------------------------- recv/send first, poll on EAGAIN
+
+/** Milliseconds `body` took. */
+template <class Body>
+int64_t
+elapsedMs(Body body)
+{
+    const auto before = IoClock::now();
+    body();
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               IoClock::now() - before)
+        .count();
+}
+
+TEST(ServeSocket, BufferedBytesMovePastAnExpiredDeadline)
+{
+    // A deadline bounds waiting, not bytes that are already there.
+    Pair pair;
+    ASSERT_TRUE(pair.a.valid());
+    const IoDeadline expired = IoClock::now() - std::chrono::seconds(1);
+    const std::vector<uint8_t> sent = patternBytes(64);
+    EXPECT_EQ(writeAll(pair.b.get(), sent.data(), sent.size(), expired),
+              IoStatus::Ok);
+
+    std::vector<uint8_t> received(32);
+    EXPECT_EQ(readExact(pair.a.get(), received.data(), received.size(),
+                        expired),
+              IoStatus::Ok);
+    EXPECT_TRUE(std::equal(received.begin(), received.end(), sent.begin()));
+
+    RecvBuffer in(pair.a.get());
+    ASSERT_EQ(in.fill(32, expired), IoStatus::Ok);
+    EXPECT_TRUE(std::equal(in.data(), in.data() + 32, sent.begin() + 32));
+}
+
+TEST(ServeSocket, EmptySocketPastItsDeadlineTimesOutWithoutBlocking)
+{
+    Pair pair;
+    ASSERT_TRUE(pair.a.valid());
+    const IoDeadline expired = IoClock::now() - std::chrono::seconds(1);
+    uint8_t buffer[8];
+    IoStatus status = IoStatus::Ok;
+    EXPECT_LT(elapsedMs([&] {
+                  status = readExact(pair.a.get(), buffer, sizeof(buffer),
+                                     expired);
+              }),
+              1000);
+    EXPECT_EQ(status, IoStatus::Timeout);
+
+    RecvBuffer in(pair.a.get());
+    EXPECT_LT(elapsedMs([&] { status = in.fill(4, expired); }), 1000);
+    EXPECT_EQ(status, IoStatus::Timeout);
+}
+
+TEST(ServeSocket, SendIntoAFullBufferStillTimesOut)
+{
+    Pair pair;
+    ASSERT_TRUE(pair.a.valid());
+    int small = 4096;
+    ::setsockopt(pair.a.get(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+    ::setsockopt(pair.b.get(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+
+    // Fill the socket: an expired deadline writes what fits, then
+    // times out at the first EAGAIN instead of waiting.
+    const std::vector<uint8_t> bulk(1u << 20, 0x5A);
+    ASSERT_EQ(writeAll(pair.a.get(), bulk.data(), bulk.size(),
+                       IoClock::now()),
+              IoStatus::Timeout);
+
+    // Full: one more byte waits out its deadline, then times out.
+    const uint8_t one = 1;
+    IoStatus status = IoStatus::Ok;
+    const int64_t took = elapsedMs([&] {
+        status = writeAll(pair.a.get(), &one, 1, deadlineAfterMs(50));
+    });
+    EXPECT_EQ(status, IoStatus::Timeout);
+    EXPECT_GE(took, 50);
+    EXPECT_LT(took, 5000);
+}
+
+TEST(ServeSocket, TwoFramesDeliveredByOneRecvBothDecode)
+{
+    FaultInjector injector(FaultConfig{}); // counts, never faults
+    FaultInjector::install(&injector);
+    Pair pair;
+    ASSERT_TRUE(pair.a.valid());
+    const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
+    std::vector<uint8_t> bytes = frame(
+        encodeScreen(1, costs, 40, std::string(32, 'A'),
+                     std::string(32, 'C')));
+    const std::vector<uint8_t> ping = frame(encodePing(2));
+    bytes.insert(bytes.end(), ping.begin(), ping.end());
+    ASSERT_TRUE(writeAll(pair.b.get(), bytes.data(), bytes.size()));
+    const uint64_t recvsBefore = injector.stats().recvs;
+
+    RecvBuffer in(pair.a.get());
+    std::vector<Request> decoded;
+    for (int n = 0; n < 2; ++n) {
+        uint32_t length = 0;
+        ASSERT_EQ(in.fill(kFrameHeaderBytes, deadlineAfterMs(1000)),
+                  IoStatus::Ok);
+        ASSERT_EQ(parseFrameHeader(in.data(), in.size(),
+                                   kDefaultMaxFrameBytes, length),
+                  WireError::None);
+        ASSERT_EQ(in.fill(kFrameHeaderBytes + length, deadlineAfterMs(1000)),
+                  IoStatus::Ok);
+        Request request;
+        ASSERT_EQ(decodeRequest({in.data() + kFrameHeaderBytes, length},
+                                bio::Alphabet::dna(), request),
+                  WireError::None);
+        in.consume(kFrameHeaderBytes + length);
+        decoded.push_back(std::move(request));
+    }
+    const uint64_t recvs = injector.stats().recvs - recvsBefore;
+    FaultInjector::install(nullptr);
+
+    EXPECT_EQ(recvs, 1u) << "both frames came from one recv()";
+    EXPECT_EQ(in.size(), 0u);
+    EXPECT_EQ(decoded[0].tag, RequestTag::Screen);
+    EXPECT_EQ(decoded[0].id, 1u);
+    EXPECT_EQ(decoded[0].a->size(), 32u);
+    EXPECT_EQ(decoded[1].tag, RequestTag::Ping);
+    EXPECT_EQ(decoded[1].id, 2u);
+}
+
+TEST(ServeSocket, FrameSplitAtEveryByteOffsetReassembles)
+{
+    const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
+    const std::vector<uint8_t> payload =
+        encodePairwise(7, costs, "ACGTTGCA", "ACGTAGCA");
+    const std::vector<uint8_t> framed = frame(payload);
+    for (size_t split = 0; split <= framed.size(); ++split) {
+        Pair pair;
+        ASSERT_TRUE(pair.a.valid());
+        RecvBuffer in(pair.a.get());
+        ASSERT_TRUE(writeAll(pair.b.get(), framed.data(), split));
+        if (split < framed.size()) {
+            // Only the first `split` bytes are there: the wait times
+            // out, and what arrived stays held.
+            EXPECT_EQ(in.fill(framed.size(), IoClock::now()),
+                      IoStatus::Timeout);
+            EXPECT_EQ(in.size(), split);
+            ASSERT_TRUE(writeAll(pair.b.get(), framed.data() + split,
+                                 framed.size() - split));
+        }
+        ASSERT_EQ(in.fill(framed.size(), deadlineAfterMs(1000)),
+                  IoStatus::Ok)
+            << "split at byte " << split;
+        ASSERT_TRUE(std::equal(framed.begin(), framed.end(), in.data()))
+            << "split at byte " << split;
+        Request request;
+        ASSERT_EQ(decodeRequest({in.data() + kFrameHeaderBytes,
+                                 payload.size()},
+                                bio::Alphabet::dna(), request),
+                  WireError::None);
+        EXPECT_EQ(request.id, 7u);
+    }
 }
 
 TEST(ServeSocket, ConnectToNothingFailsInsteadOfBlocking)
@@ -232,6 +396,96 @@ TEST(ServeFault, SameSeedReplaysTheSameSchedule)
     EXPECT_EQ(first.shortIos, second.shortIos);
     EXPECT_EQ(first.drops, second.drops);
     EXPECT_EQ(first.delays, second.delays);
+}
+
+TEST(ServeFault, BufferedReaderTakesChunkCapsAndDrops)
+{
+    // Chunk caps: every recv() of the buffered reader is capped to
+    // 1..8 bytes and the reassembled bytes are still exact.
+    {
+        FaultConfig config;
+        config.seed = 42;
+        config.shortIoProbability = 1.0;
+        FaultInjector injector(config);
+        ScopedInjector scope(injector);
+        Pair pair;
+        ASSERT_TRUE(pair.a.valid());
+        const std::vector<uint8_t> sent = patternBytes(4096);
+        std::thread writer([&] {
+            (void)writeAll(pair.a.get(), sent.data(), sent.size(),
+                           deadlineAfterMs(10000));
+        });
+        RecvBuffer in(pair.b.get());
+        EXPECT_EQ(in.fill(sent.size(), deadlineAfterMs(10000)),
+                  IoStatus::Ok);
+        writer.join();
+        ASSERT_EQ(in.size(), sent.size());
+        EXPECT_TRUE(std::equal(sent.begin(), sent.end(), in.data()));
+        EXPECT_GT(injector.stats().shortIos, 0u);
+    }
+    // Drops: both ends are severed at their drawn 64-byte offset.  The
+    // buffered reader's recv() is capped at its offset like any other,
+    // so it holds exactly the 64 bytes sent, intact, then sees EOF.
+    {
+        FaultConfig config;
+        config.seed = 7;
+        config.dropProbability = 1.0;
+        config.dropMinBytes = 64;
+        config.dropMaxBytes = 64;
+        FaultInjector injector(config);
+        ScopedInjector scope(injector);
+        Pair pair;
+        ASSERT_TRUE(pair.a.valid());
+        const std::vector<uint8_t> sent = patternBytes(256);
+        EXPECT_NE(writeAll(pair.a.get(), sent.data(), sent.size(),
+                           deadlineAfterMs(5000)),
+                  IoStatus::Ok);
+        RecvBuffer in(pair.b.get());
+        EXPECT_EQ(in.fill(sent.size(), deadlineAfterMs(5000)),
+                  IoStatus::Eof);
+        EXPECT_EQ(injector.stats().drops, 2u);
+        ASSERT_EQ(in.size(), 64u);
+        EXPECT_TRUE(std::equal(in.data(), in.data() + 64, sent.begin()));
+    }
+}
+
+TEST(ServeFault, BufferedReaderReplaysTheSameSchedule)
+{
+    FaultConfig config;
+    config.seed = 1234;
+    config.shortIoProbability = 0.5;
+    config.dropProbability = 0.25;
+    config.dropMinBytes = 128;
+    config.dropMaxBytes = 1024;
+
+    // As SameSeedReplaysTheSameSchedule, but reading through the
+    // buffered reader: single-threaded, so the draw sequence is a
+    // pure function of the seed.
+    auto run = [&config]() {
+        FaultInjector injector(config);
+        ScopedInjector scope(injector);
+        for (int round = 0; round < 8; ++round) {
+            Pair pair;
+            EXPECT_TRUE(pair.a.valid());
+            const std::vector<uint8_t> sent = patternBytes(512);
+            const IoStatus wrote =
+                writeAll(pair.a.get(), sent.data(), sent.size(),
+                         deadlineAfterMs(5000));
+            if (wrote == IoStatus::Ok) {
+                RecvBuffer in(pair.b.get());
+                (void)in.fill(sent.size(), deadlineAfterMs(5000));
+            }
+        }
+        return injector.stats();
+    };
+
+    const FaultInjector::Stats first = run();
+    const FaultInjector::Stats second = run();
+    EXPECT_GT(first.shortIos, 0u);
+    EXPECT_EQ(first.shortIos, second.shortIos);
+    EXPECT_EQ(first.drops, second.drops);
+    EXPECT_EQ(first.recvs, second.recvs);
+    EXPECT_EQ(first.sends, second.sends);
 }
 
 TEST(ServeFault, RecycledFdStartsAFreshByteCount)
