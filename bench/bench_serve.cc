@@ -51,7 +51,10 @@ benchSocketPath()
  * End-to-end serve throughput at a saturating pipeline depth: every
  * iteration keeps `window` same-shape pairwise requests outstanding,
  * so the daemon runs decode/admit/solve/reply back to back with a
- * never-empty queue and a warm cached plan.
+ * warm cached plan.  A 65 x 65 race is under serve::kInlineCells, so
+ * the connection thread solves most of these itself whenever a slot
+ * is free; `inline_share` exports the fraction it solved (telemetry
+ * on only: it reads rl_serve_inline_solves_total).
  */
 void
 serveSaturation(benchmark::State &state, bool telemetry)
@@ -105,6 +108,12 @@ serveSaturation(benchmark::State &state, bool telemetry)
                      : 0.0;
     state.counters["queue_high_water"] =
         double(server.queueStats().highWater);
+    const telemetry::Snapshot snap = server.metricsSnapshot();
+    if (const telemetry::CounterSnapshot *claims =
+            snap.counter("rl_serve_inline_solves_total"))
+        state.counters["inline_share"] =
+            stats.solves ? double(claims->value) / double(stats.solves)
+                         : 0.0;
 
     server.stop();
 }
@@ -138,6 +147,12 @@ BENCHMARK(BM_ServeSaturationNoTelemetry)->Arg(64)->UseRealTime();
  * count pins to 0 and batch absorbs the rest.  The counters export
  * that split (per-class served p99 in microseconds plus per-class
  * sheds, QueueFull + evictions, from the daemon's ledger).
+ *
+ * /64's 65 x 65 races are under serve::kInlineCells: the connection
+ * thread solves them as they arrive and the queue stays empty, so
+ * that row times the inline path.  /256's 257 x 257 races (66,049
+ * cells) go to the workers and keep the weighted drain and the
+ * admission sheds measured.
  */
 void
 BM_ServeMixedPriority(benchmark::State &state)
@@ -223,7 +238,7 @@ BM_ServeMixedPriority(benchmark::State &state)
 
     server.stop();
 }
-BENCHMARK(BM_ServeMixedPriority)->Arg(64)->UseRealTime();
+BENCHMARK(BM_ServeMixedPriority)->Arg(64)->Arg(256)->UseRealTime();
 
 /**
  * Protocol floor: a Ping round trip is pure wire + socket overhead

@@ -14,9 +14,23 @@ ScratchRegistry::instance()
 ScratchEntry &
 ScratchRegistry::registerEntry(std::function<size_t(bool)> probe)
 {
+    std::lock_guard<std::mutex> lock(mutex);
+    // Take over a tombstone first: threads come and go (a serve
+    // connection thread solves too), and the list must not grow with
+    // every thread that ever raced.  `busy` guards `probe`; a slot
+    // busy right now is live.
+    for (ScratchEntry *entry : entries) {
+        if (!entry->busy.try_lock())
+            continue;
+        const bool tombstone = !entry->probe;
+        if (tombstone)
+            entry->probe = std::move(probe);
+        entry->busy.unlock();
+        if (tombstone)
+            return *entry;
+    }
     ScratchEntry *entry = new ScratchEntry(); // leaked with the registry
     entry->probe = std::move(probe);
-    std::lock_guard<std::mutex> lock(mutex);
     entries.push_back(entry);
     return *entry;
 }

@@ -31,7 +31,9 @@
  * worker thread MUST retract its probe hook (the hook points into
  * its thread_local arena): ScratchRegistration's destructor does so
  * under the entry's mutex, leaving a zero-byte tombstone slot that
- * shrinkers skip.
+ * shrinkers skip and the next registration takes over, so the list
+ * holds at most one slot per scratch site of the threads alive at
+ * once, however many threads have come and gone.
  */
 
 #ifndef RACELOGIC_CORE_SCRATCH_REGISTRY_H
@@ -113,8 +115,8 @@ class ScratchLease
  * `static thread_local`, AFTER the scratch arena it covers, so its
  * destructor runs first at thread exit and retracts the shrink hook
  * while the arena is still alive.  The slot itself is leaked (see the
- * file comment); a retracted slot publishes zero bytes and is skipped
- * by shrinkers.
+ * file comment); a retracted slot publishes zero bytes, is skipped
+ * by shrinkers and is reused by the next registration.
  */
 class ScratchRegistration
 {
@@ -143,9 +145,10 @@ class ScratchRegistry
     static ScratchRegistry &instance();
 
     /**
-     * Register a scratch site; the returned entry lives until process
-     * exit.  `probe(shrink)` must return the arena's resident byte
-     * count, releasing its capacity first when `shrink` is true; the
+     * Register a scratch site, in a dead thread's tombstone slot when
+     * there is one; the returned entry lives until process exit.
+     * `probe(shrink)` must return the arena's resident byte count,
+     * releasing its capacity first when `shrink` is true; the
      * registry publishes the returned count.
      */
     ScratchEntry &registerEntry(std::function<size_t(bool)> probe);

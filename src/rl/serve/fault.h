@@ -67,7 +67,12 @@ struct FaultAction {
     /** Cap the transfer to this many bytes (0 = no cap). */
     size_t chunkCap = 0;
 
-    /** The fd was just severed; the syscall will see EOF/ECONNRESET. */
+    /**
+     * The fd is severed: the socket helpers return
+     * IoStatus::Disconnected without the syscall, so a reader stops at
+     * the drawn byte even where shutdown() leaves queued bytes
+     * readable (Unix sockets).
+     */
     bool dropped = false;
 };
 

@@ -82,12 +82,14 @@ RequestQueue::JobFifo::pop_back()
     }
 }
 
-RequestQueue::RequestQueue(size_t depth, size_t brownoutDepth)
+RequestQueue::RequestQueue(size_t depth, size_t brownoutDepth,
+                           size_t workers)
     : capacity(depth),
       brownoutCapacity(brownoutDepth == 0
                            ? std::max<size_t>(1, depth / 2)
                            : std::min(depth,
-                                      std::max<size_t>(1, brownoutDepth)))
+                                      std::max<size_t>(1, brownoutDepth))),
+      slots(workers == 0 ? depth : workers)
 {
     rl_assert(depth > 0, "a zero-depth queue admits nothing");
     for (JobFifo &fifo : jobs)
@@ -101,7 +103,7 @@ RequestQueue::effectiveDepth() const
 }
 
 RequestQueue::Admit
-RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
+RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted, bool wake)
 {
     std::unique_lock<std::mutex> lock(mutex);
     if (shuttingDown) {
@@ -151,8 +153,32 @@ RequestQueue::tryPush(QueuedJob job, QueuedJob *evicted)
     // Notify off the lock: a woken worker would otherwise block at
     // once on the mutex this thread still holds.
     lock.unlock();
-    readable.notify_one();
+    if (wake)
+        readable.notify_one();
     return Admit::Accepted;
+}
+
+void
+RequestQueue::wake(size_t jobs)
+{
+    for (size_t i = 0; i < std::min(jobs, slots); ++i)
+        readable.notify_one();
+}
+
+bool
+RequestQueue::tryClaim(Priority priority)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    if (shuttingDown || (brownoutActive && priority == Priority::Batch) ||
+        counters.queued > 0 || counters.inflight >= slots ||
+        counters.inflight >= effectiveDepth())
+        return false;
+    ClassStats &slice = counters.classes[classIndex(priority)];
+    ++counters.enqueued;
+    ++counters.inflight;
+    ++slice.enqueued;
+    counters.highWater = std::max(counters.highWater, counters.inflight);
+    return true;
 }
 
 void
@@ -207,8 +233,12 @@ RequestQueue::drainLocked(std::unique_lock<std::mutex> &lock, size_t max,
                           std::vector<QueuedJob> *shed)
 {
     rl_assert(max > 0, "drain batch must hold at least one job");
+    // A queued job waits for a free slot even during shutdown: the
+    // claims and drains holding the slots retire, and markDone()
+    // wakes a drain.
     readable.wait(lock, [&] {
-        return counters.queued > 0 || shuttingDown;
+        return counters.queued > 0 ? counters.inflight < slots
+                                   : shuttingDown;
     });
 
     // Shed-at-drain, not shed-at-push: the one worker that pops a job
@@ -220,7 +250,8 @@ RequestQueue::drainLocked(std::unique_lock<std::mutex> &lock, size_t max,
     // Weighted round-robin, highest class first, resumed across drains
     // so one-job drains keep the weights.  Deadline sheds consume no
     // quota or batch slot; within a class jobs leave in FIFO order.
-    while (counters.queued > 0 && batch.size() < max) {
+    while (counters.queued > 0 && batch.size() < max &&
+           counters.inflight < slots) {
         if (roundQuota == 0 || jobs[roundClass].empty()) {
             roundClass = (roundClass + kPriorityClasses - 1) %
                          kPriorityClasses;
@@ -247,18 +278,31 @@ RequestQueue::drainLocked(std::unique_lock<std::mutex> &lock, size_t max,
 void
 RequestQueue::markDone(size_t n)
 {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(mutex);
     rl_assert(counters.inflight >= n,
               "markDone() retires more jobs than are inflight");
     counters.inflight -= n;
     counters.completed += n;
+    wakeForFreedSlot(lock);
 }
 
 void
 RequestQueue::markDone(const std::array<uint64_t, kPriorityClasses> &byClass)
 {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(mutex);
     retireLocked(byClass);
+    wakeForFreedSlot(lock);
+}
+
+void
+RequestQueue::wakeForFreedSlot(std::unique_lock<std::mutex> &lock)
+{
+    // A drain may be waiting for the slot just freed; notify off the
+    // lock, as tryPush() does.
+    const bool waiting = counters.queued > 0;
+    lock.unlock();
+    if (waiting)
+        readable.notify_one();
 }
 
 void

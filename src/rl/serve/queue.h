@@ -8,6 +8,12 @@
  * requests with a typed QueueFull verdict instead of buffering
  * without limit (the client can back off or resubmit elsewhere).
  *
+ * A connection thread may also claim a solve slot and run a small job
+ * itself (tryClaim()), but only when nothing is queued: a claim never
+ * overtakes queued work.  Claimed and drained jobs share one count of
+ * slots, the worker count, so at most that many solves run at once on
+ * any thread.
+ *
  * Every request carries a traffic class (Priority: batch / normal /
  * interactive) and the queue keeps one ledger slice per class:
  *
@@ -139,8 +145,12 @@ class RequestQueue
      * @param brownoutDepth  Bound while the brownout latch is set;
      *                       0 picks half of `depth` (min 1), and any
      *                       explicit value is clamped to [1, depth].
+     * @param workers        Solve slots: jobs inflight at once, drained
+     *                       or claimed; 0 means `depth`, which the
+     *                       admission bound already enforces.
      */
-    explicit RequestQueue(size_t depth, size_t brownoutDepth = 0);
+    explicit RequestQueue(size_t depth, size_t brownoutDepth = 0,
+                          size_t workers = 0);
 
     /**
      * Admit or bounce one job; never blocks.  When the bound is hit
@@ -149,8 +159,28 @@ class RequestQueue
      * lowest occupied class below it: the victim is moved into
      * `*evicted` and the caller must run `evicted->onShed(QueueFull)`
      * off the queue lock.  With `evicted` null no eviction happens.
+     * With `wake` false an admitted job wakes no drain: the caller
+     * calls wake() for it before it next blocks.
      */
-    Admit tryPush(QueuedJob job, QueuedJob *evicted = nullptr);
+    Admit tryPush(QueuedJob job, QueuedJob *evicted = nullptr,
+                  bool wake = true);
+
+    /** Wake up to `jobs` waiting drains, at most one per solve slot,
+     *  for jobs pushed with `wake` false. */
+    void wake(size_t jobs);
+
+    /**
+     * Claim a solve slot for a job the caller runs itself; never
+     * blocks.  Granted only when the queue is not shutting down, the
+     * job is not batch-class during brownout, nothing is queued in any
+     * class, fewer than `workers` jobs are inflight, and outstanding
+     * work is below the effective depth.  A claimed job is counted
+     * enqueued and inflight in its class, as tryPush() and drain()
+     * would count it; the caller retires it with markDone() for its
+     * class.  A refusal counts nothing: push the job instead, and
+     * tryPush() gives the verdict.
+     */
+    bool tryClaim(Priority priority);
 
     /**
      * Count a request that was bounced before it ever became a job
@@ -162,8 +192,10 @@ class RequestQueue
     void noteRejected(Status status, Priority priority = Priority::Normal);
 
     /**
-     * Block until at least one job is queued (or shutdown), then
-     * move out up to `max` jobs in weighted round-robin order
+     * Block until at least one job is queued and a solve slot is free
+     * (or shutdown empties the queue), then
+     * move out up to `max` jobs, never past the free slots, in
+     * weighted round-robin order
      * (interactive 4 : normal 2 : batch 1, resuming the previous
      * drain's round; FIFO within a class).
      * The moved jobs are accounted inflight until retired.
@@ -191,9 +223,9 @@ class RequestQueue
                const std::array<uint64_t, kPriorityClasses> &done);
 
     /**
-     * Retire `n` drained jobs once they have run.
-     * The overload with per-class counts also advances the class
-     * ledgers' completed columns.
+     * Retire `n` drained or claimed jobs once they have run, freeing
+     * their slots.  The overload with per-class counts also advances
+     * the class ledgers' completed columns.
      */
     void markDone(size_t n);
     void markDone(const std::array<uint64_t, kPriorityClasses> &byClass);
@@ -252,8 +284,13 @@ class RequestQueue
     /** markDone()'s ledger step, the lock held. */
     void retireLocked(const std::array<uint64_t, kPriorityClasses> &done);
 
+    /** After markDone(): release `lock`, then wake a drain if jobs
+     *  are queued, since it may wait for the slot just freed. */
+    void wakeForFreedSlot(std::unique_lock<std::mutex> &lock);
+
     const size_t capacity;
     const size_t brownoutCapacity;
+    const size_t slots; ///< jobs inflight at once
 
     mutable std::mutex mutex;
     std::condition_variable readable; ///< jobs available / shutdown

@@ -69,7 +69,8 @@ workerLane()
 
 AlignServer::AlignServer(ServerConfig config)
     : cfg(std::move(config)), engine(cfg.engine),
-      queue(cfg.queueDepth, cfg.brownoutDepth),
+      queue(cfg.queueDepth, cfg.brownoutDepth,
+            std::max<size_t>(cfg.workers, 1)),
       budget(cfg.memBudgetBytes),
       serveAlphabet(cfg.graph ? cfg.graph->alphabet()
                               : bio::Alphabet("ACGT"))
@@ -164,6 +165,7 @@ AlignServer::registerMetrics()
     metrics.rejected = counter("rl_serve_rejected_total");
     metrics.shed = counter("rl_serve_shed_total");
     metrics.inlineAnswers = counter("rl_serve_inline_total");
+    metrics.inlineSolves = counter("rl_serve_inline_solves_total");
     metrics.slow = counter("rl_serve_slow_total");
     metrics.kernelEvents = counter("rl_kernel_events_total");
     metrics.kernelBuckets = counter("rl_kernel_buckets_drained_total");
@@ -370,31 +372,28 @@ AlignServer::stop()
         t.join();
     acceptThreads.clear();
 
+    // A reader erases its own entry as it exits, so join the threads
+    // taken here off the lock.
+    std::vector<std::thread> live;
     {
         std::lock_guard<std::mutex> lock(connectionsMutex);
-        for (auto &conn : connections)
-            if (conn->fd.valid())
-                ::shutdown(conn->fd.get(), SHUT_RD);
+        for (Reader &reader : connections) {
+            ::shutdown(reader.conn->fd.get(), SHUT_RD);
+            live.push_back(std::move(reader.thread));
+        }
     }
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex);
-        for (std::thread &t : connectionThreads)
-            t.join();
-        connectionThreads.clear();
-    }
+    for (std::thread &t : live)
+        t.join();
+    reapReaders();
 
     // 2. Drain: workers exit only once the shut queue is empty, so
-    //    every admitted job has run and flushed its response.
+    //    every admitted job has run and flushed its response.  The
+    //    last job holding a connection closes its fd.
     queue.beginShutdown();
     for (std::thread &t : workers)
         t.join();
     workers.clear();
 
-    // 3. Only now is it safe to retire the sockets.
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex);
-        connections.clear();
-    }
     unixListener.reset();
     tcpListener.reset();
     if (!cfg.unixPath.empty())
@@ -405,6 +404,7 @@ void
 AlignServer::acceptLoop(int listenFd)
 {
     while (!stopping.load(std::memory_order_acquire)) {
+        reapReaders();
         pollfd pfd{listenFd, POLLIN, 0};
         int rc = ::poll(&pfd, 1, 200);
         if (rc < 0 && errno == EINTR)
@@ -413,8 +413,8 @@ AlignServer::acceptLoop(int listenFd)
             return;
         if (rc <= 0)
             continue;
-        int client = ::accept(listenFd, nullptr, nullptr);
-        if (client < 0) {
+        ScopedFd client = acceptConnection(listenFd);
+        if (!client.valid()) {
             // Descriptor exhaustion is a load condition, not a fatal
             // error: back off briefly (letting in-flight connections
             // retire their fds) and keep serving.  Anything else is a
@@ -429,19 +429,47 @@ AlignServer::acceptLoop(int listenFd)
             continue;
         }
         if (cfg.sndbufBytes > 0)
-            ::setsockopt(client, SOL_SOCKET, SO_SNDBUF,
+            ::setsockopt(client.get(), SOL_SOCKET, SO_SNDBUF,
                          &cfg.sndbufBytes, sizeof(cfg.sndbufBytes));
         auto conn = std::make_shared<Connection>();
-        conn->fd.reset(client);
+        conn->fd = std::move(client);
         std::lock_guard<std::mutex> lock(connectionsMutex);
-        connections.push_back(conn);
-        connectionThreads.emplace_back(
-            [this, conn] { connectionLoop(conn); });
+        const auto reader =
+            connections.insert(connections.end(), Reader{conn, {}});
+        reader->thread = std::thread([this, reader, conn] {
+            Batch batch;
+            connectionLoop(conn, batch);
+            flush(*conn, batch);
+            retireReader(reader);
+        });
     }
 }
 
 void
-AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
+AlignServer::retireReader(std::list<Reader>::iterator reader)
+{
+    std::lock_guard<std::mutex> lock(connectionsMutex);
+    // stop() may already have taken the thread to join it.
+    if (reader->thread.joinable())
+        exitedReaders.push_back(std::move(reader->thread));
+    connections.erase(reader);
+}
+
+void
+AlignServer::reapReaders()
+{
+    std::vector<std::thread> exited;
+    {
+        std::lock_guard<std::mutex> lock(connectionsMutex);
+        exited.swap(exitedReaders);
+    }
+    for (std::thread &t : exited)
+        t.join();
+}
+
+void
+AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
+                            Batch &batch)
 {
     // The decode alphabet is fixed for the daemon's lifetime --
     // reloadGraph() rejects a graph that would change it, so an open
@@ -453,17 +481,28 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
 
     // Every frame is read through one reused buffer: one recv() takes
     // whatever the peer has sent, and each complete frame in it is
-    // decoded before the next recv().
+    // answered before the next recv().  The replies this thread writes
+    // leave together, in one send() just before it waits for more
+    // bytes or hangs up, and the workers for the jobs it queued are
+    // woken then.
     RecvBuffer in(conn->fd.get());
+    auto fill = [&](size_t n, int64_t timeoutMs) {
+        if (in.size() < n)
+            flush(*conn, batch);
+        return in.fill(n, deadlineAfterMs(timeoutMs));
+    };
+    auto hangUp = [&] {
+        flush(*conn, batch);
+        ::shutdown(conn->fd.get(), SHUT_RDWR);
+    };
     for (;;) {
-        const IoStatus headerRead =
-            in.fill(kFrameHeaderBytes, deadlineAfterMs(idleMs));
+        const IoStatus headerRead = fill(kFrameHeaderBytes, idleMs);
         if (headerRead != IoStatus::Ok) {
             // Clean EOF, disconnect, or an idle peer: hang up.  On
             // timeout the shutdown tells the peer explicitly instead
             // of leaving it half-open.
             if (headerRead == IoStatus::Timeout)
-                ::shutdown(conn->fd.get(), SHUT_RDWR);
+                hangUp();
             return;
         }
 
@@ -485,12 +524,11 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
             if (metrics.rejected)
                 metrics.rejected->add();
             trace.status = static_cast<uint8_t>(Status::Oversized);
-            reply(*conn, errorResponse(0, RequestTag::Ping,
-                                       Status::Oversized,
-                                       "frame exceeds maxFrameBytes"),
-                  &trace);
-            recordTrace(trace, 0, false);
-            ::shutdown(conn->fd.get(), SHUT_RDWR);
+            respond(*conn, &batch,
+                    errorResponse(0, RequestTag::Ping, Status::Oversized,
+                                  "frame exceeds maxFrameBytes"),
+                    trace, 0, false);
+            hangUp();
             return;
         }
 
@@ -498,10 +536,10 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
         // peer that stalls mid-frame (slow-loris) is cut off after
         // ioTimeoutMs instead of pinning this reader forever.
         const size_t frameBytes = kFrameHeaderBytes + size_t{length};
-        const IoStatus bodyRead = in.fill(frameBytes, deadlineAfterMs(ioMs));
+        const IoStatus bodyRead = fill(frameBytes, ioMs);
         if (bodyRead != IoStatus::Ok) {
             if (bodyRead == IoStatus::Timeout)
-                ::shutdown(conn->fd.get(), SHUT_RDWR);
+                hangUp();
             return;
         }
         const auto arrival = std::chrono::steady_clock::now();
@@ -529,20 +567,20 @@ AlignServer::connectionLoop(std::shared_ptr<Connection> conn)
             if (metrics.rejected)
                 metrics.rejected->add();
             trace.status = static_cast<uint8_t>(status);
-            reply(*conn, errorResponse(request.id, request.tag, status,
-                                       wireErrorName(decodeError)),
-                  &trace);
-            recordTrace(trace, 0, false);
+            respond(*conn, &batch,
+                    errorResponse(request.id, request.tag, status,
+                                  wireErrorName(decodeError)),
+                    trace, 0, false);
             continue;
         }
-        handleRequest(conn, std::move(request), arrival,
+        handleRequest(conn, batch, std::move(request), arrival,
                       std::move(trace));
     }
 }
 
 void
 AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
-                           Request request,
+                           Batch &batch, Request request,
                            std::chrono::steady_clock::time_point arrival,
                            telemetry::RequestTrace trace)
 {
@@ -589,8 +627,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         trace.admitDone = telemetry::RequestTrace::Clock::now();
         if (metrics.inlineAnswers)
             metrics.inlineAnswers->add();
-        reply(*conn, r, &trace);
-        recordTrace(trace, 0, false);
+        respond(*conn, &batch, r, trace, 0, false);
         return;
     }
 
@@ -606,9 +643,9 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             metrics.rejected->add();
         trace.status = static_cast<uint8_t>(status);
         trace.admitDone = telemetry::RequestTrace::Clock::now();
-        reply(*conn, errorResponse(id, tag, status, std::move(message)),
-              &trace);
-        recordTrace(trace, 0, false);
+        respond(*conn, &batch,
+                errorResponse(id, tag, status, std::move(message)), trace,
+                0, false);
     };
 
     // Build the race problem(s); every wire-level validation already
@@ -621,28 +658,29 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     // lifetime, so a reload can swap the registry underneath without
     // perturbing a single queued or in-flight solve.  Grid kinds never
     // read the graph and take no snapshot.
-    api::RaceProblem problem; // every queued kind but MapReads
-    std::vector<api::RaceProblem> reads; // MapReads: one per read
+    SolveJob job;
+    job.id = id;
+    job.tag = tag;
     switch (tag) {
     case RequestTag::Pairwise:
-        problem = api::RaceProblem::pairwiseAlignment(
+        job.problem = api::RaceProblem::pairwiseAlignment(
             std::move(*request.matrix), std::move(*request.a),
             std::move(*request.b));
         break;
     case RequestTag::Affine:
-        problem = api::RaceProblem::affineAlignment(
+        job.problem = api::RaceProblem::affineAlignment(
             std::move(*request.matrix),
             bio::AffineGapCosts{request.open, request.extend},
             std::move(*request.a), std::move(*request.b));
         break;
     case RequestTag::Screen:
-        problem = api::RaceProblem::thresholdScreen(
+        job.problem = api::RaceProblem::thresholdScreen(
             std::move(*request.matrix), request.threshold,
             std::move(*request.a), std::move(*request.b));
         break;
     case RequestTag::Dtw:
-        problem = api::RaceProblem::dtw(std::move(request.x),
-                                        std::move(request.y));
+        job.problem = api::RaceProblem::dtw(std::move(request.x),
+                                            std::move(request.y));
         break;
     case RequestTag::GraphAlign: {
         const GraphSnapshot graphSnap = graphSnapshot();
@@ -650,7 +688,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             bounce(Status::BadRequest, "no pangenome loaded");
             return;
         }
-        problem = api::RaceProblem::graphAlign(
+        job.problem = api::RaceProblem::graphAlign(
             *graphSnap.matrix, std::move(*request.read), graphSnap.graph,
             request.threshold);
         break;
@@ -669,9 +707,9 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             bounce(Status::Oversized, "batch exceeds maxBatchReads");
             return;
         }
-        reads.reserve(request.reads.size());
+        job.reads.reserve(request.reads.size());
         for (bio::Sequence &read : request.reads)
-            reads.push_back(api::RaceProblem::graphAlign(
+            job.reads.push_back(api::RaceProblem::graphAlign(
                 *graphSnap.matrix, std::move(read), graphSnap.graph,
                 request.threshold));
         break;
@@ -687,35 +725,68 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     // maxGridCells bounces as Oversized, a graph-align product over
     // maxProductStates (or the kernel's 32-bit id space) as
     // ResourceExhausted.  statusForCode() maps the library verdict
-    // mechanically; there is no per-tag judgment left here.
+    // mechanically; there is no per-tag judgment left here.  The same
+    // pass counts the cells the request's sweeps can touch.
     api::ProblemLimits limits;
     limits.maxGridCells = cfg.maxGridCells;
     limits.maxProductStates = cfg.engine.maxProductStates;
     const std::span<const api::RaceProblem> admitted =
-        tag == RequestTag::MapReads ? std::span<const api::RaceProblem>(reads)
-                                    : std::span(&problem, 1);
+        tag == RequestTag::MapReads
+            ? std::span<const api::RaceProblem>(job.reads)
+            : std::span(&job.problem, 1);
+    uint64_t cells = 0;
     for (const api::RaceProblem &p : admitted) {
         racelogic::Status budget = api::checkBudgets(p, limits);
         if (!budget.ok()) {
             bounce(statusForCode(budget.code()), budget.message());
             return;
         }
+        cells += p.kind == api::ProblemKind::GraphAlign
+                     ? api::productStates(p)
+                     : api::gridCells(p);
     }
 
     // The request's relative deadline, anchored at frame arrival
     // (client and daemon clocks need not agree).
-    auto deadline = std::chrono::steady_clock::time_point::max();
+    job.deadline = std::chrono::steady_clock::time_point::max();
     if (request.deadlineMs > 0)
-        deadline = arrival + std::chrono::milliseconds(request.deadlineMs);
+        job.deadline =
+            arrival + std::chrono::milliseconds(request.deadlineMs);
 
-    // A MapReads batch runs as one job.  admitDone is stamped here so
-    // queue-wait (admitDone -> dispatchStart) starts the moment the
-    // job is ready to push.
+    // admitDone is stamped here so queue-wait (admitDone ->
+    // dispatchStart) starts the moment the job is ready to run.
     trace.admitDone = telemetry::RequestTrace::Clock::now();
-    QueuedJob job;
-    job.deadline = deadline;
-    job.priority = request.priority;
-    job.onShed = [this, conn, id, tag, trace](Status status) mutable {
+    job.trace = trace;
+
+    // Solve it here when that costs less than a hand-off and the
+    // queue grants a slot: a dense sweep (Dtw, Affine and DagPath
+    // still race per-solve lattices) of at most kInlineCells cells.
+    // A throwing solve is logged as on a worker, and its slot is
+    // still retired.
+    const bool denseSweep =
+        tag == RequestTag::Pairwise || tag == RequestTag::Screen ||
+        tag == RequestTag::GraphAlign || tag == RequestTag::MapReads;
+    if (denseSweep && cfg.engine.backend == api::BackendKind::Behavioral &&
+        cells <= kInlineCells && queue.tryClaim(request.priority)) {
+        if (metrics.inlineSolves)
+            metrics.inlineSolves->add();
+        try {
+            solve(*conn, job, &batch);
+        } catch (const std::exception &e) {
+            rl_warn("serve: solve raised '", e.what(),
+                    "'; connection continues");
+        }
+        std::array<uint64_t, kPriorityClasses> done{};
+        done[static_cast<size_t>(request.priority)] = 1;
+        queue.markDone(done);
+        return;
+    }
+
+    // A MapReads batch runs as one job.
+    QueuedJob queued;
+    queued.deadline = job.deadline;
+    queued.priority = request.priority;
+    queued.onShed = [this, conn, id, tag, trace](Status status) mutable {
         // Shed jobs were never inflight, so they stay out of the
         // raced histograms -- the rl_serve_request_us count must keep
         // matching the queue's completed ledger.
@@ -727,101 +798,17 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             status == Status::QueueFull
                 ? "evicted by a higher-priority arrival"
                 : "deadline expired while queued";
-        reply(*conn, errorResponse(id, tag, status, message), &trace);
-        recordTrace(trace, 0, false);
+        respond(*conn, nullptr, errorResponse(id, tag, status, message),
+                trace, 0, false);
     };
-    job.run = [this, conn, id, tag, deadline, trace,
-               problem = std::move(problem),
-               reads = std::move(reads)]() mutable {
-        trace.dispatchStart = telemetry::RequestTrace::Clock::now();
-
-        // A live deadline becomes a cooperative cancel token: the
-        // sweep kernels poll it once per swept row and
-        // abort with a typed result instead of finishing a race
-        // nobody is waiting for.  No deadline, no token -- the solve
-        // path stays bit-identical to a direct engine call.
-        const bool hasDeadline =
-            deadline != std::chrono::steady_clock::time_point::max();
-        core::CancelToken token(deadline);
-        const core::CancelToken *cancel = hasDeadline ? &token : nullptr;
-
-        // Kernel profiling rides the same null-is-off convention:
-        // with telemetry disabled no counter pointer is installed and
-        // the kernels never see it.
-        core::KernelCounters kernel;
-        core::KernelCounters *counters =
-            cfg.telemetry ? &kernel : nullptr;
-
-        // A reply carries no arrival detail, so every solve is
-        // score-only: the grid and graph kernels then allocate no
-        // arrival grid, a per-request allocation the memory budget
-        // cannot see.
-        auto prepare = [&](api::RaceProblem &p) {
-            p.arrivals = false;
-            p.cancel = cancel;
-            p.counters = counters;
-        };
-
-        Response r;
-        r.id = id;
-        r.tag = tag;
-        trace.solveStart = telemetry::RequestTrace::Clock::now();
-        // trySolve re-validates before any plan build, so even a
-        // problem that slipped past admission earns a typed reply
-        // here instead of tripping a library fatal on a worker.
-        // Every exit assigns `r` and falls through: the job must
-        // record exactly one raced trace, because the worker retires
-        // it from the completed ledger no matter how it replied.
-        if (tag == RequestTag::MapReads) {
-            r.reads.reserve(reads.size());
-            for (api::RaceProblem &read : reads) {
-                prepare(read);
-                Expected<api::RaceResult> result = engine.trySolve(read);
-                if (!result.ok()) {
-                    r = errorResponse(id, tag,
-                                      statusForCode(
-                                          result.status().code()),
-                                      result.status().message());
-                    break;
-                }
-                if (result.value().cancelled) {
-                    // The deadline covers the whole batch; once it
-                    // trips there is no point racing the rest.
-                    r = errorResponse(id, tag, Status::DeadlineExceeded,
-                                      "deadline expired mid-batch");
-                    break;
-                }
-                ReadReply rr;
-                rr.score = result.value().score;
-                rr.cyclesUsed = result.value().cyclesUsed;
-                rr.accepted = result.value().accepted;
-                r.reads.push_back(rr);
-            }
-        } else {
-            prepare(problem);
-            Expected<api::RaceResult> result = engine.trySolve(problem);
-            if (!result.ok()) {
-                r = errorResponse(id, tag,
-                                  statusForCode(result.status().code()),
-                                  result.status().message());
-            } else if (result.value().cancelled) {
-                r = errorResponse(id, tag, Status::DeadlineExceeded,
-                                  "deadline expired mid-race");
-            } else {
-                r.solve = toSolveReply(result.value());
-            }
-        }
-        trace.solveDone = telemetry::RequestTrace::Clock::now();
-        const size_t lane = workerLane();
-        drainKernelCounters(kernel, lane);
-        trace.status = static_cast<uint8_t>(r.status);
-        reply(*conn, r, &trace);
-        recordTrace(trace, lane, true);
+    queued.run = [this, conn, job = std::move(job)]() mutable {
+        solve(*conn, job, nullptr);
     };
 
     QueuedJob evicted;
-    switch (queue.tryPush(std::move(job), &evicted)) {
+    switch (queue.tryPush(std::move(queued), &evicted, false)) {
     case RequestQueue::Admit::Accepted:
+        ++batch.queued; // flush() wakes a worker for it
         // A higher-class arrival may have claimed a queued lower-class
         // job's slot; the victim's typed QueueFull reply runs here,
         // off the queue lock, on this connection thread.
@@ -839,6 +826,95 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         bounce(Status::ShuttingDown, "daemon draining", false);
         break;
     }
+}
+
+void
+AlignServer::solve(Connection &conn, SolveJob &job, Batch *batch)
+{
+    telemetry::RequestTrace &trace = job.trace;
+    trace.dispatchStart = telemetry::RequestTrace::Clock::now();
+
+    // A live deadline becomes a cooperative cancel token: the
+    // sweep kernels poll it once per swept row and
+    // abort with a typed result instead of finishing a race
+    // nobody is waiting for.  No deadline, no token -- the solve
+    // path stays bit-identical to a direct engine call.
+    const bool hasDeadline =
+        job.deadline != std::chrono::steady_clock::time_point::max();
+    core::CancelToken token(job.deadline);
+    const core::CancelToken *cancel = hasDeadline ? &token : nullptr;
+
+    // Kernel profiling rides the same null-is-off convention:
+    // with telemetry disabled no counter pointer is installed and
+    // the kernels never see it.
+    core::KernelCounters kernel;
+    core::KernelCounters *counters = cfg.telemetry ? &kernel : nullptr;
+
+    // A reply carries no arrival detail, so every solve is
+    // score-only: the grid and graph kernels then allocate no
+    // arrival grid, a per-request allocation the memory budget
+    // cannot see.
+    auto prepare = [&](api::RaceProblem &p) {
+        p.arrivals = false;
+        p.cancel = cancel;
+        p.counters = counters;
+    };
+
+    Response r;
+    r.id = job.id;
+    r.tag = job.tag;
+    trace.solveStart = telemetry::RequestTrace::Clock::now();
+    // trySolve re-validates before any plan build, so even a
+    // problem that slipped past admission earns a typed reply
+    // here instead of tripping a library fatal.
+    // Every exit assigns `r` and falls through: the job must
+    // record exactly one raced trace, because its slot is retired
+    // from the completed ledger no matter how it replied.
+    if (job.tag == RequestTag::MapReads) {
+        r.reads.reserve(job.reads.size());
+        for (api::RaceProblem &read : job.reads) {
+            prepare(read);
+            Expected<api::RaceResult> result = engine.trySolve(read);
+            if (!result.ok()) {
+                r = errorResponse(job.id, job.tag,
+                                  statusForCode(result.status().code()),
+                                  result.status().message());
+                break;
+            }
+            if (result.value().cancelled) {
+                // The deadline covers the whole batch; once it
+                // trips there is no point racing the rest.
+                r = errorResponse(job.id, job.tag,
+                                  Status::DeadlineExceeded,
+                                  "deadline expired mid-batch");
+                break;
+            }
+            ReadReply rr;
+            rr.score = result.value().score;
+            rr.cyclesUsed = result.value().cyclesUsed;
+            rr.accepted = result.value().accepted;
+            r.reads.push_back(rr);
+        }
+    } else {
+        prepare(job.problem);
+        Expected<api::RaceResult> result = engine.trySolve(job.problem);
+        if (!result.ok()) {
+            r = errorResponse(job.id, job.tag,
+                              statusForCode(result.status().code()),
+                              result.status().message());
+        } else if (result.value().cancelled) {
+            r = errorResponse(job.id, job.tag, Status::DeadlineExceeded,
+                              "deadline expired mid-race");
+        } else {
+            r.solve = toSolveReply(result.value());
+        }
+    }
+    trace.solveDone = telemetry::RequestTrace::Clock::now();
+    // Connection threads record into lane 0, each worker into its own.
+    const size_t lane = batch ? 0 : workerLane();
+    drainKernelCounters(kernel, lane);
+    trace.status = static_cast<uint8_t>(r.status);
+    respond(conn, batch, r, trace, lane, true);
 }
 
 void
@@ -936,29 +1012,65 @@ AlignServer::janitorLoop()
 }
 
 void
-AlignServer::reply(Connection &conn, const Response &response,
-                   telemetry::RequestTrace *trace)
+AlignServer::respond(Connection &conn, Batch *batch,
+                     const Response &response,
+                     telemetry::RequestTrace &trace, size_t lane,
+                     bool raced)
 {
+    if (batch) {
+        encodeResponseFrame(response, batch->frames);
+        trace.encodeDone = telemetry::RequestTrace::Clock::now();
+        batch->pending.push_back({trace, raced});
+        return;
+    }
     // One framed reply buffer per thread, reused: a reply allocates
     // only while the buffer grows to the thread's largest.
     static thread_local std::vector<uint8_t> framed;
+    framed.clear();
     encodeResponseFrame(response, framed);
-    if (trace)
-        trace->encodeDone = telemetry::RequestTrace::Clock::now();
+    trace.encodeDone = telemetry::RequestTrace::Clock::now();
+    writeFrames(conn, framed);
+    trace.writeDone = telemetry::RequestTrace::Clock::now();
+    recordTrace(trace, lane, raced);
+}
+
+void
+AlignServer::flush(Connection &conn, Batch &batch)
+{
+    if (!batch.frames.empty()) {
+        writeFrames(conn, batch.frames);
+        const auto written = telemetry::RequestTrace::Clock::now();
+        for (Batch::Pending &p : batch.pending) {
+            p.trace.writeDone = written;
+            recordTrace(p.trace, 0, p.raced);
+        }
+        batch.frames.clear();
+        batch.pending.clear();
+    }
+    // Workers are woken only now, as this thread is about to wait: a
+    // worker woken mid-batch can take this thread's CPU for a whole
+    // solve, and the frames behind its job would then be read, and
+    // their deadlines anchored, that much later.
+    queue.wake(batch.queued);
+    batch.queued = 0;
+}
+
+void
+AlignServer::writeFrames(Connection &conn,
+                         const std::vector<uint8_t> &frames)
+{
     const IoDeadline deadline =
         deadlineAfterMs(cfg.ioTimeoutMs > 0 ? cfg.ioTimeoutMs : -1);
     std::lock_guard<std::mutex> lock(conn.writeMutex);
     // A vanished peer is its own problem; the daemon just moves on.
     // A peer that stopped *reading* is worse: once the write deadline
     // trips the connection is severed, so a stalled receive window
-    // costs at most ioTimeoutMs of one worker's time -- it can never
+    // costs at most ioTimeoutMs of one thread's time -- it can never
     // wedge the workers behind one slow socket.
     const IoStatus wrote =
-        writeAll(conn.fd.get(), framed.data(), framed.size(), deadline);
+        writeAll(conn.fd.get(), frames.data(), frames.size(), deadline);
     if (wrote == IoStatus::Timeout)
         ::shutdown(conn.fd.get(), SHUT_RDWR);
-    if (trace)
-        trace->writeDone = telemetry::RequestTrace::Clock::now();
 }
 
 } // namespace racelogic::serve

@@ -7,12 +7,19 @@
  * control bounces anything oversized, undecodable, or beyond the
  * bounded queue's depth with a typed status, and each worker thread
  * pops its own next job, so a long solve holds only its worker.
- * Every worker solves on one shared, thread-safe api::RaceEngine, so
+ * Every thread solves on one shared, thread-safe api::RaceEngine, so
  * any worker takes any job and all of them hit the same plan cache.
  *
- * Stats and Ping requests are answered inline on the connection
- * thread -- the metrics endpoint must work *because* the daemon is
- * saturated, not when the queue gets around to it.
+ * A request cheaper to race than to hand off -- a dense sweep of at
+ * most kInlineCells cells on the Behavioral backend -- is solved on
+ * the connection thread that decoded it, when the queue grants it a
+ * solve slot (RequestQueue::tryClaim).  Stats, Ping, Metrics and
+ * Health are answered on the connection thread too -- the metrics
+ * endpoint must work *because* the daemon is saturated, not when the
+ * queue gets around to it.  The connection thread batches every reply
+ * it writes and sends the batch with one send() before it next waits
+ * for bytes, and only then wakes workers for the jobs it queued;
+ * workers write their replies at once.
  *
  * Shutdown is a drain, not an abort: stop() parts with the listeners,
  * lets every admitted request finish, flushes its response, and only
@@ -27,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,6 +69,20 @@ struct GraphSnapshot {
     std::shared_ptr<const bio::ScoreMatrix> matrix;
     uint64_t version = 0;
 };
+
+/**
+ * The most cells a request's sweeps may touch for the connection
+ * thread that decoded it to race it, instead of handing it to a
+ * worker: grid cells (api::gridCells) for Pairwise and Screen, product
+ * states (api::productStates) for GraphAlign, summed over a MapReads
+ * batch.  A hand-off costs the daemon about 13-15 us of CPU beyond the
+ * solve (the worker's wake-up, its queue lock, its own send()), and
+ * the AVX-512BW band sweeps about 0.36 ns per pairwise cell and 0.43
+ * ns per graph state, so 2^15 cells cost about one hand-off.  A larger
+ * solve goes to a worker, so it cannot hold this connection's later
+ * frames behind it while other cores sit idle.
+ */
+inline constexpr uint64_t kInlineCells = uint64_t{1} << 15;
 
 /** Everything an AlignServer needs to start. */
 struct ServerConfig {
@@ -249,6 +271,41 @@ class AlignServer
         std::mutex writeMutex;
     };
 
+    /** A live connection and the thread that reads it. */
+    struct Reader {
+        std::shared_ptr<Connection> conn;
+        std::thread thread;
+    };
+
+    /** One admitted race: everything solve() reads, on either the
+     *  worker that drained it or the connection thread that claimed
+     *  it. */
+    struct SolveJob {
+        uint32_t id = 0;
+        RequestTag tag = RequestTag::Pairwise;
+        std::chrono::steady_clock::time_point deadline;
+        telemetry::RequestTrace trace;
+        api::RaceProblem problem;            ///< every kind but MapReads
+        std::vector<api::RaceProblem> reads; ///< MapReads: one per read
+    };
+
+    /**
+     * What a connection thread defers until it next waits for bytes:
+     * the replies it has encoded, each with the trace flush() stamps
+     * and records once they are written, and the wake-up of workers
+     * for the jobs it queued.  Reused, so it allocates only while it
+     * grows.
+     */
+    struct Batch {
+        struct Pending {
+            telemetry::RequestTrace trace;
+            bool raced = false;
+        };
+        std::vector<uint8_t> frames;
+        std::vector<Pending> pending;
+        size_t queued = 0; ///< jobs pushed without waking a worker
+    };
+
     /**
      * Handles to every registered telemetry series; all null when
      * cfg.telemetry is off, so each record site is one branch.
@@ -258,7 +315,8 @@ class AlignServer
         telemetry::Counter *solvedOk = nullptr; ///< raced, replied Ok
         telemetry::Counter *rejected = nullptr; ///< typed bounces
         telemetry::Counter *shed = nullptr;     ///< shed while queued
-        telemetry::Counter *inlineAnswers = nullptr; ///< stats/ping/metrics
+        telemetry::Counter *inlineAnswers = nullptr; ///< ping/stats/metrics/health
+        telemetry::Counter *inlineSolves = nullptr;  ///< solve slots claimed
         telemetry::Counter *slow = nullptr;     ///< over cfg.slowMs
         telemetry::Counter *kernelEvents = nullptr;
         telemetry::Counter *kernelBuckets = nullptr;
@@ -278,7 +336,20 @@ class AlignServer
     };
 
     void acceptLoop(int listenFd);
-    void connectionLoop(std::shared_ptr<Connection> conn);
+
+    /** Read and answer frames, batching this thread's replies, until
+     *  the peer hangs up; the caller flushes what is left. */
+    void connectionLoop(const std::shared_ptr<Connection> &conn,
+                        Batch &batch);
+
+    /** A reader's exit: hand its thread to the next reap and drop the
+     *  list's share of its connection, so the fd closes once no
+     *  queued reply still needs it. */
+    void retireReader(std::list<Reader>::iterator reader);
+
+    /** Join the readers that have exited (accept loop and stop()). */
+    void reapReaders();
+
     /** Pop, run and retire one job at a time until shutdown empties
      *  the queue. */
     void workerLoop();
@@ -295,20 +366,41 @@ class AlignServer
     void evaluateBudget();
 
     /**
-     * Serialize + frame + write one response under the write lock.
-     * A non-null `trace` gets its encodeDone / writeDone stamps.
+     * Encode one response, stamp the trace's encodeDone, and either
+     * append it to the connection thread's `batch` (flush() writes it
+     * and records the trace) or, with `batch` null, write it at once
+     * under the write lock and record the trace in `lane`.
      */
-    void reply(Connection &conn, const Response &response,
-               telemetry::RequestTrace *trace = nullptr);
+    void respond(Connection &conn, Batch *batch,
+                 const Response &response, telemetry::RequestTrace &trace,
+                 size_t lane, bool raced);
+
+    /** Write the batch's replies with one writeAll(), stamp writeDone
+     *  on and record each of their traces, then wake the workers for
+     *  the batch's queued jobs. */
+    void flush(Connection &conn, Batch &batch);
+
+    /** writeAll() under the write lock; a write that times out severs
+     *  the connection. */
+    void writeFrames(Connection &conn, const std::vector<uint8_t> &frames);
 
     /**
-     * Handle one decoded request (admit, inline-answer, or bounce).
+     * Race one admitted job and reply: the deadline's cancel token,
+     * the score-only solve, the kernel counters, one raced trace.
+     * `batch` is the connection thread's when it claimed the job, and
+     * null on a worker.
+     */
+    void solve(Connection &conn, SolveJob &job, Batch *batch);
+
+    /**
+     * Handle one decoded request (solve it here, queue it, answer it
+     * here, or bounce it), batching every reply this thread writes.
      * `arrival` is the frame's receipt instant -- the anchor the
      * request's relative deadlineMs counts from.  `trace` carries the
      * read/decode stamps the connection loop already took.
      */
     void handleRequest(const std::shared_ptr<Connection> &conn,
-                       Request request,
+                       Batch &batch, Request request,
                        std::chrono::steady_clock::time_point arrival,
                        telemetry::RequestTrace trace);
 
@@ -360,9 +452,11 @@ class AlignServer
     std::mutex janitorMutex;
     std::condition_variable janitorCv;
 
+    /** Live connections and their readers; an exiting reader moves
+     *  its thread to `exitedReaders` and erases its entry. */
     std::mutex connectionsMutex;
-    std::vector<std::shared_ptr<Connection>> connections;
-    std::vector<std::thread> connectionThreads;
+    std::list<Reader> connections;
+    std::vector<std::thread> exitedReaders;
 
     bool started = false;
     bool stopped = false;

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -49,6 +50,8 @@ ioStatusName(IoStatus status)
         return "timeout";
     case IoStatus::Error:
         return "error";
+    case IoStatus::Disconnected:
+        return "disconnected";
     }
     return "unknown";
 }
@@ -157,6 +160,29 @@ listenTcp(uint16_t port, uint16_t &boundPort)
     return fd;
 }
 
+namespace {
+
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+} // namespace
+
+ScopedFd
+acceptConnection(int listenFd)
+{
+    sockaddr_storage peer{};
+    socklen_t len = sizeof(peer);
+    ScopedFd fd(
+        ::accept(listenFd, reinterpret_cast<sockaddr *>(&peer), &len));
+    if (fd.valid() && peer.ss_family == AF_INET)
+        setNoDelay(fd.get());
+    return fd;
+}
+
 bool
 setNonBlocking(int fd)
 {
@@ -232,6 +258,7 @@ connectTcp(uint16_t port, int64_t timeoutMs)
     ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
     if (!fd.valid())
         return ScopedFd();
+    setNoDelay(fd.get());
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -275,6 +302,8 @@ recvAtLeast(int fd, uint8_t *buffer, size_t &have, size_t need,
         size_t want = room - have;
         if (FaultInjector *injector = FaultInjector::installed()) {
             const FaultAction act = injector->beforeIo(fd, want, false);
+            if (act.dropped)
+                return IoStatus::Disconnected;
             if (act.chunkCap > 0 && act.chunkCap < want)
                 want = act.chunkCap;
         }
@@ -313,6 +342,8 @@ writeAll(int fd, const void *buffer, size_t n, IoDeadline deadline)
         size_t want = n - sent;
         if (FaultInjector *injector = FaultInjector::installed()) {
             const FaultAction act = injector->beforeIo(fd, want, true);
+            if (act.dropped)
+                return IoStatus::Disconnected;
             if (act.chunkCap > 0 && act.chunkCap < want)
                 want = act.chunkCap;
         }
@@ -346,19 +377,27 @@ writeAll(int fd, const void *buffer, size_t n)
     return writeAll(fd, buffer, n, kNoDeadline) == IoStatus::Ok;
 }
 
-RecvBuffer::RecvBuffer(int fd) : fd(fd), bytes(4096) {}
+namespace {
+
+constexpr size_t kPage = 4096;
+
+} // namespace
+
+RecvBuffer::RecvBuffer(int fd) : fd(fd), bytes(kPage) {}
 
 IoStatus
 RecvBuffer::fill(size_t n, IoDeadline deadline)
 {
     if (begin + n > bytes.size()) {
         // Slide the held bytes to the front; grow only if the span
-        // asked for is larger than the whole buffer.
+        // asked for is larger than the whole buffer, and then by a page
+        // more, so the recv() that completes a large frame also takes
+        // the frames already queued behind it.
         std::memmove(bytes.data(), bytes.data() + begin, size());
         end -= begin;
         begin = 0;
         if (n > bytes.size())
-            bytes.resize(n);
+            bytes.resize(n + kPage);
     }
     return recvAtLeast(fd, bytes.data(), end, begin + n, bytes.size(),
                        deadline);

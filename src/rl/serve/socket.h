@@ -92,10 +92,11 @@ IoDeadline deadlineAfterMs(int64_t timeoutMs);
 
 /** Outcome of one exact-length transfer. */
 enum class IoStatus : uint8_t {
-    Ok,      ///< all n bytes moved
-    Eof,     ///< orderly peer close mid-transfer (reads only)
-    Timeout, ///< the deadline expired first
-    Error,   ///< hard socket error (ECONNRESET, EPIPE, ...)
+    Ok,           ///< all n bytes moved
+    Eof,          ///< orderly peer close mid-transfer (reads only)
+    Timeout,      ///< the deadline expired first
+    Error,        ///< hard socket error (ECONNRESET, EPIPE, ...)
+    Disconnected, ///< an installed FaultInjector severed this fd
 };
 
 /** Human-readable IoStatus name ("ok", "eof", ...). */
@@ -124,8 +125,19 @@ ScopedFd listenTcp(uint16_t port, uint16_t &boundPort);
  */
 ScopedFd connectUnix(const std::string &path, int64_t timeoutMs = -1);
 
-/** Connect to loopback TCP; same deadline semantics as connectUnix. */
+/**
+ * Connect to loopback TCP; same deadline semantics as connectUnix.
+ * The socket has TCP_NODELAY set: a small frame written right after
+ * another must not wait in Nagle's buffer for the peer's delayed ACK.
+ */
 ScopedFd connectTcp(uint16_t port, int64_t timeoutMs = -1);
+
+/**
+ * Accept one connection on `listenFd`; invalid fd on failure (errno
+ * preserved).  A TCP connection gets TCP_NODELAY, as connectTcp's
+ * side does, so batched replies leave at once.
+ */
+ScopedFd acceptConnection(int listenFd);
 
 /** Put `fd` in non-blocking mode; false on fcntl failure. */
 bool setNonBlocking(int fd);
@@ -166,7 +178,8 @@ bool writeAll(int fd, const void *buffer, size_t n);
  * with as much as the peer has already sent, so a pipelined window of
  * frames costs one recv() per batch instead of two per frame.  The
  * buffer starts at one page and grows only to the largest span a
- * caller asks to hold at once (for the daemon: its largest frame).
+ * caller asks to hold at once (for the daemon: its largest frame),
+ * plus a page.
  */
 class RecvBuffer
 {

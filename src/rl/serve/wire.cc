@@ -743,14 +743,14 @@ encodeResponse(const Response &response)
 void
 encodeResponseFrame(const Response &response, std::vector<uint8_t> &out)
 {
-    out.clear();
+    const size_t start = out.size();
     Writer w(out);
     w.u32(0); // the length prefix, patched below
     writeResponse(w, response);
     const uint32_t length =
-        static_cast<uint32_t>(out.size() - kFrameHeaderBytes);
+        static_cast<uint32_t>(out.size() - start - kFrameHeaderBytes);
     for (size_t i = 0; i < kFrameHeaderBytes; ++i)
-        out[i] = static_cast<uint8_t>(length >> (8 * i));
+        out[start + i] = static_cast<uint8_t>(length >> (8 * i));
 }
 
 WireError

@@ -369,8 +369,8 @@ std::vector<uint8_t> encodeResponse(const Response &response);
 
 /**
  * Encode `response` as one whole frame -- length prefix and payload
- * -- into `out`, replacing its contents but keeping its capacity, so
- * a reused buffer encodes without allocating.
+ * -- appended to `out`, so a reused buffer encodes without allocating
+ * and one buffer can carry a batch of frames to a single send().
  */
 void encodeResponseFrame(const Response &response,
                          std::vector<uint8_t> &out);

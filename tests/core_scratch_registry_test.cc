@@ -336,7 +336,7 @@ TEST(ScratchRegistry, DeadThreadsLeaveSafeTombstones)
     const size_t before = registry.entryCount();
 
     // A worker thread registers, grows its arena, publishes, dies.
-    std::thread worker([] {
+    auto raceAndDie = [] {
         core::RaceGridScratch scratch;
         core::ScratchRegistration reg([&scratch](bool shrink) {
             if (shrink)
@@ -348,15 +348,25 @@ TEST(ScratchRegistry, DeadThreadsLeaveSafeTombstones)
         core::ScratchLease lease(reg.entry());
         (void)aligner.align(dna(longDna(200)), dna(longDna(200)),
                             sim::kTickInfinity, scratch);
-    });
+    };
+    std::thread worker(raceAndDie);
     worker.join();
 
-    // The slot is leaked (entryCount grew) but retracted: it reports
-    // zero bytes, and shrink passes must skip it instead of calling a
-    // hook into freed thread_local storage.
-    EXPECT_EQ(registry.entryCount(), before + 1);
+    // The slot is leaked but retracted: it reports zero bytes, and
+    // shrink passes must skip it instead of calling a hook into freed
+    // thread_local storage.  Registration takes a tombstone over (the
+    // tests above leave some), so the list grew by at most this slot.
+    EXPECT_LE(registry.entryCount(), before + 1);
     (void)registry.shrinkAll(); // must not crash
     (void)registry.shrinkAll();
+
+    // Threads that come and go reuse slots instead of adding them.
+    const size_t settled = registry.entryCount();
+    for (int i = 0; i < 3; ++i) {
+        std::thread next(raceAndDie);
+        next.join();
+    }
+    EXPECT_EQ(registry.entryCount(), settled);
 }
 
 } // namespace

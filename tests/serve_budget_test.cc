@@ -4,7 +4,7 @@
  * in-process AlignServer answers warm screen and pairwise requests,
  * one at a time (window 1) and as 8-frame bursts written with one
  * send(), and the test counts what the daemon's threads spend on each
- * request:
+ * request, and how many of them a worker had to take:
  *
  *  - heap allocations, with a counting global operator new (the idiom
  *    of core_kernel_alloc_test) that skips the client thread's own;
@@ -100,16 +100,23 @@ using namespace racelogic::serve;
 using Status = racelogic::serve::Status;
 
 /** @name The committed budgets, per warm request.
- * Allocations: the decoded matrix (its alphabet's lookup and its
- * table) and two sequences (each an alphabet lookup and its symbols)
- * move into the race problem, plus the job's two closures.  Syscalls
- * at window 1: the connection thread's recv() of the frame, its
- * recv() that finds the socket empty and its poll(), and the worker's
- * send() of the reply.  A burst of 8 shares those three calls.
+ * These requests are under kInlineCells, so the connection thread
+ * that reads one solves it: no worker drains a job.  Allocations: the
+ * decoded matrix (its alphabet's lookup and its table) and two
+ * sequences (each an alphabet lookup and its symbols) move into the
+ * race problem; no job closure is built.  Syscalls at window 1: the
+ * connection thread's recv() of the frame and its send() of the
+ * reply, plus a recv() that finds the socket empty and a poll()
+ * whenever the client's next frame is not there yet.  How often that
+ * is depends on where the scheduler wakes the client: most runs read
+ * 2.4-2.9, but a run whose every wake-up lands on another CPU reads
+ * exactly 4, so the budget is that worst case.  A burst of 8 shares
+ * one recv(), one send() and at most one empty recv() and poll():
+ * 0.30-0.37 measured, 0.5 at worst.
  * @{ */
-constexpr double kAllocationsPerRequest = 8;
+constexpr double kAllocationsPerRequest = 6;
 constexpr double kSyscallsPerRequestWindow1 = 4;
-constexpr double kSyscallsPerRequestBurst8 = 2;
+constexpr double kSyscallsPerRequestBurst8 = 0.5;
 /** @} */
 
 constexpr size_t kWarmRequests = 64;
@@ -207,6 +214,7 @@ struct Spent {
     double allocations = 0;
     double syscalls = 0;
     FaultInjector::Stats calls;
+    uint64_t workerJobs = 0; ///< admitted jobs not solved inline
 };
 
 class ServeBudget : public ::testing::Test
@@ -310,6 +318,7 @@ class ServeBudget : public ::testing::Test
         const std::vector<Item> pool = items(tag, 32);
         exchange(pool, kWarmRequests, window);
         settle();
+        const uint64_t queuedBefore = handedOff();
         const uint64_t allocsBefore = gDaemonAllocations.load();
         const FaultInjector::Stats before = injector.stats();
         exchange(pool, kMeasuredRequests, window);
@@ -318,6 +327,7 @@ class ServeBudget : public ::testing::Test
         const FaultInjector::Stats after = injector.stats();
 
         Spent spent;
+        spent.workerJobs = handedOff() - queuedBefore;
         spent.calls.recvs = after.recvs - before.recvs;
         spent.calls.sends = after.sends - before.sends;
         spent.calls.polls = after.polls - before.polls;
@@ -328,6 +338,17 @@ class ServeBudget : public ::testing::Test
                                              spent.calls.polls) /
                          n;
         return spent;
+    }
+
+    /** Admitted requests so far that were not solved on their
+     *  connection thread: the queue's ledger less the claims. */
+    uint64_t
+    handedOff() const
+    {
+        const telemetry::Snapshot snap = server->metricsSnapshot();
+        const telemetry::CounterSnapshot *claims =
+            snap.counter("rl_serve_inline_solves_total");
+        return server->queueStats().enqueued - (claims ? claims->value : 0);
     }
 
     /**
@@ -349,7 +370,8 @@ class ServeBudget : public ::testing::Test
                " I/O syscalls (window totals: recv " +
                std::to_string(spent.calls.recvs) + ", send " +
                std::to_string(spent.calls.sends) + ", poll " +
-               std::to_string(spent.calls.polls) + " over " +
+               std::to_string(spent.calls.polls) + ", worker jobs " +
+               std::to_string(spent.workerJobs) + " over " +
                std::to_string(kMeasuredRequests) + " requests)";
     }
 
@@ -360,6 +382,7 @@ class ServeBudget : public ::testing::Test
         EXPECT_LE(spent.allocations, kAllocationsPerRequest)
             << describe(spent);
         EXPECT_LE(spent.syscalls, syscallBudget) << describe(spent);
+        EXPECT_EQ(spent.workerJobs, 0u) << describe(spent);
         std::cout << requestTagName(tag) << " window " << window << ": "
                   << describe(spent) << "\n";
     }

@@ -2,13 +2,17 @@
  * @file
  * Admission-control tests for the serve daemon's bounded queue: the
  * depth bounds *outstanding* work (queued + inflight), rejections are
- * typed and counted, and the ledger stays coherent -- enqueued ==
+ * typed and counted, claimed and drained jobs share the worker count's
+ * solve slots, and the ledger stays coherent -- enqueued ==
  * completed + queued + inflight + shedDeadline + shedEvicted at every
  * snapshot, globally and per priority class.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -477,6 +481,121 @@ TEST(ServeQueue, PerClassCompletionKeepsClassLedgersCoherent)
     EXPECT_EQ(stats.classes[2].completed, 2u);
     EXPECT_EQ(stats.completed, 3u);
     expectLedgerCoherent(stats);
+}
+
+// ----------------------------------------------------- claimed slots
+
+/** Retire one claimed or drained job of `priority`. */
+void
+retireOne(RequestQueue &queue, Priority priority)
+{
+    std::array<uint64_t, kPriorityClasses> done{};
+    done[static_cast<size_t>(priority)] = 1;
+    queue.markDone(done);
+}
+
+TEST(ServeQueue, ClaimIsRefusedUnlessTheQueueIsIdleAndASlotIsFree)
+{
+    // Something queued, in any class: a claim never overtakes it.
+    {
+        RequestQueue queue(8, 0, 2);
+        ASSERT_EQ(queue.tryPush(classedJob(Priority::Batch)),
+                  RequestQueue::Admit::Accepted);
+        EXPECT_FALSE(queue.tryClaim(Priority::Interactive));
+        EXPECT_FALSE(queue.tryClaim(Priority::Batch));
+    }
+    // Every slot inflight, claimed or drained.
+    {
+        RequestQueue queue(8, 0, 2);
+        ASSERT_TRUE(queue.tryClaim(Priority::Normal));
+        ASSERT_EQ(queue.tryPush(noopJob()), RequestQueue::Admit::Accepted);
+        ASSERT_EQ(queue.drain(4).size(), 1u);
+        EXPECT_FALSE(queue.tryClaim(Priority::Normal));
+        retireOne(queue, Priority::Normal);
+        EXPECT_TRUE(queue.tryClaim(Priority::Normal));
+    }
+    // At depth, with slots to spare; in brownout the depth is halved.
+    {
+        RequestQueue queue(2, 1, 4);
+        ASSERT_TRUE(queue.tryClaim(Priority::Normal));
+        ASSERT_TRUE(queue.tryClaim(Priority::Normal));
+        EXPECT_FALSE(queue.tryClaim(Priority::Interactive));
+        retireOne(queue, Priority::Normal);
+        queue.setBrownout(true);
+        EXPECT_FALSE(queue.tryClaim(Priority::Interactive));
+    }
+    // Batch class during brownout; the other classes still claim.
+    {
+        RequestQueue queue(8, 0, 2);
+        queue.setBrownout(true);
+        EXPECT_FALSE(queue.tryClaim(Priority::Batch));
+        EXPECT_TRUE(queue.tryClaim(Priority::Normal));
+    }
+    // Shutting down.
+    {
+        RequestQueue queue(8, 0, 2);
+        queue.beginShutdown();
+        EXPECT_FALSE(queue.tryClaim(Priority::Interactive));
+    }
+}
+
+TEST(ServeQueue, RefusedClaimsCountNothingAndTheLedgerHolds)
+{
+    RequestQueue queue(8, 0, 2);
+    ASSERT_TRUE(queue.tryClaim(Priority::Interactive));
+    ASSERT_TRUE(queue.tryClaim(Priority::Batch));
+    EXPECT_FALSE(queue.tryClaim(Priority::Normal)); // both slots taken
+    QueueStats stats = queue.stats();
+    EXPECT_EQ(stats.enqueued, 2u);
+    EXPECT_EQ(stats.inflight, 2u);
+    EXPECT_EQ(stats.queued, 0u);
+    EXPECT_EQ(stats.highWater, 2u);
+    EXPECT_EQ(stats.rejected(), 0u);
+    EXPECT_EQ(stats.classes[2].enqueued, 1u);
+    EXPECT_EQ(stats.classes[0].enqueued, 1u);
+    expectLedgerCoherent(stats);
+
+    ASSERT_EQ(queue.tryPush(classedJob(Priority::Normal)),
+              RequestQueue::Admit::Accepted);
+    retireOne(queue, Priority::Interactive);
+    expectLedgerCoherent(queue.stats());
+    auto batch = queue.drain(4);
+    ASSERT_EQ(batch.size(), 1u);
+    retireOne(queue, Priority::Normal);
+    retireOne(queue, Priority::Batch);
+
+    stats = queue.stats();
+    EXPECT_EQ(stats.enqueued, 3u);
+    EXPECT_EQ(stats.completed, 3u);
+    EXPECT_EQ(stats.inflight, 0u);
+    EXPECT_EQ(stats.classes[0].completed, 1u);
+    EXPECT_EQ(stats.classes[1].completed, 1u);
+    EXPECT_EQ(stats.classes[2].completed, 1u);
+    expectLedgerCoherent(stats);
+}
+
+TEST(ServeQueue, DrainWaitsWhileClaimsHoldEverySlot)
+{
+    RequestQueue queue(8, 0, 1);
+    ASSERT_TRUE(queue.tryClaim(Priority::Normal));
+    ASSERT_EQ(queue.tryPush(noopJob(5)), RequestQueue::Admit::Accepted);
+
+    std::atomic<bool> drained{false};
+    std::vector<QueuedJob> batch;
+    std::thread worker([&] {
+        batch = queue.drain(1);
+        drained.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(drained.load()) << "a drain took a job past the slots";
+    EXPECT_EQ(queue.stats().queued, 1u);
+
+    retireOne(queue, Priority::Normal); // frees the slot, wakes the drain
+    worker.join();
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(tagOf(batch[0]), 5u);
+    EXPECT_EQ(queue.stats().inflight, 1u);
+    queue.markDone(1);
 }
 
 } // namespace

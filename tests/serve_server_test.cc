@@ -12,7 +12,9 @@
  *     requests race on several workers at once.
  *
  * Plus the protocol abuse the daemon must shrug off: oversized
- * length prefixes, unknown tags, and mid-frame disconnects.
+ * length prefixes, unknown tags, and mid-frame disconnects; which
+ * thread solves what; and connections that release their fd and
+ * thread once the peer hangs up.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -696,6 +700,61 @@ TEST(ServeServer, ShortRequestsOvertakeALongSolve)
         << "a short request waited behind the long solve";
 }
 
+TEST(ServeServer, SmallRequestsSolveOnTheirConnectionLargeOnesOnAWorker)
+{
+    // The trace hook runs on the thread that served the request, so
+    // the thread each id was recorded on says who solved it.
+    std::mutex mutex;
+    std::map<uint32_t, std::thread::id> servedOn;
+    ServerConfig cfg = tcpConfig();
+    cfg.traceHook = [&](const telemetry::RequestTrace &t) {
+        std::lock_guard<std::mutex> lock(mutex);
+        servedOn[t.id] = std::this_thread::get_id();
+    };
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+    auto inlineSolves = [&server] {
+        const telemetry::Snapshot snap = server.metricsSnapshot();
+        const telemetry::CounterSnapshot *claims =
+            snap.counter("rl_serve_inline_solves_total");
+        return claims ? claims->value : UINT64_MAX;
+    };
+    EXPECT_EQ(inlineSolves(), 0u);
+
+    // A 33 x 33 screen on an idle daemon: under the bound, solved on
+    // the connection thread that also answers the Ping.
+    static_assert(33 * 33 <= kInlineCells);
+    Response response;
+    ASSERT_TRUE(client.submitScreen(1, fig2b(), 40, dnaString(32, 21),
+                                    dnaString(32, 22)));
+    ASSERT_TRUE(client.receive(response));
+    ASSERT_EQ(response.status, Status::Ok);
+    EXPECT_EQ(inlineSolves(), 1u);
+    ASSERT_TRUE(client.submitPing(2));
+    ASSERT_TRUE(client.receive(response));
+
+    // A 201 x 201 pairwise is over it and goes through a worker.
+    static_assert(201 * 201 > kInlineCells);
+    ASSERT_TRUE(client.submitPairwise(3, fig2b(), dnaString(200, 23),
+                                      dnaString(200, 24)));
+    ASSERT_TRUE(client.receive(response));
+    ASSERT_EQ(response.status, Status::Ok);
+    EXPECT_EQ(inlineSolves(), 1u);
+    server.stop();
+
+    // Both count in the one ledger, claimed or queued.
+    const QueueStats stats = server.queueStats();
+    EXPECT_EQ(stats.enqueued, 2u);
+    EXPECT_EQ(stats.completed, 2u);
+    std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(servedOn.size(), 3u);
+    EXPECT_EQ(servedOn[1], servedOn[2])
+        << "the screen was not solved on its connection thread";
+    EXPECT_NE(servedOn[3], servedOn[2])
+        << "the 201 x 201 race was not handed to a worker";
+}
+
 // ------------------------------------------------------- protocol abuse
 
 TEST(ServeServer, OversizedLengthPrefixGetsTypedReplyThenClose)
@@ -1210,6 +1269,59 @@ TEST(ServeServer, FailedReloadKeepsTheOldGraphServing)
 }
 
 // --------------------------------------------------------- lifecycle
+
+/** Entries of a /proc/self directory: open fds or live threads. */
+size_t
+procEntries(const char *dir)
+{
+    size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+TEST(ServeServer, HungUpConnectionsReleaseTheirFdAndThread)
+{
+    AlignServer server(tcpConfig());
+    ASSERT_TRUE(server.start());
+    const size_t fds = procEntries("/proc/self/fd");
+    const size_t tasks = procEntries("/proc/self/task");
+    const core::ScratchRegistry &scratch = core::ScratchRegistry::instance();
+    const size_t slots = scratch.entryCount();
+
+    // Each connection also races a screen on its own thread, which
+    // registers that thread's solve scratch.
+    const uint32_t cycles = 100;
+    for (uint32_t i = 0; i < cycles; ++i) {
+        ServeClient client = ServeClient::overTcp(server.port());
+        ASSERT_TRUE(client.submitPing(i));
+        Response response;
+        ASSERT_TRUE(client.receive(response));
+        ASSERT_EQ(response.status, Status::Ok);
+        ASSERT_TRUE(client.submitScreen(i, fig2b(), 40, dnaString(32, i),
+                                        dnaString(32, i + 1)));
+        ASSERT_TRUE(client.receive(response));
+        ASSERT_EQ(response.status, Status::Ok);
+    }
+
+    // Before stop(): the last few readers may still be seeing their
+    // peer's hang-up, so allow them a moment and a small slack.
+    const size_t slack = 4;
+    auto settled = [&] {
+        return procEntries("/proc/self/fd") <= fds + slack &&
+               procEntries("/proc/self/task") <= tasks + slack &&
+               scratch.entryCount() <= slots + slack;
+    };
+    for (int i = 0; i < 400 && !settled(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_LE(procEntries("/proc/self/fd"), fds + slack);
+    EXPECT_LE(procEntries("/proc/self/task"), tasks + slack);
+    EXPECT_LE(scratch.entryCount(), slots + slack)
+        << "exited connection threads left their scratch slots behind";
+    server.stop();
+}
 
 TEST(ServeServer, StopDrainsAdmittedWorkBeforeReturning)
 {

@@ -3,8 +3,8 @@
  * Unit tests for the deadline-aware socket helpers and the
  * deterministic fault injector underneath them: timeouts fire instead
  * of blocking forever, short-I/O reassembly never corrupts a byte,
- * severed fds surface as EOF/error, and the same seed replays the
- * same fault schedule exactly.
+ * severed fds stop at the drawn byte, TCP sockets send small frames at
+ * once, and the same seed replays the same fault schedule exactly.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -425,7 +427,8 @@ TEST(ServeFault, BufferedReaderTakesChunkCapsAndDrops)
     }
     // Drops: both ends are severed at their drawn 64-byte offset.  The
     // buffered reader's recv() is capped at its offset like any other,
-    // so it holds exactly the 64 bytes sent, intact, then sees EOF.
+    // so it holds exactly the 64 bytes sent, intact, then reports the
+    // sever.
     {
         FaultConfig config;
         config.seed = 7;
@@ -442,10 +445,62 @@ TEST(ServeFault, BufferedReaderTakesChunkCapsAndDrops)
                   IoStatus::Ok);
         RecvBuffer in(pair.b.get());
         EXPECT_EQ(in.fill(sent.size(), deadlineAfterMs(5000)),
-                  IoStatus::Eof);
+                  IoStatus::Disconnected);
         EXPECT_EQ(injector.stats().drops, 2u);
         ASSERT_EQ(in.size(), 64u);
         EXPECT_TRUE(std::equal(in.data(), in.data() + 64, sent.begin()));
+    }
+}
+
+TEST(ServeFault, ReaderSideDropStopsAtTheDrawnByte)
+{
+    // All 256 bytes are queued before the injector is installed, so
+    // only the readers are severed.  shutdown() on a Unix socket leaves
+    // queued bytes readable; the drop must still end the stream at the
+    // drawn 64th byte, through both read paths.
+    FaultConfig config;
+    config.seed = 7;
+    config.dropProbability = 1.0;
+    config.dropMinBytes = 64;
+    config.dropMaxBytes = 64;
+    const std::vector<uint8_t> sent = patternBytes(256);
+    Pair buffered, exact;
+    ASSERT_TRUE(buffered.a.valid());
+    ASSERT_TRUE(exact.a.valid());
+    ASSERT_TRUE(writeAll(buffered.a.get(), sent.data(), sent.size()));
+    ASSERT_TRUE(writeAll(exact.a.get(), sent.data(), sent.size()));
+
+    FaultInjector injector(config);
+    ScopedInjector scope(injector);
+    RecvBuffer in(buffered.b.get());
+    EXPECT_EQ(in.fill(sent.size(), deadlineAfterMs(5000)),
+              IoStatus::Disconnected);
+    ASSERT_EQ(in.size(), 64u);
+    EXPECT_TRUE(std::equal(in.data(), in.data() + 64, sent.begin()));
+
+    std::vector<uint8_t> received(sent.size());
+    EXPECT_EQ(readExact(exact.b.get(), received.data(), received.size(),
+                        deadlineAfterMs(5000)),
+              IoStatus::Disconnected);
+    EXPECT_EQ(injector.stats().drops, 2u);
+}
+
+TEST(ServeSocket, TcpSocketsSetNoDelayOnBothEnds)
+{
+    // Without TCP_NODELAY a small frame sent right after another waits
+    // in Nagle's buffer for the peer's delayed ACK (milliseconds).
+    uint16_t port = 0;
+    ScopedFd listener = listenTcp(0, port);
+    ASSERT_TRUE(listener.valid());
+    ScopedFd client = connectTcp(port, 1000);
+    ASSERT_TRUE(client.valid());
+    ScopedFd server = acceptConnection(listener.get());
+    ASSERT_TRUE(server.valid());
+    for (int fd : {client.get(), server.get()}) {
+        int on = 0;
+        socklen_t len = sizeof(on);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+        EXPECT_NE(on, 0);
     }
 }
 

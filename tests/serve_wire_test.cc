@@ -522,6 +522,44 @@ TEST(ServeWire, FrameHeaderRoundTrip)
     EXPECT_EQ(length, framed.size() - 4);
 }
 
+TEST(ServeWire, ResponseFramesAppendIntoOneBatch)
+{
+    // A connection thread batches its replies: each frame is appended
+    // whole, prefix included, and each decodes on its own.
+    Response ping;
+    ping.id = 4;
+    ping.tag = RequestTag::Ping;
+    Response error;
+    error.id = 5;
+    error.tag = RequestTag::Screen;
+    error.status = Status::QueueFull;
+    error.message = "admission queue at depth";
+    std::vector<uint8_t> batch;
+    encodeResponseFrame(ping, batch);
+    const size_t first = batch.size();
+    encodeResponseFrame(error, batch);
+
+    size_t at = 0;
+    for (const Response *want : {&ping, &error}) {
+        uint32_t length = 0;
+        ASSERT_EQ(parseFrameHeader(batch.data() + at, batch.size() - at,
+                                   kDefaultMaxFrameBytes, length),
+                  WireError::None);
+        Response got;
+        ASSERT_EQ(decodeResponse({batch.data() + at + kFrameHeaderBytes,
+                                  length},
+                                 got),
+                  WireError::None);
+        EXPECT_EQ(got.id, want->id);
+        EXPECT_EQ(got.status, want->status);
+        EXPECT_EQ(got.message, want->message);
+        at += kFrameHeaderBytes + length;
+        if (want == &ping)
+            EXPECT_EQ(at, first);
+    }
+    EXPECT_EQ(at, batch.size());
+}
+
 TEST(ServeWire, HostileLengthPrefixIsOversized)
 {
     const uint8_t huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
