@@ -52,16 +52,17 @@ toSolveReply(const api::RaceResult &result)
 }
 
 /**
- * The calling thread's telemetry writer lane.  Each serve worker takes
- * its own lane on first use, cycling over lanes 1..kMetricLanes-1;
- * lane 0 stays with the connection threads.
+ * The calling thread's telemetry writer lane.  Each thread that serves
+ * requests, worker or connection thread, takes its own lane on first
+ * use, cycling over all kMetricLanes lanes, so threads that record at
+ * once rarely share a lane's cache lines.
  */
 size_t
-workerLane()
+threadLane()
 {
     static std::atomic<size_t> next{0};
     thread_local const size_t lane =
-        1 + next.fetch_add(1) % (telemetry::kMetricLanes - 1);
+        next.fetch_add(1) % telemetry::kMetricLanes;
     return lane;
 }
 
@@ -254,9 +255,9 @@ AlignServer::metricsSnapshot() const
 }
 
 void
-AlignServer::recordTrace(telemetry::RequestTrace &trace, size_t lane,
-                         bool raced)
+AlignServer::recordTrace(telemetry::RequestTrace &trace, bool raced)
 {
+    const size_t lane = threadLane();
     trace.finalize();
     if (raced && metrics.request) {
         metrics.stageRead->record(trace.readUs(), lane);
@@ -294,11 +295,11 @@ AlignServer::recordTrace(telemetry::RequestTrace &trace, size_t lane,
 }
 
 void
-AlignServer::drainKernelCounters(const core::KernelCounters &kernel,
-                                 size_t lane)
+AlignServer::drainKernelCounters(const core::KernelCounters &kernel)
 {
     if (!metrics.kernelEvents)
         return;
+    const size_t lane = threadLane();
     metrics.kernelEvents->add(kernel.events, lane);
     metrics.kernelBuckets->add(kernel.bucketsDrained, lane);
     metrics.kernelLanes->add(kernel.lanesOccupied, lane);
@@ -481,10 +482,10 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
 
     // Every frame is read through one reused buffer: one recv() takes
     // whatever the peer has sent, and each complete frame in it is
-    // answered before the next recv().  The replies this thread writes
-    // leave together, in one send() just before it waits for more
-    // bytes or hangs up, and the workers for the jobs it queued are
-    // woken then.
+    // answered before the next recv().  The workers for the jobs it
+    // queued are woken just before it waits for more bytes or hangs
+    // up, and the replies this thread writes leave together then, in
+    // one send().
     RecvBuffer in(conn->fd.get());
     auto fill = [&](size_t n, int64_t timeoutMs) {
         if (in.size() < n)
@@ -522,12 +523,12 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
             // the daemon has silently stopped reading.
             queue.noteRejected(Status::Oversized);
             if (metrics.rejected)
-                metrics.rejected->add();
+                metrics.rejected->add(1, threadLane());
             trace.status = static_cast<uint8_t>(Status::Oversized);
             respond(*conn, &batch,
                     errorResponse(0, RequestTag::Ping, Status::Oversized,
                                   "frame exceeds maxFrameBytes"),
-                    trace, 0, false);
+                    trace, false);
             hangUp();
             return;
         }
@@ -545,7 +546,7 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
         const auto arrival = std::chrono::steady_clock::now();
         trace.readDone = arrival;
         if (metrics.requests)
-            metrics.requests->add();
+            metrics.requests->add(1, threadLane());
 
         // Decode in place; the request keeps its own copies, so the
         // frame's bytes are released before it is handled.
@@ -565,12 +566,12 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
                                 : Status::BadRequest;
             queue.noteRejected(status);
             if (metrics.rejected)
-                metrics.rejected->add();
+                metrics.rejected->add(1, threadLane());
             trace.status = static_cast<uint8_t>(status);
             respond(*conn, &batch,
                     errorResponse(request.id, request.tag, status,
                                   wireErrorName(decodeError)),
-                    trace, 0, false);
+                    trace, false);
             continue;
         }
         handleRequest(conn, batch, std::move(request), arrival,
@@ -626,8 +627,8 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         }
         trace.admitDone = telemetry::RequestTrace::Clock::now();
         if (metrics.inlineAnswers)
-            metrics.inlineAnswers->add();
-        respond(*conn, &batch, r, trace, 0, false);
+            metrics.inlineAnswers->add(1, threadLane());
+        respond(*conn, &batch, r, trace, false);
         return;
     }
 
@@ -640,12 +641,12 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         if (note)
             queue.noteRejected(status, request.priority);
         if (metrics.rejected)
-            metrics.rejected->add();
+            metrics.rejected->add(1, threadLane());
         trace.status = static_cast<uint8_t>(status);
         trace.admitDone = telemetry::RequestTrace::Clock::now();
         respond(*conn, &batch,
                 errorResponse(id, tag, status, std::move(message)), trace,
-                0, false);
+                false);
     };
 
     // Build the race problem(s); every wire-level validation already
@@ -769,7 +770,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
     if (denseSweep && cfg.engine.backend == api::BackendKind::Behavioral &&
         cells <= kInlineCells && queue.tryClaim(request.priority)) {
         if (metrics.inlineSolves)
-            metrics.inlineSolves->add();
+            metrics.inlineSolves->add(1, threadLane());
         try {
             solve(*conn, job, &batch);
         } catch (const std::exception &e) {
@@ -791,7 +792,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         // raced histograms -- the rl_serve_request_us count must keep
         // matching the queue's completed ledger.
         if (metrics.shed)
-            metrics.shed->add();
+            metrics.shed->add(1, threadLane());
         trace.status = static_cast<uint8_t>(status);
         trace.dispatchStart = telemetry::RequestTrace::Clock::now();
         const char *message =
@@ -799,7 +800,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
                 ? "evicted by a higher-priority arrival"
                 : "deadline expired while queued";
         respond(*conn, nullptr, errorResponse(id, tag, status, message),
-                trace, 0, false);
+                trace, false);
     };
     queued.run = [this, conn, job = std::move(job)]() mutable {
         solve(*conn, job, nullptr);
@@ -910,11 +911,9 @@ AlignServer::solve(Connection &conn, SolveJob &job, Batch *batch)
         }
     }
     trace.solveDone = telemetry::RequestTrace::Clock::now();
-    // Connection threads record into lane 0, each worker into its own.
-    const size_t lane = batch ? 0 : workerLane();
-    drainKernelCounters(kernel, lane);
+    drainKernelCounters(kernel);
     trace.status = static_cast<uint8_t>(r.status);
-    respond(conn, batch, r, trace, lane, true);
+    respond(conn, batch, r, trace, true);
 }
 
 void
@@ -1014,8 +1013,7 @@ AlignServer::janitorLoop()
 void
 AlignServer::respond(Connection &conn, Batch *batch,
                      const Response &response,
-                     telemetry::RequestTrace &trace, size_t lane,
-                     bool raced)
+                     telemetry::RequestTrace &trace, bool raced)
 {
     if (batch) {
         encodeResponseFrame(response, batch->frames);
@@ -1031,28 +1029,29 @@ AlignServer::respond(Connection &conn, Batch *batch,
     trace.encodeDone = telemetry::RequestTrace::Clock::now();
     writeFrames(conn, framed);
     trace.writeDone = telemetry::RequestTrace::Clock::now();
-    recordTrace(trace, lane, raced);
+    recordTrace(trace, raced);
 }
 
 void
 AlignServer::flush(Connection &conn, Batch &batch)
 {
+    // Workers are woken only now, as this thread is about to wait: a
+    // worker woken mid-batch can take this thread's CPU for a whole
+    // solve, and the frames behind its job would then be read, and
+    // their deadlines anchored, that much later.  They are woken
+    // before the write, which may block for up to ioTimeoutMs.
+    queue.wake(batch.queued);
+    batch.queued = 0;
     if (!batch.frames.empty()) {
         writeFrames(conn, batch.frames);
         const auto written = telemetry::RequestTrace::Clock::now();
         for (Batch::Pending &p : batch.pending) {
             p.trace.writeDone = written;
-            recordTrace(p.trace, 0, p.raced);
+            recordTrace(p.trace, p.raced);
         }
         batch.frames.clear();
         batch.pending.clear();
     }
-    // Workers are woken only now, as this thread is about to wait: a
-    // worker woken mid-batch can take this thread's CPU for a whole
-    // solve, and the frames behind its job would then be read, and
-    // their deadlines anchored, that much later.
-    queue.wake(batch.queued);
-    batch.queued = 0;
 }
 
 void

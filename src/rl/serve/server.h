@@ -18,7 +18,7 @@
  * endpoint must work *because* the daemon is saturated, not when the
  * queue gets around to it.  The connection thread batches every reply
  * it writes and sends the batch with one send() before it next waits
- * for bytes, and only then wakes workers for the jobs it queued;
+ * for bytes, just after it wakes workers for the jobs it queued;
  * workers write their replies at once.
  *
  * Shutdown is a drain, not an abort: stop() parts with the listeners,
@@ -291,9 +291,9 @@ class AlignServer
 
     /**
      * What a connection thread defers until it next waits for bytes:
-     * the replies it has encoded, each with the trace flush() stamps
-     * and records once they are written, and the wake-up of workers
-     * for the jobs it queued.  Reused, so it allocates only while it
+     * the wake-up of workers for the jobs it queued, and the replies
+     * it has encoded, each with the trace flush() stamps and records
+     * once they are written.  Reused, so it allocates only while it
      * grows.
      */
     struct Batch {
@@ -369,15 +369,15 @@ class AlignServer
      * Encode one response, stamp the trace's encodeDone, and either
      * append it to the connection thread's `batch` (flush() writes it
      * and records the trace) or, with `batch` null, write it at once
-     * under the write lock and record the trace in `lane`.
+     * under the write lock and record the trace.
      */
     void respond(Connection &conn, Batch *batch,
                  const Response &response, telemetry::RequestTrace &trace,
-                 size_t lane, bool raced);
+                 bool raced);
 
-    /** Write the batch's replies with one writeAll(), stamp writeDone
-     *  on and record each of their traces, then wake the workers for
-     *  the batch's queued jobs. */
+    /** Wake the workers for the batch's queued jobs, then write its
+     *  replies with one writeAll() and stamp writeDone on and record
+     *  each of their traces. */
     void flush(Connection &conn, Batch &batch);
 
     /** writeAll() under the write lock; a write that times out severs
@@ -411,13 +411,12 @@ class AlignServer
      * Finalize `trace`, feed the stage histograms (raced requests
      * only -- their count stays coherent with the queue's completed
      * ledger), emit the slow-request line, and call the trace hook.
+     * Records go to the calling thread's own telemetry lane.
      */
-    void recordTrace(telemetry::RequestTrace &trace, size_t lane,
-                     bool raced);
+    void recordTrace(telemetry::RequestTrace &trace, bool raced);
 
     /** Fold one job's kernel counters into the rl_kernel_* series. */
-    void drainKernelCounters(const core::KernelCounters &kernel,
-                             size_t lane);
+    void drainKernelCounters(const core::KernelCounters &kernel);
 
     /** Copy the current graph snapshot (safe from any thread). */
     GraphSnapshot graphSnapshot() const;

@@ -10,9 +10,8 @@
  *     registry mutex is taken only to *register* a metric (startup)
  *     and to *snapshot* (scrape time).
  *  2. Writers never contend: counters and histograms are sharded
- *     into cache-line-padded lanes; the connection threads and each
- *     pool worker record into their own lane and the lanes are summed
- *     at snapshot time.
+ *     into cache-line-padded lanes; each serving thread records into
+ *     its own lane and the lanes are summed at snapshot time.
  *  3. Handles are stable: metrics live in deques owned by the
  *     registry, so a `Counter *` captured at startup stays valid for
  *     the registry's lifetime and can be used lock-free forever.

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -333,10 +334,11 @@ TEST(ScratchRegistry, ShrinkIdleSparesRecentlyActiveWorkers)
 TEST(ScratchRegistry, DeadThreadsLeaveSafeTombstones)
 {
     core::ScratchRegistry &registry = core::ScratchRegistry::instance();
-    const size_t before = registry.entryCount();
 
-    // A worker thread registers, grows its arena, publishes, dies.
-    auto raceAndDie = [] {
+    // A worker thread registers, grows its arena, publishes it when its
+    // lease ends, reads the registry's total while it still lives, and
+    // dies.
+    auto raceAndDie = [&registry](size_t &published) {
         core::RaceGridScratch scratch;
         core::ScratchRegistration reg([&scratch](bool shrink) {
             if (shrink)
@@ -345,28 +347,39 @@ TEST(ScratchRegistry, DeadThreadsLeaveSafeTombstones)
         });
         core::RaceGridAligner aligner(
             bio::ScoreMatrix::dnaShortestPath());
-        core::ScratchLease lease(reg.entry());
-        (void)aligner.align(dna(longDna(200)), dna(longDna(200)),
-                            sim::kTickInfinity, scratch);
+        {
+            core::ScratchLease lease(reg.entry());
+            (void)aligner.align(dna(longDna(200)), dna(longDna(200)),
+                                sim::kTickInfinity, scratch);
+        }
+        published = registry.totalResidentBytes();
     };
-    std::thread worker(raceAndDie);
-    worker.join();
 
-    // The slot is leaked but retracted: it reports zero bytes, and
-    // shrink passes must skip it instead of calling a hook into freed
-    // thread_local storage.  Registration takes a tombstone over (the
-    // tests above leave some), so the list grew by at most this slot.
-    EXPECT_LE(registry.entryCount(), before + 1);
+    // The first one leaves a tombstone (or takes over one an earlier
+    // test left): its slot is leaked but retracted, so it reports zero
+    // bytes, and shrink passes must skip it instead of calling a hook
+    // into freed thread_local storage.
+    const size_t before = registry.totalResidentBytes();
+    size_t published = 0;
+    std::thread worker(raceAndDie, std::ref(published));
+    worker.join();
+    EXPECT_GT(published, before) << "the thread never registered";
+    EXPECT_EQ(registry.totalResidentBytes(), before);
     (void)registry.shrinkAll(); // must not crash
     (void)registry.shrinkAll();
 
-    // Threads that come and go reuse slots instead of adding them.
+    // Each later thread takes a tombstone over: its arena shows in the
+    // total while it lives, and the list does not grow.
     const size_t settled = registry.entryCount();
+    const size_t idle = registry.totalResidentBytes();
     for (int i = 0; i < 3; ++i) {
-        std::thread next(raceAndDie);
+        published = 0;
+        std::thread next(raceAndDie, std::ref(published));
         next.join();
+        EXPECT_GT(published, idle) << "thread " << i << " never registered";
+        EXPECT_EQ(registry.entryCount(), settled);
+        EXPECT_EQ(registry.totalResidentBytes(), idle);
     }
-    EXPECT_EQ(registry.entryCount(), settled);
 }
 
 } // namespace

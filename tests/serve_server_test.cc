@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -589,13 +590,17 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     // One matrix, one length pair, so one plan key.  Any worker takes
     // any job on the shared engine, so with 16 pipelined requests and
     // two workers at least two solve intervals must overlap.
+    const size_t total = 16;
     std::mutex mutex;
+    std::condition_variable recorded;
     std::vector<telemetry::RequestTrace> traces;
     ServerConfig cfg = tcpConfig();
     cfg.workers = 2;
     cfg.traceHook = [&](const telemetry::RequestTrace &t) {
         std::lock_guard<std::mutex> lock(mutex);
         traces.push_back(t);
+        if (traces.size() == total)
+            recorded.notify_one();
     };
     AlignServer server(std::move(cfg));
     ASSERT_TRUE(server.start());
@@ -604,11 +609,21 @@ TEST(ServeServer, SameShapeRequestsRaceOnSeveralWorkersAtOnce)
     // 2000 x 2000 grids: each solve outlasts the arrival of the rest
     // even on the fastest sweep, the AVX-512BW band, so the
     // queue holds several jobs whenever a worker frees up.
-    const size_t total = 16;
     for (size_t i = 0; i < total; ++i)
         ASSERT_TRUE(client.submitPairwise(
             static_cast<uint32_t>(700 + i), fig2b(),
             dnaString(2000, 70 + i), dnaString(2000, 90 + i)));
+    // Read the replies only once every job has run.  A reply sent
+    // to a reader blocked on the socket wakes it, and on a host that
+    // leaves the two workers one CPU between them that wake-up is
+    // where the kernel switches from one worker to the other, so
+    // their solves would never overlap there.
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(recorded.wait_for(lock, std::chrono::seconds(60), [&] {
+            return traces.size() == total;
+        }));
+    }
     for (size_t i = 0; i < total; ++i) {
         Response response;
         ASSERT_TRUE(client.receive(response));
