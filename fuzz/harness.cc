@@ -246,9 +246,20 @@ wireInput(const uint8_t *data, size_t size)
 
     // Response decode must be total for any bytes too; a daemon's
     // reply stream is attacker-observable, a client's parser of it
-    // must not be attacker-crashable.
+    // must not be attacker-crashable.  A reply it accepts re-encodes
+    // to bytes that decode and re-encode to themselves (the first
+    // re-encoding may differ: any nonzero flag byte decodes as true).
     serve::Response response;
-    (void)serve::decodeResponse(payload, response);
+    if (serve::decodeResponse(payload, response) == serve::WireError::None) {
+        const std::vector<uint8_t> once = serve::encodeResponse(response);
+        serve::Response again;
+        if (serve::decodeResponse(once, again) != serve::WireError::None)
+            violated("decoded reply re-encodes decodably",
+                     serve::requestTagName(response.tag));
+        if (serve::encodeResponse(again) != once)
+            violated("reply re-encoding is a fixed point",
+                     serve::requestTagName(response.tag));
+    }
 
     if (error != serve::WireError::None)
         return 0;

@@ -31,7 +31,8 @@ int fastaInput(const uint8_t *data, size_t size);
  * every accepted decode -- the same problems the server would queue
  * are checked against api::validateProblem(), aborting if decode
  * accepted what validation rejects.  The payload is also fed to
- * serve::decodeResponse() (total for any bytes).
+ * serve::decodeResponse() (total for any bytes); a reply it accepts
+ * must re-encode to bytes that decode and re-encode to themselves.
  */
 int wireInput(const uint8_t *data, size_t size);
 

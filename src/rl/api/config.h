@@ -4,9 +4,10 @@
  *
  * One configuration object selects the execution backend (behavioral
  * race simulation, synthesized gate-level fabric, or the systolic
- * baseline), the Section 6 early-termination threshold, the Section 5
- * delay-element encoding, the technology model used for energy/area
- * estimates, and the batch fabric pool.
+ * baseline), the Section 6 early-termination threshold, the
+ * technology model used for energy/area estimates, and the batch
+ * fabric pool.  Synthesized generalized cells count their delays with
+ * Section 5's binary counter (core::DelayEncoding::Binary).
  */
 
 #ifndef RACELOGIC_API_CONFIG_H
@@ -16,7 +17,6 @@
 #include <cstdint>
 
 #include "rl/bio/score_matrix.h"
-#include "rl/core/generalized.h"
 #include "rl/tech/cell_library.h"
 
 namespace racelogic::api {
@@ -65,9 +65,6 @@ struct EngineConfig {
      */
     bio::Score threshold = bio::kScoreInfinity;
 
-    /** Delay-element encoding for synthesized generalized cells. */
-    core::DelayEncoding encoding = core::DelayEncoding::Binary;
-
     /** Technology model pricing results; never null. */
     const tech::CellLibrary *library = &tech::CellLibrary::amis();
 
@@ -93,11 +90,9 @@ struct EngineConfig {
 
     /** @name Batch fabric pool (solveBatch screening dispatch) @{ */
 
-    /** Parallel fabrics instantiated by the batch dispatcher. */
+    /** Parallel fabrics instantiated by the batch dispatcher; each
+     *  resets in core::BatchConfig's one cycle between comparisons. */
     size_t fabricCount = 4;
-
-    /** Cycles to reset a fabric between comparisons. */
-    uint64_t resetCycles = 1;
 
     /** @} */
 

@@ -469,14 +469,14 @@ RaceEngine::buildPlan(const RaceProblem &problem) const
 
     if (cfg.backend == BackendKind::GateLevel)
         plan->fabric = core::GridFabric::generalized(
-            plan->costs(), problem.a->size(), problem.b->size(),
-            cfg.encoding);
+            plan->costs(), problem.a->size(), problem.b->size());
     if (cfg.backend == BackendKind::Systolic)
         plan->array = std::make_unique<const systolic::LiptonLoprestiArray>(
             plan->costs());
     if (cfg.withEstimates && cfg.backend != BackendKind::Systolic) {
         plan->cellInventory =
-            core::generalizedCellInventory(plan->costs(), cfg.encoding);
+            core::generalizedCellInventory(plan->costs(),
+                                           core::DelayEncoding::Binary);
         plan->hasInventory = true;
     }
     return plan;
@@ -1021,9 +1021,8 @@ RaceEngine::solveAffine(const RaceProblem &problem)
 }
 
 RaceResult
-RaceEngine::raceGraphBehavioral(
-    const RaceProblem &problem, const Plan &plan,
-    const pangraph::AlignmentGraph *product) const
+RaceEngine::raceGraphBehavioral(const RaceProblem &problem,
+                                const Plan &plan) const
 {
     const pangraph::GraphAligner &aligner = *plan.graphAligner;
     // A problem-level threshold marks a read-mapping screen; the
@@ -1036,16 +1035,13 @@ RaceEngine::raceGraphBehavioral(
                                   ? static_cast<sim::Tick>(threshold)
                                   : sim::kTickInfinity;
 
-    // The Behavioral path races the fused kernel -- align(read) keeps
-    // one scratch per thread, so the read-mapping batch loop (and
-    // every serial solve) allocates no kernel storage per read and
-    // never materializes a product DAG.  Only the GateLevel caller
-    // passes a product in (it is also the synthesis input, so it
-    // must not be built twice).
+    // The fused kernel -- align(read) keeps one scratch per thread,
+    // so the read-mapping batch loop (and every serial solve)
+    // allocates no kernel storage per read and never materializes a
+    // product DAG.
     pangraph::GraphRaceResult raced =
-        product ? aligner.align(*product, horizon)
-                : aligner.align(*problem.a, horizon, problem.cancel,
-                                problem.counters, problem.arrivals);
+        aligner.align(*problem.a, horizon, problem.cancel,
+                      problem.counters, problem.arrivals);
 
     RaceResult result;
     result.kind = ProblemKind::GraphAlign;
@@ -1060,8 +1056,6 @@ RaceEngine::raceGraphBehavioral(
     result.nodeArrival = std::move(raced.arrival);
 
     applyThresholdVerdict(threshold, result);
-    // The materialized product (GateLevel) always fills its arrivals;
-    // a score-only solve drops them like an aborted one.
     bool keepDetail = problem.arrivals;
     if (result.cancelled) {
         // A cancelled race reveals nothing -- not even the screening
@@ -1105,21 +1099,19 @@ RaceEngine::solveGraphAlign(const RaceProblem &problem, PlanSlot slot)
 
     const PlanPtr plan = planFor(problem, std::move(slot));
 
-    if (cfg.backend != BackendKind::GateLevel)
-        return raceGraphBehavioral(problem, *plan);
-
-    // Build the product DAG once -- materialization dominates the
-    // per-read cost -- and share it between the behavioral race and
-    // fabric synthesis: the product raced IS the product synthesized
-    // (Fig. 3b, one OR gate per state, DFF chains per edit weight),
-    // replayed on the compiled levelized simulator and cross-checked
-    // at the sink.
-    const pangraph::GraphAligner &aligner = *plan->graphAligner;
-    pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
-        aligner.compiled(), *problem.a, aligner.costs());
-    RaceResult result = raceGraphBehavioral(problem, *plan, &product);
-    replayDagOnGates(product.dag, {product.source}, product.sink,
-                     core::RaceType::Or, problem.threshold, cfg, result);
+    // Every backend races the fused kernel.  GateLevel then builds the
+    // product DAG as the synthesis input (Fig. 3b, one OR gate per
+    // state, DFF chains per edit weight), replays it on the compiled
+    // levelized simulator and cross-checks the sink.  A cancelled race
+    // has no result to cross-check, so the fabric is not raced either.
+    RaceResult result = raceGraphBehavioral(problem, *plan);
+    if (cfg.backend == BackendKind::GateLevel && !result.cancelled) {
+        const pangraph::GraphAligner &aligner = *plan->graphAligner;
+        const pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
+            aligner.compiled(), *problem.a, aligner.costs());
+        replayDagOnGates(product.dag, {product.source}, product.sink,
+                         core::RaceType::Or, problem.threshold, cfg, result);
+    }
     return result;
 }
 
@@ -1300,7 +1292,6 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
         // schedule verdicts identical to the results by construction.
         core::BatchConfig pool;
         pool.fabricCount = cfg.fabricCount;
-        pool.resetCycles = cfg.resetCycles;
         std::vector<core::ScreenedComparison> runs;
         runs.reserve(outcome.results.size());
         for (const RaceResult &r : outcome.results)

@@ -158,7 +158,7 @@ class RaceEngine
      * order, bit-identical to a serial run, and concurrent batches on
      * one engine take turns on the pool.  Screening-shaped
      * batches are additionally dispatched onto the core::batch
-     * fabric pool (fabricCount and resetCycles from the config; each
+     * fabric pool (fabricCount from the config; each
      * comparison busy for its threshold-clamped cyclesUsed) to model
      * a multi-fabric deployment.
      *
@@ -352,16 +352,13 @@ class RaceEngine
 
     /**
      * The Behavioral race of one GraphAlign problem on an acquired
-     * plan (the cached pangraph::GraphAligner); const and
-     * allocation-local for the same parallel-batch reason.
-     * `product` shares an already-built product DAG (the GateLevel
-     * path builds it once for both the race and synthesis); null
-     * races the fused kernel -- no product DAG is materialized on
-     * the Behavioral path.
+     * plan (the cached pangraph::GraphAligner's fused kernel; no
+     * product DAG is materialized); const and allocation-local for the
+     * same parallel-batch reason, and the first stage of the serial
+     * GateLevel solve.
      */
-    RaceResult raceGraphBehavioral(
-        const RaceProblem &problem, const Plan &plan,
-        const pangraph::AlignmentGraph *product = nullptr) const;
+    RaceResult raceGraphBehavioral(const RaceProblem &problem,
+                                   const Plan &plan) const;
 
     /**
      * Replay an already-raced grid-family batch on the synthesized

@@ -23,36 +23,6 @@ classIndex(Priority priority)
 
 } // namespace
 
-QueueStatsWire
-QueueStats::wire() const
-{
-    QueueStatsWire w;
-    w.enqueued = enqueued;
-    w.completed = completed;
-    w.rejectedQueueFull = rejectedQueueFull;
-    w.rejectedOversized = rejectedOversized;
-    w.rejectedBadRequest = rejectedBadRequest;
-    w.rejectedResource = rejectedResource;
-    w.rejectedShutdown = rejectedShutdown;
-    w.shedDeadline = shedDeadline;
-    w.shedEvicted = shedEvicted;
-    w.inflight = inflight;
-    w.queued = queued;
-    w.highWater = highWater;
-    for (size_t c = 0; c < kPriorityClasses; ++c) {
-        const ClassStats &s = classes[c];
-        ClassStatsWire &cw = w.classes[c];
-        cw.enqueued = s.enqueued;
-        cw.completed = s.completed;
-        cw.rejectedQueueFull = s.rejectedQueueFull;
-        cw.rejectedResource = s.rejectedResource;
-        cw.shedDeadline = s.shedDeadline;
-        cw.shedEvicted = s.shedEvicted;
-        cw.queued = s.queued;
-    }
-    return w;
-}
-
 void
 RequestQueue::JobFifo::push_back(QueuedJob job)
 {

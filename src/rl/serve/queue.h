@@ -82,45 +82,10 @@ struct QueuedJob {
     Priority priority = Priority::Normal;
 };
 
-/** One traffic class's slice of the admission ledger. */
-struct ClassStats {
-    uint64_t enqueued = 0;          ///< admitted into this class
-    uint64_t completed = 0;         ///< fully served
-    uint64_t rejectedQueueFull = 0; ///< bounced at the bound
-    uint64_t rejectedResource = 0;  ///< brownout sheds at admission
-    uint64_t shedDeadline = 0;      ///< admitted, expired while queued
-    uint64_t shedEvicted = 0;       ///< admitted, evicted by a higher class
-    uint64_t queued = 0;            ///< admitted, not yet drained
-};
-
-/** Coherent snapshot of the queue's admission counters. */
-struct QueueStats {
-    uint64_t enqueued = 0;           ///< admitted requests
-    uint64_t completed = 0;          ///< admitted requests fully served
-    uint64_t rejectedQueueFull = 0;  ///< bounced: queue at depth
-    uint64_t rejectedOversized = 0;  ///< bounced: frame/problem too big
-    uint64_t rejectedBadRequest = 0; ///< bounced: undecodable/invalid
-    uint64_t rejectedResource = 0;   ///< bounced: compute budget/brownout
-    uint64_t rejectedShutdown = 0;   ///< bounced: daemon draining
-    uint64_t shedDeadline = 0;       ///< admitted, expired while queued
-    uint64_t shedEvicted = 0;        ///< admitted, evicted at the bound
-    uint64_t queued = 0;             ///< admitted, not yet drained
-    uint64_t inflight = 0;           ///< drained, not yet completed
-    uint64_t highWater = 0;          ///< max outstanding ever observed
-
-    /** Per-class slices, indexed by Priority. */
-    std::array<ClassStats, kPriorityClasses> classes;
-
-    uint64_t
-    rejected() const
-    {
-        return rejectedQueueFull + rejectedOversized +
-               rejectedBadRequest + rejectedResource + rejectedShutdown;
-    }
-
-    /** The wire-protocol view of this snapshot. */
-    QueueStatsWire wire() const;
-};
+/** The admission ledger's names on the queue side: the Stats
+ *  response's structs (wire.h), so a snapshot is sent as taken. */
+using ClassStats = ClassStatsWire;
+using QueueStats = QueueStatsWire;
 
 /**
  * Bounded multi-producer, multi-consumer job queue: connection

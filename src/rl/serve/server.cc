@@ -200,7 +200,7 @@ AlignServer::metricsSnapshot() const
 
     // Synthetic series, derived from the exact snapshots the Stats
     // response carries -- one source of truth, two expositions.
-    const QueueStatsWire q = queue.stats().wire();
+    const QueueStats q = queue.stats();
     counter("rl_queue_enqueued_total", q.enqueued);
     counter("rl_queue_completed_total", q.completed);
     counter("rl_queue_rejected_queue_full_total", q.rejectedQueueFull);
@@ -217,7 +217,7 @@ AlignServer::metricsSnapshot() const
     static const char *const kClassName[kPriorityClasses] = {
         "batch", "normal", "interactive"};
     for (size_t c = 0; c < kPriorityClasses; ++c) {
-        const ClassStatsWire &cls = q.classes[c];
+        const ClassStats &cls = q.classes[c];
         const std::string prefix =
             std::string("rl_queue_") + kClassName[c] + "_";
         counter(prefix + "enqueued_total", cls.enqueued);
@@ -515,7 +515,7 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
 
         uint32_t length = 0;
         WireError headerError = parseFrameHeader(
-            in.data(), in.size(), cfg.maxFrameBytes, length);
+            in.data(), in.size(), kDefaultMaxFrameBytes, length);
         if (headerError != WireError::None) {
             // A hostile length prefix poisons the framing itself --
             // reply once (id unknowable) and hang up; without the
@@ -527,7 +527,7 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
             trace.status = static_cast<uint8_t>(Status::Oversized);
             respond(*conn, &batch,
                     errorResponse(0, RequestTag::Ping, Status::Oversized,
-                                  "frame exceeds maxFrameBytes"),
+                                  "frame exceeds kDefaultMaxFrameBytes"),
                     trace, false);
             hangUp();
             return;
@@ -598,7 +598,7 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
         r.id = id;
         r.tag = tag;
         if (tag == RequestTag::Stats) {
-            r.queueStats = queue.stats().wire();
+            r.queueStats = queue.stats();
             // One row, the shared engine's.  shardHits and buildLocks
             // stay 0: they keep the frame layout until the wire
             // protocol carries a version byte.
@@ -704,8 +704,8 @@ AlignServer::handleRequest(const std::shared_ptr<Connection> &conn,
             bounce(Status::BadRequest, "batch carries no reads");
             return;
         }
-        if (request.reads.size() > cfg.maxBatchReads) {
-            bounce(Status::Oversized, "batch exceeds maxBatchReads");
+        if (request.reads.size() > kMaxBatchReads) {
+            bounce(Status::Oversized, "batch exceeds kMaxBatchReads");
             return;
         }
         job.reads.reserve(request.reads.size());

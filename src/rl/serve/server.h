@@ -84,6 +84,9 @@ struct GraphSnapshot {
  */
 inline constexpr uint64_t kInlineCells = uint64_t{1} << 15;
 
+/** Reads admitted per MapReads batch. */
+inline constexpr size_t kMaxBatchReads = 256;
+
 /** Everything an AlignServer needs to start. */
 struct ServerConfig {
     /** Unix-domain socket path; empty disables the Unix listener. */
@@ -125,14 +128,8 @@ struct ServerConfig {
      */
     int64_t scratchIdleMs = 2000;
 
-    /** Frame payload ceiling (wire-level admission). */
-    uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
-
     /** Grid-cell ceiling per solve ((|a|+1)*(|b|+1); Dtw likewise). */
     uint64_t maxGridCells = 1ull << 22;
-
-    /** Reads admitted per MapReads batch. */
-    size_t maxBatchReads = 256;
 
     /**
      * Idle timeout waiting for the *next* request header on an open

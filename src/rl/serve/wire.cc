@@ -22,6 +22,11 @@ static_assert(kMaxWireWeight <= core::kMaxWavefrontWeight,
 namespace {
 
 // ------------------------------------------------------------ byte IO
+//
+// Writer and Reader share one vocabulary, so one field walk
+// (replyFields) both encodes and decodes a reply.  Writer's calls take
+// values and return true; Reader's take references and return false
+// once the payload runs short or a count passes its cap.
 
 /** Append-only little-endian writer. */
 class Writer
@@ -29,83 +34,74 @@ class Writer
   public:
     explicit Writer(std::vector<uint8_t> &out) : bytes(out) {}
 
-    void
-    u8(uint8_t v)
-    {
-        bytes.push_back(v);
-    }
+    bool u8(uint8_t v) { return le(v); }
+    bool u32(uint32_t v) { return le(v); }
+    bool u64(uint64_t v) { return le(v); }
+    bool i64(int64_t v) { return le(static_cast<uint64_t>(v)); }
 
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    /** A bool as one byte, 0 or 1. */
+    bool flag(bool b) { return u8(b ? 1 : 0); }
 
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    i64(int64_t v)
-    {
-        u64(static_cast<uint64_t>(v));
-    }
-
-    void
-    str(const std::string &s)
+    /** Length-prefixed string; the cap binds only the reader. */
+    bool
+    str(const std::string &s, uint32_t /*maxLength*/ = 0)
     {
         u32(static_cast<uint32_t>(s.size()));
         bytes.insert(bytes.end(), s.begin(), s.end());
+        return true;
+    }
+
+    /** An enum as its one-byte value. */
+    template <class E>
+    bool
+    enumerated(E e, E /*last*/)
+    {
+        return u8(static_cast<uint8_t>(e));
+    }
+
+    /** A vector's u32 length; its elements follow. */
+    template <class T>
+    bool
+    count(const std::vector<T> &items, uint32_t /*max*/)
+    {
+        return u32(static_cast<uint32_t>(items.size()));
+    }
+
+    /** A part of the reply, which must be present. */
+    template <class T>
+    const T &
+    part(const std::optional<T> &field)
+    {
+        return field.value();
     }
 
   private:
+    template <class U>
+    bool
+    le(U v)
+    {
+        for (size_t i = 0; i < sizeof v; ++i)
+            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        return true;
+    }
+
     std::vector<uint8_t> &bytes;
 };
 
 /**
  * Bounds-checked little-endian reader over borrowed bytes.  Every
  * read reports truncation instead of walking off the payload, so a
- * hostile frame can never index out of bounds.
+ * hostile frame can never index out of bounds.  It remembers whether
+ * it ran short or refused a value, so a reply walk ends in verdict().
  */
 class Reader
 {
   public:
     explicit Reader(std::span<const uint8_t> in) : bytes(in) {}
 
-    bool
-    u8(uint8_t &v)
-    {
-        if (pos + 1 > bytes.size())
-            return false;
-        v = bytes[pos++];
-        return true;
-    }
-
-    bool
-    u32(uint32_t &v)
-    {
-        if (pos + 4 > bytes.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(bytes[pos++]) << (8 * i);
-        return true;
-    }
-
-    bool
-    u64(uint64_t &v)
-    {
-        if (pos + 8 > bytes.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(bytes[pos++]) << (8 * i);
-        return true;
-    }
+    bool u8(uint8_t &v) { return le(v); }
+    bool u32(uint32_t &v) { return le(v); }
+    bool u64(uint64_t &v) { return le(v); }
 
     bool
     i64(int64_t &v)
@@ -114,6 +110,17 @@ class Reader
         if (!u64(raw))
             return false;
         std::memcpy(&v, &raw, sizeof v);
+        return true;
+    }
+
+    /** A bool as one byte: any nonzero byte is true. */
+    bool
+    flag(bool &b)
+    {
+        uint8_t v;
+        if (!u8(v))
+            return false;
+        b = v != 0;
         return true;
     }
 
@@ -127,8 +134,10 @@ class Reader
         uint32_t n;
         if (!u32(n))
             return false;
-        if (n > maxLength || pos + n > bytes.size())
+        if (n > maxLength || !take(n)) {
+            ranShort = true;
             return false;
+        }
         s = {reinterpret_cast<const char *>(bytes.data() + pos), n};
         pos += n;
         return true;
@@ -145,15 +154,86 @@ class Reader
         return true;
     }
 
+    /**
+     * An enum byte, refused past `last`.  A refused byte does not stop
+     * the walk, so a reply that is also short reads Truncated.
+     */
+    template <class E>
     bool
-    done() const
+    enumerated(E &e, E last)
     {
-        return pos == bytes.size();
+        uint8_t v;
+        if (!u8(v))
+            return false;
+        if (v > static_cast<uint8_t>(last))
+            refused = true;
+        else
+            e = static_cast<E>(v);
+        return true;
+    }
+
+    /** A vector's u32 length, refused past `max`; sizes `items`. */
+    template <class T>
+    bool
+    count(std::vector<T> &items, uint32_t max)
+    {
+        uint32_t n;
+        if (!u32(n))
+            return false;
+        if (n > max) {
+            refused = true;
+            return false;
+        }
+        items.resize(n);
+        return true;
+    }
+
+    /** A part of the reply, made present to be read into. */
+    template <class T>
+    T &
+    part(std::optional<T> &field)
+    {
+        return field.emplace();
+    }
+
+    bool done() const { return pos == bytes.size(); }
+
+    /** Truncated if the walk ran short, else BadRequest if it refused a
+     *  value or left bytes unread. */
+    WireError
+    verdict() const
+    {
+        if (ranShort)
+            return WireError::Truncated;
+        return refused || !done() ? WireError::BadRequest : WireError::None;
     }
 
   private:
+    bool
+    take(size_t n)
+    {
+        if (pos + n <= bytes.size())
+            return true;
+        ranShort = true;
+        return false;
+    }
+
+    template <class U>
+    bool
+    le(U &v)
+    {
+        if (!take(sizeof v))
+            return false;
+        v = 0;
+        for (size_t i = 0; i < sizeof v; ++i)
+            v |= static_cast<U>(static_cast<U>(bytes[pos++]) << (8 * i));
+        return true;
+    }
+
     std::span<const uint8_t> bytes;
     size_t pos = 0;
+    bool ranShort = false;
+    bool refused = false;
 };
 
 // --------------------------------------------------- matrix round-trip
@@ -622,6 +702,113 @@ decodeRequest(std::span<const uint8_t> payload,
 
 namespace {
 
+/** Most read verdicts a MapReads reply may carry (17 bytes each). */
+constexpr uint32_t kMaxWireReadReplies = kDefaultMaxFrameBytes / 17;
+
+/** Most engine rows a Stats reply may carry. */
+constexpr uint32_t kMaxWireEngineRows = 4096;
+
+/** `field` over every element of `items`, stopping at the first false. */
+template <class Items, class Field>
+bool
+each(Items &items, Field field)
+{
+    for (auto &item : items)
+        if (!field(item))
+            return false;
+    return true;
+}
+
+/**
+ * The one description of an Ok reply's body: its fields in wire order
+ * (docs/serve.md, "Responses").  Instantiated with Writer over a
+ * const Response to encode, which needs the tag's part present, and
+ * with Reader over a Response to decode, which makes it present.  The
+ * header before the body is spelled out on each side, since only
+ * decode range-checks it.
+ */
+template <class IO, class R>
+bool
+replyFields(IO &io, R &reply)
+{
+    switch (reply.tag) {
+    case RequestTag::Pairwise:
+    case RequestTag::Affine:
+    case RequestTag::Dtw:
+    case RequestTag::Screen:
+    case RequestTag::GraphAlign: {
+        auto &s = io.part(reply.solve);
+        return io.i64(s.score) && io.i64(s.racedCost) &&
+               io.u64(s.latencyCycles) && io.u64(s.cyclesUsed) &&
+               io.u64(s.events) && io.u64(s.nodes) &&
+               io.u64(s.cellsFired) && io.flag(s.completed) &&
+               io.flag(s.accepted);
+    }
+    case RequestTag::MapReads:
+        return io.count(reply.reads, kMaxWireReadReplies) &&
+               each(reply.reads, [&](auto &read) {
+                   return io.i64(read.score) && io.u64(read.cyclesUsed) &&
+                          io.flag(read.accepted);
+               });
+    case RequestTag::Stats: {
+        auto &q = io.part(reply.queueStats);
+        return io.u64(q.enqueued) && io.u64(q.completed) &&
+               io.u64(q.rejectedQueueFull) &&
+               io.u64(q.rejectedOversized) &&
+               io.u64(q.rejectedBadRequest) &&
+               io.u64(q.rejectedResource) && io.u64(q.rejectedShutdown) &&
+               io.u64(q.shedDeadline) && io.u64(q.shedEvicted) &&
+               io.u64(q.inflight) && io.u64(q.queued) &&
+               io.u64(q.highWater) &&
+               each(q.classes,
+                    [&](auto &c) {
+                        return io.u64(c.enqueued) && io.u64(c.completed) &&
+                               io.u64(c.rejectedQueueFull) &&
+                               io.u64(c.rejectedResource) &&
+                               io.u64(c.shedDeadline) &&
+                               io.u64(c.shedEvicted) && io.u64(c.queued);
+                    }) &&
+               io.count(reply.shardStats, kMaxWireEngineRows) &&
+               each(reply.shardStats, [&](auto &row) {
+                   return io.u64(row.solves) && io.u64(row.plansBuilt) &&
+                          io.u64(row.planCacheHits) &&
+                          io.u64(row.shardHits) && io.u64(row.buildLocks);
+               });
+    }
+    case RequestTag::Ping:
+        return true;
+    case RequestTag::Health: {
+        auto &h = io.part(reply.health);
+        return io.enumerated(h.state, HealthState::Brownout) &&
+               io.u64(h.uptimeMs) && io.u64(h.graphVersion);
+    }
+    case RequestTag::Metrics: {
+        auto &m = io.part(reply.metrics);
+        return io.count(m.counters, kMaxWireMetricSeries) &&
+               each(m.counters,
+                    [&](auto &c) {
+                        return io.str(c.name, kMaxWireMetricName) &&
+                               io.u64(c.value);
+                    }) &&
+               io.count(m.gauges, kMaxWireMetricSeries) &&
+               each(m.gauges,
+                    [&](auto &g) {
+                        return io.str(g.name, kMaxWireMetricName) &&
+                               io.i64(g.value);
+                    }) &&
+               io.count(m.histograms, kMaxWireMetricHistograms) &&
+               each(m.histograms, [&](auto &h) {
+                   return io.str(h.name, kMaxWireMetricName) &&
+                          io.count(h.buckets, kMaxWireMetricBuckets) &&
+                          each(h.buckets,
+                               [&](auto &bucket) { return io.u64(bucket); }) &&
+                          io.u64(h.sum) && io.u64(h.count);
+               });
+    }
+    }
+    return true;
+}
+
 /** Append the payload of `response` to `w`. */
 void
 writeResponse(Writer &w, const Response &response)
@@ -630,103 +817,8 @@ writeResponse(Writer &w, const Response &response)
     w.u8(static_cast<uint8_t>(response.status));
     w.u8(static_cast<uint8_t>(response.tag));
     w.str(response.message);
-
-    if (response.status != Status::Ok)
-        return;
-
-    switch (response.tag) {
-    case RequestTag::Pairwise:
-    case RequestTag::Affine:
-    case RequestTag::Dtw:
-    case RequestTag::Screen:
-    case RequestTag::GraphAlign: {
-        const SolveReply &s = response.solve.value();
-        w.i64(s.score);
-        w.i64(s.racedCost);
-        w.u64(s.latencyCycles);
-        w.u64(s.cyclesUsed);
-        w.u64(s.events);
-        w.u64(s.nodes);
-        w.u64(s.cellsFired);
-        w.u8(s.completed ? 1 : 0);
-        w.u8(s.accepted ? 1 : 0);
-        break;
-    }
-    case RequestTag::MapReads: {
-        w.u32(static_cast<uint32_t>(response.reads.size()));
-        for (const ReadReply &rr : response.reads) {
-            w.i64(rr.score);
-            w.u64(rr.cyclesUsed);
-            w.u8(rr.accepted ? 1 : 0);
-        }
-        break;
-    }
-    case RequestTag::Stats: {
-        const QueueStatsWire &q = response.queueStats.value();
-        w.u64(q.enqueued);
-        w.u64(q.completed);
-        w.u64(q.rejectedQueueFull);
-        w.u64(q.rejectedOversized);
-        w.u64(q.rejectedBadRequest);
-        w.u64(q.rejectedResource);
-        w.u64(q.rejectedShutdown);
-        w.u64(q.shedDeadline);
-        w.u64(q.shedEvicted);
-        w.u64(q.inflight);
-        w.u64(q.queued);
-        w.u64(q.highWater);
-        for (const ClassStatsWire &c : q.classes) {
-            w.u64(c.enqueued);
-            w.u64(c.completed);
-            w.u64(c.rejectedQueueFull);
-            w.u64(c.rejectedResource);
-            w.u64(c.shedDeadline);
-            w.u64(c.shedEvicted);
-            w.u64(c.queued);
-        }
-        w.u32(static_cast<uint32_t>(response.shardStats.size()));
-        for (const ShardStatsWire &s : response.shardStats) {
-            w.u64(s.solves);
-            w.u64(s.plansBuilt);
-            w.u64(s.planCacheHits);
-            w.u64(s.shardHits);
-            w.u64(s.buildLocks);
-        }
-        break;
-    }
-    case RequestTag::Ping:
-        break;
-    case RequestTag::Health: {
-        const HealthReply &h = response.health.value();
-        w.u8(static_cast<uint8_t>(h.state));
-        w.u64(h.uptimeMs);
-        w.u64(h.graphVersion);
-        break;
-    }
-    case RequestTag::Metrics: {
-        const telemetry::Snapshot &m = response.metrics.value();
-        w.u32(static_cast<uint32_t>(m.counters.size()));
-        for (const telemetry::CounterSnapshot &c : m.counters) {
-            w.str(c.name);
-            w.u64(c.value);
-        }
-        w.u32(static_cast<uint32_t>(m.gauges.size()));
-        for (const telemetry::GaugeSnapshot &g : m.gauges) {
-            w.str(g.name);
-            w.i64(g.value);
-        }
-        w.u32(static_cast<uint32_t>(m.histograms.size()));
-        for (const telemetry::HistogramSnapshot &h : m.histograms) {
-            w.str(h.name);
-            w.u32(static_cast<uint32_t>(h.buckets.size()));
-            for (uint64_t b : h.buckets)
-                w.u64(b);
-            w.u64(h.sum);
-            w.u64(h.count);
-        }
-        break;
-    }
-    }
+    if (response.status == Status::Ok)
+        replyFields(w, response);
 }
 
 } // namespace
@@ -772,137 +864,9 @@ decodeResponse(std::span<const uint8_t> payload, Response &out)
     out.tag = static_cast<RequestTag>(tag);
     if (!r.str(out.message, kDefaultMaxFrameBytes))
         return WireError::Truncated;
-
-    if (out.status != Status::Ok)
-        return r.done() ? WireError::None : WireError::BadRequest;
-
-    switch (out.tag) {
-    case RequestTag::Pairwise:
-    case RequestTag::Affine:
-    case RequestTag::Dtw:
-    case RequestTag::Screen:
-    case RequestTag::GraphAlign: {
-        SolveReply s;
-        uint8_t completed, accepted;
-        if (!r.i64(s.score) || !r.i64(s.racedCost) ||
-            !r.u64(s.latencyCycles) || !r.u64(s.cyclesUsed) ||
-            !r.u64(s.events) || !r.u64(s.nodes) || !r.u64(s.cellsFired) ||
-            !r.u8(completed) || !r.u8(accepted))
-            return WireError::Truncated;
-        s.completed = completed != 0;
-        s.accepted = accepted != 0;
-        out.solve = s;
-        break;
-    }
-    case RequestTag::MapReads: {
-        uint32_t n;
-        if (!r.u32(n))
-            return WireError::Truncated;
-        if (n > kDefaultMaxFrameBytes / 17)
-            return WireError::BadRequest;
-        out.reads.resize(n);
-        for (ReadReply &rr : out.reads) {
-            uint8_t accepted;
-            if (!r.i64(rr.score) || !r.u64(rr.cyclesUsed) ||
-                !r.u8(accepted))
-                return WireError::Truncated;
-            rr.accepted = accepted != 0;
-        }
-        break;
-    }
-    case RequestTag::Stats: {
-        QueueStatsWire q;
-        if (!r.u64(q.enqueued) || !r.u64(q.completed) ||
-            !r.u64(q.rejectedQueueFull) || !r.u64(q.rejectedOversized) ||
-            !r.u64(q.rejectedBadRequest) || !r.u64(q.rejectedResource) ||
-            !r.u64(q.rejectedShutdown) || !r.u64(q.shedDeadline) ||
-            !r.u64(q.shedEvicted) || !r.u64(q.inflight) ||
-            !r.u64(q.queued) || !r.u64(q.highWater))
-            return WireError::Truncated;
-        for (ClassStatsWire &c : q.classes) {
-            if (!r.u64(c.enqueued) || !r.u64(c.completed) ||
-                !r.u64(c.rejectedQueueFull) ||
-                !r.u64(c.rejectedResource) || !r.u64(c.shedDeadline) ||
-                !r.u64(c.shedEvicted) || !r.u64(c.queued))
-                return WireError::Truncated;
-        }
-        uint32_t n;
-        if (!r.u32(n))
-            return WireError::Truncated;
-        if (n > 4096)
-            return WireError::BadRequest;
-        out.shardStats.resize(n);
-        for (ShardStatsWire &s : out.shardStats) {
-            if (!r.u64(s.solves) || !r.u64(s.plansBuilt) ||
-                !r.u64(s.planCacheHits) || !r.u64(s.shardHits) ||
-                !r.u64(s.buildLocks))
-                return WireError::Truncated;
-        }
-        out.queueStats = q;
-        break;
-    }
-    case RequestTag::Ping:
-        break;
-    case RequestTag::Health: {
-        HealthReply h;
-        uint8_t state;
-        if (!r.u8(state) || !r.u64(h.uptimeMs) || !r.u64(h.graphVersion))
-            return WireError::Truncated;
-        if (state > static_cast<uint8_t>(HealthState::Brownout))
-            return WireError::BadRequest;
-        h.state = static_cast<HealthState>(state);
-        out.health = h;
-        break;
-    }
-    case RequestTag::Metrics: {
-        telemetry::Snapshot m;
-        uint32_t nCounters;
-        if (!r.u32(nCounters))
-            return WireError::Truncated;
-        if (nCounters > kMaxWireMetricSeries)
-            return WireError::BadRequest;
-        m.counters.resize(nCounters);
-        for (telemetry::CounterSnapshot &c : m.counters) {
-            if (!r.str(c.name, kMaxWireMetricName) || !r.u64(c.value))
-                return WireError::Truncated;
-        }
-        uint32_t nGauges;
-        if (!r.u32(nGauges))
-            return WireError::Truncated;
-        if (nGauges > kMaxWireMetricSeries)
-            return WireError::BadRequest;
-        m.gauges.resize(nGauges);
-        for (telemetry::GaugeSnapshot &g : m.gauges) {
-            if (!r.str(g.name, kMaxWireMetricName) || !r.i64(g.value))
-                return WireError::Truncated;
-        }
-        uint32_t nHists;
-        if (!r.u32(nHists))
-            return WireError::Truncated;
-        if (nHists > kMaxWireMetricHistograms)
-            return WireError::BadRequest;
-        m.histograms.resize(nHists);
-        for (telemetry::HistogramSnapshot &h : m.histograms) {
-            uint32_t nBuckets;
-            if (!r.str(h.name, kMaxWireMetricName) || !r.u32(nBuckets))
-                return WireError::Truncated;
-            if (nBuckets > kMaxWireMetricBuckets)
-                return WireError::BadRequest;
-            h.buckets.resize(nBuckets);
-            for (uint64_t &b : h.buckets)
-                if (!r.u64(b))
-                    return WireError::Truncated;
-            if (!r.u64(h.sum) || !r.u64(h.count))
-                return WireError::Truncated;
-        }
-        out.metrics = std::move(m);
-        break;
-    }
-    }
-
-    if (!r.done())
-        return WireError::BadRequest;
-    return WireError::None;
+    if (out.status == Status::Ok)
+        replyFields(r, out);
+    return r.verdict();
 }
 
 std::vector<uint8_t>

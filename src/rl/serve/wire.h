@@ -26,6 +26,7 @@
 #ifndef RACELOGIC_SERVE_WIRE_H
 #define RACELOGIC_SERVE_WIRE_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,7 +43,8 @@ namespace racelogic::serve {
 
 /** @name Frame limits (admission control at the byte layer) @{ */
 
-/** Default ceiling on one frame's payload bytes. */
+/** Ceiling on one frame's payload bytes: the daemon's, and
+ *  ServeClient's default. */
 constexpr uint32_t kDefaultMaxFrameBytes = 8u << 20;
 
 /** Largest edit weight the protocol admits (under the race's delay cap). */
@@ -208,32 +210,42 @@ struct ShardStatsWire {
 
 /** One traffic class's slice of the admission ledger. */
 struct ClassStatsWire {
-    uint64_t enqueued = 0;
-    uint64_t completed = 0;
+    uint64_t enqueued = 0;          ///< admitted into this class
+    uint64_t completed = 0;         ///< fully served
     uint64_t rejectedQueueFull = 0; ///< bounced at the bound
     uint64_t rejectedResource = 0;  ///< brownout sheds at admission
-    uint64_t shedDeadline = 0;
-    uint64_t shedEvicted = 0; ///< admitted, then evicted by a higher class
-    uint64_t queued = 0;
+    uint64_t shedDeadline = 0;      ///< admitted, expired while queued
+    uint64_t shedEvicted = 0;       ///< admitted, evicted by a higher class
+    uint64_t queued = 0;            ///< admitted, not yet drained
 };
 
-/** Admission/queue counters carried by a Stats response. */
+/**
+ * The admission ledger: the RequestQueue keeps it (as QueueStats) and
+ * a Stats response carries it.
+ */
 struct QueueStatsWire {
-    uint64_t enqueued = 0;
-    uint64_t completed = 0;
-    uint64_t rejectedQueueFull = 0;
-    uint64_t rejectedOversized = 0;
-    uint64_t rejectedBadRequest = 0;
-    uint64_t rejectedResource = 0; ///< compute-budget rejections
-    uint64_t rejectedShutdown = 0;
-    uint64_t shedDeadline = 0; ///< queued requests shed at drain time
-    uint64_t shedEvicted = 0;  ///< queued requests evicted at the bound
-    uint64_t inflight = 0;
-    uint64_t queued = 0;
-    uint64_t highWater = 0;
+    uint64_t enqueued = 0;           ///< admitted requests
+    uint64_t completed = 0;          ///< admitted requests fully served
+    uint64_t rejectedQueueFull = 0;  ///< bounced: queue at depth
+    uint64_t rejectedOversized = 0;  ///< bounced: frame/problem too big
+    uint64_t rejectedBadRequest = 0; ///< bounced: undecodable/invalid
+    uint64_t rejectedResource = 0;   ///< bounced: compute budget/brownout
+    uint64_t rejectedShutdown = 0;   ///< bounced: daemon draining
+    uint64_t shedDeadline = 0;       ///< admitted, expired while queued
+    uint64_t shedEvicted = 0;        ///< admitted, evicted at the bound
+    uint64_t inflight = 0;           ///< drained, not yet completed
+    uint64_t queued = 0;             ///< admitted, not yet drained
+    uint64_t highWater = 0;          ///< max outstanding ever observed
 
     /** Per-class slices, indexed by Priority (batch/normal/interactive). */
-    ClassStatsWire classes[kPriorityClasses];
+    std::array<ClassStatsWire, kPriorityClasses> classes;
+
+    uint64_t
+    rejected() const
+    {
+        return rejectedQueueFull + rejectedOversized +
+               rejectedBadRequest + rejectedResource + rejectedShutdown;
+    }
 };
 
 /** The raced result of one problem, as it travels back. */

@@ -313,18 +313,17 @@ problemThreshold(ProblemKind kind)
 
 /**
  * Whether a cancel token reaches the race: the behavioral sweeps poll
- * it (a GateLevel grid solve races that sweep first); the DAG kernel,
- * the graph product's gate-level race and the systolic array ignore it.
+ * it (a GateLevel grid or GraphAlign solve races that sweep first);
+ * the DAG kernel and the systolic array ignore it.
  */
 bool
 takesCancel(ProblemKind kind, BackendKind backend)
 {
-    const bool grid = kind == ProblemKind::PairwiseAlignment ||
-                      kind == ProblemKind::GeneralizedAlignment ||
-                      kind == ProblemKind::ThresholdScreen;
-    return (grid && backend != BackendKind::Systolic) ||
-           (kind == ProblemKind::GraphAlign &&
-            backend == BackendKind::Behavioral);
+    const bool swept = kind == ProblemKind::PairwiseAlignment ||
+                       kind == ProblemKind::GeneralizedAlignment ||
+                       kind == ProblemKind::ThresholdScreen ||
+                       kind == ProblemKind::GraphAlign;
+    return swept && backend != BackendKind::Systolic;
 }
 
 enum class Token { None, Live, Cancelled };

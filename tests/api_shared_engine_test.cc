@@ -305,7 +305,8 @@ TEST(SharedEngine, GateLevelSolveMatchesTheFabricsSerialAlign)
                    : RaceProblem::pairwiseAlignment(costs, a, b));
 
         const core::GridFabric fabric =
-            core::GridFabric::generalized(costs, n, m, config.encoding);
+            core::GridFabric::generalized(costs, n, m,
+                                          core::DelayEncoding::Binary);
         circuit::CompiledSim sim(fabric.compiled());
         const uint64_t budget =
             screen ? std::max<uint64_t>(static_cast<uint64_t>(threshold), 1)

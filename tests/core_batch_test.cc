@@ -94,7 +94,7 @@ TEST(FabricPool, BusyTimeIsTheThresholdClampedOracleCost)
     const bio::ScreeningWorkload wl = screeningWorkload(51, 18, 40);
     const ScoreMatrix m = ScoreMatrix::dnaShortestPathInfMismatch();
     const Score threshold = 22;
-    const EngineConfig defaults;
+    const core::BatchConfig defaults;
     uint64_t clamped = 0;
     for (const Sequence &candidate : wl.database)
         clamped += static_cast<uint64_t>(

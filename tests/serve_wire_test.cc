@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rl/serve/wire.h"
@@ -369,6 +370,196 @@ TEST(ServeWire, DeadlineExceededResponseRoundTrip)
     EXPECT_STREQ(statusName(Status::DeadlineExceeded),
                  "deadline-exceeded");
 }
+
+// ------------------------------------------------- response golden bytes
+//
+// The round trips above pass whenever encode and decode agree, even if
+// both change the layout together.  These pin the bytes themselves: one
+// reply of every kind against its committed encoding, one field per
+// hex group, in the order docs/serve.md lists them.
+
+/** Lower-case hex of `bytes`, two digits a byte. */
+std::string
+hex(const std::vector<uint8_t> &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (uint8_t b : bytes) {
+        s += kDigits[b >> 4];
+        s += kDigits[b & 15];
+    }
+    return s;
+}
+
+/**
+ * `reply` encodes to exactly `golden`, alone and as a frame, and the
+ * golden bytes decode to a reply that encodes to them again.
+ */
+void
+expectGolden(const Response &reply, const std::string &golden)
+{
+    const std::vector<uint8_t> payload = encodeResponse(reply);
+    EXPECT_EQ(hex(payload), golden);
+    std::vector<uint8_t> framed;
+    encodeResponseFrame(reply, framed);
+    EXPECT_EQ(framed, frame(payload));
+    Response back;
+    ASSERT_EQ(decodeResponse(payload, back), WireError::None);
+    EXPECT_EQ(hex(encodeResponse(back)), golden);
+}
+
+/** Little-endian u64 `n` (n < 256), as the golden strings spell it. */
+#define U64(n) n "00000000000000"
+
+TEST(ServeWire, GoldenSolveReply)
+{
+    Response r;
+    r.id = 12;
+    r.tag = RequestTag::Pairwise;
+    SolveReply &s = r.solve.emplace();
+    s.score = -3;
+    s.racedCost = 9;
+    s.latencyCycles = 14;
+    s.cyclesUsed = 13;
+    s.events = 120;
+    s.nodes = 64;
+    s.cellsFired = 60;
+    s.completed = true;
+    s.accepted = false;
+    expectGolden(r, "0c000000"
+                    "00"       // Ok
+                    "01"       // Pairwise
+                    "00000000" // message ""
+                    "fdffffffffffffff" U64("09") U64("0e") U64("0d")
+                        U64("78") U64("40") U64("3c")
+                    "01"   // completed
+                    "00"); // accepted
+}
+
+TEST(ServeWire, GoldenMapReadsReply)
+{
+    Response r;
+    r.id = 6;
+    r.tag = RequestTag::MapReads;
+    r.reads = {{5, 7, true}, {bio::kScoreInfinity, 8, false}};
+    expectGolden(r, "06000000"
+                    "00" "06" "00000000"
+                    "02000000" // two reads
+                    U64("05") U64("07") "01"
+                    "ffffffffffffff1f" U64("08") "00");
+}
+
+TEST(ServeWire, GoldenStatsReply)
+{
+    // A distinct value in every field: a swap of any two shows.
+    Response r;
+    r.id = 7;
+    r.tag = RequestTag::Stats;
+    QueueStatsWire &q = r.queueStats.emplace();
+    q.enqueued = 1;
+    q.completed = 2;
+    q.rejectedQueueFull = 3;
+    q.rejectedOversized = 4;
+    q.rejectedBadRequest = 5;
+    q.rejectedResource = 6;
+    q.rejectedShutdown = 7;
+    q.shedDeadline = 8;
+    q.shedEvicted = 9;
+    q.inflight = 10;
+    q.queued = 11;
+    q.highWater = 12;
+    uint64_t next = 13;
+    for (ClassStatsWire &c : q.classes) {
+        c.enqueued = next++;
+        c.completed = next++;
+        c.rejectedQueueFull = next++;
+        c.rejectedResource = next++;
+        c.shedDeadline = next++;
+        c.shedEvicted = next++;
+        c.queued = next++;
+    }
+    ShardStatsWire &e = r.shardStats.emplace_back();
+    e.solves = 34;
+    e.plansBuilt = 35;
+    e.planCacheHits = 36;
+    e.shardHits = 37;
+    e.buildLocks = 38;
+    expectGolden(
+        r, "07000000"
+           "00" "07" "00000000"
+           // enqueued .. rejectedShutdown
+           U64("01") U64("02") U64("03") U64("04") U64("05") U64("06")
+               U64("07")
+           // shedDeadline, shedEvicted, inflight, queued, highWater
+           U64("08") U64("09") U64("0a") U64("0b") U64("0c")
+           // batch, normal, interactive: enqueued, completed,
+           // rejectedQueueFull, rejectedResource, shedDeadline,
+           // shedEvicted, queued
+           U64("0d") U64("0e") U64("0f") U64("10") U64("11") U64("12")
+               U64("13")
+           U64("14") U64("15") U64("16") U64("17") U64("18") U64("19")
+               U64("1a")
+           U64("1b") U64("1c") U64("1d") U64("1e") U64("1f") U64("20")
+               U64("21")
+           "01000000" // one engine row
+           U64("22") U64("23") U64("24") U64("25") U64("26"));
+}
+
+TEST(ServeWire, GoldenPingAndHealthReplies)
+{
+    Response ping;
+    ping.id = 8;
+    ping.tag = RequestTag::Ping;
+    expectGolden(ping, "08000000" "00" "08" "00000000");
+
+    Response health;
+    health.id = 10;
+    health.tag = RequestTag::Health;
+    health.health = HealthReply{HealthState::Brownout, 123456, 3};
+    expectGolden(health, "0a000000"
+                         "00" "0a" "00000000"
+                         "02"               // Brownout
+                         "40e2010000000000" // uptimeMs 123456
+                         U64("03"));
+}
+
+TEST(ServeWire, GoldenMetricsReply)
+{
+    Response r;
+    r.id = 9;
+    r.tag = RequestTag::Metrics;
+    telemetry::Snapshot &m = r.metrics.emplace();
+    m.counters.push_back({"req", 42});
+    m.gauges.push_back({"hw", -3});
+    telemetry::HistogramSnapshot &h = m.histograms.emplace_back();
+    h.name = "lat";
+    h.buckets = {5, 0, 7};
+    h.sum = 14336;
+    h.count = 12;
+    expectGolden(r, "09000000"
+                    "00" "09" "00000000"
+                    "01000000" "03000000" "726571" U64("2a")
+                    "01000000" "02000000" "6877" "fdffffffffffffff"
+                    "01000000" "03000000" "6c6174"
+                    "03000000" U64("05") U64("00") U64("07")
+                    "0038000000000000" // sum 14336
+                    U64("0c"));
+}
+
+TEST(ServeWire, GoldenErrorReply)
+{
+    Response r;
+    r.id = 5;
+    r.tag = RequestTag::Dtw;
+    r.status = Status::QueueFull;
+    r.message = "queue full";
+    expectGolden(r, "05000000"
+                    "01" // QueueFull
+                    "03" // Dtw
+                    "0a000000" "71756575652066756c6c");
+}
+
+#undef U64
 
 // --------------------------------------------------------- failure paths
 

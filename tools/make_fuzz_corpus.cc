@@ -2,17 +2,19 @@
  * make_fuzz_corpus: deterministic wire-payload seed generator.
  *
  * Writes one file per seed into the directory given as argv[1]
- * (default fuzz/corpus/wire).  Seeds are the *payloads* fed to
- * serve::decodeRequest() -- no frame header -- covering every
- * request tag plus truncations and a flipped-tag mutant, so a
- * coverage-guided fuzzer starts from deep inside the decoder instead
- * of rediscovering the format byte by byte.  Run once after a wire
- * format change and commit the output.
+ * (default fuzz/corpus/wire).  Seeds are *payloads* -- no frame
+ * header -- which the wire harness feeds to both serve::decodeRequest()
+ * and serve::decodeResponse(): every request tag plus truncations and
+ * a flipped-tag mutant, and one valid reply of every kind (`reply_*`)
+ * plus an error reply.  A coverage-guided fuzzer then starts from deep
+ * inside both decoders instead of rediscovering the format byte by
+ * byte.  Run once after a wire format change and commit the output.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rl/serve/wire.h"
@@ -73,5 +75,62 @@ main(int argc, char **argv)
 
     writeSeed(dir, "header_only", serve::encodePing(12));
     writeSeed(dir, "empty", {});
+
+    // Replies, one of every kind, as a daemon encodes them.
+    auto reply = [](uint32_t id, serve::RequestTag tag) {
+        serve::Response r;
+        r.id = id;
+        r.tag = tag;
+        return r;
+    };
+    const std::pair<const char *, serve::RequestTag> solveKinds[] = {
+        {"reply_pairwise", serve::RequestTag::Pairwise},
+        {"reply_affine", serve::RequestTag::Affine},
+        {"reply_dtw", serve::RequestTag::Dtw},
+        {"reply_screen", serve::RequestTag::Screen},
+        {"reply_graph_align", serve::RequestTag::GraphAlign},
+    };
+    for (const auto &[name, tag] : solveKinds) {
+        serve::Response r = reply(20, tag);
+        r.solve = serve::SolveReply{3, 3, 7, 7, 40, 25, 24, true, true};
+        writeSeed(dir, name, serve::encodeResponse(r));
+    }
+
+    serve::Response mapReads = reply(21, serve::RequestTag::MapReads);
+    mapReads.reads = {{2, 5, true}, {bio::kScoreInfinity, 8, false}};
+    writeSeed(dir, "reply_map_reads", serve::encodeResponse(mapReads));
+
+    serve::Response stats = reply(22, serve::RequestTag::Stats);
+    serve::QueueStatsWire &ledger = stats.queueStats.emplace();
+    ledger.enqueued = 9;
+    ledger.completed = 8;
+    ledger.rejectedQueueFull = 1;
+    ledger.inflight = 1;
+    ledger.highWater = 3;
+    ledger.classes[1] = {9, 8, 1, 0, 0, 0, 0};
+    stats.shardStats = {{9, 2, 7, 0, 0}};
+    writeSeed(dir, "reply_stats", serve::encodeResponse(stats));
+
+    writeSeed(dir, "reply_ping",
+              serve::encodeResponse(reply(23, serve::RequestTag::Ping)));
+
+    serve::Response health = reply(24, serve::RequestTag::Health);
+    health.health = serve::HealthReply{serve::HealthState::Ready, 1500, 1};
+    writeSeed(dir, "reply_health", serve::encodeResponse(health));
+
+    serve::Response metrics = reply(25, serve::RequestTag::Metrics);
+    telemetry::Snapshot &snap = metrics.metrics.emplace();
+    snap.counters.push_back({"rl_serve_requests_total", 9});
+    snap.gauges.push_back({"rl_queue_inflight", 1});
+    snap.histograms.push_back({.name = "rl_serve_request_us",
+                               .buckets = {0, 4, 5},
+                               .count = 9,
+                               .sum = 90});
+    writeSeed(dir, "reply_metrics", serve::encodeResponse(metrics));
+
+    serve::Response error = reply(26, serve::RequestTag::Screen);
+    error.status = serve::Status::QueueFull;
+    error.message = "admission queue at depth";
+    writeSeed(dir, "reply_error", serve::encodeResponse(error));
     return 0;
 }
