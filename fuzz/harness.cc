@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -152,6 +153,40 @@ decodeRace(const uint8_t *data, size_t size)
             (pick & 4) != 0};
 }
 
+/** Both absent, or the same letters, kind and weights. */
+bool
+sameMatrix(const std::optional<bio::ScoreMatrix> &x,
+           const std::optional<bio::ScoreMatrix> &y)
+{
+    if (!x || !y)
+        return x.has_value() == y.has_value();
+    if (!(x->alphabet() == y->alphabet()) || x->kind() != y->kind())
+        return false;
+    const size_t n = x->alphabet().size();
+    for (size_t i = 0; i < n; ++i) {
+        const auto s = static_cast<bio::Symbol>(i);
+        if (x->gap(s) != y->gap(s))
+            return false;
+        for (size_t j = 0; j < n; ++j) {
+            const auto t = static_cast<bio::Symbol>(j);
+            if (x->pair(s, t) != y->pair(s, t))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** Every field of two decoded requests equal. */
+bool
+sameRequest(const serve::Request &x, const serve::Request &y)
+{
+    return x.tag == y.tag && x.id == y.id && x.deadlineMs == y.deadlineMs &&
+           x.priority == y.priority && sameMatrix(x.matrix, y.matrix) &&
+           x.a == y.a && x.b == y.b && x.threshold == y.threshold &&
+           x.open == y.open && x.extend == y.extend && x.x == y.x &&
+           x.y == y.y && x.read == y.read && x.reads == y.reads;
+}
+
 } // namespace
 
 int
@@ -244,6 +279,23 @@ wireInput(const uint8_t *data, size_t size)
     const serve::WireError error =
         serve::decodeRequest(payload, ctx.graph->alphabet(), request);
 
+    // A connection's matrix slot changes neither verdict nor request:
+    // decode through one primed by a fixed valid Pairwise frame, then
+    // through the same slot, primed by the input itself.
+    static const std::vector<uint8_t> primer = serve::encodePairwise(
+        1, bio::ScoreMatrix::dnaShortestPath(), "ACGT", "AGGT");
+    serve::MatrixSlot slot;
+    serve::Request primed;
+    (void)serve::decodeRequest(primer, ctx.graph->alphabet(), primed, &slot);
+    for (const char *primedBy : {"a Pairwise frame", "the input"}) {
+        serve::Request slotted;
+        if (serve::decodeRequest(payload, ctx.graph->alphabet(), slotted,
+                                 &slot) != error ||
+            !sameRequest(slotted, request))
+            violated("a slot decodes as a fresh decode",
+                     std::string("primed by ") + primedBy);
+    }
+
     // Response decode must be total for any bytes too; a daemon's
     // reply stream is attacker-observable, a client's parser of it
     // must not be attacker-crashable.  A reply it accepts re-encodes
@@ -302,6 +354,7 @@ wireInput(const uint8_t *data, size_t size)
     case serve::RequestTag::Stats:
     case serve::RequestTag::Ping:
     case serve::RequestTag::Metrics:
+    case serve::RequestTag::Health:
         return 0;
     }
 

@@ -1,6 +1,7 @@
 #include "rl/bio/alphabet.h"
 
 #include <array>
+#include <utility>
 
 #include "rl/util/bitops.h"
 #include "rl/util/logging.h"
@@ -8,17 +9,44 @@
 namespace racelogic::bio {
 
 Alphabet::Alphabet(std::string letters, std::string name)
-    : letters_(std::move(letters)), name_(std::move(name)),
-      lookup(256, -1)
 {
-    rl_assert(!letters_.empty(), "empty alphabet");
-    rl_assert(letters_.size() <= 255, "alphabet too large for Symbol");
-    for (size_t i = 0; i < letters_.size(); ++i) {
-        unsigned char ch = static_cast<unsigned char>(letters_[i]);
-        if (lookup[ch] != -1)
-            rl_fatal("duplicate letter '", letters_[i], "' in alphabet");
-        lookup[ch] = static_cast<int16_t>(i);
+    rl_assert(!letters.empty(), "empty alphabet");
+    rl_assert(letters.size() <= 255, "alphabet too large for Symbol");
+    auto made = std::make_shared<Table>();
+    made->lookup.fill(-1);
+    for (size_t i = 0; i < letters.size(); ++i) {
+        unsigned char ch = static_cast<unsigned char>(letters[i]);
+        if (made->lookup[ch] != -1)
+            rl_fatal("duplicate letter '", letters[i], "' in alphabet");
+        made->lookup[ch] = static_cast<int16_t>(i);
     }
+    made->letters = std::move(letters);
+    made->name = std::move(name);
+    table = std::move(made);
+}
+
+Alphabet::Alphabet(Alphabet &&other) noexcept
+    : table(std::exchange(other.table, emptyTable()))
+{}
+
+Alphabet &
+Alphabet::operator=(Alphabet &&other) noexcept
+{
+    table = std::exchange(other.table, emptyTable());
+    return *this;
+}
+
+std::shared_ptr<const Alphabet::Table>
+Alphabet::emptyTable()
+{
+    static const Table kEmpty = [] {
+        Table t;
+        t.lookup.fill(-1);
+        return t;
+    }();
+    // An empty owner aliased to the table: non-null, and no count.
+    return std::shared_ptr<const Table>(std::shared_ptr<const Table>(),
+                                        &kEmpty);
 }
 
 Expected<Alphabet>
@@ -71,40 +99,44 @@ Alphabet::binary()
 unsigned
 Alphabet::bitsPerSymbol() const
 {
-    return util::log2Ceil(letters_.size());
+    return util::log2Ceil(size());
 }
 
 char
 Alphabet::letter(Symbol symbol) const
 {
-    rl_assert(symbol < letters_.size(), "symbol ", int(symbol),
-              " out of alphabet of size ", letters_.size());
-    return letters_[symbol];
+    rl_assert(symbol < size(), "symbol ", int(symbol),
+              " out of alphabet of size ", size());
+    return letters()[symbol];
 }
 
-Symbol
-Alphabet::encode(char letter) const
+void
+Alphabet::foreign(char letter) const
 {
-    int16_t code = lookup[static_cast<unsigned char>(letter)];
-    if (code < 0)
-        rl_fatal("letter '", letter, "' not in alphabet ",
-                 name_.empty() ? letters_ : name_);
-    return static_cast<Symbol>(code);
+    rl_fatal("letter '", letter, "' not in alphabet ",
+             name().empty() ? letters() : name());
 }
 
-bool
-Alphabet::contains(char letter) const
+size_t
+Alphabet::encodeInto(std::string_view text, Symbol *out) const
 {
-    return lookup[static_cast<unsigned char>(letter)] >= 0;
+    // One load of the lookup: the symbol stores may alias anything.
+    const int16_t *lookup = table->lookup.data();
+    for (size_t i = 0; i < text.size(); ++i) {
+        const int16_t symbol = lookup[static_cast<unsigned char>(text[i])];
+        if (symbol < 0)
+            return i;
+        out[i] = static_cast<Symbol>(symbol);
+    }
+    return text.size();
 }
 
 std::vector<Symbol>
 Alphabet::encodeString(const std::string &text) const
 {
-    std::vector<Symbol> out;
-    out.reserve(text.size());
-    for (char ch : text)
-        out.push_back(encode(ch));
+    std::vector<Symbol> out(text.size());
+    if (const size_t bad = encodeInto(text, out.data()); bad < text.size())
+        foreign(text[bad]);
     return out;
 }
 

@@ -46,13 +46,13 @@ Sequence::tryEncodeFolded(const Alphabet &alphabet,
     for (char ch : text) {
         if (std::isspace(static_cast<unsigned char>(ch)))
             continue;
-        char upper = static_cast<char>(
-            std::toupper(static_cast<unsigned char>(ch)));
-        if (!alphabet.contains(upper))
+        const int symbol = alphabet.code(static_cast<char>(
+            std::toupper(static_cast<unsigned char>(ch))));
+        if (symbol < 0)
             return Status::error(ErrorCode::InvalidArgument, where,
                                  ": letter '", ch, "' not in alphabet ",
                                  alphabet.letters());
-        symbols.push_back(alphabet.encode(upper));
+        symbols.push_back(static_cast<Symbol>(symbol));
     }
     return symbols;
 }
@@ -60,16 +60,16 @@ Sequence::tryEncodeFolded(const Alphabet &alphabet,
 Expected<Sequence>
 Sequence::tryEncode(const Alphabet &alphabet, std::string_view text)
 {
-    std::vector<Symbol> symbols;
-    symbols.reserve(text.size());
-    for (char ch : text) {
-        if (!alphabet.contains(ch))
-            return Status::error(ErrorCode::InvalidArgument, "letter '",
-                                 ch, "' not in alphabet ",
-                                 alphabet.letters());
-        symbols.push_back(alphabet.encode(ch));
-    }
-    return Sequence(alphabet, std::move(symbols));
+    // The symbols come from the alphabet's own lookup, so they skip
+    // the adopting constructor's range check.
+    Sequence encoded(alphabet);
+    encoded.symbols_.resize(text.size());
+    if (const size_t bad = alphabet.encodeInto(text, encoded.symbols_.data());
+        bad < text.size())
+        return Status::error(ErrorCode::InvalidArgument, "letter '",
+                             text[bad], "' not in alphabet ",
+                             alphabet.letters());
+    return encoded;
 }
 
 Symbol

@@ -79,6 +79,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "rl/core/wavefront.h"
 
@@ -182,9 +183,16 @@ struct BandFarGroup {
 /** One band race, as the step reads it. */
 struct Band {
     /** The row above the band by sweep index, positions 0..K, with
-     *  kBandPad unfired ticks on each side.  On return it holds the
-     *  band's last row. */
+     *  kBandPad unfired ticks on each side.  A graph's step writes the
+     *  band's last row over it. */
     uint16_t *above = nullptr;
+
+    /** The chain's second row, laid out as `above`: its step writes
+     *  the band's last row here, and raceBands() swaps the two after
+     *  each band.  Lane 0's load of the row above then never waits on
+     *  the last lane's masked store, whose 64 bytes would cover the
+     *  next load in a band of 16 rows or fewer. */
+    uint16_t *below = nullptr;
 
     /** The weight rows, from row 0 (layout above). */
     const uint16_t *weights = nullptr;
@@ -305,6 +313,8 @@ raceBands(Band &band, const bio::Sequence &rows,
         }
         uint32_t fired[kBandLanes];
         sweepBand<kChain>(band, tally, fired);
+        if constexpr (kChain)
+            std::swap(band.above, band.below);
         if (!bandHolds(horizon, tally.latest, maxWeight))
             return BandRace::Lost;
 

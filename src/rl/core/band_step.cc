@@ -123,13 +123,14 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
         32, 34, 36, 38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 58, 60, 62};
     const __m512i lowHalves = _mm512_load_si512(kLowHalves);
 
-    // The last lane writes its row over the row above as lane 0 reads
-    // it: lane r's state at step t is sweep index t - r, so a masked
-    // store of lane r at above + t - 2r puts it in above[t - r], an
-    // index lane 0 has already passed.
+    // The last lane writes its row: lane r's state at step t is sweep
+    // index t - r, so a masked store of lane r at row + t - 2r puts it
+    // in row[t - r].  A chain writes into its second row; a graph
+    // writes over the row above as lane 0 reads it, at an index lane 0
+    // has already passed.
     const size_t last = band.lanes - 1;
     const auto lastLane = static_cast<__mmask32>(__mmask32(1) << last);
-    uint16_t *const lastRow = band.above - 2 * last;
+    uint16_t *const lastRow = (kChain ? band.below : band.above) - 2 * last;
     // The column codes, then the deletion row; a graph's chain deletion
     // and chain gate rows follow it.  On a chain, every position's
     // predecessor is the previous one.

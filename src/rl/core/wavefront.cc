@@ -236,7 +236,8 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
     }
     const uint16_t *horizontal =
         profile.data() + horizontalRow * stride + kBandPad + cols;
-    buffers.row.assign(cols + 1 + 2 * kBandPad, kBandUnfired);
+    // The row above the band and the chain's second row (Band::below).
+    buffers.row.assign(2 * stride, kBandUnfired);
     uint16_t *above = buffers.row.data() + kBandPad;
     if (arrivals)
         buffers.skew.resize(kBandLanes * (cols + kBandLanes));
@@ -284,6 +285,7 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
 
         Band band;
         band.above = above;
+        band.below = above + stride;
         band.weights = profile.data();
         band.positions = cols + 1;
         band.skew = arrivals ? buffers.skew.data() : nullptr;
@@ -298,8 +300,8 @@ raceEditGridBand(const bio::Sequence &a, const bio::Sequence &b,
         const BandRace raced = raceBands<true>(
             band, a, costs, horizon, tally, result.cellsFired, cancel,
             publish, [&] {
-                if (tally.fired(above[cols]))
-                    sink = above[cols];
+                if (tally.fired(band.above[cols]))
+                    sink = band.above[cols];
             });
         if (raced == BandRace::Lost)
             return std::nullopt;

@@ -214,7 +214,8 @@ namespace detail {
 /**
  * The skewed band's working buffers, in its 16-bit lanes
  * (rl/core/band_lanes.h): the row above its next band, padded with
- * unfired cells on both sides; the edit grid's weight rows (its
+ * unfired cells on both sides, and on the edit grid a second such row
+ * (Band::below); the edit grid's weight rows (its
  * profile) or a graph's ring of past steps; and, when the band fills
  * arrivals, its lanes step by step (32 x (K + 32)), from which the
  * arrivals are published row by row.

@@ -487,6 +487,9 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
     // up, and the replies this thread writes leave together then, in
     // one send().
     RecvBuffer in(conn->fd.get());
+    // The connection's last inline matrix: a peer that repeats its
+    // matrix has each repeat copied rather than rebuilt.
+    MatrixSlot matrixSlot;
     auto fill = [&](size_t n, int64_t timeoutMs) {
         if (in.size() < n)
             flush(*conn, batch);
@@ -553,7 +556,7 @@ AlignServer::connectionLoop(const std::shared_ptr<Connection> &conn,
         Request request;
         WireError decodeError = decodeRequest(
             {in.data() + kFrameHeaderBytes, length}, graphAlphabet,
-            request);
+            request, &matrixSlot);
         in.consume(frameBytes);
         trace.decodeDone = telemetry::RequestTrace::Clock::now();
         trace.id = request.id;

@@ -1,5 +1,7 @@
 #include "rl/serve/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <sstream>
 #include <string_view>
@@ -28,11 +30,16 @@ namespace {
 // values and return true; Reader's take references and return false
 // once the payload runs short or a count passes its cap.
 
-/** Append-only little-endian writer. */
+/**
+ * Little-endian writer: stores each value whole at its offset from
+ * `out`.  Made without memory it stores nothing and only counts, so
+ * one walk sizes the bytes that a second walk writes.
+ */
 class Writer
 {
   public:
-    explicit Writer(std::vector<uint8_t> &out) : bytes(out) {}
+    Writer() = default;
+    explicit Writer(uint8_t *out) : at(out) {}
 
     bool u8(uint8_t v) { return le(v); }
     bool u32(uint32_t v) { return le(v); }
@@ -47,7 +54,9 @@ class Writer
     str(const std::string &s, uint32_t /*maxLength*/ = 0)
     {
         u32(static_cast<uint32_t>(s.size()));
-        bytes.insert(bytes.end(), s.begin(), s.end());
+        if (at)
+            std::memcpy(at + n, s.data(), s.size());
+        n += s.size();
         return true;
     }
 
@@ -75,18 +84,43 @@ class Writer
         return field.value();
     }
 
+    /** Bytes written, or counted. */
+    size_t size() const { return n; }
+
   private:
     template <class U>
     bool
     le(U v)
     {
-        for (size_t i = 0; i < sizeof v; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        if (at) {
+            if constexpr (std::endian::native == std::endian::little) {
+                std::memcpy(at + n, &v, sizeof v);
+            } else {
+                for (size_t i = 0; i < sizeof v; ++i)
+                    at[n + i] = static_cast<uint8_t>(v >> (8 * i));
+            }
+        }
+        n += sizeof v;
         return true;
     }
 
-    std::vector<uint8_t> &bytes;
+    uint8_t *at = nullptr;
+    size_t n = 0;
 };
+
+/** Append to `out` what `write(Writer &)` writes: a counting walk
+ *  sizes it, and the writing walk stores it in place. */
+template <class Write>
+void
+append(std::vector<uint8_t> &out, Write write)
+{
+    Writer sizer;
+    write(sizer);
+    const size_t start = out.size();
+    out.resize(start + sizer.size());
+    Writer w(out.data() + start);
+    write(w);
+}
 
 /**
  * Bounds-checked little-endian reader over borrowed bytes.  Every
@@ -197,6 +231,21 @@ class Reader
     }
 
     bool done() const { return pos == bytes.size(); }
+
+    /** The bytes not yet read. */
+    std::span<const uint8_t> rest() const { return bytes.subspan(pos); }
+
+    /** Read past `expected` if the payload continues with it. */
+    bool
+    skip(std::span<const uint8_t> expected)
+    {
+        if (bytes.size() - pos < expected.size() ||
+            !std::equal(expected.begin(), expected.end(),
+                        bytes.begin() + pos))
+            return false;
+        pos += expected.size();
+        return true;
+    }
 
     /** Truncated if the walk ran short, else BadRequest if it refused a
      *  value or left bytes unread. */
@@ -373,18 +422,29 @@ readFastaBatch(std::string_view text, const bio::Alphabet &alphabet,
     return WireError::None;
 }
 
-/** Start a request payload: id + tag + deadline (ms) + priority. */
+/** A request payload: id + tag + deadline (ms) + priority, then the
+ *  body `body(Writer &)` writes. */
+template <class Body>
 std::vector<uint8_t>
-requestHeader(uint32_t id, RequestTag tag, uint32_t deadlineMs,
-              Priority priority = Priority::Normal)
+request(uint32_t id, RequestTag tag, uint32_t deadlineMs, Priority priority,
+        Body body)
 {
     std::vector<uint8_t> payload;
-    Writer w(payload);
-    w.u32(id);
-    w.u8(static_cast<uint8_t>(tag));
-    w.u32(deadlineMs);
-    w.u8(static_cast<uint8_t>(priority));
+    append(payload, [&](Writer &w) {
+        w.u32(id);
+        w.u8(static_cast<uint8_t>(tag));
+        w.u32(deadlineMs);
+        w.u8(static_cast<uint8_t>(priority));
+        body(w);
+    });
     return payload;
+}
+
+/** A request with no body. */
+std::vector<uint8_t>
+bareRequest(uint32_t id, RequestTag tag)
+{
+    return request(id, tag, 0, Priority::Normal, [](Writer &) {});
 }
 
 } // namespace
@@ -494,13 +554,12 @@ encodePairwise(uint32_t id, const bio::ScoreMatrix &costs,
                const std::string &a, const std::string &b,
                uint32_t deadlineMs, Priority priority)
 {
-    auto payload =
-        requestHeader(id, RequestTag::Pairwise, deadlineMs, priority);
-    Writer w(payload);
-    writeMatrix(w, costs);
-    w.str(a);
-    w.str(b);
-    return payload;
+    return request(id, RequestTag::Pairwise, deadlineMs, priority,
+                   [&](Writer &w) {
+                       writeMatrix(w, costs);
+                       w.str(a);
+                       w.str(b);
+                   });
 }
 
 std::vector<uint8_t>
@@ -508,14 +567,13 @@ encodeScreen(uint32_t id, const bio::ScoreMatrix &costs,
              bio::Score threshold, const std::string &a,
              const std::string &b, uint32_t deadlineMs, Priority priority)
 {
-    auto payload =
-        requestHeader(id, RequestTag::Screen, deadlineMs, priority);
-    Writer w(payload);
-    writeMatrix(w, costs);
-    w.i64(threshold);
-    w.str(a);
-    w.str(b);
-    return payload;
+    return request(id, RequestTag::Screen, deadlineMs, priority,
+                   [&](Writer &w) {
+                       writeMatrix(w, costs);
+                       w.i64(threshold);
+                       w.str(a);
+                       w.str(b);
+                   });
 }
 
 std::vector<uint8_t>
@@ -523,15 +581,14 @@ encodeAffine(uint32_t id, const bio::ScoreMatrix &costs, bio::Score open,
              bio::Score extend, const std::string &a, const std::string &b,
              uint32_t deadlineMs, Priority priority)
 {
-    auto payload =
-        requestHeader(id, RequestTag::Affine, deadlineMs, priority);
-    Writer w(payload);
-    writeMatrix(w, costs);
-    w.i64(open);
-    w.i64(extend);
-    w.str(a);
-    w.str(b);
-    return payload;
+    return request(id, RequestTag::Affine, deadlineMs, priority,
+                   [&](Writer &w) {
+                       writeMatrix(w, costs);
+                       w.i64(open);
+                       w.i64(extend);
+                       w.str(a);
+                       w.str(b);
+                   });
 }
 
 std::vector<uint8_t>
@@ -539,15 +596,14 @@ encodeDtw(uint32_t id, const std::vector<apps::Sample> &x,
           const std::vector<apps::Sample> &y, uint32_t deadlineMs,
           Priority priority)
 {
-    auto payload = requestHeader(id, RequestTag::Dtw, deadlineMs, priority);
-    Writer w(payload);
-    w.u32(static_cast<uint32_t>(x.size()));
-    for (apps::Sample s : x)
-        w.i64(s);
-    w.u32(static_cast<uint32_t>(y.size()));
-    for (apps::Sample s : y)
-        w.i64(s);
-    return payload;
+    return request(id, RequestTag::Dtw, deadlineMs, priority,
+                   [&](Writer &w) {
+                       for (const auto *signal : {&x, &y}) {
+                           w.count(*signal, kMaxWireSamples);
+                           for (apps::Sample s : *signal)
+                               w.i64(s);
+                       }
+                   });
 }
 
 std::vector<uint8_t>
@@ -555,53 +611,52 @@ encodeGraphAlign(uint32_t id, const std::string &read,
                  bio::Score threshold, uint32_t deadlineMs,
                  Priority priority)
 {
-    auto payload =
-        requestHeader(id, RequestTag::GraphAlign, deadlineMs, priority);
-    Writer w(payload);
-    w.i64(threshold);
-    w.str(read);
-    return payload;
+    return request(id, RequestTag::GraphAlign, deadlineMs, priority,
+                   [&](Writer &w) {
+                       w.i64(threshold);
+                       w.str(read);
+                   });
 }
 
 std::vector<uint8_t>
 encodeMapReads(uint32_t id, const std::string &fasta, bio::Score threshold,
                uint32_t deadlineMs, Priority priority)
 {
-    auto payload =
-        requestHeader(id, RequestTag::MapReads, deadlineMs, priority);
-    Writer w(payload);
-    w.i64(threshold);
-    w.str(fasta);
-    return payload;
+    return request(id, RequestTag::MapReads, deadlineMs, priority,
+                   [&](Writer &w) {
+                       w.i64(threshold);
+                       w.str(fasta);
+                   });
 }
 
 std::vector<uint8_t>
 encodeStatsRequest(uint32_t id)
 {
-    return requestHeader(id, RequestTag::Stats, 0);
+    return bareRequest(id, RequestTag::Stats);
 }
 
 std::vector<uint8_t>
 encodePing(uint32_t id)
 {
-    return requestHeader(id, RequestTag::Ping, 0);
+    return bareRequest(id, RequestTag::Ping);
 }
 
 std::vector<uint8_t>
 encodeMetricsRequest(uint32_t id)
 {
-    return requestHeader(id, RequestTag::Metrics, 0);
+    return bareRequest(id, RequestTag::Metrics);
 }
 
 std::vector<uint8_t>
 encodeHealthRequest(uint32_t id)
 {
-    return requestHeader(id, RequestTag::Health, 0);
+    return bareRequest(id, RequestTag::Health);
 }
 
 WireError
 decodeRequest(std::span<const uint8_t> payload,
-              const bio::Alphabet &graphAlphabet, Request &out)
+              const bio::Alphabet &graphAlphabet, Request &out,
+              MatrixSlot *slot)
 {
     out = Request{};
     Reader r(payload);
@@ -628,9 +683,26 @@ decodeRequest(std::span<const uint8_t> payload,
     case RequestTag::Screen:
     case RequestTag::Affine: {
         const bool affine = out.tag == RequestTag::Affine;
-        if (WireError e = readMatrix(r, /*finitePairs=*/affine, out.matrix);
-            e != WireError::None)
-            return e;
+        if (slot && slot->matrix && slot->finitePairs == affine &&
+            r.skip(slot->bytes)) {
+            out.matrix = slot->matrix;
+        } else {
+            const std::span<const uint8_t> from = r.rest();
+            if (WireError e =
+                    readMatrix(r, /*finitePairs=*/affine, out.matrix);
+                e != WireError::None)
+                return e;
+            if (slot) {
+                // Scan once here, so that every copy carries the scans.
+                out.matrix->fingerprint();
+                out.matrix->minFinite();
+                out.matrix->maxFinite();
+                slot->bytes.assign(from.begin(),
+                                   from.end() - r.rest().size());
+                slot->finitePairs = affine;
+                slot->matrix = out.matrix;
+            }
+        }
         if (out.tag == RequestTag::Screen) {
             if (!r.i64(out.threshold))
                 return WireError::Truncated;
@@ -827,22 +899,20 @@ std::vector<uint8_t>
 encodeResponse(const Response &response)
 {
     std::vector<uint8_t> payload;
-    Writer w(payload);
-    writeResponse(w, response);
+    append(payload, [&](Writer &w) { writeResponse(w, response); });
     return payload;
 }
 
 void
 encodeResponseFrame(const Response &response, std::vector<uint8_t> &out)
 {
+    Writer sizer;
+    writeResponse(sizer, response);
     const size_t start = out.size();
-    Writer w(out);
-    w.u32(0); // the length prefix, patched below
+    out.resize(start + kFrameHeaderBytes + sizer.size());
+    Writer w(out.data() + start);
+    w.u32(static_cast<uint32_t>(sizer.size()));
     writeResponse(w, response);
-    const uint32_t length =
-        static_cast<uint32_t>(out.size() - start - kFrameHeaderBytes);
-    for (size_t i = 0; i < kFrameHeaderBytes; ++i)
-        out[start + i] = static_cast<uint8_t>(length >> (8 * i));
 }
 
 WireError
@@ -872,11 +942,10 @@ decodeResponse(std::span<const uint8_t> payload, Response &out)
 std::vector<uint8_t>
 frame(const std::vector<uint8_t> &payload)
 {
-    std::vector<uint8_t> framed;
-    framed.reserve(payload.size() + 4);
-    Writer w(framed);
-    w.u32(static_cast<uint32_t>(payload.size()));
-    framed.insert(framed.end(), payload.begin(), payload.end());
+    std::vector<uint8_t> framed(kFrameHeaderBytes + payload.size());
+    Writer(framed.data()).u32(static_cast<uint32_t>(payload.size()));
+    std::copy(payload.begin(), payload.end(),
+              framed.begin() + kFrameHeaderBytes);
     return framed;
 }
 

@@ -363,6 +363,28 @@ std::vector<uint8_t> encodeHealthRequest(uint32_t id);
 /** @} */
 
 /**
+ * The last inline cost matrix one connection decoded: its wire bytes
+ * (letters and every weight), the pair rule it was validated under
+ * and the validated matrix, memoized scans included.  A frame whose
+ * matrix bytes equal the slot's in full, under the same rule, takes a
+ * copy of that matrix instead of rebuilding and revalidating it.
+ * Only decodeRequest() reads or fills a slot; its owner keeps one per
+ * connection, at most one kMaxWireAlphabet-letter matrix (about
+ * 66 KiB).
+ */
+class MatrixSlot
+{
+  private:
+    friend WireError decodeRequest(std::span<const uint8_t> payload,
+                                   const bio::Alphabet &graphAlphabet,
+                                   Request &out, MatrixSlot *slot);
+
+    std::vector<uint8_t> bytes;
+    bool finitePairs = false;
+    std::optional<bio::ScoreMatrix> matrix;
+};
+
+/**
  * Decode and validate one request payload.  `graphAlphabet` checks
  * GraphAlign/MapReads letters (the preloaded pangenome's alphabet).
  * On any error the returned Request carries whatever id could be
@@ -370,11 +392,14 @@ std::vector<uint8_t> encodeHealthRequest(uint32_t id);
  * payload is read in place (the daemon passes a view into its
  * connection's receive buffer); only what `out` keeps -- the matrix,
  * the encoded sequences, signals and reads -- is allocated, plus the
- * one copy of a MapReads batch's FASTA text its parser reads.
+ * one copy of a MapReads batch's FASTA text its parser reads.  With a
+ * `slot`, an inline matrix equal to the slot's is copied from it, and
+ * a new one that validates replaces it; the verdict and the decoded
+ * request are the same with or without one.
  */
 WireError decodeRequest(std::span<const uint8_t> payload,
                         const bio::Alphabet &graphAlphabet,
-                        Request &out);
+                        Request &out, MatrixSlot *slot = nullptr);
 
 /** Encode a response payload. */
 std::vector<uint8_t> encodeResponse(const Response &response);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "rl/bio/alphabet.h"
 #include "rl/bio/sequence.h"
 #include "rl/util/random.h"
@@ -67,6 +70,40 @@ TEST(Alphabet, TryMakeRejectsDuplicateLettersTyped)
     EXPECT_EQ(alphabet.status().code(), ErrorCode::InvalidArgument);
     EXPECT_NE(alphabet.status().message().find("duplicate"),
               std::string::npos);
+}
+
+TEST(Alphabet, MovedFromStillAnswers)
+{
+    Alphabet from("ACGT");
+    const Alphabet to = std::move(from);
+    // A moved-from alphabet is the empty one: no crash, no letter.
+    EXPECT_EQ(from.size(), 0u); // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(from == to);
+    EXPECT_FALSE(from.contains('A'));
+    EXPECT_EQ(to.size(), 4u);
+    EXPECT_TRUE(to == Alphabet::dna());
+    from = to; // and takes a new value
+    EXPECT_TRUE(from == to);
+}
+
+TEST(Alphabet, CopiesShareOneTableAcrossThreads)
+{
+    // Copies made and dropped on four threads share one table; the
+    // TSan job runs this suite.
+    const Alphabet shared("ACGT", "DNA");
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&shared] {
+            for (int i = 0; i < 2000; ++i) {
+                const Alphabet copy = shared;
+                const Sequence s(copy, "GATTACA");
+                EXPECT_EQ(&s.alphabet().letters(), &shared.letters());
+                EXPECT_EQ(copy.encode('T'), 3);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(shared.size(), 4u);
 }
 
 TEST(Sequence, TryEncodeRejectsForeignLettersTyped)

@@ -102,9 +102,10 @@ using Status = racelogic::serve::Status;
 /** @name The committed budgets, per warm request.
  * These requests are under kInlineCells, so the connection thread
  * that reads one solves it: no worker drains a job.  Allocations: the
- * decoded matrix (its alphabet's lookup and its table) and two
- * sequences (each an alphabet lookup and its symbols) move into the
- * race problem; no job closure is built.  Syscalls at window 1: the
+ * decoded matrix's table and the two sequences' symbols, which move
+ * into the race problem.  The matrix is a copy of the connection's
+ * last one (serve::MatrixSlot), whose alphabet table every copy
+ * shares; no job closure is built.  Syscalls at window 1: the
  * connection thread's recv() of the frame and its send() of the
  * reply, plus a recv() that finds the socket empty and a poll()
  * whenever the client's next frame is not there yet.  How often that
@@ -114,7 +115,7 @@ using Status = racelogic::serve::Status;
  * one recv(), one send() and at most one empty recv() and poll():
  * 0.30-0.37 measured, 0.5 at worst.
  * @{ */
-constexpr double kAllocationsPerRequest = 6;
+constexpr double kAllocationsPerRequest = 3;
 constexpr double kSyscallsPerRequestWindow1 = 4;
 constexpr double kSyscallsPerRequestBurst8 = 0.5;
 /** @} */

@@ -163,6 +163,50 @@ TEST(ServeServer, ServedSolveIsBitIdenticalToDirectEngine)
     server.stop();
 }
 
+TEST(ServeServer, OneConnectionAlternatingTwoMatricesMatchesDirectEngine)
+{
+    // The connection keeps the last matrix it decoded: a repeat is a
+    // copy of it, and a switch decodes the other matrix afresh.  Every
+    // reply must still be the direct solve under its own matrix.
+    AlignServer server(tcpConfig());
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+    ASSERT_TRUE(client.ok());
+
+    api::EngineConfig direct;
+    direct.workerThreads = 1;
+    api::RaceEngine engine(direct);
+
+    const bio::ScoreMatrix light = fig2b();
+    bio::ScoreMatrix heavy = fig2b();
+    for (bio::Symbol x = 0; x < 4; ++x)
+        for (bio::Symbol y = 0; y < 4; ++y)
+            if (x != y)
+                heavy.setPair(x, y, 5);
+    heavy.setAllGaps(3);
+    const bio::ScoreMatrix *matrices[] = {&heavy, &heavy, &light, &heavy,
+                                          &light, &light, &heavy};
+    uint32_t id = 40;
+    for (const bio::ScoreMatrix *costs : matrices) {
+        const std::string a = dnaString(24, id), b = dnaString(28, id + 1);
+        const api::RaceResult expected =
+            engine.solve(api::RaceProblem::pairwiseAlignment(
+                *costs, dnaSeq(a), dnaSeq(b)));
+        const api::RaceResult other =
+            engine.solve(api::RaceProblem::pairwiseAlignment(
+                costs == &heavy ? light : heavy, dnaSeq(a),
+                dnaSeq(b)));
+        ASSERT_NE(expected.score, other.score); // a wrong matrix shows
+        ASSERT_TRUE(client.submitPairwise(id, *costs, a, b));
+        Response response;
+        ASSERT_TRUE(client.receive(response));
+        EXPECT_EQ(response.id, id);
+        expectReplyMatches(response, expected);
+        ++id;
+    }
+    server.stop();
+}
+
 TEST(ServeServer, GraphAlignMatchesDirectEngineOverUnixSocket)
 {
     const std::string path =

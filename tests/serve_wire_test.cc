@@ -701,6 +701,109 @@ TEST(ServeWire, ResponseTruncationsAreTyped)
     }
 }
 
+// ------------------------------------------- the connection's matrix slot
+
+WireError
+decodeThrough(MatrixSlot &slot, const std::vector<uint8_t> &payload,
+              Request &out)
+{
+    return decodeRequest(payload, dna(), out, &slot);
+}
+
+/** The alphabet table a decoded matrix shares with its copies: one
+ *  address for matrices copied from one decode. */
+const std::string *
+table(const Request &req)
+{
+    return &req.matrix->alphabet().letters();
+}
+
+TEST(ServeWire, SlotReusesIdenticalMatrixBytes)
+{
+    MatrixSlot slot;
+    Request first, second, fresh;
+    const auto screen = encodeScreen(2, fig2b(), 5, "GATTACA", "GATACA");
+    ASSERT_EQ(decodeThrough(slot, encodePairwise(1, fig2b(), "ACGT", "AGGT"),
+                            first),
+              WireError::None);
+    ASSERT_EQ(decodeThrough(slot, screen, second), WireError::None);
+    ASSERT_EQ(decode(screen, fresh), WireError::None);
+    EXPECT_EQ(table(second), table(first));
+    EXPECT_NE(table(fresh), table(first));
+    EXPECT_EQ(second.matrix->fingerprint(), fresh.matrix->fingerprint());
+    EXPECT_EQ(second.threshold, 5);
+    EXPECT_EQ(*second.a, *fresh.a);
+    EXPECT_EQ(*second.b, *fresh.b);
+}
+
+TEST(ServeWire, SlotDecodesAChangedWeightAfresh)
+{
+    bio::ScoreMatrix changed = fig2b();
+    changed.setPair(0, 1, 3);
+    MatrixSlot slot;
+    Request first, second, third;
+    ASSERT_EQ(decodeThrough(slot, encodePairwise(1, fig2b(), "AC", "GT"),
+                            first),
+              WireError::None);
+    ASSERT_EQ(decodeThrough(slot, encodePairwise(2, changed, "AC", "GT"),
+                            second),
+              WireError::None);
+    EXPECT_NE(table(second), table(first));
+    EXPECT_EQ(second.matrix->pair(0, 1), 3);
+    EXPECT_EQ(second.matrix->fingerprint(), changed.fingerprint());
+    // The changed matrix is now the slot's.
+    ASSERT_EQ(decodeThrough(slot, encodePairwise(3, changed, "AC", "GT"),
+                            third),
+              WireError::None);
+    EXPECT_EQ(table(third), table(second));
+}
+
+TEST(ServeWire, SlotPrimedByPairwiseStillRejectsForbiddenPairsForAffine)
+{
+    const auto inf = bio::ScoreMatrix::dnaShortestPathInfMismatch();
+    MatrixSlot slot;
+    Request req;
+    ASSERT_EQ(decodeThrough(slot, encodePairwise(1, inf, "AC", "GT"), req),
+              WireError::None);
+    EXPECT_EQ(decodeThrough(slot, encodeAffine(2, inf, 4, 2, "AC", "GT"), req),
+              WireError::BadRequest);
+    EXPECT_EQ(decodeThrough(slot, encodePairwise(3, inf, "AC", "GT"), req),
+              WireError::None);
+}
+
+TEST(ServeWire, FrameRejectedAfterItsMatrixLeavesTheNextVerdict)
+{
+    MatrixSlot slot;
+    Request rejected, next, fresh;
+    const auto foreign = encodePairwise(1, fig2b(), "ACGT", "ACGX");
+    const auto valid = encodePairwise(2, fig2b(), "ACGT", "AGGT");
+    EXPECT_EQ(decodeThrough(slot, foreign, rejected), WireError::BadRequest);
+    ASSERT_EQ(decodeThrough(slot, valid, next), WireError::None);
+    ASSERT_EQ(decode(valid, fresh), WireError::None);
+    EXPECT_EQ(next.id, 2u);
+    EXPECT_EQ(next.matrix->fingerprint(), fresh.matrix->fingerprint());
+    EXPECT_EQ(*next.a, *fresh.a);
+    EXPECT_EQ(*next.b, *fresh.b);
+    EXPECT_EQ(decodeThrough(slot, foreign, rejected), WireError::BadRequest);
+}
+
+TEST(ServeWire, EveryPrefixThroughASlotDecodesAsWithout)
+{
+    // A slot holding the whole frame's matrix must not accept a frame
+    // cut anywhere inside it, or change any other prefix's verdict.
+    const auto payload = encodeScreen(21, fig2b(), 6, "GATTACA", "GCATGCT");
+    MatrixSlot slot;
+    Request req;
+    ASSERT_EQ(decodeThrough(slot, payload, req), WireError::None);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+        const std::vector<uint8_t> prefix(payload.begin(),
+                                          payload.begin() + cut);
+        Request plain;
+        EXPECT_EQ(decodeThrough(slot, prefix, req), decode(prefix, plain))
+            << "prefix of " << cut << " bytes";
+    }
+}
+
 // ------------------------------------------------------------- framing
 
 TEST(ServeWire, FrameHeaderRoundTrip)

@@ -4,11 +4,15 @@
  * Writes one file per seed into the directory given as argv[1]
  * (default fuzz/corpus/wire).  Seeds are *payloads* -- no frame
  * header -- which the wire harness feeds to both serve::decodeRequest()
- * and serve::decodeResponse(): every request tag plus truncations and
- * a flipped-tag mutant, and one valid reply of every kind (`reply_*`)
- * plus an error reply.  A coverage-guided fuzzer then starts from deep
- * inside both decoders instead of rediscovering the format byte by
- * byte.  Run once after a wire format change and commit the output.
+ * and serve::decodeResponse(): one request of every kind
+ * (`request_*`) plus truncations and a flipped-tag mutant, and one
+ * valid reply of every kind (`reply_*`) plus an error reply.  A
+ * coverage-guided fuzzer then starts from deep inside both decoders
+ * instead of rediscovering the format byte by byte.  Run once after a
+ * wire format change and commit the output.  The committed request
+ * seeds without the `request_` prefix predate the header's priority
+ * byte and differ from what this writes under their names, so to add
+ * seeds, write to a scratch directory and copy only the new files.
  */
 
 #include <cstdio>
@@ -47,20 +51,22 @@ main(int argc, char **argv)
 
     const bio::ScoreMatrix costs = bio::ScoreMatrix::dnaShortestPath();
 
-    writeSeed(dir, "pairwise",
+    writeSeed(dir, "request_pairwise",
               serve::encodePairwise(1, costs, "ACGT", "AGGT"));
-    writeSeed(dir, "affine",
+    writeSeed(dir, "request_affine",
               serve::encodeAffine(2, costs, 2, 1, "ACGTAC", "ACTAC"));
-    writeSeed(dir, "screen",
+    writeSeed(dir, "request_screen",
               serve::encodeScreen(3, costs, 4, "ACGT", "ACCT"));
-    writeSeed(dir, "dtw",
+    writeSeed(dir, "request_dtw",
               serve::encodeDtw(4, {0, 3, 5, 3, 0}, {0, 2, 5, 2}));
-    writeSeed(dir, "graph_align",
+    writeSeed(dir, "request_graph_align",
               serve::encodeGraphAlign(5, "ACTGACTTGATT", 6));
-    writeSeed(dir, "map_reads",
+    writeSeed(dir, "request_map_reads",
               serve::encodeMapReads(6, ">r1\nACTGA\n>r2\nGATT\n", 8));
-    writeSeed(dir, "stats", serve::encodeStatsRequest(7));
-    writeSeed(dir, "ping", serve::encodePing(8));
+    writeSeed(dir, "request_stats", serve::encodeStatsRequest(7));
+    writeSeed(dir, "request_ping", serve::encodePing(8));
+    writeSeed(dir, "request_metrics", serve::encodeMetricsRequest(13));
+    writeSeed(dir, "request_health", serve::encodeHealthRequest(14));
     writeSeed(dir, "deadline",
               serve::encodePairwise(9, costs, "ACGT", "AGGT", 250));
 
