@@ -2,12 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "rl/api/api.h"
+#include "rl/bio/align_dp.h"
 #include "rl/bio/fasta.h"
 #include "rl/core/wavefront_band.h"
 #include "rl/pangraph/alignment_graph.h"
@@ -153,35 +153,12 @@ decodeRace(const uint8_t *data, size_t size)
             (pick & 4) != 0};
 }
 
-/** Both absent, or the same letters, kind and weights. */
-bool
-sameMatrix(const std::optional<bio::ScoreMatrix> &x,
-           const std::optional<bio::ScoreMatrix> &y)
-{
-    if (!x || !y)
-        return x.has_value() == y.has_value();
-    if (!(x->alphabet() == y->alphabet()) || x->kind() != y->kind())
-        return false;
-    const size_t n = x->alphabet().size();
-    for (size_t i = 0; i < n; ++i) {
-        const auto s = static_cast<bio::Symbol>(i);
-        if (x->gap(s) != y->gap(s))
-            return false;
-        for (size_t j = 0; j < n; ++j) {
-            const auto t = static_cast<bio::Symbol>(j);
-            if (x->pair(s, t) != y->pair(s, t))
-                return false;
-        }
-    }
-    return true;
-}
-
 /** Every field of two decoded requests equal. */
 bool
 sameRequest(const serve::Request &x, const serve::Request &y)
 {
     return x.tag == y.tag && x.id == y.id && x.deadlineMs == y.deadlineMs &&
-           x.priority == y.priority && sameMatrix(x.matrix, y.matrix) &&
+           x.priority == y.priority && x.matrix == y.matrix &&
            x.a == y.a && x.b == y.b && x.threshold == y.threshold &&
            x.open == y.open && x.extend == y.extend && x.x == y.x &&
            x.y == y.y && x.read == y.read && x.reads == y.reads;
@@ -358,6 +335,12 @@ wireInput(const uint8_t *data, size_t size)
         return 0;
     }
 
+    // Small grids also race, as the daemon would, on one engine that
+    // outlives the input: plans cached by earlier inputs meet later
+    // ones, and every solve must agree with the DP oracle.
+    static api::RaceEngine engine;
+    const bool raced = request.tag == serve::RequestTag::Pairwise ||
+                       request.tag == serve::RequestTag::Screen;
     for (const api::RaceProblem &problem : problems) {
         if (racelogic::Status deep = api::validateProblem(problem);
             !deep.ok())
@@ -369,6 +352,23 @@ wireInput(const uint8_t *data, size_t size)
         limits.maxGridCells = 1u << 16;
         limits.maxProductStates = 1u << 16;
         (void)api::checkBudgets(problem, limits);
+
+        if (!raced || api::gridCells(problem) > 4096)
+            continue;
+        const Expected<api::RaceResult> solved = engine.trySolve(problem);
+        if (!solved.ok())
+            violated("decode-accepted => trySolve Ok",
+                     solved.status().message());
+        const bio::Score oracle =
+            bio::globalScore(*problem.a, *problem.b, *problem.matrix);
+        if (request.tag == serve::RequestTag::Pairwise
+                ? solved->score != oracle
+                : solved->accepted != (oracle <= problem.threshold))
+            violated("trySolve agrees with bio::globalScore",
+                     std::string(serve::requestTagName(request.tag)) +
+                         " oracle " + std::to_string(oracle) +
+                         ", raced " + std::to_string(solved->score) +
+                         (solved->accepted ? " accepted" : " rejected"));
     }
     return 0;
 }

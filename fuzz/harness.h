@@ -30,10 +30,13 @@ int fastaInput(const uint8_t *data, size_t size);
  * serve::decodeRequest() against a preloaded pangenome, then -- for
  * every accepted decode -- the same problems the server would queue
  * are checked against api::validateProblem(), aborting if decode
- * accepted what validation rejects.  Decoding it through a
- * serve::MatrixSlot, primed first by a fixed valid Pairwise frame and
- * then by the payload itself, must give the same verdict and request
- * as the plain decode.  The payload is also fed to
+ * accepted what validation rejects.  A Pairwise or Screen problem of
+ * at most 4,096 cells is also raced through RaceEngine::trySolve() on
+ * one engine shared by every input, and must be Ok and agree with
+ * bio::globalScore (the score, or the screen's verdict).  Decoding it
+ * through a serve::MatrixSlot, primed first by a fixed valid Pairwise
+ * frame and then by the payload itself, must give the same verdict
+ * and request as the plain decode.  The payload is also fed to
  * serve::decodeResponse() (total for any bytes); a reply it accepts
  * must re-encode to bytes that decode and re-encode to themselves.
  */

@@ -85,15 +85,6 @@ scoreMatrixBytes(const bio::ScoreMatrix &matrix)
     return (n * n + n) * sizeof(bio::Score) + sizeof(bio::ScoreMatrix);
 }
 
-/** Kinds the parallel batch path can race (plan + const align). */
-bool
-gridFamilyKind(ProblemKind kind)
-{
-    return kind == ProblemKind::PairwiseAlignment ||
-           kind == ProblemKind::GeneralizedAlignment ||
-           kind == ProblemKind::ThresholdScreen;
-}
-
 /**
  * Kinds with a reusable cached plan.  Dtw, DagPath and affine
  * lattices bake their instance into the raced graph, so they build
@@ -151,26 +142,6 @@ double
 raceWallNs(const tech::CellLibrary &lib, sim::Tick cycles)
 {
     return static_cast<double>(cycles) * lib.racePeriodNs;
-}
-
-/** True iff the two matrices describe identical edit weights. */
-bool
-sameMatrix(const bio::ScoreMatrix &lhs, const bio::ScoreMatrix &rhs)
-{
-    if (lhs.kind() != rhs.kind() ||
-        lhs.alphabet().size() != rhs.alphabet().size())
-        return false;
-    const size_t n = lhs.alphabet().size();
-    for (size_t i = 0; i < n; ++i) {
-        auto s = static_cast<bio::Symbol>(i);
-        if (lhs.gap(s) != rhs.gap(s))
-            return false;
-        for (size_t j = 0; j < n; ++j)
-            if (lhs.pair(s, static_cast<bio::Symbol>(j)) !=
-                rhs.pair(s, static_cast<bio::Symbol>(j)))
-                return false;
-    }
-    return true;
 }
 
 /** Apply the threshold verdict to a completed-or-not OR-race result. */
@@ -495,9 +466,11 @@ RaceEngine::PlanKeyHash::operator()(const PlanKey &key) const
     return static_cast<size_t>(f.h);
 }
 
-RaceEngine::PlanKey
+std::optional<RaceEngine::PlanKey>
 RaceEngine::planKey(const RaceProblem &problem) const
 {
+    if (cfg.planCacheCapacity == 0 || !planFamilyKind(problem.kind))
+        return std::nullopt;
     PlanKey key;
     key.kind = problem.kind;
     key.matrix = problem.matrix->fingerprint();
@@ -515,100 +488,56 @@ RaceEngine::planKey(const RaceProblem &problem) const
     return key;
 }
 
-RaceEngine::PlanSlot
-RaceEngine::lookup(const RaceProblem &problem, bool touch) const
+RaceEngine::PlanPtr
+RaceEngine::lookup(const RaceProblem &problem, bool solving) const
 {
-    PlanSlot slot;
-    if (cfg.planCacheCapacity == 0 || !planFamilyKind(problem.kind))
-        return slot;
-    slot.key = planKey(problem);
-    PlanPtr cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto found = index.find(*slot.key);
-        if (found == index.end())
-            return slot;
-        if (touch)
-            lru.splice(lru.begin(), lru, found->second);
-        cached = found->second->second;
-    }
-    // Confirm outside the lock -- the plan is immutable.  A collision
-    // counts as a miss: deep validation, then an uncached fresh plan
-    // (the slot keeps its original owner).
-    if (planMatches(problem, *cached, /*walkGraphs=*/true))
-        slot.plan = std::move(cached);
-    return slot;
-}
-
-RaceEngine::PlanSlot
-RaceEngine::lookupToSolve(const RaceProblem &problem)
-{
-    PlanSlot slot;
-    if (cfg.planCacheCapacity == 0 || !planFamilyKind(problem.kind))
-        return slot;
-    slot.key = planKey(problem);
-    PlanPtr cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto found = index.find(*slot.key);
-        if (found == index.end())
-            return slot;
+    const std::optional<PlanKey> key = planKey(problem);
+    if (!key)
+        return nullptr;
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto found = index.find(*key);
+    if (found == index.end())
+        return nullptr;
+    // The key carries 64-bit fingerprints, which may collide: confirm
+    // the plan exactly, so a collision never hands back the wrong
+    // fabric.  A collision is a miss, and its fresh plan stays
+    // uncached.  A graph object other than the plan's is walked here,
+    // under the lock, which is rare: a graph reload evicts the old
+    // graph's plans, so later solves meet their own graph object.
+    const PlanPtr &plan = found->second->second;
+    if (*problem.matrix != *plan->input ||
+        (problem.kind == ProblemKind::GraphAlign &&
+         problem.vgraph != plan->graphAligner->graphPtr() &&
+         !pangraph::sameTopology(*problem.vgraph,
+                                 plan->graphAligner->graph())))
+        return nullptr;
+    if (solving) {
         lru.splice(lru.begin(), lru, found->second);
-        cached = found->second->second;
-        // The common hit -- same matrix, same graph object -- is
-        // confirmed in the lock it already holds, and counted there.
-        if (planMatches(problem, *cached, /*walkGraphs=*/false)) {
-            ++statistics.solves;
-            ++statistics.planCacheHits;
-            slot.plan = std::move(cached);
-            slot.counted = true;
-            return slot;
-        }
+        ++statistics.solves;
+        ++statistics.planCacheHits;
     }
-    if (planMatches(problem, *cached, /*walkGraphs=*/true))
-        slot.plan = std::move(cached);
-    return slot;
-}
-
-bool
-RaceEngine::planMatches(const RaceProblem &problem, const Plan &plan,
-                        bool walkGraphs)
-{
-    // The key carries 64-bit content fingerprints; confirm the match
-    // exactly so a collision can never hand back the wrong fabric.
-    // GraphAlign plans also re-verify the graph topology.
-    const bool graphKind = problem.kind == ProblemKind::GraphAlign;
-    if (graphKind != (plan.graphAligner != nullptr) ||
-        !sameMatrix(*problem.matrix, *plan.input))
-        return false;
-    if (!graphKind || problem.vgraph == plan.graphAligner->graphPtr())
-        return true;
-    return walkGraphs && pangraph::sameTopology(*problem.vgraph,
-                                                plan.graphAligner->graph());
+    return plan;
 }
 
 RaceEngine::PlanPtr
-RaceEngine::planFor(const RaceProblem &problem, PlanSlot slot,
-                    bool recordHit)
+RaceEngine::build(const RaceProblem &problem, bool solving)
 {
-    if (slot.plan) {
-        if (recordHit && !slot.counted) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++statistics.planCacheHits;
-        }
-        return std::move(slot.plan);
-    }
     // Build outside the lock: synthesis can take milliseconds, and no
     // other solve should wait for it.  Threads that miss on one key
     // at once each build; the first insert wins and the rest race on
     // their own copy once.
-    PlanPtr plan = buildPlan(problem);
-    const size_t bytes = plan->residentBytes();
+    PlanPtr plan = planFamilyKind(problem.kind) ? buildPlan(problem)
+                                                : nullptr;
+    const std::optional<PlanKey> key = planKey(problem);
+    const size_t bytes = plan ? plan->residentBytes() : 0;
     std::lock_guard<std::mutex> lock(mutex);
+    statistics.solves += solving;
+    if (!plan)
+        return plan;
     ++statistics.plansBuilt;
-    if (slot.key && index.find(*slot.key) == index.end()) {
-        lru.emplace_front(*slot.key, plan);
-        index.emplace(*slot.key, lru.begin());
+    if (key && index.find(*key) == index.end()) {
+        lru.emplace_front(*key, plan);
+        index.emplace(*key, lru.begin());
         cacheBytes += bytes;
         while (lru.size() > cfg.planCacheCapacity)
             evictLruLocked();
@@ -616,13 +545,21 @@ RaceEngine::planFor(const RaceProblem &problem, PlanSlot slot,
     return plan;
 }
 
-Status
-RaceEngine::checkSolvable(const RaceProblem &problem) const
+RaceEngine::PlanPtr
+RaceEngine::acquire(const RaceProblem &problem, bool solving)
 {
-    // checkShape() must pass before the plan key is computed: the key
-    // builder dereferences the kind's optionals.
-    if (Status shape = checkShape(problem); !shape.ok())
-        return shape;
+    if (PlanPtr plan = lookup(problem, solving))
+        return plan;
+    return build(problem, solving);
+}
+
+Expected<RaceEngine::PlanPtr>
+RaceEngine::check(const RaceProblem &problem, bool solving) const
+{
+    // checkShape() must pass before anything else: the later checks
+    // and the plan key dereference the kind's optionals.
+    if (Status s = checkShape(problem); !s.ok())
+        return s;
     // Backend compatibility is this engine's concern, not the
     // problem's: the Lipton-Lopresti array races Fig. 2b pairwise
     // grids only (solve() asserts the same invariant).
@@ -642,62 +579,47 @@ RaceEngine::checkSolvable(const RaceProblem &problem) const
                              " backend races grids of at least one "
                              "cell; race an empty string on the "
                              "behavioral backend");
-    return Status();
-}
-
-Status
-RaceEngine::validate(const RaceProblem &problem,
-                     const PlanSlot &slot) const
-{
-    ProblemLimits limits;
-    limits.maxProductStates = cfg.maxProductStates;
-    if (slot.plan) {
-        // The cached plan's build already vetted the expensive
-        // matrix/graph half; only the budgets and the per-request
-        // runtime inputs (sequences, thresholds) need checking.
-        if (Status s = checkBudgets(problem, limits); !s.ok())
-            return s;
-        return checkRuntimeInputs(problem);
-    }
-    if (Status s = validateProblem(problem, limits); !s.ok())
-        return s;
-    // The systolic plan build asserts the one cost family the array
-    // encodes; check the matrix it would race.
-    if (cfg.backend == BackendKind::Systolic)
-        return systolic::LiptonLoprestiArray::checkMatrix(
-            problem.matrix->isCost()
-                ? *problem.matrix
-                : bio::toShortestPathForm(*problem.matrix, problem.lambda)
-                      .costs);
-    return Status();
-}
-
-Status
-RaceEngine::validate(const RaceProblem &problem) const
-{
-    if (Status s = checkSolvable(problem); !s.ok())
-        return s;
-    return validate(problem, lookup(problem, /*touch=*/false));
-}
-
-Expected<RaceResult>
-RaceEngine::trySolve(const RaceProblem &problem)
-{
-    if (Status s = checkSolvable(problem); !s.ok())
-        return s;
-    // The checks every validation depth opens with run first, so a
-    // cached hit is vetted before the lookup counts it as solved.
     ProblemLimits limits;
     limits.maxProductStates = cfg.maxProductStates;
     if (Status s = checkBudgets(problem, limits); !s.ok())
         return s;
     if (Status s = checkRuntimeInputs(problem); !s.ok())
         return s;
-    PlanSlot slot = lookupToSolve(problem);
-    if (!slot.plan)
-        if (Status s = validate(problem, slot); !s.ok())
-            return s;
-    return solve(problem, std::move(slot));
+    // An exact hit's build already passed the rest.
+    if (PlanPtr hit = lookup(problem, solving))
+        return hit;
+    if (Status s = checkDeep(problem); !s.ok())
+        return s;
+    // The systolic plan build asserts the one cost family the array
+    // encodes; check the matrix it would race.
+    if (cfg.backend == BackendKind::Systolic) {
+        Status family = systolic::LiptonLoprestiArray::checkMatrix(
+            problem.matrix->isCost()
+                ? *problem.matrix
+                : bio::toShortestPathForm(*problem.matrix, problem.lambda)
+                      .costs);
+        if (!family.ok())
+            return family;
+    }
+    return PlanPtr();
+}
+
+Status
+RaceEngine::validate(const RaceProblem &problem) const
+{
+    return check(problem, /*solving=*/false).status();
+}
+
+Expected<RaceResult>
+RaceEngine::trySolve(const RaceProblem &problem)
+{
+    Expected<PlanPtr> checked = check(problem, /*solving=*/true);
+    if (!checked.ok())
+        return checked.status();
+    PlanPtr plan = std::move(*checked);
+    if (!plan)
+        plan = build(problem, /*solving=*/true);
+    return race(problem, plan.get());
 }
 
 EngineStats
@@ -710,21 +632,18 @@ RaceEngine::stats() const
 RaceResult
 RaceEngine::solve(const RaceProblem &problem)
 {
-    return solve(problem, lookupToSolve(problem));
+    return race(problem, acquire(problem, /*solving=*/true).get());
 }
 
 RaceResult
-RaceEngine::solve(const RaceProblem &problem, PlanSlot slot)
+RaceEngine::race(const RaceProblem &problem, const Plan *plan,
+                 bool replayGrid) const
 {
-    if (!slot.counted) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++statistics.solves;
-    }
     switch (problem.kind) {
     case ProblemKind::PairwiseAlignment:
     case ProblemKind::GeneralizedAlignment:
     case ProblemKind::ThresholdScreen:
-        return solveGridFamily(problem, std::move(slot));
+        return solveGridFamily(problem, *plan, replayGrid);
     case ProblemKind::Dtw:
         return solveDtw(problem);
     case ProblemKind::DagPath:
@@ -732,7 +651,7 @@ RaceEngine::solve(const RaceProblem &problem, PlanSlot slot)
     case ProblemKind::AffineAlignment:
         return solveAffine(problem);
     case ProblemKind::GraphAlign:
-        return solveGraphAlign(problem, std::move(slot));
+        return solveGraphAlign(problem, *plan);
     }
     rl_assert(false, "unknown problem kind");
     return RaceResult{};
@@ -839,7 +758,8 @@ RaceEngine::raceGridBehavioral(const RaceProblem &problem,
 }
 
 RaceResult
-RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
+RaceEngine::solveGridFamily(const RaceProblem &problem, const Plan &plan,
+                            bool replayGrid) const
 {
     const bio::Sequence &a = *problem.a;
     const bio::Sequence &b = *problem.b;
@@ -850,14 +770,13 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
               "the systolic baseline cannot run generalized matrices "
               "(mod-4 score encoding needs the Fig. 2b cost family)");
 
-    const PlanPtr plan = planFor(problem, std::move(slot));
     const tech::CellLibrary &lib = *cfg.library;
 
     if (cfg.backend == BackendKind::Systolic) {
         RaceResult result;
         result.kind = problem.kind;
         result.backend = cfg.backend;
-        systolic::SystolicResult raced = plan->array->align(a, b);
+        systolic::SystolicResult raced = plan.array->align(a, b);
         result.racedCost = raced.score;
         result.latencyCycles = raced.cycles;
         result.nodes = raced.peCount;
@@ -865,8 +784,8 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
         // when the verdict is negative (the Section 6 contrast).
         result.cyclesUsed = raced.cycles;
         result.accepted = raced.score <= threshold;
-        result.score = plan->conversion
-                           ? plan->conversion->recoverScore(
+        result.score = plan.conversion
+                           ? plan.conversion->recoverScore(
                                  result.racedCost, a.size(), b.size())
                            : result.racedCost;
         if (cfg.withEstimates) {
@@ -887,9 +806,10 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
     // Behavioral race (also the reference the gate level is checked
     // against).  A cancelled race has no result to cross-check, so
     // the fabric is not raced either.
-    RaceResult result = raceGridBehavioral(problem, *plan);
+    RaceResult result = raceGridBehavioral(problem, plan);
 
-    if (cfg.backend == BackendKind::GateLevel && !result.cancelled) {
+    if (cfg.backend == BackendKind::GateLevel && replayGrid &&
+        !result.cancelled) {
         // Run the same race on the synthesized fabric: a lane chunk of
         // one, on a private simulator over the plan's shared compile,
         // so concurrent solves never share simulation state.  A finite
@@ -897,7 +817,7 @@ RaceEngine::solveGridFamily(const RaceProblem &problem, PlanSlot slot)
         // realization of Section 6's abort -- so the priced switching
         // activity covers exactly the cycles the fabric is busy.
         const GridLane lane{&problem, &result};
-        replayGridLanes(*plan->fabric, {&lane, 1}, cfg);
+        replayGridLanes(*plan.fabric, {&lane, 1}, cfg);
     }
     return result;
 }
@@ -949,7 +869,7 @@ raceDagProblem(const graph::Dag &dag,
 } // namespace
 
 RaceResult
-RaceEngine::solveDtw(const RaceProblem &problem)
+RaceEngine::solveDtw(const RaceProblem &problem) const
 {
     rl_assert(cfg.backend != BackendKind::Systolic,
               "the systolic baseline only aligns strings; race DTW on "
@@ -969,7 +889,7 @@ RaceEngine::solveDtw(const RaceProblem &problem)
 }
 
 RaceResult
-RaceEngine::solveDagPath(const RaceProblem &problem)
+RaceEngine::solveDagPath(const RaceProblem &problem) const
 {
     rl_assert(cfg.backend != BackendKind::Systolic,
               "the systolic baseline only aligns strings; race DAG "
@@ -997,7 +917,7 @@ RaceEngine::solveDagPath(const RaceProblem &problem)
 }
 
 RaceResult
-RaceEngine::solveAffine(const RaceProblem &problem)
+RaceEngine::solveAffine(const RaceProblem &problem) const
 {
     rl_assert(cfg.backend != BackendKind::Systolic,
               "the systolic baseline has no affine-gap mode; race "
@@ -1021,9 +941,13 @@ RaceEngine::solveAffine(const RaceProblem &problem)
 }
 
 RaceResult
-RaceEngine::raceGraphBehavioral(const RaceProblem &problem,
-                                const Plan &plan) const
+RaceEngine::solveGraphAlign(const RaceProblem &problem,
+                            const Plan &plan) const
 {
+    rl_assert(cfg.backend != BackendKind::Systolic,
+              "the systolic baseline only aligns linear strings; race "
+              "graph alignments on the behavioral or gate-level "
+              "backend");
     const pangraph::GraphAligner &aligner = *plan.graphAligner;
     // A problem-level threshold marks a read-mapping screen; the
     // engine-wide threshold only gates acceptance after a full race.
@@ -1086,27 +1010,13 @@ RaceEngine::raceGraphBehavioral(const RaceProblem &problem,
         est.wallTimeNs = raceWallNs(*cfg.library, result.cyclesUsed);
         result.estimate = est;
     }
-    return result;
-}
 
-RaceResult
-RaceEngine::solveGraphAlign(const RaceProblem &problem, PlanSlot slot)
-{
-    rl_assert(cfg.backend != BackendKind::Systolic,
-              "the systolic baseline only aligns linear strings; race "
-              "graph alignments on the behavioral or gate-level "
-              "backend");
-
-    const PlanPtr plan = planFor(problem, std::move(slot));
-
-    // Every backend races the fused kernel.  GateLevel then builds the
-    // product DAG as the synthesis input (Fig. 3b, one OR gate per
-    // state, DFF chains per edit weight), replays it on the compiled
-    // levelized simulator and cross-checks the sink.  A cancelled race
-    // has no result to cross-check, so the fabric is not raced either.
-    RaceResult result = raceGraphBehavioral(problem, *plan);
+    // GateLevel then builds the product DAG as the synthesis input
+    // (Fig. 3b, one OR gate per state, DFF chains per edit weight),
+    // replays it on the compiled levelized simulator and cross-checks
+    // the sink.  A cancelled race has no result to cross-check, so the
+    // fabric is not raced either.
     if (cfg.backend == BackendKind::GateLevel && !result.cancelled) {
-        const pangraph::GraphAligner &aligner = *plan->graphAligner;
         const pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
             aligner.compiled(), *problem.a, aligner.costs());
         replayDagOnGates(product.dag, {product.source}, product.sink,
@@ -1133,8 +1043,7 @@ screeningShaped(const std::vector<RaceProblem> &problems)
         for (const RaceProblem &p : problems) {
             if (p.kind != ProblemKind::GraphAlign)
                 return false;
-            if (p.vgraph != first.vgraph ||
-                !sameMatrix(*p.matrix, *first.matrix))
+            if (p.vgraph != first.vgraph || *p.matrix != *first.matrix)
                 return false;
         }
         return true;
@@ -1145,7 +1054,7 @@ screeningShaped(const std::vector<RaceProblem> &problems)
         if (p.kind != ProblemKind::PairwiseAlignment &&
             p.kind != ProblemKind::ThresholdScreen)
             return false;
-        if (!(*p.a == *first.a) || !sameMatrix(*p.matrix, *first.matrix))
+        if (!(*p.a == *first.a) || *p.matrix != *first.matrix)
             return false;
     }
     return true;
@@ -1219,70 +1128,50 @@ RaceEngine::solveBatch(const std::vector<RaceProblem> &problems)
         std::lock_guard<std::mutex> lock(mutex);
         ++statistics.batches;
     }
-    BatchOutcome outcome;
-
-    const bool gridFamily =
-        !problems.empty() &&
-        std::all_of(problems.begin(), problems.end(),
-                    [](const RaceProblem &p) {
-                        return gridFamilyKind(p.kind);
-                    });
-    // Grid and graph batches share the acquire-then-race pattern:
-    // plans come from the shared cache, the race body is const.
-    const bool planFamily =
-        !problems.empty() &&
-        std::all_of(problems.begin(), problems.end(),
-                    [](const RaceProblem &p) {
-                        return planFamilyKind(p.kind);
-                    });
-    // GateLevel batches are replayed on the fabric in 64-wide
+    const auto every = [&](bool (*kindOk)(ProblemKind)) {
+        return std::all_of(problems.begin(), problems.end(),
+                           [&](const RaceProblem &p) {
+                               return kindOk(p.kind);
+                           });
+    };
+    const bool several = problems.size() > 1;
+    // GateLevel grid batches are replayed on the fabric in 64-wide
     // bit-parallel chunks -- worthwhile even on one thread.  (Graph
-    // product fabrics are per-read, so they stay on the serial
-    // gate-level path below.)
-    const bool lanePacked = gridFamily && problems.size() > 1 &&
-                            cfg.backend == BackendKind::GateLevel;
+    // product fabrics are per-read, so they replay one read at a
+    // time.)
+    const bool lanePacked = several &&
+                            cfg.backend == BackendKind::GateLevel &&
+                            every(gridFamilyKind);
     const bool parallel =
-        batchWorkerCount() > 1 && problems.size() > 1 && planFamily &&
+        several && batchWorkerCount() > 1 && every(planFamilyKind) &&
         (cfg.backend == BackendKind::Behavioral || lanePacked);
 
-    if (parallel || lanePacked) {
-        // Acquire every plan first, then race on the pool.  The race
-        // bodies are const and each writes only its own slot, so the
-        // results are bit-identical to a serial run regardless of the
-        // thread schedule.
-        std::vector<PlanPtr> plans;
-        plans.reserve(problems.size());
-        for (const RaceProblem &problem : problems)
-            plans.push_back(
-                planFor(problem, lookup(problem, /*touch=*/true)));
+    // Acquire every plan first, each counted as a solve, then race
+    // every problem through solve()'s body.  The body is const and
+    // each race writes only its own result, so the results are
+    // bit-identical to a serial run regardless of the thread schedule.
+    std::vector<PlanPtr> plans;
+    plans.reserve(problems.size());
+    for (const RaceProblem &problem : problems)
+        plans.push_back(acquire(problem, /*solving=*/true));
+    BatchOutcome outcome;
+    outcome.results.resize(problems.size());
+    auto raceOne = [&](size_t i) {
+        outcome.results[i] =
+            race(problems[i], plans[i].get(), /*replayGrid=*/!lanePacked);
+    };
+    if (parallel) {
         {
             std::lock_guard<std::mutex> lock(mutex);
-            statistics.solves += problems.size();
+            ++statistics.parallelBatches;
         }
-        outcome.results.resize(problems.size());
-        auto raceOne = [&](size_t i) {
-            outcome.results[i] =
-                problems[i].kind == ProblemKind::GraphAlign
-                    ? raceGraphBehavioral(problems[i], *plans[i])
-                    : raceGridBehavioral(problems[i], *plans[i]);
-        };
-        if (parallel) {
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++statistics.parallelBatches;
-            }
-            threadPool().parallelFor(problems.size(), raceOne);
-        } else {
-            for (size_t i = 0; i < problems.size(); ++i)
-                raceOne(i);
-        }
-        if (lanePacked)
-            raceBatchGateLevel(problems, plans, outcome.results);
+        threadPool().parallelFor(problems.size(), raceOne);
     } else {
-        outcome.results.reserve(problems.size());
-        for (const RaceProblem &problem : problems)
-            outcome.results.push_back(solve(problem));
+        for (size_t i = 0; i < problems.size(); ++i)
+            raceOne(i);
     }
+    if (lanePacked)
+        raceBatchGateLevel(problems, plans, outcome.results);
 
     if (screeningShaped(problems)) {
         // Model the deployment: dispatch the already-raced workload
@@ -1324,11 +1213,11 @@ RaceEngine::graphMapping(const RaceProblem &problem,
     rl_assert(result.completed && !result.nodeArrival.empty(),
               "graphMapping() needs a completed race with arrival "
               "detail (accepted reads only)");
-    // An auxiliary lookup, not a solve: cache hits are not counted,
-    // and if the plan was evicted (or caching is off) it is rebuilt
-    // transparently -- plansBuilt then reports that honestly.
-    const PlanPtr plan = planFor(problem, lookup(problem, /*touch=*/true),
-                                 /*recordHit=*/false);
+    // An auxiliary lookup, not a solve: a hit is neither counted nor
+    // moved up the LRU, and if the plan was evicted (or caching is
+    // off) it is rebuilt transparently -- plansBuilt then reports
+    // that honestly.
+    const PlanPtr plan = acquire(problem, /*solving=*/false);
     const pangraph::GraphAligner &aligner = *plan->graphAligner;
     return pangraph::mappingFromArrival(aligner.compiled(), *problem.a,
                                         aligner.costs(),

@@ -54,11 +54,14 @@ namespace racelogic::api {
 /**
  * Counters exposed for tests, benches, and capacity planning.
  *
- * RaceEngine::stats() returns a copy taken under the same mutex the
- * solve paths increment under, so a metrics reader on another thread
- * (the serve daemon's Stats endpoint) always sees a coherent
- * snapshot.  Every plan-family solve (grid family, GraphAlign) counts
- * exactly one of plansBuilt or planCacheHits.
+ * RaceEngine::stats() returns a copy taken under the engine mutex,
+ * which every count below is made under, so a metrics reader on
+ * another thread (the serve daemon's Stats endpoint) always sees a
+ * coherent snapshot.  A solve is counted where its plan is found: a
+ * hit with its solve under the plan lookup's lock, a build with its
+ * solve under the insert's.  Every plan-family solve (grid family,
+ * GraphAlign) counts exactly one of plansBuilt or planCacheHits; a
+ * plan graphMapping() rebuilds counts in plansBuilt alone.
  */
 struct EngineStats {
     uint64_t solves = 0;        ///< problems solved
@@ -128,27 +131,29 @@ class RaceEngine
     RaceResult solve(const RaceProblem &problem);
 
     /**
-     * Would solve(problem) succeed?  Shape, resource budgets
+     * Would solve(problem) succeed?  The check pass (api/validate.h),
+     * each check once: shape, backend compatibility, resource budgets
      * (EngineConfig::maxProductStates plus the kernels' hard id-space
-     * bounds), and runtime-input checks always run; the deep
-     * matrix/graph validation (api/validate.h validateProblem()) is
-     * skipped when a cached plan exactly matching the problem already
-     * exists -- that plan's build vetted it.  Read-only: neither the
-     * cache nor the statistics are touched.
+     * bounds), runtime inputs, then -- unless a cached plan exactly
+     * matches the problem, whose build vetted it -- checkDeep() and,
+     * on Systolic, the array's matrix family.  Read-only: the cache,
+     * its LRU order and the statistics are left as they were.
      */
     Status validate(const RaceProblem &problem) const;
 
     /**
-     * Fallible solve for untrusted problems: validate(), then
-     * solve(), on one plan lookup -- the lookup that picks the
-     * validation depth also supplies the plan raced.  A problem this
-     * rejects would have tripped an input-facing rl_fatal/rl_assert
-     * inside solve(); the serve layer's one entry point.
+     * Fallible solve for untrusted problems: validate()'s check pass,
+     * whose plan lookup also counts and supplies a hit, then a build
+     * on a miss and the race.  A problem this rejects would have
+     * tripped an input-facing rl_fatal/rl_assert inside solve(); the
+     * serve layer's one entry point.
      */
     Expected<RaceResult> trySolve(const RaceProblem &problem);
 
     /**
-     * Solve a batch of problems, reusing cached plans across them.
+     * Solve a batch of problems, reusing cached plans across them:
+     * each problem's plan comes from solve()'s lookup and its race
+     * from solve()'s per-problem body.
      *
      * On the Behavioral backend, grid-family batches (pairwise /
      * generalized alignment, threshold screens) and graph-align
@@ -199,7 +204,8 @@ class RaceEngine
      * GraphAlign solve from the arrival times already raced -- no
      * re-race; the traceback walks the cached plan's compiled view
      * (rebuilt transparently if the plan was evicted or caching is
-     * disabled).  Plan-cache statistics are not perturbed.
+     * disabled, and then counted in plansBuilt).  A hit is neither
+     * counted nor moved up the LRU.
      * `problem` must be the GraphAlign problem that produced
      * `result` (accepted, so its sink fired).
      */
@@ -248,10 +254,10 @@ class RaceEngine
     /**
      * A plan's cache identity.  Strings, reads and thresholds are
      * runtime inputs, so the key holds only what the planned hardware
-     * bakes in: the kind, the matrix and lambda, the grid size of a
-     * GateLevel fabric (the only sized plan), and the pangenome of a
-     * GraphAlign plan.  Fingerprints may collide; every hit is
-     * confirmed exactly against the cached plan.
+     * bakes in: the kind, the matrix (letters and weights) and lambda,
+     * the grid size of a GateLevel fabric (the only sized plan), and
+     * the pangenome of a GraphAlign plan.  Fingerprints may collide;
+     * lookup() confirms every hit exactly against the cached plan.
      */
     struct PlanKey {
         ProblemKind kind = ProblemKind::PairwiseAlignment;
@@ -268,97 +274,67 @@ class RaceEngine
         size_t operator()(const PlanKey &key) const;
     };
 
-    /** What one solve's plan lookup found. */
-    struct PlanSlot {
-        /** The cache key; empty for kinds without a reusable plan and
-         *  when caching is disabled. */
-        std::optional<PlanKey> key;
-        /** The cached plan on an exact hit; null on a miss or a key
-         *  collision (both take the deep validation and a build). */
-        PlanPtr plan;
-        /** lookupToSolve() already counted this solve and its hit. */
-        bool counted = false;
-    };
-
-    /** The key of a grid-family or GraphAlign problem. */
-    PlanKey planKey(const RaceProblem &problem) const;
+    /** The key of a grid-family or GraphAlign problem; empty for
+     *  other kinds and when caching is disabled. */
+    std::optional<PlanKey> planKey(const RaceProblem &problem) const;
 
     /**
-     * Look `problem`'s plan up, computing its key once.  `touch`
-     * moves a hit to the LRU front.  Precondition: checkShape().
+     * The one plan lookup.  Under the one lock it takes, it finds
+     * `problem`'s key and confirms the cached plan is exactly the
+     * problem's: an equal matrix, and the same graph object or one of
+     * the same topology.  For a solve (`solving`) it then moves the
+     * plan to the LRU front and counts the solve and the hit; for
+     * validate() and graphMapping() it only reads.  Null on a miss,
+     * which it does not count.  Precondition: checkShape().
      */
-    PlanSlot lookup(const RaceProblem &problem, bool touch) const;
+    PlanPtr lookup(const RaceProblem &problem, bool solving) const;
 
     /**
-     * lookup() for a solve that races whatever it finds, with every
-     * check a cached plan needs already passed: a hit moves to the
-     * LRU front and, once its match is confirmed under the same lock,
-     * counts the solve and the hit there (`counted`) -- one engine
-     * lock per cached solve.  What it does not count (a miss, a kind
-     * without a plan, a graph whose topology must be walked to
-     * confirm) solve() and planFor() count.
+     * A miss: build `problem`'s plan outside the lock, then, under
+     * it, cache the plan if its key is still absent and count it in
+     * plansBuilt (and the solve, when `solving`).  A kind without a
+     * plan gets null, and only its solve is counted.
      */
-    PlanSlot lookupToSolve(const RaceProblem &problem);
+    PlanPtr build(const RaceProblem &problem, bool solving);
+
+    /** lookup(), else build(). */
+    PlanPtr acquire(const RaceProblem &problem, bool solving);
 
     /**
-     * Whether `plan`, found under `problem`'s key, is exactly its
-     * plan: keys carry fingerprints, which may collide.  A GraphAlign
-     * plan over another graph object is compared structurally only
-     * when `walkGraphs` is set, and otherwise does not match.
+     * The check pass of validate() and trySolve() (see validate()):
+     * the hit the lookup found, null on a miss that passed the deep
+     * checks.
      */
-    static bool planMatches(const RaceProblem &problem, const Plan &plan,
-                            bool walkGraphs);
+    Expected<PlanPtr> check(const RaceProblem &problem,
+                            bool solving) const;
 
     /**
-     * The plan to race: the slot's cached hit (counted in
-     * planCacheHits when `recordHit`, unless the lookup counted it),
-     * else a fresh build (counted in plansBuilt) inserted under the
-     * slot's key if still absent.
-     * `recordHit` = false keeps auxiliary lookups (graphMapping
-     * traceback) out of the solve statistics.
+     * The one per-problem body, behind solve(), trySolve() and
+     * solveBatch(): race `problem` on `plan` (null for kinds without
+     * one).  const and allocation-local, so the batch thread pool runs
+     * it concurrently.  `replayGrid` false leaves a GateLevel grid
+     * race's fabric replay to solveBatch()'s 64-lane chunks.
      */
-    PlanPtr planFor(const RaceProblem &problem, PlanSlot slot,
-                    bool recordHit = true);
+    RaceResult race(const RaceProblem &problem, const Plan *plan,
+                    bool replayGrid = true) const;
+
     PlanPtr buildPlan(const RaceProblem &problem) const;
-
-    /** validate() on an already looked-up slot. */
-    Status validate(const RaceProblem &problem,
-                    const PlanSlot &slot) const;
-
-    /** Backend compatibility plus checkShape(): the checks that must
-     *  pass before the plan key may be computed. */
-    Status checkSolvable(const RaceProblem &problem) const;
-
-    /** solve() on an already looked-up slot. */
-    RaceResult solve(const RaceProblem &problem, PlanSlot slot);
 
     /** Drop the least-recently-used plan; `mutex` must be held. */
     size_t evictLruLocked();
 
-    RaceResult solveGridFamily(const RaceProblem &problem, PlanSlot slot);
-    RaceResult solveDtw(const RaceProblem &problem);
-    RaceResult solveDagPath(const RaceProblem &problem);
-    RaceResult solveAffine(const RaceProblem &problem);
-    RaceResult solveGraphAlign(const RaceProblem &problem, PlanSlot slot);
+    RaceResult solveGridFamily(const RaceProblem &problem, const Plan &plan,
+                               bool replayGrid) const;
+    RaceResult solveDtw(const RaceProblem &problem) const;
+    RaceResult solveDagPath(const RaceProblem &problem) const;
+    RaceResult solveAffine(const RaceProblem &problem) const;
+    RaceResult solveGraphAlign(const RaceProblem &problem,
+                               const Plan &plan) const;
 
-    /**
-     * The Behavioral race of one grid-family problem on an acquired
-     * plan.  const and allocation-local: this is the body the thread
-     * pool runs concurrently, and also the first stage of the serial
-     * GateLevel solve.
-     */
+    /** The Behavioral race of one grid-family problem on its plan: the
+     *  reference the GateLevel replay is checked against. */
     RaceResult raceGridBehavioral(const RaceProblem &problem,
                                   const Plan &plan) const;
-
-    /**
-     * The Behavioral race of one GraphAlign problem on an acquired
-     * plan (the cached pangraph::GraphAligner's fused kernel; no
-     * product DAG is materialized); const and allocation-local for the
-     * same parallel-batch reason, and the first stage of the serial
-     * GateLevel solve.
-     */
-    RaceResult raceGraphBehavioral(const RaceProblem &problem,
-                                   const Plan &plan) const;
 
     /**
      * Replay an already-raced grid-family batch on the synthesized
@@ -387,11 +363,13 @@ class RaceEngine
      * a plan build or a race -- so no lock-order cycle can form.
      */
     mutable std::mutex mutex;
-    EngineStats statistics;
+
+    /** mutable, like the LRU: lookup() is const (validate() reads
+     *  through it) and counts a solve's hit where it finds it. */
+    mutable EngineStats statistics;
     size_t cacheBytes = 0;
 
-    /** LRU plan cache: most recently used at the front.  mutable so a
-     *  const lookup can refresh recency. */
+    /** LRU plan cache: most recently used at the front. */
     using LruEntry = std::pair<PlanKey, PlanPtr>;
     mutable std::list<LruEntry> lru;
     std::unordered_map<PlanKey, std::list<LruEntry>::iterator, PlanKeyHash>

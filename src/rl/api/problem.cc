@@ -19,6 +19,14 @@ problemKindName(ProblemKind kind)
     return "unknown";
 }
 
+bool
+gridFamilyKind(ProblemKind kind)
+{
+    return kind == ProblemKind::PairwiseAlignment ||
+           kind == ProblemKind::GeneralizedAlignment ||
+           kind == ProblemKind::ThresholdScreen;
+}
+
 RaceProblem
 RaceProblem::pairwiseAlignment(bio::ScoreMatrix matrix, bio::Sequence a,
                                bio::Sequence b)

@@ -47,6 +47,10 @@ enum class ProblemKind {
 /** Human-readable kind name ("pairwise-alignment", ...). */
 const char *problemKindName(ProblemKind kind);
 
+/** Pairwise, generalized and threshold-screen: the kinds raced on a
+ *  grid plan. */
+bool gridFamilyKind(ProblemKind kind);
+
 /**
  * A declarative description of one race-logic workload.
  *

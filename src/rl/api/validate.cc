@@ -29,14 +29,6 @@ satAdd(uint64_t a, uint64_t b)
     return a + b;
 }
 
-bool
-gridFamilyKind(ProblemKind kind)
-{
-    return kind == ProblemKind::PairwiseAlignment ||
-           kind == ProblemKind::GeneralizedAlignment ||
-           kind == ProblemKind::ThresholdScreen;
-}
-
 Status
 checkSequenceAlphabet(const bio::Sequence &sequence,
                       const bio::ScoreMatrix &matrix, const char *which)
@@ -329,7 +321,12 @@ validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
         return s;
     if (Status s = checkRuntimeInputs(problem); !s.ok())
         return s;
+    return checkDeep(problem);
+}
 
+Status
+checkDeep(const RaceProblem &problem)
+{
     switch (problem.kind) {
     case ProblemKind::PairwiseAlignment:
     case ProblemKind::GeneralizedAlignment:

@@ -3,7 +3,7 @@
  * Fallible validation of RaceProblems: the typed rule book behind
  * RaceEngine::trySolve() and the serve layer's admission control.
  *
- * Three tiers, by cost:
+ * Four checks, by cost:
  *
  *  - checkShape():   O(1) field presence -- is every field the
  *                    problem's kind dereferences actually populated?
@@ -15,22 +15,29 @@
  *                    kernels' hard 32-bit id-space bounds.  Parse-time
  *                    caps report Oversized; compute/memory budgets
  *                    report ResourceExhausted.
- *  - validateProblem(): the full deep check -- everything the fatal
- *                    solve path asserts, returned as a typed Status
- *                    instead.  Every delay the race would carry
- *                    (matrix and gap weights, DTW sample distances,
- *                    DAG edge weights) within [0 or 1,
- *                    core::kMaxWavefrontWeight], Section 5 conversion
- *                    preconditions, graph validity and rank balance,
- *                    DAG id ranges.  A problem this accepts cannot
- *                    trip an input-facing rl_fatal / rl_assert
- *                    anywhere down the solve path.
+ *  - checkRuntimeInputs(): O(alphabet) per-request inputs -- sequence
+ *                    alphabets against the matrix, kind/matrix-kind
+ *                    agreement, lambda and threshold rules.
+ *  - checkDeep():    everything else the fatal solve path asserts,
+ *                    returned as a typed Status instead.  Every delay
+ *                    the race would carry (matrix and gap weights, DTW
+ *                    sample distances, DAG edge weights) within [0 or
+ *                    1, core::kMaxWavefrontWeight], Section 5
+ *                    conversion preconditions, graph validity and rank
+ *                    balance, DAG edges.  O(alphabet^2) or O(V+E).
  *
- * The serve daemon calls checkBudgets() per decoded problem before
- * queueing (admission control) and RaceEngine::validate() before
- * racing; the anti-drift suite asserts that every wire-decodable
- * request passes validateProblem() -- one source of truth, enforced
- * both ways.
+ * validateProblem() runs all four.  A problem it accepts cannot trip
+ * an input-facing rl_fatal / rl_assert anywhere down the solve path.
+ *
+ * RaceEngine::validate() and trySolve() run one check pass, each
+ * check once, in this order: shape, the engine's backend
+ * compatibility, budgets, runtime inputs, the plan lookup, then, on a
+ * miss only, checkDeep() and the Systolic array's matrix family -- a
+ * cached plan's build already passed those.  The serve daemon calls
+ * checkBudgets() per decoded problem before queueing (admission
+ * control) and RaceEngine::trySolve() to race; the anti-drift suite
+ * asserts that every wire-decodable request passes validateProblem()
+ * -- one source of truth, enforced both ways.
  */
 
 #ifndef RACELOGIC_API_VALIDATE_H
@@ -98,11 +105,9 @@ Status checkBudgets(const RaceProblem &problem,
                     const ProblemLimits &limits);
 
 /**
- * The full deep check: shape, budgets, then every input-facing
- * precondition of the solve path for the problem's kind, as typed
- * Status.  O(alphabet^2) for matrix validation, O(V+E) for graph /
- * DAG structure -- run it per plan build, not per cached-plan hit
- * (RaceEngine::validate() makes that split automatically).
+ * The full check: checkBudgets(), checkRuntimeInputs(), then
+ * checkDeep() -- every input-facing precondition of the solve path
+ * for the problem's kind, as typed Status.
  */
 Status validateProblem(const RaceProblem &problem,
                        const ProblemLimits &limits = ProblemLimits{});
@@ -115,6 +120,14 @@ Status validateProblem(const RaceProblem &problem,
  * id ranges.  Every check here is O(1) or O(alphabet).
  */
 Status checkRuntimeInputs(const RaceProblem &problem);
+
+/**
+ * The deep half of validateProblem(): O(alphabet^2) for matrix
+ * validation, O(V+E) for graph / DAG structure -- run it per plan
+ * build, not per cached-plan hit (RaceEngine's check pass makes that
+ * split).  Precondition: checkRuntimeInputs() passed.
+ */
+Status checkDeep(const RaceProblem &problem);
 
 } // namespace racelogic::api
 

@@ -310,6 +310,15 @@ ScoreMatrix::validateRaceReady(Score maxWeight,
     return Status();
 }
 
+bool
+ScoreMatrix::operator==(const ScoreMatrix &other) const
+{
+    // The table holds every pair weight and each gap weight twice
+    // (row and column), so comparing it compares every weight.
+    return kind_ == other.kind_ && alphabet_ == other.alphabet_ &&
+           table == other.table;
+}
+
 uint64_t
 ScoreMatrix::fingerprint() const
 {
@@ -319,6 +328,8 @@ ScoreMatrix::fingerprint() const
         const size_t n = alphabet_.size();
         f.mix(n);
         for (size_t i = 0; i < n; ++i) {
+            f.mix(static_cast<unsigned char>(
+                alphabet_.letter(static_cast<Symbol>(i))));
             for (size_t j = 0; j < n; ++j)
                 f.mix(static_cast<uint64_t>(
                     pair(static_cast<Symbol>(i), static_cast<Symbol>(j))));

@@ -137,11 +137,19 @@ class ScoreMatrix
                              bool allowForbiddenPairs = true) const;
 
     /**
-     * FNV-1a over kind, alphabet size, and every pair/gap weight:
-     * the hardware identity of a score matrix (two fabrics are
-     * interchangeable iff this matches).  Used by the api plan-cache
-     * shape keys and by CompiledGraph to pin the matrix its hoisted
-     * weights were bound to.
+     * The identity of a score matrix: the same kind, the same letters
+     * in the same order, and every pair and gap weight equal.  The
+     * api plan cache confirms each hit with it: a plan's racers
+     * encode the letters, so weights over other letters are another
+     * plan.
+     */
+    bool operator==(const ScoreMatrix &other) const;
+
+    /**
+     * FNV-1a over kind, letters, and every pair/gap weight: a hash of
+     * operator==, so equal matrices share it.  Used by the api
+     * plan-cache keys and by CompiledGraph to pin the matrix its
+     * hoisted weights were bound to.
      */
     uint64_t fingerprint() const;
 

@@ -3,14 +3,17 @@
  * Tests for the RaceEngine plan cache: repeated queries over one
  * matrix reuse one planned fabric (observable through the plansBuilt
  * stat) -- at any string length, except on the sized GateLevel fabric
- * -- different matrices get distinct plans, the LRU capacity evicts,
- * and caching never changes results.
+ * -- different matrices get distinct plans (the same weights over
+ * other letters too), the LRU capacity evicts, validate() and rejected
+ * trySolve() calls leave the cache as it was, and caching never
+ * changes results.
  */
 
 #include <gtest/gtest.h>
 
 #include "rl/api/api.h"
 #include "rl/bio/align_dp.h"
+#include "rl/core/wavefront.h"
 #include "rl/pangraph/generate.h"
 #include "rl/util/random.h"
 
@@ -21,6 +24,7 @@ using api::BackendKind;
 using api::EngineConfig;
 using api::RaceEngine;
 using api::RaceProblem;
+using racelogic::ErrorCode;
 using bio::Alphabet;
 using bio::ScoreMatrix;
 using bio::Sequence;
@@ -29,6 +33,20 @@ Sequence
 dna(const std::string &text)
 {
     return Sequence(Alphabet::dna(), text);
+}
+
+/** Fig. 2b's weights, symbol for symbol, over other `letters`. */
+ScoreMatrix
+fig2bOver(const std::string &letters)
+{
+    const ScoreMatrix fig2b = ScoreMatrix::dnaShortestPath();
+    ScoreMatrix relabelled(Alphabet(letters), bio::ScoreKind::Cost);
+    for (bio::Symbol x = 0; x < 4; ++x) {
+        relabelled.setGap(x, fig2b.gap(x));
+        for (bio::Symbol y = 0; y < 4; ++y)
+            relabelled.setPair(x, y, fig2b.pair(x, y));
+    }
+    return relabelled;
 }
 
 TEST(ApiPlanCache, SameShapeQueriesHitTheCache)
@@ -282,6 +300,137 @@ TEST(ApiPlanCache, DistinctGraphTopologiesGetDistinctPlans)
     // matches (4 x 1); vs TTTT one T-T match + mismatches/indels.
     EXPECT_EQ(first.score, 4);
     EXPECT_EQ(second.score, bio::globalScore(read, dna("TTTT"), costs));
+}
+
+TEST(ApiPlanCache, SameWeightsOverOtherLettersGetTheirOwnPlan)
+{
+    // A plan's racers encode its matrix's letters, so the same weights
+    // over other letters are another plan.  Alternating between the
+    // two builds each once, and every later solve hits its own.
+    const ScoreMatrix acgt = ScoreMatrix::dnaShortestPath();
+    const ScoreMatrix tgca = fig2bOver("TGCA");
+    for (BackendKind backend : {BackendKind::Behavioral,
+                                BackendKind::GateLevel,
+                                BackendKind::Systolic}) {
+        EngineConfig config;
+        config.backend = backend;
+        RaceEngine engine(config);
+        util::Rng rng(31);
+        for (int round = 0; round < 4; ++round)
+            for (const ScoreMatrix *costs : {&acgt, &tgca}) {
+                // One grid size: one sized GateLevel fabric per matrix.
+                Sequence a = Sequence::random(rng, costs->alphabet(), 6);
+                Sequence b = Sequence::random(rng, costs->alphabet(), 7);
+                auto solved = engine.trySolve(
+                    RaceProblem::pairwiseAlignment(*costs, a, b));
+                ASSERT_TRUE(solved.ok()) << solved.status().message();
+                EXPECT_EQ(solved->score, bio::globalScore(a, b, *costs))
+                    << api::backendKindName(backend) << " round " << round
+                    << " over " << costs->alphabet().letters();
+            }
+        EXPECT_EQ(engine.stats().plansBuilt, 2u)
+            << api::backendKindName(backend);
+        EXPECT_EQ(engine.stats().planCacheHits, 6u)
+            << api::backendKindName(backend);
+    }
+
+    // A GraphAlign problem whose matrix's letters are not the graph's
+    // is refused the same way whether or not a plan over the graph's
+    // letters is cached.
+    auto graph = std::make_shared<pangraph::VariationGraph>(Alphabet::dna());
+    graph->addSegment("s", dna("ACGTAC"));
+    RaceEngine engine;
+    const RaceProblem foreign = api::RaceProblem::graphAlign(
+        tgca, Sequence(tgca.alphabet(), "ACGT"), graph);
+    const auto fresh = engine.trySolve(foreign);
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().code(), ErrorCode::InvalidArgument);
+    ASSERT_TRUE(
+        engine.trySolve(api::RaceProblem::graphAlign(acgt, dna("ACGT"), graph))
+            .ok());
+    const auto cached = engine.trySolve(foreign);
+    ASSERT_FALSE(cached.ok());
+    EXPECT_EQ(cached.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(cached.status().message(), fresh.status().message());
+}
+
+TEST(ApiPlanCache, ValidateAndRejectedTrySolvesLeaveTheCacheAsItWas)
+{
+    // validate() is read-only, and so is a trySolve() that a check
+    // rejects: neither counts, caches nor moves a plan up the LRU.  At
+    // capacity 2, the LRU order shows through the next eviction.
+    auto graph = std::make_shared<pangraph::VariationGraph>(Alphabet::dna());
+    graph->addSegment("s", dna("ACGTACGT"));
+    const ScoreMatrix fig2b = ScoreMatrix::dnaShortestPath();
+    EngineConfig config;
+    config.planCacheCapacity = 2;
+    config.maxProductStates = 100; // (|read| + 1) x 9 positions + 1
+    RaceEngine engine(config);
+
+    const RaceProblem older =
+        api::RaceProblem::graphAlign(fig2b, dna("ACGT"), graph);
+    const RaceProblem newer =
+        RaceProblem::pairwiseAlignment(fig2b, dna("ACGT"), dna("AGGT"));
+    ASSERT_TRUE(engine.trySolve(older).ok());
+    ASSERT_TRUE(engine.trySolve(newer).ok());
+
+    // The budget and runtime-input rejects carry `older`'s plan key,
+    // so a lookup made before their check would move it up.
+    RaceProblem negative = older;
+    negative.threshold = -1;
+    ScoreMatrix overCap = fig2b;
+    overCap.setGap(0, core::kMaxWavefrontWeight + 1);
+    struct Rejected {
+        const char *check;
+        RaceProblem problem;
+        ErrorCode code;
+    };
+    const Rejected rejected[] = {
+        {"budget",
+         api::RaceProblem::graphAlign(fig2b, dna("ACGTACGTACGTACGTACGT"),
+                                      graph),
+         ErrorCode::ResourceExhausted},
+        {"runtime input", negative, ErrorCode::InvalidArgument},
+        {"deep",
+         RaceProblem::pairwiseAlignment(overCap, dna("ACGT"), dna("AGGT")),
+         ErrorCode::InvalidArgument},
+    };
+
+    const api::EngineStats before = engine.stats();
+    const size_t bytes = engine.planCacheBytes();
+    auto expectUnchanged = [&](const std::string &call) {
+        const api::EngineStats now = engine.stats();
+        EXPECT_EQ(now.solves, before.solves) << call;
+        EXPECT_EQ(now.plansBuilt, before.plansBuilt) << call;
+        EXPECT_EQ(now.planCacheHits, before.planCacheHits) << call;
+        EXPECT_EQ(engine.planCacheSize(), 2u) << call;
+        EXPECT_EQ(engine.planCacheBytes(), bytes) << call;
+    };
+    EXPECT_TRUE(engine.validate(older).ok());
+    expectUnchanged("validate of a cached problem");
+    EXPECT_TRUE(engine.validate(newer).ok());
+    expectUnchanged("validate of the newest cached problem");
+    for (const Rejected &r : rejected) {
+        EXPECT_EQ(engine.validate(r.problem).code(), r.code) << r.check;
+        expectUnchanged(std::string("validate rejected by ") + r.check);
+        const auto tried = engine.trySolve(r.problem);
+        ASSERT_FALSE(tried.ok()) << r.check;
+        EXPECT_EQ(tried.status().code(), r.code) << r.check;
+        expectUnchanged(std::string("trySolve rejected by ") + r.check);
+    }
+
+    // `older` is still the least recently used: a third plan evicts
+    // it, and `newer` still hits.
+    ASSERT_TRUE(engine
+                    .trySolve(RaceProblem::pairwiseAlignment(
+                        ScoreMatrix::dnaShortestPathInfMismatch(),
+                        dna("ACGT"), dna("AGGT")))
+                    .ok());
+    ASSERT_TRUE(engine.trySolve(newer).ok());
+    EXPECT_EQ(engine.stats().plansBuilt, before.plansBuilt + 1);
+    EXPECT_EQ(engine.stats().planCacheHits, before.planCacheHits + 1);
+    ASSERT_TRUE(engine.trySolve(older).ok());
+    EXPECT_EQ(engine.stats().plansBuilt, before.plansBuilt + 2);
 }
 
 TEST(ApiPlanCache, ClearPlanCacheDropsPlansKeepsStats)

@@ -12,6 +12,9 @@
  *  3. The product-state budget surfaces end to end: a GraphAlign
  *     request over maxProductStates earns a typed ResourceExhausted
  *     reply, the rejection is counted, and the daemon keeps serving.
+ *  4. No request order can crash the daemon: one weight table over
+ *     two orders of the letters gets a plan, and a correct reply,
+ *     for each.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "rl/api/api.h"
+#include "rl/bio/align_dp.h"
 #include "rl/pangraph/gfa.h"
 #include "rl/serve/client.h"
 #include "rl/serve/server.h"
@@ -306,6 +310,68 @@ TEST(ServeAntiDrift, UnderBudgetGraphAlignStillSolves)
     ASSERT_TRUE(response.solve.has_value());
     EXPECT_TRUE(response.solve->accepted);
 
+    server.stop();
+}
+
+// ------------------------------- letters are part of a plan's identity
+
+TEST(ServeAntiDrift, SameWeightsOverOtherLettersBothSolve)
+{
+    // Fig. 2b's weights over ACGT and over TGCA, on one connection and
+    // so one matrix slot and one engine: each matrix races on a plan
+    // over its own letters, never on the other's cached one.
+    ServerConfig cfg;
+    cfg.tcpPort = 0;
+    cfg.workers = 1;
+    cfg.graph = bubbleGraph();
+    cfg.graphMatrix = fig2b();
+    AlignServer server(std::move(cfg));
+    ASSERT_TRUE(server.start());
+    ServeClient client = ServeClient::overTcp(server.port());
+    ASSERT_TRUE(client.ok());
+
+    const bio::ScoreMatrix acgt = fig2b();
+    const bio::ScoreMatrix tgca = [&] {
+        bio::ScoreMatrix m(bio::Alphabet("TGCA"), bio::ScoreKind::Cost);
+        for (bio::Symbol x = 0; x < 4; ++x) {
+            m.setGap(x, acgt.gap(x));
+            for (bio::Symbol y = 0; y < 4; ++y)
+                m.setPair(x, y, acgt.pair(x, y));
+        }
+        return m;
+    }();
+    const std::string a = "ACGTTGCA", b = "AGGTTCA";
+    uint32_t id = 90;
+    Response response;
+    for (int round = 0; round < 2; ++round)
+        for (const bio::ScoreMatrix *costs : {&acgt, &tgca}) {
+            const std::string over = costs->alphabet().letters();
+            const bio::Score want =
+                bio::globalScore(bio::Sequence(costs->alphabet(), a),
+                                 bio::Sequence(costs->alphabet(), b), *costs);
+            ASSERT_TRUE(client.submitPairwise(++id, *costs, a, b));
+            ASSERT_TRUE(client.receive(response));
+            ASSERT_EQ(response.status, Status::Ok) << over << ": "
+                                                   << response.message;
+            ASSERT_TRUE(response.solve.has_value());
+            EXPECT_EQ(response.solve->score, want) << over;
+            // A screen at the score accepts; one below it rejects.
+            for (bio::Score threshold : {want, want - 1}) {
+                ASSERT_TRUE(
+                    client.submitScreen(++id, *costs, threshold, a, b));
+                ASSERT_TRUE(client.receive(response));
+                ASSERT_EQ(response.status, Status::Ok)
+                    << over << ": " << response.message;
+                ASSERT_TRUE(response.solve.has_value());
+                EXPECT_EQ(response.solve->accepted, want <= threshold)
+                    << over << " at threshold " << threshold;
+            }
+        }
+
+    ASSERT_TRUE(client.submitPing(++id));
+    ASSERT_TRUE(client.receive(response));
+    EXPECT_EQ(response.status, Status::Ok);
+    EXPECT_EQ(response.tag, RequestTag::Ping);
     server.stop();
 }
 

@@ -53,6 +53,16 @@ main(int argc, char **argv)
 
     writeSeed(dir, "request_pairwise",
               serve::encodePairwise(1, costs, "ACGT", "AGGT"));
+    // The same weights over other letters: a plan of its own beside
+    // request_pairwise's on the harness's shared engine.
+    bio::ScoreMatrix relabelled(bio::Alphabet("TGCA"), bio::ScoreKind::Cost);
+    for (bio::Symbol x = 0; x < 4; ++x) {
+        relabelled.setGap(x, costs.gap(x));
+        for (bio::Symbol y = 0; y < 4; ++y)
+            relabelled.setPair(x, y, costs.pair(x, y));
+    }
+    writeSeed(dir, "request_pairwise_letters",
+              serve::encodePairwise(15, relabelled, "ACGT", "AGGT"));
     writeSeed(dir, "request_affine",
               serve::encodeAffine(2, costs, 2, 1, "ACGTAC", "ACTAC"));
     writeSeed(dir, "request_screen",
