@@ -12,6 +12,8 @@
 #include "rl/core/wavefront_band.h"
 #include "rl/pangraph/alignment_graph.h"
 #include "rl/pangraph/gfa.h"
+#include "rl/pangraph/graph_align_band.h"
+#include "rl/pangraph/graph_aligner.h"
 #include "rl/serve/wire.h"
 
 namespace racelogic::fuzz {
@@ -200,6 +202,154 @@ raceInput(const uint8_t *data, size_t size)
           rowCounters.lanesOccupied);
     field("counters.cancels", counters.cancels, rowCounters.cancels);
     field("counters.horizonAborts", counters.horizonAborts,
+          rowCounters.horizonAborts);
+    return 0;
+}
+
+int
+graphRaceInput(const uint8_t *data, size_t size)
+{
+    const bio::Alphabet &dna = bio::Alphabet::dna();
+    ByteReader in(data, size);
+
+    // The graph: segments ranked in a shuffled order, links forward in
+    // rank alone, so it is acyclic and its ids need not be topological.
+    auto graph = std::make_shared<pangraph::VariationGraph>(dna);
+    const size_t segments = 1 + in.byte() % 12;
+    std::vector<pangraph::SegmentId> rank(segments);
+    for (size_t s = 0; s < segments; ++s) {
+        std::string label(1 + in.byte() % 6, 'A');
+        for (char &c : label)
+            c = "ACGT"[in.byte() % 4];
+        graph->addSegment("s" + std::to_string(s),
+                          bio::Sequence(dna, label));
+        rank[s] = static_cast<pangraph::SegmentId>(s);
+    }
+    for (size_t s = segments; s > 1; --s)
+        std::swap(rank[s - 1], rank[in.byte() % s]);
+    for (size_t i = 0; i < segments; ++i)
+        for (size_t j = i + 1; j < segments; ++j)
+            if (in.byte() % 3 == 0)
+                graph->addLink(rank[i], rank[j]);
+
+    bio::ScoreMatrix costs(dna, bio::ScoreKind::Cost);
+    for (bio::Symbol x = 0; x < 4; ++x) {
+        costs.setGap(x, 1 + in.byte() % 16);
+        for (bio::Symbol y = 0; y < 4; ++y) {
+            const uint8_t b = in.byte();
+            costs.setPair(x, y,
+                          b >= 240 && x != y ? bio::kScoreInfinity
+                                             : 1 + b % 16);
+        }
+    }
+    Expected<pangraph::GraphAligner> made =
+        pangraph::GraphAligner::tryMake(graph, costs);
+    if (!made.ok())
+        return 0;
+    const pangraph::GraphAligner &aligner = made.value();
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+
+    std::string letters(in.byte() % 49, 'A');
+    for (char &c : letters)
+        c = "ACGT"[in.byte() % 4];
+    const bio::Sequence read(dna, letters);
+    const size_t m = read.size();
+    const size_t positions = compiled.positionCount();
+
+    // H: the read's bound, its distance, one either side, or past them.
+    pangraph::GraphAlignScratch scratch;
+    const auto opt = static_cast<sim::Tick>(
+        pangraph::raceAlignmentGrid(compiled, read, costs, sim::kTickInfinity,
+                                    scratch, nullptr, nullptr, false)
+            .racedCost);
+    const auto minWeight = static_cast<sim::Tick>(costs.minFinite());
+    const sim::Tick least =
+        std::max<sim::Tick>(m, compiled.toTerminal[0]) * minWeight;
+    const uint8_t pick = in.byte();
+    const sim::Tick near = in.byte();
+    const sim::Tick horizon = pick % 6 == 0   ? least + near
+                              : pick % 6 == 1 ? (opt > near ? opt - near : 0)
+                              : pick % 6 == 2 ? opt + near % 4
+                              : pick % 6 == 3 ? sim::kTickInfinity
+                              : pick % 6 == 4 ? in.u16()
+                                              : opt + near * 64;
+    const bool arrivals = (pick & 8) != 0;
+
+    core::KernelCounters counters, rowCounters;
+    const pangraph::GraphRaceResult raced = pangraph::raceAlignmentGrid(
+        compiled, read, costs, horizon, scratch, nullptr, &counters, arrivals,
+        true);
+    pangraph::GraphAlignScratch rowScratch;
+    const pangraph::GraphRaceResult rows =
+        pangraph::detail::raceAlignmentGridRows(
+            compiled, read, costs, horizon, rowScratch, nullptr, &rowCounters,
+            true, true);
+
+    // The reference: G by relaxation over the successors, then raceDag.
+    std::vector<sim::Tick> g(positions, sim::kTickInfinity);
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t p = 0; p < positions; ++p) {
+            sim::Tick best = compiled.terminal[p] ? 0 : sim::kTickInfinity;
+            for (uint32_t e = compiled.succOffsets[p];
+                 e < compiled.succOffsets[p + 1]; ++e)
+                if (g[compiled.succ[e]] != sim::kTickInfinity)
+                    best = std::min(best, g[compiled.succ[e]] + 1);
+            if (best < g[p]) {
+                g[p] = best;
+                changed = true;
+            }
+        }
+    }
+    const pangraph::AlignmentGraph product =
+        pangraph::buildAlignmentGraph(compiled, read, costs);
+    std::vector<sim::Tick> inhibit(product.dag.nodeCount(), horizon);
+    for (size_t i = 0; i <= m; ++i)
+        for (size_t p = 0; p < positions; ++p) {
+            const sim::Tick lb = std::max<sim::Tick>(m - i, g[p]) * minWeight;
+            inhibit[i * positions + p] = horizon > lb ? horizon - lb : 0;
+        }
+    const core::RaceOutcome dag = core::raceDag(
+        product.dag, {product.source}, core::RaceType::Or, horizon, inhibit);
+    const core::TemporalValue sink = dag.at(product.sink);
+    size_t fired = 0;
+    for (const core::TemporalValue &v : dag.firing)
+        fired += v.fired();
+
+    const auto field = [](const char *what, const char *name, uint64_t got,
+                          uint64_t want) {
+        if (got != want)
+            violated(what, std::string(name) + " " + std::to_string(got) +
+                               " != " + std::to_string(want));
+    };
+    const char *kRows = "inhibited raceAlignmentGrid == its row sweep";
+    const char *kDag = "inhibited graph race == raceDag with inhibit times";
+    field(kDag, "completed", rows.completed, sink.fired());
+    field(kDag, "racedCost", uint64_t(rows.racedCost),
+          sink.fired() ? sink.time() : uint64_t(bio::kScoreInfinity));
+    field(kDag, "latencyCycles", rows.latencyCycles,
+          sink.fired() ? sink.time() : horizon);
+    field(kDag, "events", rows.events, dag.events);
+    field(kDag, "cellsFired", rows.cellsFired, fired);
+    field(kDag, "arrival", rows.arrival == dag.firing, true);
+    if (horizon >= opt)
+        field(kDag, "racedCost at H >= opt", uint64_t(rows.racedCost), opt);
+    field(kRows, "score", uint64_t(raced.score), uint64_t(rows.score));
+    field(kRows, "completed", raced.completed, rows.completed);
+    field(kRows, "latencyCycles", raced.latencyCycles, rows.latencyCycles);
+    field(kRows, "events", raced.events, rows.events);
+    field(kRows, "cellsFired", raced.cellsFired, rows.cellsFired);
+    if (arrivals)
+        field(kRows, "arrival", raced.arrival == rows.arrival, true);
+    field(kRows, "counters.events", counters.events, rowCounters.events);
+    field(kRows, "counters.bucketsDrained", counters.bucketsDrained,
+          rowCounters.bucketsDrained);
+    field(kRows, "counters.scratchHighWater", counters.scratchHighWater,
+          rowCounters.scratchHighWater);
+    field(kRows, "counters.lanesOccupied", counters.lanesOccupied,
+          rowCounters.lanesOccupied);
+    field(kRows, "counters.cancels", counters.cancels, rowCounters.cancels);
+    field(kRows, "counters.horizonAborts", counters.horizonAborts,
           rowCounters.horizonAborts);
     return 0;
 }

@@ -54,6 +54,21 @@ int wireInput(const uint8_t *data, size_t size);
  */
 int raceInput(const uint8_t *data, size_t size);
 
+/**
+ * Arbitrary bytes as one inhibited graph race: a DNA variation graph
+ * of up to 12 segments of 1-6 nt linked forward in a shuffled order
+ * (several sources, sinks and joins), a Cost matrix with weights in
+ * 1..16 and some forbidden pairs, a read of up to 48 nt and an inhibit
+ * horizon H drawn around the read's bound LB(source) and its distance.
+ * Raced through its row sweep, core::raceDag on the materialized
+ * product with inhibit times H - LB(i, p), and pangraph::
+ * raceAlignmentGrid (the band where the host has it, arrivals on or
+ * off); aborts if the row sweep and raceDag differ on the verdict,
+ * latency, events, states fired or arrivals, or raceAlignmentGrid and
+ * the row sweep on any result or KernelCounters field.
+ */
+int graphRaceInput(const uint8_t *data, size_t size);
+
 } // namespace racelogic::fuzz
 
 #endif // RACELOGIC_FUZZ_HARNESS_H

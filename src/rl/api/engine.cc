@@ -581,9 +581,9 @@ RaceEngine::check(const RaceProblem &problem, bool solving) const
                              "behavioral backend");
     ProblemLimits limits;
     limits.maxProductStates = cfg.maxProductStates;
-    if (Status s = checkBudgets(problem, limits); !s.ok())
+    if (Status s = detail::checkBudgetsShaped(problem, limits); !s.ok())
         return s;
-    if (Status s = checkRuntimeInputs(problem); !s.ok())
+    if (Status s = detail::checkRuntimeInputsShaped(problem); !s.ok())
         return s;
     // An exact hit's build already passed the rest.
     if (PlanPtr hit = lookup(problem, solving))
@@ -626,7 +626,9 @@ EngineStats
 RaceEngine::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    return statistics;
+    EngineStats snapshot = statistics;
+    snapshot.inhibitMisses = inhibitMisses.load(std::memory_order_relaxed);
+    return snapshot;
 }
 
 RaceResult
@@ -962,10 +964,17 @@ RaceEngine::solveGraphAlign(const RaceProblem &problem,
     // The fused kernel -- align(read) keeps one scratch per thread,
     // so the read-mapping batch loop (and every serial solve)
     // allocates no kernel storage per read and never materializes a
-    // product DAG.
+    // product DAG.  A read with no problem threshold races the
+    // inhibit policy, score-only or not, so both report one race.
     pangraph::GraphRaceResult raced =
-        aligner.align(*problem.a, horizon, problem.cancel,
-                      problem.counters, problem.arrivals);
+        screening ? aligner.align(*problem.a, horizon, problem.cancel,
+                                  problem.counters, problem.arrivals)
+                  : aligner.alignUnbounded(*problem.a, problem.cancel,
+                                           problem.counters,
+                                           problem.arrivals);
+    if (raced.inhibitMisses != 0)
+        inhibitMisses.fetch_add(raced.inhibitMisses,
+                                std::memory_order_relaxed);
 
     RaceResult result;
     result.kind = ProblemKind::GraphAlign;

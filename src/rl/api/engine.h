@@ -28,6 +28,7 @@
 #ifndef RACELOGIC_API_ENGINE_H
 #define RACELOGIC_API_ENGINE_H
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -55,9 +56,9 @@ namespace racelogic::api {
  * Counters exposed for tests, benches, and capacity planning.
  *
  * RaceEngine::stats() returns a copy taken under the engine mutex,
- * which every count below is made under, so a metrics reader on
- * another thread (the serve daemon's Stats endpoint) always sees a
- * coherent snapshot.  A solve is counted where its plan is found: a
+ * which every count below but inhibitMisses is made under, so a
+ * metrics reader on another thread (the serve daemon's Stats endpoint)
+ * always sees a coherent snapshot.  A solve is counted where its plan is found: a
  * hit with its solve under the plan lookup's lock, a build with its
  * solve under the insert's.  Every plan-family solve (grid family,
  * GraphAlign) counts exactly one of plansBuilt or planCacheHits; a
@@ -69,6 +70,12 @@ struct EngineStats {
     uint64_t planCacheHits = 0; ///< solves that reused a cached plan
     uint64_t batches = 0;       ///< solveBatch calls
     uint64_t parallelBatches = 0; ///< batches raced on the thread pool
+
+    /** Inhibited GraphAlign attempts that missed (their horizon was
+     *  below the read's distance) and were raced again
+     *  (pangraph::GraphAligner::alignUnbounded()).  Counted after the
+     *  race, outside the engine mutex; a solve still counts once. */
+    uint64_t inhibitMisses = 0;
 };
 
 /** Outcome of one solveBatch call. */
@@ -367,6 +374,10 @@ class RaceEngine
     /** mutable, like the LRU: lookup() is const (validate() reads
      *  through it) and counts a solve's hit where it finds it. */
     mutable EngineStats statistics;
+
+    /** EngineStats::inhibitMisses, added by the const solve path after
+     *  its race, without the mutex; stats() reads it. */
+    mutable std::atomic<uint64_t> inhibitMisses{0};
     size_t cacheBytes = 0;
 
     /** LRU plan cache: most recently used at the front. */

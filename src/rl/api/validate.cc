@@ -169,7 +169,22 @@ checkBudgets(const RaceProblem &problem, const ProblemLimits &limits)
 {
     if (Status shape = checkShape(problem); !shape.ok())
         return shape;
+    return detail::checkBudgetsShaped(problem, limits);
+}
 
+Status
+checkRuntimeInputs(const RaceProblem &problem)
+{
+    if (Status shape = checkShape(problem); !shape.ok())
+        return shape;
+    return detail::checkRuntimeInputsShaped(problem);
+}
+
+namespace detail {
+
+Status
+checkBudgetsShaped(const RaceProblem &problem, const ProblemLimits &limits)
+{
     if (problem.kind == ProblemKind::GraphAlign) {
         const uint64_t states = productStates(problem);
         // Hard kernel bound, enforced even when the caller set no
@@ -207,11 +222,8 @@ checkBudgets(const RaceProblem &problem, const ProblemLimits &limits)
 }
 
 Status
-checkRuntimeInputs(const RaceProblem &problem)
+checkRuntimeInputsShaped(const RaceProblem &problem)
 {
-    if (Status shape = checkShape(problem); !shape.ok())
-        return shape;
-
     if (gridFamilyKind(problem.kind) ||
         problem.kind == ProblemKind::AffineAlignment) {
         if (Status s = checkSequenceAlphabet(*problem.a, *problem.matrix,
@@ -314,12 +326,16 @@ checkRuntimeInputs(const RaceProblem &problem)
                          "unknown problem kind");
 }
 
+} // namespace detail
+
 Status
 validateProblem(const RaceProblem &problem, const ProblemLimits &limits)
 {
-    if (Status s = checkBudgets(problem, limits); !s.ok())
+    if (Status s = checkShape(problem); !s.ok())
         return s;
-    if (Status s = checkRuntimeInputs(problem); !s.ok())
+    if (Status s = detail::checkBudgetsShaped(problem, limits); !s.ok())
+        return s;
+    if (Status s = detail::checkRuntimeInputsShaped(problem); !s.ok())
         return s;
     return checkDeep(problem);
 }

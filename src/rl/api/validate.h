@@ -129,6 +129,22 @@ Status checkRuntimeInputs(const RaceProblem &problem);
  */
 Status checkDeep(const RaceProblem &problem);
 
+namespace detail {
+
+/**
+ * checkBudgets() and checkRuntimeInputs() without their opening
+ * checkShape(), for a check pass that has run it once already
+ * (validateProblem(), RaceEngine's).  Precondition: checkShape()
+ * passed.
+ * @{
+ */
+Status checkBudgetsShaped(const RaceProblem &problem,
+                          const ProblemLimits &limits);
+Status checkRuntimeInputsShaped(const RaceProblem &problem);
+/** @} */
+
+} // namespace detail
+
 } // namespace racelogic::api
 
 #endif // RACELOGIC_API_VALIDATE_H

@@ -148,19 +148,10 @@ ScoreMatrix::uniform(const Alphabet &alphabet, ScoreKind kind, Score value)
     return m;
 }
 
-Score
-ScoreMatrix::pair(Symbol a, Symbol b) const
+void
+ScoreMatrix::symbolOutOfRange()
 {
-    rl_assert(a < alphabet_.size() && b < alphabet_.size(),
-              "symbol out of range");
-    return table[index(a, b)];
-}
-
-Score
-ScoreMatrix::gap(Symbol s) const
-{
-    rl_assert(s < alphabet_.size(), "symbol out of range");
-    return table[index(s, gapSlot())];
+    rl_panic("symbol out of range");
 }
 
 void

@@ -94,10 +94,22 @@ class ScoreMatrix
     bool isCost() const { return kind_ == ScoreKind::Cost; }
 
     /** Diagonal-edge weight for aligning symbols a and b. */
-    Score pair(Symbol a, Symbol b) const;
+    Score
+    pair(Symbol a, Symbol b) const
+    {
+        if (a >= alphabet_.size() || b >= alphabet_.size()) [[unlikely]]
+            symbolOutOfRange();
+        return table[index(a, b)];
+    }
 
     /** Indel-edge weight for skipping symbol `s`. */
-    Score gap(Symbol s) const;
+    Score
+    gap(Symbol s) const
+    {
+        if (s >= alphabet_.size()) [[unlikely]]
+            symbolOutOfRange();
+        return table[index(s, gapSlot())];
+    }
 
     void setPair(Symbol a, Symbol b, Score value);
     void setPairSymmetric(Symbol a, Symbol b, Score value);
@@ -164,6 +176,9 @@ class ScoreMatrix
     }
 
     size_t gapSlot() const { return alphabet_.size(); }
+
+    /** pair() and gap()'s range check, failed: panic, out of line. */
+    [[noreturn]] static void symbolOutOfRange();
 
     /** Every setter's last step: the memoized scans are stale. */
     void changed();

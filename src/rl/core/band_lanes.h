@@ -63,6 +63,10 @@
  * arrival counted, over an edge of at most the largest weight.  It
  * runs after every band, so a race past the lanes stops early.
  *
+ * An inhibited graph race (Band::inhibit, sweepBand()) gives each lane
+ * its own limit, the lesser of a per-band read part and a per-position
+ * graph part, and races only the steps that can hold a live lane.
+ *
  * Events are tallied per target, in lanes: each in-edge arrival a step
  * forms is counted when it is within the limit and folded into the
  * latest arrival -- the edges the row sweeps count per source, so a
@@ -77,6 +81,7 @@
 #ifndef RACELOGIC_CORE_BAND_LANES_H
 #define RACELOGIC_CORE_BAND_LANES_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -183,15 +188,14 @@ struct BandFarGroup {
 /** One band race, as the step reads it. */
 struct Band {
     /** The row above the band by sweep index, positions 0..K, with
-     *  kBandPad unfired ticks on each side.  A graph's step writes the
-     *  band's last row over it. */
+     *  kBandPad unfired ticks on each side. */
     uint16_t *above = nullptr;
 
-    /** The chain's second row, laid out as `above`: its step writes
-     *  the band's last row here, and raceBands() swaps the two after
-     *  each band.  Lane 0's load of the row above then never waits on
-     *  the last lane's masked store, whose 64 bytes would cover the
-     *  next load in a band of 16 rows or fewer. */
+    /** The second row, laid out as `above`: the step writes the band's
+     *  last row here, and raceBands() swaps the two after each band.
+     *  Lane 0's load of the row above then never waits on the last
+     *  lane's masked store, whose 64 bytes would cover the next load in
+     *  a band of 16 rows or fewer. */
     uint16_t *below = nullptr;
 
     /** The weight rows, from row 0 (layout above). */
@@ -213,10 +217,23 @@ struct Band {
     size_t window = 0;
     size_t foldSteps = 0;
 
+    /** A graph's longest predecessor distance in sweep order, at least
+     *  1: a step reads its lanes' values up to reach + 1 steps back
+     *  (a diagonal in-edge is lane r - 1's value a step before its
+     *  predecessor's). */
+    size_t reach = 0;
+
     /** Set by raceBands(): the deletion row at sweep index 0, and
      *  whether the step gathers its substitution weights. */
     const uint16_t *deletion = nullptr;
     bool gather = false;
+
+    /** An inhibited graph race (nullptr: none): each position's limit
+     *  min(limit, H - G x minFinite()) at sweep index 0, laid out as the
+     *  weight rows.  Lane r's state (i, k) keeps a value only within
+     *  min(readLimit[r], inhibit[k]): H - LB(i, k), saturating at 0,
+     *  as LB is the larger of its read and graph parts. */
+    const uint16_t *inhibit = nullptr;
 
     /** Set by raceBands() where the step does not gather: pair(r, c)
      *  at r x kPairCodes + c, unfired where r or c is |alphabet|. */
@@ -229,6 +246,11 @@ struct Band {
     uint32_t row[kBandLanes] = {};
     uint16_t down[kBandLanes] = {};
     size_t lanes = 0;
+
+    /** Set per band by raceBands() on an inhibited race: each lane's
+     *  limit by its read part, min(limit, H - (m - i) x minFinite()),
+     *  saturating at 0. */
+    uint16_t readLimit[kBandLanes] = {};
 };
 
 /**
@@ -236,12 +258,28 @@ struct Band {
  * lane's position K.  Adds the band's arrivals within tally.limit
  * (below kBandUnfired) to tally.events and tally.latest, and stores
  * each lane's fired count in fired[lane].  kChain races the edit
- * grid's chain, without the graph's chain gate, far groups, ring and
- * fold.  Requires hostRunsBand().
+ * grid's chain, without the graph's chain gate, far groups, ring,
+ * fold and inhibit.
+ *
+ * An inhibited graph band (band.inhibit) counts an arrival only within
+ * its target's own limit and leaves a state past it unfired, and races
+ * only the steps that can hold a live lane: from the first live index
+ * of the row above, until more than band.reach + 1 steps have passed
+ * since both that row's last live index and the band's last live lane.
+ * The row it writes, and with arrivals every lane of the steps it
+ * skipped, are unfired outside what it swept.  Requires hostRunsBand().
  */
 template <bool kChain>
 void sweepBand(const Band &band, SweepTally &tally,
                uint32_t fired[kBandLanes]);
+
+/**
+ * An inhibited graph race's position limits (Band::inhibit): out[e] =
+ * min(limit, horizon - bounds[e]), saturating at 0, for e < n.
+ * Requires hostRunsBand().
+ */
+void bandLimits(const uint16_t *bounds, size_t n, uint16_t horizon,
+                uint16_t limit, uint16_t *out);
 
 /** How raceBands() stopped. */
 enum class BandRace {
@@ -257,8 +295,9 @@ enum class BandRace {
  * band, and returns Lost at the first failure.  Per band: poll each
  * row's cancel ahead of it (the first cancelled poll cuts the band
  * there, so the rows swept are the rows polled), set the lanes'
- * substitution indices and insertion weights, race the step, add the
- * swept rows' fired counts to `cellsFired` and, when the band fills
+ * substitution indices and insertion weights (and, on an inhibited
+ * graph race, the lanes' read limits), race the step, add the swept
+ * rows' fired counts to `cellsFired` and, when the band fills
  * arrivals, hand them to publish(i0, swept).  Section 6: the first row
  * with no fired cell stops the race, and no later row can fire either.
  * Once the last row is swept, atLastRow() reads it in band.above.
@@ -311,10 +350,20 @@ raceBands(Band &band, const bio::Sequence &rows,
             band.down[r] = live ? bandWeight(costs.gap(symbols[i0 + r - 1]))
                                 : kBandUnfired;
         }
+        if constexpr (!kChain) {
+            if (band.inhibit) {
+                const auto minWeight =
+                    static_cast<sim::Tick>(costs.minFinite());
+                for (size_t r = 0; r < lanes; ++r) {
+                    const sim::Tick lb = (m - i0 - r) * minWeight;
+                    band.readLimit[r] = static_cast<uint16_t>(std::min(
+                        tally.limit, horizon > lb ? horizon - lb : 0));
+                }
+            }
+        }
         uint32_t fired[kBandLanes];
         sweepBand<kChain>(band, tally, fired);
-        if constexpr (kChain)
-            std::swap(band.above, band.below);
+        std::swap(band.above, band.below);
         if (!bandHolds(horizon, tally.latest, maxWeight))
             return BandRace::Lost;
 

@@ -95,7 +95,39 @@ fold(__m512i &events, __m512i &firedCells, SweepTally &tally,
     firedCells = _mm512_setzero_si512();
 }
 
-template <bool kChain, bool kGather, bool kArrivals>
+/** Indices first .. last of a row. */
+struct Span {
+    size_t first = 0;
+    size_t last = 0;
+};
+
+/** The first and last index of `row`, K + 1 entries, below
+ *  kBandUnfired: {K + 1, 0} if there is none. */
+Span
+liveSpan(const uint16_t *row, size_t positions)
+{
+    const __m512i unfired = _mm512_set1_epi16(short(kBandUnfired));
+    auto liveIn = [&](size_t k) {
+        const __mmask32 lanes = static_cast<__mmask32>(
+            positions - k >= kBandLanes ? ~0u
+                                        : (1u << (positions - k)) - 1);
+        return _mm512_mask_cmplt_epu16_mask(
+            lanes, _mm512_loadu_si512(row + k), unfired);
+    };
+    size_t first = 0;
+    __mmask32 live = 0;
+    for (; first < positions && !(live = liveIn(first)); first += kBandLanes)
+        ;
+    if (first >= positions)
+        return {positions, 0};
+    first += static_cast<size_t>(__builtin_ctz(live));
+    size_t last = (positions - 1) & ~(kBandLanes - 1);
+    while (!(live = liveIn(last)))
+        last -= kBandLanes;
+    return {first, last + 31 - static_cast<size_t>(__builtin_clz(live))};
+}
+
+template <bool kChain, bool kGather, bool kArrivals, bool kInhibit>
 void
 sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
 {
@@ -125,12 +157,10 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
 
     // The last lane writes its row: lane r's state at step t is sweep
     // index t - r, so a masked store of lane r at row + t - 2r puts it
-    // in row[t - r].  A chain writes into its second row; a graph
-    // writes over the row above as lane 0 reads it, at an index lane 0
-    // has already passed.
+    // in row[t - r], in the band's second row.
     const size_t last = band.lanes - 1;
     const auto lastLane = static_cast<__mmask32>(__mmask32(1) << last);
-    uint16_t *const lastRow = (kChain ? band.below : band.above) - 2 * last;
+    uint16_t *const lastRow = band.below - 2 * last;
     // The column codes, then the deletion row; a graph's chain deletion
     // and chain gate rows follow it.  On a chain, every position's
     // predecessor is the previous one.
@@ -148,14 +178,48 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
     __m512i firedCells = _mm512_setzero_si512();
     std::fill_n(fired, kBandLanes, 0);
 
+    // An inhibited race: each lane's limit is the lesser of its read
+    // limit and its position's.  Lane r's state (i0 + r, t - r) can be
+    // live only at an index the row above holds live, or after one, so
+    // the band starts at the row above's first live index.  A step
+    // reads values up to band.reach + 1 steps back -- an in-edge from
+    // the row above is lane r - 1's `up`, its value a step before --
+    // and lane 0 reads the row above at the same indices, so once more
+    // than that many steps have gone by since the last live lane and
+    // the row above's last live index, no later step can hold one.
+    // The ring's slots hold no step of this band before the first, so
+    // they start unfired.
+    const __m512i readLimit =
+        kInhibit ? _mm512_loadu_si512(band.readLimit) : limit;
+    const size_t steps = band.positions + band.lanes - 1;
+    size_t first = 0;
+    size_t lastAbove = 0;
+    size_t lastLive = 0;
+    if constexpr (kInhibit) {
+        const Span above = liveSpan(band.above, band.positions);
+        first = std::min(above.first, steps);
+        lastAbove = above.last;
+        lastLive = first; // no lane is live before the first step
+        if (first > 0)
+            std::fill_n(band.history, band.window * kHistoryStride,
+                        kBandUnfired);
+    }
+
     // The steps run in runs that cannot wrap a lane's tallies -- a
     // chain's whole band (band_lanes.h), a graph's band.foldSteps --
     // each folded into `tally` and `fired` after it.
-    const size_t steps = band.positions + band.lanes - 1;
-    for (size_t t = 0; t < steps;) {
+    size_t t = first;
+    bool done = false;
+    while (t < steps && !done) {
         const size_t end =
             kChain ? steps : t + std::min(steps - t, band.foldSteps);
         for (; t < end; ++t) {
+            if constexpr (kInhibit) {
+                if (t > std::max(lastAbove, lastLive) + band.reach + 1) {
+                    done = true;
+                    break;
+                }
+            }
             const __m512i up = shiftUp(prev, band.above[t]);
             const __m512i deletion = _mm512_loadu_si512(band.deletion - t);
             const __m512i chainDeletion =
@@ -178,6 +242,10 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
                     pairsHigh);
             }
 
+            __m512i within = limit;
+            if constexpr (kInhibit)
+                within = _mm512_min_epu16(
+                    readLimit, _mm512_loadu_si512(band.inhibit - t));
             const __m512i fromUp = _mm512_add_epi16(up, down);
             const __m512i fromDiag = _mm512_add_epi16(chainDiag, substitution);
             const __m512i fromLeft = _mm512_add_epi16(prev, chainDeletion);
@@ -195,8 +263,8 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
                         _mm512_add_epi16(_mm512_load_si512(from), deletion);
                     const __m512i farDiag = _mm512_add_epi16(
                         _mm512_load_si512(from + kBandLanes), substitution);
-                    arrive(farLeft, limit, events, latest, group.lanes);
-                    arrive(farDiag, limit, events, latest, group.lanes);
+                    arrive(farLeft, within, events, latest, group.lanes);
+                    arrive(farDiag, within, events, latest, group.lanes);
                     best = _mm512_mask_min_epu16(
                         best, group.lanes, best,
                         _mm512_min_epu16(farLeft, farDiag));
@@ -206,13 +274,23 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
             // last: it alone depends on the previous step.
             const __m512i v =
                 _mm512_min_epu16(_mm512_min_epu16(fromUp, best), fromLeft);
-            arrive(fromUp, limit, events, latest);
-            arrive(fromDiag, limit, events, latest);
-            arrive(fromLeft, limit, events, latest);
-            firedCells = _mm512_mask_add_epi16(
-                firedCells, _mm512_cmple_epu16_mask(v, limit), firedCells, one);
+            arrive(fromUp, within, events, latest);
+            arrive(fromDiag, within, events, latest);
+            arrive(fromLeft, within, events, latest);
+            const __mmask32 live = _mm512_cmple_epu16_mask(v, within);
+            firedCells =
+                _mm512_mask_add_epi16(firedCells, live, firedCells, one);
 
-            _mm512_mask_storeu_epi16(lastRow + t, lastLane, v);
+            // An inhibited state is stored unfired.  Its value stays in
+            // the lanes and the ring: an arrival out of it is past every
+            // target's limit, as the bound falls by at most the
+            // smallest weight along an edge.
+            __m512i kept = v;
+            if constexpr (kInhibit) {
+                kept = _mm512_mask_mov_epi16(unfired, live, v);
+                lastLive = live ? t : lastLive;
+            }
+            _mm512_mask_storeu_epi16(lastRow + t, lastLane, kept);
             if constexpr (!kChain) {
                 uint16_t *const slot =
                     band.history + (t & ring) * kHistoryStride;
@@ -220,7 +298,7 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
                 _mm512_store_si512(slot + kBandLanes, up);
             }
             if constexpr (kArrivals)
-                _mm512_storeu_si512(band.skew + t * kBandLanes, v);
+                _mm512_storeu_si512(band.skew + t * kBandLanes, kept);
             diag = up;
             prev = v;
         }
@@ -229,6 +307,61 @@ sweep(const Band &shared, SweepTally &tally, uint32_t fired[kBandLanes])
     tally.latest = std::max(
         tally.latest, sim::Tick(_mm512_reduce_max_epu32(
                           _mm512_max_epu32(low(latest), high(latest)))));
+    // The last lane wrote indices first - last .. t - 1 - last of its
+    // row; the rest of it is unfired too, and so is every lane of the
+    // steps the band skipped.
+    if constexpr (kInhibit) {
+        const size_t from = std::min(first > last ? first - last : 0,
+                                     band.positions);
+        const size_t to = std::min(t > last ? t - last : 0, band.positions);
+        std::fill(band.below, band.below + from, kBandUnfired);
+        std::fill(band.below + std::max(from, to),
+                  band.below + band.positions, kBandUnfired);
+        if constexpr (kArrivals) {
+            std::fill(band.skew, band.skew + first * kBandLanes,
+                      kBandUnfired);
+            std::fill(band.skew + t * kBandLanes,
+                      band.skew + steps * kBandLanes, kBandUnfired);
+        }
+    }
+}
+
+} // namespace
+
+void
+bandLimits(const uint16_t *bounds, size_t n, uint16_t horizon,
+           uint16_t limit, uint16_t *out)
+{
+    const __m512i h = _mm512_set1_epi16(short(horizon));
+    const __m512i most = _mm512_set1_epi16(short(limit));
+    for (size_t e = 0; e < n; e += kBandLanes) {
+        const auto lanes = static_cast<__mmask32>(
+            n - e >= kBandLanes ? ~0u : (1u << (n - e)) - 1);
+        _mm512_mask_storeu_epi16(
+            out + e, lanes,
+            _mm512_min_epu16(most,
+                             _mm512_subs_epu16(
+                                 h, _mm512_maskz_loadu_epi16(lanes,
+                                                             bounds + e))));
+    }
+}
+
+namespace {
+
+template <bool kChain, bool kInhibit>
+void
+sweepModes(const Band &band, SweepTally &tally, uint32_t fired[kBandLanes])
+{
+    if (band.gather) {
+        if (band.skew)
+            sweep<kChain, true, true, kInhibit>(band, tally, fired);
+        else
+            sweep<kChain, true, false, kInhibit>(band, tally, fired);
+    } else if (band.skew) {
+        sweep<kChain, false, true, kInhibit>(band, tally, fired);
+    } else {
+        sweep<kChain, false, false, kInhibit>(band, tally, fired);
+    }
 }
 
 } // namespace
@@ -237,16 +370,11 @@ template <bool kChain>
 void
 sweepBand(const Band &band, SweepTally &tally, uint32_t fired[kBandLanes])
 {
-    if (band.gather) {
-        if (band.skew)
-            sweep<kChain, true, true>(band, tally, fired);
-        else
-            sweep<kChain, true, false>(band, tally, fired);
-    } else if (band.skew) {
-        sweep<kChain, false, true>(band, tally, fired);
-    } else {
-        sweep<kChain, false, false>(band, tally, fired);
+    if constexpr (!kChain) {
+        if (band.inhibit)
+            return sweepModes<false, true>(band, tally, fired);
     }
+    sweepModes<kChain, false>(band, tally, fired);
 }
 
 } // namespace racelogic::core::detail
@@ -258,6 +386,12 @@ namespace racelogic::core::detail {
 template <bool kChain>
 void
 sweepBand(const Band &, SweepTally &, uint32_t *)
+{
+    rl_panic("the skewed band needs an x86-64 host with AVX-512BW");
+}
+
+void
+bandLimits(const uint16_t *, size_t, uint16_t, uint16_t, uint16_t *)
 {
     rl_panic("the skewed band needs an x86-64 host with AVX-512BW");
 }

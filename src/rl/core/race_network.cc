@@ -25,9 +25,11 @@ checkNonNegative(const graph::Edge &e)
 
 RaceOutcome
 raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
-        RaceType type, sim::Tick horizon)
+        RaceType type, sim::Tick horizon, std::span<const sim::Tick> inhibit)
 {
     rl_assert(!sources.empty(), "race needs at least one source");
+    rl_assert(inhibit.empty() || inhibit.size() == dag.nodeCount(),
+              "one inhibit time per node");
     // Every arrival into a node comes from a node before it, so one
     // pass in this order settles each node before it fires.  Ordering
     // first exits on a cycle, and frees the sort's working arrays
@@ -74,8 +76,11 @@ raceDag(const graph::Dag &dag, const std::vector<graph::NodeId> &sources,
                       "(api::RaceEngine::validate()) before racing it");
             const TemporalValue at =
                 t.delayed(static_cast<sim::Tick>(e.weight));
-            if (!at.fired() || at.rawTime() > horizon)
-                continue; // unfired, or past Section 6's abort counter
+            // Unfired, past Section 6's abort counter, or inhibited at
+            // the target.
+            if (!at.fired() || at.rawTime() > horizon ||
+                (!inhibit.empty() && at.rawTime() > inhibit[e.to]))
+                continue;
             ++outcome.events;
             TemporalValue &into = firing[e.to];
             if (!andRace) {

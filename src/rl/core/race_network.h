@@ -27,6 +27,7 @@
 #ifndef RACELOGIC_CORE_RACE_NETWORK_H
 #define RACELOGIC_CORE_RACE_NETWORK_H
 
+#include <span>
 #include <vector>
 
 #include "rl/circuit/netlist.h"
@@ -85,11 +86,21 @@ struct RaceOutcome {
  *                 this tick are never delivered, so nodes whose
  *                 signal would arrive past the horizon stay at
  *                 never().  Default races to full drain.
+ * @param inhibit  Per-node inhibit times, race logic's INHIBIT gate
+ *                 (empty: none): an arrival later than its target's
+ *                 inhibit time is not delivered either -- not counted,
+ *                 and not seen by the target.  An Or node whose every
+ *                 arrival comes past its time therefore does not fire
+ *                 and sends nothing, and each event counted is an
+ *                 arrival into a node that fires.  A source still
+ *                 fires at tick 0.  With no inhibit times the race is
+ *                 the plain one, field for field.
  */
 RaceOutcome raceDag(const graph::Dag &dag,
                     const std::vector<graph::NodeId> &sources,
                     RaceType type,
-                    sim::Tick horizon = sim::kTickInfinity);
+                    sim::Tick horizon = sim::kTickInfinity,
+                    std::span<const sim::Tick> inhibit = {});
 
 /**
  * True iff an AND-type race over this graph/source set computes the

@@ -134,8 +134,16 @@ struct SweepTally {
     bool
     settle(sim::Tick v, const SweepOutEdges &out)
     {
+        return settle(v, out, limit);
+    }
+
+    /** settle() with every out-edge held to `within`, the least of its
+     *  targets' own limits (at most `limit`): an inhibited race's. */
+    bool
+    settle(sim::Tick v, const SweepOutEdges &out, sim::Tick within)
+    {
         const sim::Tick farthest = v + out.maxOut;
-        if (farthest <= limit) {
+        if (farthest <= within) {
             events += out.degree;
             latest = std::max(latest, farthest);
             return true;
@@ -144,10 +152,14 @@ struct SweepTally {
     }
 
     /** Count one out-edge arrival at `t` if it is within the horizon. */
+    void arrive(sim::Tick t) { arrive(t, limit); }
+
+    /** Count one arrival at `t` if it is within `within`, a target's
+     *  own limit (at most `limit`): an inhibited race's. */
     void
-    arrive(sim::Tick t)
+    arrive(sim::Tick t, sim::Tick within)
     {
-        if (t <= limit) {
+        if (t <= within) {
             ++events;
             latest = std::max(latest, t);
         }
@@ -215,8 +227,9 @@ namespace detail {
  * The skewed band's working buffers, in its 16-bit lanes
  * (rl/core/band_lanes.h): the row above its next band, padded with
  * unfired cells on both sides, and on the edit grid a second such row
- * (Band::below); the edit grid's weight rows (its
- * profile) or a graph's ring of past steps; and, when the band fills
+ * (Band::below); the edit grid's weight rows (its profile), or a
+ * graph's ring of past steps and, on an inhibited race, its positions'
+ * limits (Band::inhibit, in `profile`); and, when the band fills
  * arrivals, its lanes step by step (32 x (K + 32)), from which the
  * arrivals are published row by row.
  */

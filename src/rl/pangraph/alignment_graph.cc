@@ -1,5 +1,6 @@
 #include "rl/pangraph/alignment_graph.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "rl/core/wavefront.h"
@@ -120,6 +121,21 @@ compileValidated(const VariationGraph &graph, const bio::ScoreMatrix &race)
                 static_cast<CharPos>(p);
 
     out.segmentOrder = graph.topologicalOrder();
+
+    // G, in reverse topological order: a terminal position ends a sink
+    // segment, so it has no successor.
+    out.toTerminal.assign(positions, 0);
+    auto settle = [&](CharPos p) {
+        uint32_t fewest = UINT32_MAX;
+        for (uint32_t e = out.succOffsets[p]; e < out.succOffsets[p + 1]; ++e)
+            fewest = std::min(fewest, out.toTerminal[out.succ[e]] + 1);
+        out.toTerminal[p] = out.terminal[p] ? 0 : fewest;
+    };
+    for (auto s = out.segmentOrder.rbegin(); s != out.segmentOrder.rend();
+         ++s)
+        for (CharPos c = out.lastChar[*s] + 1; c-- > out.firstChar[*s];)
+            settle(c);
+    settle(0);
 
     // The out-edge profile of every (next read symbol, position).
     const size_t alpha = race.alphabet().size();

@@ -59,6 +59,10 @@ struct GraphBandTables {
      *  longest far-predecessor distance in sweep order. */
     size_t window = 0;
 
+    /** The longest predecessor distance in sweep order, at least 1:
+     *  how far back a step reads (Band::reach). */
+    size_t reach = 0;
+
     /** Band steps that cannot wrap a lane's 16-bit tallies, at three
      *  arrivals a step and two per far group of the step with the
      *  most: the band folds them into the race's after each run. */
@@ -71,7 +75,9 @@ struct GraphBandTables {
      * deletion weight where k - 1 precedes k) and the chain gate (0
      * there); both chain rows are unfired where k - 1 does not precede
      * k.  Position 0 has no deletion or substitution in-edge: unfired
-     * in every row, code |alphabet| in the codes.
+     * in every row, code |alphabet| in the codes.  Last, the bound row
+     * of an inhibited race: G x minFinite() (CompiledGraph::
+     * toTerminal), clamped to UINT16_MAX.
      */
     std::vector<uint16_t> weights;
 
@@ -143,6 +149,16 @@ struct CompiledGraph {
      * loop costs more than the byte it saves.
      */
     std::vector<uint8_t> terminal;
+
+    /**
+     * G(p): the fewest graph characters a walk consumes from position
+     * p to a terminal position (0 at a terminal).  An inhibited race
+     * (raceAlignmentGrid()) bounds the cost still to come from state
+     * (i, p) below by LB(i, p) = max(m - i, G(p)) x minFinite(), m the
+     * read length: each read character and each graph character
+     * still to consume costs at least the matrix's smallest weight.
+     */
+    std::vector<uint32_t> toTerminal;
 
     /**
      * Gap (indel) weight of each position's symbol under the race

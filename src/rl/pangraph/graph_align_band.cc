@@ -56,6 +56,7 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
         offsets[k + 1] = static_cast<uint32_t>(distance.size());
     }
     band.window = std::bit_ceil(longest + 1);
+    band.reach = std::max<size_t>(longest, 1);
 
     // The far groups, step by step: lane r at step t is at sweep index
     // k = t - r, and fired its far predecessor k - d at step t - d,
@@ -98,7 +99,7 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
     const size_t stride = positions + 2 * kBandPad;
     if (gather && (deletionRow + 3) * stride > INT32_MAX)
         return GraphBandTables();
-    band.weights.assign((deletionRow + 3) * stride, kBandUnfired);
+    band.weights.assign((deletionRow + 4) * stride, kBandUnfired);
     auto entry = [&](size_t row, size_t k) -> uint16_t & {
         return band.weights[row * stride + kBandPad + chars - k];
     };
@@ -122,6 +123,10 @@ compileBandTables(const CompiledGraph &compiled, const bio::ScoreMatrix &race)
             entry(deletionRow + 2, k) = 0;
         }
     }
+    const auto minWeight = static_cast<uint64_t>(race.minFinite());
+    for (size_t k = 0; k < positions; ++k)
+        entry(deletionRow + 3, k) = static_cast<uint16_t>(std::min<uint64_t>(
+            compiled.toTerminal[band.order[k]] * minWeight, UINT16_MAX));
     return band;
 }
 

@@ -52,7 +52,8 @@ GraphBandTables compileBandTables(const CompiledGraph &compiled,
  * raceAlignmentGridBand() requires core::detail::hostRunsBand() and a
  * graph compiled with the band's tables, and returns nothing -- having
  * touched no counter -- where its lanes could not hold the race
- * (core::detail::bandHolds()).
+ * (core::detail::bandHolds(), or an inhibit horizon past UINT16_MAX,
+ * which its bound row cannot resolve).
  * @{
  */
 GraphRaceResult raceAlignmentGridRows(const CompiledGraph &compiled,
@@ -64,13 +65,15 @@ GraphRaceResult raceAlignmentGridRows(const CompiledGraph &compiled,
                                           nullptr,
                                       core::KernelCounters *counters =
                                           nullptr,
-                                      bool arrivals = true);
+                                      bool arrivals = true,
+                                      bool inhibit = false);
 
 std::optional<GraphRaceResult> raceAlignmentGridBand(
     const CompiledGraph &compiled, const bio::Sequence &read,
     const bio::ScoreMatrix &costs, sim::Tick horizon,
     GraphAlignScratch &scratch, const core::CancelToken *cancel = nullptr,
-    core::KernelCounters *counters = nullptr, bool arrivals = true);
+    core::KernelCounters *counters = nullptr, bool arrivals = true,
+    bool inhibit = false);
 /** @} */
 
 } // namespace racelogic::pangraph::detail

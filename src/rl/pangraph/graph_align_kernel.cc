@@ -64,45 +64,35 @@ finishGraphRace(GraphRaceResult &result, const core::SweepTally &tally,
     result.racedCost = result.score;
 }
 
-} // namespace
-
-GraphRaceResult
-raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
-                  const bio::ScoreMatrix &costs, sim::Tick horizon)
+/**
+ * An inhibited race's bound, the cost LB still to come, given the read
+ * characters left and G(p): max of the two x the smallest weight.
+ */
+sim::Tick
+bound(size_t readLeft, uint32_t toTerminal, sim::Tick minWeight)
 {
-    GraphAlignScratch scratch;
-    return raceAlignmentGrid(compiled, read, costs, horizon, scratch);
+    return std::max<sim::Tick>(readLeft, toTerminal) * minWeight;
 }
 
-GraphRaceResult
-raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
-                  const bio::ScoreMatrix &costs, sim::Tick horizon,
-                  GraphAlignScratch &scratch,
-                  const core::CancelToken *cancel,
-                  core::KernelCounters *counters, bool arrivals)
+/** H - LB, saturating at 0: the latest tick a state may fire at. */
+sim::Tick
+inhibitTime(sim::Tick horizon, sim::Tick lb)
 {
-    // compileGraph() builds the band's tables only on a band host.
-    if (!compiled.band.empty()) {
-        if (std::optional<GraphRaceResult> raced =
-                detail::raceAlignmentGridBand(compiled, read, costs, horizon,
-                                              scratch, cancel, counters,
-                                              arrivals))
-            return std::move(*raced);
-    }
-    return detail::raceAlignmentGridRows(compiled, read, costs, horizon,
-                                         scratch, cancel, counters,
-                                         arrivals);
+    return horizon > lb ? horizon - lb : 0;
 }
 
-namespace detail {
-
+/**
+ * The row sweep.  kInhibit races the inhibit at the horizon: it keeps
+ * each state's value only within its limit, counts each arrival only
+ * within its target's, and sweeps a segment of a read row only where
+ * a live state of that row or the row above reaches it.
+ */
+template <bool kInhibit>
 GraphRaceResult
-raceAlignmentGridRows(const CompiledGraph &compiled,
-                      const bio::Sequence &read,
-                      const bio::ScoreMatrix &costs, sim::Tick horizon,
-                      GraphAlignScratch &scratch,
-                      const core::CancelToken *cancel,
-                      core::KernelCounters *counters, bool arrivals)
+sweepRows(const CompiledGraph &compiled, const bio::Sequence &read,
+          const bio::ScoreMatrix &costs, sim::Tick horizon,
+          GraphAlignScratch &scratch, const core::CancelToken *cancel,
+          core::KernelCounters *counters, bool arrivals)
 {
     const size_t states = checkGraphRaceInputs(compiled, read, costs);
     const size_t m = read.size();
@@ -136,6 +126,37 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
     const bio::Score *gapWeight = compiled.gapWeight.data();
     const bio::Symbol *symbol = compiled.symbol.data();
     core::SweepTally tally(horizon);
+
+    // The inhibit's limits: state (j, p) keeps its value within
+    // min(rowLimit(j), limit[p]), and a source counts every out-edge at
+    // once within min(rowLimit(j), outLimit[p]), at most each target's.
+    // Every value a segment left unswept holds is unfired: a buffer is
+    // cleared where its row two back had a live state.
+    const auto minWeight = static_cast<sim::Tick>(costs.minFinite());
+    auto rowLimit = [&](size_t j) {
+        return std::min(tally.limit,
+                        inhibitTime(horizon, bound(m - j, 0, minWeight)));
+    };
+    if constexpr (kInhibit) {
+        scratch.limit.resize(positions);
+        scratch.outLimit.resize(positions);
+        for (size_t p = 0; p < positions; ++p)
+            scratch.limit[p] = inhibitTime(
+                horizon, bound(0, compiled.toTerminal[p], minWeight));
+        for (size_t p = 0; p < positions; ++p) {
+            sim::Tick least = scratch.limit[p];
+            for (uint32_t e = compiled.succOffsets[p];
+                 e < compiled.succOffsets[p + 1]; ++e)
+                least = std::min(least, scratch.limit[compiled.succ[e]]);
+            scratch.outLimit[p] = least;
+        }
+        scratch.here.assign(positions, core::kSweepUnfired);
+        scratch.liveAbove.assign(compiled.firstChar.size(), 0);
+        scratch.liveHere.assign(compiled.firstChar.size(), 0);
+    }
+    [[maybe_unused]] const sim::Tick *limit = scratch.limit.data();
+    [[maybe_unused]] const sim::Tick *outLimit = scratch.outLimit.data();
+
     sim::Tick sinkTime = sim::kTickInfinity;
     bool cancelled = cancel && cancel->cancelled();
     for (size_t j = 0; j <= m && !cancelled; ++j) {
@@ -143,15 +164,43 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
         const sim::Tick *pair = scratch.pairRow.data() + j * alpha;
         const sim::Tick *above = scratch.above.data();
         sim::Tick *here = scratch.here.data();
+        const sim::Tick rowWithin = kInhibit ? rowLimit(j) : tally.limit;
+        [[maybe_unused]] uint8_t *liveAbove = scratch.liveAbove.data();
+        [[maybe_unused]] uint8_t *liveHere = scratch.liveHere.data();
+        // The value state (j, q) keeps: unfired once inhibited.  The
+        // deletion chain carries the value itself, which reaches no
+        // target within its limit either.
+        auto keep = [&](CharPos q, sim::Tick v) {
+            if constexpr (kInhibit)
+                return v <= std::min(rowWithin, limit[q]) ? v
+                                                          : core::kSweepUnfired;
+            return v;
+        };
 
         // The recurrence alone.  Position 0 has only the insertion
         // in-edge; (0, 0) is the source, injected at tick 0.
-        here[0] = j == 0 ? 0 : std::min(above[0] + insert,
-                                        core::kSweepUnfired);
+        here[0] = keep(0, j == 0 ? 0
+                                 : std::min(above[0] + insert,
+                                            core::kSweepUnfired));
         for (SegmentId s : compiled.segmentOrder) {
             // A label's first character follows every predecessor
             // segment (or position 0)...
             CharPos q = compiled.firstChar[s];
+            if constexpr (kInhibit) {
+                bool reached = liveAbove[s] != 0;
+                for (uint32_t e = compiled.predOffsets[q];
+                     !reached && e < compiled.predOffsets[q + 1]; ++e) {
+                    const CharPos p = compiled.pred[e];
+                    reached = std::min(above[p], here[p]) < core::kSweepUnfired;
+                }
+                if (!reached) {
+                    if (liveHere[s])
+                        std::fill(here + q, here + compiled.lastChar[s] + 1,
+                                  core::kSweepUnfired);
+                    liveHere[s] = 0;
+                    continue;
+                }
+            }
             sim::Tick best = above[q] + insert;
             const sim::Tick gap = static_cast<sim::Tick>(gapWeight[q]);
             const sim::Tick sub = pair[symbol[q]];
@@ -164,7 +213,8 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
             // Clamping to kSweepUnfired keeps every working value at
             // most 2^62, which is what makes the additions safe.
             sim::Tick left = std::min(best, core::kSweepUnfired);
-            here[q] = left;
+            here[q] = keep(q, left);
+            [[maybe_unused]] sim::Tick live = here[q];
             // ...and every other character follows only the one before
             // it, whose value the sweep still holds.
             for (const CharPos last = compiled.lastChar[s]; q < last;) {
@@ -176,8 +226,12 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
                 left = std::min(std::min(std::min(insertion, substitution),
                                          core::kSweepUnfired),
                                 deletion);
-                here[q] = left;
+                here[q] = keep(q, left);
+                if constexpr (kInhibit)
+                    live = std::min(live, here[q]);
             }
+            if constexpr (kInhibit)
+                liveHere[s] = live < core::kSweepUnfired;
         }
 
         // The next row is certain to be swept only once its cancel
@@ -191,20 +245,36 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
             next < alpha ? scratch.gapRead[j + 1] : core::kSweepUnfired;
         const sim::Tick *nextPair =
             scratch.pairRow.data() + (next < alpha ? j + 1 : 0) * alpha;
+        const sim::Tick nextWithin =
+            kInhibit && j < m ? rowLimit(j + 1) : tally.limit;
 
         // Count, and publish, each settled state; unfired states read
-        // back as never().
+        // back as never().  An inhibited sweep counts the segments that
+        // hold a live state alone.
         core::TemporalValue *out =
             arrivals ? result.arrival.data() + j * positions : nullptr;
         size_t fired = 0;
-        for (size_t p = 0; p < positions; ++p) {
+        auto count = [&](size_t p) {
             const sim::Tick v = here[p];
             const bool hit = tally.fired(v);
             fired += hit;
             if (out)
                 out[p] = hit ? core::TemporalValue::at(v)
                              : core::TemporalValue::never();
-            if (!tally.settle(v, profile[p])) {
+            if constexpr (kInhibit) {
+                if (tally.settle(v, profile[p],
+                                 std::min(rowWithin, outLimit[p])))
+                    return;
+                tally.arrive(v + nextInsert, std::min(nextWithin, limit[p]));
+                for (uint32_t e = compiled.succOffsets[p];
+                     e < compiled.succOffsets[p + 1]; ++e) {
+                    const CharPos q = compiled.succ[e];
+                    tally.arrive(v + static_cast<sim::Tick>(gapWeight[q]),
+                                 std::min(rowWithin, limit[q]));
+                    tally.arrive(v + nextPair[symbol[q]],
+                                 std::min(nextWithin, limit[q]));
+                }
+            } else if (!tally.settle(v, profile[p])) {
                 tally.arrive(v + nextInsert);
                 for (uint32_t e = compiled.succOffsets[p];
                      e < compiled.succOffsets[p + 1]; ++e) {
@@ -213,6 +283,17 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
                     tally.arrive(v + nextPair[symbol[q]]);
                 }
             }
+        };
+        if constexpr (kInhibit) {
+            count(0);
+            for (SegmentId s : compiled.segmentOrder)
+                if (liveHere[s])
+                    for (CharPos p = compiled.firstChar[s];
+                         p <= compiled.lastChar[s]; ++p)
+                        count(p);
+        } else {
+            for (size_t p = 0; p < positions; ++p)
+                count(p);
         }
         result.cellsFired += fired;
         if (fired == 0) {
@@ -233,10 +314,59 @@ raceAlignmentGridRows(const CompiledGraph &compiled,
             }
         }
         std::swap(scratch.above, scratch.here);
+        std::swap(scratch.liveAbove, scratch.liveHere);
     }
     finishGraphRace(result, tally, sinkTime, cancelled, horizon, positions,
                     counters);
     return result;
+}
+
+} // namespace
+
+GraphRaceResult
+raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
+                  const bio::ScoreMatrix &costs, sim::Tick horizon)
+{
+    GraphAlignScratch scratch;
+    return raceAlignmentGrid(compiled, read, costs, horizon, scratch);
+}
+
+GraphRaceResult
+raceAlignmentGrid(const CompiledGraph &compiled, const bio::Sequence &read,
+                  const bio::ScoreMatrix &costs, sim::Tick horizon,
+                  GraphAlignScratch &scratch,
+                  const core::CancelToken *cancel,
+                  core::KernelCounters *counters, bool arrivals,
+                  bool inhibit)
+{
+    // compileGraph() builds the band's tables only on a band host.
+    if (!compiled.band.empty()) {
+        if (std::optional<GraphRaceResult> raced =
+                detail::raceAlignmentGridBand(compiled, read, costs, horizon,
+                                              scratch, cancel, counters,
+                                              arrivals, inhibit))
+            return std::move(*raced);
+    }
+    return detail::raceAlignmentGridRows(compiled, read, costs, horizon,
+                                         scratch, cancel, counters,
+                                         arrivals, inhibit);
+}
+
+namespace detail {
+
+GraphRaceResult
+raceAlignmentGridRows(const CompiledGraph &compiled,
+                      const bio::Sequence &read,
+                      const bio::ScoreMatrix &costs, sim::Tick horizon,
+                      GraphAlignScratch &scratch,
+                      const core::CancelToken *cancel,
+                      core::KernelCounters *counters, bool arrivals,
+                      bool inhibit)
+{
+    return inhibit ? sweepRows<true>(compiled, read, costs, horizon, scratch,
+                                     cancel, counters, arrivals)
+                   : sweepRows<false>(compiled, read, costs, horizon,
+                                      scratch, cancel, counters, arrivals);
 }
 
 std::optional<GraphRaceResult>
@@ -245,7 +375,8 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                       const bio::ScoreMatrix &costs, sim::Tick horizon,
                       GraphAlignScratch &scratch,
                       const core::CancelToken *cancel,
-                      core::KernelCounters *counters, bool arrivals)
+                      core::KernelCounters *counters, bool arrivals,
+                      bool inhibit)
 {
     using core::detail::kBandLanes;
     using core::detail::kBandPad;
@@ -257,15 +388,18 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
     rl_assert(tables.order.size() == compiled.positionCount() &&
                   !tables.empty(),
               "the graph was compiled without the band's tables");
+    if (inhibit && horizon > UINT16_MAX)
+        return std::nullopt;
 
     const size_t positions = compiled.positionCount();
     const std::vector<uint32_t> &rank = tables.rank;
     core::detail::BandBuffers &buffers = scratch.band;
 
-    // The row above, by sweep index, padded with unfired ticks, and
-    // the ring, from its first 64-byte boundary so that each vector
-    // the band stores and loads is one cache line.
-    buffers.row.assign(positions + 2 * kBandPad, kBandUnfired);
+    // The row above and the band's second row, by sweep index, padded
+    // with unfired ticks, and the ring, from its first 64-byte boundary
+    // so that each vector the band stores and loads is one cache line.
+    const size_t stride = positions + 2 * kBandPad;
+    buffers.row.assign(2 * stride, kBandUnfired);
     uint16_t *above = buffers.row.data() + kBandPad;
     const size_t ring = tables.window * core::detail::kHistoryStride;
     buffers.history.resize(ring + kBandLanes);
@@ -291,7 +425,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         stage.resize(positions);
     }
     // Publish one swept read row, whose value at sweep index k is
-    // value(k); unfired states read back as never().
+    // value(k); unfired (and inhibited) states read back as never().
     auto publish = [&](auto value) {
         const CharPos *order = tables.order.data();
         core::TemporalValue *row = stage.data();
@@ -305,6 +439,27 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                               stage.end());
     };
 
+    // An inhibited race's limits by position, in the weight rows'
+    // layout, from the plan's bound row; row 0's are the lesser of
+    // those and its read limit.
+    const uint16_t *limits = nullptr;
+    sim::Tick rowZero = tally.limit;
+    if (inhibit) {
+        buffers.profile.resize(stride);
+        core::detail::bandLimits(
+            tables.weights.data() +
+                (core::detail::bandDeletionRow(costs.alphabet().size()) + 3) *
+                    stride,
+            stride, static_cast<uint16_t>(horizon),
+            static_cast<uint16_t>(tally.limit), buffers.profile.data());
+        limits = buffers.profile.data() + kBandPad + positions - 1;
+        rowZero = std::min(
+            tally.limit,
+            inhibitTime(horizon,
+                        bound(read.size(), 0,
+                              static_cast<sim::Tick>(costs.minFinite()))));
+    }
+
     bool cancelled = cancel && cancel->cancelled();
     if (!cancelled) {
         // Read row 0 -- the source, injected at tick 0, then deletions
@@ -314,14 +469,18 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
             const CharPos q = tables.order[k];
             const sim::Tick gap =
                 core::detail::bandWeight(compiled.gapWeight[q]);
+            const sim::Tick within =
+                inhibit ? std::min<sim::Tick>(rowZero, *(limits - k))
+                        : tally.limit;
             sim::Tick best = kBandUnfired;
             for (uint32_t e = compiled.predOffsets[q];
                  e < compiled.predOffsets[q + 1]; ++e) {
                 const sim::Tick t = above[rank[compiled.pred[e]]] + gap;
-                tally.arrive(t);
+                tally.arrive(t, within);
                 best = std::min(best, t);
             }
-            above[k] = static_cast<uint16_t>(best);
+            above[k] = static_cast<uint16_t>(
+                inhibit && best > within ? kBandUnfired : best);
         }
         for (size_t k = 0; k < positions; ++k)
             result.cellsFired += tally.fired(above[k]);
@@ -330,6 +489,8 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
 
         core::detail::Band band;
         band.above = above;
+        band.below = above + stride;
+        band.inhibit = limits;
         band.weights = tables.weights.data();
         band.positions = positions;
         band.skew = arrivals ? buffers.skew.data() : nullptr;
@@ -338,6 +499,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
         band.history = static_cast<uint16_t *>(history);
         band.window = tables.window;
         band.foldSteps = tables.foldSteps;
+        band.reach = tables.reach;
         const core::detail::BandRace raced = core::detail::raceBands<false>(
             band, read, costs, horizon, tally, result.cellsFired, cancel,
             [&](size_t, size_t swept) {
@@ -353,7 +515,7 @@ raceAlignmentGridBand(const CompiledGraph &compiled,
                 // last row: one event per fired terminal state, and the
                 // first terminal arrival fires the sink OR.
                 for (size_t p = 1; p < positions; ++p) {
-                    const sim::Tick v = above[rank[p]];
+                    const sim::Tick v = band.above[rank[p]];
                     if (compiled.terminal[p] && tally.fired(v)) {
                         ++tally.events;
                         sinkTime = std::min(sinkTime, v);

@@ -52,7 +52,10 @@
  * Section 6 horizon aborts -- to building the product with
  * buildAlignmentGraph() and racing it on core::raceDag;
  * tests/pangraph_test.cc asserts the equivalence on randomized
- * graphs.  The materialized path stays as the tested reference and as
+ * graphs.  An inhibited race (the `inhibit` argument: race logic's
+ * INHIBIT, applied per state at the horizon) is raceDag with per-node
+ * inhibit times, and both sweeps then race only the states that can
+ * be live.  The materialized path stays as the tested reference and as
  * the gate-level synthesis input.
  *
  * Work is O(states) over two working rows (the band: one row and a
@@ -106,6 +109,10 @@ struct GraphRaceResult {
     /** Per-node firing times, AlignmentGraph::node() layout; empty
      *  for a score-only race. */
     std::vector<core::TemporalValue> arrival;
+
+    /** Inhibited attempts that missed before this race answered
+     *  (GraphAligner::alignUnbounded()); 0 elsewhere. */
+    uint32_t inhibitMisses = 0;
 };
 
 /**
@@ -145,6 +152,13 @@ struct GraphAlignScratch {
      *  the vector is written once. */
     std::vector<core::TemporalValue> arrivalRow;
 
+    /** An inhibited row sweep's limits by position: H - G(p) x
+     *  minFinite() (saturating at 0), and the least of that over p
+     *  and its successors; and which segments of the rows above and
+     *  here hold a live state. */
+    std::vector<sim::Tick> limit, outLimit;
+    std::vector<uint8_t> liveAbove, liveHere;
+
     /** Release all retained capacity. */
     void shrinkToFit() { *this = GraphAlignScratch(); }
 
@@ -153,10 +167,12 @@ struct GraphAlignScratch {
     residentBytes() const
     {
         return (gapRead.capacity() + pairRow.capacity() +
-                above.capacity() + here.capacity()) *
+                above.capacity() + here.capacity() + limit.capacity() +
+                outLimit.capacity()) *
                    sizeof(sim::Tick) +
                band.residentBytes() +
-               arrivalRow.capacity() * sizeof(core::TemporalValue);
+               arrivalRow.capacity() * sizeof(core::TemporalValue) +
+               liveAbove.capacity() + liveHere.capacity();
     }
 };
 
@@ -205,6 +221,18 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
  * `arrivals = false` races score-only: the arrival vector is neither
  * allocated nor filled (it comes back empty) and every other field is
  * unchanged.
+ *
+ * `inhibit` races race logic's INHIBIT at the horizon H: state (i, p)
+ * neither fires nor sends once its arrival t has t + LB(i, p) > H,
+ * LB(i, p) = max(m - i, G(p)) x minFinite() (CompiledGraph::
+ * toTerminal), and an arrival into it counts only within H - LB(i, p)
+ * (0 where LB exceeds H).  It is core::raceDag on the product with
+ * those inhibit times, and each sweep races only the states that can
+ * be live.  LB falls by at most minFinite() along an edge, so every
+ * state on a path of cost <= H keeps its exact arrival: for H >= the
+ * read's distance, the score, racedCost, latencyCycles and completed
+ * are the plain race's, and below it the race aborts at H as a plain
+ * one would.
  */
 GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   const bio::Sequence &read,
@@ -213,7 +241,7 @@ GraphRaceResult raceAlignmentGrid(const CompiledGraph &compiled,
                                   GraphAlignScratch &scratch,
                                   const core::CancelToken *cancel = nullptr,
                                   core::KernelCounters *counters = nullptr,
-                                  bool arrivals = true);
+                                  bool arrivals = true, bool inhibit = false);
 
 } // namespace racelogic::pangraph
 

@@ -88,26 +88,91 @@ GraphAligner::recoverScore(bio::Score racedCost, size_t readLength) const
     return converted->recoverScore(racedCost, spelledLength, readLength);
 }
 
+namespace {
+
+/**
+ * One kernel scratch per thread: align() stays const and thread-safe
+ * (the scratch is live only within one call), and repeated aligns stop
+ * re-allocating the working rows.  The registry entry publishes
+ * resident bytes for the serving memory budget and lets its janitor
+ * shrink an idle worker's scratch; each race holds a lease that keeps
+ * shrinkers off it.
+ */
+struct ThreadScratch {
+    ThreadScratch() = default;
+    ThreadScratch(const ThreadScratch &) = delete;
+    ThreadScratch &operator=(const ThreadScratch &) = delete;
+
+    GraphAlignScratch scratch;
+    core::ScratchRegistration registration{[this](bool shrink) {
+        if (shrink)
+            scratch.shrinkToFit();
+        return scratch.residentBytes();
+    }};
+};
+
+ThreadScratch &
+threadScratch()
+{
+    static thread_local ThreadScratch local;
+    return local;
+}
+
+} // namespace
+
 GraphRaceResult
 GraphAligner::align(const bio::Sequence &read, sim::Tick horizon,
                     const core::CancelToken *cancel,
                     core::KernelCounters *counters, bool arrivals) const
 {
-    // One kernel scratch per thread: align() stays const and
-    // thread-safe (the scratch is live only within this call), and
-    // repeated aligns stop re-allocating the working rows.  The
-    // registry entry publishes resident bytes for the serving memory
-    // budget and lets its janitor shrink an idle worker's scratch; the
-    // lease keeps shrinkers off a live solve.
-    static thread_local GraphAlignScratch scratch;
-    static thread_local core::ScratchRegistration scratchReg(
-        [s = &scratch](bool shrink) {
-            if (shrink)
-                s->shrinkToFit();
-            return s->residentBytes();
-        });
-    core::ScratchLease lease(scratchReg.entry());
-    return align(read, horizon, scratch, cancel, counters, arrivals);
+    ThreadScratch &local = threadScratch();
+    core::ScratchLease lease(local.registration.entry());
+    return align(read, horizon, local.scratch, cancel, counters, arrivals);
+}
+
+GraphRaceResult
+GraphAligner::alignUnbounded(const bio::Sequence &read,
+                             const core::CancelToken *cancel,
+                             core::KernelCounters *counters,
+                             bool arrivals) const
+{
+    ThreadScratch &local = threadScratch();
+    core::ScratchLease lease(local.registration.entry());
+    return alignUnbounded(read, local.scratch, cancel, counters, arrivals);
+}
+
+GraphRaceResult
+GraphAligner::alignUnbounded(const bio::Sequence &read,
+                             GraphAlignScratch &scratch,
+                             const core::CancelToken *cancel,
+                             core::KernelCounters *counters,
+                             bool arrivals) const
+{
+    rl_assert(read.alphabet() == source->alphabet(),
+              "read and graph use different alphabets");
+    const sim::Tick least =
+        std::max<sim::Tick>(read.size(), compiledGraph.toTerminal[0]) *
+        static_cast<sim::Tick>(costs().minFinite());
+    uint32_t misses = 0;
+    for (sim::Tick slack = kInhibitSlack; slack <= least; slack *= 2) {
+        core::KernelCounters attempt;
+        GraphRaceResult result = raceAlignmentGrid(
+            compiledGraph, read, costs(), least + slack, scratch, cancel,
+            &attempt, arrivals, /*inhibit=*/true);
+        if (result.completed || result.cancelled) {
+            if (counters)
+                counters->merge(attempt);
+            if (result.completed)
+                result.score = recoverScore(result.racedCost, read.size());
+            result.inhibitMisses = misses;
+            return result;
+        }
+        ++misses;
+    }
+    GraphRaceResult result = align(read, sim::kTickInfinity, scratch, cancel,
+                                   counters, arrivals);
+    result.inhibitMisses = misses;
+    return result;
 }
 
 GraphRaceResult

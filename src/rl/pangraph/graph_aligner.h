@@ -104,6 +104,38 @@ class GraphAligner
                           bool arrivals = true) const;
 
     /**
+     * The slack of an unbounded race's first inhibited attempt
+     * (alignUnbounded()): its horizon is LB(source) + kInhibitSlack.
+     */
+    static constexpr sim::Tick kInhibitSlack = 32;
+
+    /**
+     * Race `read` unbounded under race logic's INHIBIT: the one policy
+     * for an unbounded race.  Each attempt races the inhibit at a
+     * horizon H (raceAlignmentGrid()), starting at LB(source) +
+     * kInhibitSlack, LB(source) = max(|read|, G(0)) x minFinite() the
+     * least any alignment can cost.  An attempt whose sink did not
+     * fire by H missed: the slack doubles, and once it exceeds
+     * LB(source) the read races plainly.  The score, racedCost,
+     * latencyCycles and completed are the plain race's; events,
+     * cellsFired and the arrivals (inhibited states never fire)
+     * describe the attempt that answered, `counters` takes that
+     * attempt's alone, and inhibitMisses counts the attempts before
+     * it.  A cancelled attempt answers.  The overload without a
+     * scratch races on align()'s per-thread one.
+     */
+    GraphRaceResult alignUnbounded(const bio::Sequence &read,
+                                   GraphAlignScratch &scratch,
+                                   const core::CancelToken *cancel = nullptr,
+                                   core::KernelCounters *counters = nullptr,
+                                   bool arrivals = true) const;
+
+    GraphRaceResult alignUnbounded(const bio::Sequence &read,
+                                   const core::CancelToken *cancel = nullptr,
+                                   core::KernelCounters *counters = nullptr,
+                                   bool arrivals = true) const;
+
+    /**
      * Race an already-built product DAG (from buildAlignmentGraph
      * over this aligner's compiled graph and costs) on
      * core::raceDag.  This is the fused kernel's bit-identical

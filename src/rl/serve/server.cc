@@ -251,6 +251,7 @@ AlignServer::metricsSnapshot() const
     counter("rl_solves_total", e.solves);
     counter("rl_plans_built_total", e.plansBuilt);
     counter("rl_plan_cache_hits_total", e.planCacheHits);
+    counter("rl_inhibit_misses_total", e.inhibitMisses);
     return snap;
 }
 

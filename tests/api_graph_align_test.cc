@@ -285,6 +285,63 @@ TEST(ApiGraphAlign, MapReadsRacesFusedWithoutProductDagsBitIdentically)
     }
 }
 
+TEST(ApiGraphAlign, UnboundedReadFarFromTheGraphMissesThenRacesPlainly)
+{
+    // A 100 nt walk of A's (one SNP bubble) against 100 T's: every
+    // alignment costs 200, twice LB(source) = 100.  The inhibited
+    // attempts at 100 + 32 and 100 + 64 miss, the next slack (128)
+    // exceeds LB(source), and the read races plainly -- to the DP's
+    // distance, counted as one solve and one plan-cache hit, with the
+    // misses in inhibitMisses.  A read on the graph answers at once.
+    auto graph = std::make_shared<VariationGraph>(Alphabet::dna());
+    const auto head = graph->addSegment("head", Sequence(Alphabet::dna(),
+                                                         std::string(50, 'A')));
+    const auto a = graph->addSegment("a", Sequence(Alphabet::dna(), "A"));
+    const auto c = graph->addSegment("c", Sequence(Alphabet::dna(), "C"));
+    const auto tail = graph->addSegment("tail", Sequence(Alphabet::dna(),
+                                                         std::string(49, 'A')));
+    graph->addLink(head, a);
+    graph->addLink(head, c);
+    graph->addLink(a, tail);
+    graph->addLink(c, tail);
+    const ScoreMatrix costs = ScoreMatrix::dnaShortestPath();
+    const Sequence far(Alphabet::dna(), std::string(100, 'T'));
+    const Sequence near(Alphabet::dna(), std::string(100, 'A'));
+    const bio::Score distance =
+        pangraph::graphAlignDp(*graph, far, costs).distance;
+    EXPECT_EQ(distance, 200);
+
+    RaceEngine engine;
+    for (bool arrivals : {true, false}) {
+        const api::EngineStats before = engine.stats();
+        RaceProblem problem = RaceProblem::graphAlign(costs, far, graph);
+        problem.arrivals = arrivals;
+        const api::RaceResult result = engine.solve(problem);
+        EXPECT_TRUE(result.completed);
+        EXPECT_EQ(result.score, distance);
+        EXPECT_EQ(result.latencyCycles, static_cast<sim::Tick>(distance));
+        const api::EngineStats after = engine.stats();
+        EXPECT_EQ(after.solves, before.solves + 1);
+        EXPECT_EQ(after.plansBuilt + after.planCacheHits,
+                  before.plansBuilt + before.planCacheHits + 1);
+        EXPECT_EQ(after.inhibitMisses, before.inhibitMisses + 2);
+    }
+
+    // Score-only and full detail race the one inhibited race.
+    const api::EngineStats before = engine.stats();
+    RaceProblem detailed = RaceProblem::graphAlign(costs, near, graph);
+    RaceProblem bare = detailed;
+    bare.arrivals = false;
+    const api::RaceResult full = engine.solve(detailed);
+    const api::RaceResult scoreOnly = engine.solve(bare);
+    EXPECT_EQ(full.score, pangraph::graphAlignDp(*graph, near, costs).distance);
+    EXPECT_EQ(scoreOnly.score, full.score);
+    EXPECT_EQ(scoreOnly.events, full.events);
+    EXPECT_EQ(scoreOnly.cellsFired, full.cellsFired);
+    EXPECT_EQ(engine.stats().inhibitMisses, before.inhibitMisses);
+    EXPECT_EQ(engine.stats().solves, before.solves + 2);
+}
+
 TEST(ApiGraphAlign, SystolicBackendRefusesGraphs)
 {
     auto graph = demoGraph(4, 3);

@@ -204,7 +204,9 @@ TEST(KernelAllocations, WarmRaceTheBandGivesBackAllocatesNothing)
 using GraphSweep = decltype(&pangraph::detail::raceAlignmentGridRows);
 
 /** Every sweep of `read` against `aligner`'s graph, warm, score-only,
- *  at two horizons, makes no heap allocation. */
+ *  at two horizons, plain and inhibited (at a horizon below the read's
+ *  distance and one past it), makes no heap allocation, and neither
+ *  does the unbounded policy's race. */
 void
 expectWarmGraphRacesAllocateNothing(const pangraph::GraphAligner &aligner,
                                     const Sequence &read)
@@ -218,27 +220,41 @@ expectWarmGraphRacesAllocateNothing(const pangraph::GraphAligner &aligner,
                             sim::Tick horizon,
                             pangraph::GraphAlignScratch &scratch,
                             const core::CancelToken *cancel,
-                            core::KernelCounters *counters, bool arrivals) {
+                            core::KernelCounters *counters, bool arrivals,
+                            bool inhibit) {
             std::optional<pangraph::GraphRaceResult> raced =
                 pangraph::detail::raceAlignmentGridBand(
                     compiled, r, costs, horizon, scratch, cancel, counters,
-                    arrivals);
+                    arrivals, inhibit);
             EXPECT_TRUE(raced.has_value());
             return raced ? std::move(*raced) : pangraph::GraphRaceResult();
         });
+    const auto opt = static_cast<sim::Tick>(
+        aligner.align(read, sim::kTickInfinity, nullptr, nullptr, false)
+            .racedCost);
     for (GraphSweep sweep : sweeps) {
-        for (sim::Tick horizon : {sim::kTickInfinity, sim::Tick(40)}) {
-            pangraph::GraphAlignScratch scratch;
-            core::KernelCounters counters;
-            EXPECT_EQ(warmAllocationsPerRace([&] {
-                          (void)sweep(aligner.compiled(), read,
-                                      aligner.costs(), horizon, scratch,
-                                      &never, &counters, false);
-                      }),
-                      0.0)
-                << "horizon " << horizon;
+        for (bool inhibit : {false, true}) {
+            for (sim::Tick horizon : {inhibit ? opt + 32 : sim::kTickInfinity,
+                                      sim::Tick(40)}) {
+                pangraph::GraphAlignScratch scratch;
+                core::KernelCounters counters;
+                EXPECT_EQ(warmAllocationsPerRace([&] {
+                              (void)sweep(aligner.compiled(), read,
+                                          aligner.costs(), horizon, scratch,
+                                          &never, &counters, false, inhibit);
+                          }),
+                          0.0)
+                    << "horizon " << horizon << " inhibit " << inhibit;
+            }
         }
     }
+    pangraph::GraphAlignScratch scratch;
+    core::KernelCounters counters;
+    EXPECT_EQ(warmAllocationsPerRace([&] {
+                  (void)aligner.alignUnbounded(read, scratch, &never,
+                                               &counters, false);
+              }),
+              0.0);
 }
 
 TEST(KernelAllocations, WarmScoreOnlyGraphRaceAllocatesNothing)

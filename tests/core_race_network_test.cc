@@ -98,6 +98,73 @@ TEST(RaceDag, SourceWithInEdgesFiresAtTickZero)
     }
 }
 
+TEST(RaceDag, InhibitedNodeNeitherFiresCountsNorSends)
+{
+    // 0 -> 1 (w 2), 0 -> 2 (w 5), 1 -> 2 (w 1), 2 -> 3 (w 1): node 2
+    // fires at 3 over 1.  Inhibited at 2, none of its arrivals (3 and
+    // 5) is delivered: it does not fire, its in-edges are not counted
+    // and 3 is never reached.  At 3 it keeps the arrival at 3 alone.
+    Dag d(4);
+    d.addEdge(0, 1, 2);
+    d.addEdge(0, 2, 5);
+    d.addEdge(1, 2, 1);
+    d.addEdge(2, 3, 1);
+    const RaceOutcome plain = core::raceDag(d, {0}, RaceType::Or);
+    EXPECT_EQ(plain.at(2).time(), 3u);
+    EXPECT_EQ(plain.events, 4u);
+
+    const sim::Tick never = sim::kTickInfinity;
+    const std::vector<sim::Tick> shut = {never, never, 2, never};
+    const RaceOutcome cut =
+        core::raceDag(d, {0}, RaceType::Or, sim::kTickInfinity, shut);
+    EXPECT_EQ(cut.at(1).time(), 2u);
+    EXPECT_FALSE(cut.at(2).fired());
+    EXPECT_FALSE(cut.at(3).fired());
+    EXPECT_EQ(cut.events, 1u);
+    EXPECT_EQ(cut.horizon, 2u);
+
+    const std::vector<sim::Tick> tight = {never, never, 3, never};
+    const RaceOutcome kept =
+        core::raceDag(d, {0}, RaceType::Or, sim::kTickInfinity, tight);
+    EXPECT_EQ(kept.at(2).time(), 3u);
+    EXPECT_EQ(kept.at(3).time(), 4u);
+    EXPECT_EQ(kept.events, 3u); // 0 -> 2 arrives at 5, past 3
+
+    // A source fires at tick 0 whatever its inhibit time.
+    const std::vector<sim::Tick> source = {0, 0, 0, 0};
+    const RaceOutcome alone =
+        core::raceDag(d, {0}, RaceType::Or, sim::kTickInfinity, source);
+    EXPECT_EQ(alone.at(0).time(), 0u);
+    EXPECT_FALSE(alone.at(1).fired());
+    EXPECT_EQ(alone.events, 0u);
+}
+
+TEST(RaceDag, InfiniteInhibitTimesAreThePlainRace)
+{
+    util::Rng rng(1300);
+    for (int round = 0; round < 8; ++round) {
+        Dag d = graph::randomDag(rng, 60, 0.12, {0, 7});
+        auto [source, sink] = graph::addSuperEndpoints(d, 1);
+        const std::vector<sim::Tick> open(d.nodeCount(), sim::kTickInfinity);
+        for (RaceType type : {RaceType::Or, RaceType::And}) {
+            for (sim::Tick horizon :
+                 {sim::kTickInfinity, sim::Tick(rng.index(30))}) {
+                const RaceOutcome plain =
+                    core::raceDag(d, {source}, type, horizon);
+                const RaceOutcome inhibited =
+                    core::raceDag(d, {source}, type, horizon, open);
+                EXPECT_EQ(inhibited.events, plain.events);
+                EXPECT_EQ(inhibited.horizon, plain.horizon);
+                ASSERT_EQ(inhibited.firing.size(), plain.firing.size());
+                for (NodeId n = 0; n < d.nodeCount(); ++n)
+                    EXPECT_EQ(inhibited.at(n).rawTime(), plain.at(n).rawTime())
+                        << "node " << n;
+            }
+        }
+        (void)sink;
+    }
+}
+
 TEST(RaceDagDeath, NegativeWeightsRejected)
 {
     Dag d(2);

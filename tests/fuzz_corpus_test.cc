@@ -67,4 +67,10 @@ TEST(FuzzCorpus, RaceSeedsReplayClean)
     EXPECT_GE(replayDirectory("race", racelogic::fuzz::raceInput), 5u);
 }
 
+TEST(FuzzCorpus, GraphRaceSeedsReplayClean)
+{
+    EXPECT_GE(replayDirectory("graph_race", racelogic::fuzz::graphRaceInput),
+              5u);
+}
+
 } // namespace

@@ -805,12 +805,12 @@ keptBand(const pangraph::CompiledGraph &compiled, const Sequence &read,
          const ScoreMatrix &costs, sim::Tick horizon,
          pangraph::GraphAlignScratch &scratch,
          const core::CancelToken *cancel, core::KernelCounters *counters,
-         bool arrivals)
+         bool arrivals, bool inhibit)
 {
     std::optional<pangraph::GraphRaceResult> raced =
         pangraph::detail::raceAlignmentGridBand(compiled, read, costs,
                                                 horizon, scratch, cancel,
-                                                counters, arrivals);
+                                                counters, arrivals, inhibit);
     EXPECT_TRUE(raced.has_value())
         << "the band gave the race back to the row sweep";
     return raced ? std::move(*raced) : pangraph::GraphRaceResult();
@@ -844,7 +844,7 @@ expectGraphBandMatchesRows(const GraphAligner &aligner, const Sequence &read,
             cancel, &rowCounters, arrivals);
     const pangraph::GraphRaceResult band =
         subject(aligner.compiled(), read, aligner.costs(), horizon,
-                bandScratch, cancel, &bandCounters, arrivals);
+                bandScratch, cancel, &bandCounters, arrivals, false);
 
     EXPECT_EQ(band.score, rows.score);
     EXPECT_EQ(band.racedCost, rows.racedCost);
@@ -1377,7 +1377,7 @@ expectGraphCancelledFromAnotherThread(GraphSweep sweep)
     for (int race = 0; race < 2000; ++race) {
         counters = core::KernelCounters();
         cut = sweep(compiled, read, aligner.costs(), sim::kTickInfinity,
-                    scratch, &token, &counters, false);
+                    scratch, &token, &counters, false, false);
         if (!cut.completed)
             break;
     }
@@ -1399,7 +1399,8 @@ expectGraphCancelledFromAnotherThread(GraphSweep sweep)
     core::KernelCounters prefixCounters;
     const pangraph::GraphRaceResult prefix =
         sweep(compiled, read.slice(0, swept - 1), aligner.costs(),
-              sim::kTickInfinity, scratch, nullptr, &prefixCounters, true);
+              sim::kTickInfinity, scratch, nullptr, &prefixCounters, true,
+              false);
     ASSERT_TRUE(prefix.completed);
     uint64_t wires = 0;
     for (size_t p = 1; p < positions; ++p)
@@ -1484,7 +1485,8 @@ expectProductMatchesEditGrid(const Sequence &a, const Sequence &b,
         /*arrivals=*/true);
     const pangraph::GraphRaceResult product =
         graph(aligner.compiled(), a, aligner.costs(), horizon,
-              productScratch, nullptr, &productCounters, /*arrivals=*/true);
+              productScratch, nullptr, &productCounters, /*arrivals=*/true,
+              /*inhibit=*/false);
 
     EXPECT_EQ(product.score, grid.score);
     EXPECT_EQ(product.completed, grid.completed);
@@ -1534,6 +1536,346 @@ TEST(EditGridChain, OneSegmentProductIsTheEditGrid)
                                              &keptEditGridBand, &keptBand);
         }
     }
+}
+
+// ---------------------------------------------------- inhibited races
+
+/** LB(i, p) = max(m - i, G(p)) x minFinite(), from first principles:
+ *  G by a walk over the compiled successors. */
+std::vector<sim::Tick>
+lowerBounds(const GraphAligner &aligner, size_t m)
+{
+    const pangraph::CompiledGraph &compiled = aligner.compiled();
+    const size_t positions = compiled.positionCount();
+    // G(p): fewest characters to a terminal, relaxed to a fixed point.
+    std::vector<sim::Tick> g(positions, sim::kTickInfinity);
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t p = 0; p < positions; ++p) {
+            sim::Tick best = compiled.terminal[p] ? 0 : sim::kTickInfinity;
+            for (uint32_t e = compiled.succOffsets[p];
+                 e < compiled.succOffsets[p + 1]; ++e)
+                if (g[compiled.succ[e]] != sim::kTickInfinity)
+                    best = std::min(best, g[compiled.succ[e]] + 1);
+            if (best < g[p]) {
+                g[p] = best;
+                changed = true;
+            }
+        }
+    }
+    const auto minWeight = static_cast<sim::Tick>(aligner.costs().minFinite());
+    std::vector<sim::Tick> lb((m + 1) * positions);
+    for (size_t i = 0; i <= m; ++i)
+        for (size_t p = 0; p < positions; ++p)
+            lb[i * positions + p] =
+                std::max<sim::Tick>(m - i, g[p]) * minWeight;
+    return lb;
+}
+
+/** An inhibited race as core::raceDag races it, with its counters. */
+struct InhibitedReference {
+    pangraph::GraphRaceResult result;
+    core::KernelCounters counters;
+};
+
+/**
+ * The inhibited race on the materialized product: core::raceDag with
+ * inhibit times H - LB(i, p) (0 where LB exceeds H) and H at the
+ * super-sink, read back as the fused kernel reports it -- over the
+ * first `rows` read rows alone when a cancel stopped the race after
+ * them (`rows` <= |read|): the arrivals delivered into them, their
+ * fired states and the latest arrival.
+ */
+InhibitedReference
+inhibitedOnRaceDag(const GraphAligner &aligner, const Sequence &read,
+                   sim::Tick horizon, size_t rows)
+{
+    const size_t m = read.size();
+    const size_t positions = aligner.compiled().positionCount();
+    const pangraph::AlignmentGraph product = pangraph::buildAlignmentGraph(
+        aligner.compiled(), read, aligner.costs());
+    const std::vector<sim::Tick> lb = lowerBounds(aligner, m);
+    std::vector<sim::Tick> inhibit(product.dag.nodeCount(), horizon);
+    for (size_t n = 0; n < lb.size(); ++n)
+        inhibit[n] = horizon > lb[n] ? horizon - lb[n] : 0;
+    const core::RaceOutcome outcome = core::raceDag(
+        product.dag, {product.source}, core::RaceType::Or, horizon, inhibit);
+
+    const bool cut = rows <= m;
+    const size_t counted = cut ? rows * positions : product.dag.nodeCount();
+    InhibitedReference ref;
+    pangraph::GraphRaceResult &r = ref.result;
+    r.nodes = product.dag.nodeCount();
+    r.arrival.assign(r.nodes, core::TemporalValue::never());
+    sim::Tick latest = 0;
+    for (const graph::Edge &e : product.dag.edges()) {
+        const core::TemporalValue from = outcome.at(e.from);
+        if (e.to >= counted || !from.fired())
+            continue;
+        const sim::Tick at = from.time() + static_cast<sim::Tick>(e.weight);
+        if (at <= horizon && at <= inhibit[e.to]) {
+            ++r.events;
+            latest = std::max(latest, at);
+        }
+    }
+    if (!cut)
+        EXPECT_EQ(r.events, outcome.events);
+    for (size_t n = 0; n < counted; ++n) {
+        r.arrival[n] = outcome.at(n);
+        r.cellsFired += outcome.at(n).fired();
+    }
+    const core::TemporalValue sink = outcome.at(product.sink);
+    r.completed = !cut && sink.fired();
+    r.cancelled = cut;
+    if (r.completed) {
+        // The kernel's score is the raced cost; the aligner recovers.
+        r.racedCost = r.score = static_cast<bio::Score>(sink.time());
+        r.latencyCycles = sink.time();
+    } else {
+        r.racedCost = r.score = bio::kScoreInfinity;
+        r.latencyCycles = cut ? latest : horizon;
+    }
+    ref.counters.events = r.events;
+    ref.counters.bucketsDrained = latest + 1;
+    ref.counters.scratchHighWater = positions;
+    ref.counters.lanesOccupied = r.cellsFired;
+    ref.counters.cancels = r.cancelled;
+    ref.counters.horizonAborts = !r.completed && !r.cancelled;
+    return ref;
+}
+
+/** Every field of an inhibited race and its counters against the
+ *  reference; arrivals only when the race filled them. */
+void
+expectInhibitedMatches(const InhibitedReference &ref,
+                       const pangraph::GraphRaceResult &raced,
+                       const core::KernelCounters &counters)
+{
+    const pangraph::GraphRaceResult &want = ref.result;
+    EXPECT_EQ(raced.score, want.score);
+    EXPECT_EQ(raced.racedCost, want.racedCost);
+    EXPECT_EQ(raced.completed, want.completed);
+    EXPECT_EQ(raced.cancelled, want.cancelled);
+    EXPECT_EQ(raced.latencyCycles, want.latencyCycles);
+    EXPECT_EQ(raced.events, want.events);
+    EXPECT_EQ(raced.nodes, want.nodes);
+    EXPECT_EQ(raced.cellsFired, want.cellsFired);
+    if (!raced.arrival.empty()) {
+        ASSERT_EQ(raced.arrival.size(), want.arrival.size());
+        for (size_t n = 0; n < raced.arrival.size(); ++n)
+            ASSERT_EQ(raced.arrival[n].rawTime(), want.arrival[n].rawTime())
+                << "arrival diverges at product node " << n << " of "
+                << raced.arrival.size();
+    }
+    EXPECT_EQ(counters.events, ref.counters.events);
+    EXPECT_EQ(counters.bucketsDrained, ref.counters.bucketsDrained);
+    EXPECT_EQ(counters.scratchHighWater, ref.counters.scratchHighWater);
+    EXPECT_EQ(counters.lanesOccupied, ref.counters.lanesOccupied);
+    EXPECT_EQ(counters.cancels, ref.counters.cancels);
+    EXPECT_EQ(counters.horizonAborts, ref.counters.horizonAborts);
+}
+
+/**
+ * One read under horizons {LB(source), opt - 1, opt, opt + 32, inf}:
+ * the row sweep, the band (where it runs and the horizon fits its
+ * bound row) and raceAlignmentGrid, arrivals on and off, all against
+ * raceDag with the same inhibit times; for H >= opt the score and
+ * latency are the plain race's.
+ */
+void
+expectInhibitedRaceIsRaceDag(const GraphAligner &aligner, const Sequence &read,
+                             pangraph::GraphAlignScratch &scratch)
+{
+    const pangraph::GraphRaceResult plain = aligner.align(
+        read, sim::kTickInfinity, scratch, nullptr, nullptr, false);
+    ASSERT_TRUE(plain.completed);
+    const auto opt = static_cast<sim::Tick>(plain.racedCost);
+    const sim::Tick least = lowerBounds(aligner, read.size())[0];
+    ASSERT_LE(least, opt);
+    for (sim::Tick horizon : {least, opt > 0 ? opt - 1 : 0, opt, opt + 32,
+                              sim::kTickInfinity}) {
+        SCOPED_TRACE(testing::Message()
+                     << "|read|=" << read.size() << " horizon=" << horizon
+                     << " LB(source)=" << least << " opt=" << opt);
+        const InhibitedReference ref =
+            inhibitedOnRaceDag(aligner, read, horizon, read.size() + 1);
+        if (horizon >= opt) {
+            EXPECT_EQ(ref.result.racedCost, plain.racedCost);
+            EXPECT_EQ(ref.result.latencyCycles, plain.latencyCycles);
+        }
+        for (bool arrivals : {true, false}) {
+            core::KernelCounters counters;
+            expectInhibitedMatches(
+                ref,
+                pangraph::detail::raceAlignmentGridRows(
+                    aligner.compiled(), read, aligner.costs(), horizon,
+                    scratch, nullptr, &counters, arrivals, true),
+                counters);
+            counters = core::KernelCounters();
+            expectInhibitedMatches(
+                ref,
+                pangraph::raceAlignmentGrid(aligner.compiled(), read,
+                                            aligner.costs(), horizon, scratch,
+                                            nullptr, &counters, arrivals,
+                                            true),
+                counters);
+            if (core::detail::hostRunsBand() && horizon <= UINT16_MAX) {
+                counters = core::KernelCounters();
+                expectInhibitedMatches(
+                    ref,
+                    keptBand(aligner.compiled(), read, aligner.costs(),
+                             horizon, scratch, nullptr, &counters, arrivals,
+                             true),
+                    counters);
+            }
+        }
+    }
+}
+
+TEST(GraphAlignInhibited, EqualsRaceDagWithInhibitTimesOnRandomGraphs)
+{
+    util::Rng rng(7300);
+    const ScoreMatrix matrices[] = {
+        ScoreMatrix::dnaShortestPath(),
+        ScoreMatrix::dnaShortestPathInfMismatch(),
+    };
+    pangraph::GraphAlignScratch scratch;
+    for (int round = 0; round < 12; ++round) {
+        pangraph::VariationGraphParams params;
+        params.backboneSegments = static_cast<size_t>(rng.uniformInt(2, 12));
+        params.maxLabel = round % 3 == 0 ? 24 : 8;
+        params.snpDensity = 0.4;
+        params.insertDensity = 0.25;
+        params.deleteDensity = 0.25;
+        auto variation = std::make_shared<VariationGraph>(
+            pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+        GraphAligner onVariation(variation, matrices[round % 2]);
+        for (const Sequence &read : bandReads(rng, *variation))
+            expectInhibitedRaceIsRaceDag(onVariation, read, scratch);
+
+        // Several sources and joins of in-degree >= 3, and asymmetric
+        // weights with a smallest weight above 1.
+        auto fan = fanGraph(rng, static_cast<size_t>(rng.uniformInt(3, 12)));
+        ScoreMatrix heavy = randomAsymmetricCosts(rng, Alphabet::dna());
+        for (size_t x = 0; x < 4; ++x) {
+            heavy.setGap(bio::Symbol(x), heavy.gap(bio::Symbol(x)) + 2);
+            for (size_t y = 0; y < 4; ++y)
+                if (heavy.pair(bio::Symbol(x), bio::Symbol(y)) !=
+                    bio::kScoreInfinity)
+                    heavy.setPair(bio::Symbol(x), bio::Symbol(y),
+                                  heavy.pair(bio::Symbol(x), bio::Symbol(y)) +
+                                      2);
+        }
+        GraphAligner onFan(fan, round % 2 ? heavy : matrices[0]);
+        for (const Sequence &read : bandReads(rng, *fan))
+            expectInhibitedRaceIsRaceDag(onFan, read, scratch);
+    }
+
+    // A converted (Section 5) similarity plan on a rank-balanced graph.
+    auto balanced = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(
+            rng, Alphabet::dna(),
+            pangraph::VariationGraphParams::balanced(6)));
+    GraphAligner similarity(balanced, ScoreMatrix::dnaLongestPath());
+    for (const Sequence &read : bandReads(rng, *balanced))
+        expectInhibitedRaceIsRaceDag(similarity, read, scratch);
+}
+
+TEST(GraphAlignInhibited, CancelledMidRaceCountsTheRowsItSwept)
+{
+    // A cancel from another thread stops an inhibited race between
+    // rows: the reference is raceDag with the same inhibit times, read
+    // over the rows swept -- the leading rows with a fired state.
+    util::Rng rng(7400);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 160;
+    params.minLabel = 4;
+    params.maxLabel = 24;
+    auto graph = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    const size_t positions = aligner.compiled().positionCount();
+    const Sequence read =
+        pangraph::sampleRead(rng, *graph, bio::MutationModel::uniform(0.1));
+    const sim::Tick horizon =
+        static_cast<sim::Tick>(
+            aligner.align(read, sim::kTickInfinity, nullptr, nullptr, false)
+                .racedCost) +
+        32;
+
+    std::vector<GraphSweep> sweeps = {&pangraph::detail::raceAlignmentGridRows};
+    if (core::detail::hostRunsBand())
+        sweeps.push_back(&keptBand);
+    for (GraphSweep sweep : sweeps) {
+        core::CancelToken token;
+        std::thread canceller([&token] { token.cancel(); });
+        pangraph::GraphRaceResult cut;
+        core::KernelCounters counters;
+        pangraph::GraphAlignScratch scratch;
+        for (int race = 0; race < 2000; ++race) {
+            counters = core::KernelCounters();
+            cut = sweep(aligner.compiled(), read, aligner.costs(), horizon,
+                        scratch, &token, &counters, true, true);
+            if (!cut.completed)
+                break;
+        }
+        canceller.join();
+        ASSERT_TRUE(cut.cancelled);
+        size_t rows = 0;
+        while (rows <= read.size() &&
+               std::any_of(cut.arrival.begin() + rows * positions,
+                           cut.arrival.begin() + (rows + 1) * positions,
+                           [](const core::TemporalValue &v) {
+                               return v.fired();
+                           }))
+            ++rows;
+        ASSERT_LE(rows, read.size()) << "the last row was swept";
+        SCOPED_TRACE(testing::Message() << "rows swept: " << rows);
+        expectInhibitedMatches(inhibitedOnRaceDag(aligner, read, horizon, rows),
+                               cut, counters);
+    }
+}
+
+TEST(GraphAlignInhibited, UnboundedPolicyAnswersWithThePlainScore)
+{
+    // alignUnbounded(): the plain race's score and latency, the
+    // answering attempt's events, and misses counted before it.  A
+    // read far from the graph misses every attempt and races plainly.
+    util::Rng rng(7500);
+    pangraph::VariationGraphParams params;
+    params.backboneSegments = 24;
+    auto graph = std::make_shared<VariationGraph>(
+        pangraph::randomVariationGraph(rng, Alphabet::dna(), params));
+    GraphAligner aligner(graph, ScoreMatrix::dnaShortestPath());
+    pangraph::GraphAlignScratch scratch;
+    std::vector<Sequence> reads;
+    for (int r = 0; r < 8; ++r)
+        reads.push_back(pangraph::sampleRead(
+            rng, *graph, bio::MutationModel::uniform(0.1 * r)));
+    reads.push_back(Sequence(Alphabet::dna(), std::string(400, 'A')));
+    for (const Sequence &read : reads) {
+        const pangraph::GraphRaceResult plain =
+            aligner.align(read, sim::kTickInfinity, scratch);
+        core::KernelCounters counters;
+        const pangraph::GraphRaceResult inhibited =
+            aligner.alignUnbounded(read, scratch, nullptr, &counters);
+        EXPECT_TRUE(inhibited.completed);
+        EXPECT_EQ(inhibited.score, plain.score);
+        EXPECT_EQ(inhibited.racedCost, plain.racedCost);
+        EXPECT_EQ(inhibited.latencyCycles, plain.latencyCycles);
+        EXPECT_LE(inhibited.events, plain.events);
+        EXPECT_EQ(counters.events, inhibited.events);
+        EXPECT_EQ(counters.horizonAborts, 0u);
+        // The attempt that answered, whose arrivals trace back.
+        const GraphMapping mapping = pangraph::mappingFromArrival(
+            aligner.compiled(), read, aligner.costs(), inhibited.arrival);
+        EXPECT_EQ(mapping.distance, plain.racedCost);
+    }
+    const pangraph::GraphRaceResult far =
+        aligner.alignUnbounded(reads.back(), scratch);
+    EXPECT_GE(far.inhibitMisses, 2u);
+    EXPECT_EQ(far.events, aligner.align(reads.back(), sim::kTickInfinity,
+                                        scratch).events);
 }
 
 } // namespace

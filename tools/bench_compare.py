@@ -69,9 +69,10 @@ HEADLINE_BENCHES = [
     "BM_ApiEngineSolveCached/256",  # facade overhead on the hot path
     "BM_GraphAlignRace/64",         # graph-align hot path (fused)
     "BM_GraphAlignFused/64",        # steady-state fused sweep, scratch reuse
-    # The race a serve worker runs per GraphAlign request: score-only,
-    # so the graph band is most of its time (the two rows above also
-    # fill the arrival vector, which costs about as much as the race).
+    # The race a serve worker runs per GraphAlign request: the
+    # unbounded policy's inhibited race, score-only, so the graph band
+    # is most of its time (the two rows above race plainly and fill the
+    # arrival vector, which costs about as much as the race).
     "BM_GraphAlignServed/64",
     # Engine read-mapping batch, one worker (single-threaded like the
     # rest of the headline set; real_time because pool workers race).
